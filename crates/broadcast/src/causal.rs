@@ -17,7 +17,6 @@ use crate::msg::{Dest, MsgId, Outbound};
 use crate::vclock::VectorClock;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
-use std::collections::HashSet;
 
 /// Wire format of the causal broadcast engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +89,6 @@ pub struct CausalBcast<P> {
     archive_enabled: bool,
     /// See `archive_enabled`.
     archive: std::collections::BTreeMap<(SiteId, u64), Wire<P>>,
-    seen: HashSet<MsgId>,
 }
 
 impl<P: Clone> CausalBcast<P> {
@@ -108,7 +106,6 @@ impl<P: Clone> CausalBcast<P> {
             pending: Vec::new(),
             archive_enabled: true,
             archive: std::collections::BTreeMap::new(),
-            seen: HashSet::new(),
         }
     }
 
@@ -147,7 +144,6 @@ impl<P: Clone> CausalBcast<P> {
             origin: self.me,
             seq,
         };
-        self.seen.insert(id);
         let wire = Wire {
             id,
             vc: self.vc.clone(),
@@ -173,7 +169,11 @@ impl<P: Clone> CausalBcast<P> {
     /// Handles an incoming wire message, returning every delivery it
     /// unblocks (in causal order).
     pub fn on_wire(&mut self, _from: SiteId, wire: Wire<P>) -> Output<P> {
-        if !self.seen.insert(wire.id) {
+        // Deliveries from one origin are gapless, so a wire was received
+        // before iff the clock already covers it or it is still waiting.
+        if wire.id.seq <= self.vc.get(wire.id.origin)
+            || self.pending.iter().any(|w| w.id == wire.id)
+        {
             return Output::empty();
         }
         let mut out = Output::empty();
@@ -332,6 +332,26 @@ mod tests {
         let w = o.outbound[0].wire.clone();
         assert_eq!(es[1].on_wire(SiteId(0), w.clone()).deliveries.len(), 1);
         assert!(es[1].on_wire(SiteId(0), w).deliveries.is_empty());
+    }
+
+    #[test]
+    fn duplicates_of_waiting_and_of_resumed_over_wires_are_ignored() {
+        let mut es = engines(2);
+        let (_, o1) = es[0].broadcast("x1".into());
+        let (_, o2) = es[0].broadcast("x2".into());
+        let w1 = o1.outbound[0].wire.clone();
+        let w2 = o2.outbound[0].wire.clone();
+        // A second copy of a wire still waiting for its predecessor.
+        es[1].on_wire(SiteId(0), w2.clone());
+        es[1].on_wire(SiteId(0), w2.clone());
+        assert_eq!(es[1].pending_len(), 1);
+        // A wire the donor's clock already covers was never received
+        // here, yet must not wait for a predecessor that will never come.
+        let donor = es[0].clock().clone();
+        es[1].resume_from(&donor);
+        assert!(es[1].on_wire(SiteId(0), w1).deliveries.is_empty());
+        assert!(es[1].on_wire(SiteId(0), w2).deliveries.is_empty());
+        assert_eq!(es[1].pending_len(), 0);
     }
 
     #[test]

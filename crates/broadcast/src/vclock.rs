@@ -100,6 +100,22 @@ impl VectorClock {
         }
     }
 
+    /// Component-wise minimum with `other`: what both clocks' owners are
+    /// known to have seen.
+    ///
+    /// # Panics
+    /// Panics if the clocks have different widths.
+    pub fn meet(&mut self, other: &VectorClock) {
+        assert_eq!(
+            self.counts.len(),
+            other.counts.len(),
+            "clock width mismatch"
+        );
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine = (*mine).min(*theirs);
+        }
+    }
+
     /// True iff every component of `self` is `<=` the corresponding
     /// component of `other` (i.e. `self` causally precedes or equals).
     pub fn dominated_by(&self, other: &VectorClock) -> bool {

@@ -732,6 +732,14 @@ impl Cluster {
         self.stats.samples()
     }
 
+    /// The current total of a push-side work counter such as
+    /// `cb.decide_peers_examined` — exact at any instant, unlike the
+    /// samples, which stop at the last period boundary. Zero when metrics
+    /// are off.
+    pub fn metrics_counter(&self, name: &str) -> u64 {
+        self.stats.counter(name)
+    }
+
     /// Writes the metrics samples as JSONL to the path configured with
     /// [`ClusterBuilder::metrics_jsonl`], returning the number of samples
     /// written. Returns `Ok(0)` when no metrics file was configured.

@@ -39,10 +39,14 @@ use crate::protocols::{Effects, RetransmitBackoff};
 use crate::state::{EventBuf, LocalEvent, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::VectorClock;
-use bcastdb_db::{Key, TxnId};
+use bcastdb_db::{Key, TxnId, WriteOp};
 use bcastdb_sim::{SimTime, SiteId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
+
+/// Fewest conflict-index insertions between two pruning passes.
+const PRUNE_FLOOR: usize = 64;
 
 #[derive(Debug)]
 enum Work {
@@ -57,11 +61,6 @@ enum Work {
 /// Causal-protocol bookkeeping for one broadcast transaction.
 #[derive(Debug, Clone, Default)]
 struct CbTxn {
-    /// Vector clock of each delivered write operation, by key. Concurrency
-    /// is classified **per operation**: a transaction's operations are
-    /// broadcast individually and are not a causal unit — one op can
-    /// causally precede a peer while the next is concurrent with it.
-    write_ops: BTreeMap<Key, VectorClock>,
     /// `commit-req`'s component at the origin; acks must cover this.
     cr_seq: Option<u64>,
     /// Sites whose delivery of the commit request is proven.
@@ -82,6 +81,29 @@ pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
     view: BTreeSet<SiteId>,
     info: BTreeMap<TxnId, CbTxn>,
+    /// Vector clock of each delivered write operation, by key, each list
+    /// in `TxnId` order — the conflict index. Concurrency is classified
+    /// **per operation**: a transaction's operations are broadcast
+    /// individually and are not a causal unit — one op can causally
+    /// precede a peer while the next is concurrent with it. Two
+    /// operations can only conflict on a shared key, so both
+    /// classification sites look up the keys at hand instead of walking
+    /// transactions; [`CausalProto::prune`] retires entries nothing can
+    /// match any more.
+    key_ops: BTreeMap<Key, Vec<(TxnId, VectorClock)>>,
+    /// Insertions into `key_ops` left before the next prune: as many as
+    /// the last one left entries, so the index never holds more than twice
+    /// what is live and pruning is O(1) amortized per op.
+    until_prune: usize,
+    /// The last clock delivered from each site. A sender's clocks only
+    /// grow and arrive in FIFO order, so everything it sends from now on
+    /// dominates this.
+    last_from: Vec<VectorClock>,
+    /// Every write-operation clock ever delivered, never pruned: what the
+    /// pre-index full scan walked, kept as the oracle `try_decide` checks
+    /// the index against.
+    #[cfg(debug_assertions)]
+    history: BTreeMap<TxnId, BTreeMap<Key, VectorClock>>,
     /// Emit a null message on ticks while transactions are undecided.
     pub null_messages: bool,
     /// Speculative fast commit: when the failure detector suspects a view
@@ -106,10 +128,9 @@ pub struct CausalProto {
     idle_work: VecDeque<Work>,
     /// Transactions whose commit request is delivered but whose outcome is
     /// not yet in `st.decided` — the only transactions a new implicit
-    /// acknowledgement can advance. `info` grows for the whole run (its
-    /// write-op clocks stay relevant to concurrency classification), so
-    /// the per-delivery ack scan walks this small index instead of the
-    /// full map; entries are dropped lazily once the decision lands.
+    /// acknowledgement can advance, so the per-delivery ack scan walks
+    /// this small index instead of `info`; entries are dropped lazily
+    /// once the decision lands.
     ack_waiting: BTreeSet<TxnId>,
     /// Per-origin maximum commit-request sequence delivered so far.
     /// `cr_seq` values from one origin only grow, so "some delivered
@@ -117,11 +138,6 @@ pub struct CausalProto {
     /// comparing this clock against `last_bcast_vc` — O(n) per tick
     /// instead of a scan over every transaction ever seen.
     max_cr_seq: VectorClock,
-    /// Transactions with at least one delivered write operation and no
-    /// decision yet — the candidate set for per-key concurrency
-    /// classification on each delivered write. Pruned lazily as
-    /// decisions land, like [`CausalProto::ack_waiting`].
-    open_writers: BTreeSet<TxnId>,
     /// Cadence control of the periodic null/gap-report broadcast (fires
     /// every tick unless [`CausalProto::enable_backoff`] was called).
     backoff: RetransmitBackoff,
@@ -141,6 +157,11 @@ impl CausalProto {
             cb: CausalBcast::new(me, n).without_archive(),
             view: (0..n).map(SiteId).collect(),
             info: BTreeMap::new(),
+            key_ops: BTreeMap::new(),
+            until_prune: PRUNE_FLOOR,
+            last_from: vec![VectorClock::new(n); n],
+            #[cfg(debug_assertions)]
+            history: BTreeMap::new(),
             null_messages: true,
             fast_commit: false,
             suspected: BTreeSet::new(),
@@ -150,7 +171,6 @@ impl CausalProto {
             idle_work: VecDeque::new(),
             ack_waiting: BTreeSet::new(),
             max_cr_seq: VectorClock::new(n),
-            open_writers: BTreeSet::new(),
             backoff: RetransmitBackoff::new(me),
             last_progress: (0, 0),
         }
@@ -204,9 +224,15 @@ impl CausalProto {
         self.cb.resume_from(donor_clock);
         self.last_bcast_vc = self.cb.clock().clone();
         self.info.clear();
+        self.key_ops.clear();
+        self.until_prune = PRUNE_FLOOR;
+        // A rejoining site cannot vouch for what its peers send next.
+        let n = self.last_from.len();
+        self.last_from.fill(VectorClock::new(n));
+        #[cfg(debug_assertions)]
+        self.history.clear();
         self.ack_waiting.clear();
-        self.max_cr_seq = VectorClock::new(self.max_cr_seq.len());
-        self.open_writers.clear();
+        self.max_cr_seq = VectorClock::new(n);
         self.view = view;
         self.suspected.clear();
     }
@@ -573,10 +599,13 @@ impl CausalProto {
         // A NACK must take effect before the same message is credited as
         // its sender's implicit acknowledgement — otherwise the NACK's own
         // clock could complete the ack set and commit the transaction it
-        // rejects.
+        // rejects. One for a settled transaction has nothing left to do.
         if let Payload::Nack { txn, site } = &*d.payload {
-            self.info.entry(*txn).or_default().nacked.insert(*site);
+            if !st.decided.contains_key(txn) {
+                self.info.entry(*txn).or_default().nacked.insert(*site);
+            }
         }
+        self.last_from[sender.0].copy_from(&d.vc);
         // Every delivery is a potential implicit acknowledgement: the
         // sender's clock proves which commit requests it had delivered.
         self.absorb_implicit_acks(st, now, sender, &d.vc, work);
@@ -585,7 +614,7 @@ impl CausalProto {
             Payload::Write {
                 txn, prio, op, of, ..
             } => {
-                self.on_write(st, fx, now, *txn, *prio, op.clone(), *of, &d.vc, work);
+                self.on_write(st, fx, now, *txn, *prio, op, *of, d.vc, work);
             }
             &Payload::CommitReq {
                 txn,
@@ -626,10 +655,7 @@ impl CausalProto {
                 self.gate_local_readers(st, fx, now, txn, work);
                 self.try_decide(st, now, txn, work);
             }
-            &Payload::Nack { txn, site } => {
-                self.info.entry(txn).or_default().nacked.insert(site);
-                self.try_decide(st, now, txn, work);
-            }
+            &Payload::Nack { txn, .. } => self.try_decide(st, now, txn, work),
             Payload::Null => {}
             Payload::Vote { .. } | Payload::AbortDecision { .. } => {
                 // Not used by this protocol.
@@ -649,35 +675,26 @@ impl CausalProto {
     ) {
         // Walk the undecided index, not the full `info` map: transactions
         // whose commit request has not been delivered have no ack set to
-        // advance, and decided ones (pruned lazily here) are settled.
-        let mut candidates: Vec<TxnId> = Vec::new();
-        let mut settled: Vec<TxnId> = Vec::new();
-        for &txn in &self.ack_waiting {
-            if st.decided.contains_key(&txn) {
-                settled.push(txn);
-                continue;
-            }
-            let Some(info) = self.info.get(&txn) else {
-                settled.push(txn);
-                continue;
+        // advance, and decided ones (pruned lazily here) are settled. The
+        // walk re-seeks after each step, so it needs no scratch list while
+        // `try_decide` borrows `self`.
+        let mut next = self.ack_waiting.first().copied();
+        while let Some(txn) = next {
+            next = self
+                .ack_waiting
+                .range((Bound::Excluded(txn), Bound::Unbounded))
+                .next()
+                .copied();
+            let info = match self.info.get_mut(&txn) {
+                Some(info) if !st.decided.contains_key(&txn) => info,
+                _ => {
+                    self.ack_waiting.remove(&txn);
+                    continue;
+                }
             };
-            if info
-                .cr_seq
-                .is_some_and(|k| vc.get(txn.origin) >= k && !info.acked.contains(&sender))
-            {
-                candidates.push(txn);
+            if info.cr_seq.is_some_and(|k| vc.get(txn.origin) >= k) && info.acked.insert(sender) {
+                self.try_decide(st, now, txn, work);
             }
-        }
-        for txn in settled {
-            self.ack_waiting.remove(&txn);
-        }
-        for txn in candidates {
-            self.info
-                .get_mut(&txn)
-                .expect("candidate")
-                .acked
-                .insert(sender);
-            self.try_decide(st, now, txn, work);
         }
     }
 
@@ -691,46 +708,42 @@ impl CausalProto {
         now: SimTime,
         txn: TxnId,
         prio: TxnPriority,
-        op: bcastdb_db::WriteOp,
+        op: &WriteOp,
         of: usize,
-        vc: &VectorClock,
+        vc: VectorClock,
         work: &mut VecDeque<Work>,
     ) {
-        self.info
+        #[cfg(debug_assertions)]
+        self.history
             .entry(txn)
             .or_default()
-            .write_ops
             .insert(op.key.clone(), vc.clone());
-        self.open_writers.insert(txn);
         // Early conflict detection: another *operation* on the same key
         // whose clock is concurrent with this one means the two
         // transactions conflict irreconcilably. Only undecided writers can
-        // conflict, so walk the `open_writers` index (pruning what has
-        // been decided since) rather than every transaction in `st.remote`.
+        // conflict.
+        let ops = self.key_ops.entry(op.key.clone()).or_default();
         let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
-        let mut settled: Vec<TxnId> = Vec::new();
-        for &peer in &self.open_writers {
-            if peer == txn {
+        for (peer, pvc) in ops.iter() {
+            if *peer == txn || st.decided.contains_key(peer) {
                 continue;
             }
-            if st.decided.contains_key(&peer) {
-                settled.push(peer);
-                continue;
-            }
-            let Some(entry) = st.remote.get(&peer) else {
+            let Some(entry) = st.remote.get(peer) else {
                 continue;
             };
-            let Some(pinfo) = self.info.get(&peer) else {
-                continue;
-            };
-            if let Some(pvc) = pinfo.write_ops.get(&op.key) {
-                if pvc.concurrent_with(vc) {
-                    peers.push((peer, entry.prio));
-                }
+            if pvc.concurrent_with(&vc) {
+                peers.push((*peer, entry.prio));
             }
         }
-        for peer in settled {
-            self.open_writers.remove(&peer);
+        match ops.binary_search_by_key(&txn, |e| e.0) {
+            Ok(i) => ops[i].1 = vc,
+            Err(i) => {
+                ops.insert(i, (txn, vc));
+                self.until_prune -= 1;
+            }
+        }
+        if self.until_prune == 0 {
+            self.prune(st);
         }
         let mut doomed_self = false;
         for (peer, peer_prio) in peers {
@@ -748,8 +761,46 @@ impl CausalProto {
             return; // no point acquiring locks for a dead transaction
         }
         let mut events = EventBuf::new();
-        st.deliver_write_op(txn, prio, op, of, now, &mut events);
+        st.deliver_write_op(txn, prio, op.clone(), of, now, &mut events);
         work.extend(events.into_iter().map(Work::Event));
+    }
+
+    /// Retires what no later classification can match. A write-operation
+    /// clock dominated by the component-wise minimum of the last clock
+    /// delivered from every site (our own current clock standing in for
+    /// ours) is dominated by everything still to be delivered, so it is
+    /// concurrent with none of it; what is already delivered and could
+    /// still ask is a same-key operation of an undecided transaction.
+    /// A decided transaction's ack bookkeeping is never read again.
+    fn prune(&mut self, st: &SiteState) {
+        let me = self.cb.me().0;
+        let mut stable = self.cb.clock().clone();
+        for (site, seen) in self.last_from.iter().enumerate() {
+            if site != me {
+                stable.meet(seen);
+            }
+        }
+        let decided = |txn: &TxnId| st.decided.contains_key(txn);
+        self.key_ops.retain(|_, ops| {
+            let mut i = 0;
+            while i < ops.len() {
+                let (txn, vc) = &ops[i];
+                let live = !decided(txn)
+                    || !vc.dominated_by(&stable)
+                    || ops
+                        .iter()
+                        .any(|(peer, pvc)| !decided(peer) && pvc.concurrent_with(vc));
+                if live {
+                    i += 1;
+                } else {
+                    ops.remove(i);
+                }
+            }
+            !ops.is_empty()
+        });
+        self.info.retain(|txn, _| !decided(txn));
+        let live: usize = self.key_ops.values().map(Vec::len).sum();
+        self.until_prune = live.max(PRUNE_FLOOR);
     }
 
     /// Settles conflicts between a commit-requesting writer and local
@@ -882,23 +933,22 @@ impl CausalProto {
         // window, so every concurrent conflicting candidate operation is
         // already delivered here. An older peer with a same-key
         // operation concurrent with ours → we abort.
-        let my_ops = &info.write_ops;
         let my_prio = entry.prio;
-        let loses = self.info.iter().any(|(peer, pinfo)| {
-            if *peer == txn {
-                return false;
-            }
-            let Some(pentry) = st.remote.get(peer) else {
-                return false;
-            };
-            pentry.prio.older_than(&my_prio)
-                && my_ops.iter().any(|(key, my_vc)| {
-                    pinfo
-                        .write_ops
-                        .get(key)
-                        .is_some_and(|pvc| pvc.concurrent_with(my_vc))
-                })
+        let mut examined = 0;
+        let loses = entry.ops.iter().any(|op| {
+            let ops = &self.key_ops[&op.key];
+            let mine = ops.binary_search_by_key(&txn, |e| e.0).expect("own op");
+            ops.iter().any(|(peer, pvc)| {
+                examined += u64::from(*peer != txn);
+                st.remote
+                    .get(peer)
+                    .is_some_and(|p| p.prio.older_than(&my_prio))
+                    && pvc.concurrent_with(&ops[mine].1)
+            })
         });
+        st.stats.counter_add("cb.decide_peers_examined", examined);
+        #[cfg(debug_assertions)]
+        assert_eq!(loses, self.full_scan_loses(st, txn), "index vs scan: {txn}");
         let mut events = EventBuf::new();
         if loses {
             st.trace_decided(txn, false, now);
@@ -920,6 +970,27 @@ impl CausalProto {
             }
         }
         work.extend(events.into_iter().map(Work::Event));
+    }
+}
+
+#[cfg(debug_assertions)]
+impl CausalProto {
+    /// The deterministic evaluation as it was before the index: walk every
+    /// transaction this site has ever seen.
+    fn full_scan_loses(&self, st: &SiteState, txn: TxnId) -> bool {
+        let my_prio = st.remote[&txn].prio;
+        self.history.iter().any(|(peer, peer_ops)| {
+            *peer != txn
+                && st
+                    .remote
+                    .get(peer)
+                    .is_some_and(|p| p.prio.older_than(&my_prio))
+                && self.history[&txn].iter().any(|(key, my_vc)| {
+                    peer_ops
+                        .get(key)
+                        .is_some_and(|pvc| pvc.concurrent_with(my_vc))
+                })
+        })
     }
 }
 
@@ -1119,6 +1190,62 @@ mod tests {
                 "causal order = install order"
             );
         }
+    }
+
+    /// The one case where `try_decide`, not `on_write`, delivers the
+    /// concurrency verdict: the older peer is already decided here when the
+    /// younger transaction's write arrives, so early detection skips it and
+    /// the evaluation at ack-set closure must still find it.
+    #[test]
+    fn older_peer_decided_before_ack_set_closes_still_wins() {
+        use bcastdb_broadcast::msg::MsgId;
+
+        let mut rig = Rig::new(3);
+        let older = rig.submit(0, 10, TxnSpec::new().write("x", 1));
+        let younger = rig.submit(1, 20, TxnSpec::new().write("x", 2));
+        // Drive site 2 alone, from the wires addressed to it.
+        let mut inbox: Vec<(SiteId, causal::Wire<Arc<Payload>>)> = Vec::new();
+        for (from, to, msg) in rig.wires.drain(..) {
+            if let (SiteId(2), ReplicaMsg::C(wire)) = (to, msg) {
+                inbox.push((from, wire));
+            }
+        }
+        let (proto, st) = (&mut rig.protos[2], &mut rig.states[2]);
+        let at = SimTime::from_micros(2);
+        let mut deliver = |proto: &mut CausalProto, st: &mut SiteState, from: SiteId| {
+            let next = inbox.iter().position(|(f, _)| *f == from).expect("wire");
+            let (from, wire) = inbox.remove(next);
+            proto.on_wire(st, &mut Effects::new(), at, from, wire);
+        };
+        // The older transaction's write, then a local veto of it: decided
+        // here before anything of the younger one is delivered.
+        deliver(proto, st, SiteId(0));
+        proto.abort_with_nack(st, &mut Effects::new(), at, older, &mut VecDeque::new());
+        assert_eq!(st.decided.get(&older), Some(&false));
+        deliver(proto, st, SiteId(0)); // its commit request: ignored
+        deliver(proto, st, SiteId(1)); // the younger write: no live peer
+        deliver(proto, st, SiteId(1)); // its commit request: acks {1, 2}
+        assert!(!st.decided.contains_key(&younger), "ack set still open");
+        // Site 0 acknowledges with a plain null (its own NACK of the
+        // younger transaction is withheld): the ack set closes and only
+        // the deterministic evaluation can reject.
+        let mut vc = VectorClock::new(3);
+        vc.set(SiteId(0), 3);
+        vc.set(SiteId(1), 2);
+        let id = MsgId {
+            origin: SiteId(0),
+            seq: 3,
+        };
+        let payload = Arc::new(Payload::Null);
+        proto.on_wire(
+            st,
+            &mut Effects::new(),
+            at,
+            SiteId(0),
+            causal::Wire { id, vc, payload },
+        );
+        assert_eq!(st.decided.get(&younger), Some(&false));
+        assert_eq!(st.store.value(&"x".into()), 0);
     }
 
     #[test]

@@ -535,6 +535,14 @@ impl StatsHandle {
         }
     }
 
+    /// Counter `name`'s current total (zero when never bumped or disabled).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.inner
+            .as_ref()
+            .and_then(|reg| reg.borrow().counters.get(name).copied())
+            .unwrap_or(0)
+    }
+
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&self, name: &'static str, v: u64) {
         if let Some(reg) = &self.inner {
@@ -660,6 +668,8 @@ mod tests {
         h.commit_sample(Sample::new(SimTime::from_micros(1000)));
         let samples = h.samples();
         assert_eq!(samples.len(), 1);
+        assert_eq!(h.counter("retrans"), 5);
+        assert_eq!(h.counter("depth"), 0, "a gauge is not a counter");
         assert_eq!(samples[0].values["retrans"], 5);
         assert_eq!(samples[0].values["depth"], 9);
         assert_eq!(samples[0].hists["flush"], vec![(3, 1)]);
@@ -673,6 +683,7 @@ mod tests {
         h.gauge_set("y", 2);
         h.observe("z", 3);
         h.commit_sample(Sample::new(SimTime::ZERO));
+        assert_eq!(h.counter("x"), 0);
         assert!(h.samples().is_empty());
         assert_eq!(h.interval(), None);
     }

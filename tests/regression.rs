@@ -266,3 +266,36 @@ fn causal_origin_vetoes_precede_commit_request() {
     );
     c.check_serializability().expect("serializable");
 }
+
+/// KNOWN GAP, pinned and not fixed (benchmark/README.md "P-CB on skewed
+/// keys diverges", ROADMAP item 4): on a hot key two conflicting P-CB
+/// transactions both commit and the replicas install them in different
+/// orders. The benchmark's own driver hits it on its seeds 108 and 109;
+/// it draws its streams differently from `closed_loop`, through which
+/// seeds 118 and 138 are the first two of 100..200 that reproduce (151,
+/// 158 and 176 are the others; none does on uniform keys). Run with
+/// `cargo test --release --test regression -- --ignored pcb_skewed`.
+#[test]
+#[ignore = "known gap: P-CB DivergentInstallOrder on skewed keys"]
+fn pcb_skewed_keys_install_order_diverges() {
+    let cfg = WorkloadConfig {
+        n_keys: 500,
+        theta: 0.8,
+        reads_per_txn: 2,
+        writes_per_txn: 2,
+        reads_per_ro_txn: 4,
+        readonly_fraction: 0.2,
+    };
+    let diverged = [118, 138].into_iter().filter(|&seed| {
+        let mut c = Cluster::builder()
+            .sites(5)
+            .protocol(ProtocolKind::CausalBcast)
+            .seed(seed)
+            .network(bcastdb::sim::NetworkConfig::lan())
+            .build();
+        let report = WorkloadRun::new(cfg.clone(), seed).closed_loop(&mut c, 4, 150);
+        assert!(report.quiesced && report.all_terminated(), "seed {seed}");
+        c.check_serializability().is_err()
+    });
+    assert_eq!(diverged.collect::<Vec<u64>>(), [] as [u64; 0]);
+}
