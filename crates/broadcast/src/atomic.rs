@@ -16,10 +16,11 @@
 //! Both deliver [`TotalDelivery`] values carrying a dense global sequence
 //! number, identical at every site.
 
+use crate::contig::SeenIds;
 use crate::msg::{MsgId, Outbound};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// A total-order delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +117,7 @@ pub struct SequencerAbcast<P> {
     /// Sequencer state: next global number to assign.
     next_gseq_assign: u64,
     /// Sequencer state: ids already ordered (dedup on re-submission).
-    ordered_ids: HashSet<MsgId>,
+    ordered_ids: SeenIds,
     /// Receiver state: next global number to deliver.
     next_gseq_deliver: u64,
     /// Receiver state: out-of-order ordered messages.
@@ -136,7 +137,7 @@ impl<P: Clone> SequencerAbcast<P> {
             sequencer: SiteId(0),
             next_seq: 0,
             next_gseq_assign: 0,
-            ordered_ids: HashSet::new(),
+            ordered_ids: SeenIds::new(n),
             next_gseq_deliver: 0,
             holdback: BTreeMap::new(),
         }
@@ -150,6 +151,12 @@ impl<P: Clone> SequencerAbcast<P> {
     /// The next global sequence number this site would deliver.
     pub fn delivered_watermark(&self) -> u64 {
         self.next_gseq_deliver
+    }
+
+    /// Ordered ids the sequencer holds individually because an earlier
+    /// submission of the same origin has not arrived.
+    pub fn dedup_live(&self) -> usize {
+        self.ordered_ids.live()
     }
 
     /// Resumes a recovered engine at a donor's delivery watermark (earlier
@@ -316,7 +323,7 @@ pub struct IsisAbcast<P> {
     /// Duplicate suppression must outlive delivery: a late network
     /// duplicate of a delivered `Data` would otherwise re-insert a
     /// pending entry that can never finalize, wedging the holdback.
-    seen: HashSet<MsgId>,
+    seen: SeenIds,
     /// Proposals collected by this site for its own broadcasts.
     proposals: HashMap<MsgId, Vec<Priority>>,
     delivered: u64,
@@ -335,7 +342,7 @@ impl<P: Clone> IsisAbcast<P> {
             next_seq: 0,
             lamport: 0,
             pending: BTreeMap::new(),
-            seen: HashSet::new(),
+            seen: SeenIds::new(n),
             proposals: HashMap::new(),
             delivered: 0,
         }
@@ -344,6 +351,12 @@ impl<P: Clone> IsisAbcast<P> {
     /// Number of messages awaiting finalization or delivery.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Accepted ids held individually because an earlier `Data` of the
+    /// same origin has not arrived.
+    pub fn dedup_live(&self) -> usize {
+        self.seen.live()
     }
 
     /// The donor-visible logical clock (for state transfer).

@@ -58,6 +58,7 @@
 pub mod atomic;
 pub mod batch;
 pub mod causal;
+pub mod contig;
 pub mod fifo;
 pub mod membership;
 pub mod msg;

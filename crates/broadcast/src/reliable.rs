@@ -26,7 +26,7 @@
 use crate::msg::{Dest, MsgId, Outbound};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Wire format of the reliable broadcast engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,11 +85,16 @@ pub struct ReliableBcast<P> {
     /// Out-of-order messages awaiting their FIFO predecessors.
     holdback: BTreeMap<(SiteId, u64), P>,
     /// Every payload ever seen (sent or received), retained for
-    /// retransmission to peers that lost their copies.
+    /// retransmission to peers that lost their copies. Kept whole on
+    /// purpose: a sync request can be a delayed duplicate of an old one,
+    /// so no watermark a peer has reported since bounds what the next
+    /// request asks for — and how many wires an answer holds is part of
+    /// the run's message counts.
     archive: BTreeMap<(SiteId, u64), P>,
-    /// Everything ever received (for relay dedup); identical to
-    /// `delivered + holdback` keys plus in-flight duplicates.
-    seen: HashSet<MsgId>,
+    /// Every id ever accepted: the set `on_wire`'s watermark test
+    /// replaced, kept in debug builds to check each verdict against.
+    #[cfg(debug_assertions)]
+    seen: std::collections::HashSet<MsgId>,
     /// Whether the archive is populated. Retransmissions are only ever
     /// requested via sync rounds, which exist in relay mode; a non-relay
     /// engine skips the per-message archive insert.
@@ -111,7 +116,8 @@ impl<P: Clone> ReliableBcast<P> {
             delivered_seq: vec![0; n],
             holdback: BTreeMap::new(),
             archive: BTreeMap::new(),
-            seen: HashSet::new(),
+            #[cfg(debug_assertions)]
+            seen: std::collections::HashSet::new(),
             archive_enabled: true,
         }
     }
@@ -144,6 +150,7 @@ impl<P: Clone> ReliableBcast<P> {
             origin: self.me,
             seq: self.next_seq,
         };
+        #[cfg(debug_assertions)]
         self.seen.insert(id);
         self.delivered_seq[self.me.0] = id.seq;
         if self.archive_enabled {
@@ -164,8 +171,14 @@ impl<P: Clone> ReliableBcast<P> {
 
     /// Handles an incoming wire message.
     pub fn on_wire(&mut self, _from: SiteId, wire: Wire<P>) -> Output<P> {
-        if !self.seen.insert(wire.id) {
-            return Output::empty(); // duplicate
+        // Delivery is a contiguous prefix per origin, so everything ever
+        // accepted is at or below the watermark or waiting in the holdback.
+        let duplicate = wire.id.seq <= self.delivered_seq[wire.id.origin.0]
+            || self.holdback.contains_key(&(wire.id.origin, wire.id.seq));
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(duplicate, !self.seen.insert(wire.id), "dedup verdict");
+        if duplicate {
+            return Output::empty();
         }
         let mut out = Output::empty();
         if self.relay {
@@ -222,11 +235,28 @@ impl<P: Clone> ReliableBcast<P> {
         }
         self.next_seq = self.next_seq.max(self.delivered_seq[self.me.0]);
         self.holdback.clear();
+        // What the jump covers counts as accepted; what the holdback lost
+        // does not (a retransmission of it must get back in).
+        #[cfg(debug_assertions)]
+        {
+            let marks = &self.delivered_seq;
+            self.seen.retain(|id| id.seq <= marks[id.origin.0]);
+            for (origin, &mark) in marks.iter().enumerate() {
+                let origin = SiteId(origin);
+                self.seen
+                    .extend((1..=mark).map(|seq| MsgId { origin, seq }));
+            }
+        }
     }
 
     /// Number of messages currently held back waiting for predecessors.
     pub fn holdback_len(&self) -> usize {
         self.holdback.len()
+    }
+
+    /// Number of payloads retained for retransmission.
+    pub fn archive_len(&self) -> usize {
+        self.archive.len()
     }
 
     /// Archived messages a peer at the given delivery watermarks is
@@ -323,6 +353,23 @@ mod tests {
         assert_eq!(rb.on_wire(SiteId(0), wire(0, 1, "a")).deliveries.len(), 1);
         assert!(rb.on_wire(SiteId(0), wire(0, 1, "a")).deliveries.is_empty());
         assert!(rb.on_wire(SiteId(2), wire(0, 1, "a")).deliveries.is_empty());
+    }
+
+    #[test]
+    fn resume_jumps_the_duplicate_test_with_the_watermarks() {
+        let mut rb = ReliableBcast::new(SiteId(1), 3).with_relay();
+        // 0#3 waits in the holdback for 0#1 and 0#2 when the site resumes
+        // from a donor that has delivered up to 0#2.
+        assert!(rb.on_wire(SiteId(0), wire(0, 3, "c")).deliveries.is_empty());
+        rb.resume_from(&[2, 0, 0]);
+        // What the donor's state covers is stale: neither relayed nor kept.
+        let stale = rb.on_wire(SiteId(0), wire(0, 2, "b"));
+        assert!(stale.outbound.is_empty() && stale.deliveries.is_empty());
+        assert_eq!(rb.holdback_len(), 0);
+        // What the cleared holdback lost is accepted when it comes again.
+        let again = rb.on_wire(SiteId(2), wire(0, 3, "c"));
+        assert_eq!(again.deliveries.len(), 1);
+        assert_eq!(rb.delivered_from(SiteId(0)), 3);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! `N+1` — no site sends more than a constant number of payload copies.
 
 use crate::atomic::{AtomicBcast, Output, TotalDelivery};
+use crate::contig::Contig;
 use crate::msg::{MsgId, Outbound};
 use bcastdb_sim::SiteId;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -101,39 +102,6 @@ impl<P: crate::batch::WireSize> crate::batch::WireSize for RingWire<P> {
             RingWire::Ack { .. } => 8,
             RingWire::Repair { entries, .. } => 8 + 8 + 8 + entries.len() * 24,
         }
-    }
-}
-
-/// Highest-contiguous-prefix tracker for one origin's sequence numbers.
-#[derive(Debug, Default)]
-struct Contig {
-    /// Highest `seq` such that all of `1..=seq` have been seen.
-    watermark: u64,
-    /// Seen sequence numbers above the watermark.
-    above: BTreeSet<u64>,
-}
-
-impl Contig {
-    /// Records `seq`; returns whether the watermark advanced.
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.watermark || !self.above.insert(seq) {
-            return false;
-        }
-        let before = self.watermark;
-        while self.above.remove(&(self.watermark + 1)) {
-            self.watermark += 1;
-        }
-        self.watermark > before
-    }
-
-    /// Highest sequence number seen at all (contiguous or not).
-    fn max_seen(&self) -> u64 {
-        self.above
-            .iter()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
-            .max(self.watermark)
     }
 }
 
@@ -268,6 +236,13 @@ impl<P: Clone> RingAbcast<P> {
         self.store.len()
     }
 
+    /// Entries in the `(gseq, id)` assignment log (the `ring.ordered_len`
+    /// gauge). The log is what a view change's repair round reports and
+    /// re-announces from, so it is kept whole: it grows with the run.
+    pub fn ordered_len(&self) -> usize {
+        self.ordered.len()
+    }
+
     /// Current view epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -310,8 +285,7 @@ impl<P: Clone> RingAbcast<P> {
                 self.sent_seq = self.sent_seq.max(seq);
                 self.acked_seq = self.acked_seq.max(seq);
             } else {
-                let contig = self.received.entry(site).or_default();
-                contig.watermark = contig.watermark.max(seq);
+                self.received.entry(site).or_default().raise(seq);
             }
         }
     }
@@ -353,7 +327,7 @@ impl<P: Clone> RingAbcast<P> {
             }
             // We are now the ring tail for our successor's broadcasts;
             // refresh its cumulative ack so its window can't deadlock.
-            let upto = self.received.get(&succ).map_or(0, |c| c.watermark);
+            let upto = self.received.get(&succ).map_or(0, Contig::watermark);
             out.outbound
                 .push(Outbound::to(succ, RingWire::Ack { upto }));
         } else {
@@ -536,7 +510,7 @@ impl<P: Clone> RingAbcast<P> {
                     out.outbound.push(Outbound::to(
                         origin,
                         RingWire::Ack {
-                            upto: contig.watermark,
+                            upto: contig.watermark(),
                         },
                     ));
                 }
@@ -563,8 +537,10 @@ impl<P: Clone> RingAbcast<P> {
             self.forwarded_total += 1;
         }
         let contig = self.received.entry(origin).or_default();
-        let advanced = contig.insert(id.seq);
-        let upto = contig.watermark;
+        let before = contig.watermark();
+        contig.insert(id.seq);
+        let upto = contig.watermark();
+        let advanced = upto > before;
         if advanced && succ == origin {
             // We are the last site on this origin's ring path: cumulative
             // ack releases its pipeline window.

@@ -7,7 +7,7 @@ use crate::payload::{AbcastImpl, ProtocolKind, ReplicaTimer};
 use crate::placement::Placement;
 use crate::state::ConflictPolicy;
 use bcastdb_db::sg::SgViolation;
-use bcastdb_db::{HistoryRecorder, Key, TxnId, TxnSpec, Value};
+use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value, WriteOp};
 use bcastdb_sim::stats::{render_jsonl, Sample, StatsHandle, StatsRegistry};
 use bcastdb_sim::telemetry::{
     JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceSink,
@@ -847,19 +847,31 @@ impl Cluster {
             h.record_site_order(site, &st.store);
         }
         // Commits whose origin is outside the surveyed set (e.g. a crashed
-        // site) have no origin-side record; reconstruct them from what the
-        // surveyed replicas know — the decision and the delivered write
-        // set. Their reads happened at the lost origin and impose no
-        // constraints the survivors can check.
+        // site) have no origin-side record; reconstruct them from the
+        // surveyed replicas' redo logs. A log holds the keys its site
+        // replicates, so under partial placement a write set is the union
+        // over the sites. Their reads happened at the lost origin and
+        // impose no constraints the survivors can check.
+        if surveyed.len() == self.cfg.sites {
+            return h; // every origin speaks for itself
+        }
+        let mut orphans: BTreeMap<TxnId, Vec<WriteOp>> = BTreeMap::new();
         for &site in sites {
-            let st = self.sim.node(site).state();
-            for (txn, committed) in &st.decided {
-                if *committed && !surveyed.contains(&txn.origin) {
-                    if let Some(entry) = st.remote.get(txn) {
-                        h.record_commit(*txn, Vec::new(), entry.ops.clone());
+            for rec in self.sim.node(site).state().log.records() {
+                if let LogRecord::Commit { txn, writes } = rec {
+                    if !surveyed.contains(&txn.origin) {
+                        let known = orphans.entry(*txn).or_default();
+                        for w in writes {
+                            if !known.iter().any(|k| k.key == w.key) {
+                                known.push(w.clone());
+                            }
+                        }
                     }
                 }
             }
+        }
+        for (txn, writes) in orphans {
+            h.record_commit(txn, Vec::new(), writes);
         }
         h
     }
@@ -1164,7 +1176,7 @@ mod tests {
         assert!(last.values.contains_key("net.msgs_sent"));
         for s in 0..3 {
             assert!(
-                last.values.contains_key(&format!("s{s}.undecided_remote")),
+                last.values.contains_key(&format!("s{s}.core.remote_live")),
                 "missing per-site gauges for site {s}"
             );
         }

@@ -90,7 +90,7 @@ impl Default for NodeConfig {
 #[derive(Debug, Clone)]
 pub struct ResyncSnapshot {
     store: bcastdb_db::Store,
-    decided: std::collections::BTreeMap<bcastdb_db::TxnId, bool>,
+    decided: crate::state::Outcomes,
     log: bcastdb_db::RedoLog,
     view: BTreeSet<SiteId>,
     member_view: Option<bcastdb_broadcast::membership::View>,
@@ -245,11 +245,8 @@ impl ReplicaNode {
     /// resume past them at the donor's delivery positions.
     pub fn import_snapshot(&mut self, snap: ResyncSnapshot, now: SimTime) {
         self.st.store = snap.store;
-        self.st.decided = snap.decided;
+        self.st.rebase_on(&snap.decided);
         self.st.log = snap.log;
-        self.st.local.clear();
-        self.st.remote.clear();
-        self.st.recount_undecided();
         self.st.locks = bcastdb_db::LockManager::new();
         match (
             &mut self.proto,
@@ -498,10 +495,7 @@ impl ReplicaNode {
                                 .st
                                 .remote
                                 .keys()
-                                .filter(|t| {
-                                    !members.contains(&t.origin) && !self.st.decided.contains_key(t)
-                                })
-                                .copied()
+                                .filter(|t| !members.contains(&t.origin))
                                 .collect();
                             for txn in gone {
                                 let mut events = EventBuf::new();
@@ -692,11 +686,11 @@ impl Node for ReplicaNode {
         let me = self.st.me;
         sample.set_site(me, "lock_waiters", self.st.locks.waiting_count() as u64);
         sample.set_site(me, "lock_keys", self.st.locks.active_keys() as u64);
-        sample.set_site(
-            me,
-            "undecided_remote",
-            self.st.undecided_remote_count() as u64,
-        );
+        // Table sizes: `*_live` ones hold only what is in flight and read
+        // zero at quiescence; the others grow with the run on purpose
+        // (DESIGN.md, "state lifetimes").
+        sample.set_site(me, "core.remote_live", self.st.remote.len() as u64);
+        sample.set_site(me, "core.decided_len", self.st.decided.len() as u64);
         sample.set_site(me, "local_active", self.st.local_active_count() as u64);
         // Retransmission pressure: the causal protocol's retransmissions
         // and the reliable protocol's sync rounds, straight from the
@@ -707,13 +701,23 @@ impl Node for ReplicaNode {
             sample.set_site(me, "batch_pending_msgs", b.pending_msgs() as u64);
             sample.set_site(me, "batch_pending_bytes", b.pending_bytes() as u64);
         }
-        // Ring-backend pipeline gauges, only present when the ring runs —
-        // other backends keep their metrics output byte-identical.
-        if let Proto::Atomic(p) = &self.proto {
-            if let Some((inflight, forwarded)) = p.ring_gauges() {
-                sample.set_site(me, "ring.inflight", inflight);
-                sample.set_site(me, "ring.forwarded", forwarded);
+        match &self.proto {
+            Proto::Reliable(p) => {
+                let (dedup, archive) = p.table_sizes();
+                sample.set_site(me, "rb.dedup_live", dedup as u64);
+                sample.set_site(me, "rb.archive_len", archive as u64);
             }
+            // Each backend reports its own gauges: the ring its pipeline
+            // and repair log, the other two their duplicate trackers.
+            Proto::Atomic(p) => match p.ring_gauges() {
+                Some((inflight, forwarded, ordered)) => {
+                    sample.set_site(me, "ring.inflight", inflight);
+                    sample.set_site(me, "ring.forwarded", forwarded);
+                    sample.set_site(me, "ring.ordered_len", ordered);
+                }
+                None => sample.set_site(me, "abcast.dedup_live", p.dedup_live() as u64),
+            },
+            Proto::P2p(_) | Proto::Causal(_) => {}
         }
     }
 }

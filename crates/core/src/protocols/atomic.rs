@@ -244,12 +244,22 @@ impl AtomicProto {
         self.pump(st, fx, now, work);
     }
 
-    /// The ring engine's pipeline gauges, when this protocol runs the ring
-    /// backend: `(inflight, forwarded)`.
-    pub fn ring_gauges(&self) -> Option<(u64, u64)> {
+    /// The ring engine's gauges, when this protocol runs the ring backend:
+    /// `(inflight, forwarded, ordered_len)`.
+    pub fn ring_gauges(&self) -> Option<(u64, u64, u64)> {
         match &self.ab {
-            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count())),
+            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count(), a.ordered_len() as u64)),
             _ => None,
+        }
+    }
+
+    /// Ids the sequencer or ISIS backend's duplicate tracker holds one by
+    /// one (zero for the ring, which has no such tracker).
+    pub fn dedup_live(&self) -> usize {
+        match &self.ab {
+            Abcast::Seq(a) => a.dedup_live(),
+            Abcast::Isis(a) => a.dedup_live(),
+            Abcast::Ring(_) => 0,
         }
     }
 
@@ -278,8 +288,7 @@ impl AtomicProto {
         let undecided: Vec<TxnId> = st
             .remote
             .keys()
-            .filter(|t| !st.decided.contains_key(t) && !members.contains(&t.origin))
-            .copied()
+            .filter(|t| !members.contains(&t.origin))
             .collect();
         let mut work = ring_work;
         for txn in undecided {
@@ -521,11 +530,10 @@ impl AtomicProto {
         } = &*d.payload
         {
             let (txn, prio, of) = (*txn, *prio, *of);
-            if st.decided.contains_key(&txn) {
-                return;
-            }
             // Record the op only — no locks; applies happen in total order.
-            let entry = st.remote_entry(txn, prio);
+            let Some(entry) = st.remote_entry(txn, prio) else {
+                return;
+            };
             entry.ops.push(op.clone());
             entry.n_writes = Some(of);
             // A commit request stalled on this write set may now proceed.
@@ -587,7 +595,7 @@ impl AtomicProto {
             }
             let head = self.cert_queue.pop_front().expect("front checked");
             // Make sure an entry exists even for write-free transactions.
-            let entry = st.remote_entry(txn, head.prio);
+            let entry = st.remote_entry(txn, head.prio).expect("undecided");
             if entry.n_writes.is_none() {
                 entry.n_writes = Some(0);
             }
@@ -649,12 +657,15 @@ mod tests {
     use crate::state::ConflictPolicy;
     use bcastdb_broadcast::msg::expand_dest;
     use bcastdb_db::TxnSpec;
+    use bcastdb_sim::telemetry::Phase;
     use std::collections::VecDeque as Q;
 
     struct Rig {
         protos: Vec<AtomicProto>,
         states: Vec<SiteState>,
         wires: Q<(SiteId, SiteId, ReplicaMsg)>,
+        /// Messages of the vote phase handed to the network so far.
+        vote_msgs: usize,
     }
 
     impl Rig {
@@ -671,12 +682,14 @@ mod tests {
                     .collect(),
                 states,
                 wires: Q::new(),
+                vote_msgs: 0,
             }
         }
 
         fn absorb(&mut self, me: SiteId, fx: Effects) {
             let n = self.protos.len();
             for (dest, msg) in fx.sends {
+                self.vote_msgs += usize::from(msg.phase() == Phase::Vote);
                 for to in expand_dest(dest, me, n) {
                     if to != me {
                         self.wires.push_back((me, to, msg.clone()));
@@ -728,12 +741,49 @@ mod tests {
             let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
             rig.settle();
             for (i, st) in rig.states.iter().enumerate() {
-                assert_eq!(st.decided.get(&id), Some(&true), "{imp:?} site {i}");
+                assert_eq!(st.decided.get(&id), Some(true), "{imp:?} site {i}");
                 assert_eq!(st.store.value(&"x".into()), 4, "{imp:?} site {i}");
-                // No votes, no NACK bookkeeping.
-                assert!(st.remote[&id].votes_yes.is_empty());
-                assert!(st.remote[&id].my_vote.is_none());
+                assert!(st.remote.is_empty(), "{imp:?} site {i} retired the entry");
             }
+            assert_eq!(rig.vote_msgs, 0, "{imp:?}: no vote round");
+        }
+    }
+
+    #[test]
+    fn redelivery_after_the_decision_resurrects_nothing() {
+        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
+        let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
+        rig.settle();
+        let now = SimTime::from_micros(9);
+        let msg = bcastdb_broadcast::MsgId {
+            origin: SiteId(1),
+            seq: 99,
+        };
+        for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
+            let logged = st.log.len();
+            for payload in crate::protocols::tests::stale_payloads(id) {
+                let mut fx = Effects::new();
+                let mut work = VecDeque::new();
+                // Both of this protocol's delivery paths.
+                let causal = causal::Delivery {
+                    id: msg,
+                    vc: p.cb.clock().clone(),
+                    payload: payload.clone(),
+                };
+                p.on_causal_deliver(st, now, causal, &mut work);
+                let total = TotalDelivery {
+                    gseq: 99,
+                    id: msg,
+                    payload: payload.clone(),
+                };
+                p.on_total_deliver(st, now, total, &mut work);
+                p.pump(st, &mut fx, now, work);
+                assert!(fx.sends.is_empty(), "site {i} answered {payload:?}");
+            }
+            assert!(st.remote.is_empty() && !st.has_undecided(), "site {i}");
+            assert!(p.cert_queue.is_empty(), "site {i} queued a settled request");
+            assert_eq!(st.log.len(), logged, "site {i} terminated {id} again");
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
         }
     }
 
@@ -745,14 +795,14 @@ mod tests {
         let a = rig.submit(0, 10, TxnSpec::new().write("x", 1));
         let b = rig.submit(1, 20, TxnSpec::new().write("x", 2));
         rig.settle();
-        let (winner, loser) = if rig.states[0].decided[&a] {
+        let (winner, loser) = if rig.states[0].decided.get(&a) == Some(true) {
             (a, b)
         } else {
             (b, a)
         };
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(st.decided.get(&winner), Some(&true), "site {i}");
-            assert_eq!(st.decided.get(&loser), Some(&false), "site {i}");
+            assert_eq!(st.decided.get(&winner), Some(true), "site {i}");
+            assert_eq!(st.decided.get(&loser), Some(false), "site {i}");
         }
         // The abort is a certification failure at the origin.
         let origin = &rig.states[loser.origin.0];
@@ -776,13 +826,13 @@ mod tests {
             // T read the initial version of x (W not yet delivered), and
             // its commit request is sequenced after W's.
             rig.settle();
-            assert!(rig.states[0].decided[&w], "w committed");
+            assert_eq!(rig.states[0].decided.get(&w), Some(true), "w committed");
             t
         };
         for (i, st) in rig.states.iter().enumerate() {
             assert_eq!(
                 st.decided.get(&t),
-                Some(&false),
+                Some(false),
                 "site {i}: stale read must fail certification"
             );
         }
@@ -804,7 +854,7 @@ mod tests {
         // exactly once.
         for st in &rig.states {
             for (i, id) in ids.iter().enumerate() {
-                assert_eq!(st.decided.get(id), Some(&true));
+                assert_eq!(st.decided.get(id), Some(true));
                 assert_eq!(st.store.value(&format!("k{i}").into()), i as i64);
             }
         }

@@ -81,8 +81,9 @@ pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
     view: BTreeSet<SiteId>,
     info: BTreeMap<TxnId, CbTxn>,
-    /// Vector clock of each delivered write operation, by key, each list
-    /// in `TxnId` order — the conflict index. Concurrency is classified
+    /// Vector clock of each delivered write operation (and its
+    /// transaction's priority: the entry outlives the `RemoteTxn`), by
+    /// key, each list in `TxnId` order — the conflict index. Concurrency is classified
     /// **per operation**: a transaction's operations are broadcast
     /// individually and are not a causal unit — one op can causally
     /// precede a peer while the next is concurrent with it. Two
@@ -90,7 +91,7 @@ pub struct CausalProto {
     /// classification sites look up the keys at hand instead of walking
     /// transactions; [`CausalProto::prune`] retires entries nothing can
     /// match any more.
-    key_ops: BTreeMap<Key, Vec<(TxnId, VectorClock)>>,
+    key_ops: BTreeMap<Key, Vec<(TxnId, TxnPriority, VectorClock)>>,
     /// Insertions into `key_ops` left before the next prune: as many as
     /// the last one left entries, so the index never holds more than twice
     /// what is live and pruning is O(1) amortized per op.
@@ -103,7 +104,7 @@ pub struct CausalProto {
     /// pre-index full scan walked, kept as the oracle `try_decide` checks
     /// the index against.
     #[cfg(debug_assertions)]
-    history: BTreeMap<TxnId, BTreeMap<Key, VectorClock>>,
+    history: BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>,
     /// Emit a null message on ticks while transactions are undecided.
     pub null_messages: bool,
     /// Speculative fast commit: when the failure detector suspects a view
@@ -370,12 +371,7 @@ impl CausalProto {
         members: BTreeSet<SiteId>,
     ) {
         self.view = members;
-        let undecided: Vec<TxnId> = st
-            .remote
-            .keys()
-            .filter(|t| !st.decided.contains_key(t))
-            .copied()
-            .collect();
+        let undecided: Vec<TxnId> = st.remote.keys().collect();
         let mut work = std::mem::take(&mut self.idle_work);
         for txn in undecided {
             if !self.view.contains(&txn.origin) {
@@ -622,10 +618,9 @@ impl CausalProto {
                 n_writes,
                 ..
             } => {
-                if st.decided.contains_key(&txn) {
+                let Some(entry) = st.remote_entry(txn, prio) else {
                     return;
-                }
-                let entry = st.remote_entry(txn, prio);
+                };
                 entry.commit_req_seen = true;
                 entry.n_writes = Some(n_writes);
                 let info = self.info.entry(txn).or_default();
@@ -716,7 +711,8 @@ impl CausalProto {
         #[cfg(debug_assertions)]
         self.history
             .entry(txn)
-            .or_default()
+            .or_insert_with(|| (prio, BTreeMap::new()))
+            .1
             .insert(op.key.clone(), vc.clone());
         // Early conflict detection: another *operation* on the same key
         // whose clock is concurrent with this one means the two
@@ -724,21 +720,15 @@ impl CausalProto {
         // conflict.
         let ops = self.key_ops.entry(op.key.clone()).or_default();
         let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
-        for (peer, pvc) in ops.iter() {
-            if *peer == txn || st.decided.contains_key(peer) {
-                continue;
-            }
-            let Some(entry) = st.remote.get(peer) else {
-                continue;
-            };
-            if pvc.concurrent_with(&vc) {
-                peers.push((*peer, entry.prio));
+        for (peer, peer_prio, pvc) in ops.iter() {
+            if *peer != txn && st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
+                peers.push((*peer, *peer_prio));
             }
         }
         match ops.binary_search_by_key(&txn, |e| e.0) {
-            Ok(i) => ops[i].1 = vc,
+            Ok(i) => ops[i].2 = vc,
             Err(i) => {
-                ops.insert(i, (txn, vc));
+                ops.insert(i, (txn, prio, vc));
                 self.until_prune -= 1;
             }
         }
@@ -784,12 +774,12 @@ impl CausalProto {
         self.key_ops.retain(|_, ops| {
             let mut i = 0;
             while i < ops.len() {
-                let (txn, vc) = &ops[i];
+                let (txn, _, vc) = &ops[i];
                 let live = !decided(txn)
                     || !vc.dominated_by(&stable)
                     || ops
                         .iter()
-                        .any(|(peer, pvc)| !decided(peer) && pvc.concurrent_with(vc));
+                        .any(|(peer, _, pvc)| !decided(peer) && pvc.concurrent_with(vc));
                 if live {
                     i += 1;
                 } else {
@@ -938,12 +928,11 @@ impl CausalProto {
         let loses = entry.ops.iter().any(|op| {
             let ops = &self.key_ops[&op.key];
             let mine = ops.binary_search_by_key(&txn, |e| e.0).expect("own op");
-            ops.iter().any(|(peer, pvc)| {
+            ops.iter().any(|(peer, peer_prio, pvc)| {
                 examined += u64::from(*peer != txn);
-                st.remote
-                    .get(peer)
-                    .is_some_and(|p| p.prio.older_than(&my_prio))
-                    && pvc.concurrent_with(&ops[mine].1)
+                st.ever_held(peer)
+                    && peer_prio.older_than(&my_prio)
+                    && pvc.concurrent_with(&ops[mine].2)
             })
         });
         st.stats.counter_add("cb.decide_peers_examined", examined);
@@ -979,13 +968,11 @@ impl CausalProto {
     /// transaction this site has ever seen.
     fn full_scan_loses(&self, st: &SiteState, txn: TxnId) -> bool {
         let my_prio = st.remote[&txn].prio;
-        self.history.iter().any(|(peer, peer_ops)| {
+        self.history.iter().any(|(peer, (peer_prio, peer_ops))| {
             *peer != txn
-                && st
-                    .remote
-                    .get(peer)
-                    .is_some_and(|p| p.prio.older_than(&my_prio))
-                && self.history[&txn].iter().any(|(key, my_vc)| {
+                && st.ever_held(peer)
+                && peer_prio.older_than(&my_prio)
+                && self.history[&txn].1.iter().any(|(key, my_vc)| {
                     peer_ops
                         .get(key)
                         .is_some_and(|pvc| pvc.concurrent_with(my_vc))
@@ -1000,12 +987,15 @@ mod tests {
     use crate::state::ConflictPolicy;
     use bcastdb_broadcast::msg::expand_dest;
     use bcastdb_db::TxnSpec;
+    use bcastdb_sim::telemetry::Phase;
     use std::collections::VecDeque as Q;
 
     struct Rig {
         protos: Vec<CausalProto>,
         states: Vec<SiteState>,
         wires: Q<(SiteId, SiteId, ReplicaMsg)>,
+        /// Messages of the vote phase handed to the network so far.
+        vote_msgs: usize,
     }
 
     impl Rig {
@@ -1021,12 +1011,14 @@ mod tests {
                 protos: (0..n).map(|i| CausalProto::new(SiteId(i), n)).collect(),
                 states,
                 wires: Q::new(),
+                vote_msgs: 0,
             }
         }
 
         fn absorb(&mut self, me: SiteId, fx: Effects) {
             let n = self.protos.len();
             for (dest, msg) in fx.sends {
+                self.vote_msgs += usize::from(msg.phase() == Phase::Vote);
                 for to in expand_dest(dest, me, n) {
                     if to != me {
                         self.wires.push_back((me, to, msg.clone()));
@@ -1139,19 +1131,48 @@ mod tests {
     }
 
     #[test]
+    fn redelivery_after_the_decision_resurrects_nothing() {
+        let mut rig = Rig::new(3);
+        let id = rig.submit(0, 1, TxnSpec::new().write("x", 9));
+        rig.settle();
+        let now = SimTime::from_micros(9);
+        for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
+            let logged = st.log.len();
+            for payload in crate::protocols::tests::stale_payloads(id) {
+                let d = causal::Delivery {
+                    id: bcastdb_broadcast::MsgId {
+                        origin: SiteId(1),
+                        seq: 99,
+                    },
+                    vc: p.clock(),
+                    payload: payload.clone(),
+                };
+                let mut fx = Effects::new();
+                let mut work = VecDeque::new();
+                p.on_deliver(st, &mut fx, now, d, &mut work);
+                p.pump(st, &mut fx, now, work);
+                assert!(fx.sends.is_empty(), "site {i} answered {payload:?}");
+            }
+            assert!(st.remote.is_empty() && !st.has_undecided(), "site {i}");
+            assert_eq!(st.log.len(), logged, "site {i} terminated {id} again");
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
+        }
+    }
+
+    #[test]
     fn commit_through_implicit_acknowledgements_only() {
         let mut rig = Rig::new(3);
         let id = rig.submit(0, 1, TxnSpec::new().write("x", 9));
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(st.decided.get(&id), Some(&true), "site {i}");
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
             assert_eq!(st.store.value(&"x".into()), 9, "site {i}");
         }
-        // No votes exist in this protocol: the remote entries never carry
-        // any.
+        // No votes exist in this protocol, and a decided transaction
+        // leaves nothing behind.
+        assert_eq!(rig.vote_msgs, 0);
         for st in &rig.states {
-            assert!(st.remote[&id].votes_yes.is_empty());
-            assert!(st.remote[&id].my_vote.is_none());
+            assert!(st.remote.is_empty());
         }
     }
 
@@ -1164,10 +1185,10 @@ mod tests {
         let younger = rig.submit(1, 20, TxnSpec::new().write("x", 2));
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(st.decided.get(&older), Some(&true), "older commits at {i}");
+            assert_eq!(st.decided.get(&older), Some(true), "older commits at {i}");
             assert_eq!(
                 st.decided.get(&younger),
-                Some(&false),
+                Some(false),
                 "younger aborts at {i}"
             );
             assert_eq!(st.store.value(&"x".into()), 1, "older's write wins at {i}");
@@ -1182,8 +1203,8 @@ mod tests {
         let second = rig.submit(1, 20, TxnSpec::new().write("x", 2));
         rig.settle();
         for st in &rig.states {
-            assert_eq!(st.decided.get(&first), Some(&true));
-            assert_eq!(st.decided.get(&second), Some(&true));
+            assert_eq!(st.decided.get(&first), Some(true));
+            assert_eq!(st.decided.get(&second), Some(true));
             assert_eq!(
                 st.store.install_order(&"x".into()),
                 &[first, second],
@@ -1221,7 +1242,7 @@ mod tests {
         // here before anything of the younger one is delivered.
         deliver(proto, st, SiteId(0));
         proto.abort_with_nack(st, &mut Effects::new(), at, older, &mut VecDeque::new());
-        assert_eq!(st.decided.get(&older), Some(&false));
+        assert_eq!(st.decided.get(&older), Some(false));
         deliver(proto, st, SiteId(0)); // its commit request: ignored
         deliver(proto, st, SiteId(1)); // the younger write: no live peer
         deliver(proto, st, SiteId(1)); // its commit request: acks {1, 2}
@@ -1244,7 +1265,7 @@ mod tests {
             SiteId(0),
             causal::Wire { id, vc, payload },
         );
-        assert_eq!(st.decided.get(&younger), Some(&false));
+        assert_eq!(st.decided.get(&younger), Some(false));
         assert_eq!(st.store.value(&"x".into()), 0);
     }
 
@@ -1267,11 +1288,7 @@ mod tests {
         }
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(
-                st.decided.get(&id),
-                Some(&false),
-                "site {i} aborted on NACK"
-            );
+            assert_eq!(st.decided.get(&id), Some(false), "site {i} aborted on NACK");
         }
     }
 }

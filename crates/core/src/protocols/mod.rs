@@ -133,6 +133,54 @@ impl Effects {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every kind of protocol payload about `txn`, as a late duplicate would
+    /// carry it: what the per-protocol tests hand to a site that has already
+    /// decided `txn`, to check that nothing brings it back.
+    pub(crate) fn stale_payloads(
+        txn: bcastdb_db::TxnId,
+    ) -> Vec<std::sync::Arc<crate::payload::Payload>> {
+        use crate::payload::{Payload, TxnPriority};
+        let prio = TxnPriority {
+            ts: 1,
+            origin: txn.origin,
+            num: txn.num,
+        };
+        let site = SiteId(1);
+        [
+            Payload::Write {
+                txn,
+                prio,
+                op: bcastdb_db::WriteOp {
+                    key: "x".into(),
+                    value: 1,
+                },
+                index: 0,
+                of: 1,
+            },
+            Payload::CommitReq {
+                txn,
+                prio,
+                n_writes: 1,
+                read_versions: Vec::new(),
+                write_versions: Vec::new(),
+            },
+            Payload::Vote {
+                txn,
+                site,
+                yes: true,
+            },
+            Payload::Vote {
+                txn,
+                site,
+                yes: false,
+            },
+            Payload::Nack { txn, site },
+            Payload::AbortDecision { txn },
+        ]
+        .map(std::sync::Arc::new)
+        .to_vec()
+    }
     use crate::payload::{P2pMsg, ReplicaMsg};
     use bcastdb_db::TxnId;
 

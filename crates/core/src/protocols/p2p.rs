@@ -338,9 +338,6 @@ impl P2pProto {
                 self.record_ack(st, fx, now, from, txn, index, work);
             }
             P2pMsg::CommitReq { txn, writes } => {
-                if st.decided.contains_key(&txn) {
-                    return;
-                }
                 let prio = self
                     .driving
                     .get(&txn)
@@ -350,7 +347,9 @@ impl P2pProto {
                         origin: txn.origin,
                         num: txn.num,
                     });
-                let entry = st.remote_entry(txn, prio);
+                let Some(entry) = st.remote_entry(txn, prio) else {
+                    return;
+                };
                 entry.commit_req_seen = true;
                 entry.n_writes = Some(writes.len());
                 // Writes arrived (and were acked) before the commit request
@@ -373,16 +372,15 @@ impl P2pProto {
                 }
             }
             P2pMsg::Vote { txn, site, yes } => {
-                if st.decided.contains_key(&txn) {
-                    return;
-                }
                 let prio = TxnPriority {
                     ts: u64::MAX,
                     origin: txn.origin,
                     num: txn.num,
                 };
                 let n = st.n;
-                let entry = st.remote_entry(txn, prio);
+                let Some(entry) = st.remote_entry(txn, prio) else {
+                    return;
+                };
                 if yes {
                     entry.votes_yes.insert(site);
                 } else {

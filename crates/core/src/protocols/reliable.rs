@@ -101,6 +101,13 @@ impl ReliableProto {
         self.backoff.enable();
     }
 
+    /// The broadcast engine's `(holdback, archive)` sizes: everything its
+    /// duplicate test consults beyond the watermarks, and what it retains
+    /// for retransmission.
+    pub fn table_sizes(&self) -> (usize, usize) {
+        (self.rb.holdback_len(), self.rb.archive_len())
+    }
+
     /// Per-origin reliable-broadcast delivery watermarks (state transfer).
     pub fn watermarks(&self) -> Vec<u64> {
         self.rb.watermarks()
@@ -131,12 +138,7 @@ impl ReliableProto {
         if self.suspected.is_empty() {
             return;
         }
-        let undecided: Vec<TxnId> = st
-            .remote
-            .keys()
-            .filter(|t| !st.decided.contains_key(t))
-            .copied()
-            .collect();
+        let undecided: Vec<TxnId> = st.remote.keys().collect();
         let mut work = std::mem::take(&mut self.idle_work);
         for txn in undecided {
             self.try_decide(st, now, txn, &mut work);
@@ -210,12 +212,7 @@ impl ReliableProto {
         members: BTreeSet<SiteId>,
     ) {
         self.view = members;
-        let undecided: Vec<TxnId> = st
-            .remote
-            .keys()
-            .filter(|t| !st.decided.contains_key(t))
-            .copied()
-            .collect();
+        let undecided: Vec<TxnId> = st.remote.keys().collect();
         let mut work = std::mem::take(&mut self.idle_work);
         for txn in undecided {
             if !self.view.contains(&txn.origin) {
@@ -416,10 +413,9 @@ impl ReliableProto {
                 n_writes,
                 ..
             } => {
-                if st.decided.contains_key(&txn) {
+                let Some(entry) = st.remote_entry(txn, prio) else {
                     return;
-                }
-                let entry = st.remote_entry(txn, prio);
+                };
                 entry.commit_req_seen = true;
                 entry.n_writes = Some(n_writes);
                 // THE GATE (mirror of the causal protocol's): conflicts
@@ -435,9 +431,6 @@ impl ReliableProto {
                 self.maybe_vote(st, fx, now, txn, work);
             }
             &Payload::Vote { txn, site, yes } => {
-                if st.decided.contains_key(&txn) {
-                    return;
-                }
                 // A vote can arrive before any write op (no cross-origin
                 // ordering); the priority on the entry is fixed up when the
                 // ops arrive.
@@ -446,7 +439,9 @@ impl ReliableProto {
                     origin: txn.origin,
                     num: txn.num,
                 };
-                let entry = st.remote_entry(txn, placeholder);
+                let Some(entry) = st.remote_entry(txn, placeholder) else {
+                    return;
+                };
                 if yes {
                     entry.votes_yes.insert(site);
                 } else {
@@ -526,9 +521,6 @@ impl ReliableProto {
         txn: TxnId,
         work: &mut VecDeque<Work>,
     ) {
-        if st.decided.contains_key(&txn) {
-            return;
-        }
         let Some(entry) = st.remote.get_mut(&txn) else {
             return;
         };
@@ -576,9 +568,6 @@ impl ReliableProto {
         txn: TxnId,
         work: &mut VecDeque<Work>,
     ) {
-        if st.decided.contains_key(&txn) {
-            return;
-        }
         let Some(entry) = st.remote.get(&txn) else {
             return;
         };
@@ -624,6 +613,8 @@ mod tests {
         protos: Vec<ReliableProto>,
         states: Vec<SiteState>,
         wires: Q<(SiteId, SiteId, ReplicaMsg)>,
+        /// Every vote broadcast so far: `(txn, voter, yes)`.
+        votes: Vec<(TxnId, SiteId, bool)>,
     }
 
     impl Rig {
@@ -638,12 +629,18 @@ mod tests {
                 protos: (0..n).map(|i| ReliableProto::new(SiteId(i), n)).collect(),
                 states,
                 wires: Q::new(),
+                votes: Vec::new(),
             }
         }
 
         fn absorb(&mut self, me: SiteId, fx: Effects) {
             let n = self.protos.len();
             for (dest, msg) in fx.sends {
+                if let ReplicaMsg::R(wire) = &msg {
+                    if let Payload::Vote { txn, site, yes } = *wire.payload {
+                        self.votes.push((txn, site, yes));
+                    }
+                }
                 for to in expand_dest(dest, me, n) {
                     if to != me {
                         self.wires.push_back((me, to, msg.clone()));
@@ -684,11 +681,35 @@ mod tests {
         let id = rig.submit(0, TxnSpec::new().write("x", 7));
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(st.decided.get(&id), Some(&true), "site {i}");
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
             assert_eq!(st.store.value(&bcastdb_db::Key::new("x")), 7, "site {i}");
-            let e = &st.remote[&id];
-            assert_eq!(e.votes_yes.len(), 3, "site {i} saw all votes");
-            assert_eq!(e.my_vote, Some(true), "site {i} voted yes");
+            assert!(st.remote.is_empty(), "site {i} retired the entry");
+            assert!(
+                rig.votes.contains(&(id, SiteId(i), true)),
+                "site {i} voted yes"
+            );
+        }
+        assert_eq!(rig.votes.len(), 3, "one vote per site");
+    }
+
+    #[test]
+    fn redelivery_after_the_decision_resurrects_nothing() {
+        let mut rig = Rig::new(3);
+        let id = rig.submit(0, TxnSpec::new().write("x", 7));
+        rig.settle();
+        let now = SimTime::from_micros(9);
+        for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
+            let logged = st.log.len();
+            for payload in crate::protocols::tests::stale_payloads(id) {
+                let mut fx = Effects::new();
+                let mut work = VecDeque::new();
+                p.on_deliver(st, &mut fx, now, payload.clone(), &mut work);
+                p.pump(st, &mut fx, now, work);
+                assert!(fx.sends.is_empty(), "site {i} answered {payload:?}");
+            }
+            assert!(st.remote.is_empty() && !st.has_undecided(), "site {i}");
+            assert_eq!(st.log.len(), logged, "site {i} terminated {id} again");
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
         }
     }
 
@@ -721,13 +742,15 @@ mod tests {
         // while the read-only reader holds S(x) → site 1 vetoes (votes NO).
         let w = rig.submit(0, TxnSpec::new().write("x", 3));
         rig.settle();
-        assert_eq!(rig.states[0].decided.get(&w), Some(&false), "writer vetoed");
+        assert_eq!(rig.states[0].decided.get(&w), Some(false), "writer vetoed");
         assert!(
             !rig.states[1].decided.contains_key(&ro),
             "read-only reader survives"
         );
-        let e = &rig.states[1].remote[&w];
-        assert_eq!(e.my_vote, Some(false), "site 1 cast the NO vote");
+        assert!(
+            rig.votes.contains(&(w, SiteId(1), false)),
+            "site 1 cast the NO vote"
+        );
     }
 
     #[test]
@@ -737,19 +760,20 @@ mod tests {
         // Pre-doom the transaction at site 2 before its wires arrive.
         {
             let st = &mut rig.states[2];
-            let e = st.remote_entry(
-                id,
-                crate::payload::TxnPriority {
-                    ts: 0,
-                    origin: SiteId(0),
-                    num: 1,
-                },
-            );
-            e.doomed = Some(AbortReason::Wounded);
+            let prio = crate::payload::TxnPriority {
+                ts: 0,
+                origin: SiteId(0),
+                num: 1,
+            };
+            st.remote_entry(id, prio).expect("undecided").doomed = Some(AbortReason::Wounded);
         }
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
-            assert_eq!(st.decided.get(&id), Some(&false), "site {i} aborted");
+            assert_eq!(st.decided.get(&id), Some(false), "site {i} aborted");
+            assert!(
+                st.remote.is_empty(),
+                "site {i}: votes that arrived after the abort re-created the entry"
+            );
             assert_eq!(
                 st.store.read(&"x".into()).writer,
                 None,
@@ -815,10 +839,12 @@ mod tests {
         let id = rig.submit(1, TxnSpec::new().write("a", 1).write("b", 2).write("c", 3));
         rig.settle();
         for st in &rig.states {
-            let e = &st.remote[&id];
-            assert_eq!(e.ops.len(), 3);
-            assert_eq!(e.n_writes, Some(3));
-            assert_eq!(st.decided.get(&id), Some(&true));
+            assert_eq!(st.decided.get(&id), Some(true));
+            let logged = st.log.records().iter().find_map(|r| match r {
+                bcastdb_db::LogRecord::Commit { txn, writes } if *txn == id => Some(writes.len()),
+                _ => None,
+            });
+            assert_eq!(logged, Some(3), "the whole write set committed");
         }
     }
 }

@@ -124,6 +124,149 @@ impl RemoteTxn {
     }
 }
 
+/// The broadcast transactions still undecided at a site, in `TxnId` order.
+///
+/// A sorted vector, not a tree: the set is small (what is in flight) and
+/// it drains and refills all the time. A vector keeps its buffer through
+/// that; a `BTreeMap` merges and frees nodes as it shrinks and splits new
+/// ones as it grows back.
+#[derive(Debug, Default)]
+pub struct LiveTxns(Vec<RemoteTxn>);
+
+impl LiveTxns {
+    fn slot(&self, id: &TxnId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(id, |e| e.id)
+    }
+
+    /// The entry for `id`, if it is live.
+    pub fn get(&self, id: &TxnId) -> Option<&RemoteTxn> {
+        self.slot(id).ok().map(|i| &self.0[i])
+    }
+
+    /// The entry for `id`, if it is live.
+    pub fn get_mut(&mut self, id: &TxnId) -> Option<&mut RemoteTxn> {
+        self.slot(id).ok().map(|i| &mut self.0[i])
+    }
+
+    /// Whether `id` is live.
+    pub fn contains_key(&self, id: &TxnId) -> bool {
+        self.slot(id).is_ok()
+    }
+
+    /// Live ids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.0.iter().map(|e| e.id)
+    }
+}
+
+/// Length, emptiness and iteration are the slice's.
+impl std::ops::Deref for LiveTxns {
+    type Target = [RemoteTxn];
+    fn deref(&self) -> &[RemoteTxn] {
+        &self.0
+    }
+}
+
+impl std::ops::Index<&TxnId> for LiveTxns {
+    type Output = RemoteTxn;
+    fn index(&self, id: &TxnId) -> &RemoteTxn {
+        self.get(id).expect("live transaction")
+    }
+}
+
+/// How a transaction ended at a site: one byte of [`Outcomes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Pending,
+    Committed,
+    /// Aborted while this site held a [`RemoteTxn`] for it.
+    Aborted,
+    /// Aborted before this site ever held a [`RemoteTxn`] for it (an
+    /// origin-side abort, or a verdict that outran the write set).
+    AbortedUnheld,
+}
+
+/// Outcome of every transaction terminated at a site: a dense table with
+/// one byte per transaction, indexed by origin and by `TxnId::num` (a
+/// per-origin counter, so the rows have no holes worth a map).
+#[derive(Debug, Clone, Default)]
+pub struct Outcomes {
+    by_origin: Vec<Vec<Fate>>,
+    len: usize,
+}
+
+impl Outcomes {
+    fn fate(&self, id: &TxnId) -> Fate {
+        let row = self.by_origin.get(id.origin.0);
+        row.and_then(|r| r.get(id.num as usize))
+            .copied()
+            .unwrap_or(Fate::Pending)
+    }
+
+    /// `Some(true)` = committed, `Some(false)` = aborted, `None` = not
+    /// terminated here.
+    pub fn get(&self, id: &TxnId) -> Option<bool> {
+        match self.fate(id) {
+            Fate::Pending => None,
+            fate => Some(fate == Fate::Committed),
+        }
+    }
+
+    /// Whether `id` has terminated here.
+    pub fn contains_key(&self, id: &TxnId) -> bool {
+        self.fate(id) != Fate::Pending
+    }
+
+    /// Number of terminated transactions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff nothing has terminated.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Records `fate` for `id` unless it already has one.
+    fn record(&mut self, id: TxnId, fate: Fate) {
+        if self.by_origin.len() <= id.origin.0 {
+            self.by_origin.resize_with(id.origin.0 + 1, Vec::new);
+        }
+        let row = &mut self.by_origin[id.origin.0];
+        let num = id.num as usize;
+        if row.len() <= num {
+            row.resize(num + 1, Fate::Pending);
+        }
+        if row[num] == Fate::Pending {
+            row[num] = fate;
+            self.len += 1;
+        }
+    }
+
+    /// The table a replica recovering by state transfer starts from: the
+    /// donor's verdicts, plus the verdicts this site reached on its *own*
+    /// transactions that the donor never heard of (a transaction aborted
+    /// at its origin before anything was broadcast exists nowhere else).
+    /// Nothing in it counts as held here: the recovering site's live
+    /// state is dropped along with its `RemoteTxn`s.
+    fn rebased_on(&self, donor: &Outcomes, me: SiteId) -> Outcomes {
+        let mut out = donor.clone();
+        let unheld = |f: &Fate| match f {
+            Fate::Aborted => Fate::AbortedUnheld,
+            other => *other,
+        };
+        for row in &mut out.by_origin {
+            row.iter_mut().for_each(|f| *f = unheld(f));
+        }
+        for (num, f) in self.by_origin.get(me.0).into_iter().flatten().enumerate() {
+            if *f != Fate::Pending {
+                out.record(TxnId::new(me, num as u64), unheld(f));
+            }
+        }
+        out
+    }
+}
+
 /// Events surfaced to the protocol layer by common state transitions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LocalEvent {
@@ -223,20 +366,14 @@ pub struct SiteState {
     rank_counter: u64,
     /// Transactions originated here, still running.
     pub local: BTreeMap<TxnId, LocalTxn>,
-    /// Broadcast transactions being processed here.
-    pub remote: BTreeMap<TxnId, RemoteTxn>,
-    /// Terminated transactions: `true` = committed.
-    pub decided: BTreeMap<TxnId, bool>,
+    /// Broadcast transactions still undecided here; an entry is dropped
+    /// the moment its transaction is decided and is never re-created.
+    pub remote: LiveTxns,
+    /// Terminated transactions.
+    pub decided: Outcomes,
     /// Origin-side records for the serializability checker.
     pub terminations: Vec<TerminationRecord>,
     next_txn_num: u64,
-    /// Count of `remote` entries absent from `decided`, so
-    /// [`SiteState::has_undecided`] — consulted on every tick-arming
-    /// decision — is O(1) instead of a scan of the full-history `remote`
-    /// map. Maintained by [`SiteState::remote_entry`] and the
-    /// `mark_decided` helper; recomputed wholesale after a state transfer
-    /// by [`SiteState::recount_undecided`].
-    undecided_remote: usize,
 }
 
 impl SiteState {
@@ -260,11 +397,10 @@ impl SiteState {
             placement: Placement::Full,
             rank_counter: 0,
             local: BTreeMap::new(),
-            remote: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            remote: LiveTxns::default(),
+            decided: Outcomes::default(),
             terminations: Vec::new(),
             next_txn_num: 0,
-            undecided_remote: 0,
         }
     }
 
@@ -323,14 +459,7 @@ impl SiteState {
 
     /// True iff this site knows of any transaction that has not terminated.
     pub fn has_undecided(&self) -> bool {
-        !self.local.is_empty() || self.undecided_remote > 0
-    }
-
-    /// Number of remote transactions this site has seen but not yet
-    /// decided (the O(1) counter behind [`SiteState::has_undecided`]),
-    /// exposed as a metrics gauge.
-    pub fn undecided_remote_count(&self) -> usize {
-        self.undecided_remote
+        !self.local.is_empty() || !self.remote.is_empty()
     }
 
     /// Number of local transactions still in flight at this site.
@@ -338,24 +467,35 @@ impl SiteState {
         self.local.len()
     }
 
-    /// Records a transaction's outcome, keeping the undecided-remote count
-    /// in step. Every `decided` insertion must go through here.
-    fn mark_decided(&mut self, id: TxnId, committed: bool) {
-        if self.decided.insert(id, committed).is_none() && self.remote.contains_key(&id) {
-            self.undecided_remote -= 1;
-        }
+    /// Whether this site ever held a [`RemoteTxn`] for `id` — holds one
+    /// now, or did when `id` was decided. (The causal protocol's decision
+    /// rule counts a decided peer only if its write set reached this site
+    /// while it was still undecided.)
+    pub fn ever_held(&self, id: &TxnId) -> bool {
+        matches!(self.decided.fate(id), Fate::Committed | Fate::Aborted)
+            || self.remote.contains_key(id)
     }
 
-    /// Recomputes the undecided-remote count from scratch. For the one
-    /// place that rewrites `remote` and `decided` wholesale (state
-    /// transfer into a recovering replica) rather than through
-    /// [`SiteState::remote_entry`] and decision application.
-    pub fn recount_undecided(&mut self) {
-        self.undecided_remote = self
-            .remote
-            .keys()
-            .filter(|t| !self.decided.contains_key(t))
-            .count();
+    /// Records a transaction's outcome and retires its [`RemoteTxn`],
+    /// which is handed back. Every `decided` insertion goes through here.
+    fn mark_decided(&mut self, id: TxnId, committed: bool) -> Option<RemoteTxn> {
+        let entry = self.remote.slot(&id).ok().map(|i| self.remote.0.remove(i));
+        let fate = match (committed, &entry) {
+            (true, _) => Fate::Committed,
+            (false, Some(_)) => Fate::Aborted,
+            (false, None) => Fate::AbortedUnheld,
+        };
+        self.decided.record(id, fate);
+        entry
+    }
+
+    /// Drops all in-flight state and adopts a donor's verdicts (state
+    /// transfer into a recovering replica), keeping this site's verdicts
+    /// on its own transactions that the donor never saw.
+    pub fn rebase_on(&mut self, donor: &Outcomes) {
+        self.local.clear();
+        self.remote.0.clear();
+        self.decided = self.decided.rebased_on(donor, self.me);
     }
 
     // ------------------------------------------------------------------
@@ -527,21 +667,25 @@ impl SiteState {
     // Remote (broadcast) transaction processing
     // ------------------------------------------------------------------
 
-    /// Returns (creating if needed) the remote entry for `id`. A smaller
-    /// (older) priority refines any placeholder recorded earlier — votes
-    /// can arrive before the write ops that carry the real priority.
-    pub fn remote_entry(&mut self, id: TxnId, prio: TxnPriority) -> &mut RemoteTxn {
-        if !self.remote.contains_key(&id) && !self.decided.contains_key(&id) {
-            self.undecided_remote += 1;
-        }
-        let e = self
-            .remote
-            .entry(id)
-            .or_insert_with(|| RemoteTxn::new(id, prio));
+    /// Returns (creating if needed) the remote entry for `id`, or `None`
+    /// if `id` is already decided: a late message must not bring a
+    /// retired transaction back. A smaller (older) priority refines any
+    /// placeholder recorded earlier — votes can arrive before the write
+    /// ops that carry the real priority.
+    pub fn remote_entry(&mut self, id: TxnId, prio: TxnPriority) -> Option<&mut RemoteTxn> {
+        let i = match self.remote.slot(&id) {
+            Ok(i) => i,
+            Err(_) if self.decided.contains_key(&id) => return None,
+            Err(i) => {
+                self.remote.0.insert(i, RemoteTxn::new(id, prio));
+                i
+            }
+        };
+        let e = &mut self.remote.0[i];
         if prio < e.prio {
             e.prio = prio;
         }
-        e
+        Some(e)
     }
 
     /// Handles a delivered write operation: records it and tries to acquire
@@ -559,10 +703,9 @@ impl SiteState {
         now: SimTime,
         events: &mut EventBuf,
     ) {
-        if self.decided.contains_key(&id) {
+        let Some(entry) = self.remote_entry(id, prio) else {
             return; // already terminated (e.g. wounded before this op arrived)
-        }
-        let entry = self.remote_entry(id, prio);
+        };
         entry.ops.push(op.clone());
         entry.n_writes = Some(of);
         if entry.doomed.is_some() {
@@ -722,11 +865,9 @@ impl SiteState {
         let mut candidates: Vec<TxnId> = cycle
             .into_iter()
             .filter(|t| {
-                !self.decided.contains_key(t)
-                    && self
-                        .remote
-                        .get(t)
-                        .is_some_and(|e| e.my_vote.is_none() && e.doomed.is_none())
+                self.remote
+                    .get(t)
+                    .is_some_and(|e| e.my_vote.is_none() && e.doomed.is_none())
             })
             .collect();
         candidates.sort();
@@ -765,7 +906,7 @@ impl SiteState {
                 }
                 let doomable = self.remote.get(&w).is_some_and(|we| {
                     we.prio.older_than(&hp) && we.doomed.is_none() && we.my_vote.is_none()
-                }) && !self.decided.contains_key(&w);
+                });
                 if doomable {
                     self.doom_remote(w, AbortReason::Wounded, events);
                 }
@@ -782,7 +923,7 @@ impl SiteState {
         let Some(entry) = self.remote.get_mut(&id) else {
             return;
         };
-        if entry.doomed.is_none() && !self.decided.contains_key(&id) {
+        if entry.doomed.is_none() {
             entry.doomed = Some(reason);
             events.push(LocalEvent::RemoteDoomed(id, reason));
         }
@@ -834,21 +975,21 @@ impl SiteState {
         if self.decided.contains_key(&id) {
             return;
         }
-        let entry = self.remote.get(&id).expect("commit of unknown transaction");
+        let entry = self
+            .mark_decided(id, true)
+            .expect("commit of unknown transaction");
         assert_eq!(
             Some(entry.ops.len()),
             entry.n_writes,
             "commit applied before full write set delivered"
         );
-        let writes = entry.ops.clone();
-        let held: Vec<WriteOp> = writes
-            .iter()
-            .filter(|w| self.placement.is_holder(self.me, &w.key, self.n))
-            .cloned()
-            .collect();
+        // The write set moves into the redo log; only the origin keeps a
+        // second copy, for the serializability checker.
+        let origin = self.local.remove(&id).map(|l| (l, entry.ops.clone()));
+        let mut held = entry.ops;
+        held.retain(|w| self.placement.is_holder(self.me, &w.key, self.n));
         self.store.apply(id, &held);
         self.log.log_commit(id, held);
-        self.mark_decided(id, true);
         let me = self.me;
         self.tracer.emit(|| TraceEvent::Commit {
             at: now,
@@ -857,7 +998,7 @@ impl SiteState {
         });
 
         // Origin side: latency + read observations for the checker.
-        if let Some(local) = self.local.remove(&id) {
+        if let Some((local, writes)) = origin {
             let latency = now.saturating_since(local.submitted);
             self.metrics.commit_update(latency, now);
             self.terminations.push(TerminationRecord {
@@ -975,7 +1116,7 @@ mod tests {
         let mut st = state();
         let (id, events) = st.begin_txn(SimTime::from_micros(5), TxnSpec::new().read("x"));
         assert!(events.is_empty(), "read-only commits without events");
-        assert_eq!(st.decided.get(&id), Some(&true));
+        assert_eq!(st.decided.get(&id), Some(true));
         assert_eq!(st.metrics.commits(), 1);
         assert!(st.local.is_empty());
     }
@@ -1041,7 +1182,7 @@ mod tests {
         // Writer commits; reader resumes and commits.
         events.clear();
         st.apply_commit(t_w, SimTime::from_micros(9), &mut events);
-        assert_eq!(st.decided.get(&ro), Some(&true));
+        assert_eq!(st.decided.get(&ro), Some(true));
         assert_eq!(st.store.value(&Key::new("x")), 1);
     }
 
@@ -1080,7 +1221,7 @@ mod tests {
             events.contains(&LocalEvent::RemotePrepared(t_w)),
             "wound freed the lock"
         );
-        assert_eq!(st.decided.get(&reader), Some(&false), "reader wounded");
+        assert_eq!(st.decided.get(&reader), Some(false), "reader wounded");
         assert_eq!(st.metrics.counters.get("abort_wounded"), 1);
     }
 
@@ -1234,7 +1375,7 @@ mod tests {
         events.clear();
         st.apply_commit(t, SimTime::from_micros(10), &mut events);
         assert_eq!(st.store.value(&Key::new("x")), 7);
-        assert_eq!(st.decided.get(&t), Some(&true));
+        assert_eq!(st.decided.get(&t), Some(true));
         assert_eq!(st.locks.locks_of(t), vec![]);
         assert_eq!(st.log.committed(), vec![t]);
     }
@@ -1258,7 +1399,7 @@ mod tests {
         st.apply_commit(t, SimTime::ZERO, &mut events);
         st.apply_commit(t, SimTime::ZERO, &mut events);
         st.apply_remote_abort(t, AbortReason::NegativeVote, SimTime::ZERO, &mut events);
-        assert_eq!(st.decided.get(&t), Some(&true));
+        assert_eq!(st.decided.get(&t), Some(true));
         assert_eq!(st.store.value(&Key::new("x")), 7);
     }
 

@@ -190,7 +190,13 @@ impl Sample {
     /// Sets a per-site value under the canonical `s<site>.` prefix.
     pub fn set_site(&mut self, site: SiteId, name: &str, v: u64) {
         debug_assert!(name_ok(name), "bad metric name {name:?}");
-        self.values.insert(format!("s{}.{name}", site.0), v);
+        // Sized up front (`s`, up to three digits, `.`): `format!` starts
+        // from the literal pieces and grows twice on the way, and this
+        // runs once per gauge per site per sample.
+        let mut key = String::with_capacity(name.len() + 5);
+        let _ = write!(key, "s{}.", site.0);
+        key.push_str(name);
+        self.values.insert(key, v);
     }
 
     /// Serializes to one JSONL line (no trailing newline).

@@ -147,6 +147,101 @@ fn redo_log_recovers_committed_state() {
     );
 }
 
+/// The redo log is what a replica's store can be rebuilt from: at
+/// quiescence, on every protocol, replaying a site's log gives the store
+/// that site serves. (Skip the append in `apply_commit` and the replay
+/// comes back empty.)
+#[test]
+fn redo_log_replay_equals_the_live_store_on_every_protocol() {
+    let cfg = WorkloadConfig {
+        n_keys: 40,
+        theta: 0.5,
+        reads_per_txn: 1,
+        writes_per_txn: 2,
+        readonly_fraction: 0.2,
+        ..WorkloadConfig::default()
+    };
+    for proto in ProtocolKind::ALL {
+        let mut c = Cluster::builder().sites(4).protocol(proto).seed(71).build();
+        let report = WorkloadRun::new(cfg.clone(), 71).closed_loop(&mut c, 3, 20);
+        assert!(report.quiesced && report.converged, "{proto}");
+        assert!(report.metrics.commits() > 0, "{proto}: nothing committed");
+        for s in c.sites() {
+            let st = c.replica(s).state();
+            assert!(!st.store.is_empty(), "{proto}: {s} installed nothing");
+            assert!(
+                st.log.replay().converged_with(&st.store),
+                "{proto}: {s}'s log does not replay to its store"
+            );
+        }
+    }
+}
+
+/// A site's verdicts on its own transactions survive its crash and state
+/// transfer: a transaction it aborted before broadcasting anything (here:
+/// wounded in its read phase) is known nowhere else, so the donor's
+/// outcome table cannot supply it.
+#[test]
+fn rejoined_site_remembers_its_own_early_aborts() {
+    let mut c = Cluster::builder()
+        .sites(5)
+        .protocol(ProtocolKind::ReliableBcast)
+        .seed(73)
+        .membership(true)
+        .suspect_after(SimDuration::from_millis(60))
+        .think_time(SimDuration::from_millis(2))
+        .build();
+    // An older writer of `x` from site 0, and a younger transaction at
+    // site 4 that holds a read lock on `x` while it thinks before its
+    // second read: the delivered write wounds it, locally and silently.
+    let writer = c.submit_at(
+        SimTime::from_micros(1_000),
+        SiteId(0),
+        TxnSpec::new().write("x", 1),
+    );
+    let wounded = c.submit_at(
+        SimTime::from_micros(1_100),
+        SiteId(4),
+        TxnSpec::new().read("x").read("y").write("z", 2),
+    );
+    let later = c.submit_at(
+        SimTime::from_micros(50_000),
+        SiteId(4),
+        TxnSpec::new().read("x").write("w", 3),
+    );
+    c.run_until(SimTime::from_micros(150_000));
+    assert_eq!(c.outcome(writer), TxnOutcome::Committed);
+    assert_eq!(c.outcome(later), TxnOutcome::Committed);
+    assert_eq!(
+        c.outcome(wounded),
+        TxnOutcome::Aborted,
+        "the scenario wounds"
+    );
+
+    c.crash(SiteId(4));
+    c.run_until(SimTime::from_micros(600_000));
+    c.recover(SiteId(4), SiteId(0));
+    c.run_until(SimTime::from_micros(1_200_000));
+    let after = c.submit_at(
+        SimTime::from_micros(1_300_000),
+        SiteId(4),
+        TxnSpec::new().read("w").write("v", 4),
+    );
+    c.run_until(SimTime::from_micros(2_000_000));
+    assert_eq!(
+        c.outcome(after),
+        TxnOutcome::Committed,
+        "rejoined site serves"
+    );
+    for (id, was) in [
+        (writer, TxnOutcome::Committed),
+        (wounded, TxnOutcome::Aborted),
+        (later, TxnOutcome::Committed),
+    ] {
+        assert_eq!(c.outcome(id), was, "{id:?} after crash, recover and rejoin");
+    }
+}
+
 #[test]
 fn in_flight_transactions_from_crashed_origin_abort() {
     // Crash an origin right after submission: under every protocol the

@@ -5,6 +5,8 @@
 
 use bcastdb::prelude::*;
 use bcastdb::protocols::ProtocolKind;
+use bcastdb::sim::{Node, Sample};
+use std::collections::BTreeMap;
 
 /// Peers P-CB's commit evaluation examines per transaction, closed loop on
 /// uniform keys, `txns_per_client` transactions from each of 4 clients at
@@ -44,4 +46,82 @@ fn pcb_decision_work_does_not_grow_with_history() {
         "peers examined per transaction grew {:.2}x ({short:.3} -> {long:.3}) over a 4x longer run",
         long / short
     );
+}
+
+/// The per-site table sizes the engine samples (`core.*`, `rb.*`,
+/// `abcast.*`, `ring.*`), closed loop on uniform keys with
+/// `txns_per_client` transactions from each of 4 clients at each of 5
+/// sites: per gauge, its largest value over all sites and 1 ms samples of
+/// the run, and its largest value over the sites once the cluster is quiet.
+fn table_sizes(
+    proto: ProtocolKind,
+    txns_per_client: usize,
+) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+    let cfg = WorkloadConfig {
+        n_keys: 500,
+        theta: 0.0,
+        reads_per_txn: 2,
+        writes_per_txn: 2,
+        readonly_fraction: 0.0,
+        ..WorkloadConfig::default()
+    };
+    let mut c = Cluster::builder()
+        .sites(5)
+        .protocol(proto)
+        .seed(11)
+        .metrics(SimDuration::from_millis(1))
+        .build();
+    let report = WorkloadRun::new(cfg, 11).closed_loop(&mut c, 4, txns_per_client);
+    assert!(report.quiesced && report.converged && report.all_terminated());
+    let mut quiet = Sample::new(c.now());
+    for s in c.sites() {
+        c.replica(s).sample_stats(&mut quiet);
+    }
+    let fold = |samples: &[Sample]| {
+        let mut max = BTreeMap::new();
+        for (name, &v) in samples.iter().flat_map(|s| &s.values) {
+            let gauge = name.split_once('.').map_or("", |(_site, gauge)| gauge);
+            if ["core.", "rb.", "abcast.", "ring."]
+                .iter()
+                .any(|p| gauge.starts_with(p))
+            {
+                let m = max.entry(gauge.to_owned()).or_insert(0);
+                *m = v.max(*m);
+            }
+        }
+        max
+    };
+    (fold(&c.metrics_samples()), fold(&[quiet]))
+}
+
+/// What a replica keeps per transaction and per message must be released
+/// when the transaction is decided and the message delivered: every
+/// `*_live` table is empty at quiescence, and none holds more at its
+/// fullest when the run is four times as long. (A `RemoteTxn` kept past
+/// its decision, or a set of every message id ever received, grows 4x.)
+/// The tables that keep history on purpose must at least be reported.
+#[test]
+fn live_tables_do_not_grow_with_history() {
+    for proto in ProtocolKind::ALL {
+        let (short, _) = table_sizes(proto, 15);
+        let (long, quiet) = table_sizes(proto, 60);
+        assert!(short["core.remote_live"] > 0, "{proto}: the gauge is wired");
+        assert_eq!(quiet["core.decided_len"], 1200, "{proto}: one outcome each");
+        for (gauge, &at_rest) in quiet.iter().filter(|(g, _)| g.ends_with("_live")) {
+            assert_eq!(at_rest, 0, "{proto}: {gauge} at quiescence");
+            let (s, l) = (short[gauge], long[gauge]);
+            assert!(
+                l as f64 <= 1.25 * s as f64,
+                "{proto}: {gauge} peaked at {s} over the short run and {l} over one 4x as long"
+            );
+        }
+        let expected: &[&str] = match proto {
+            ProtocolKind::ReliableBcast => &["rb.dedup_live", "rb.archive_len"],
+            ProtocolKind::AtomicBcast => &["abcast.dedup_live"],
+            _ => &[],
+        };
+        for gauge in expected {
+            assert!(quiet.contains_key(*gauge), "{proto}: no {gauge} gauge");
+        }
+    }
 }
