@@ -23,7 +23,7 @@
 //! deltas.
 
 use bcastdb_bench::{check_traced_run, TRACE_CAPACITY};
-use bcastdb_core::{AbcastImpl, Cluster, ProtocolKind};
+use bcastdb_core::{AbcastImpl, Cluster, ClusterBuilder, ProtocolKind};
 use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
 use bcastdb_workload::WorkloadConfig;
 
@@ -119,20 +119,12 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
     (phases, cluster.events_processed())
 }
 
-/// Runs an a1-style broadcast-heavy workload on the ring backend (the
-/// regime the a1 saturation sweep measures: 16 sites, where the ring is
-/// the default) and returns the simulation phase's allocation delta plus
-/// the event count. Workload generation and cluster build are excluded —
-/// only the event loop with the ring pipeline (Data forwarding, Commit
-/// circulation, cumulative acks) is measured.
-fn ring_abcast_run() -> (u64, u64) {
-    const SITES: usize = 16;
-    let mut cluster = Cluster::builder()
-        .sites(SITES)
-        .protocol(ProtocolKind::AtomicBcast)
-        .abcast(AbcastImpl::Ring)
-        .seed(91)
-        .build();
+/// Runs a failure-free transactional workload to quiescence and returns
+/// the simulation phase's allocation delta plus the event count. Workload
+/// generation and cluster build are excluded — only the event loop (engine
+/// dispatch, the protocol's work queue, the broadcast layer) is measured.
+fn steady_run(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> (u64, u64) {
+    let mut cluster = builder.sites(sites).seed(seed).build();
     let cfg = WorkloadConfig {
         n_keys: 300,
         theta: 0.5,
@@ -141,11 +133,11 @@ fn ring_abcast_run() -> (u64, u64) {
         ..WorkloadConfig::default()
     };
     let zipf = cfg.sampler();
-    let mut rng = DetRng::new(910);
-    for site in 0..SITES {
+    let mut rng = DetRng::new(seed * 10);
+    for site in 0..sites {
         let mut at = SimTime::from_micros(1_000);
         let mut site_rng = rng.fork(site as u64);
-        for _ in 0..8 {
+        for _ in 0..per_site {
             at += SimDuration::from_millis(10);
             cluster.submit_at(at, SiteId(site), cfg.gen_txn(&zipf, &mut site_rng));
         }
@@ -181,7 +173,7 @@ fn allocs_per_event_stays_bounded() {
 
     // The ratchet: allocations per simulated event across the three
     // simulation phases (excluding one-time cluster build, workload
-    // generation, and post-run verification). Measured at ~2.1 with
+    // generation, and post-run verification). Measured at ~2.0 with
     // tracing on; the ceiling leaves headroom for toolchain drift but
     // not for a reintroduced per-event allocation.
     let sim_allocs: u64 = with_trace
@@ -224,10 +216,13 @@ fn allocs_per_event_stays_bounded() {
     // circulation, cumulative Ack, stability pruning) reuses pre-sized
     // per-site state; the pure-broadcast a1 saturation sweep runs at
     // ~0.3 allocs/event, and this 16-site *transactional* run measures
-    // ~3.2 (certification and txn bookkeeping across 16 replicas on top
+    // ~2.7 (certification and txn bookkeeping across 16 replicas on top
     // of the broadcast layer). The ceiling leaves ~25% headroom — a
     // per-hop payload clone or a per-Commit Vec blows far past it.
-    let (ring_allocs, ring_events) = ring_abcast_run();
+    let ring = Cluster::builder()
+        .protocol(ProtocolKind::AtomicBcast)
+        .abcast(AbcastImpl::Ring);
+    let (ring_allocs, ring_events) = steady_run(16, 8, 91, ring);
     let ring_per_event = ring_allocs as f64 / ring_events as f64;
     eprintln!(
         "ring backend (16 sites): {ring_allocs} allocs / {ring_events} events \
@@ -239,4 +234,27 @@ fn allocs_per_event_stays_bounded() {
          (ceiling 4.0) — a hot-path allocation crept into the ring \
          pipeline; see PERFORMANCE.md"
     );
+
+    // Baseline and P-CB ratchets: every entry point of every protocol runs
+    // through the driver's one recycled work queue (the baseline used to
+    // build a fresh queue per delivered message — that drift is what these
+    // rows catch: it ran at 2.71 here). Measured at 1.85 and 5.72
+    // allocs/event on this 5-site run in a debug build, where P-CB also
+    // feeds its full-scan oracle; the ceilings leave ~25% headroom.
+    for (protocol, ceiling) in [
+        (ProtocolKind::PointToPoint, 2.3),
+        (ProtocolKind::CausalBcast, 7.1),
+    ] {
+        let (allocs, events) = steady_run(N, 10, 53, Cluster::builder().protocol(protocol));
+        let per_event = allocs as f64 / events as f64;
+        eprintln!(
+            "{protocol} (5 sites): {allocs} allocs / {events} events = {per_event:.3} allocs/event"
+        );
+        assert!(
+            per_event < ceiling,
+            "{protocol} now allocates {per_event:.3} times per event (ceiling \
+             {ceiling}) — a per-message allocation crept into the protocol's \
+             hot path; see PERFORMANCE.md"
+        );
+    }
 }

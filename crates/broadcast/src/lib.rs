@@ -59,7 +59,6 @@ pub mod atomic;
 pub mod batch;
 pub mod causal;
 pub mod contig;
-pub mod fifo;
 pub mod membership;
 pub mod msg;
 pub mod reliable;
@@ -69,7 +68,6 @@ pub mod vclock;
 pub use atomic::{AtomicBcast, IsisAbcast, SequencerAbcast};
 pub use batch::{Batch, Batcher, WireSize};
 pub use causal::CausalBcast;
-pub use fifo::FifoBcast;
 pub use membership::{View, ViewManager};
 pub use msg::{Dest, MsgId, Outbound};
 pub use reliable::ReliableBcast;

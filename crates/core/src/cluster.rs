@@ -1,7 +1,7 @@
 //! The public facade: a replicated-database cluster running inside the
 //! deterministic simulator.
 
-use crate::engine::{NodeConfig, ReplicaNode};
+use crate::engine::ReplicaNode;
 use crate::metrics::Metrics;
 use crate::payload::{AbcastImpl, ProtocolKind, ReplicaTimer};
 use crate::placement::Placement;
@@ -153,16 +153,19 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The size-dependent default atomic-broadcast backend: leader-based
-/// sequencing is cheapest in small groups (N+1 messages), but its leader
-/// NIC sends N-1 payload copies per broadcast, so from 16 sites up the
-/// pipelined ring — every link carries ~1x the payload bytes regardless of
-/// N — is the default.
-fn default_abcast(sites: usize) -> AbcastImpl {
-    if sites >= 16 {
-        AbcastImpl::Ring
-    } else {
-        AbcastImpl::Sequencer
+impl ClusterConfig {
+    /// The atomic-broadcast backend this configuration runs: the explicit
+    /// choice, else the size-dependent default — leader-based sequencing
+    /// is cheapest in small groups (N+1 messages), but its leader NIC sends
+    /// N-1 payload copies per broadcast, so from 16 sites up the pipelined
+    /// ring — every link carries ~1x the payload bytes regardless of N —
+    /// is the default.
+    pub(crate) fn abcast_impl(&self) -> AbcastImpl {
+        self.abcast.unwrap_or(if self.sites >= 16 {
+            AbcastImpl::Ring
+        } else {
+            AbcastImpl::Sequencer
+        })
     }
 }
 
@@ -372,7 +375,7 @@ impl TraceSink for ClusterSink {
 /// A simulated replicated-database cluster.
 pub struct Cluster {
     sim: Simulation<ReplicaNode>,
-    cfg: ClusterConfig,
+    cfg: Rc<ClusterConfig>,
     next_num: Vec<u64>,
     last_submit: Vec<SimTime>,
     trace: Option<Rc<RefCell<ClusterSink>>>,
@@ -392,25 +395,9 @@ impl Cluster {
     /// that cannot be created.
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.sites > 0, "a cluster needs at least one site");
-        let node_cfg = NodeConfig {
-            protocol: cfg.protocol,
-            abcast: cfg.abcast.unwrap_or(default_abcast(cfg.sites)),
-            policy: cfg.policy,
-            tick_every: cfg.tick_every,
-            p2p_timeout: cfg.p2p_timeout,
-            null_messages: cfg.null_messages,
-            membership: cfg.membership,
-            suspect_after: cfg.suspect_after,
-            fast_commit: cfg.fast_commit,
-            relay: cfg.relay,
-            retransmit_backoff: cfg.retransmit_backoff,
-            think_time: cfg.think_time,
-            placement: cfg.placement,
-            batch_window: cfg.batch_window,
-            batch_max_bytes: cfg.batch_max_bytes,
-        };
+        let cfg = Rc::new(cfg);
         let nodes = (0..cfg.sites)
-            .map(|i| ReplicaNode::new(SiteId(i), cfg.sites, node_cfg.clone()))
+            .map(|i| ReplicaNode::new(SiteId(i), cfg.clone()))
             .collect();
         let mut sim = Simulation::new(cfg.seed, cfg.net.clone(), nodes);
         if let Some(plan) = &cfg.fault_plan {
@@ -1190,8 +1177,15 @@ mod tests {
     /// explicit choice always wins over the size heuristic.
     #[test]
     fn abcast_default_flips_to_ring_at_sixteen_sites() {
-        assert_eq!(default_abcast(15), AbcastImpl::Sequencer);
-        assert_eq!(default_abcast(16), AbcastImpl::Ring);
+        let default_at = |sites: usize| {
+            let cfg = ClusterConfig {
+                sites,
+                ..ClusterConfig::default()
+            };
+            cfg.abcast_impl()
+        };
+        assert_eq!(default_at(15), AbcastImpl::Sequencer);
+        assert_eq!(default_at(16), AbcastImpl::Ring);
         let run = |sites: usize, pick: Option<AbcastImpl>| {
             let mut b = Cluster::builder()
                 .sites(sites)

@@ -2,12 +2,11 @@
 //! trait and dispatching between the configured protocol, the membership
 //! service, and the shared site state.
 
+use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{AbcastImpl, ProtocolKind, ReplicaMsg, ReplicaTimer};
-use crate::protocols::{
-    atomic::AtomicProto, causal::CausalProto, p2p::P2pProto, reliable::ReliableProto, Effects,
-};
-use crate::state::{ConflictPolicy, EventBuf, SiteState};
+use crate::payload::{ReplicaMsg, ReplicaTimer};
+use crate::protocols::{self, Effects, ProtoSnapshot, Protocol, Step};
+use crate::state::{EventBuf, SiteState};
 use bcastdb_broadcast::batch::{Batch, Batcher};
 use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
 use bcastdb_broadcast::msg::dest_iter;
@@ -15,76 +14,7 @@ use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::telemetry::{Phase, TraceEvent};
 use bcastdb_sim::{Ctx, Node, Sample, SendOutcome, SimDuration, SimTime, SiteId};
 use std::collections::BTreeSet;
-
-/// Per-node configuration (derived from the cluster config).
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// Which protocol this cluster runs.
-    pub protocol: ProtocolKind,
-    /// Atomic-broadcast implementation (atomic protocol only).
-    pub abcast: AbcastImpl,
-    /// Conflict policy between update transactions.
-    pub policy: ConflictPolicy,
-    /// Tick period (timeout checks, causal null messages, membership
-    /// heartbeats).
-    pub tick_every: SimDuration,
-    /// Deadlock timeout of the point-to-point baseline.
-    pub p2p_timeout: SimDuration,
-    /// Whether the causal protocol emits null messages on ticks.
-    pub null_messages: bool,
-    /// Whether the membership service runs (needed only for failure
-    /// experiments; it keeps the simulation from quiescing).
-    pub membership: bool,
-    /// Failure-detector suspicion timeout (when membership is on).
-    pub suspect_after: SimDuration,
-    /// Speculative fast commit (reliable and causal protocols, membership
-    /// on): decide from the surviving quorum's votes/acks once every
-    /// missing voter is suspected, instead of waiting out the view change.
-    pub fast_commit: bool,
-    /// Eager broadcast relaying (loss tolerance for the reliable and
-    /// causal protocols at `O(N²)` message cost).
-    pub relay: bool,
-    /// Bounded exponential backoff (with deterministic jitter) on the
-    /// loss-recovery solicitation cadence — reliable `RSync` watermarks
-    /// and causal gap-reporting nulls. Off by default: the fixed
-    /// once-per-tick cadence stays byte-identical to prior behavior.
-    pub retransmit_backoff: bool,
-    /// Per-operation think time (read acquisition and write broadcasts).
-    pub think_time: SimDuration,
-    /// Replica placement.
-    pub placement: crate::placement::Placement,
-    /// Batching flush window: `None` (default) sends every message
-    /// individually — byte-identical to the pre-batching behavior.
-    /// `Some(w)` coalesces outgoing messages per destination and flushes
-    /// them as one wire transmission after at most `w` (earlier if
-    /// `batch_max_bytes` would overflow). Acks, votes, and other control
-    /// traffic piggyback on whatever batch is already leaving.
-    pub batch_window: Option<SimDuration>,
-    /// Size cap of one batch on the wire, in bytes (envelope included).
-    pub batch_max_bytes: usize,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            protocol: ProtocolKind::ReliableBcast,
-            abcast: AbcastImpl::default(),
-            policy: ConflictPolicy::default(),
-            tick_every: SimDuration::from_millis(5),
-            p2p_timeout: SimDuration::from_millis(500),
-            null_messages: true,
-            membership: false,
-            suspect_after: SimDuration::from_millis(100),
-            fast_commit: false,
-            relay: false,
-            retransmit_backoff: false,
-            think_time: SimDuration::ZERO,
-            placement: crate::placement::Placement::Full,
-            batch_window: None,
-            batch_max_bytes: 1_400,
-        }
-    }
-}
+use std::rc::Rc;
 
 /// State-transfer snapshot produced by [`ReplicaNode::export_snapshot`].
 #[derive(Debug, Clone)]
@@ -94,26 +24,17 @@ pub struct ResyncSnapshot {
     log: bcastdb_db::RedoLog,
     view: BTreeSet<SiteId>,
     member_view: Option<bcastdb_broadcast::membership::View>,
-    reliable: Option<Vec<u64>>,
-    causal_clock: Option<bcastdb_broadcast::VectorClock>,
-    atomic: Option<crate::protocols::atomic::AbSnapshot>,
-}
-
-#[derive(Debug)]
-enum Proto {
-    P2p(P2pProto),
-    Reliable(ReliableProto),
-    Causal(CausalProto),
-    Atomic(AtomicProto),
+    proto: ProtoSnapshot,
 }
 
 /// One replica of the replicated database.
 #[derive(Debug)]
 pub struct ReplicaNode {
     st: SiteState,
-    proto: Proto,
+    proto: Box<dyn Protocol>,
     member: Option<ViewManager>,
-    cfg: NodeConfig,
+    /// The cluster's configuration, shared by all its replicas.
+    cfg: Rc<ClusterConfig>,
     tick_armed: bool,
     /// Outgoing-message coalescing, present iff `cfg.batch_window` is set.
     batcher: Option<Batcher<ReplicaMsg>>,
@@ -129,48 +50,12 @@ pub struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// Creates the replica for site `me` of `n` under `cfg`.
-    pub fn new(me: SiteId, n: usize, cfg: NodeConfig) -> Self {
+    /// Creates the replica for site `me` of the cluster `cfg` describes.
+    pub fn new(me: SiteId, cfg: Rc<ClusterConfig>) -> Self {
+        let n = cfg.sites;
         let mut st = SiteState::new(me, n, cfg.policy);
-        let proto = match cfg.protocol {
-            ProtocolKind::PointToPoint => {
-                st.wound_remote = false;
-                st.wound_local_readers = false;
-                Proto::P2p(P2pProto::new(cfg.p2p_timeout))
-            }
-            ProtocolKind::ReliableBcast => {
-                st.resolve_read_deadlocks = true;
-                let mut p = if cfg.relay {
-                    ReliableProto::new_with_relay(me, n)
-                } else {
-                    ReliableProto::new(me, n)
-                };
-                p.fast_commit = cfg.fast_commit;
-                if cfg.retransmit_backoff {
-                    p.enable_backoff();
-                }
-                Proto::Reliable(p)
-            }
-            ProtocolKind::CausalBcast => {
-                st.wound_remote = false;
-                st.rank_by_delivery = true;
-                let mut p = if cfg.relay {
-                    CausalProto::new_with_relay(me, n)
-                } else {
-                    CausalProto::new(me, n)
-                };
-                p.null_messages = cfg.null_messages;
-                p.fast_commit = cfg.fast_commit;
-                if cfg.retransmit_backoff {
-                    p.enable_backoff();
-                }
-                Proto::Causal(p)
-            }
-            ProtocolKind::AtomicBcast => {
-                st.wound_remote = false;
-                Proto::Atomic(AtomicProto::new(me, n, cfg.abcast))
-            }
-        };
+        let proto = protocols::build(me, &cfg);
+        proto.configure_state(&mut st);
         st.think = cfg.think_time;
         st.placement = cfg.placement;
         let member = cfg
@@ -223,18 +108,7 @@ impl ReplicaNode {
             log: self.st.log.clone(),
             view: self.view_members(),
             member_view: self.member.as_ref().map(|m| m.view().clone()),
-            reliable: match &self.proto {
-                Proto::Reliable(p) => Some(p.watermarks()),
-                _ => None,
-            },
-            causal_clock: match &self.proto {
-                Proto::Causal(p) => Some(p.clock()),
-                _ => None,
-            },
-            atomic: match &self.proto {
-                Proto::Atomic(p) => Some(p.snapshot()),
-                _ => None,
-            },
+            proto: self.proto.snapshot(),
         }
     }
 
@@ -248,18 +122,7 @@ impl ReplicaNode {
         self.st.rebase_on(&snap.decided);
         self.st.log = snap.log;
         self.st.locks = bcastdb_db::LockManager::new();
-        match (
-            &mut self.proto,
-            snap.reliable,
-            snap.causal_clock,
-            snap.atomic,
-        ) {
-            (Proto::Reliable(p), Some(w), _, _) => p.resume(&w, snap.view.clone()),
-            (Proto::Causal(p), _, Some(vc), _) => p.resume(&vc, snap.view.clone()),
-            (Proto::Atomic(p), _, _, Some(s)) => p.resume(&s, snap.view.clone()),
-            (Proto::P2p(p), _, _, _) => p.resume(),
-            _ => {}
-        }
+        self.proto.resume(&snap.proto, snap.view);
         if let (Some(m), Some(v)) = (&mut self.member, snap.member_view) {
             m.resume(v, now);
         }
@@ -419,16 +282,9 @@ impl ReplicaNode {
 
     fn arm_tick(&mut self, ctx: &mut Ctx<'_, ReplicaMsg, ReplicaTimer>) {
         // Ticks are only scheduled while someone needs them: the membership
-        // service (heartbeats), the baseline (timeout checks), or the causal
-        // protocol's null messages. Otherwise an idle cluster quiesces.
-        let proto_wants = match &self.proto {
-            Proto::P2p(_) => self.st.has_undecided(),
-            Proto::Causal(p) => p.needs_ticks(&self.st),
-            // Loss-recovery mode: tick while undecided so gaps get filled.
-            Proto::Reliable(_) => self.cfg.relay && self.st.has_undecided(),
-            Proto::Atomic(_) => false,
-        };
-        let need = self.member.is_some() || proto_wants;
+        // service (heartbeats) or the protocol (timeout checks, null
+        // messages, loss recovery). Otherwise an idle cluster quiesces.
+        let need = self.member.is_some() || self.proto.needs_ticks(&self.st);
         if need && !self.tick_armed {
             self.tick_armed = true;
             ctx.set_timer(self.cfg.tick_every, ReplicaTimer::Tick);
@@ -464,13 +320,8 @@ impl ReplicaNode {
                 });
             }
             self.last_suspected.clone_from(&suspected);
-            match &mut self.proto {
-                Proto::Reliable(p) => p.on_suspect(&mut self.st, fx, now, &suspected),
-                Proto::Causal(p) => p.on_suspect(&mut self.st, fx, now, &suspected),
-                // The baseline decides over all n sites and the atomic
-                // protocol's delivery is ack-free: no quorum to shrink.
-                Proto::P2p(_) | Proto::Atomic(_) => {}
-            }
+            self.proto
+                .on_suspect(Step::new(&mut self.st, fx, now), &suspected);
         }
     }
 
@@ -478,40 +329,15 @@ impl ReplicaNode {
         for ev in events {
             match ev {
                 MemberEvent::ViewInstalled(view) => {
-                    let view_id = view.id;
-                    let members = view.members;
                     let me = self.st.me;
-                    let roster: Vec<SiteId> = members.iter().copied().collect();
+                    let roster: Vec<SiteId> = view.members.iter().copied().collect();
                     self.st.tracer.emit(move || TraceEvent::ViewChange {
                         at: now,
                         site: me,
                         members: roster,
                     });
-                    match &mut self.proto {
-                        Proto::P2p(p) => {
-                            // Baseline: abort in-flight txns from departed
-                            // origins; surviving traffic continues.
-                            let gone: Vec<_> = self
-                                .st
-                                .remote
-                                .keys()
-                                .filter(|t| !members.contains(&t.origin))
-                                .collect();
-                            for txn in gone {
-                                let mut events = EventBuf::new();
-                                self.st.apply_remote_abort(
-                                    txn,
-                                    AbortReason::ViewChange,
-                                    now,
-                                    &mut events,
-                                );
-                                p.handle_events(&mut self.st, fx, now, events);
-                            }
-                        }
-                        Proto::Reliable(p) => p.set_view(&mut self.st, fx, now, members),
-                        Proto::Causal(p) => p.set_view(&mut self.st, fx, now, members),
-                        Proto::Atomic(p) => p.set_view(&mut self.st, fx, now, view_id, members),
-                    }
+                    self.proto
+                        .set_view(Step::new(&mut self.st, fx, now), view.id, view.members);
                 }
                 MemberEvent::Isolated => {
                     // Outside every majority view: abort everything pending
@@ -529,8 +355,8 @@ impl ReplicaNode {
     }
 
     /// Delivers and dispatches one (possibly unbatched) incoming message:
-    /// emits its `Deliver` trace event and routes it to the protocol,
-    /// membership service, or recovery handler it belongs to.
+    /// emits its `Deliver` trace event and routes it to the membership
+    /// service or the protocol.
     fn handle_one(
         &mut self,
         fx: &mut Effects,
@@ -546,31 +372,8 @@ impl ReplicaNode {
             to: me,
             phase,
         });
-        match (msg, &mut self.proto) {
-            (ReplicaMsg::R(wire), Proto::Reliable(p)) => {
-                p.on_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::C(wire), Proto::Causal(p)) => p.on_wire(&mut self.st, fx, now, from, wire),
-            (ReplicaMsg::C(wire), Proto::Atomic(p)) => {
-                p.on_causal_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::ASeq(wire), Proto::Atomic(p)) => {
-                p.on_seq_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::AIsis(wire), Proto::Atomic(p)) => {
-                p.on_isis_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::ARing(wire), Proto::Atomic(p)) => {
-                p.on_ring_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::P2p(m), Proto::P2p(p)) => p.on_msg(&mut self.st, fx, now, from, m),
-            (ReplicaMsg::CRetrans(wire), Proto::Causal(p)) => {
-                p.on_retrans_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::RSync(watermarks), Proto::Reliable(p)) => {
-                p.on_sync(fx, from, &watermarks);
-            }
-            (ReplicaMsg::Member(wire), _) => {
+        match msg {
+            ReplicaMsg::Member(wire) => {
                 if let Some(m) = &mut self.member {
                     let (events, outbound) = m.on_wire(from, wire, now);
                     for ob in outbound {
@@ -579,10 +382,12 @@ impl ReplicaNode {
                     self.apply_member_events(fx, now, events);
                 }
             }
-            _ => {
-                // Message for a protocol this cluster does not run — or a
-                // nested batch, which the flush path never produces; drop.
-            }
+            // The protocol drops what it does not speak: another
+            // protocol's traffic, or a nested batch, which the flush path
+            // never produces.
+            msg => self
+                .proto
+                .on_msg(Step::new(&mut self.st, fx, now), from, msg),
         }
     }
 
@@ -590,12 +395,8 @@ impl ReplicaNode {
         if events.is_empty() {
             return;
         }
-        match &mut self.proto {
-            Proto::P2p(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Reliable(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Causal(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Atomic(p) => p.handle_events(&mut self.st, fx, now, events),
-        }
+        self.proto
+            .handle_events(Step::new(&mut self.st, fx, now), events);
     }
 }
 
@@ -644,12 +445,9 @@ impl Node for ReplicaNode {
                 self.st.advance_reads(id, now, &mut events);
                 self.dispatch_events(&mut fx, now, events);
             }
-            ReplicaTimer::WriteStep(id) => match &mut self.proto {
-                Proto::Reliable(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::Causal(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::Atomic(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::P2p(_) => {} // the baseline paces writes by its acks
-            },
+            ReplicaTimer::WriteStep(id) => self
+                .proto
+                .continue_write(Step::new(&mut self.st, &mut fx, now), id),
             ReplicaTimer::FlushBatch => {
                 self.flush_armed = false;
                 let batches = match &mut self.batcher {
@@ -662,16 +460,7 @@ impl Node for ReplicaNode {
             }
             ReplicaTimer::Tick => {
                 self.tick_armed = false;
-                match &mut self.proto {
-                    Proto::P2p(p) => p.on_tick(&mut self.st, &mut fx, now),
-                    Proto::Causal(p) => p.on_tick(&mut self.st, &mut fx, now),
-                    Proto::Reliable(p) => {
-                        if self.cfg.relay && self.st.has_undecided() {
-                            p.on_tick(&mut fx);
-                        }
-                    }
-                    Proto::Atomic(_) => {}
-                }
+                self.proto.on_tick(Step::new(&mut self.st, &mut fx, now));
                 self.member_tick(&mut fx, now);
             }
         }
@@ -701,23 +490,6 @@ impl Node for ReplicaNode {
             sample.set_site(me, "batch_pending_msgs", b.pending_msgs() as u64);
             sample.set_site(me, "batch_pending_bytes", b.pending_bytes() as u64);
         }
-        match &self.proto {
-            Proto::Reliable(p) => {
-                let (dedup, archive) = p.table_sizes();
-                sample.set_site(me, "rb.dedup_live", dedup as u64);
-                sample.set_site(me, "rb.archive_len", archive as u64);
-            }
-            // Each backend reports its own gauges: the ring its pipeline
-            // and repair log, the other two their duplicate trackers.
-            Proto::Atomic(p) => match p.ring_gauges() {
-                Some((inflight, forwarded, ordered)) => {
-                    sample.set_site(me, "ring.inflight", inflight);
-                    sample.set_site(me, "ring.forwarded", forwarded);
-                    sample.set_site(me, "ring.ordered_len", ordered);
-                }
-                None => sample.set_site(me, "abcast.dedup_live", p.dedup_live() as u64),
-            },
-            Proto::P2p(_) | Proto::Causal(_) => {}
-        }
+        self.proto.sample_stats(me, sample);
     }
 }

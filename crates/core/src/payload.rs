@@ -84,6 +84,16 @@ pub struct TxnPriority {
 }
 
 impl TxnPriority {
+    /// The stand-in for a transaction whose real priority has not reached
+    /// this site yet (it ranks last; the real one refines it on arrival).
+    pub fn unknown(txn: TxnId) -> Self {
+        TxnPriority {
+            ts: u64::MAX,
+            origin: txn.origin,
+            num: txn.num,
+        }
+    }
+
     /// True iff `self` is older (= higher priority) than `other`.
     pub fn older_than(&self, other: &TxnPriority) -> bool {
         self < other
@@ -294,6 +304,26 @@ pub enum ReplicaMsg {
     /// only the inner messages enter per-phase accounting — logical
     /// counts are identical with batching on or off.
     Batch(Vec<ReplicaMsg>),
+}
+
+/// Every broadcast engine's wire format travels as its own variant, so
+/// engine output routes without naming the engine.
+macro_rules! wire_variant {
+    ($($wire:ty => $variant:ident),* $(,)?) => {$(
+        impl From<$wire> for ReplicaMsg {
+            fn from(wire: $wire) -> Self {
+                ReplicaMsg::$variant(wire)
+            }
+        }
+    )*};
+}
+
+wire_variant! {
+    reliable::Wire<Arc<Payload>> => R,
+    causal::Wire<Arc<Payload>> => C,
+    SeqWire<Arc<Payload>> => ASeq,
+    IsisWire<Arc<Payload>> => AIsis,
+    RingWire<Arc<Payload>> => ARing,
 }
 
 impl ReplicaMsg {

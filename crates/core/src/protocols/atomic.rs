@@ -23,21 +23,20 @@
 //! causally-broadcast writes have not all arrived stalls the queue (they
 //! arrive shortly — both primitives run on the same FIFO links).
 
+use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
 use crate::payload::{AbcastImpl, Payload, ReplicaMsg, TxnPriority};
-use crate::protocols::Effects;
-use crate::state::{txn_ref, EventBuf, LocalEvent, SiteState};
-use bcastdb_broadcast::atomic::{
-    AtomicBcast, IsisAbcast, IsisWire, SeqWire, SequencerAbcast, TotalDelivery,
-};
+use crate::protocols::{paced_write_phase, sweep_view, Cx, Gate, ProtoSnapshot, Variation};
+use crate::state::{txn_ref, SiteState};
+use bcastdb_broadcast::atomic::{self, AtomicBcast, IsisAbcast, SequencerAbcast, TotalDelivery};
 use bcastdb_broadcast::causal::{self, CausalBcast};
-use bcastdb_broadcast::ring::{RingAbcast, RingWire};
-use bcastdb_db::lock::LockMode;
+use bcastdb_broadcast::ring::RingAbcast;
+use bcastdb_broadcast::VectorClock;
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
-use bcastdb_sim::{SimTime, SiteId};
-use std::collections::{BTreeSet, VecDeque};
+use bcastdb_sim::{Sample, SiteId};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One of the atomic-broadcast engines, selected by [`AbcastImpl`].
@@ -53,12 +52,17 @@ enum Abcast {
     Ring(Box<RingAbcast<Arc<Payload>>>),
 }
 
+/// What this protocol's two dissemination layers hand up.
 #[derive(Debug)]
-enum Work {
-    Event(LocalEvent),
-    CausalDeliver(causal::Delivery<Arc<Payload>>),
-    TotalDeliver(TotalDelivery<Arc<Payload>>),
+pub(crate) enum AbDelivery {
+    /// A causally delivered write operation.
+    Causal(causal::Delivery<Arc<Payload>>),
+    /// A commit request at its slot in the total order.
+    Total(TotalDelivery<Arc<Payload>>),
 }
+
+/// One driver step of this protocol.
+type AbCx<'a> = Cx<'a, AbDelivery>;
 
 /// A commit request waiting in (or at the head of) the certification queue.
 #[derive(Debug, Clone)]
@@ -70,523 +74,76 @@ struct PendingCert {
     write_versions: Vec<(Key, ObservedVersion)>,
 }
 
+/// Delivery position of the configured atomic-broadcast engine.
+#[derive(Debug, Clone)]
+enum AbcastPos {
+    /// Sequencer delivery watermark.
+    Seq(u64),
+    /// ISIS `(lamport, delivered)` pair.
+    Isis(u64, u64),
+    /// Ring `(watermark, per-origin sequence floors)` pair.
+    Ring(u64, Vec<(SiteId, u64)>),
+}
+
 /// State-transfer snapshot of the atomic protocol's engines and version
 /// directory.
 #[derive(Debug, Clone)]
 pub struct AbSnapshot {
-    causal: bcastdb_broadcast::VectorClock,
-    seq: Option<u64>,
-    isis: Option<(u64, u64)>,
-    ring: Option<(u64, Vec<(SiteId, u64)>)>,
-    latest_writer: std::collections::BTreeMap<Key, TxnId>,
+    causal: VectorClock,
+    order: AbcastPos,
+    latest_writer: BTreeMap<Key, TxnId>,
 }
 
-/// The atomic-broadcast replication protocol at one site.
+/// What the atomic-broadcast protocol varies at one site.
 #[derive(Debug)]
 pub struct AtomicProto {
     cb: CausalBcast<Arc<Payload>>,
     ab: Abcast,
-    view: BTreeSet<SiteId>,
     /// Commit requests in total order, certified strictly head-first.
     cert_queue: VecDeque<PendingCert>,
-    /// Paced write phases: next operation index per local transaction.
-    writing: std::collections::BTreeMap<TxnId, usize>,
     /// The version directory: last committed writer of every key, updated
     /// at every certification in total order. Unlike the store (which only
     /// holds replicated keys), every site maintains the full directory —
     /// it is what keeps certification deterministic under partial
     /// replication.
-    latest_writer: std::collections::BTreeMap<Key, TxnId>,
-    /// Reusable work queue: taken at each protocol entry point and
-    /// handed back (empty) by `pump`, so steady-state message handling
-    /// never allocates a fresh queue.
-    idle_work: VecDeque<Work>,
+    latest_writer: BTreeMap<Key, TxnId>,
 }
 
 impl AtomicProto {
-    /// Creates the protocol instance for site `me` of `n`, using the given
-    /// atomic-broadcast implementation.
-    pub fn new(me: SiteId, n: usize, imp: AbcastImpl) -> Self {
-        AtomicProto {
-            // The atomic protocol never serves retransmissions from its
-            // causal stream, so skip the per-message archive clone.
-            cb: CausalBcast::new(me, n).without_archive(),
-            ab: match imp {
-                AbcastImpl::Sequencer => Abcast::Seq(SequencerAbcast::new(me, n)),
-                AbcastImpl::Isis => Abcast::Isis(IsisAbcast::new(me, n)),
-                AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
-            },
-            view: (0..n).map(SiteId).collect(),
-            cert_queue: VecDeque::new(),
-            writing: std::collections::BTreeMap::new(),
-            latest_writer: std::collections::BTreeMap::new(),
-            idle_work: VecDeque::new(),
-        }
+    /// Hands one total-order engine step on, whatever the backend.
+    fn route_total<W: Into<ReplicaMsg>>(cx: &mut AbCx, out: atomic::Output<Arc<Payload>, W>) {
+        cx.route(
+            out.outbound,
+            out.deliveries.into_iter().map(AbDelivery::Total),
+        );
     }
 
-    /// Engine snapshots for state transfer: the causal clock plus the
-    /// sequencer delivery watermark, the ISIS `(lamport, delivered)` pair,
-    /// or the ring `(watermark, per-origin sequence floors)` pair.
-    pub fn snapshot(&self) -> AbSnapshot {
-        let cb = self.cb.clock().clone();
-        let (seq, isis, ring) = match &self.ab {
-            Abcast::Seq(a) => (Some(a.delivered_watermark()), None, None),
-            Abcast::Isis(a) => (None, Some((a.lamport(), a.delivered_count())), None),
-            Abcast::Ring(a) => (None, None, Some((a.delivered_watermark(), a.seq_floors()))),
-        };
-        AbSnapshot {
-            causal: cb,
-            seq,
-            isis,
-            ring,
-            latest_writer: self.latest_writer.clone(),
-        }
+    fn route_causal(cx: &mut AbCx, out: causal::Output<Arc<Payload>>) {
+        cx.route(
+            out.outbound,
+            out.deliveries.into_iter().map(AbDelivery::Causal),
+        );
     }
 
-    /// Resumes a recovered site from a donor's snapshot and view. The ring
-    /// engine only fast-forwards its counters here; its membership (and the
-    /// repair round that refills undelivered payloads) is installed by the
-    /// view change that readmits this site.
-    pub fn resume(&mut self, donor: &AbSnapshot, view: BTreeSet<SiteId>) {
-        self.cb.resume_from(&donor.causal);
-        match (&mut self.ab, donor.seq, donor.isis, &donor.ring) {
-            (Abcast::Seq(a), Some(w), _, _) => a.resume_from(w),
-            (Abcast::Isis(a), _, Some((l, d)), _) => a.resume_from(l, d),
-            (Abcast::Ring(a), _, _, Some((w, floors))) => a.resume_from(*w, floors),
-            _ => {}
-        }
-        self.latest_writer = donor.latest_writer.clone();
-        self.cert_queue.clear();
-        if let (Abcast::Seq(a), Some(&coord)) = (&mut self.ab, view.iter().next()) {
-            a.set_sequencer(coord);
-        }
-        self.view = view;
-    }
-
-    /// Handles events produced outside the protocol.
-    pub fn handle_events(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        events: EventBuf,
-    ) {
-        let work = events.into_iter().map(Work::Event).collect();
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming causal-broadcast wire traffic (write operations).
-    pub fn on_causal_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: causal::Wire<Arc<Payload>>,
-    ) {
-        let out = self.cb.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.route_causal(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming sequencer-abcast wire traffic.
-    pub fn on_seq_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: SeqWire<Arc<Payload>>,
-    ) {
-        let Abcast::Seq(ab) = &mut self.ab else {
-            return; // configured for ISIS; stray message
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_total_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming ISIS-abcast wire traffic.
-    pub fn on_isis_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: IsisWire<Arc<Payload>>,
-    ) {
-        let Abcast::Isis(ab) = &mut self.ab else {
-            return;
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_isis_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming ring-abcast wire traffic.
-    pub fn on_ring_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: RingWire<Arc<Payload>>,
-    ) {
-        let Abcast::Ring(ab) = &mut self.ab else {
-            return;
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_ring_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// The ring engine's gauges, when this protocol runs the ring backend:
-    /// `(inflight, forwarded, ordered_len)`.
-    pub fn ring_gauges(&self) -> Option<(u64, u64, u64)> {
-        match &self.ab {
-            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count(), a.ordered_len() as u64)),
-            _ => None,
-        }
-    }
-
-    /// Ids the sequencer or ISIS backend's duplicate tracker holds one by
-    /// one (zero for the ring, which has no such tracker).
-    pub fn dedup_live(&self) -> usize {
-        match &self.ab {
-            Abcast::Seq(a) => a.dedup_live(),
-            Abcast::Isis(a) => a.dedup_live(),
-            Abcast::Ring(_) => 0,
-        }
-    }
-
-    /// Installs a new view: the sequencer moves to the view coordinator
-    /// (the ring recomputes successors and starts its repair round, keyed
-    /// by the view id), and transactions from departed origins abort
-    /// (their commit request may never be ordered).
-    pub fn set_view(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        view_id: u64,
-        members: BTreeSet<SiteId>,
-    ) {
-        self.view = members.clone();
-        if let (Abcast::Seq(ab), Some(&coord)) = (&mut self.ab, members.iter().next()) {
+    /// The sequencer is the view's coordinator (its lowest member).
+    fn follow_coordinator(&mut self, view: &BTreeSet<SiteId>) {
+        if let (Abcast::Seq(ab), Some(&coord)) = (&mut self.ab, view.first()) {
             ab.set_sequencer(coord);
-        }
-        let mut ring_work = std::mem::take(&mut self.idle_work);
-        if let Abcast::Ring(ab) = &mut self.ab {
-            let roster: Vec<SiteId> = members.iter().copied().collect();
-            let out = ab.set_ring(&roster, view_id);
-            Self::route_ring_out(fx, out, &mut ring_work);
-        }
-        let undecided: Vec<TxnId> = st
-            .remote
-            .keys()
-            .filter(|t| !members.contains(&t.origin))
-            .collect();
-        let mut work = ring_work;
-        for txn in undecided {
-            self.cert_queue.retain(|p| p.txn != txn);
-            let mut events = EventBuf::new();
-            st.apply_remote_abort(txn, AbortReason::ViewChange, now, &mut events);
-            work.extend(events.into_iter().map(Work::Event));
-        }
-        self.drain_cert_queue(st, now, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    fn route_causal(
-        &mut self,
-        fx: &mut Effects,
-        out: causal::Output<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::C(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::CausalDeliver(d));
-        }
-    }
-
-    fn route_total_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, SeqWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::ASeq(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn route_isis_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, IsisWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::AIsis(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn route_ring_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, RingWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::ARing(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn abcast(&mut self, fx: &mut Effects, payload: Payload, work: &mut VecDeque<Work>) {
-        // The single payload allocation of this broadcast.
-        let payload = Arc::new(payload);
-        match &mut self.ab {
-            Abcast::Seq(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_total_out(fx, out, work);
-            }
-            Abcast::Isis(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_isis_out(fx, out, work);
-            }
-            Abcast::Ring(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_ring_out(fx, out, work);
-            }
-        }
-    }
-
-    fn pump(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        mut work: VecDeque<Work>,
-    ) {
-        while let Some(item) = work.pop_front() {
-            match item {
-                Work::Event(ev) => self.on_event(st, fx, now, ev, &mut work),
-                Work::CausalDeliver(d) => self.on_causal_deliver(st, now, d, &mut work),
-                Work::TotalDeliver(d) => self.on_total_deliver(st, now, d, &mut work),
-            }
-        }
-        // The queue is empty again: hand it back for the next entry point.
-        self.idle_work = work;
-    }
-
-    fn on_event(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        ev: LocalEvent,
-        work: &mut VecDeque<Work>,
-    ) {
-        match ev {
-            LocalEvent::ReadsComplete(id) => self.start_write_phase(st, fx, now, id, work),
-            LocalEvent::ReadPaused(id) => fx.pauses.push(id),
-            // No lock-driven machinery in this protocol: applies are
-            // immediate and certification replaces voting.
-            LocalEvent::RemotePrepared(..)
-            | LocalEvent::RemoteDoomed(..)
-            | LocalEvent::RemoteKeyGranted(..) => {}
-        }
-    }
-
-    /// Origin side: release read locks (certification validates the reads
-    /// instead), broadcast write ops causally, then the commit request
-    /// atomically. With think time configured, operations go out one per
-    /// step; the version vectors are snapshotted when the commit request is
-    /// finally broadcast (its slot in the total order validates them).
-    fn start_write_phase(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if !st.local.contains_key(&id) {
-            return;
-        }
-        // Read locks are released now: from here on the version vectors in
-        // the commit request carry the validation burden.
-        let granted = st.locks.release_all(id);
-        let mut events = EventBuf::new();
-        st.process_grants(granted, now, &mut events);
-        work.extend(events.into_iter().map(Work::Event));
-
-        if st.think.is_zero() {
-            self.emit_write_step(st, fx, now, id, usize::MAX, work);
-        } else {
-            self.writing.insert(id, 0);
-            self.emit_write_step(st, fx, now, id, 1, work);
-            if self.writing.contains_key(&id) {
-                fx.write_pauses.push(id);
-            }
-        }
-    }
-
-    /// Resumes a paced write phase (next step after think time).
-    pub fn continue_write(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-    ) {
-        if st.decided.contains_key(&id) || !st.local.contains_key(&id) {
-            self.writing.remove(&id);
-            return;
-        }
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.emit_write_step(st, fx, now, id, 1, &mut work);
-        if self.writing.contains_key(&id) {
-            fx.write_pauses.push(id);
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    /// Broadcasts up to `budget` write operations causally, then the
-    /// atomically-broadcast commit request carrying the version snapshot.
-    fn emit_write_step(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        budget: usize,
-        work: &mut VecDeque<Work>,
-    ) {
-        let Some(local) = st.local.get(&id) else {
-            self.writing.remove(&id);
-            return;
-        };
-        let prio = local.prio;
-        let writes = local.spec.writes();
-        let n_writes = writes.len();
-        let read_versions = local.reads_observed.clone();
-        let start = self.writing.get(&id).copied().unwrap_or(0);
-        let end = start.saturating_add(budget).min(n_writes);
-        for (index, op) in writes.iter().enumerate().take(end).skip(start) {
-            let (_, out) = self.cb.broadcast(Arc::new(Payload::Write {
-                txn: id,
-                prio,
-                op: op.clone(),
-                index,
-                of: n_writes,
-            }));
-            self.route_causal(fx, out, work);
-        }
-        if end >= n_writes {
-            self.writing.remove(&id);
-            let write_versions: Vec<(Key, ObservedVersion)> = writes
-                .iter()
-                .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()))
-                .collect();
-            st.trace_commit_req_out(id, now);
-            self.abcast(
-                fx,
-                Payload::CommitReq {
-                    txn: id,
-                    prio,
-                    n_writes,
-                    read_versions,
-                    write_versions,
-                },
-                work,
-            );
-        } else {
-            self.writing.insert(id, end);
-        }
-    }
-
-    fn on_causal_deliver(
-        &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        d: causal::Delivery<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        if let Payload::Write {
-            txn, prio, op, of, ..
-        } = &*d.payload
-        {
-            let (txn, prio, of) = (*txn, *prio, *of);
-            // Record the op only — no locks; applies happen in total order.
-            let Some(entry) = st.remote_entry(txn, prio) else {
-                return;
-            };
-            entry.ops.push(op.clone());
-            entry.n_writes = Some(of);
-            // A commit request stalled on this write set may now proceed.
-            self.drain_cert_queue(st, now, work);
-        }
-    }
-
-    fn on_total_deliver(
-        &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        d: TotalDelivery<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        if let Payload::CommitReq {
-            txn,
-            prio,
-            n_writes,
-            read_versions,
-            write_versions,
-        } = &*d.payload
-        {
-            let txn = *txn;
-            let gseq = d.gseq;
-            let me = st.me;
-            st.tracer.emit(|| TraceEvent::TotalOrder {
-                at: now,
-                site: me,
-                txn: txn_ref(txn),
-                gseq,
-            });
-            self.cert_queue.push_back(PendingCert {
-                txn,
-                prio: *prio,
-                n_writes: *n_writes,
-                read_versions: read_versions.clone(),
-                write_versions: write_versions.clone(),
-            });
-            self.drain_cert_queue(st, now, work);
         }
     }
 
     /// Certifies queued commit requests strictly in total order; stalls
     /// when the head's write set is not fully delivered yet.
-    fn drain_cert_queue(&mut self, st: &mut SiteState, now: SimTime, work: &mut VecDeque<Work>) {
+    fn drain_cert_queue(&mut self, cx: &mut AbCx) {
         while let Some(head) = self.cert_queue.front() {
             let txn = head.txn;
-            if st.decided.contains_key(&txn) {
+            if cx.st.decided.contains_key(&txn) {
                 self.cert_queue.pop_front();
                 continue;
             }
             let ops_ready = head.n_writes == 0
-                || st
+                || cx
+                    .st
                     .remote
                     .get(&txn)
                     .is_some_and(|e| e.ops.len() == head.n_writes);
@@ -595,7 +152,7 @@ impl AtomicProto {
             }
             let head = self.cert_queue.pop_front().expect("front checked");
             // Make sure an entry exists even for write-free transactions.
-            let entry = st.remote_entry(txn, head.prio).expect("undecided");
+            let entry = cx.st.remote_entry(txn, head.prio).expect("undecided");
             if entry.n_writes.is_none() {
                 entry.n_writes = Some(0);
             }
@@ -604,140 +161,262 @@ impl AtomicProto {
                 .iter()
                 .chain(head.write_versions.iter())
                 .all(|(key, expected)| self.latest_writer.get(key).copied() == *expected);
-            st.trace_vote(txn, pass, now);
-            let mut events = EventBuf::new();
-            if pass {
-                self.wound_conflicting_readers(st, &head, now, &mut events);
-                // Advance the version directory in total order (all keys,
-                // held here or not).
-                if let Some(entry) = st.remote.get(&txn) {
-                    for op in &entry.ops {
-                        self.latest_writer.insert(op.key.clone(), txn);
-                    }
-                }
-                st.apply_commit(txn, now, &mut events);
-            } else {
-                st.apply_remote_abort(txn, AbortReason::Certification, now, &mut events);
+            cx.st.trace_vote(txn, pass, cx.now);
+            if !pass {
+                cx.abort_remote(txn, AbortReason::Certification);
+                continue;
             }
-            work.extend(events.into_iter().map(Work::Event));
+            // This protocol's applies never wait — that is what keeps them
+            // acknowledgement-free — so every local transaction still
+            // holding a read lock on a key the committing transaction
+            // writes (read-only included) is wounded.
+            cx.gate_local_readers(txn, |_| Gate::Wound);
+            // Advance the version directory in total order (all keys, held
+            // here or not).
+            for op in &cx.st.remote[&txn].ops {
+                self.latest_writer.insert(op.key.clone(), txn);
+            }
+            cx.apply_commit(txn);
+        }
+    }
+}
+
+impl Variation for AtomicProto {
+    type Delivery = AbDelivery;
+
+    fn new(me: SiteId, cfg: &ClusterConfig) -> Self {
+        let n = cfg.sites;
+        AtomicProto {
+            // The atomic protocol never serves retransmissions from its
+            // causal stream, so skip the per-message archive clone.
+            cb: CausalBcast::new(me, n).without_archive(),
+            ab: match cfg.abcast_impl() {
+                AbcastImpl::Sequencer => Abcast::Seq(SequencerAbcast::new(me, n)),
+                AbcastImpl::Isis => Abcast::Isis(IsisAbcast::new(me, n)),
+                AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
+            },
+            cert_queue: VecDeque::new(),
+            latest_writer: BTreeMap::new(),
         }
     }
 
-    /// Aborts local transactions still holding read locks on keys the
-    /// committing transaction writes. This protocol's applies never wait —
-    /// that is what keeps them acknowledgement-free — so conflicting local
-    /// readers (read-only included) are wounded.
-    fn wound_conflicting_readers(
-        &mut self,
-        st: &mut SiteState,
-        cert: &PendingCert,
-        now: SimTime,
-        events: &mut EventBuf,
-    ) {
-        let write_keys: Vec<Key> = st
-            .remote
-            .get(&cert.txn)
-            .map(|e| e.ops.iter().map(|o| o.key.clone()).collect())
-            .unwrap_or_default();
-        for key in write_keys {
-            let holders = st.locks.holders(&key);
-            for (holder, mode) in holders {
-                if mode == LockMode::Shared && holder != cert.txn && st.local.contains_key(&holder)
+    /// No lock-driven machinery between broadcast transactions: applies
+    /// are immediate and certification replaces voting.
+    fn configure_state(st: &mut SiteState) {
+        st.wound_remote = false;
+    }
+
+    /// The one wire entry point: causal traffic (write operations) and the
+    /// configured backend's total-order traffic; a stray message of another
+    /// backend is dropped.
+    fn on_wire(&mut self, cx: &mut AbCx, from: SiteId, msg: ReplicaMsg) {
+        match (msg, &mut self.ab) {
+            (ReplicaMsg::C(wire), _) => Self::route_causal(cx, self.cb.on_wire(from, wire)),
+            (ReplicaMsg::ASeq(wire), Abcast::Seq(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire))
+            }
+            (ReplicaMsg::AIsis(wire), Abcast::Isis(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire))
+            }
+            (ReplicaMsg::ARing(wire), Abcast::Ring(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire))
+            }
+            _ => {}
+        }
+    }
+
+    /// Read locks are released first: from here on the version vectors in
+    /// the commit request carry the validation burden.
+    fn write_phase(&mut self, cx: &mut AbCx, id: TxnId) {
+        let granted = cx.st.locks.release_all(id);
+        cx.transition(|st, now, events| st.process_grants(granted, now, events));
+        paced_write_phase(self, cx, id);
+    }
+
+    /// Write operations travel by (cheap) causal broadcast.
+    fn disseminate_write(&mut self, cx: &mut AbCx, write: Payload) {
+        let (_, out) = self.cb.broadcast(Arc::new(write));
+        Self::route_causal(cx, out);
+    }
+
+    /// The commit request goes through atomic broadcast, carrying the
+    /// version snapshot taken now: its slot in the total order validates
+    /// it.
+    fn request_commit(&mut self, cx: &mut AbCx, txn: TxnId, prio: TxnPriority, n_writes: usize) {
+        let local = &cx.st.local[&txn];
+        let request = Arc::new(Payload::CommitReq {
+            txn,
+            prio,
+            n_writes,
+            read_versions: local.reads_observed.clone(),
+            write_versions: local
+                .spec
+                .writes()
+                .iter()
+                .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()))
+                .collect(),
+        });
+        cx.st.trace_commit_req_out(txn, cx.now);
+        match &mut self.ab {
+            Abcast::Seq(ab) => Self::route_total(cx, ab.broadcast(request).1),
+            Abcast::Isis(ab) => Self::route_total(cx, ab.broadcast(request).1),
+            Abcast::Ring(ab) => Self::route_total(cx, ab.broadcast(request).1),
+        }
+    }
+
+    fn on_deliver(&mut self, cx: &mut AbCx, d: AbDelivery) {
+        match d {
+            AbDelivery::Causal(d) => {
+                if let Payload::Write {
+                    txn, prio, op, of, ..
+                } = &*d.payload
                 {
-                    st.abort_local(holder, AbortReason::Wounded, now, events);
+                    // Record the op only — no locks; applies happen in
+                    // total order.
+                    let Some(entry) = cx.st.remote_entry(*txn, *prio) else {
+                        return;
+                    };
+                    entry.ops.push(op.clone());
+                    entry.n_writes = Some(*of);
+                    // A commit request stalled on this write set may now
+                    // proceed.
+                    self.drain_cert_queue(cx);
                 }
+            }
+            AbDelivery::Total(d) => {
+                if let Payload::CommitReq {
+                    txn,
+                    prio,
+                    n_writes,
+                    read_versions,
+                    write_versions,
+                } = &*d.payload
+                {
+                    let (txn, gseq, me, now) = (*txn, d.gseq, cx.st.me, cx.now);
+                    cx.st.tracer.emit(|| TraceEvent::TotalOrder {
+                        at: now,
+                        site: me,
+                        txn: txn_ref(txn),
+                        gseq,
+                    });
+                    self.cert_queue.push_back(PendingCert {
+                        txn,
+                        prio: *prio,
+                        n_writes: *n_writes,
+                        read_versions: read_versions.clone(),
+                        write_versions: write_versions.clone(),
+                    });
+                    self.drain_cert_queue(cx);
+                }
+            }
+        }
+    }
+
+    /// The sequencer moves to the view coordinator (the ring recomputes
+    /// successors and starts its repair round, keyed by the view id);
+    /// transactions from departed origins abort (their commit request may
+    /// never be ordered), which may unblock the certification queue.
+    fn set_view(&mut self, cx: &mut AbCx, view_id: u64) {
+        self.follow_coordinator(&cx.quorum.view);
+        if let Abcast::Ring(ab) = &mut self.ab {
+            let roster: Vec<SiteId> = cx.quorum.view.iter().copied().collect();
+            Self::route_total(cx, ab.set_ring(&roster, view_id));
+        }
+        sweep_view(self, cx);
+        self.drain_cert_queue(cx);
+    }
+
+    fn snapshot(&self) -> ProtoSnapshot {
+        ProtoSnapshot::Atomic(AbSnapshot {
+            causal: self.cb.clock().clone(),
+            order: match &self.ab {
+                Abcast::Seq(a) => AbcastPos::Seq(a.delivered_watermark()),
+                Abcast::Isis(a) => AbcastPos::Isis(a.lamport(), a.delivered_count()),
+                Abcast::Ring(a) => AbcastPos::Ring(a.delivered_watermark(), a.seq_floors()),
+            },
+            latest_writer: self.latest_writer.clone(),
+        })
+    }
+
+    /// The ring engine only fast-forwards its counters here; its
+    /// membership (and the repair round that refills undelivered payloads)
+    /// is installed by the view change that readmits this site.
+    fn resume(&mut self, donor: &ProtoSnapshot, view: &BTreeSet<SiteId>) {
+        let ProtoSnapshot::Atomic(donor) = donor else {
+            return;
+        };
+        self.cb.resume_from(&donor.causal);
+        match (&mut self.ab, &donor.order) {
+            (Abcast::Seq(a), AbcastPos::Seq(w)) => a.resume_from(*w),
+            (Abcast::Isis(a), AbcastPos::Isis(l, d)) => a.resume_from(*l, *d),
+            (Abcast::Ring(a), AbcastPos::Ring(w, floors)) => a.resume_from(*w, floors),
+            _ => {}
+        }
+        self.latest_writer.clone_from(&donor.latest_writer);
+        self.cert_queue.clear();
+        self.follow_coordinator(view);
+    }
+
+    /// Each backend reports its own gauges: the ring its pipeline and
+    /// repair log, the other two their duplicate trackers.
+    fn sample_stats(&self, me: SiteId, sample: &mut Sample) {
+        match &self.ab {
+            Abcast::Seq(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),
+            Abcast::Isis(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),
+            Abcast::Ring(a) => {
+                sample.set_site(me, "ring.inflight", a.inflight());
+                sample.set_site(me, "ring.forwarded", a.forwarded_count());
+                sample.set_site(me, "ring.ordered_len", a.ordered_len() as u64);
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::state::ConflictPolicy;
-    use bcastdb_broadcast::msg::expand_dest;
+    use crate::payload::ProtocolKind;
+    use crate::protocols::tests::cfg;
+    use crate::protocols::Driver;
+    use bcastdb_broadcast::msg::MsgId;
     use bcastdb_db::TxnSpec;
-    use bcastdb_sim::telemetry::Phase;
-    use std::collections::VecDeque as Q;
 
-    struct Rig {
-        protos: Vec<AtomicProto>,
-        states: Vec<SiteState>,
-        wires: Q<(SiteId, SiteId, ReplicaMsg)>,
-        /// Messages of the vote phase handed to the network so far.
-        vote_msgs: usize,
+    type Rig = crate::protocols::tests::Rig<Driver<AtomicProto>>;
+
+    fn rig(n: usize, imp: AbcastImpl) -> Rig {
+        Rig::of(&ClusterConfig {
+            abcast: Some(imp),
+            ..cfg(n, ProtocolKind::AtomicBcast)
+        })
     }
 
-    impl Rig {
-        fn new(n: usize, imp: AbcastImpl) -> Rig {
-            let mut states: Vec<SiteState> = (0..n)
-                .map(|i| SiteState::new(SiteId(i), n, ConflictPolicy::WoundWait))
-                .collect();
-            for st in states.iter_mut() {
-                st.wound_remote = false;
-            }
-            Rig {
-                protos: (0..n)
-                    .map(|i| AtomicProto::new(SiteId(i), n, imp))
-                    .collect(),
-                states,
-                wires: Q::new(),
-                vote_msgs: 0,
-            }
-        }
+    /// A late duplicate of `payload`, down both of this protocol's
+    /// delivery paths.
+    pub(crate) fn redeliver(p: &Driver<AtomicProto>, payload: Payload) -> Vec<AbDelivery> {
+        let id = MsgId {
+            origin: SiteId(1),
+            seq: 99,
+        };
+        let payload = Arc::new(payload);
+        let causal = causal::Delivery {
+            id,
+            vc: p.rules.cb.clock().clone(),
+            payload: payload.clone(),
+        };
+        let gseq = 99;
+        let total = TotalDelivery { gseq, id, payload };
+        vec![AbDelivery::Causal(causal), AbDelivery::Total(total)]
+    }
 
-        fn absorb(&mut self, me: SiteId, fx: Effects) {
-            let n = self.protos.len();
-            for (dest, msg) in fx.sends {
-                self.vote_msgs += usize::from(msg.phase() == Phase::Vote);
-                for to in expand_dest(dest, me, n) {
-                    if to != me {
-                        self.wires.push_back((me, to, msg.clone()));
-                    }
-                }
-            }
-        }
-
-        fn submit(&mut self, site: usize, ts: u64, spec: TxnSpec) -> TxnId {
-            let mut fx = Effects::new();
-            let (id, events) = self.states[site].begin_txn(SimTime::from_micros(ts), spec);
-            self.protos[site].handle_events(&mut self.states[site], &mut fx, SimTime::ZERO, events);
-            self.absorb(SiteId(site), fx);
-            id
-        }
-
-        fn settle(&mut self) {
-            while let Some((from, to, msg)) = self.wires.pop_front() {
-                let mut fx = Effects::new();
-                let t = SimTime::from_micros(2);
-                match msg {
-                    ReplicaMsg::C(w) => self.protos[to.0].on_causal_wire(
-                        &mut self.states[to.0],
-                        &mut fx,
-                        t,
-                        from,
-                        w,
-                    ),
-                    ReplicaMsg::ASeq(w) => {
-                        self.protos[to.0].on_seq_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    ReplicaMsg::AIsis(w) => {
-                        self.protos[to.0].on_isis_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    ReplicaMsg::ARing(w) => {
-                        self.protos[to.0].on_ring_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    _ => {}
-                }
-                self.absorb(to, fx);
-            }
-        }
+    /// No settled commit request is left queued for certification.
+    pub(crate) fn idle(p: &AtomicProto) -> bool {
+        p.cert_queue.is_empty()
     }
 
     #[test]
     fn commits_with_no_acknowledgement_traffic() {
         for imp in [AbcastImpl::Sequencer, AbcastImpl::Isis, AbcastImpl::Ring] {
-            let mut rig = Rig::new(3, imp);
+            let mut rig = rig(3, imp);
             let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
             rig.settle();
             for (i, st) in rig.states.iter().enumerate() {
@@ -745,51 +424,13 @@ mod tests {
                 assert_eq!(st.store.value(&"x".into()), 4, "{imp:?} site {i}");
                 assert!(st.remote.is_empty(), "{imp:?} site {i} retired the entry");
             }
-            assert_eq!(rig.vote_msgs, 0, "{imp:?}: no vote round");
-        }
-    }
-
-    #[test]
-    fn redelivery_after_the_decision_resurrects_nothing() {
-        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
-        let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
-        rig.settle();
-        let now = SimTime::from_micros(9);
-        let msg = bcastdb_broadcast::MsgId {
-            origin: SiteId(1),
-            seq: 99,
-        };
-        for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
-            let logged = st.log.len();
-            for payload in crate::protocols::tests::stale_payloads(id) {
-                let mut fx = Effects::new();
-                let mut work = VecDeque::new();
-                // Both of this protocol's delivery paths.
-                let causal = causal::Delivery {
-                    id: msg,
-                    vc: p.cb.clock().clone(),
-                    payload: payload.clone(),
-                };
-                p.on_causal_deliver(st, now, causal, &mut work);
-                let total = TotalDelivery {
-                    gseq: 99,
-                    id: msg,
-                    payload: payload.clone(),
-                };
-                p.on_total_deliver(st, now, total, &mut work);
-                p.pump(st, &mut fx, now, work);
-                assert!(fx.sends.is_empty(), "site {i} answered {payload:?}");
-            }
-            assert!(st.remote.is_empty() && !st.has_undecided(), "site {i}");
-            assert!(p.cert_queue.is_empty(), "site {i} queued a settled request");
-            assert_eq!(st.log.len(), logged, "site {i} terminated {id} again");
-            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
+            assert_eq!(rig.vote_msgs(), 0, "{imp:?}: no vote round");
         }
     }
 
     #[test]
     fn certification_aborts_the_later_conflicting_writer() {
-        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
+        let mut rig = rig(3, AbcastImpl::Sequencer);
         // Both broadcast against the same (initial) version of x without
         // seeing each other: the one ordered second fails certification.
         let a = rig.submit(0, 10, TxnSpec::new().write("x", 1));
@@ -811,7 +452,7 @@ mod tests {
 
     #[test]
     fn stale_read_fails_certification() {
-        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
+        let mut rig = rig(3, AbcastImpl::Sequencer);
         // T reads x (initial version) at site 2 but its commit request is
         // ordered after W's commit of x: the read-version check fails.
         let t = {
@@ -840,7 +481,7 @@ mod tests {
 
     #[test]
     fn applies_follow_total_order_on_every_site() {
-        let mut rig = Rig::new(4, AbcastImpl::Isis);
+        let mut rig = rig(4, AbcastImpl::Isis);
         let mut ids = Vec::new();
         for i in 0..4 {
             ids.push(rig.submit(

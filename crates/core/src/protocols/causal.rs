@@ -33,30 +33,37 @@
 //! publish a wound, so a site-local wound could contradict an
 //! already-emitted implicit ack.
 
+use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
 use crate::payload::{Payload, ReplicaMsg, TxnPriority};
-use crate::protocols::{Effects, RetransmitBackoff};
-use crate::state::{EventBuf, LocalEvent, SiteState};
+use crate::protocols::{
+    Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict, Work,
+};
+use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::VectorClock;
 use bcastdb_db::{Key, TxnId, WriteOp};
-use bcastdb_sim::{SimTime, SiteId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use bcastdb_sim::SiteId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
 /// Fewest conflict-index insertions between two pruning passes.
 const PRUNE_FLOOR: usize = 64;
 
+/// What this protocol's dissemination layer hands up.
 #[derive(Debug)]
-enum Work {
-    Event(LocalEvent),
+pub(crate) enum CbWork {
+    /// A causal delivery, its vector clock exposed.
     Deliver(causal::Delivery<Arc<Payload>>),
     /// All write operations of a local transaction are out (and their
     /// self-deliveries processed): gate against local readers, then either
     /// broadcast the commit request or give up.
-    FinishWrite(TxnId),
+    FinishWrite(TxnId, TxnPriority, usize),
 }
+
+/// One driver step of this protocol.
+type CbCx<'a> = Cx<'a, CbWork>;
 
 /// Causal-protocol bookkeeping for one broadcast transaction.
 #[derive(Debug, Clone, Default)]
@@ -71,7 +78,7 @@ struct CbTxn {
     commit_pending: bool,
 }
 
-/// The causal-broadcast replication protocol at one site.
+/// What the causal-broadcast protocol varies at one site.
 ///
 /// The broadcast engine is instantiated with `Arc<Payload>` so its archive,
 /// pending set, and per-destination fan-out share one payload allocation
@@ -79,7 +86,6 @@ struct CbTxn {
 #[derive(Debug)]
 pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
-    view: BTreeSet<SiteId>,
     info: BTreeMap<TxnId, CbTxn>,
     /// Vector clock of each delivered write operation (and its
     /// transaction's priority: the entry outlives the `RemoteTxn`), by
@@ -106,27 +112,15 @@ pub struct CausalProto {
     #[cfg(debug_assertions)]
     history: BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>,
     /// Emit a null message on ticks while transactions are undecided.
-    pub null_messages: bool,
-    /// Speculative fast commit: when the failure detector suspects a view
-    /// member, close the implicit-acknowledgement wait from the surviving
-    /// quorum instead of the full view — see `try_decide`.
-    pub fast_commit: bool,
-    /// View members the local failure detector currently suspects
-    /// (refreshed by the engine on every membership tick).
-    suspected: BTreeSet<SiteId>,
-    /// Loss-recovery mode: retransmit archived messages to lagging peers.
+    null_messages: bool,
+    /// Loss-recovery mode: eager relaying, and archived messages are
+    /// retransmitted to lagging peers.
     recover_losses: bool,
-    /// Paced write phases: next operation index per local transaction.
-    writing: BTreeMap<TxnId, usize>,
     /// This site's clock at its most recent broadcast: the evidence other
     /// sites hold about what we have delivered. If it does not cover a
     /// delivered commit request, our implicit acknowledgement has not been
     /// published yet and a null message is due.
     last_bcast_vc: VectorClock,
-    /// Reusable work queue: taken at each protocol entry point and
-    /// handed back (empty) by `pump`, so steady-state message handling
-    /// never allocates a fresh queue.
-    idle_work: VecDeque<Work>,
     /// Transactions whose commit request is delivered but whose outcome is
     /// not yet in `st.decided` — the only transactions a new implicit
     /// acknowledgement can advance, so the per-delivery ack scan walks
@@ -139,8 +133,7 @@ pub struct CausalProto {
     /// comparing this clock against `last_bcast_vc` — O(n) per tick
     /// instead of a scan over every transaction ever seen.
     max_cr_seq: VectorClock,
-    /// Cadence control of the periodic null/gap-report broadcast (fires
-    /// every tick unless [`CausalProto::enable_backoff`] was called).
+    /// Cadence control of the periodic null/gap-report broadcast.
     backoff: RetransmitBackoff,
     /// `(sum of remote clock components, pending holes)` at the last tick —
     /// the progress signal that resets the backoff. Our own component is
@@ -150,475 +143,77 @@ pub struct CausalProto {
 }
 
 impl CausalProto {
-    /// Creates the protocol instance for site `me` of `n`.
-    pub fn new(me: SiteId, n: usize) -> Self {
-        CausalProto {
-            // Without loss recovery nobody ever asks this engine for
-            // retransmissions, so skip the per-message archive clone.
-            cb: CausalBcast::new(me, n).without_archive(),
-            view: (0..n).map(SiteId).collect(),
-            info: BTreeMap::new(),
-            key_ops: BTreeMap::new(),
-            until_prune: PRUNE_FLOOR,
-            last_from: vec![VectorClock::new(n); n],
-            #[cfg(debug_assertions)]
-            history: BTreeMap::new(),
-            null_messages: true,
-            fast_commit: false,
-            suspected: BTreeSet::new(),
-            recover_losses: false,
-            writing: BTreeMap::new(),
-            last_bcast_vc: VectorClock::new(n),
-            idle_work: VecDeque::new(),
-            ack_waiting: BTreeSet::new(),
-            max_cr_seq: VectorClock::new(n),
-            backoff: RetransmitBackoff::new(me),
-            last_progress: (0, 0),
-        }
-    }
-
-    /// Switches the periodic null/gap-report broadcast from fire-every-tick
-    /// to bounded exponential backoff with deterministic jitter.
-    pub fn enable_backoff(&mut self) {
-        self.backoff.enable();
-    }
-
-    /// Creates the protocol with eager relaying and loss recovery enabled.
-    pub fn new_with_relay(me: SiteId, n: usize) -> Self {
-        let mut p = Self::new(me, n);
-        p.cb = CausalBcast::new(me, n).with_relay();
-        p.recover_losses = true;
-        p
-    }
-
-    /// True while this site still owes the cluster a message: either a
-    /// transaction known here is undecided, or a delivered commit request
-    /// has not yet been covered by any of our broadcasts (its implicit
-    /// acknowledgement is unpublished). Drives the engine's tick arming.
-    pub fn needs_ticks(&self, st: &SiteState) -> bool {
-        if !self.null_messages {
-            return false;
-        }
-        st.has_undecided()
-            || self.has_unpublished_ack()
-            // Loss recovery: holes in the causal stream block deliveries we
-            // may not even know about; keep advertising our clock so peers
-            // can fill the gaps.
-            || (self.recover_losses && self.cb.pending_len() > 0)
-    }
-
     fn has_unpublished_ack(&self) -> bool {
         self.max_cr_seq
             .iter()
             .any(|(origin, k)| self.last_bcast_vc.get(origin) < k)
     }
 
-    /// The causal engine's delivered-messages clock (state transfer).
-    pub fn clock(&self) -> VectorClock {
-        self.cb.clock().clone()
-    }
-
-    /// Resumes a recovered site from a donor's causal clock and view.
-    /// Assumes a quiet moment: in-flight bookkeeping is dropped (the
-    /// transferred store and decision map carry the outcomes).
-    pub fn resume(&mut self, donor_clock: &VectorClock, view: BTreeSet<SiteId>) {
-        self.cb.resume_from(donor_clock);
-        self.last_bcast_vc = self.cb.clock().clone();
-        self.info.clear();
-        self.key_ops.clear();
-        self.until_prune = PRUNE_FLOOR;
-        // A rejoining site cannot vouch for what its peers send next.
-        let n = self.last_from.len();
-        self.last_from.fill(VectorClock::new(n));
-        #[cfg(debug_assertions)]
-        self.history.clear();
-        self.ack_waiting.clear();
-        self.max_cr_seq = VectorClock::new(n);
-        self.view = view;
-        self.suspected.clear();
-    }
-
-    /// Refreshes the failure detector's suspicion set and re-evaluates
-    /// every transaction still waiting on implicit acknowledgements: a
-    /// fresh suspicion may let the fast-commit rule close an ack wait
-    /// that the suspect would never complete.
-    pub fn on_suspect(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        suspected: &BTreeSet<SiteId>,
-    ) {
-        if self.suspected == *suspected {
-            return;
-        }
-        self.suspected = suspected.clone();
-        if self.suspected.is_empty() {
-            return;
-        }
-        let waiting: Vec<TxnId> = self.ack_waiting.iter().copied().collect();
-        let mut work = std::mem::take(&mut self.idle_work);
-        for txn in waiting {
-            self.try_decide(st, now, txn, &mut work);
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles events produced outside the protocol.
-    pub fn handle_events(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        events: EventBuf,
-    ) {
-        let work = events.into_iter().map(Work::Event).collect();
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles a retransmitted wire: identical processing, but never
-    /// treated as a live gap report (its clock is historical).
-    pub fn on_retrans_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: causal::Wire<Arc<Payload>>,
-    ) {
-        let out = self.cb.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.route(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles an incoming causal-broadcast wire message.
-    pub fn on_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: causal::Wire<Arc<Payload>>,
-    ) {
-        // In loss-recovery mode a *null* message doubles as a gap report:
-        // its clock reveals what its origin had delivered, so ship it
-        // anything we have that it lacks. Only direct (unrelayed,
-        // unretransmitted) nulls trigger this — reacting to every wire
-        // would let stale retransmitted clocks solicit retransmissions of
-        // their own, a storm that never drains.
-        if self.recover_losses && from == wire.id.origin && matches!(*wire.payload, Payload::Null) {
-            // Only our *own* missing messages are retransmitted from here:
-            // with every site answering for every gap, a lossy cluster
-            // floods itself — one authoritative responder per message is
-            // enough (the origin always has its own archive).
-            let me = self.cb.me();
-            for w in self.cb.retransmissions_for(&wire.vc, 16) {
-                if w.id.origin == me {
-                    fx.send_to(from, ReplicaMsg::CRetrans(w));
-                }
-            }
-        }
-        let out = self.cb.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.route(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Periodic tick: emit a null message while this site owes the cluster
-    /// evidence — an unpublished implicit acknowledgement, or liveness for
-    /// transactions still undecided here (the paper's keep-alive
-    /// mitigation for quiet sites).
-    pub fn on_tick(&mut self, st: &mut SiteState, fx: &mut Effects, now: SimTime) {
-        if self.null_messages
-            && (st.has_undecided()
-                || self.has_unpublished_ack()
-                || (self.recover_losses && self.cb.pending_len() > 0))
-        {
-            // Progress check for the backoff cadence: a remote clock
-            // component moving or a pending hole closing means the last
-            // solicitation (or regular traffic) worked — go back to
-            // every-tick.
-            let me = self.cb.me();
-            let remote: u64 = self
-                .cb
-                .clock()
-                .iter()
-                .filter(|&(s, _)| s != me)
-                .map(|(_, k)| k)
-                .sum();
-            let progress = (remote, self.cb.pending_len());
-            if progress != self.last_progress {
-                self.backoff.reset();
-                self.last_progress = progress;
-            }
-            if !self.backoff.due() {
-                return;
-            }
-            let mut work = std::mem::take(&mut self.idle_work);
-            self.bcast(fx, Payload::Null, &mut work);
-            self.pump(st, fx, now, work);
-        }
-    }
-
-    /// Installs a new view: acks are needed from surviving members only;
-    /// transactions from departed origins abort.
-    pub fn set_view(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        members: BTreeSet<SiteId>,
-    ) {
-        self.view = members;
-        let undecided: Vec<TxnId> = st.remote.keys().collect();
-        let mut work = std::mem::take(&mut self.idle_work);
-        for txn in undecided {
-            if !self.view.contains(&txn.origin) {
-                let mut events = EventBuf::new();
-                st.apply_remote_abort(txn, AbortReason::ViewChange, now, &mut events);
-                work.extend(events.into_iter().map(Work::Event));
-            } else {
-                self.try_decide(st, now, txn, &mut work);
-            }
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    fn bcast(&mut self, fx: &mut Effects, payload: Payload, work: &mut VecDeque<Work>) {
+    fn bcast(&mut self, cx: &mut CbCx, payload: Payload) {
         // The single payload allocation of this broadcast: every wire copy
         // and archive entry from here on is a refcount bump.
         let (_, out) = self.cb.broadcast(Arc::new(payload));
         self.last_bcast_vc.copy_from(self.cb.clock());
-        self.route(fx, out, work);
+        Self::route(cx, out);
     }
 
-    fn route(
-        &mut self,
-        fx: &mut Effects,
-        out: causal::Output<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::C(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::Deliver(d));
-        }
-    }
-
-    fn pump(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        mut work: VecDeque<Work>,
-    ) {
-        while let Some(item) = work.pop_front() {
-            match item {
-                Work::Event(ev) => self.on_event(st, fx, now, ev, &mut work),
-                Work::Deliver(d) => self.on_deliver(st, fx, now, d, &mut work),
-                Work::FinishWrite(id) => self.finish_write(st, fx, now, id, &mut work),
-            }
-        }
-        // The queue is empty again: hand it back for the next entry point.
-        self.idle_work = work;
-    }
-
-    fn on_event(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        ev: LocalEvent,
-        work: &mut VecDeque<Work>,
-    ) {
-        match ev {
-            LocalEvent::ReadsComplete(id) => self.start_write_phase(st, fx, id, work),
-            LocalEvent::RemotePrepared(id) => {
-                // Locks complete: if the commit was already decided, apply.
-                if self.info.get(&id).is_some_and(|i| i.commit_pending) {
-                    let mut events = EventBuf::new();
-                    st.apply_commit(id, now, &mut events);
-                    work.extend(events.into_iter().map(Work::Event));
-                }
-            }
-            LocalEvent::RemoteDoomed(..) => {
-                // Cannot happen: wound_remote is disabled for this protocol
-                // (site-local wounds cannot be published without votes).
-                debug_assert!(
-                    false,
-                    "causal protocol must not doom broadcast transactions"
-                );
-            }
-            LocalEvent::RemoteKeyGranted(..) => {}
-            LocalEvent::ReadPaused(id) => fx.pauses.push(id),
-        }
-    }
-
-    fn start_write_phase(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if !st.local.contains_key(&id) {
-            return;
-        }
-        if st.think.is_zero() {
-            self.emit_write_step(st, fx, id, usize::MAX, work);
-        } else {
-            self.writing.insert(id, 0);
-            self.emit_write_step(st, fx, id, 1, work);
-            if self.writing.contains_key(&id) {
-                fx.write_pauses.push(id);
-            }
-        }
-    }
-
-    /// Resumes a paced write phase (next step after think time).
-    pub fn continue_write(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-    ) {
-        if st.decided.contains_key(&id) || !st.local.contains_key(&id) {
-            self.writing.remove(&id);
-            return;
-        }
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.emit_write_step(st, fx, id, 1, &mut work);
-        if self.writing.contains_key(&id) {
-            fx.write_pauses.push(id);
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    /// Broadcasts up to `budget` write operations, then the commit request
-    /// once the set is out (causal order keeps them sequenced everywhere).
-    fn emit_write_step(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        id: TxnId,
-        budget: usize,
-        work: &mut VecDeque<Work>,
-    ) {
-        let Some(local) = st.local.get(&id) else {
-            self.writing.remove(&id);
-            return;
-        };
-        let prio = local.prio;
-        let writes = local.spec.writes();
-        let n_writes = writes.len();
-        let start = self.writing.get(&id).copied().unwrap_or(0);
-        let end = start.saturating_add(budget).min(n_writes);
-        for (index, op) in writes.iter().enumerate().take(end).skip(start) {
-            self.bcast(
-                fx,
-                Payload::Write {
-                    txn: id,
-                    prio,
-                    op: op.clone(),
-                    index,
-                    of: n_writes,
-                },
-                work,
-            );
-        }
-        if end >= n_writes {
-            self.writing.remove(&id);
-            // The commit request is NOT broadcast here: the self-deliveries
-            // of our own write operations (queued ahead in the work queue)
-            // may detect a concurrent conflict and doom this transaction,
-            // and the origin's reader gate must also run first. Once a
-            // remote site delivers the commit request it may decide
-            // immediately (with N = 2 its ack set completes on the spot),
-            // so every origin-side veto must precede the request on the
-            // wire.
-            work.push_back(Work::FinishWrite(id));
-        } else {
-            self.writing.insert(id, end);
-        }
+    fn route(cx: &mut CbCx, out: causal::Output<Arc<Payload>>) {
+        cx.route(
+            out.outbound,
+            out.deliveries.into_iter().map(CbWork::Deliver),
+        );
     }
 
     /// Final step of a write phase: runs the origin-side reader gate and,
     /// if the transaction is still viable, broadcasts the commit request.
-    fn finish_write(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if st.decided.contains_key(&id) {
+    fn finish_write(&mut self, cx: &mut CbCx, id: TxnId, prio: TxnPriority, n_writes: usize) {
+        if cx.st.decided.contains_key(&id) {
             return; // doomed by early conflict detection meanwhile
         }
         // Origin-side gate: settle conflicts with our own local readers
         // *before* the commit request exists anywhere.
-        self.gate_local_readers(st, fx, now, id, work);
-        if st.decided.contains_key(&id) {
+        self.gate_readers(cx, id);
+        if cx.st.decided.contains_key(&id) || !cx.st.local.contains_key(&id) {
             return; // the gate vetoed us (read-only conflict)
         }
-        let Some(local) = st.local.get(&id) else {
-            return;
+        cx.st.trace_commit_req_out(id, cx.now);
+        let request = Payload::CommitReq {
+            txn: id,
+            prio,
+            n_writes,
+            read_versions: Vec::new(),
+            write_versions: Vec::new(),
         };
-        let prio = local.prio;
-        let n_writes = local.spec.writes().len();
-        st.trace_commit_req_out(id, now);
-        self.bcast(
-            fx,
-            Payload::CommitReq {
-                txn: id,
-                prio,
-                n_writes,
-                read_versions: Vec::new(),
-                write_versions: Vec::new(),
-            },
-            work,
-        );
+        self.bcast(cx, request);
     }
 
-    fn on_deliver(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        d: causal::Delivery<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
+    fn on_delivery(&mut self, cx: &mut CbCx, d: causal::Delivery<Arc<Payload>>) {
         let sender = d.id.origin;
         // A NACK must take effect before the same message is credited as
         // its sender's implicit acknowledgement — otherwise the NACK's own
         // clock could complete the ack set and commit the transaction it
         // rejects. One for a settled transaction has nothing left to do.
         if let Payload::Nack { txn, site } = &*d.payload {
-            if !st.decided.contains_key(txn) {
+            if !cx.st.decided.contains_key(txn) {
                 self.info.entry(*txn).or_default().nacked.insert(*site);
             }
         }
         self.last_from[sender.0].copy_from(&d.vc);
         // Every delivery is a potential implicit acknowledgement: the
         // sender's clock proves which commit requests it had delivered.
-        self.absorb_implicit_acks(st, now, sender, &d.vc, work);
+        self.absorb_implicit_acks(cx, sender, &d.vc);
 
         match &*d.payload {
             Payload::Write {
                 txn, prio, op, of, ..
-            } => {
-                self.on_write(st, fx, now, *txn, *prio, op, *of, d.vc, work);
-            }
+            } => self.on_write(cx, *txn, *prio, op, *of, d.vc),
             &Payload::CommitReq {
                 txn,
                 prio,
                 n_writes,
                 ..
             } => {
-                let Some(entry) = st.remote_entry(txn, prio) else {
+                let Some(entry) = cx.st.remote_entry(txn, prio) else {
                     return;
                 };
                 entry.commit_req_seen = true;
@@ -633,24 +228,15 @@ impl CausalProto {
                 // The sender trivially acknowledged its own request, and we
                 // just delivered it ourselves.
                 info.acked.insert(txn.origin);
-                info.acked.insert(st.me);
-                // THE GATE. From this instant on, our outgoing traffic is an
-                // implicit YES — so any conflict with a live local reader
-                // must be settled *now*, while no other site can yet hold
-                // our acknowledgement (everything we broadcast so far
-                // causally precedes this commit request):
-                //  - a read-only reader on one of the writer's keys vetoes
-                //    the writer (explicit NACK) — read-only transactions are
-                //    never aborted in this protocol;
-                //  - an update reader still in its read phase is wounded
-                //    (purely local, always safe);
-                //  - an update reader that already broadcast its own writes
-                //    vetoes the writer too: its reads are validated by the
-                //    locks it holds until its own commitment.
-                self.gate_local_readers(st, fx, now, txn, work);
-                self.try_decide(st, now, txn, work);
+                info.acked.insert(cx.st.me);
+                // From this instant on, our outgoing traffic is an implicit
+                // YES — so the gate must run *now*, while no other site can
+                // yet hold our acknowledgement (everything we broadcast so
+                // far causally precedes this commit request).
+                self.gate_readers(cx, txn);
+                self.try_decide(cx, txn);
             }
-            &Payload::Nack { txn, .. } => self.try_decide(st, now, txn, work),
+            &Payload::Nack { txn, .. } => self.try_decide(cx, txn),
             Payload::Null => {}
             Payload::Vote { .. } | Payload::AbortDecision { .. } => {
                 // Not used by this protocol.
@@ -660,14 +246,7 @@ impl CausalProto {
 
     /// Records implicit acks proven by a message from `sender` stamped
     /// `vc`, and re-evaluates the transactions whose ack sets changed.
-    fn absorb_implicit_acks(
-        &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        sender: SiteId,
-        vc: &VectorClock,
-        work: &mut VecDeque<Work>,
-    ) {
+    fn absorb_implicit_acks(&mut self, cx: &mut CbCx, sender: SiteId, vc: &VectorClock) {
         // Walk the undecided index, not the full `info` map: transactions
         // whose commit request has not been delivered have no ack set to
         // advance, and decided ones (pruned lazily here) are settled. The
@@ -681,32 +260,28 @@ impl CausalProto {
                 .next()
                 .copied();
             let info = match self.info.get_mut(&txn) {
-                Some(info) if !st.decided.contains_key(&txn) => info,
+                Some(info) if !cx.st.decided.contains_key(&txn) => info,
                 _ => {
                     self.ack_waiting.remove(&txn);
                     continue;
                 }
             };
             if info.cr_seq.is_some_and(|k| vc.get(txn.origin) >= k) && info.acked.insert(sender) {
-                self.try_decide(st, now, txn, work);
+                self.try_decide(cx, txn);
             }
         }
     }
 
     /// Handles a delivered write: classify against other broadcast
     /// transactions, abort concurrent losers, then lock.
-    #[allow(clippy::too_many_arguments)]
     fn on_write(
         &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
+        cx: &mut CbCx,
         txn: TxnId,
         prio: TxnPriority,
         op: &WriteOp,
         of: usize,
         vc: VectorClock,
-        work: &mut VecDeque<Work>,
     ) {
         #[cfg(debug_assertions)]
         self.history
@@ -721,7 +296,7 @@ impl CausalProto {
         let ops = self.key_ops.entry(op.key.clone()).or_default();
         let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
         for (peer, peer_prio, pvc) in ops.iter() {
-            if *peer != txn && st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
+            if *peer != txn && cx.st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
                 peers.push((*peer, *peer_prio));
             }
         }
@@ -733,7 +308,7 @@ impl CausalProto {
             }
         }
         if self.until_prune == 0 {
-            self.prune(st);
+            self.prune(cx.st);
         }
         let mut doomed_self = false;
         for (peer, peer_prio) in peers {
@@ -745,14 +320,12 @@ impl CausalProto {
             if loser == txn {
                 doomed_self = true;
             }
-            self.abort_with_nack(st, fx, now, loser, work);
+            self.abort_with_nack(cx, loser);
         }
-        if doomed_self || st.decided.contains_key(&txn) {
+        if doomed_self || cx.st.decided.contains_key(&txn) {
             return; // no point acquiring locks for a dead transaction
         }
-        let mut events = EventBuf::new();
-        st.deliver_write_op(txn, prio, op.clone(), of, now, &mut events);
-        work.extend(events.into_iter().map(Work::Event));
+        cx.transition(|st, now, ev| st.deliver_write_op(txn, prio, op.clone(), of, now, ev));
     }
 
     /// Retires what no later classification can match. A write-operation
@@ -793,127 +366,192 @@ impl CausalProto {
         self.until_prune = live.max(PRUNE_FLOOR);
     }
 
-    /// Settles conflicts between a commit-requesting writer and local
-    /// readers before this site's implicit acknowledgement can circulate.
-    fn gate_local_readers(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        txn: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        use bcastdb_db::lock::LockMode;
-        let write_keys: Vec<Key> = st
-            .remote
-            .get(&txn)
-            .map(|e| e.ops.iter().map(|o| o.key.clone()).collect())
-            .unwrap_or_default();
-        let mut nack_writer = false;
-        let mut wound: Vec<TxnId> = Vec::new();
-        for key in &write_keys {
-            for (holder, mode) in st.locks.holders(key) {
-                if holder == txn || mode != LockMode::Shared {
-                    continue;
-                }
-                let Some(local) = st.local.get(&holder) else {
-                    continue; // not a local transaction (or already gone)
-                };
-                if local.spec.is_read_only() {
-                    nack_writer = true;
-                } else if matches!(local.phase, crate::state::LocalPhase::AcquiringReads { .. }) {
-                    wound.push(holder);
-                } else {
-                    // Write phase: its held read locks validate its reads.
-                    nack_writer = true;
-                }
-            }
-        }
-        for reader in wound {
-            let mut events = EventBuf::new();
-            st.abort_local(reader, AbortReason::Wounded, now, &mut events);
-            work.extend(events.into_iter().map(Work::Event));
-        }
-        if nack_writer {
-            self.abort_with_nack(st, fx, now, txn, work);
+    /// THE GATE, this protocol's policy: a read-only reader on one of the
+    /// writer's keys vetoes the writer (explicit NACK) — read-only
+    /// transactions are never aborted in this protocol; an update reader
+    /// still in its read phase is wounded; an update reader that already
+    /// broadcast its own writes vetoes the writer too: its reads are
+    /// validated by the locks it holds until its own commitment.
+    fn gate_readers(&mut self, cx: &mut CbCx, txn: TxnId) {
+        let veto = cx.gate_local_readers(txn, |reader| match reader {
+            Reader::ReadOnly | Reader::Writing => Gate::Veto,
+            Reader::Reading => Gate::Wound,
+        });
+        if veto {
+            self.abort_with_nack(cx, txn);
         }
     }
 
     /// Aborts `txn` locally (the deterministic rule makes every site reach
     /// the same verdict) and broadcasts a NACK to accelerate the others.
-    fn abort_with_nack(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        txn: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if st.decided.contains_key(&txn) {
+    fn abort_with_nack(&mut self, cx: &mut CbCx, txn: TxnId) {
+        if cx.st.decided.contains_key(&txn) {
             return;
         }
-        let already_nacked = self
-            .info
-            .get(&txn)
-            .is_some_and(|i| i.nacked.contains(&st.me));
-        if !already_nacked {
-            self.info.entry(txn).or_default().nacked.insert(st.me);
-            let site = st.me;
-            st.trace_vote(txn, false, now);
-            self.bcast(fx, Payload::Nack { txn, site }, work);
+        let site = cx.st.me;
+        if self.info.entry(txn).or_default().nacked.insert(site) {
+            cx.st.trace_vote(txn, false, cx.now);
+            self.bcast(cx, Payload::Nack { txn, site });
         }
-        let mut events = EventBuf::new();
-        st.apply_remote_abort(txn, AbortReason::ConcurrentConflict, now, &mut events);
-        work.extend(events.into_iter().map(Work::Event));
+        cx.abort_remote(txn, AbortReason::ConcurrentConflict);
+    }
+}
+
+impl Variation for CausalProto {
+    type Delivery = CbWork;
+
+    fn new(me: SiteId, cfg: &ClusterConfig) -> Self {
+        let n = cfg.sites;
+        let cb = CausalBcast::new(me, n);
+        CausalProto {
+            // Without loss recovery nobody ever asks this engine for
+            // retransmissions, so skip the per-message archive clone.
+            cb: if cfg.relay {
+                cb.with_relay()
+            } else {
+                cb.without_archive()
+            },
+            info: BTreeMap::new(),
+            key_ops: BTreeMap::new(),
+            until_prune: PRUNE_FLOOR,
+            last_from: vec![VectorClock::new(n); n],
+            #[cfg(debug_assertions)]
+            history: BTreeMap::new(),
+            null_messages: cfg.null_messages,
+            recover_losses: cfg.relay,
+            last_bcast_vc: VectorClock::new(n),
+            ack_waiting: BTreeSet::new(),
+            max_cr_seq: VectorClock::new(n),
+            backoff: RetransmitBackoff::new(me, cfg.retransmit_backoff),
+            last_progress: (0, 0),
+        }
+    }
+
+    /// Broadcast transactions are never wounded site-locally (there is no
+    /// vote to publish a wound with), and conflicting writers queue in
+    /// delivery order — causal order, the one order every site shares.
+    fn configure_state(st: &mut SiteState) {
+        st.wound_remote = false;
+        st.rank_by_delivery = true;
+    }
+
+    fn on_wire(&mut self, cx: &mut CbCx, from: SiteId, msg: ReplicaMsg) {
+        let wire = match msg {
+            // A retransmitted wire: identical processing, but never treated
+            // as a live gap report (its clock is historical).
+            ReplicaMsg::CRetrans(wire) => wire,
+            ReplicaMsg::C(wire) => {
+                // In loss-recovery mode a *null* message doubles as a gap
+                // report: its clock reveals what its origin had delivered,
+                // so ship it anything we have that it lacks. Only direct
+                // (unrelayed, unretransmitted) nulls trigger this — reacting
+                // to every wire would let stale retransmitted clocks solicit
+                // retransmissions of their own, a storm that never drains.
+                if self.recover_losses
+                    && from == wire.id.origin
+                    && matches!(*wire.payload, Payload::Null)
+                {
+                    // Only our *own* missing messages are retransmitted from
+                    // here: with every site answering for every gap, a lossy
+                    // cluster floods itself — one authoritative responder
+                    // per message is enough (the origin always has its own
+                    // archive).
+                    let me = self.cb.me();
+                    for w in self.cb.retransmissions_for(&wire.vc, 16) {
+                        if w.id.origin == me {
+                            cx.fx.send_to(from, ReplicaMsg::CRetrans(w));
+                        }
+                    }
+                }
+                wire
+            }
+            _ => return, // traffic of a protocol this cluster does not run
+        };
+        let out = self.cb.on_wire(from, wire);
+        Self::route(cx, out);
+    }
+
+    /// Causal order keeps an origin's writes ahead of its commit request
+    /// everywhere.
+    fn disseminate_write(&mut self, cx: &mut CbCx, write: Payload) {
+        self.bcast(cx, write);
+    }
+
+    /// The commit request is NOT broadcast here: the self-deliveries of our
+    /// own write operations (queued ahead in the work queue) may detect a
+    /// concurrent conflict and doom this transaction, and the origin's
+    /// reader gate must also run first. Once a remote site delivers the
+    /// commit request it may decide immediately (with N = 2 its ack set
+    /// completes on the spot), so every origin-side veto must precede the
+    /// request on the wire.
+    fn request_commit(&mut self, cx: &mut CbCx, txn: TxnId, prio: TxnPriority, n_writes: usize) {
+        let deferred = CbWork::FinishWrite(txn, prio, n_writes);
+        cx.work.push_back(Work::Deliver(deferred));
+    }
+
+    fn on_deliver(&mut self, cx: &mut CbCx, d: CbWork) {
+        match d {
+            CbWork::Deliver(d) => self.on_delivery(cx, d),
+            CbWork::FinishWrite(id, prio, n_writes) => self.finish_write(cx, id, prio, n_writes),
+        }
+    }
+
+    fn on_event(&mut self, cx: &mut CbCx, ev: LocalEvent) {
+        match ev {
+            // Locks complete: if the commit was already decided, apply.
+            LocalEvent::RemotePrepared(id)
+                if self.info.get(&id).is_some_and(|i| i.commit_pending) =>
+            {
+                cx.apply_commit(id)
+            }
+            LocalEvent::RemoteDoomed(..) => {
+                // Cannot happen: wound_remote is disabled for this protocol
+                // (site-local wounds cannot be published without votes).
+                debug_assert!(
+                    false,
+                    "causal protocol must not doom broadcast transactions"
+                );
+            }
+            _ => {}
+        }
     }
 
     /// Commits `txn` if (a) acks cover the view, (b) nobody NACKed, and
     /// (c) the deterministic concurrency evaluation finds no older
     /// concurrent conflicting peer. Aborts on NACK.
-    fn try_decide(
-        &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        txn: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if st.decided.contains_key(&txn) {
+    ///
+    /// An acknowledgement here is *implicit*: any message from a site
+    /// whose clock covers the commit request. On the fast path the
+    /// survivors' acks close the concurrency window for every *surviving*
+    /// origin (causal order puts an origin's concurrent writes before its
+    /// ack), and anything the suspect broadcast before falling silent
+    /// arrived long ago — the suspicion timeout dwarfs the link latency.
+    /// So the evaluation below sees every candidate, exactly as if the
+    /// view change evicting the suspect had already been installed.
+    fn try_decide(&mut self, cx: &mut CbCx, txn: TxnId) {
+        if cx.st.decided.contains_key(&txn) {
             return;
         }
         let Some(info) = self.info.get(&txn) else {
             return;
         };
-        if !info.nacked.is_empty() {
-            let mut events = EventBuf::new();
-            st.apply_remote_abort(txn, AbortReason::ConcurrentConflict, now, &mut events);
-            work.extend(events.into_iter().map(Work::Event));
-            return;
-        }
-        if info.cr_seq.is_none() {
-            return;
-        }
-        let full_view_acked = self.view.iter().all(|s| info.acked.contains(s));
-        // Speculative fast path: every member whose acknowledgement is
-        // still missing is suspected crashed, and the surviving ackers are
-        // a strict majority of the view. Their acks close the concurrency
-        // window for every *surviving* origin (causal order puts an
-        // origin's concurrent writes before its ack), and anything the
-        // suspect broadcast before falling silent arrived long ago — the
-        // suspicion timeout dwarfs the link latency. So the deterministic
-        // evaluation below sees every candidate, exactly as if the view
-        // change evicting the suspect had already been installed.
-        let fast = !full_view_acked
-            && self.fast_commit
-            && !self.suspected.is_empty()
-            && self
-                .view
-                .iter()
-                .all(|s| info.acked.contains(s) || self.suspected.contains(s))
-            && 2 * self.view.iter().filter(|s| info.acked.contains(s)).count() > self.view.len();
-        if !full_view_acked && !fast {
-            return;
-        }
-        let Some(entry) = st.remote.get(&txn) else {
+        // Our own acknowledgement is in `acked` from the moment the commit
+        // request is delivered here; before that nothing can be decided
+        // but a rejection.
+        let delivered = info.cr_seq.is_some();
+        let fast = match cx
+            .quorum
+            .verdict(!info.nacked.is_empty(), delivered, &info.acked)
+        {
+            Verdict::Abort => {
+                cx.abort_remote(txn, AbortReason::ConcurrentConflict);
+                return;
+            }
+            Verdict::Commit if delivered => false,
+            Verdict::FastCommit => true,
+            _ => return,
+        };
+        let Some(entry) = cx.st.remote.get(&txn) else {
             return;
         };
         if entry.n_writes != Some(entry.ops.len()) {
@@ -930,35 +568,104 @@ impl CausalProto {
             let mine = ops.binary_search_by_key(&txn, |e| e.0).expect("own op");
             ops.iter().any(|(peer, peer_prio, pvc)| {
                 examined += u64::from(*peer != txn);
-                st.ever_held(peer)
+                cx.st.ever_held(peer)
                     && peer_prio.older_than(&my_prio)
                     && pvc.concurrent_with(&ops[mine].2)
             })
         });
-        st.stats.counter_add("cb.decide_peers_examined", examined);
+        cx.st
+            .stats
+            .counter_add("cb.decide_peers_examined", examined);
         #[cfg(debug_assertions)]
-        assert_eq!(loses, self.full_scan_loses(st, txn), "index vs scan: {txn}");
-        let mut events = EventBuf::new();
+        assert_eq!(
+            loses,
+            self.full_scan_loses(cx.st, txn),
+            "index vs scan: {txn}"
+        );
         if loses {
-            st.trace_decided(txn, false, now);
-            st.apply_remote_abort(txn, AbortReason::ConcurrentConflict, now, &mut events);
-        } else {
-            // The implicit-acknowledgement wait ends here: the ack set is
-            // complete and the verdict is fixed, whether or not the lock
-            // queue lets us apply yet.
-            if fast {
-                st.trace_fast_decide(txn, now);
-            }
-            st.trace_decided(txn, true, now);
-            if st.remote.get(&txn).expect("present").fully_prepared() {
-                st.apply_commit(txn, now, &mut events);
-            } else {
-                // Application waits for the lock queue (causal order
-                // guarantees every site installs in the same order).
-                self.info.get_mut(&txn).expect("present").commit_pending = true;
-            }
+            cx.st.trace_decided(txn, false, cx.now);
+            cx.abort_remote(txn, AbortReason::ConcurrentConflict);
+            return;
         }
-        work.extend(events.into_iter().map(Work::Event));
+        // The implicit-acknowledgement wait ends here: the ack set is
+        // complete and the verdict is fixed, whether or not the lock
+        // queue lets us apply yet.
+        if fast {
+            cx.st.trace_fast_decide(txn, cx.now);
+        }
+        cx.st.trace_decided(txn, true, cx.now);
+        if cx.st.remote[&txn].fully_prepared() {
+            cx.apply_commit(txn);
+        } else {
+            // Application waits for the lock queue (causal order
+            // guarantees every site installs in the same order).
+            self.info.get_mut(&txn).expect("present").commit_pending = true;
+        }
+    }
+
+    /// True while this site still owes the cluster a message: either a
+    /// transaction known here is undecided, or a delivered commit request
+    /// has not yet been covered by any of our broadcasts (its implicit
+    /// acknowledgement is unpublished).
+    fn needs_ticks(&self, st: &SiteState) -> bool {
+        self.null_messages
+            && (st.has_undecided()
+                || self.has_unpublished_ack()
+                // Loss recovery: holes in the causal stream block deliveries
+                // we may not even know about; keep advertising our clock so
+                // peers can fill the gaps.
+                || (self.recover_losses && self.cb.pending_len() > 0))
+    }
+
+    /// Emits a null message while this site owes the cluster evidence —
+    /// an unpublished implicit acknowledgement, or liveness for
+    /// transactions still undecided here (the paper's keep-alive
+    /// mitigation for quiet sites).
+    fn on_tick(&mut self, cx: &mut CbCx) {
+        if !self.needs_ticks(cx.st) {
+            return;
+        }
+        // Progress check for the backoff cadence: a remote clock component
+        // moving or a pending hole closing means the last solicitation (or
+        // regular traffic) worked — go back to every-tick.
+        let me = self.cb.me();
+        let remote: u64 = self
+            .cb
+            .clock()
+            .iter()
+            .filter(|&(s, _)| s != me)
+            .map(|(_, k)| k)
+            .sum();
+        let progress = (remote, self.cb.pending_len());
+        if progress != self.last_progress {
+            self.backoff.reset();
+            self.last_progress = progress;
+        }
+        if self.backoff.due() {
+            self.bcast(cx, Payload::Null);
+        }
+    }
+
+    fn snapshot(&self) -> ProtoSnapshot {
+        ProtoSnapshot::Causal(self.cb.clock().clone())
+    }
+
+    fn resume(&mut self, donor: &ProtoSnapshot, _view: &BTreeSet<SiteId>) {
+        let ProtoSnapshot::Causal(donor_clock) = donor else {
+            return;
+        };
+        self.cb.resume_from(donor_clock);
+        self.last_bcast_vc = self.cb.clock().clone();
+        self.info.clear();
+        self.key_ops.clear();
+        self.until_prune = PRUNE_FLOOR;
+        // A rejoining site cannot vouch for what its peers send next.
+        let n = self.last_from.len();
+        self.last_from.fill(VectorClock::new(n));
+        #[cfg(debug_assertions)]
+        self.history.clear();
+        self.ack_waiting.clear();
+        self.max_cr_seq = VectorClock::new(n);
     }
 }
 
@@ -982,124 +689,52 @@ impl CausalProto {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::state::ConflictPolicy;
-    use bcastdb_broadcast::msg::expand_dest;
+    use crate::payload::ProtocolKind;
+    use crate::protocols::tests::cfg;
+    use crate::protocols::{Driver, Effects, Protocol, Step};
+    use bcastdb_broadcast::msg::MsgId;
     use bcastdb_db::TxnSpec;
-    use bcastdb_sim::telemetry::Phase;
-    use std::collections::VecDeque as Q;
+    use bcastdb_sim::SimTime;
 
-    struct Rig {
-        protos: Vec<CausalProto>,
-        states: Vec<SiteState>,
-        wires: Q<(SiteId, SiteId, ReplicaMsg)>,
-        /// Messages of the vote phase handed to the network so far.
-        vote_msgs: usize,
+    type Rig = crate::protocols::tests::Rig<Driver<CausalProto>>;
+
+    fn rig(n: usize) -> Rig {
+        Rig::of(&cfg(n, ProtocolKind::CausalBcast))
     }
 
-    impl Rig {
-        fn new(n: usize) -> Rig {
-            let mut states: Vec<SiteState> = (0..n)
-                .map(|i| SiteState::new(SiteId(i), n, ConflictPolicy::WoundWait))
-                .collect();
-            for st in states.iter_mut() {
-                st.wound_remote = false;
-                st.rank_by_delivery = true;
-            }
-            Rig {
-                protos: (0..n).map(|i| CausalProto::new(SiteId(i), n)).collect(),
-                states,
-                wires: Q::new(),
-                vote_msgs: 0,
-            }
-        }
-
-        fn absorb(&mut self, me: SiteId, fx: Effects) {
-            let n = self.protos.len();
-            for (dest, msg) in fx.sends {
-                self.vote_msgs += usize::from(msg.phase() == Phase::Vote);
-                for to in expand_dest(dest, me, n) {
-                    if to != me {
-                        self.wires.push_back((me, to, msg.clone()));
-                    }
-                }
-            }
-        }
-
-        fn submit(&mut self, site: usize, ts: u64, spec: TxnSpec) -> TxnId {
-            let mut fx = Effects::new();
-            let (id, events) = self.states[site].begin_txn(SimTime::from_micros(ts), spec);
-            self.protos[site].handle_events(&mut self.states[site], &mut fx, SimTime::ZERO, events);
-            self.absorb(SiteId(site), fx);
-            id
-        }
-
-        fn tick_all(&mut self) {
-            for i in 0..self.protos.len() {
-                let mut fx = Effects::new();
-                self.protos[i].on_tick(&mut self.states[i], &mut fx, SimTime::from_micros(50));
-                self.absorb(SiteId(i), fx);
-            }
-        }
-
-        fn settle(&mut self) {
-            // Alternate wire delivery with null ticks until both drain: the
-            // implicit acks need at least one message from every site.
-            for _ in 0..64 {
-                while let Some((from, to, msg)) = self.wires.pop_front() {
-                    let mut fx = Effects::new();
-                    match msg {
-                        ReplicaMsg::C(wire) => self.protos[to.0].on_wire(
-                            &mut self.states[to.0],
-                            &mut fx,
-                            SimTime::from_micros(2),
-                            from,
-                            wire,
-                        ),
-                        ReplicaMsg::CRetrans(wire) => self.protos[to.0].on_retrans_wire(
-                            &mut self.states[to.0],
-                            &mut fx,
-                            SimTime::from_micros(2),
-                            from,
-                            wire,
-                        ),
-                        _ => {}
-                    }
-                    self.absorb(to, fx);
-                }
-                let anything_undecided = self.states.iter().any(|st| st.has_undecided());
-                if !anything_undecided {
-                    break;
-                }
-                self.tick_all();
-            }
-        }
+    /// A late duplicate of `payload`, as the causal engine would deliver it.
+    pub(crate) fn redeliver(p: &Driver<CausalProto>, payload: Payload) -> Vec<CbWork> {
+        let late = causal::Delivery {
+            id: MsgId {
+                origin: SiteId(1),
+                seq: 99,
+            },
+            vc: p.rules.cb.clock().clone(),
+            payload: Arc::new(payload),
+        };
+        vec![CbWork::Deliver(late)]
     }
 
     #[test]
     fn null_cadence_backs_off_and_resets_on_remote_progress() {
-        use bcastdb_broadcast::msg::MsgId;
-
-        let mut p = CausalProto::new_with_relay(SiteId(0), 3);
-        p.enable_backoff();
-        let mut st = SiteState::new(SiteId(0), 3, ConflictPolicy::WoundWait);
-        st.wound_remote = false;
-        st.rank_by_delivery = true;
         // An undecided local transaction keeps ticks wanted forever (its
         // peers never answer in this rig — a stalled cluster).
-        let mut fx = Effects::new();
-        let (_, events) = st.begin_txn(SimTime::ZERO, TxnSpec::new().write("x", 1));
-        p.handle_events(&mut st, &mut fx, SimTime::ZERO, events);
-        assert!(p.needs_ticks(&st));
+        let relaying = ClusterConfig {
+            relay: true,
+            retransmit_backoff: true,
+            ..cfg(3, ProtocolKind::CausalBcast)
+        };
+        let mut rig = Rig::of(&relaying);
+        rig.submit(0, 0, TxnSpec::new().write("x", 1));
+        assert!(rig.protos[0].needs_ticks(&rig.states[0]));
 
         let mut fired = 0;
         for _ in 0..64 {
-            let mut fx = Effects::new();
-            p.on_tick(&mut st, &mut fx, SimTime::from_micros(50));
-            if !fx.sends.is_empty() {
-                fired += 1;
-            }
+            let before = rig.sent.len();
+            rig.step(0, 50, |p, step| p.on_tick(step));
+            fired += usize::from(rig.sent.len() > before);
         }
         assert!(
             (1..16).contains(&fired),
@@ -1110,58 +745,26 @@ mod tests {
         // A remote delivery is progress: the next tick fires again.
         let mut vc = VectorClock::new(3);
         vc.set(SiteId(1), 1);
-        let mut fx = Effects::new();
-        p.on_wire(
-            &mut st,
-            &mut fx,
-            SimTime::from_micros(60),
-            SiteId(1),
-            causal::Wire {
-                id: MsgId {
-                    origin: SiteId(1),
-                    seq: 1,
-                },
-                vc,
-                payload: std::sync::Arc::new(Payload::Null),
+        let wire = causal::Wire {
+            id: MsgId {
+                origin: SiteId(1),
+                seq: 1,
             },
-        );
-        let mut fx = Effects::new();
-        p.on_tick(&mut st, &mut fx, SimTime::from_micros(70));
-        assert!(!fx.sends.is_empty(), "post-progress tick emits again");
-    }
-
-    #[test]
-    fn redelivery_after_the_decision_resurrects_nothing() {
-        let mut rig = Rig::new(3);
-        let id = rig.submit(0, 1, TxnSpec::new().write("x", 9));
-        rig.settle();
-        let now = SimTime::from_micros(9);
-        for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
-            let logged = st.log.len();
-            for payload in crate::protocols::tests::stale_payloads(id) {
-                let d = causal::Delivery {
-                    id: bcastdb_broadcast::MsgId {
-                        origin: SiteId(1),
-                        seq: 99,
-                    },
-                    vc: p.clock(),
-                    payload: payload.clone(),
-                };
-                let mut fx = Effects::new();
-                let mut work = VecDeque::new();
-                p.on_deliver(st, &mut fx, now, d, &mut work);
-                p.pump(st, &mut fx, now, work);
-                assert!(fx.sends.is_empty(), "site {i} answered {payload:?}");
-            }
-            assert!(st.remote.is_empty() && !st.has_undecided(), "site {i}");
-            assert_eq!(st.log.len(), logged, "site {i} terminated {id} again");
-            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
-        }
+            vc,
+            payload: Arc::new(Payload::Null),
+        };
+        rig.step(0, 60, |p, step| {
+            p.on_msg(step, SiteId(1), ReplicaMsg::C(wire))
+        });
+        let nulls = |rig: &Rig| rig.sent.iter().filter(|m| m.kind() == "msg_null").count();
+        let before = nulls(&rig);
+        rig.step(0, 70, |p, step| p.on_tick(step));
+        assert!(nulls(&rig) > before, "post-progress tick emits again");
     }
 
     #[test]
     fn commit_through_implicit_acknowledgements_only() {
-        let mut rig = Rig::new(3);
+        let mut rig = rig(3);
         let id = rig.submit(0, 1, TxnSpec::new().write("x", 9));
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
@@ -1170,7 +773,7 @@ mod tests {
         }
         // No votes exist in this protocol, and a decided transaction
         // leaves nothing behind.
-        assert_eq!(rig.vote_msgs, 0);
+        assert_eq!(rig.vote_msgs(), 0);
         for st in &rig.states {
             assert!(st.remote.is_empty());
         }
@@ -1178,7 +781,7 @@ mod tests {
 
     #[test]
     fn concurrent_conflicting_writers_lose_younger() {
-        let mut rig = Rig::new(3);
+        let mut rig = rig(3);
         // Both broadcast before seeing each other: concurrent by
         // construction (no wires delivered in between).
         let older = rig.submit(0, 10, TxnSpec::new().write("x", 1));
@@ -1197,7 +800,7 @@ mod tests {
 
     #[test]
     fn causally_ordered_writers_both_commit_in_order() {
-        let mut rig = Rig::new(3);
+        let mut rig = rig(3);
         let first = rig.submit(0, 10, TxnSpec::new().write("x", 1));
         rig.settle(); // first fully delivered before the second starts
         let second = rig.submit(1, 20, TxnSpec::new().write("x", 2));
@@ -1219,9 +822,7 @@ mod tests {
     /// the evaluation at ack-set closure must still find it.
     #[test]
     fn older_peer_decided_before_ack_set_closes_still_wins() {
-        use bcastdb_broadcast::msg::MsgId;
-
-        let mut rig = Rig::new(3);
+        let mut rig = rig(3);
         let older = rig.submit(0, 10, TxnSpec::new().write("x", 1));
         let younger = rig.submit(1, 20, TxnSpec::new().write("x", 2));
         // Drive site 2 alone, from the wires addressed to it.
@@ -1232,16 +833,26 @@ mod tests {
             }
         }
         let (proto, st) = (&mut rig.protos[2], &mut rig.states[2]);
-        let at = SimTime::from_micros(2);
-        let mut deliver = |proto: &mut CausalProto, st: &mut SiteState, from: SiteId| {
+        // Site 2 is driven alone: whatever it sends goes nowhere.
+        fn discarding<'a>(st: &'a mut SiteState, fx: &'a mut Effects) -> Step<'a> {
+            let now = SimTime::from_micros(2);
+            Step { st, fx, now }
+        }
+        let mut deliver = |proto: &mut Driver<CausalProto>, st: &mut SiteState, from: SiteId| {
             let next = inbox.iter().position(|(f, _)| *f == from).expect("wire");
             let (from, wire) = inbox.remove(next);
-            proto.on_wire(st, &mut Effects::new(), at, from, wire);
+            proto.on_msg(
+                discarding(st, &mut Effects::new()),
+                from,
+                ReplicaMsg::C(wire),
+            );
         };
         // The older transaction's write, then a local veto of it: decided
         // here before anything of the younger one is delivered.
         deliver(proto, st, SiteId(0));
-        proto.abort_with_nack(st, &mut Effects::new(), at, older, &mut VecDeque::new());
+        proto.pump(discarding(st, &mut Effects::new()), |v, cx| {
+            v.abort_with_nack(cx, older)
+        });
         assert_eq!(st.decided.get(&older), Some(false));
         deliver(proto, st, SiteId(0)); // its commit request: ignored
         deliver(proto, st, SiteId(1)); // the younger write: no live peer
@@ -1258,34 +869,20 @@ mod tests {
             seq: 3,
         };
         let payload = Arc::new(Payload::Null);
-        proto.on_wire(
-            st,
-            &mut Effects::new(),
-            at,
-            SiteId(0),
-            causal::Wire { id, vc, payload },
-        );
+        let null = ReplicaMsg::C(causal::Wire { id, vc, payload });
+        proto.on_msg(discarding(st, &mut Effects::new()), SiteId(0), null);
         assert_eq!(st.decided.get(&younger), Some(false));
         assert_eq!(st.store.value(&"x".into()), 0);
     }
 
     #[test]
     fn nack_aborts_at_every_site() {
-        let mut rig = Rig::new(3);
+        let mut rig = rig(3);
         let id = rig.submit(0, 1, TxnSpec::new().write("x", 5));
         // Site 2 rejects it out-of-band before settling.
-        {
-            let mut fx = Effects::new();
-            let mut work = std::collections::VecDeque::new();
-            rig.protos[2].abort_with_nack(
-                &mut rig.states[2],
-                &mut fx,
-                SimTime::from_micros(3),
-                id,
-                &mut work,
-            );
-            rig.absorb(SiteId(2), fx);
-        }
+        rig.step(2, 3, |p, step| {
+            p.pump(step, |v, cx| v.abort_with_nack(cx, id))
+        });
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
             assert_eq!(st.decided.get(&id), Some(false), "site {i} aborted on NACK");

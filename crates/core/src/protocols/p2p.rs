@@ -15,19 +15,18 @@
 //!   priority, so cross-site waiting cycles form; the origin breaks them
 //!   with a timeout abort (counted as [`AbortReason::Timeout`]).
 
+use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{P2pMsg, ReplicaMsg, TxnPriority};
-use crate::protocols::Effects;
-use crate::state::{EventBuf, LocalEvent, SiteState};
-use bcastdb_db::{TxnId, WriteOp};
+use crate::payload::{P2pMsg, Payload, ReplicaMsg, TxnPriority};
+use crate::protocols::{drain, Cx, ProtoSnapshot, Quorum, Variation, Verdict, Work};
+use crate::state::{LocalEvent, SiteState};
+use bcastdb_db::{Key, TxnId, WriteOp};
 use bcastdb_sim::{SimDuration, SimTime, SiteId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-#[derive(Debug)]
-enum Work {
-    Event(LocalEvent),
-    Msg(SiteId, P2pMsg),
-}
+/// One driver step of this protocol: a "delivery" is a point-to-point
+/// message and its sender.
+type P2pCx<'a> = Cx<'a, (SiteId, P2pMsg)>;
 
 /// Origin-side write-phase bookkeeping.
 #[derive(Debug, Clone)]
@@ -45,246 +44,160 @@ struct Driving {
     commit_sent: bool,
 }
 
-/// The point-to-point baseline protocol at one site.
+/// What the point-to-point baseline varies at one site.
 #[derive(Debug)]
 pub struct P2pProto {
     /// Abort a write phase that exceeds this age (deadlock resolution).
-    pub timeout: SimDuration,
+    timeout: SimDuration,
     driving: BTreeMap<TxnId, Driving>,
     /// Keys whose queued grant should trigger an ack to the origin:
     /// `(txn, key) → op index`.
-    pending_acks: BTreeMap<(TxnId, bcastdb_db::Key), usize>,
+    pending_acks: BTreeMap<(TxnId, Key), usize>,
+    /// The baseline decides over all `n` sites whatever the view: with no
+    /// group communication underneath, 2PC blocks on a crashed participant.
+    everyone: Quorum,
 }
 
 impl P2pProto {
-    /// Creates the protocol instance.
-    pub fn new(timeout: SimDuration) -> Self {
-        P2pProto {
-            timeout,
-            driving: BTreeMap::new(),
-            pending_acks: BTreeMap::new(),
-        }
+    /// Sends `msg` to every site individually; this site's copy is
+    /// processed through the same path, via the work queue.
+    fn send_all(cx: &mut P2pCx, msg: P2pMsg) {
+        cx.work.push_back(Work::Deliver((cx.st.me, msg.clone())));
+        cx.fx.send_others(ReplicaMsg::P2p(msg));
     }
 
-    /// Resumes a recovered site (state transfer): drops stale driving
-    /// state; the transferred store and decision map carry the outcomes.
-    pub fn resume(&mut self) {
-        self.driving.clear();
-        self.pending_acks.clear();
+    /// The baseline ships no priorities: only the origin knows the real one.
+    fn prio_of(&self, txn: TxnId) -> TxnPriority {
+        let driving = self.driving.get(&txn);
+        driving.map_or_else(|| TxnPriority::unknown(txn), |d| d.prio)
     }
 
-    /// Handles events produced outside the protocol.
-    pub fn handle_events(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        events: EventBuf,
-    ) {
-        let work = events.into_iter().map(Work::Event).collect();
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles an incoming point-to-point message.
-    pub fn on_msg(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        msg: P2pMsg,
-    ) {
-        let mut work = VecDeque::new();
-        work.push_back(Work::Msg(from, msg));
-        self.pump(st, fx, now, work);
-    }
-
-    /// Periodic tick: abort write phases that have exceeded the deadlock
-    /// timeout.
-    pub fn on_tick(&mut self, st: &mut SiteState, fx: &mut Effects, now: SimTime) {
-        let stuck: Vec<TxnId> = self
-            .driving
-            .iter()
-            .filter(|(txn, d)| {
-                // Once the commit requests are out every site votes YES
-                // (all writes were acknowledged), so the decision is
-                // assured — aborting then could split the replicas.
-                !d.commit_sent
-                    && !st.decided.contains_key(txn)
-                    && now.saturating_since(d.started) > self.timeout
-            })
-            .map(|(&txn, _)| txn)
-            .collect();
-        let mut work = VecDeque::new();
-        for txn in stuck {
-            self.abort_globally(st, fx, now, txn, AbortReason::Timeout, &mut work);
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    fn pump(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        mut work: VecDeque<Work>,
-    ) {
-        while let Some(item) = work.pop_front() {
-            match item {
-                Work::Event(ev) => self.on_event(st, fx, now, ev, &mut work),
-                Work::Msg(from, m) => self.on_p2p(st, fx, now, from, m, &mut work),
-            }
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        ev: LocalEvent,
-        work: &mut VecDeque<Work>,
-    ) {
-        match ev {
-            LocalEvent::ReadsComplete(id) => self.start_write_phase(st, fx, now, id, work),
-            LocalEvent::RemoteKeyGranted(txn, key) => {
-                // A queued write lock came through: acknowledge it.
-                if let Some(index) = self.pending_acks.remove(&(txn, key)) {
-                    self.emit_ack(st, fx, txn, index, work);
-                }
-            }
-            LocalEvent::RemotePrepared(..) => {}
-            LocalEvent::ReadPaused(id) => fx.pauses.push(id),
-            LocalEvent::RemoteDoomed(..) => {
-                // Wounding is disabled for the baseline (wound_remote and
-                // wound_local_readers are false); nothing can be doomed.
-                debug_assert!(false, "baseline must not doom transactions");
-            }
-        }
-    }
-
-    fn start_write_phase(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        let Some(local) = st.local.get(&id) else {
-            return;
-        };
-        let prio = local.prio;
-        let writes = local.spec.writes().to_vec();
-        self.driving.insert(
-            id,
-            Driving {
-                prio,
-                writes,
-                current_op: 0,
-                acked: BTreeSet::new(),
-                started: now,
-                commit_sent: false,
-            },
-        );
-        self.issue_current_op(st, fx, now, id, work);
-    }
-
-    /// Sends the current write op to every site (including processing it
-    /// locally) and waits for all acknowledgements before the next op.
-    fn issue_current_op(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
+    /// Sends the current write op to every site and waits for all
+    /// acknowledgements before the next op; after the last, the commit
+    /// requests go out.
+    fn issue_current_op(&mut self, cx: &mut P2pCx, id: TxnId) {
         let Some(d) = self.driving.get(&id) else {
             return;
         };
-        if d.current_op >= d.writes.len() {
-            self.send_commit_requests(st, fx, now, id, work);
-            return;
-        }
-        let op = d.writes[d.current_op].clone();
-        let index = d.current_op;
-        for site in 0..st.n {
-            let site = SiteId(site);
-            if site == st.me {
-                // Process locally through the same path.
-                work.push_back(Work::Msg(
-                    st.me,
-                    P2pMsg::Write {
-                        txn: id,
-                        op: op.clone(),
-                        index,
-                    },
-                ));
-            } else {
-                fx.send_to(
-                    site,
-                    ReplicaMsg::P2p(P2pMsg::Write {
-                        txn: id,
-                        op: op.clone(),
-                        index,
-                    }),
-                );
-            }
+        let (prio, index, of) = (d.prio, d.current_op, d.writes.len());
+        let Some(op) = d.writes.get(index).cloned() else {
+            return self.request_commit(cx, id, prio, of);
+        };
+        let write = Payload::Write {
+            txn: id,
+            prio,
+            op,
+            index,
+            of,
+        };
+        self.disseminate_write(cx, write);
+    }
+
+    /// True iff `key` of `txn` needs no (further) waiting here: its lock is
+    /// held, or this site does not replicate the key — nothing to lock.
+    fn lock_settled(st: &SiteState, txn: TxnId, key: &Key) -> bool {
+        let entry = st.remote.get(&txn);
+        entry.is_some_and(|e| e.keys_granted.contains(key))
+            || !st.placement.is_holder(st.me, key, st.n)
+    }
+
+    /// Sends (or locally records) the acknowledgement that `index` of
+    /// `txn` holds its lock at this site.
+    fn emit_ack(cx: &mut P2pCx, txn: TxnId, index: usize) {
+        let ack = P2pMsg::WriteAck { txn, index };
+        if txn.origin == cx.st.me {
+            cx.work.push_back(Work::Deliver((cx.st.me, ack)));
+        } else {
+            cx.fx.send_to(txn.origin, ReplicaMsg::P2p(ack));
         }
     }
 
-    fn send_commit_requests(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        let Some(d) = self.driving.get_mut(&id) else {
+    /// Origin side: counts acknowledgements for the current op; when all
+    /// sites acked, moves to the next op (or the commit phase).
+    fn record_ack(&mut self, cx: &mut P2pCx, from: SiteId, txn: TxnId, index: usize) {
+        let Some(d) = self.driving.get_mut(&txn) else {
+            return;
+        };
+        if index != d.current_op {
+            return; // stale ack for an op already completed
+        }
+        d.acked.insert(from);
+        if d.acked.len() >= cx.st.n {
+            d.current_op += 1;
+            d.acked.clear();
+            self.issue_current_op(cx, txn);
+        }
+    }
+}
+
+impl Variation for P2pProto {
+    type Delivery = (SiteId, P2pMsg);
+
+    fn new(_me: SiteId, cfg: &ClusterConfig) -> Self {
+        P2pProto {
+            timeout: cfg.p2p_timeout,
+            driving: BTreeMap::new(),
+            pending_acks: BTreeMap::new(),
+            everyone: Quorum::full(cfg.sites, false),
+        }
+    }
+
+    /// No wounding at all: conflicts are resolved by waiting + timeout,
+    /// which is exactly how the baseline deadlocks.
+    fn configure_state(st: &mut SiteState) {
+        st.wound_remote = false;
+        st.wound_local_readers = false;
+    }
+
+    fn on_wire(&mut self, cx: &mut P2pCx, from: SiteId, msg: ReplicaMsg) {
+        if let ReplicaMsg::P2p(m) = msg {
+            cx.work.push_back(Work::Deliver((from, m)));
+        }
+    }
+
+    /// The baseline paces its write phase by acknowledgements, not think
+    /// time: "the transaction issuing the write operation remains blocked
+    /// until acknowledgments have been received from all sites".
+    fn write_phase(&mut self, cx: &mut P2pCx, id: TxnId) {
+        let local = &cx.st.local[&id];
+        let driving = Driving {
+            prio: local.prio,
+            writes: local.spec.writes().to_vec(),
+            current_op: 0,
+            acked: BTreeSet::new(),
+            started: cx.now,
+            commit_sent: false,
+        };
+        self.driving.insert(id, driving);
+        self.issue_current_op(cx, id);
+    }
+
+    /// Unicast to every site; the baseline ships neither the priority nor
+    /// the write count.
+    fn disseminate_write(&mut self, cx: &mut P2pCx, write: Payload) {
+        let Payload::Write { txn, op, index, .. } = write else {
+            unreachable!("only write operations are disseminated");
+        };
+        Self::send_all(cx, P2pMsg::Write { txn, op, index });
+    }
+
+    fn request_commit(&mut self, cx: &mut P2pCx, txn: TxnId, _prio: TxnPriority, _n: usize) {
+        let Some(d) = self.driving.get_mut(&txn) else {
             return;
         };
         if d.commit_sent {
             return;
         }
         d.commit_sent = true;
-        st.trace_commit_req_out(id, now);
+        cx.st.trace_commit_req_out(txn, cx.now);
         let writes = d.writes.clone();
-        for site in 0..st.n {
-            let site = SiteId(site);
-            if site == st.me {
-                work.push_back(Work::Msg(
-                    st.me,
-                    P2pMsg::CommitReq {
-                        txn: id,
-                        writes: writes.clone(),
-                    },
-                ));
-            } else {
-                fx.send_to(
-                    site,
-                    ReplicaMsg::P2p(P2pMsg::CommitReq {
-                        txn: id,
-                        writes: writes.clone(),
-                    }),
-                );
-            }
-        }
+        Self::send_all(cx, P2pMsg::CommitReq { txn, writes });
     }
 
-    fn on_p2p(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        msg: P2pMsg,
-        work: &mut VecDeque<Work>,
-    ) {
+    fn on_deliver(&mut self, cx: &mut P2pCx, (from, msg): (SiteId, P2pMsg)) {
         match msg {
             P2pMsg::Write { txn, op, index } => {
-                if st.decided.contains_key(&txn) {
+                if cx.st.decided.contains_key(&txn) {
                     return;
                 }
                 // Ops are issued one at a time over FIFO links, so a fresh
@@ -293,61 +206,30 @@ impl P2pProto {
                 // the `ops.len() == n_writes` prepare accounting (and a dup
                 // landing after the commit request would reset `n_writes`
                 // to the sentinel, wedging the vote). Just re-ack if the
-                // lock is held — the origin's ack set dedups.
-                if st.remote.get(&txn).is_some_and(|e| index < e.ops.len()) {
-                    let granted = st
-                        .remote
-                        .get(&txn)
-                        .is_some_and(|e| e.keys_granted.contains(&op.key))
-                        || !st.placement.is_holder(st.me, &op.key, st.n);
-                    if granted {
-                        self.emit_ack(st, fx, txn, index, work);
-                    }
-                    return;
-                }
-                let prio = self
-                    .driving
-                    .get(&txn)
-                    .map(|d| d.prio)
-                    .unwrap_or(TxnPriority {
-                        ts: u64::MAX,
-                        origin: txn.origin,
-                        num: txn.num,
-                    });
+                // lock is settled — the origin's ack set dedups.
+                let entry = cx.st.remote.get(&txn);
+                let fresh = entry.is_none_or(|e| index >= e.ops.len());
                 let key = op.key.clone();
-                let mut events = EventBuf::new();
-                // `of` is unknown at remote sites until the commit request;
-                // use a sentinel larger than any index so fully_prepared
-                // stays false until then.
-                st.deliver_write_op(txn, prio, op, usize::MAX, now, &mut events);
-                work.extend(events.into_iter().map(Work::Event));
-                // Ack now if granted (or if we do not replicate the key —
-                // nothing to lock), otherwise when the queue grants it.
-                let granted = st
-                    .remote
-                    .get(&txn)
-                    .is_some_and(|e| e.keys_granted.contains(&key))
-                    || !st.placement.is_holder(st.me, &key, st.n);
-                if granted {
-                    self.emit_ack(st, fx, txn, index, work);
-                } else {
+                if fresh {
+                    let prio = self.prio_of(txn);
+                    // `of` is unknown at remote sites until the commit
+                    // request; use a sentinel larger than any index so
+                    // fully_prepared stays false until then.
+                    cx.transition(|st, now, events| {
+                        st.deliver_write_op(txn, prio, op, usize::MAX, now, events)
+                    });
+                }
+                // Ack now if settled, otherwise when the queue grants it.
+                if Self::lock_settled(cx.st, txn, &key) {
+                    Self::emit_ack(cx, txn, index);
+                } else if fresh {
                     self.pending_acks.insert((txn, key), index);
                 }
             }
-            P2pMsg::WriteAck { txn, index } => {
-                self.record_ack(st, fx, now, from, txn, index, work);
-            }
+            P2pMsg::WriteAck { txn, index } => self.record_ack(cx, from, txn, index),
             P2pMsg::CommitReq { txn, writes } => {
-                let prio = self
-                    .driving
-                    .get(&txn)
-                    .map(|d| d.prio)
-                    .unwrap_or(TxnPriority {
-                        ts: u64::MAX,
-                        origin: txn.origin,
-                        num: txn.num,
-                    });
-                let Some(entry) = st.remote_entry(txn, prio) else {
+                let prio = self.prio_of(txn);
+                let Some(entry) = cx.st.remote_entry(txn, prio) else {
                     return;
                 };
                 entry.commit_req_seen = true;
@@ -355,30 +237,19 @@ impl P2pProto {
                 // Writes arrived (and were acked) before the commit request
                 // on FIFO links, so the site is prepared: vote YES to all.
                 entry.my_vote = Some(true);
-                st.trace_vote(txn, true, now);
-                let me = st.me;
-                for site in 0..st.n {
-                    let site = SiteId(site);
-                    let vote = P2pMsg::Vote {
+                cx.st.trace_vote(txn, true, cx.now);
+                let site = cx.st.me;
+                Self::send_all(
+                    cx,
+                    P2pMsg::Vote {
                         txn,
-                        site: me,
+                        site,
                         yes: true,
-                    };
-                    if site == me {
-                        work.push_back(Work::Msg(me, vote));
-                    } else {
-                        fx.send_to(site, ReplicaMsg::P2p(vote));
-                    }
-                }
+                    },
+                );
             }
             P2pMsg::Vote { txn, site, yes } => {
-                let prio = TxnPriority {
-                    ts: u64::MAX,
-                    origin: txn.origin,
-                    num: txn.num,
-                };
-                let n = st.n;
-                let Some(entry) = st.remote_entry(txn, prio) else {
+                let Some(entry) = cx.st.remote_entry(txn, TxnPriority::unknown(txn)) else {
                     return;
                 };
                 if yes {
@@ -386,92 +257,136 @@ impl P2pProto {
                 } else {
                     entry.votes_no.insert(site);
                 }
-                let all_yes = (0..n).all(|s| entry.votes_yes.contains(&SiteId(s)));
+                // Decentralized 2PC: explicit votes from every site.
                 let any_no = !entry.votes_no.is_empty();
-                let prepared = entry.fully_prepared();
-                let mut events = EventBuf::new();
-                if any_no {
-                    st.apply_remote_abort(txn, AbortReason::NegativeVote, now, &mut events);
-                    self.driving.remove(&txn);
-                } else if all_yes && prepared {
-                    st.apply_commit(txn, now, &mut events);
-                    self.driving.remove(&txn);
+                match self.everyone.verdict(any_no, false, &entry.votes_yes) {
+                    Verdict::Abort => cx.abort_remote(txn, AbortReason::NegativeVote),
+                    Verdict::Commit if entry.fully_prepared() => cx.apply_commit(txn),
+                    _ => return,
                 }
-                work.extend(events.into_iter().map(Work::Event));
+                self.driving.remove(&txn);
             }
             P2pMsg::Abort { txn } => {
-                let mut events = EventBuf::new();
-                st.apply_remote_abort(txn, AbortReason::Timeout, now, &mut events);
+                cx.abort_remote(txn, AbortReason::Timeout);
                 self.driving.remove(&txn);
-                work.extend(events.into_iter().map(Work::Event));
             }
         }
     }
 
-    /// Sends (or locally records) the acknowledgement that `index` of
-    /// `txn` holds its lock at this site.
-    fn emit_ack(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        txn: TxnId,
-        index: usize,
-        work: &mut VecDeque<Work>,
-    ) {
-        if txn.origin == st.me {
-            work.push_back(Work::Msg(st.me, P2pMsg::WriteAck { txn, index }));
-        } else {
-            fx.send_to(txn.origin, ReplicaMsg::P2p(P2pMsg::WriteAck { txn, index }));
+    fn on_event(&mut self, cx: &mut P2pCx, ev: LocalEvent) {
+        match ev {
+            LocalEvent::RemoteKeyGranted(txn, key) => {
+                // A queued write lock came through: acknowledge it.
+                if let Some(index) = self.pending_acks.remove(&(txn, key)) {
+                    Self::emit_ack(cx, txn, index);
+                }
+            }
+            LocalEvent::RemoteDoomed(..) => {
+                // Wounding is disabled for the baseline (wound_remote and
+                // wound_local_readers are false); nothing can be doomed.
+                debug_assert!(false, "baseline must not doom transactions");
+            }
+            _ => {}
         }
     }
 
-    /// Origin side: counts acknowledgements for the current op; when all
-    /// sites acked, moves to the next op (or the commit phase).
-    #[allow(clippy::too_many_arguments)]
-    fn record_ack(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        txn: TxnId,
-        index: usize,
-        work: &mut VecDeque<Work>,
-    ) {
-        let n = st.n;
-        let Some(d) = self.driving.get_mut(&txn) else {
-            return;
+    /// Ticks run the deadlock timeout while anything is in flight.
+    fn needs_ticks(&self, st: &SiteState) -> bool {
+        st.has_undecided()
+    }
+
+    /// Aborts, everywhere, write phases that have exceeded the deadlock
+    /// timeout.
+    fn on_tick(&mut self, cx: &mut P2pCx) {
+        let stuck: Vec<TxnId> = self
+            .driving
+            .iter()
+            .filter(|(txn, d)| {
+                // Once the commit requests are out every site votes YES
+                // (all writes were acknowledged), so the decision is
+                // assured — aborting then could split the replicas.
+                !d.commit_sent
+                    && !cx.st.decided.contains_key(txn)
+                    && cx.now.saturating_since(d.started) > self.timeout
+            })
+            .map(|(&txn, _)| txn)
+            .collect();
+        for txn in stuck {
+            self.driving.remove(&txn);
+            cx.fx.send_others(ReplicaMsg::P2p(P2pMsg::Abort { txn }));
+            cx.abort_remote(txn, AbortReason::Timeout);
+        }
+    }
+
+    /// The baseline settles one orphan at a time: the locks its abort
+    /// frees are granted, and the acknowledgements those grants release
+    /// are sent, before the next orphan aborts.
+    fn orphan_aborted(&mut self, cx: &mut P2pCx) {
+        drain(self, cx);
+    }
+
+    fn snapshot(&self) -> ProtoSnapshot {
+        ProtoSnapshot::None
+    }
+
+    /// Drops stale driving state; the transferred store and decision map
+    /// carry the outcomes.
+    fn resume(&mut self, _donor: &ProtoSnapshot, _view: &BTreeSet<SiteId>) {
+        self.driving.clear();
+        self.pending_acks.clear();
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::payload::{Payload, ProtocolKind};
+    use crate::protocols::tests::{cfg, Rig};
+    use crate::protocols::Driver;
+    use bcastdb_db::TxnSpec;
+
+    /// A late duplicate of what `payload` says, in the baseline's own
+    /// message vocabulary (a NACK has no counterpart: a stale ack stands in).
+    pub(crate) fn redeliver(_: &Driver<P2pProto>, payload: Payload) -> Vec<(SiteId, P2pMsg)> {
+        let msg = match payload {
+            Payload::Write { txn, op, index, .. } => P2pMsg::Write { txn, op, index },
+            Payload::CommitReq { txn, .. } => P2pMsg::CommitReq {
+                txn,
+                writes: vec![WriteOp {
+                    key: "x".into(),
+                    value: 1,
+                }],
+            },
+            Payload::Vote { txn, site, yes } => P2pMsg::Vote { txn, site, yes },
+            Payload::Nack { txn, .. } => P2pMsg::WriteAck { txn, index: 0 },
+            Payload::AbortDecision { txn } => P2pMsg::Abort { txn },
+            Payload::Null => return Vec::new(),
         };
-        if index != d.current_op {
-            return; // stale ack for an op already completed
-        }
-        d.acked.insert(from);
-        if d.acked.len() >= n {
-            d.current_op += 1;
-            d.acked.clear();
-            self.issue_current_op(st, fx, now, txn, work);
-        }
+        vec![(SiteId(1), msg)]
     }
 
-    /// Origin decision to abort `txn` everywhere (timeout).
-    fn abort_globally(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        txn: TxnId,
-        reason: AbortReason,
-        work: &mut VecDeque<Work>,
-    ) {
-        self.driving.remove(&txn);
-        for site in 0..st.n {
-            let site = SiteId(site);
-            if site != st.me {
-                fx.send_to(site, ReplicaMsg::P2p(P2pMsg::Abort { txn }));
-            }
+    /// Nothing is being driven and no acknowledgement is owed.
+    pub(crate) fn idle(p: &P2pProto) -> bool {
+        p.driving.is_empty() && p.pending_acks.is_empty()
+    }
+
+    #[test]
+    fn each_write_waits_for_every_ack_before_the_next_goes_out() {
+        let mut rig = Rig::<Driver<P2pProto>>::of(&cfg(3, ProtocolKind::PointToPoint));
+        let id = rig.submit(0, 1, TxnSpec::new().write("a", 1).write("b", 2));
+        let writes = |rig: &Rig<Driver<P2pProto>>| {
+            let write = |m: &&ReplicaMsg| m.kind() == "msg_write";
+            rig.sent.iter().filter(write).count()
+        };
+        assert_eq!(writes(&rig), 1, "the second op waits for the first's acks");
+        rig.settle();
+        assert_eq!(writes(&rig), 2);
+        for (i, st) in rig.states.iter().enumerate() {
+            assert_eq!(st.decided.get(&id), Some(true), "site {i}");
+            assert_eq!(st.store.value(&"b".into()), 2, "site {i}");
+            assert!(st.remote.is_empty(), "site {i} retired the entry");
         }
-        let mut events = EventBuf::new();
-        st.apply_remote_abort(txn, reason, now, &mut events);
-        work.extend(events.into_iter().map(Work::Event));
+        assert_eq!(rig.vote_msgs(), 3, "one vote per site");
+        assert!(rig.protos.iter().all(|p| idle(&p.rules)));
     }
 }

@@ -20,7 +20,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! - [`sim`] — deterministic discrete-event simulator and network,
-//! - [`broadcast`] — reliable / FIFO / causal / atomic broadcast and
+//! - [`broadcast`] — reliable (FIFO) / causal / atomic broadcast and
 //!   group membership,
 //! - [`db`] — single-site database substrate (storage, strict 2PL,
 //!   logging, serializability checking),

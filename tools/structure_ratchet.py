@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Structure ratchet: the commit skeleton exists once, and the code stays small.
+
+Run from the repository root (CI does). Prints the non-test line counts it
+checks and exits 1 when
+
+- `crates/core/src/protocols/*.rs` + `engine.rs`, or all of `crates/*/src`,
+  grow past the ceilings below (a non-test line is one before a file's first
+  `#[cfg(test)]`; raise a ceiling only in the change that earns it, and say
+  why in CHANGES.md);
+- a piece of the skeleton is defined a second time under `crates/core/src`
+  (a trait's bodiless declaration is not a definition); or
+- `enum Proto` is back in `engine.rs`.
+"""
+import glob
+import re
+import sys
+
+# Set when the driver landed (DESIGN.md section 19): 3569 -> 2918 and
+# 21151 -> 20424 lines then, so each ceiling leaves a few lines of slack.
+PROTOCOLS_AND_ENGINE_CEILING = 2950
+CRATES_CEILING = 20440
+
+ONCE = [
+    r"enum Work\b",
+    r"fn pump\b",
+    r"fn emit_write_step\b",
+    r"fn start_write_phase\b",
+    r"fn continue_write\b",
+    r"fn gate_local_readers\b",
+]
+
+
+def non_test_lines(path):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() == "#[cfg(test)]":
+            return lines[:i]
+    return lines
+
+
+def definitions(pattern, text):
+    """Matches of `pattern` that open a body: for a `fn`, `{` comes before `;`."""
+    count = 0
+    for m in re.finditer(pattern, text):
+        if pattern.startswith("enum"):
+            count += 1
+            continue
+        tail = text[m.end():]
+        brace, semi = tail.find("{"), tail.find(";")
+        count += brace != -1 and (semi == -1 or brace < semi)
+    return count
+
+
+def main():
+    failures = []
+    core = sorted(glob.glob("crates/core/src/protocols/*.rs")) + ["crates/core/src/engine.rs"]
+    total = 0
+    for path in core:
+        n = len(non_test_lines(path))
+        total += n
+        print(f"{n:6}  {path}")
+    print(f"{total:6}  protocols + engine (ceiling {PROTOCOLS_AND_ENGINE_CEILING})")
+    if total > PROTOCOLS_AND_ENGINE_CEILING:
+        failures.append(f"protocols + engine: {total} > {PROTOCOLS_AND_ENGINE_CEILING}")
+
+    crates = sum(
+        len(non_test_lines(p)) for p in glob.glob("crates/*/src/**/*.rs", recursive=True)
+    )
+    print(f"{crates:6}  crates/*/src (ceiling {CRATES_CEILING})")
+    if crates > CRATES_CEILING:
+        failures.append(f"crates/*/src: {crates} > {CRATES_CEILING}")
+
+    text = "\n".join(
+        "\n".join(non_test_lines(p))
+        for p in glob.glob("crates/core/src/**/*.rs", recursive=True)
+    )
+    for pattern in ONCE:
+        n = definitions(pattern, text)
+        if n > 1:
+            failures.append(f"`{pattern}` is defined {n} times under crates/core/src")
+    if re.search(r"enum Proto\b", open("crates/core/src/engine.rs", encoding="utf-8").read()):
+        failures.append("`enum Proto` is back in engine.rs")
+
+    for f in failures:
+        print(f"structure ratchet: {f}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
