@@ -119,11 +119,8 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
     (phases, cluster.events_processed())
 }
 
-/// Runs a failure-free transactional workload to quiescence and returns
-/// the simulation phase's allocation delta plus the event count. Workload
-/// generation and cluster build are excluded — only the event loop (engine
-/// dispatch, the protocol's work queue, the broadcast layer) is measured.
-fn steady_run(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> (u64, u64) {
+/// A failure-free transactional workload, submitted and not yet run.
+fn steady_cluster(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> Cluster {
     let mut cluster = builder.sites(sites).seed(seed).build();
     let cfg = WorkloadConfig {
         n_keys: 300,
@@ -142,6 +139,15 @@ fn steady_run(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder)
             cluster.submit_at(at, SiteId(site), cfg.gen_txn(&zipf, &mut site_rng));
         }
     }
+    cluster
+}
+
+/// Runs [`steady_cluster`] to quiescence and returns the simulation
+/// phase's allocation delta plus the event count. Workload generation and
+/// cluster build are excluded — only the event loop (engine dispatch, the
+/// protocol's work queue, the broadcast layer) is measured.
+fn steady_run(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> (u64, u64) {
+    let mut cluster = steady_cluster(sites, per_site, seed, builder);
     let before = allocs();
     cluster.run_to_quiescence();
     let sim_allocs = allocs() - before;
@@ -257,4 +263,37 @@ fn allocs_per_event_stays_bounded() {
              hot path; see PERFORMANCE.md"
         );
     }
+
+    // Check-phase ratchet: the 1SR check borrows the sites' termination
+    // records and stores and works on flat arrays sized once, so what it
+    // allocates is a few dozen tables per check, not a set and a list per
+    // transaction plus a copy of every read and write set (3+ per
+    // committed transaction before). And since nothing in it walks a
+    // randomly seeded map to decide what to allocate, a second check of
+    // the same history allocates exactly what the first did — which is
+    // what lets `allocs_per_txn` in the repo benchmark repeat exactly.
+    let rb = Cluster::builder().protocol(ProtocolKind::ReliableBcast);
+    let mut cluster = steady_cluster(N, 400, 71, rb);
+    cluster.run_to_quiescence();
+    let commits = cluster.metrics().commits();
+    let checks: Vec<u64> = (0..2)
+        .map(|_| {
+            let before = allocs();
+            assert!(cluster.check_serializability().is_ok());
+            allocs() - before
+        })
+        .collect();
+    let per_commit = checks[0] as f64 / commits as f64;
+    eprintln!(
+        "1SR check: {} allocs / {commits} commits = {per_commit:.4} allocs/commit",
+        checks[0]
+    );
+    assert!(commits >= 1_000, "most of the 2000 transactions commit");
+    assert_eq!(checks[0], checks[1], "two checks of one history");
+    assert!(
+        per_commit <= 0.1,
+        "the 1SR check now allocates {per_commit:.3} times per committed \
+         transaction (ceiling 0.1) — a per-transaction or per-read copy \
+         crept back into the checker; see PERFORMANCE.md"
+    );
 }

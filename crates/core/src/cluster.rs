@@ -7,7 +7,7 @@ use crate::payload::{AbcastImpl, ProtocolKind, ReplicaTimer};
 use crate::placement::Placement;
 use crate::state::ConflictPolicy;
 use bcastdb_db::sg::SgViolation;
-use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value, WriteOp};
+use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value};
 use bcastdb_sim::stats::{render_jsonl, Sample, StatsHandle, StatsRegistry};
 use bcastdb_sim::telemetry::{
     JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceSink,
@@ -821,44 +821,36 @@ impl Cluster {
     }
 
     /// Assembles the execution's history recorder from the surveyed sites.
-    fn recorder(&self, sites: &[SiteId]) -> HistoryRecorder {
+    /// It borrows their termination records and stores; nothing is copied.
+    fn recorder(&self, sites: &[SiteId]) -> HistoryRecorder<'_> {
         let mut h = HistoryRecorder::new();
         let surveyed: std::collections::BTreeSet<SiteId> = sites.iter().copied().collect();
         for &site in sites {
             let st = self.sim.node(site).state();
             for rec in &st.terminations {
                 if rec.committed {
-                    h.record_commit(rec.txn, rec.reads.clone(), rec.writes.clone());
+                    h.record_commit_ref(rec.txn, &rec.reads, &rec.writes);
                 }
             }
             h.record_site_order(site, &st.store);
         }
         // Commits whose origin is outside the surveyed set (e.g. a crashed
-        // site) have no origin-side record; reconstruct them from the
-        // surveyed replicas' redo logs. A log holds the keys its site
-        // replicates, so under partial placement a write set is the union
-        // over the sites. Their reads happened at the lost origin and
-        // impose no constraints the survivors can check.
+        // site) have no origin-side record; the surveyed replicas' redo
+        // logs say they committed (each log that holds one says so again;
+        // the recorder goes by the last record). Their writes are in the
+        // install orders already, and their reads happened at the lost
+        // origin and impose no constraints the survivors can check.
         if surveyed.len() == self.cfg.sites {
             return h; // every origin speaks for itself
         }
-        let mut orphans: BTreeMap<TxnId, Vec<WriteOp>> = BTreeMap::new();
         for &site in sites {
             for rec in self.sim.node(site).state().log.records() {
-                if let LogRecord::Commit { txn, writes } = rec {
+                if let LogRecord::Commit { txn, .. } = rec {
                     if !surveyed.contains(&txn.origin) {
-                        let known = orphans.entry(*txn).or_default();
-                        for w in writes {
-                            if !known.iter().any(|k| k.key == w.key) {
-                                known.push(w.clone());
-                            }
-                        }
+                        h.record_commit(*txn, Vec::new(), Vec::new());
                     }
                 }
             }
-        }
-        for (txn, writes) in orphans {
-            h.record_commit(txn, Vec::new(), writes);
         }
         h
     }

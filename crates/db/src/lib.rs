@@ -20,7 +20,8 @@
 //!   (used by the point-to-point baseline; the broadcast protocols prevent
 //!   deadlock by construction);
 //! - [`log`] — a redo log with crash-recovery replay;
-//! - [`graph`] — a small directed graph with cycle detection;
+//! - [`graph`] — a dense directed graph with cycle detection, under both the
+//!   serialization-graph test and the deadlock detector;
 //! - [`sg`] — history recording and the one-copy serialization-graph test.
 //!
 //! # Example: strict 2PL + the serializability checker
@@ -64,6 +65,6 @@ pub mod types;
 
 pub use lock::{LockManager, LockMode, RequestOutcome};
 pub use log::{Checkpoint, LogRecord, RedoLog};
-pub use sg::{HistoryRecorder, SgViolation};
+pub use sg::{HistoryRecorder, SgViolation, SgWork};
 pub use storage::Store;
 pub use types::{Key, TxnId, TxnSpec, Value, WriteOp};

@@ -12,7 +12,7 @@
 //! apply its own rule (wound-wait in the reliable protocol, deterministic
 //! priorities in the causal protocol, certification in the atomic one).
 
-use crate::graph::DiGraph;
+use crate::graph::DenseGraph;
 use crate::types::{Key, TxnId};
 use std::collections::BTreeMap;
 
@@ -260,32 +260,41 @@ impl LockManager {
         v
     }
 
-    /// Builds the waits-for graph: an edge `A → B` means queued transaction
-    /// `A` waits for holder (or earlier-queued) transaction `B`.
-    pub fn waits_for(&self) -> DiGraph<TxnId> {
-        let mut g = DiGraph::new();
+    /// The waits-for edges: `(A, B)` means queued transaction `A` waits for
+    /// holder (or earlier-queued) transaction `B`.
+    pub fn waits_for(&self) -> Vec<(TxnId, TxnId)> {
+        let mut edges = Vec::new();
         for entry in self.table.values() {
             for (qi, w) in entry.queue.iter().enumerate() {
                 for &(holder, hmode) in &entry.holders {
                     if holder != w.txn && !hmode.compatible(w.mode) {
-                        g.add_edge(w.txn, holder);
+                        edges.push((w.txn, holder));
                     }
                 }
                 for ahead in entry.queue.iter().take(qi) {
                     if ahead.txn != w.txn
                         && !(ahead.mode.compatible(w.mode) && w.mode.compatible(ahead.mode))
                     {
-                        g.add_edge(w.txn, ahead.txn);
+                        edges.push((w.txn, ahead.txn));
                     }
                 }
             }
         }
-        g
+        edges
     }
 
-    /// Detects a deadlock cycle among waiting transactions, if any.
+    /// Detects a deadlock cycle among waiting transactions, if any: the
+    /// first back edge of a depth-first search of the waits-for graph from
+    /// the transactions ascending, blockers ascending.
     pub fn find_deadlock(&self) -> Option<Vec<TxnId>> {
-        self.waits_for().find_cycle()
+        let edges = self.waits_for();
+        let mut txns: Vec<TxnId> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        txns.sort_unstable();
+        txns.dedup();
+        let node = |t: &TxnId| txns.binary_search(t).expect("an endpoint") as u32;
+        let dense: Vec<(u32, u32)> = edges.iter().map(|(a, b)| (node(a), node(b))).collect();
+        let cycle = DenseGraph::from_edges(txns.len(), &dense).find_cycle()?;
+        Some(cycle.into_iter().map(|v| txns[v as usize]).collect())
     }
 
     /// Number of keys with active lock state (for tests and metrics).
@@ -473,8 +482,8 @@ mod tests {
         lm.request(t(1), &k("x"), LockMode::Exclusive);
         lm.enqueue(t(2), &k("x"), LockMode::Exclusive, 2);
         let g = lm.waits_for();
-        assert!(g.has_edge(&t(2), &t(1)));
-        assert!(!g.has_edge(&t(1), &t(2)));
+        assert!(g.contains(&(t(2), t(1))));
+        assert!(!g.contains(&(t(1), t(2))));
         assert!(lm.find_deadlock().is_none());
     }
 
@@ -509,7 +518,7 @@ mod tests {
         lm.enqueue(t(2), &k("x"), LockMode::Exclusive, 2);
         lm.enqueue(t(3), &k("x"), LockMode::Exclusive, 3);
         let g = lm.waits_for();
-        assert!(g.has_edge(&t(3), &t(2)), "later waiter waits on earlier");
+        assert!(g.contains(&(t(3), t(2))), "later waiter waits on earlier");
     }
 
     #[test]

@@ -87,6 +87,12 @@ impl Store {
             .unwrap_or(&[])
     }
 
+    /// Every written key with its install order, in no particular order —
+    /// what the serializability checker compares across replicas, in place.
+    pub fn install_orders(&self) -> impl Iterator<Item = (&Key, &[TxnId])> {
+        self.install_order.iter().map(|(k, o)| (k, o.as_slice()))
+    }
+
     /// Iterates over `(key, version)` pairs of every object ever written
     /// or seeded.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Version)> {

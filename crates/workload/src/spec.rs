@@ -3,6 +3,15 @@
 use crate::zipf::Zipf;
 use bcastdb_db::{Key, TxnSpec};
 use bcastdb_sim::DetRng;
+use std::cell::RefCell;
+
+thread_local! {
+    /// `KEYS[i]`, once asked for, is `WorkloadConfig::key(i)`: generated
+    /// transactions share one string per key instead of formatting and
+    /// allocating a copy per access. Sized like the Zipf table; per thread,
+    /// so parallel sweeps do not pass reference counts between cores.
+    static KEYS: RefCell<Vec<Option<Key>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Shape of the synthetic workload, mirroring the evaluation methodology of
 /// the paper's era: fixed database, fixed transaction shapes, skewed
@@ -61,7 +70,14 @@ impl WorkloadConfig {
 
     /// The key for 0-based index `i`.
     pub fn key(i: usize) -> Key {
-        Key::new(format!("k{i:06}"))
+        KEYS.with(|keys| {
+            let mut keys = keys.borrow_mut();
+            if keys.len() <= i {
+                keys.resize(i + 1, None);
+            }
+            let key = keys[i].get_or_insert_with(|| Key::new(format!("k{i:06}")));
+            key.clone()
+        })
     }
 
     /// Generates one transaction. Keys within a transaction are distinct;
@@ -208,5 +224,8 @@ mod tests {
     #[test]
     fn key_naming_is_stable() {
         assert_eq!(WorkloadConfig::key(7).as_str(), "k000007");
+        assert_eq!(WorkloadConfig::key(3).as_str(), "k000003");
+        assert_eq!(WorkloadConfig::key(7), WorkloadConfig::key(7));
+        assert_eq!(WorkloadConfig::key(1 << 20).as_str(), "k1048576");
     }
 }

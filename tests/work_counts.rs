@@ -3,6 +3,7 @@
 //! depend on the machine, so these hold on a noisy box where a timing
 //! could not.
 
+use bcastdb::db::{HistoryRecorder, SgWork, Store, TxnId, WriteOp};
 use bcastdb::prelude::*;
 use bcastdb::protocols::ProtocolKind;
 use bcastdb::sim::{Node, Sample};
@@ -124,4 +125,59 @@ fn live_tables_do_not_grow_with_history() {
             assert!(quiet.contains_key(*gauge), "{proto}: no {gauge} gauge");
         }
     }
+}
+
+/// What the 1SR check does on a serial history of `txns` transactions that
+/// each read and then overwrite the same key, installed at three replicas:
+/// its work counts, and the history's reads + writes.
+fn sg_work_on_one_hot_key(txns: u64) -> (SgWork, u64) {
+    let hot = Key::new("hot");
+    let mut store = Store::new();
+    let mut commits = Vec::new();
+    for i in 1..=txns {
+        let txn = TxnId::new(SiteId(i as usize % 3), i);
+        let writes = vec![WriteOp {
+            key: hot.clone(),
+            value: i as i64,
+        }];
+        commits.push((txn, vec![(hot.clone(), store.read(&hot).writer)], writes));
+        store.apply(txn, &commits.last().expect("just pushed").2);
+    }
+    let mut h = HistoryRecorder::new();
+    for (txn, reads, writes) in &commits {
+        h.record_commit_ref(*txn, reads, writes);
+    }
+    for site in 0..3 {
+        h.record_site_order(SiteId(site), &store);
+    }
+    (h.check_work().expect("a serial history is 1SR"), 2 * txns)
+}
+
+/// The 1SR check places each committed read and write by looking at the
+/// installs of one writer, not by scanning the key's install order: on a
+/// key every transaction writes it examines about one entry per operation,
+/// and a history four times as long costs four times as much. (The
+/// `position` per read and `contains` per write it once ran grow 16x here.)
+#[test]
+fn sg_check_work_is_linear_on_a_hot_key() {
+    let (short, short_ops) = sg_work_on_one_hot_key(500);
+    let (long, long_ops) = sg_work_on_one_hot_key(2_000);
+    for (work, ops) in [(short, short_ops), (long, long_ops)] {
+        assert!(work.edges > 0, "the counters are wired: {work:?}");
+        assert!(
+            work.order_entries_examined as f64 <= 1.05 * ops as f64,
+            "{} install-order entries examined for {ops} reads + writes",
+            work.order_entries_examined
+        );
+    }
+    // Each read but the first looks at its writer's one install, each write
+    // at its own; a ww and a wr edge join each transaction to the next.
+    assert_eq!(short.order_entries_examined, 499 + 500);
+    assert_eq!(short.edges, 499 + 499);
+    let total = |w: SgWork| (w.order_entries_examined + w.edges) as f64;
+    assert!(
+        total(long) <= 4.2 * total(short),
+        "entries examined + edges grew {:.2}x ({short:?} -> {long:?}) over a 4x longer history",
+        total(long) / total(short)
+    );
 }

@@ -4,8 +4,9 @@
 Run from the repository root (CI does). Prints the non-test line counts it
 checks and exits 1 when
 
-- `crates/core/src/protocols/*.rs` + `engine.rs`, or all of `crates/*/src`,
-  grow past the ceilings below (a non-test line is one before a file's first
+- `crates/core/src/protocols/*.rs` + `engine.rs`, the 1SR checker
+  (`crates/db/src/sg.rs` + `graph.rs`), or all of `crates/*/src`, grow past
+  the ceilings below (a non-test line is one before a file's first
   `#[cfg(test)]`; raise a ceiling only in the change that earns it, and say
   why in CHANGES.md);
 - a piece of the skeleton is defined a second time under `crates/core/src`
@@ -19,7 +20,11 @@ import sys
 # Set when the driver landed (DESIGN.md section 19): 3569 -> 2918 and
 # 21151 -> 20424 lines then, so each ceiling leaves a few lines of slack.
 PROTOCOLS_AND_ENGINE_CEILING = 2950
-CRATES_CEILING = 20440
+# Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
+# 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
+# 20585 (CHANGES.md says why that is more than a swap).
+CHECKER_CEILING = 620
+CRATES_CEILING = 20590
 
 ONCE = [
     r"enum Work\b",
@@ -54,15 +59,20 @@ def definitions(pattern, text):
 
 def main():
     failures = []
+
+    def group(name, paths, ceiling):
+        total = 0
+        for path in paths:
+            n = len(non_test_lines(path))
+            total += n
+            print(f"{n:6}  {path}")
+        print(f"{total:6}  {name} (ceiling {ceiling})")
+        if total > ceiling:
+            failures.append(f"{name}: {total} > {ceiling}")
+
     core = sorted(glob.glob("crates/core/src/protocols/*.rs")) + ["crates/core/src/engine.rs"]
-    total = 0
-    for path in core:
-        n = len(non_test_lines(path))
-        total += n
-        print(f"{n:6}  {path}")
-    print(f"{total:6}  protocols + engine (ceiling {PROTOCOLS_AND_ENGINE_CEILING})")
-    if total > PROTOCOLS_AND_ENGINE_CEILING:
-        failures.append(f"protocols + engine: {total} > {PROTOCOLS_AND_ENGINE_CEILING}")
+    group("protocols + engine", core, PROTOCOLS_AND_ENGINE_CEILING)
+    group("1SR checker", ["crates/db/src/sg.rs", "crates/db/src/graph.rs"], CHECKER_CEILING)
 
     crates = sum(
         len(non_test_lines(p)) for p in glob.glob("crates/*/src/**/*.rs", recursive=True)
