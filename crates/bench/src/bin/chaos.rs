@@ -1,334 +1,78 @@
-//! **chaos — randomized packet-fault campaign with automatic shrinking.**
+//! **chaos — the randomized packet-fault campaign as a tool.**
 //!
-//! VOPR-style robustness testing: generate hundreds of random fault
-//! plans (duplication, reordering, burst loss / gray links, delay
-//! spikes, probabilistic drops — see [`bcastdb_bench::faultplan`]) and
-//! replay each against every protocol configuration of the chaos matrix
-//! ([`ChaosCell::ALL`]: the four paper protocols plus the ring
-//! atomic-broadcast backend). Every run drives a seeded Zipf workload
-//! and is validated four ways:
-//!
-//! 1. the streaming trace invariant checker (delivery, exactly-once
-//!    termination, total order);
-//! 2. a `has_undecided` sweep at the deadline (liveness under faults);
-//! 3. replica convergence (all stores byte-identical);
-//! 4. one-copy serializability across all sites.
-//!
-//! A run is fully determined by `(seed, cell)`; on a violation the
-//! failing plan is **shrunk** — clauses bisected away, then windows
-//! halved, re-running the cell each time — and a one-line repro is
-//! printed:
+//! The campaign itself is [`bcastdb_bench::experiments::chaos`], the
+//! thirteenth entry of the experiment table (`run_all --only chaos` runs its
+//! default size). This binary sizes it and replays single runs:
 //!
 //! ```text
-//! BCASTDB_CHAOS_SEED=17 cargo run --release --bin chaos -- --replay 'causal|drop(0.25)@1>2@0..600000'
+//! chaos [--seeds N] [--seed BASE] [--artifacts DIR]
+//!                              campaign over seeds BASE..BASE+N (defaults 1, 25)
+//!                              x all cells; with --artifacts every shrunk
+//!                              failing plan is also written to
+//!                              DIR/<cell>-<seed>.plan (CI uploads these)
+//! chaos [--seed S] --replay 'CELL|PLAN'
+//!                              one run: the given plan against CELL, with
+//!                              the cluster seeded from S (default 1)
 //! ```
 //!
 //! Runs execute on `BCASTDB_JOBS` workers; rows are assembled in config
-//! order, so stdout is byte-identical at any job count.
-//!
-//! Usage:
-//!
-//! ```text
-//! chaos [--seeds N]            campaign over seeds BASE..BASE+N (BASE from
-//!                              BCASTDB_CHAOS_SEED, default 1) x all cells
-//! chaos --replay 'CELL|PLAN'   one run: the given plan against CELL, with
-//!                              the cluster seed from BCASTDB_CHAOS_SEED
-//! ```
-//!
-//! With `BCASTDB_CHAOS_ARTIFACTS=<dir>` every shrunk failing plan is
-//! also written to `<dir>/<cell>-<seed>.plan` (CI uploads these).
+//! order, so stdout is byte-identical at any job count. Exit status: 0 when
+//! every invariant held, 1 on a violation, 2 on a usage error.
 
-use bcastdb_bench::faultplan::{gen_plan, parse_plan, plan_to_string, shrink_plan, ChaosCell};
-use bcastdb_bench::{Ledger, Sweep, Table, TRACE_CAPACITY};
-use bcastdb_core::Cluster;
-use bcastdb_sim::{DetRng, FaultPlan, SimDuration, SimTime, SiteId};
-use bcastdb_workload::WorkloadConfig;
+use bcastdb_bench::experiments::{chaos, Options, Run};
+use bcastdb_bench::harness::{flag_value, usage_error};
+use std::path::PathBuf;
 
-/// Sites per chaos cluster.
-const SITES: usize = 4;
-/// Load window: submissions stop here, and generated fault windows all
-/// start inside it.
-const HORIZON: SimDuration = SimDuration::from_millis(600);
-/// Hard deadline: every transaction must be decided by now — generated
-/// faults are all over by ~1.5x [`HORIZON`], leaving recovery time.
-const DEADLINE: SimTime = SimTime::from_micros(3_000_000);
-/// Cap on shrinking re-runs per failing plan.
-const SHRINK_BUDGET: usize = 64;
-
-/// What one `(seed, cell)` run produced.
-struct CellRun {
-    violations: Vec<String>,
-    commits: u64,
-    aborts: u64,
-    duplicated: u64,
-    reordered: u64,
-    burst_dropped: u64,
-    loss_dropped: u64,
-    events: u64,
+/// What the command line asks for.
+struct Cli {
+    seeds: u64,
+    base: u64,
+    artifacts: Option<PathBuf>,
+    replay: Option<String>,
 }
 
-/// Replays `plan` against `cell` with the cluster seeded from `seed`,
-/// and validates the execution. Never panics on a violation — the
-/// shrinker needs to re-run failing plans.
-fn run_cell(cell: ChaosCell, seed: u64, plan: &FaultPlan) -> CellRun {
-    let mut builder = Cluster::builder()
-        .sites(SITES)
-        .protocol(cell.protocol())
-        .seed(seed)
-        .trace(TRACE_CAPACITY)
-        .fault_plan(plan.clone());
-    if cell.relay() {
-        builder = builder.relay(true).retransmit_backoff(true);
-    }
-    if let Some(imp) = cell.abcast() {
-        builder = builder.abcast(imp);
-    }
-    let mut cluster = builder.build();
-
-    let wl = WorkloadConfig {
-        n_keys: 300,
-        theta: 0.5,
-        reads_per_txn: 1,
-        writes_per_txn: 2,
-        ..WorkloadConfig::default()
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(Cli, Options), String> {
+    let number = |value: String, flag: &str| {
+        value
+            .parse::<u64>()
+            .map_err(|_| format!("{flag} wants a number, got {value:?}"))
     };
-    let zipf = wl.sampler();
-    let mut rng = DetRng::new(seed ^ 0x9e3779b9).fork(cell as u64);
-    // One update transaction per site every 15 ms across the load
-    // window, each site on its own forked stream.
-    for site in 0..SITES {
-        let mut site_rng = rng.fork(site as u64);
-        let mut at = SimTime::from_micros(1_000);
-        while at.as_micros() < HORIZON.as_micros() {
-            cluster.submit_at(at, SiteId(site), wl.gen_txn(&zipf, &mut site_rng));
-            at += SimDuration::from_millis(15);
+    let mut cli = Cli {
+        seeds: 25,
+        base: 1,
+        artifacts: None,
+        replay: None,
+    };
+    while let Some(flag) = args.next() {
+        let mut value = || flag_value(&mut args, &flag);
+        match flag.as_str() {
+            "--seeds" => cli.seeds = number(value()?, &flag)?,
+            "--seed" => cli.base = number(value()?, &flag)?,
+            "--artifacts" => cli.artifacts = Some(value()?.into()),
+            "--replay" => cli.replay = Some(value()?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    cluster.run_until(DEADLINE);
-
-    let mut violations = Vec::new();
-    if let Err(v) = cluster.check_trace_invariants() {
-        violations.push(format!("trace invariant: {v}"));
-    }
-    for site in 0..SITES {
-        if cluster.replica(SiteId(site)).state().has_undecided() {
-            violations.push(format!("site {site} still undecided at {DEADLINE}"));
-        }
-    }
-    if !cluster.replicas_converged() {
-        violations.push("replicas diverged".to_string());
-    }
-    let all: Vec<SiteId> = (0..SITES).map(SiteId).collect();
-    if let Err(v) = cluster.check_serializability_among(&all) {
-        violations.push(format!("not one-copy serializable: {v:?}"));
-    }
-
-    let metrics = cluster.metrics();
-    let net = cluster.network();
-    CellRun {
-        violations,
-        commits: metrics.commits(),
-        aborts: metrics.aborts(),
-        duplicated: net.messages_duplicated(),
-        reordered: net.messages_reordered(),
-        burst_dropped: net.drop_breakdown().burst,
-        loss_dropped: net.drop_breakdown().loss,
-        events: cluster.events_processed(),
-    }
-}
-
-/// One campaign row: the run plus, on failure, the shrunk plan.
-struct Outcome {
-    cell: ChaosCell,
-    seed: u64,
-    plan: FaultPlan,
-    run: CellRun,
-    shrunk: Option<(FaultPlan, usize)>,
-}
-
-fn run_campaign_cell(cell: ChaosCell, seed: u64) -> Outcome {
-    let plan = gen_plan(seed, cell, SITES, HORIZON);
-    let run = run_cell(cell, seed, &plan);
-    let shrunk = (!run.violations.is_empty()).then(|| {
-        shrink_plan(&plan, SHRINK_BUDGET, |cand| {
-            !run_cell(cell, seed, cand).violations.is_empty()
-        })
-    });
-    Outcome {
-        cell,
-        seed,
-        plan,
-        run,
-        shrunk,
-    }
-}
-
-fn replay(arg: &str) -> ! {
-    let (cell_s, plan_s) = arg
-        .split_once('|')
-        .unwrap_or_else(|| die(&format!("--replay wants 'CELL|PLAN', got {arg:?}")));
-    let cell = ChaosCell::parse(cell_s).unwrap_or_else(|| {
-        die(&format!(
-            "unknown cell {cell_s:?} (one of: p2p, reliable, causal, atomic-seq, atomic-ring)"
-        ))
-    });
-    let plan = parse_plan(plan_s).unwrap_or_else(|e| die(&e));
-    let seed = base_seed();
-    println!(
-        "replay: cell={cell} seed={seed} plan={}",
-        plan_to_string(&plan)
-    );
-    let run = run_cell(cell, seed, &plan);
-    println!(
-        "commits={} aborts={} dup={} reordered={} burst_dropped={} loss_dropped={}",
-        run.commits, run.aborts, run.duplicated, run.reordered, run.burst_dropped, run.loss_dropped
-    );
-    if run.violations.is_empty() {
-        println!("ok: all invariants hold");
-        std::process::exit(0);
-    }
-    for v in &run.violations {
-        println!("VIOLATION: {v}");
-    }
-    std::process::exit(1);
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("chaos: {msg}");
-    std::process::exit(2);
-}
-
-fn base_seed() -> u64 {
-    std::env::var("BCASTDB_CHAOS_SEED")
-        .ok()
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| die(&format!("BCASTDB_CHAOS_SEED={s:?} is not a u64")))
-        })
-        .unwrap_or(1)
+    Ok((cli, Options::from_env()?))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds = 25u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                seeds = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seeds wants a count"));
-            }
-            "--replay" => {
-                i += 1;
-                let arg = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--replay wants 'CELL|PLAN'"));
-                replay(arg);
-            }
-            other => die(&format!("unknown argument {other:?}")),
-        }
-        i += 1;
+    let (cli, opts) = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error("chaos", &e));
+    let mut replayed = Ok(());
+    let run = Run::execute("chaos", &opts, |run| match &cli.replay {
+        Some(arg) => replayed = chaos::replay(run, cli.base, arg),
+        None => chaos::campaign(run, cli.base, cli.seeds, cli.artifacts.as_deref()),
+    });
+    replayed.unwrap_or_else(|e| usage_error("chaos", &e));
+    for entry in run.ledger() {
+        eprintln!("{entry}");
     }
-
-    let base = base_seed();
-    let configs: Vec<(u64, ChaosCell)> = (base..base + seeds)
-        .flat_map(|seed| ChaosCell::ALL.into_iter().map(move |cell| (seed, cell)))
-        .collect();
-    let outcome = Sweep::from_env().run(configs, |&(seed, cell)| run_campaign_cell(cell, seed));
-
-    // Per-cell aggregate rows, in campaign order.
-    let mut table = Table::new(
+    run.deliver(
         "chaos",
-        &[
-            "cell",
-            "seeds",
-            "clauses",
-            "commits",
-            "aborts",
-            "dup",
-            "reordered",
-            "burst_dropped",
-            "loss_dropped",
-            "violations",
-        ],
+        if cli.replay.is_some() {
+            "replay"
+        } else {
+            "campaign"
+        },
     );
-    let mut events = 0u64;
-    let mut failures: Vec<&Outcome> = Vec::new();
-    for cell in ChaosCell::ALL {
-        let mut agg = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        for o in outcome.results.iter().filter(|o| o.cell == cell) {
-            agg.0 += o.plan.clauses.len() as u64;
-            agg.1 += o.run.commits;
-            agg.2 += o.run.aborts;
-            agg.3 += o.run.duplicated;
-            agg.4 += o.run.reordered;
-            agg.5 += o.run.burst_dropped;
-            agg.6 += o.run.loss_dropped;
-            agg.7 += o.run.violations.len() as u64;
-            events += o.run.events;
-            if !o.run.violations.is_empty() {
-                failures.push(o);
-            }
-        }
-        table.row_strings(&[
-            cell.name().to_string(),
-            seeds.to_string(),
-            agg.0.to_string(),
-            agg.1.to_string(),
-            agg.2.to_string(),
-            agg.3.to_string(),
-            agg.4.to_string(),
-            agg.5.to_string(),
-            agg.6.to_string(),
-            agg.7.to_string(),
-        ]);
-    }
-    table.emit();
-
-    let artifacts = std::env::var("BCASTDB_CHAOS_ARTIFACTS").ok();
-    for o in &failures {
-        let (shrunk, shrink_runs) = o.shrunk.as_ref().expect("failures carry a shrunk plan");
-        let text = plan_to_string(shrunk);
-        println!();
-        println!(
-            "VIOLATION cell={} seed={} (plan of {} clauses shrunk to {} in {} re-runs)",
-            o.cell,
-            o.seed,
-            o.plan.clauses.len(),
-            shrunk.clauses.len(),
-            shrink_runs
-        );
-        for v in &o.run.violations {
-            println!("  - {v}");
-        }
-        println!(
-            "  repro: BCASTDB_CHAOS_SEED={} cargo run --release --bin chaos -- --replay '{}|{text}'",
-            o.seed, o.cell
-        );
-        if let Some(dir) = &artifacts {
-            let _ = std::fs::create_dir_all(dir);
-            let path = format!("{dir}/{}-{}.plan", o.cell, o.seed);
-            if let Err(e) = std::fs::write(&path, format!("{}|{text}\n", o.cell)) {
-                eprintln!("chaos: writing {path}: {e}");
-            }
-        }
-    }
-    println!();
-    println!(
-        "chaos: {} runs ({} seeds x {} cells), {} violations",
-        outcome.results.len(),
-        seeds,
-        ChaosCell::ALL.len(),
-        failures.len()
-    );
-
-    let mut ledger = Ledger::new();
-    ledger.record("chaos", &outcome, events);
-    ledger.finish();
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
 }

@@ -18,15 +18,16 @@
 //!   so it stays within a constant factor of the link bound at any group
 //!   size.
 //!
-//! The `(sites, payload, impl)` sweep runs on `BCASTDB_JOBS` worker
-//! threads; rows are assembled in config order, so the output is
-//! byte-identical at any job count. `BCASTDB_A1_SMOKE=1` runs only the
-//! N=32 × 8 kB column (the acceptance point) for the CI smoke gate.
+//! `--smoke` runs only the N=32 × 8 kB column (the acceptance point) for
+//! the CI gate. This is the one experiment without a `Cluster` — the
+//! engines run on a bare [`Simulation`] — so `--trace-out` and
+//! `--metrics-out` have nothing to write here.
 
-use bcastdb_bench::{Ledger, Sweep, Table};
-use bcastdb_broadcast::atomic::{IsisAbcast, IsisWire, Output, SeqWire, SequencerAbcast};
+use super::Run;
+use crate::Table;
+use bcastdb_broadcast::atomic::{IsisAbcast, Output, SequencerAbcast};
 use bcastdb_broadcast::msg::{dest_iter, Outbound};
-use bcastdb_broadcast::ring::{RingAbcast, RingWire};
+use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_broadcast::{AtomicBcast, WireSize};
 use bcastdb_sim::{Ctx, NetworkConfig, Node, SimDuration, SimTime, Simulation, SiteId};
 
@@ -60,24 +61,10 @@ impl WireSize for Blob {
     }
 }
 
-/// Union of the three engines' wire vocabularies.
-#[derive(Debug, Clone)]
-enum Msg {
-    Seq(SeqWire<Blob>),
-    Isis(IsisWire<Blob>),
-    Ring(RingWire<Blob>),
-}
-
-enum Engine {
-    Seq(SequencerAbcast<Blob>),
-    Isis(IsisAbcast<Blob>),
-    Ring(Box<RingAbcast<Blob>>),
-}
-
 /// One site of the saturation rig: an atomic-broadcast engine plus the
 /// closed-loop driver and the in-window delivery accounting.
-struct AbNode {
-    engine: Engine,
+struct AbNode<A> {
+    engine: A,
     n: usize,
     payload: usize,
     /// Own broadcasts submitted but not yet self-delivered.
@@ -90,14 +77,11 @@ struct AbNode {
     sent_msgs: u64,
 }
 
-impl AbNode {
-    fn new(me: SiteId, n: usize, payload: usize, which: &str) -> Self {
-        let engine = match which {
-            "sequencer" => Engine::Seq(SequencerAbcast::new(me, n)),
-            "isis" => Engine::Isis(IsisAbcast::new(me, n)),
-            "ring" => Engine::Ring(Box::new(RingAbcast::new(me, n))),
-            other => panic!("unknown backend {other}"),
-        };
+impl<A: AtomicBcast<Blob>> AbNode<A>
+where
+    A::Wire: WireSize,
+{
+    fn new(engine: A, n: usize, payload: usize) -> Self {
         AbNode {
             engine,
             n,
@@ -117,12 +101,7 @@ impl AbNode {
     /// Routes an engine's output: fan out the wire messages (sized, so the
     /// NIC model sees the real bytes) and account the deliveries. Returns
     /// how many of the deliveries were this site's own broadcasts.
-    fn route<W: WireSize + Clone>(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg, ()>,
-        out: Output<Blob, W>,
-        wrap: fn(W) -> Msg,
-    ) -> usize {
+    fn route(&mut self, ctx: &mut Ctx<'_, A::Wire, ()>, out: Output<Blob, A::Wire>) -> usize {
         let now = ctx.now();
         let me = ctx.me();
         let counted = Self::in_window(now);
@@ -132,7 +111,7 @@ impl AbNode {
                 if counted {
                     self.sent_msgs += 1;
                 }
-                ctx.send_sized(to, wrap(wire.clone()), size);
+                ctx.send_sized(to, wire.clone(), size);
             }
         }
         let mut own = 0;
@@ -152,60 +131,34 @@ impl AbNode {
     /// flight (submission stops at the measurement horizon). Single pass —
     /// a submission the engine delivers back inline counts as one attempt,
     /// so a site with zero-feedback self-delivery cannot spin here.
-    fn refill(&mut self, ctx: &mut Ctx<'_, Msg, ()>) {
+    fn refill(&mut self, ctx: &mut Ctx<'_, A::Wire, ()>) {
         let mut attempts = OUTSTANDING.saturating_sub(self.outstanding);
         while attempts > 0 && ctx.now().as_micros() < END_US {
             attempts -= 1;
             self.outstanding += 1;
-            let payload = Blob(self.payload);
-            match &mut self.engine {
-                Engine::Seq(e) => {
-                    let (_, out) = e.broadcast(payload);
-                    let own = self.route(ctx, out, Msg::Seq);
-                    self.outstanding -= own;
-                }
-                Engine::Isis(e) => {
-                    let (_, out) = e.broadcast(payload);
-                    let own = self.route(ctx, out, Msg::Isis);
-                    self.outstanding -= own;
-                }
-                Engine::Ring(e) => {
-                    let (_, out) = e.broadcast(payload);
-                    let own = self.route(ctx, out, Msg::Ring);
-                    self.outstanding -= own;
-                }
-            }
+            let (_, out) = self.engine.broadcast(Blob(self.payload));
+            self.outstanding -= self.route(ctx, out);
         }
     }
 }
 
-impl Node for AbNode {
-    type Msg = Msg;
+impl<A: AtomicBcast<Blob>> Node for AbNode<A>
+where
+    A::Wire: WireSize,
+{
+    type Msg = A::Wire;
     type Timer = ();
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg, ()>, from: SiteId, msg: Msg) {
-        let own = match (msg, &mut self.engine) {
-            (Msg::Seq(w), Engine::Seq(e)) => {
-                let out = e.on_wire(from, w);
-                self.route(ctx, out, Msg::Seq)
-            }
-            (Msg::Isis(w), Engine::Isis(e)) => {
-                let out = e.on_wire(from, w);
-                self.route(ctx, out, Msg::Isis)
-            }
-            (Msg::Ring(w), Engine::Ring(e)) => {
-                let out = e.on_wire(from, w);
-                self.route(ctx, out, Msg::Ring)
-            }
-            _ => unreachable!("backend mismatch"),
-        };
+    fn on_message(&mut self, ctx: &mut Ctx<'_, A::Wire, ()>, from: SiteId, msg: A::Wire) {
+        let out = self.engine.on_wire(from, msg);
+        let own = self.route(ctx, out);
         self.outstanding -= own;
         if own > 0 {
             self.refill(ctx);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ()>, _tag: ()) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, A::Wire, ()>, _tag: ()) {
         self.refill(ctx);
         if ctx.now().as_micros() < END_US {
             ctx.set_timer(SimDuration::from_micros(PACE_US), ());
@@ -220,10 +173,13 @@ struct Cell {
     events: u64,
 }
 
-fn run_one(n: usize, payload: usize, which: &str) -> Cell {
+fn run_one<A: AtomicBcast<Blob>>(n: usize, payload: usize, engine: fn(SiteId, usize) -> A) -> Cell
+where
+    A::Wire: WireSize,
+{
     let net = NetworkConfig::lan().with_nic_bandwidth(NIC_BYTES_PER_SEC);
-    let nodes: Vec<AbNode> = (0..n)
-        .map(|i| AbNode::new(SiteId(i), n, payload, which))
+    let nodes: Vec<AbNode<A>> = (0..n)
+        .map(|i| AbNode::new(engine(SiteId(i), n), n, payload))
         .collect();
     let mut sim = Simulation::new(41, net, nodes);
     for i in 0..n {
@@ -239,7 +195,7 @@ fn run_one(n: usize, payload: usize, which: &str) -> Cell {
         deliveries += node.delivered_msgs;
         sends += node.sent_msgs;
     }
-    assert!(deliveries > 0, "{which}@{n}x{payload}: nothing delivered");
+    assert!(deliveries > 0, "{n}x{payload}: nothing delivered");
     Cell {
         // Payload bytes per second at the *slowest* site — the rate at
         // which the whole group learns the total order. (The sequencer
@@ -251,35 +207,34 @@ fn run_one(n: usize, payload: usize, which: &str) -> Cell {
     }
 }
 
-fn main() {
-    let smoke = std::env::var("BCASTDB_A1_SMOKE").is_ok_and(|v| v == "1");
-    let backends = ["sequencer", "isis", "ring"];
+/// One engine's instantiation of the rig: `(sites, payload)` to a cell.
+type Rig = fn(usize, usize) -> Cell;
+
+/// The three engines under test.
+const BACKENDS: [(&str, Rig); 3] = [
+    ("sequencer", |n, payload| {
+        run_one(n, payload, SequencerAbcast::new)
+    }),
+    ("isis", |n, payload| run_one(n, payload, IsisAbcast::new)),
+    ("ring", |n, payload| run_one(n, payload, RingAbcast::new)),
+];
+
+pub(super) fn run(run: &mut Run) {
     let mut configs = Vec::new();
-    let (sites, payloads): (&[usize], &[usize]) = if smoke {
+    let (sites, payloads): (&[usize], &[usize]) = if run.smoke() {
         (&[32], &[8_192])
     } else {
         (&[3, 8, 16, 24, 32], &[64, 1_024, 8_192])
     };
     for &n in sites {
         for &payload in payloads {
-            for name in backends {
-                configs.push((n, payload, name));
+            for (name, rig) in BACKENDS {
+                configs.push((n, payload, name, rig));
             }
         }
     }
-    let mut table = Table::new(
-        "a1_abcast_impl",
-        &[
-            "sites",
-            "payload",
-            "impl",
-            "delivered_bytes_per_sec",
-            "link_bound_pct",
-            "msgs_per_broadcast",
-        ],
-    );
-    let outcome = Sweep::from_env().run(configs.clone(), |&(n, payload, name)| {
-        let cell = run_one(n, payload, name);
+    let per_run = |_: &Run, &(n, payload, name, rig): &(usize, usize, &str, Rig)| {
+        let cell = rig(n, payload);
         let cells = vec![
             n.to_string(),
             payload.to_string(),
@@ -292,13 +247,13 @@ fn main() {
             format!("{:.1}", cell.msgs_per_delivery),
         ];
         (cells, cell.bytes_per_sec, cell.events)
-    });
-    let mut events = 0u64;
+    };
+    let results = run.measure("a1_abcast_impl", configs.clone(), per_run, |r| r.2);
     let at = |n: usize, payload: usize, name: &str| -> f64 {
         configs
             .iter()
-            .zip(&outcome.results)
-            .find(|((s, p, b), _)| *s == n && *p == payload && *b == name)
+            .zip(&results)
+            .find(|((s, p, b, _), _)| *s == n && *p == payload && *b == name)
             .map(|(_, (_, bps, _))| *bps)
             .expect("config present")
     };
@@ -315,12 +270,19 @@ fn main() {
         ring >= 0.8 * NIC_BYTES_PER_SEC as f64,
         "ring must reach 80% of the link bound at N=32/8kB: {ring:.0}"
     );
-    for (cells, _, ev) in &outcome.results {
+    let mut table = Table::new(
+        "a1_abcast_impl",
+        &[
+            "sites",
+            "payload",
+            "impl",
+            "delivered_bytes_per_sec",
+            "link_bound_pct",
+            "msgs_per_broadcast",
+        ],
+    );
+    for (cells, _, _) in &results {
         table.row_strings(cells);
-        events += ev;
     }
-    table.emit();
-    let mut ledger = Ledger::new();
-    ledger.record("a1_abcast_impl", &outcome, events);
-    ledger.finish();
+    run.emit(&table);
 }

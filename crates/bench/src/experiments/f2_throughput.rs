@@ -12,12 +12,9 @@
 //! `win_commits_*` columns show how commit throughput ramps over the run
 //! and `peak_tps` is the busiest window's rate — the sustained-vs-burst
 //! distinction a single `tps` number hides.
-//!
-//! The `(mpl, protocol)` sweep runs on `BCASTDB_JOBS` worker threads;
-//! rows are assembled in config order, so the output is byte-identical
-//! at any job count (progress lines on stderr may interleave).
 
-use bcastdb_bench::{check_traced_run, f2, Ledger, Sweep, Table, TRACE_CAPACITY};
+use super::{cross, Run};
+use crate::f2;
 use bcastdb_core::{Cluster, ProtocolKind};
 use bcastdb_sim::SimDuration;
 use bcastdb_workload::{WorkloadConfig, WorkloadRun};
@@ -27,7 +24,7 @@ const WINDOW_MS: u64 = 50;
 /// How many leading windows get their own CSV column.
 const SHOWN_WINDOWS: usize = 4;
 
-fn main() {
+pub(super) fn run(run: &mut Run) {
     let cfg = WorkloadConfig {
         n_keys: 500,
         theta: 0.8,
@@ -36,51 +33,35 @@ fn main() {
         readonly_fraction: 0.2,
         ..WorkloadConfig::default()
     };
-    let mut headers: Vec<String> = ["mpl", "protocol", "commits", "aborts", "tps", "mean_lat_ms"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let mut headers = ["mpl", "protocol", "commits", "aborts", "tps", "mean_lat_ms"]
+        .map(String::from)
+        .to_vec();
     for i in 0..SHOWN_WINDOWS {
         headers.push(format!("win_commits_{i}"));
     }
     headers.push("peak_tps".to_string());
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new("f2_throughput", &header_refs);
-    let mut configs = Vec::new();
-    for mpl in [1usize, 2, 4, 8, 16] {
-        for proto in ProtocolKind::ALL {
-            configs.push((mpl, proto));
-        }
-    }
-    let outcome = Sweep::from_env().run(configs, |&(mpl, proto)| {
+    let configs = cross(&[1usize, 2, 4, 8, 16], &ProtocolKind::ALL);
+    run.sweep("f2_throughput", &headers, configs, |run, &(mpl, proto)| {
         eprintln!("[f2] mpl={mpl} protocol={}", proto.name());
-        let mut cluster = Cluster::builder()
+        let label = format!("{proto}-mpl{mpl}");
+        let builder = Cluster::builder()
             .sites(5)
             .protocol(proto)
-            .trace(TRACE_CAPACITY)
             .commit_window(SimDuration::from_millis(WINDOW_MS))
-            .seed(11)
-            .build();
-        let run = WorkloadRun::new(cfg.clone(), 110 + mpl as u64);
-        let report = run.closed_loop(&mut cluster, mpl, 12);
-        assert!(report.quiesced, "{proto}@mpl{mpl} did not drain");
-        assert!(
-            report.all_terminated(),
-            "{proto}@mpl{mpl} wedged transactions"
-        );
-        cluster
-            .check_serializability()
-            .unwrap_or_else(|v| panic!("{proto}: {v}"));
-        check_traced_run(&cluster, &format!("{proto}@mpl{mpl}"));
+            .seed(11);
+        let mut cluster = run.cluster(builder, &label);
+        let workload = WorkloadRun::new(cfg.clone(), 110 + mpl as u64);
+        let report = workload.closed_loop(&mut cluster, mpl, 12);
+        Run::validated(&report, &cluster, &label);
         let m = report.metrics;
         let series = m
             .commit_series
             .as_ref()
-            .unwrap_or_else(|| panic!("{proto}@mpl{mpl}: commit series not recorded"));
+            .unwrap_or_else(|| panic!("{label}: commit series not recorded"));
         assert_eq!(
             series.total(),
             m.commits(),
-            "{proto}@mpl{mpl}: commit series must account for every commit"
+            "{label}: commit series must account for every commit"
         );
         let buckets = series.buckets();
         let peak_tps = series
@@ -99,15 +80,6 @@ fn main() {
             cells.push(buckets.get(i).copied().unwrap_or(0).to_string());
         }
         cells.push(f2(peak_tps));
-        (cells, cluster.events_processed())
+        (cells, run.finish(cluster))
     });
-    let mut events = 0u64;
-    for (cells, ev) in &outcome.results {
-        table.row_strings(cells);
-        events += ev;
-    }
-    table.emit();
-    let mut ledger = Ledger::new();
-    ledger.record("f2_throughput", &outcome, events);
-    ledger.finish();
 }

@@ -21,19 +21,15 @@
 //! columns decompose the commit latency from the reconstructed spans —
 //! the implicit-acknowledgement wait is the `seg_votes_ms` share, and it
 //! shrinks as traffic densifies or the keep-alive tick tightens.
-//!
-//! All three series run as one sweep on `BCASTDB_JOBS` worker threads;
-//! rows are assembled in series order, so the output is byte-identical
-//! at any job count.
 
-use bcastdb_bench::{
+use super::Run;
+use crate::{
     check_traced_run, check_traced_run_allowing_pending, phase_cells, phase_headers, segment_cells,
-    segment_headers, Ledger, Sweep, Table, TRACE_CAPACITY,
+    segment_headers,
 };
-use bcastdb_core::TxnSpec;
-use bcastdb_core::{Cluster, ProtocolKind};
+use bcastdb_core::{Cluster, ProtocolKind, TxnSpec};
 use bcastdb_sim::telemetry::summarize;
-use bcastdb_sim::{SimDuration, SimTime, SiteId};
+use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
 use bcastdb_workload::{WorkloadConfig, WorkloadRun};
 
 /// One probe-latency measurement: which series, and its swept parameter.
@@ -48,8 +44,15 @@ enum Probe {
 }
 
 /// Submits ten spread-out probe transactions at site 0, drains the
-/// cluster, and returns the finished table row.
-fn probe(cluster: &mut Cluster, label: &str, x: String, allow_pending: bool) -> (Vec<String>, u64) {
+/// cluster, and returns the finished table row (`series`, `x`, ...).
+fn probe(
+    run: &Run,
+    mut cluster: Cluster,
+    label: &str,
+    series: &str,
+    x: String,
+    allow_pending: bool,
+) -> (Vec<String>, u64) {
     // Ten probe transactions spread out at site 0, no key overlap with
     // background traffic.
     let mut ids = Vec::new();
@@ -66,14 +69,14 @@ fn probe(cluster: &mut Cluster, label: &str, x: String, allow_pending: bool) -> 
         // With keep-alives off a probe past the background traffic's end
         // never hears its implicit acks — the wedged commit is the data
         // point, not a harness bug.
-        check_traced_run_allowing_pending(cluster, &format!("{label}@{x}"));
+        check_traced_run_allowing_pending(&cluster, label);
     } else {
-        check_traced_run(cluster, &format!("{label}@{x}"));
+        check_traced_run(&cluster, label);
     }
     let m = cluster.metrics();
     let committed = ids.iter().filter(|t| cluster.is_committed(**t)).count();
     let mut cells = vec![
-        label.to_string(),
+        series.to_string(),
         x,
         committed.to_string(),
         format!("{:.3}", m.update_latency.mean().as_millis_f64()),
@@ -81,19 +84,19 @@ fn probe(cluster: &mut Cluster, label: &str, x: String, allow_pending: bool) -> 
     ];
     cells.extend(phase_cells(&cluster.phase_counts()));
     cells.extend(segment_cells(&summarize(cluster.txn_spans().values())));
-    (cells, cluster.events_processed())
+    (cells, run.finish(cluster))
 }
 
-fn run_probe(cfg: &Probe) -> (Vec<String>, u64) {
+fn run_probe(run: &Run, cfg: &Probe) -> (Vec<String>, u64) {
     match *cfg {
         Probe::TrafficGap { gap_ms } => {
-            let mut cluster = Cluster::builder()
+            let builder = Cluster::builder()
                 .sites(5)
                 .protocol(ProtocolKind::CausalBcast)
                 .null_messages(false)
-                .trace(TRACE_CAPACITY)
-                .seed(17)
-                .build();
+                .seed(17);
+            let label = format!("traffic-gap-{gap_ms}ms");
+            let mut cluster = run.cluster(builder, &label);
             // Background: steady unrelated updates from sites 1..4.
             let cfg = WorkloadConfig {
                 n_keys: 2000,
@@ -102,64 +105,53 @@ fn run_probe(cfg: &Probe) -> (Vec<String>, u64) {
                 writes_per_txn: 1,
                 ..WorkloadConfig::default()
             };
-            let run = WorkloadRun::new(cfg, 170 + gap_ms);
+            let workload = WorkloadRun::new(cfg, 170 + gap_ms);
             // Schedule background first (probe shares the cluster run).
-            let zipf = run.config.sampler();
-            let mut rng = bcastdb_sim::DetRng::new(run.seed);
+            let zipf = workload.config.sampler();
+            let mut rng = DetRng::new(workload.seed);
             for site in 1..5 {
                 let mut at = SimTime::ZERO;
                 let mut site_rng = rng.fork(site as u64);
                 for _ in 0..40 {
                     at += SimDuration::from_millis(gap_ms);
-                    let spec = run.config.gen_txn(&zipf, &mut site_rng);
+                    let spec = workload.config.gen_txn(&zipf, &mut site_rng);
                     cluster.submit_at(at, SiteId(site), spec);
                 }
             }
-            probe(
-                &mut cluster,
-                "traffic-gap(nulls-off)",
-                format!("{gap_ms}ms"),
-                true,
-            )
+            let x = format!("{gap_ms}ms");
+            probe(run, cluster, &label, "traffic-gap(nulls-off)", x, true)
         }
         Probe::NullPeriod { tick_ms } => {
-            let mut cluster = Cluster::builder()
+            let builder = Cluster::builder()
                 .sites(5)
                 .protocol(ProtocolKind::CausalBcast)
                 .tick_every(SimDuration::from_millis(tick_ms))
-                .trace(TRACE_CAPACITY)
-                .seed(18)
-                .build();
-            probe(
-                &mut cluster,
-                "null-period(quiet)",
-                format!("{tick_ms}ms"),
-                false,
-            )
+                .seed(18);
+            let label = format!("null-period-{tick_ms}ms");
+            let cluster = run.cluster(builder, &label);
+            let x = format!("{tick_ms}ms");
+            probe(run, cluster, &label, "null-period(quiet)", x, false)
         }
         Probe::ReliableReference => {
             // Reference: the reliable protocol's explicit votes on the same
             // quiet cluster (its latency does not depend on traffic at all).
-            let mut cluster = Cluster::builder()
+            let builder = Cluster::builder()
                 .sites(5)
                 .protocol(ProtocolKind::ReliableBcast)
-                .trace(TRACE_CAPACITY)
-                .seed(19)
-                .build();
-            probe(&mut cluster, "reliable-reference", "-".into(), false)
+                .seed(19);
+            let label = "reliable-reference";
+            let cluster = run.cluster(builder, label);
+            probe(run, cluster, label, label, "-".into(), false)
         }
     }
 }
 
-fn main() {
-    let mut headers: Vec<String> = ["series", "x", "probe_commits", "mean_ms", "p95_ms"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+pub(super) fn run(run: &mut Run) {
+    let mut headers = ["series", "x", "probe_commits", "mean_ms", "p95_ms"]
+        .map(String::from)
+        .to_vec();
     headers.extend(phase_headers().iter().map(|s| s.to_string()));
     headers.extend(segment_headers());
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new("f4_implicit_ack", &header_refs);
 
     let mut configs = Vec::new();
     for gap_ms in [2u64, 5, 10, 20, 50] {
@@ -169,15 +161,5 @@ fn main() {
         configs.push(Probe::NullPeriod { tick_ms });
     }
     configs.push(Probe::ReliableReference);
-
-    let outcome = Sweep::from_env().run(configs, run_probe);
-    let mut events = 0u64;
-    for (cells, ev) in &outcome.results {
-        table.row_strings(cells);
-        events += ev;
-    }
-    table.emit();
-    let mut ledger = Ledger::new();
-    ledger.record("f4_implicit_ack", &outcome, events);
-    ledger.finish();
+    run.sweep("f4_implicit_ack", &headers, configs, run_probe);
 }

@@ -19,15 +19,12 @@
 //! `mean_lat_ms` shows the price: held-back messages add up to one window
 //! of commit latency.
 //!
-//! Set `BCASTDB_F6_SMOKE=1` for a fast CI-sized run (fewer transactions,
-//! same assertions).
-//!
-//! The `(protocol, window)` runs execute on `BCASTDB_JOBS` worker
-//! threads; the baseline comparisons and rows are evaluated afterwards in
-//! config order, so the output (and every assertion) is identical at any
-//! job count.
+//! `--smoke` is the fast CI-sized run (fewer transactions, same
+//! assertions). The baseline comparisons and rows are evaluated after the
+//! sweep, in config order, so every assertion is the same at any job count.
 
-use bcastdb_bench::{check_traced_run, f2, Ledger, Sweep, Table, TRACE_CAPACITY};
+use super::{cross, Run};
+use crate::{check_traced_run, f2, Table};
 use bcastdb_core::{Cluster, ProtocolKind, TxnSpec};
 use bcastdb_sim::telemetry::PhaseCounts;
 use bcastdb_sim::{NetworkConfig, SimDuration, SimTime, SiteId};
@@ -68,17 +65,26 @@ impl RunStats {
     }
 }
 
-fn run_once(proto: ProtocolKind, window_us: Option<u64>, txns: u64, sites: usize) -> RunStats {
+fn run_once(
+    run: &Run,
+    proto: ProtocolKind,
+    window_us: Option<u64>,
+    txns: u64,
+    sites: usize,
+) -> RunStats {
     let mut b = Cluster::builder()
         .sites(sites)
         .protocol(proto)
         .network(NetworkConfig::lan().with_bandwidth(BANDWIDTH))
-        .trace(TRACE_CAPACITY)
         .seed(42);
     if let Some(us) = window_us {
         b = b.batch_window(SimDuration::from_micros(us));
     }
-    let mut c = b.build();
+    let label = match window_us {
+        Some(us) => format!("{proto}-window-{us}"),
+        None => format!("{proto}-window-off"),
+    };
+    let mut c = run.cluster(b, &label);
     for i in 0..txns {
         let key = format!("k{i}");
         c.submit_at(
@@ -90,7 +96,6 @@ fn run_once(proto: ProtocolKind, window_us: Option<u64>, txns: u64, sites: usize
         );
     }
     c.run_to_quiescence();
-    let label = format!("{proto}@window={window_us:?}");
     check_traced_run(&c, &label);
     assert!(c.replicas_converged(), "{label}: replicas diverged");
     let m = c.metrics();
@@ -104,13 +109,12 @@ fn run_once(proto: ProtocolKind, window_us: Option<u64>, txns: u64, sites: usize
         batches: m.wire_batches(),
         bytes: m.counters.get("wire_batched_bytes"),
         mean_lat_ms: m.update_latency.mean().as_millis_f64(),
-        events: c.events_processed(),
+        events: run.finish(c),
     }
 }
 
-fn main() {
-    let smoke = std::env::var_os("BCASTDB_F6_SMOKE").is_some();
-    let txns: u64 = if smoke { 12 } else { 48 };
+pub(super) fn run(run: &mut Run) {
+    let txns: u64 = if run.smoke() { 12 } else { 48 };
     let sites = 4usize;
     let mut table = Table::new(
         "f6_batching",
@@ -127,25 +131,21 @@ fn main() {
             "reduction",
         ],
     );
-    let mut configs = Vec::new();
-    for proto in ProtocolKind::ALL {
-        for window_us in WINDOWS_US {
-            configs.push((proto, window_us));
-        }
-    }
-    let outcome = Sweep::from_env().run(configs.clone(), |&(proto, window_us)| {
+    let configs = cross(&ProtocolKind::ALL, &WINDOWS_US);
+    let per_run = |run: &Run, &(proto, window_us): &(ProtocolKind, Option<u64>)| {
         eprintln!("[f6] protocol={} window={window_us:?}", proto.name());
-        run_once(proto, window_us, txns, sites)
+        run_once(run, proto, window_us, txns, sites)
+    };
+    let results = run.measure("f6_batching", configs.clone(), per_run, |stats| {
+        stats.events
     });
 
     // The baseline comparisons run on the collected results, in config
     // order: each protocol's unbatched run comes first and anchors the
     // assertions for its batched runs.
-    let mut events = 0u64;
     let mut baseline: Option<&RunStats> = None;
-    for ((proto, window_us), stats) in configs.iter().zip(&outcome.results) {
+    for ((proto, window_us), stats) in configs.iter().zip(&results) {
         let proto = *proto;
-        events += stats.events;
         match (&baseline, window_us) {
             (_, None) => {
                 assert_eq!(stats.batches, 0, "{proto}: unbatched run recorded batches");
@@ -188,14 +188,13 @@ fn main() {
             }
             _ => unreachable!("baseline row runs first"),
         }
-        let window = window_us.map_or_else(|| "off".to_string(), |us| us.to_string());
         let reduction = baseline.map_or_else(
             || "1.00".to_string(),
             |off| f2(off.wire as f64 / stats.wire as f64),
         );
         table.row_strings(&[
             proto.name().to_string(),
-            window,
+            window_us.map_or_else(|| "off".to_string(), |us| us.to_string()),
             stats.commits.to_string(),
             stats.aborts.to_string(),
             stats.logical.to_string(),
@@ -209,8 +208,5 @@ fn main() {
             baseline = Some(stats);
         }
     }
-    table.emit();
-    let mut ledger = Ledger::new();
-    ledger.record("f6_batching", &outcome, events);
-    ledger.finish();
+    run.emit(&table);
 }

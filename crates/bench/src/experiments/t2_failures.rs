@@ -20,26 +20,19 @@
 //! change, and the vote-round column shrinks accordingly (asserted, not
 //! just reported).
 //!
-//! The runs are independent clusters and execute on `BCASTDB_JOBS` worker
-//! threads; rows are assembled in config order, so the output is
-//! byte-identical at any job count. With `--trace-out <base>` every run
-//! streams its full JSONL trace to `<base>-<scenario>-<protocol>.jsonl`
-//! for `bcast-trace check`.
+//! With `--trace-out <base>` every run streams its full JSONL trace to
+//! `<base>-<scenario>-<protocol>[-fast].jsonl` for `bcast-trace check`.
 
-use bcastdb_bench::nemesis::{run_nemesis, NemesisConfig, NemesisOutcome, NemesisScenario};
-use bcastdb_bench::{trace_out_for, trace_out_path, Ledger, Sweep, Table};
+use super::Run;
+use crate::nemesis::{run_nemesis, NemesisConfig, NemesisOutcome, NemesisScenario};
+use crate::Table;
 use bcastdb_core::ProtocolKind;
 
-fn main() {
-    let trace_base = trace_out_path();
+pub(super) fn run(run: &mut Run) {
     let mut configs: Vec<NemesisConfig> = Vec::new();
     for scenario in NemesisScenario::ALL {
         for proto in ProtocolKind::ALL {
-            let mut cfg = NemesisConfig::new(scenario, proto);
-            cfg.trace_out = trace_base
-                .as_ref()
-                .map(|b| trace_out_for(b, &format!("{}-{}", scenario.name(), proto.name())));
-            configs.push(cfg);
+            configs.push(NemesisConfig::new(scenario, proto));
         }
     }
     // The speculative fast-commit comparison pair: same crash schedule,
@@ -48,18 +41,13 @@ fn main() {
     for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
         let mut cfg = NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto);
         cfg.fast_commit = true;
-        cfg.trace_out = trace_base
-            .as_ref()
-            .map(|b| trace_out_for(b, &format!("crash_mid_2pc-{}-fast", proto.name())));
         configs.push(cfg);
     }
 
-    let outcome = Sweep::from_env().run(configs, run_nemesis);
+    let results = run.measure("t2_failures", configs, run_nemesis, |r| r.events);
 
-    let headers = NemesisOutcome::headers();
-    let mut table = Table::new("t2_failures", &headers);
-    let mut events = 0u64;
-    for r in &outcome.results {
+    let mut table = Table::new("t2_failures", &NemesisOutcome::headers());
+    for r in &results {
         assert!(
             r.survivors_serializable,
             "{}/{}: survivors are not one-copy serializable",
@@ -67,15 +55,13 @@ fn main() {
             r.protocol.name()
         );
         table.row_strings(&r.cells());
-        events += r.events;
     }
-    table.emit();
+    run.emit(&table);
 
     // The speculation must have engaged and must have shortened the
     // orphaned transactions' decision wait, run for run.
     let find = |proto: ProtocolKind, fast: bool| -> &NemesisOutcome {
-        outcome
-            .results
+        results
             .iter()
             .find(|r| {
                 r.scenario == NemesisScenario::CrashMidTwoPhase
@@ -84,7 +70,7 @@ fn main() {
             })
             .expect("matrix row")
     };
-    println!();
+    run.say("");
     for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
         let base = find(proto, false);
         let fast = find(proto, true);
@@ -97,14 +83,10 @@ fn main() {
             base.commits, fast.commits,
             "{proto}: speculation changed outcomes"
         );
-        println!(
+        run.say(&format!(
             "fast commit under {proto}: vote round {:.2} ms -> {:.2} ms \
              ({} speculative decisions, same {} commits)",
             base.vote_round_ms, fast.vote_round_ms, fast.fast_commits, fast.commits
-        );
+        ));
     }
-
-    let mut ledger = Ledger::new();
-    ledger.record("t2_failures", &outcome, events);
-    ledger.finish();
 }

@@ -1,4 +1,4 @@
-//! Parallel sweep harness for the experiment binaries.
+//! Parallel sweep harness for the experiments, and the tools' environment.
 //!
 //! Every experiment is a *sweep*: a list of independent `(config, seed)`
 //! simulation runs whose outputs are assembled into one table. The runs
@@ -18,40 +18,97 @@
 //!   plain `Vec` in config order. All printing, CSV emission, and
 //!   cross-run assertions happen on the calling thread afterwards.
 //! * Each run is timed with [`Instant`]; the [`SweepOutcome`] carries the
-//!   per-run and whole-sweep wall-clock so [`Ledger`] can report the
-//!   achieved speedup (`runs_wall_ms / wall_ms`).
+//!   per-run and whole-sweep wall-clock so its [`LedgerEntry`] can report
+//!   the achieved speedup (`runs_wall_ms / wall_ms`).
 //!
 //! The worker count comes from `BCASTDB_JOBS` (default: the machine's
 //! available parallelism). `BCASTDB_JOBS=1` forces the serial path, which
 //! runs the closure on the calling thread — useful both as a baseline and
 //! under a debugger.
 //!
-//! The wall-clock ledger (`BENCH_wallclock.json`) is written by
-//! [`write_wallclock_json`]; the `run_all` driver aggregates the entries
-//! of every experiment binary through the `BCASTDB_BENCH_LEDGER` relay
-//! file (an internal tab-separated format produced by [`Ledger::finish`]).
+//! This module is also the one place the process environment and command
+//! line are interpreted: the two `BCASTDB_*` variables are read here
+//! ([`Options::from_env`]) and the tools' flag loops share [`flag_value`]
+//! and [`usage_error`], so a bad value is one line on stderr and exit 2
+//! everywhere. The wall-clock ledger (`BENCH_wallclock.json`) is written
+//! by [`write_wallclock_json`] from the [`LedgerEntry`] each sweep leaves
+//! in its [`Run`](crate::experiments::Run).
 
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Reads `BCASTDB_JOBS`, falling back to the machine's available
-/// parallelism. Invalid or zero values fall back the same way.
-pub fn jobs_from_env() -> usize {
-    let fallback = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    match std::env::var("BCASTDB_JOBS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => fallback(),
+/// What the command line and environment select for a run.
+#[derive(Debug, Clone, Default)]
+pub struct Options {
+    /// Sweep worker threads (`BCASTDB_JOBS`; unset means the machine's
+    /// available parallelism).
+    pub jobs: usize,
+    /// Mirror every table to `<dir>/<name>.csv` (`BCASTDB_RESULTS_DIR`).
+    pub results_dir: Option<PathBuf>,
+    /// `--smoke`: the CI-sized variant of a1 and f6 (same assertions).
+    pub smoke: bool,
+    /// `--trace-out <base>`: every cluster streams its JSONL trace to
+    /// `<base>-<label>.jsonl` for `bcast-trace`.
+    pub trace_out: Option<PathBuf>,
+    /// `--metrics-out <base>`: every cluster runs the deterministic metrics
+    /// sampler (1 ms of virtual time) and writes `<base>-<label>.jsonl`.
+    pub metrics_out: Option<PathBuf>,
+    /// `--timing`: per-run wall-clock lines on stderr, to see which config
+    /// of a sweep eats the time (PERFORMANCE.md, "Profiling").
+    pub timing: bool,
+}
+
+impl Options {
+    /// The options the environment sets; the flags stay off.
+    ///
+    /// # Errors
+    /// `BCASTDB_JOBS` is set to something other than a positive integer.
+    pub fn from_env() -> Result<Options, String> {
+        Ok(Options {
+            jobs: parse_jobs(std::env::var("BCASTDB_JOBS").ok().as_deref())?,
+            results_dir: std::env::var_os("BCASTDB_RESULTS_DIR").map(PathBuf::from),
+            ..Options::default()
+        })
+    }
+}
+
+/// `BCASTDB_JOBS`, parsed: a value that is not a positive integer is a
+/// usage error, not a fallback.
+fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("BCASTDB_JOBS={v:?} is not a positive integer")),
         },
-        Err(_) => fallback(),
+    }
+}
+
+/// The value following `flag` on a command line.
+///
+/// # Errors
+/// The flag was the last argument.
+pub fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Reports a usage error as one `tool: message` line on stderr and exits 2
+/// (the tools' 0 = ok / 1 = failed / 2 = bad invocation contract).
+pub fn usage_error(tool: &str, message: &str) -> ! {
+    eprintln!("{tool}: {message}");
+    std::process::exit(2);
+}
+
+/// Writes `text` to stdout. A reader that went away (`| head`) ends the
+/// tool with exit 1 and one line on stderr, not a `print!` panic.
+pub fn print_stdout(tool: &str, text: &str) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_all(text.as_bytes()) {
+        eprintln!("{tool}: writing to stdout: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -64,25 +121,12 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// A sweep sized by `BCASTDB_JOBS` (default: available parallelism).
-    pub fn from_env() -> Self {
-        Sweep {
-            jobs: jobs_from_env(),
-        }
-    }
-
-    /// A sweep with an explicit worker count (`jobs >= 1`). Used by the
-    /// determinism regression test to pin both sides of the comparison.
+    /// A sweep with an explicit worker count (clamped to `jobs >= 1`).
     pub fn with_jobs(jobs: usize) -> Self {
         Sweep { jobs: jobs.max(1) }
     }
 
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs `run_one` over every config, on up to [`Sweep::jobs`] worker
+    /// Runs `run_one` over every config, on up to `jobs` worker
     /// threads, and returns the results **in config order** together with
     /// per-run wall-clock timings.
     ///
@@ -146,14 +190,6 @@ impl Sweep {
             results.push(r);
             run_wall.push(d);
         }
-        // Opt-in per-run timing on stderr (stdout stays byte-identical):
-        // `BCASTDB_SWEEP_TIMING=1 ./t2_failures` shows which config eats
-        // the wall-clock. See PERFORMANCE.md, "Profiling".
-        if std::env::var_os("BCASTDB_SWEEP_TIMING").is_some() {
-            for (i, d) in run_wall.iter().enumerate() {
-                eprintln!("[sweep-timing] run {i}: {:.3} ms", d.as_secs_f64() * 1e3);
-            }
-        }
         SweepOutcome {
             results,
             run_wall,
@@ -174,8 +210,8 @@ pub struct SweepOutcome<R> {
     /// Wall-clock of the whole sweep (what the user actually waited).
     pub wall: Duration,
     /// Heap allocations performed during the sweep (exact and reproducible
-    /// — the harness binaries install the `bcastdb-memprobe` counting
-    /// allocator), the noise-free cost metric next to `wall`.
+    /// — this crate installs the `bcastdb-memprobe` counting allocator),
+    /// the noise-free cost metric next to `wall`.
     pub allocs: u64,
     /// Worker threads actually used (clamped to the config count).
     pub jobs: usize,
@@ -210,6 +246,20 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
+    /// The row of one completed sweep. `events` is the total simulator
+    /// event count across the sweep's runs (for events/sec).
+    pub fn of<R>(name: &str, outcome: &SweepOutcome<R>, events: u64) -> Self {
+        LedgerEntry {
+            experiment: name.to_owned(),
+            runs: outcome.results.len(),
+            jobs: outcome.jobs,
+            wall_ms: outcome.wall.as_secs_f64() * 1000.0,
+            runs_wall_ms: outcome.total_run_wall().as_secs_f64() * 1000.0,
+            events,
+            allocs: outcome.allocs,
+        }
+    }
+
     /// Simulator events per wall-clock second (0.0 for an instant sweep).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_ms > 0.0 {
@@ -237,121 +287,26 @@ impl LedgerEntry {
             1.0
         }
     }
+}
 
-    fn to_tsv(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{:.3}\t{:.3}\t{}\t{}",
+/// The one-line timing summary `run_all --only` and `chaos` print to
+/// stderr in place of a JSON ledger.
+impl std::fmt::Display for LedgerEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[bench] {}: {} runs, {:.1} ms wall ({:.1} ms serial-equivalent, \
+             {} jobs, {:.2}x, {:.0} events/s, {:.2} allocs/event)",
             self.experiment,
             self.runs,
-            self.jobs,
             self.wall_ms,
             self.runs_wall_ms,
-            self.events,
-            self.allocs
+            self.jobs,
+            self.speedup(),
+            self.events_per_sec(),
+            self.allocs_per_event(),
         )
     }
-
-    fn from_tsv(line: &str) -> Option<Self> {
-        let mut it = line.split('\t');
-        let experiment = it.next()?.to_owned();
-        let runs = it.next()?.parse().ok()?;
-        let jobs = it.next()?.parse().ok()?;
-        let wall_ms = it.next()?.parse().ok()?;
-        let runs_wall_ms = it.next()?.parse().ok()?;
-        let events = it.next()?.parse().ok()?;
-        // Absent in relay files written before the allocation probe.
-        let allocs = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-        Some(LedgerEntry {
-            experiment,
-            runs,
-            jobs,
-            wall_ms,
-            runs_wall_ms,
-            events,
-            allocs,
-        })
-    }
-}
-
-/// Accumulates per-sweep wall-clock entries for one experiment binary and
-/// hands them to whoever is collecting — see [`Ledger::finish`].
-#[derive(Debug, Default)]
-pub struct Ledger {
-    entries: Vec<LedgerEntry>,
-}
-
-impl Ledger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Ledger::default()
-    }
-
-    /// Records one completed sweep under `name`. `events` is the total
-    /// simulator event count across the sweep's runs (for events/sec).
-    pub fn record<R>(&mut self, name: &str, outcome: &SweepOutcome<R>, events: u64) {
-        self.entries.push(LedgerEntry {
-            experiment: name.to_owned(),
-            runs: outcome.results.len(),
-            jobs: outcome.jobs,
-            wall_ms: outcome.wall.as_secs_f64() * 1000.0,
-            runs_wall_ms: outcome.total_run_wall().as_secs_f64() * 1000.0,
-            events,
-            allocs: outcome.allocs,
-        });
-    }
-
-    /// The recorded entries, in recording order.
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.entries
-    }
-
-    /// Flushes the ledger at the end of an experiment binary:
-    ///
-    /// * `BCASTDB_BENCH_LEDGER=<path>` — append the entries to the relay
-    ///   file (one TSV line each); this is how `run_all` collects the
-    ///   per-experiment timings it aggregates into `BENCH_wallclock.json`.
-    /// * `BCASTDB_BENCH_WALLCLOCK=<path>` — write a standalone
-    ///   `BENCH_wallclock.json` for just this binary's sweeps.
-    /// * neither — print a one-line timing summary per sweep to stderr.
-    pub fn finish(&self) {
-        if let Some(path) = std::env::var_os("BCASTDB_BENCH_LEDGER") {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .expect("open BCASTDB_BENCH_LEDGER relay file");
-            for e in &self.entries {
-                writeln!(file, "{}", e.to_tsv()).expect("append ledger entry");
-            }
-        } else if let Some(path) = std::env::var_os("BCASTDB_BENCH_WALLCLOCK") {
-            write_wallclock_json(Path::new(&path), &self.entries)
-                .expect("write BENCH_wallclock.json");
-        } else {
-            for e in &self.entries {
-                eprintln!(
-                    "[bench] {}: {} runs, {:.1} ms wall ({:.1} ms serial-equivalent, \
-                     {} jobs, {:.2}x, {:.0} events/s, {:.2} allocs/event)",
-                    e.experiment,
-                    e.runs,
-                    e.wall_ms,
-                    e.runs_wall_ms,
-                    e.jobs,
-                    e.speedup(),
-                    e.events_per_sec(),
-                    e.allocs_per_event(),
-                );
-            }
-        }
-    }
-}
-
-/// Parses the entries out of a `BCASTDB_BENCH_LEDGER` relay file (the
-/// TSV lines appended by [`Ledger::finish`]). Malformed lines are skipped.
-pub fn read_ledger_relay(path: &Path) -> Vec<LedgerEntry> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines().filter_map(LedgerEntry::from_tsv).collect()
 }
 
 /// The current git revision (short), or `"unknown"` outside a checkout.
@@ -493,33 +448,14 @@ mod tests {
     }
 
     #[test]
-    fn ledger_entry_tsv_roundtrips() {
-        let e = LedgerEntry {
-            experiment: "f1_latency_vs_n".into(),
-            runs: 20,
-            jobs: 4,
-            wall_ms: 123.456,
-            runs_wall_ms: 400.5,
-            events: 987654,
-            allocs: 123456,
-        };
-        let parsed = LedgerEntry::from_tsv(&e.to_tsv()).expect("roundtrip");
-        assert_eq!(parsed.experiment, e.experiment);
-        assert_eq!(parsed.runs, e.runs);
-        assert_eq!(parsed.events, e.events);
-        assert!((parsed.wall_ms - e.wall_ms).abs() < 0.001);
-    }
-
-    #[test]
     fn ledger_records_sweep_shape() {
         let outcome = Sweep::with_jobs(2).run(vec![1u64, 2, 3], |&c| c);
-        let mut ledger = Ledger::new();
-        ledger.record("demo", &outcome, 300);
-        let e = &ledger.entries()[0];
+        let e = LedgerEntry::of("demo", &outcome, 300);
         assert_eq!(e.runs, 3);
         assert_eq!(e.jobs, 2);
         assert_eq!(e.events, 300);
         assert!(e.speedup() >= 0.0);
+        assert!(e.to_string().starts_with("[bench] demo: 3 runs, "));
     }
 
     #[test]
@@ -547,9 +483,13 @@ mod tests {
     }
 
     #[test]
-    fn jobs_env_parsing_falls_back() {
-        // Can't mutate the environment safely in a parallel test binary;
-        // exercise the parse logic shape instead.
-        assert!(jobs_from_env() >= 1);
+    fn jobs_env_parsing_rejects_what_it_cannot_honour() {
+        assert!(parse_jobs(None).expect("default") >= 1);
+        assert_eq!(parse_jobs(Some("4")), Ok(4));
+        assert_eq!(parse_jobs(Some(" 2 ")), Ok(2));
+        for bad in ["0", "zero", "", "-1", "1.5"] {
+            let err = parse_jobs(Some(bad)).expect_err(bad);
+            assert!(err.contains("BCASTDB_JOBS"), "{err}");
+        }
     }
 }

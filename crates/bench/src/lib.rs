@@ -1,18 +1,23 @@
 //! # bcastdb-bench
 //!
-//! Shared helpers for the experiment harness binaries (one per table /
-//! figure of the reproduced evaluation — `t1_messages`, `t2_failures`,
-//! `f1_latency_vs_n` … `a3_loss_tolerance`) and the Criterion
+//! The experiment harness: one table of experiments
+//! ([`experiments::ALL`], one entry per table / figure of the reproduced
+//! evaluation — `t1_messages`, `t2_failures`, `f1_latency_vs_n` …
+//! `a3_loss_tolerance`, `chaos`), one driver (`run_all`, alone for the
+//! whole suite or with `--only <name>` for one entry), and the Criterion
 //! micro-benches.
 //!
-//! Every binary prints through [`Table`] (aligned console output, mirrored
-//! to `$BCASTDB_RESULTS_DIR/<name>.csv` when that variable is set), runs
-//! its clusters with tracing enabled ([`TRACE_CAPACITY`]), and validates
-//! each run with [`check_traced_run`]: the offline trace invariant checker
-//! must accept the execution and the per-phase message totals must sum to
-//! the flat counters. [`phase_headers`] / [`phase_cells`] append the
-//! per-phase breakdown (`prepare,vote,ack,decision,retransmit,membership`)
-//! as extra columns.
+//! Every experiment is a `fn(&mut Run)`: the [`experiments::Run`] context
+//! builds its clusters with tracing enabled ([`TRACE_CAPACITY`], plus the
+//! `--trace-out` / `--metrics-out` files), runs its sweeps on
+//! `BCASTDB_JOBS` worker threads ([`Sweep`]), validates each run
+//! ([`experiments::Run::validated`], [`check_traced_run`]: the offline
+//! trace invariant checker must accept the execution and the per-phase
+//! message totals must sum to the flat counters), and prints through
+//! [`Table`] (aligned console output, mirrored to
+//! `$BCASTDB_RESULTS_DIR/<name>.csv` when that variable is set).
+//! [`phase_headers`] / [`phase_cells`] append the per-phase breakdown
+//! (`prepare,vote,ack,decision,retransmit,membership`) as extra columns.
 //!
 //! # Example
 //!
@@ -34,25 +39,24 @@
 //! let mut headers = vec!["messages"];
 //! headers.extend(phase_headers());
 //! let mut table = Table::new("doc_example", &headers);
-//! let total = cluster.messages_sent().to_string();
-//! let mut cells: Vec<&dyn std::fmt::Display> = vec![&total];
-//! let phases = phase_cells(&cluster.phase_counts());
-//! cells.extend(phases.iter().map(|c| c as &dyn std::fmt::Display));
-//! table.row(&cells);
-//! table.emit();
+//! let mut cells = vec![cluster.messages_sent().to_string()];
+//! cells.extend(phase_cells(&cluster.phase_counts()));
+//! table.row_strings(&cells);
+//! print!("{}", table.render());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Every experiment binary counts its heap allocations: in a deterministic
-/// simulator the count is exactly reproducible, making `allocs/event` a
-/// noise-free cost metric next to the wall-clock `events_per_sec` (see
-/// `PERFORMANCE.md`). The probe is a relaxed counter increment per
+/// Everything that links this crate counts its heap allocations: in a
+/// deterministic simulator the count is exactly reproducible, making
+/// `allocs/event` a noise-free cost metric next to the wall-clock
+/// `events_per_sec` (see `PERFORMANCE.md`). The probe is a relaxed counter increment per
 /// allocation — far below measurement noise.
 #[global_allocator]
 static ALLOC_PROBE: bcastdb_memprobe::CountingAllocator = bcastdb_memprobe::CountingAllocator;
 
+pub mod experiments;
 pub mod faultplan;
 pub mod harness;
 pub mod nemesis;
@@ -60,19 +64,13 @@ pub mod perfdiff;
 pub mod perfetto;
 pub mod scenarios;
 
-pub use harness::{
-    git_rev, jobs_from_env, read_ledger_relay, write_wallclock_json, Ledger, LedgerEntry, Sweep,
-    SweepOutcome,
-};
+pub use harness::{git_rev, write_wallclock_json, LedgerEntry, Sweep, SweepOutcome};
 
 use bcastdb_core::Cluster;
 use bcastdb_sim::telemetry::{Phase, PhaseCounts, Segment, SegmentSummary};
-use std::fmt::Display;
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Ring-buffer capacity the experiment binaries pass to
+/// Ring-buffer capacity the experiments pass to
 /// [`bcastdb_core::ClusterBuilder::trace`]. Only the retained tail is
 /// bounded by this; the streaming invariant checker sees every event.
 pub const TRACE_CAPACITY: usize = 4096;
@@ -108,55 +106,9 @@ pub fn segment_cells(summary: &SegmentSummary) -> Vec<String> {
         .collect()
 }
 
-/// The `--trace-out <path>` flag shared by the experiment binaries: dumps
-/// the full JSONL trace of each run for `bcast-trace` to consume. Reads the
-/// process arguments first and falls back to the `BCASTDB_TRACE_OUT`
-/// environment variable; returns `None` when neither is present.
-///
-/// Binaries that run several clusters derive one file per run from this
-/// base path via [`trace_out_for`].
-///
-/// # Panics
-/// Panics if `--trace-out` is passed without a following path.
-pub fn trace_out_path() -> Option<PathBuf> {
-    path_flag("--trace-out", "BCASTDB_TRACE_OUT")
-}
-
-/// The `--metrics-out <path>` flag shared by the experiment binaries:
-/// enables the deterministic in-sim metrics sampler (1 ms virtual-time
-/// interval) and dumps its samples as JSONL for `bcast-trace export
-/// --metrics` to consume. Falls back to the `BCASTDB_METRICS_OUT`
-/// environment variable; returns `None` (sampler off, zero overhead)
-/// when neither is present. Multi-run binaries derive one file per run
-/// via [`trace_out_for`].
-///
-/// # Panics
-/// Panics if `--metrics-out` is passed without a following path.
-pub fn metrics_out_path() -> Option<PathBuf> {
-    path_flag("--metrics-out", "BCASTDB_METRICS_OUT")
-}
-
-fn path_flag(flag: &str, env: &str) -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let path = args
-                .next()
-                .unwrap_or_else(|| panic!("{flag} requires a path argument"));
-            return Some(PathBuf::from(path));
-        }
-        if let Some(path) = arg
-            .strip_prefix(flag)
-            .and_then(|rest| rest.strip_prefix('='))
-        {
-            return Some(PathBuf::from(path));
-        }
-    }
-    std::env::var_os(env).map(PathBuf::from)
-}
-
-/// Derives the per-run trace file for `label` from the `--trace-out` base
-/// path: `traces.jsonl` + `atomic` → `traces-atomic.jsonl`. Experiments
+/// Derives the per-run trace file for `label` from the `--trace-out` (or
+/// `--metrics-out`) base path: `traces.jsonl` + `atomic` →
+/// `traces-atomic.jsonl`. Experiments
 /// that run one cluster per protocol/parameter must keep the runs in
 /// separate files — transaction numbers restart per run, so concatenated
 /// traces would trip `bcast-trace check`.
@@ -204,9 +156,9 @@ fn check_phase_accounting(cluster: &Cluster, label: &str) {
 
 /// A simple aligned-column table printer with optional CSV mirroring.
 ///
-/// Every experiment binary prints its table through this, and (when
-/// `BCASTDB_RESULTS_DIR` is set) also writes `<name>.csv` there so the
-/// series can be plotted.
+/// Every experiment prints its tables through this
+/// ([`experiments::Run::emit`]), which also writes `<name>.csv` into
+/// `BCASTDB_RESULTS_DIR` when that is set, so the series can be plotted.
 #[derive(Debug)]
 pub struct Table {
     name: String,
@@ -216,27 +168,16 @@ pub struct Table {
 
 impl Table {
     /// Starts a table with the given experiment name and column headers.
-    pub fn new(name: &str, headers: &[&str]) -> Self {
+    pub fn new(name: &str, headers: &[impl AsRef<str>]) -> Self {
         Table {
             name: name.to_owned(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }
 
-    /// Appends one row (cells are formatted with `Display`).
-    ///
-    /// # Panics
-    /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: &[&dyn Display]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Appends one row of pre-formatted cells. This is how the parallel
-    /// sweeps add rows: workers format their cells off-thread, the main
-    /// thread appends them in config order.
+    /// Appends one row of formatted cells: sweep workers format their
+    /// cells off-thread, the experiment appends them in config order.
     ///
     /// # Panics
     /// Panics if the row width differs from the header width.
@@ -246,7 +187,7 @@ impl Table {
     }
 
     /// The CSV rendering of this table (headers + rows), exactly the bytes
-    /// mirrored to `$BCASTDB_RESULTS_DIR/<name>.csv` by [`Table::emit`].
+    /// [`Table::write_csv`] writes.
     pub fn csv_bytes(&self) -> String {
         let mut csv = self.headers.join(",") + "\n";
         for r in &self.rows {
@@ -256,9 +197,22 @@ impl Table {
         csv
     }
 
-    /// Prints the table to stdout (one buffered write) and mirrors it to
-    /// CSV if `BCASTDB_RESULTS_DIR` is set.
-    pub fn emit(&self) {
+    /// Writes the table as `<dir>/<name>.csv`, creating `dir`, and returns
+    /// the file's path.
+    ///
+    /// # Errors
+    /// Any I/O error: an unwritable results directory fails the run
+    /// instead of leaving it green with no CSVs.
+    pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.csv", self.name));
+        std::fs::write(&path, self.csv_bytes())?;
+        Ok(path)
+    }
+
+    /// The console rendering: a `== name ==` banner, then right-aligned
+    /// columns under a dashed rule.
+    pub fn render(&self) -> String {
         let widths: Vec<usize> = self
             .headers
             .iter()
@@ -293,18 +247,7 @@ impl Table {
             text.push_str(&line.join("  "));
             text.push('\n');
         }
-        if let Ok(dir) = std::env::var("BCASTDB_RESULTS_DIR") {
-            let _ = fs::create_dir_all(&dir);
-            let path = Path::new(&dir).join(format!("{}.csv", self.name));
-            if fs::write(&path, self.csv_bytes()).is_ok() {
-                text.push_str(&format!("(written to {})\n", path.display()));
-            }
-        }
-        let stdout = std::io::stdout();
-        let mut out = std::io::BufWriter::new(stdout.lock());
-        out.write_all(text.as_bytes())
-            .and_then(|()| out.flush())
-            .expect("write table to stdout");
+        text
     }
 }
 
@@ -329,17 +272,33 @@ mod tests {
     #[test]
     fn table_rows_align() {
         let mut t = Table::new("demo", &["a", "long-header"]);
-        t.row(&[&1, &"x"]);
-        t.row(&[&22, &"yy"]);
-        t.emit(); // smoke: no panic
-        assert_eq!(t.rows.len(), 2);
+        t.row_strings(&["1".to_string(), "x".to_string()]);
+        t.row_strings(&["22".to_string(), "yy".to_string()]);
+        assert_eq!(
+            t.render(),
+            "\n== demo ==\n a  long-header\n---------------\n 1            x\n22           yy\n"
+        );
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn row_width_checked() {
         let mut t = Table::new("demo", &["a"]);
-        t.row(&[&1, &2]);
+        t.row_strings(&["1".to_string(), "2".to_string()]);
+    }
+
+    #[test]
+    fn csv_write_errors_are_returned() {
+        let file = std::env::temp_dir().join(format!("bcastdb-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").expect("temp file");
+        let t = Table::new("demo", &["a"]);
+        let under_a_file = t.write_csv(&file.join("results"));
+        let dir = std::env::temp_dir().join(format!("bcastdb-csv-dir-{}", std::process::id()));
+        let written = t.write_csv(&dir).expect("writable dir");
+        assert_eq!(std::fs::read_to_string(&written).expect("csv"), "a\n");
+        let _ = std::fs::remove_file(&file);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(under_a_file.is_err(), "a results dir under a regular file");
     }
 
     #[test]

@@ -34,12 +34,12 @@
 //! eviction timeout) instead of at view installation, cutting the
 //! orphaned transactions' decision wait roughly in half.
 
-use crate::{check_traced_run, check_traced_run_allowing_pending, TRACE_CAPACITY};
+use crate::experiments::Run;
+use crate::{check_traced_run, check_traced_run_allowing_pending};
 use bcastdb_core::{AbcastImpl, Cluster, ProtocolKind};
 use bcastdb_sim::telemetry::{summarize, Segment};
 use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
 use bcastdb_workload::{WorkloadConfig, Zipf};
-use std::path::PathBuf;
 
 /// Sites in every nemesis cluster (crashing up to two keeps a majority).
 pub const NEMESIS_SITES: usize = 5;
@@ -126,20 +126,16 @@ pub struct NemesisConfig {
     /// size-based default, which at [`NEMESIS_SITES`] is the sequencer —
     /// so the `t2_failures` campaign output is unchanged.
     pub abcast: Option<AbcastImpl>,
-    /// Stream the full JSONL trace of this run here (for `bcast-trace`).
-    pub trace_out: Option<PathBuf>,
 }
 
 impl NemesisConfig {
-    /// A cell with fast commit off, the default abcast backend, and no
-    /// trace file.
+    /// A cell with fast commit off and the default abcast backend.
     pub fn new(scenario: NemesisScenario, protocol: ProtocolKind) -> Self {
         NemesisConfig {
             scenario,
             protocol,
             fast_commit: false,
             abcast: None,
-            trace_out: None,
         }
     }
 }
@@ -207,20 +203,21 @@ impl NemesisOutcome {
     }
 }
 
-/// Runs one campaign cell: builds the cluster, replays the scenario's
-/// fault schedule against a seeded workload, and validates the execution
-/// (trace invariants, survivor termination, 1SR among survivors) before
+/// Runs one campaign cell: builds the cluster (through [`Run::cluster`],
+/// labelled `<scenario>-<protocol>[-fast]`), replays the scenario's fault
+/// schedule against a seeded workload, and validates the execution (trace
+/// invariants, survivor termination, 1SR among survivors) before
 /// returning the outcome row.
 ///
 /// # Panics
 /// Panics on any invariant violation — the campaign treats a bad run as
 /// a bug, not a data point.
-pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
+pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
     let label = format!(
-        "{}/{}{}",
+        "{}-{}{}",
         cfg.scenario.name(),
         cfg.protocol.name(),
-        if cfg.fast_commit { "+fast" } else { "" }
+        if cfg.fast_commit { "-fast" } else { "" }
     );
     let mut builder = Cluster::builder()
         .sites(N)
@@ -228,15 +225,11 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
         .seed(cfg.scenario.seed())
         .membership(true)
         .suspect_after(SUSPECT_AFTER)
-        .fast_commit(cfg.fast_commit)
-        .trace(TRACE_CAPACITY);
+        .fast_commit(cfg.fast_commit);
     if let Some(imp) = cfg.abcast {
         builder = builder.abcast(imp);
     }
-    if let Some(path) = &cfg.trace_out {
-        builder = builder.trace_jsonl(path);
-    }
-    let mut cluster = builder.build();
+    let mut cluster = run.cluster(builder, &label);
     let wl = workload();
     let zipf = wl.sampler();
     let mut rng = DetRng::new(cfg.scenario.seed() * 10);
@@ -263,9 +256,6 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
     let survivors_serializable = cluster.check_serializability_among(&survivors).is_ok();
     let metrics = cluster.metrics();
     let summary = summarize(cluster.txn_spans().values());
-    if cfg.trace_out.is_some() {
-        cluster.finish_trace_jsonl().expect("flush nemesis trace");
-    }
     NemesisOutcome {
         scenario: cfg.scenario,
         protocol: cfg.protocol,
@@ -277,11 +267,14 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
             + summary.segment(Segment::Decide).mean().as_millis_f64(),
         survivors,
         survivors_serializable,
-        events: cluster.events_processed(),
+        events: run.finish(cluster),
     }
 }
 
-fn workload() -> WorkloadConfig {
+/// The update mix every fault campaign loads its clusters with (nemesis,
+/// chaos, and the whole-sim crash scenario): 300 keys at moderate skew,
+/// one read and two writes per transaction.
+pub(crate) fn workload() -> WorkloadConfig {
     WorkloadConfig {
         n_keys: 300,
         theta: 0.5,
@@ -524,8 +517,12 @@ mod tests {
 
     #[test]
     fn every_scenario_is_serializable_under_reliable_broadcast() {
+        let quiet = Run::default();
         for scenario in NemesisScenario::ALL {
-            let out = run_nemesis(&NemesisConfig::new(scenario, ProtocolKind::ReliableBcast));
+            let out = run_nemesis(
+                &quiet,
+                &NemesisConfig::new(scenario, ProtocolKind::ReliableBcast),
+            );
             assert!(out.survivors_serializable, "{scenario}");
             assert!(out.commits > 0, "{scenario}: nothing committed");
             assert_eq!(out.fast_commits, 0, "{scenario}: fast path off by default");
@@ -534,9 +531,10 @@ mod tests {
 
     #[test]
     fn nemesis_runs_are_deterministic() {
+        let quiet = Run::default();
         let cfg = NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, ProtocolKind::CausalBcast);
-        let a = run_nemesis(&cfg);
-        let b = run_nemesis(&cfg);
+        let a = run_nemesis(&quiet, &cfg);
+        let b = run_nemesis(&quiet, &cfg);
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.aborts, b.aborts);
         assert_eq!(a.events, b.events);
@@ -556,19 +554,26 @@ mod tests {
     /// path ran.
     #[test]
     fn ring_backend_survives_crash_mid_two_phase() {
-        let ring = run_nemesis(&NemesisConfig {
-            abcast: Some(AbcastImpl::Ring),
-            ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, ProtocolKind::AtomicBcast)
-        });
+        let quiet = Run::default();
+        let ring = run_nemesis(
+            &quiet,
+            &NemesisConfig {
+                abcast: Some(AbcastImpl::Ring),
+                ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, ProtocolKind::AtomicBcast)
+            },
+        );
         assert!(ring.survivors_serializable, "ring crash run is not 1SR");
         assert!(ring.commits > 0, "ring crash run committed nothing");
         // The same fault under the sequencer decides the same submission
         // schedule; equal decided counts prove the ring stranded no
         // transaction at the break.
-        let seq = run_nemesis(&NemesisConfig {
-            abcast: Some(AbcastImpl::Sequencer),
-            ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, ProtocolKind::AtomicBcast)
-        });
+        let seq = run_nemesis(
+            &quiet,
+            &NemesisConfig {
+                abcast: Some(AbcastImpl::Sequencer),
+                ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, ProtocolKind::AtomicBcast)
+            },
+        );
         assert_eq!(
             ring.commits + ring.aborts,
             seq.commits + seq.aborts,
@@ -582,15 +587,19 @@ mod tests {
 
     #[test]
     fn fast_commit_engages_and_shortens_the_vote_round() {
+        let quiet = Run::default();
         for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
-            let base = run_nemesis(&NemesisConfig::new(
-                NemesisScenario::CrashMidTwoPhase,
-                proto,
-            ));
-            let fast = run_nemesis(&NemesisConfig {
-                fast_commit: true,
-                ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto)
-            });
+            let base = run_nemesis(
+                &quiet,
+                &NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto),
+            );
+            let fast = run_nemesis(
+                &quiet,
+                &NemesisConfig {
+                    fast_commit: true,
+                    ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto)
+                },
+            );
             assert!(
                 fast.fast_commits > 0,
                 "{proto}: the speculative path never fired"

@@ -58,7 +58,7 @@ impl Default for DiffConfig {
 /// One experiment's row from a `BENCH_wallclock.json` ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPerf {
-    /// Experiment name (binary name, e.g. `f2_throughput`).
+    /// Experiment (sweep) name, e.g. `f2_throughput`.
     pub experiment: String,
     /// Simulator events processed across all runs.
     pub events: u64,

@@ -11,7 +11,6 @@
 
 use bcastdb_core::{Cluster, ProtocolKind};
 use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
-use bcastdb_workload::WorkloadConfig;
 
 /// Sites in the crash scenario.
 pub const CRASH_SCENARIO_SITES: usize = 5;
@@ -32,13 +31,7 @@ pub fn crash_scenario(proto: ProtocolKind) -> u64 {
         .membership(true)
         .suspect_after(SimDuration::from_millis(60))
         .build();
-    let cfg = WorkloadConfig {
-        n_keys: 300,
-        theta: 0.5,
-        reads_per_txn: 1,
-        writes_per_txn: 2,
-        ..WorkloadConfig::default()
-    };
+    let cfg = crate::nemesis::workload();
     let zipf = cfg.sampler();
     let mut rng = DetRng::new(370);
     for site in 0..N {

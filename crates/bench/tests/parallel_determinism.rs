@@ -3,84 +3,71 @@
 //! JSONL trace stream must survive a cluster that is dropped without an
 //! explicit flush.
 
-use bcastdb_bench::{Sweep, Table};
+use bcastdb_bench::experiments::{Experiment, Options, Run};
+use bcastdb_bench::Sweep;
 use bcastdb_core::{Cluster, ProtocolKind, TxnSpec};
 use bcastdb_sim::SimDuration;
 use bcastdb_sim::SiteId;
 use bcastdb_workload::{WorkloadConfig, WorkloadRun};
+use std::path::Path;
 
-/// One F1-style run: build a traced cluster, drive the open-loop
-/// workload, return the table cells plus the full `Metrics` snapshot
-/// (via its `Debug` rendering, which covers every counter and latency
-/// sample).
-fn f1_run(n: usize, proto: ProtocolKind) -> (Vec<String>, String) {
-    let cfg = WorkloadConfig {
-        n_keys: 1000,
-        theta: 0.6,
-        reads_per_txn: 2,
-        writes_per_txn: 2,
-        readonly_fraction: 0.0,
-        ..WorkloadConfig::default()
+/// Runs the table entry `name` with `jobs` sweep workers, mirroring its
+/// CSVs into a fresh directory, and returns what it printed (with the
+/// directory's name taken out of the "written to" lines) and every CSV
+/// it wrote, by file name.
+fn rendered(name: &str, jobs: usize) -> (String, Vec<(String, String)>) {
+    let dir = std::env::temp_dir().join(format!(
+        "bcastdb-determinism-{}-{name}-{jobs}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = Options {
+        jobs,
+        results_dir: Some(dir.clone()),
+        ..Options::default()
     };
-    let mut cluster = Cluster::builder()
-        .sites(n)
-        .protocol(proto)
-        .trace(4096)
-        .seed(7)
-        .build();
-    let run = WorkloadRun::new(cfg, 70 + n as u64);
-    let report = run.open_loop(&mut cluster, 30, SimDuration::from_millis(20));
-    assert!(report.quiesced, "{proto}@{n} did not quiesce");
-    let m = &report.metrics;
-    let cells = vec![
-        n.to_string(),
-        proto.name().to_string(),
-        m.commits().to_string(),
-        m.aborts().to_string(),
-        format!("{:.3}", m.update_latency.mean().as_millis_f64()),
-        format!("{:.3}", m.update_latency.p95().as_millis_f64()),
-    ];
-    (cells, format!("{:?}", report.metrics))
+    let exp = Experiment::resolve(name).expect("a table entry");
+    let run = Run::execute(exp.name, &opts, exp.run);
+    assert_eq!(run.failure(), None, "{name} at {jobs} job(s)");
+    assert!(run.ledger().iter().all(|row| row.jobs == jobs), "{name}");
+    let mut csvs: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("results dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let file = path.file_name().expect("file name").to_string_lossy();
+            (
+                file.into_owned(),
+                std::fs::read_to_string(&path).expect("csv"),
+            )
+        })
+        .collect();
+    csvs.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_text = Path::new(&dir).display().to_string();
+    (run.output().replace(&dir_text, "<results>"), csvs)
 }
 
-/// The full F1 sweep run serially and with four workers must produce
-/// byte-identical CSV output and identical `Metrics` snapshots for every
-/// run. This is the determinism contract the parallel harness sells:
-/// `BCASTDB_JOBS` may change wall-clock, never results.
+/// Real table entries run serially and with four workers must print the
+/// same bytes and write the same CSV bytes. This is the determinism
+/// contract the parallel harness sells: `BCASTDB_JOBS` may change
+/// wall-clock, never results. f1 is the widest plain sweep; t1 has two
+/// sweeps and a free-form paragraph between them; f6 evaluates its
+/// assertions and rows after the sweep, from the collected results.
 #[test]
-fn f1_sweep_is_identical_serial_and_parallel() {
-    let mut configs = Vec::new();
-    for n in [3usize, 5, 7, 9, 13] {
-        for proto in ProtocolKind::ALL {
-            configs.push((n, proto));
-        }
-    }
-    let serial = Sweep::with_jobs(1).run(configs.clone(), |&(n, p)| f1_run(n, p));
-    let parallel = Sweep::with_jobs(4).run(configs.clone(), |&(n, p)| f1_run(n, p));
-    assert_eq!(serial.jobs, 1);
-    assert_eq!(parallel.jobs, 4);
-
-    let headers = [
-        "sites", "protocol", "commits", "aborts", "mean_ms", "p95_ms",
-    ];
-    let mut serial_table = Table::new("f1_determinism", &headers);
-    let mut parallel_table = Table::new("f1_determinism", &headers);
-    for (i, ((cells_s, metrics_s), (cells_p, metrics_p))) in
-        serial.results.iter().zip(&parallel.results).enumerate()
-    {
-        let (n, proto) = configs[i];
+fn table_entries_are_identical_serial_and_parallel() {
+    for name in ["f1_latency_vs_n", "t1_messages", "f6_batching"] {
+        let (serial_out, serial_csvs) = rendered(name, 1);
+        let (parallel_out, parallel_csvs) = rendered(name, 4);
+        assert!(!serial_csvs.is_empty(), "{name} wrote no CSV");
         assert_eq!(
-            metrics_s, metrics_p,
-            "{proto}@{n}: Metrics snapshot differs between serial and 4-job runs"
+            serial_out, parallel_out,
+            "{name}: output differs between serial and 4-job runs"
         );
-        serial_table.row_strings(cells_s);
-        parallel_table.row_strings(cells_p);
+        assert_eq!(
+            serial_csvs, parallel_csvs,
+            "{name}: CSV bytes differ between serial and 4-job runs"
+        );
     }
-    assert_eq!(
-        serial_table.csv_bytes(),
-        parallel_table.csv_bytes(),
-        "CSV bytes differ between serial and 4-job runs"
-    );
 }
 
 /// One metrics-sampled run: the same F1-style workload with the
