@@ -29,7 +29,7 @@ use bcastdb_bench::perfetto::export_chrome_trace;
 use bcastdb_sim::stats::Sample;
 use bcastdb_sim::telemetry::{
     render_summary, render_timeline, slowest, summarize, SpanBuilder, TraceEvent, TraceInvariants,
-    TxnRef,
+    TraceLine, TraceMeta, TxnRef,
 };
 use bcastdb_sim::SiteId;
 use std::fs;
@@ -85,11 +85,11 @@ exit status:
   1  check failed: trace invariant violation or perf regression
   2  usage error, or unreadable / empty / malformed input
 
-Traces written by the harness end in a {\"type\":\"trace_meta\",...}
-trailer; summary, check, and export warn when it records in-memory ring
-evictions (in-process tail inspection was incomplete during the run —
-the file itself holds the full stream), and a trailer event count that
-disagrees with the parsed lines is an error.";
+Traces written by the harness end in a trace_meta trailer line; summary,
+check, and export warn when it records in-memory ring evictions
+(in-process tail inspection was incomplete during the run — the file
+itself holds the full stream), and a trailer event count that disagrees
+with the parsed lines is an error.";
 
 /// A CLI failure, split by exit code: `Check` is a well-formed input
 /// failing a gate (exit 1), `Input` is a usage or IO problem (exit 2).
@@ -370,34 +370,6 @@ fn parse_txn(s: &str) -> Result<TxnRef, Failure> {
     })
 }
 
-/// The `{"type":"trace_meta",...}` trailer the harness appends to trace
-/// files: the number of event lines written and how many events the
-/// in-memory ring evicted before the file was finished.
-struct TraceMeta {
-    events: u64,
-    ring_evicted: u64,
-}
-
-fn parse_trace_meta(line: &str) -> Result<TraceMeta, String> {
-    let body = line
-        .strip_prefix("{\"type\":\"trace_meta\",\"events\":")
-        .ok_or("malformed trace_meta trailer")?;
-    let (events, rest) = body
-        .split_once(",\"ring_evicted\":")
-        .ok_or("trace_meta trailer is missing \"ring_evicted\"")?;
-    let ring_evicted = rest
-        .strip_suffix('}')
-        .ok_or("trace_meta trailer is not a closed object")?;
-    Ok(TraceMeta {
-        events: events
-            .parse()
-            .map_err(|_| format!("bad trace_meta event count '{events}'"))?,
-        ring_evicted: ring_evicted
-            .parse()
-            .map_err(|_| format!("bad trace_meta ring_evicted '{ring_evicted}'"))?,
-    })
-}
-
 fn warn_on_evictions(path: &str, meta: &Option<TraceMeta>) {
     if let Some(m) = meta {
         if m.ring_evicted > 0 {
@@ -411,41 +383,32 @@ fn warn_on_evictions(path: &str, meta: &Option<TraceMeta>) {
     }
 }
 
+fn read(path: &str) -> Result<String, Failure> {
+    fs::read_to_string(path).map_err(|e| Failure::input(format!("cannot read {path}: {e}")))
+}
+
 /// Loads a trace file: every JSONL event line plus the optional
 /// `trace_meta` trailer. Errors (exit 2) on unreadable files, malformed
 /// lines, an empty trace, or a trailer whose event count disagrees with
 /// the lines actually parsed.
 fn load(path: &str) -> Result<(Vec<TraceEvent>, Option<TraceMeta>), Failure> {
-    let text =
-        fs::read_to_string(path).map_err(|e| Failure::input(format!("cannot read {path}: {e}")))?;
     let mut events = Vec::new();
     let mut meta = None;
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in read(path)?.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        if line.starts_with("{\"type\":\"trace_meta\"") {
-            if meta.is_some() {
-                return Err(Failure::input(format!(
-                    "{path}:{}: duplicate trace_meta trailer",
-                    i + 1
-                )));
+        let at_line = |e: String| Failure::input(format!("{path}:{}: {e}", i + 1));
+        match TraceLine::from_jsonl(line).map_err(|e| at_line(format!("bad trace line: {e}")))? {
+            TraceLine::Meta(_) if meta.is_some() => {
+                return Err(at_line("duplicate trace_meta trailer".into()));
             }
-            meta = Some(
-                parse_trace_meta(line)
-                    .map_err(|e| Failure::input(format!("{path}:{}: {e}", i + 1)))?,
-            );
-            continue;
+            TraceLine::Meta(m) => meta = Some(m),
+            TraceLine::Event(_) if meta.is_some() => {
+                return Err(at_line("event line after the trace_meta trailer".into()));
+            }
+            TraceLine::Event(ev) => events.push(ev),
         }
-        if meta.is_some() {
-            return Err(Failure::input(format!(
-                "{path}:{}: event line after the trace_meta trailer",
-                i + 1
-            )));
-        }
-        let ev = TraceEvent::from_jsonl(line)
-            .map_err(|e| Failure::input(format!("{path}:{}: bad trace line: {e}", i + 1)))?;
-        events.push(ev);
     }
     if let Some(m) = &meta {
         if m.events != events.len() as u64 {
@@ -465,10 +428,8 @@ fn load(path: &str) -> Result<(Vec<TraceEvent>, Option<TraceMeta>), Failure> {
 
 /// Loads a metrics samples JSONL file (the `--metrics-out` output).
 fn load_samples(path: &str) -> Result<Vec<Sample>, Failure> {
-    let text =
-        fs::read_to_string(path).map_err(|e| Failure::input(format!("cannot read {path}: {e}")))?;
     let mut samples = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in read(path)?.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
@@ -480,9 +441,7 @@ fn load_samples(path: &str) -> Result<Vec<Sample>, Failure> {
 }
 
 fn load_ledger(path: &str) -> Result<WallclockLedger, Failure> {
-    let text =
-        fs::read_to_string(path).map_err(|e| Failure::input(format!("cannot read {path}: {e}")))?;
-    WallclockLedger::parse(&text).map_err(|e| Failure::input(format!("{path}: {e}")))
+    WallclockLedger::parse(&read(path)?).map_err(|e| Failure::input(format!("{path}: {e}")))
 }
 
 fn build_spans(events: &[TraceEvent]) -> SpanBuilder {

@@ -34,6 +34,7 @@
 //! by [`write_wallclock_json`] from the [`LedgerEntry`] each sweep leaves
 //! in its [`Run`](crate::experiments::Run).
 
+use bcastdb_sim::json::quote;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -322,24 +323,6 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes the wall-clock perf ledger as JSON. Schema (documented in
 /// DESIGN.md §12):
 ///
@@ -369,7 +352,7 @@ pub fn write_wallclock_json(path: &Path, entries: &[LedgerEntry]) -> std::io::Re
     };
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"git_rev\": \"{}\",", json_escape(&git_rev()));
+    let _ = writeln!(out, "  \"git_rev\": {},", quote(&git_rev()));
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"total_wall_ms\": {total_wall:.3},");
     let _ = writeln!(out, "  \"total_runs_wall_ms\": {total_runs_wall:.3},");
@@ -379,11 +362,11 @@ pub fn write_wallclock_json(path: &Path, entries: &[LedgerEntry]) -> std::io::Re
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{ \"experiment\": \"{}\", \"runs\": {}, \"jobs\": {}, \
+            "    {{ \"experiment\": {}, \"runs\": {}, \"jobs\": {}, \
              \"wall_ms\": {:.3}, \"runs_wall_ms\": {:.3}, \"speedup\": {:.3}, \
              \"events\": {}, \"events_per_sec\": {:.1}, \
              \"allocs\": {}, \"allocs_per_event\": {:.2} }}{}",
-            json_escape(&e.experiment),
+            quote(&e.experiment),
             e.runs,
             e.jobs,
             e.wall_ms,

@@ -24,9 +24,10 @@
 //! gate. The CLI entry point is `bcast-trace perf-diff`; CI runs it
 //! against the committed ledger (see `.github/workflows/ci.yml`).
 //!
-//! The parser is hand-rolled for the fixed ledger schema — the workspace
-//! deliberately has no JSON dependency.
+//! The ledger is read with `bcastdb_sim::json`, like every other JSON file
+//! of the workspace.
 
+use bcastdb_sim::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -86,49 +87,26 @@ pub struct WallclockLedger {
 impl WallclockLedger {
     /// Parses the JSON text of a `BENCH_wallclock.json` file.
     pub fn parse(text: &str) -> Result<WallclockLedger, String> {
-        let root = Json::parse(text)?;
-        let obj = root.as_obj("ledger")?;
-        let experiments = obj
-            .get("experiments")
-            .ok_or("ledger is missing \"experiments\"")?
-            .as_arr("experiments")?
-            .iter()
-            .map(parse_experiment)
-            .collect::<Result<Vec<_>, _>>()?;
+        let root = json::parse(text)?;
+        let root = root.named("ledger");
+        let experiments = root.get("experiments")?.arr()?.map(parse_experiment);
         Ok(WallclockLedger {
-            git_rev: get_str(obj, "git_rev")?,
-            jobs: get_num(obj, "jobs")? as u64,
-            total_wall_ms: get_num(obj, "total_wall_ms")?,
-            experiments,
+            git_rev: root.get("git_rev")?.str()?.to_owned(),
+            jobs: root.get("jobs")?.u64()?,
+            total_wall_ms: root.get("total_wall_ms")?.f64()?,
+            experiments: experiments.collect::<Result<_, _>>()?,
         })
     }
 }
 
-fn parse_experiment(v: &Json) -> Result<ExperimentPerf, String> {
-    let obj = v.as_obj("experiment entry")?;
+fn parse_experiment(row: json::Field<'_>) -> Result<ExperimentPerf, String> {
     Ok(ExperimentPerf {
-        experiment: get_str(obj, "experiment")?,
-        events: get_num(obj, "events")? as u64,
-        wall_ms: get_num(obj, "wall_ms")?,
-        events_per_sec: get_num(obj, "events_per_sec")?,
-        allocs_per_event: get_num(obj, "allocs_per_event")?,
+        experiment: row.get("experiment")?.str()?.to_owned(),
+        events: row.get("events")?.u64()?,
+        wall_ms: row.get("wall_ms")?.f64()?,
+        events_per_sec: row.get("events_per_sec")?.f64()?,
+        allocs_per_event: row.get("allocs_per_event")?.f64()?,
     })
-}
-
-fn get_str(obj: &BTreeMap<String, Json>, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("\"{key}\" is not a string")),
-        None => Err(format!("missing \"{key}\"")),
-    }
-}
-
-fn get_num(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
-    match obj.get(key) {
-        Some(Json::Num(n)) => Ok(*n),
-        Some(_) => Err(format!("\"{key}\" is not a number")),
-        None => Err(format!("missing \"{key}\"")),
-    }
 }
 
 /// How one experiment fared between the two ledgers.
@@ -342,159 +320,6 @@ pub fn diff_ledgers(
         }
     }
     DiffReport { rows, config }
-}
-
-/// Minimal JSON value — just enough to read the ledger schema.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&BTreeMap<String, Json>, String> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            _ => Err(format!("{what} is not a JSON object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what} is not a JSON array")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at offset {pos}"));
-    }
-    *pos += 1;
-    let start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                let s = std::str::from_utf8(&b[start..*pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                *pos += 1;
-                return Ok(s.to_string());
-            }
-            // The ledger writer never emits escapes; rejecting them keeps
-            // the parser honest instead of silently mangling input.
-            b'\\' => return Err(format!("escape sequences unsupported (offset {pos})")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number '{s}' at offset {start}"))
 }
 
 #[cfg(test)]

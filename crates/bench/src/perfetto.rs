@@ -28,11 +28,11 @@
 //! [Chrome Trace Event format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use bcastdb_sim::json::quote;
 use bcastdb_sim::stats::Sample;
 use bcastdb_sim::telemetry::{Segment, SpanBuilder, TraceEvent, TxnRef, TxnSpan};
 use bcastdb_sim::SiteId;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// The `pid` of the per-site lifecycle tracks.
 pub const CLUSTER_PID: u64 = 1;
@@ -125,22 +125,22 @@ fn sites_in(events: &[TraceEvent]) -> BTreeSet<SiteId> {
 
 fn meta_process(pid: u64, name: &str) -> String {
     format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
+        quote(name)
     )
 }
 
 fn meta_thread(pid: u64, tid: u64, name: &str) -> String {
     format!(
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+        quote(name)
     )
 }
 
 fn instant(name: &str, ts: u64, tid: u64, args: &str) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{CLUSTER_PID},\"tid\":{tid},\"args\":{{{args}}}}}",
-        escape(name)
+        "{{\"name\":{},\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{CLUSTER_PID},\"tid\":{tid},\"args\":{{{args}}}}}",
+        quote(name)
     )
 }
 
@@ -203,9 +203,9 @@ fn instant_event(ev: &TraceEvent) -> Option<String> {
             at.as_micros(),
             tid_for(*site),
             &format!(
-                "\"txn\":\"{}\",\"reason\":\"{}\"",
+                "\"txn\":\"{}\",\"reason\":{}",
                 txn_label(*txn),
-                escape(reason)
+                quote(reason)
             ),
         ),
         TraceEvent::TotalOrder {
@@ -246,9 +246,9 @@ fn instant_event(ev: &TraceEvent) -> Option<String> {
 
 fn async_event(ph: char, name: &str, id: &str, ts: u64, tid: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"txn\",\"ph\":\"{ph}\",\"id\":\"{}\",\"ts\":{ts},\"pid\":{CLUSTER_PID},\"tid\":{tid}}}",
-        escape(name),
-        escape(id)
+        "{{\"name\":{},\"cat\":\"txn\",\"ph\":\"{ph}\",\"id\":{},\"ts\":{ts},\"pid\":{CLUSTER_PID},\"tid\":{tid}}}",
+        quote(name),
+        quote(id)
     )
 }
 
@@ -297,24 +297,9 @@ fn counter_events(samples: &[Sample], out: &mut Vec<String>) {
 
 fn counter(name: &str, ts: u64, value: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{METRICS_PID},\"args\":{{\"value\":{value}}}}}",
-        escape(name)
+        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{METRICS_PID},\"args\":{{\"value\":{value}}}}}",
+        quote(name)
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -441,10 +426,5 @@ mod tests {
         assert!(doc.contains("\"name\":\"abort\""));
         assert!(doc.contains("\"reason\":\"abort_wounded\""));
         assert!(!doc.contains("\"cat\":\"txn\",\"ph\":\"b\""));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

@@ -1,9 +1,15 @@
 //! The experiment table and its one driver, tested as they ship: the
 //! table's names and order are pinned, cheap entries are rendered and held
 //! against the committed `results/` and `experiments_output.txt`, and the
-//! `run_all` / `chaos` command lines keep the 0 / 1 / 2 exit contract.
+//! `run_all` / `chaos` / `bcast-trace` command lines keep the 0 / 1 / 2 exit
+//! contract — the last one also on hostile files, with a mutation sweep
+//! over the JSON readers behind it.
 
 use bcastdb_bench::experiments::{Experiment, Options, Run, ALL};
+use bcastdb_bench::perfdiff::WallclockLedger;
+use bcastdb_sim::json::{self, Json};
+use bcastdb_sim::stats::Sample;
+use bcastdb_sim::telemetry::TraceEvent;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -296,4 +302,280 @@ fn an_unwritable_results_dir_exits_1() {
         "{stderr}"
     );
     assert!(!String::from_utf8_lossy(&out.stdout).contains("written to"));
+}
+
+const SUBMIT: &str = r#"{"ev":"submit","at":0,"origin":0,"num":1,"ro":false}"#;
+const COMMIT: &str = r#"{"ev":"commit","at":5,"site":0,"origin":0,"num":1}"#;
+const CAFE: &str = r#"{"ev":"abort","at":1,"site":0,"origin":0,"num":1,"reason":"café"}"#;
+const TRAILER: &str = r#"{"type":"trace_meta","events":2,"ring_evicted":0}"#;
+const LEDGER: &str = r#"{ "git_rev": "abc", "jobs": 1, "total_wall_ms": 2.5, "experiments": [
+  { "experiment": "t1", "events": 1509, "wall_ms": 2.2, "events_per_sec": 681322.6, "allocs_per_event": 5.8 }
+] }"#;
+
+/// Writes `lines` (newline-terminated) to `name` in the test's directory.
+fn file(name: &str, lines: &[&str]) -> String {
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(cwd().join(name), text).expect("input file");
+    name.to_owned()
+}
+
+/// Unreadable, empty, truncated, trailing-garbage and inconsistent inputs
+/// are exit 2 with one line — never a panic, a stack overflow or a silent
+/// coercion.
+#[test]
+fn bcast_trace_refuses_hostile_input_with_exit_2() {
+    let bcast_trace = env!("CARGO_BIN_EXE_bcast-trace");
+    let good = file("good.jsonl", &[SUBMIT, COMMIT, TRAILER]);
+    let good_ledger = repo_root().join("BENCH_wallclock.json");
+    let good_ledger = good_ledger.to_str().expect("utf-8 repo path");
+    let ledger = |name: &str, from: &str, to: &str| {
+        assert!(LEDGER.contains(from), "{from}");
+        file(name, &[&LEDGER.replacen(from, to, 1)])
+    };
+    for (input, needle) in [
+        ("no-such-file.jsonl".to_owned(), "cannot read"),
+        (file("empty.jsonl", &[]), "empty trace"),
+        (
+            file("cut.jsonl", &[SUBMIT, &COMMIT[..30]]),
+            "cut.jsonl:2: bad trace line",
+        ),
+        (
+            file("tail.jsonl", &[&format!("{SUBMIT} x")]),
+            "trailing bytes",
+        ),
+        (
+            file("twice.jsonl", &[SUBMIT, COMMIT, TRAILER, TRAILER]),
+            "duplicate trace_meta",
+        ),
+        (
+            file("after.jsonl", &[SUBMIT, TRAILER, COMMIT]),
+            "event line after",
+        ),
+        (
+            file("short.jsonl", &[SUBMIT, TRAILER]),
+            "claims 2 events but 1 were parsed",
+        ),
+        (
+            file(
+                "meta.jsonl",
+                &[SUBMIT, r#"{"type":"trace_meta","events":"1"}"#],
+            ),
+            "\"events\"",
+        ),
+        (
+            file("deep.jsonl", &[&"[".repeat(200_000)]),
+            "nesting too deep",
+        ),
+        (
+            file(
+                "far.jsonl",
+                &[&SUBMIT.replace("\"origin\":0", "\"origin\":1152921504606846976")],
+            ),
+            "site index 1152921504606846976 is out of range",
+        ),
+    ] {
+        assert_usage_error(&tool(bcast_trace, &["check", &input], &[]), needle);
+        assert_usage_error(&tool(bcast_trace, &["summary", &input], &[]), needle);
+    }
+    for (input, needle) in [
+        (
+            file("deep.json", &[&"[".repeat(200_000)]),
+            "nesting too deep",
+        ),
+        (file("cut.json", &[&LEDGER[..100]]), "cut.json: "),
+        (
+            ledger("neg.json", "\"jobs\": 1,", "\"jobs\": -1,"),
+            "\"jobs\": expected an unsigned",
+        ),
+        (
+            ledger("half.json", "\"jobs\": 1,", "\"jobs\": 2.5,"),
+            "\"jobs\": expected an unsigned",
+        ),
+        (
+            ledger("big.json", "\"events\": 1509,", "\"events\": 1e30,"),
+            "\"events\": expected",
+        ),
+        (
+            ledger("rev.json", "\"git_rev\": \"", "\"git_rev\": 7, \"x\": \""),
+            "\"git_rev\"",
+        ),
+    ] {
+        assert_usage_error(
+            &tool(bcast_trace, &["perf-diff", &input, good_ledger], &[]),
+            needle,
+        );
+        assert_usage_error(
+            &tool(bcast_trace, &["perf-diff", good_ledger, &input], &[]),
+            needle,
+        );
+    }
+    let samples = file("samples.jsonl", &[r#"{"t":1000,"v":{"queue_depth":-3}}"#]);
+    let export = ["export", &good, "out.json", "--metrics", &samples];
+    assert_usage_error(
+        &tool(bcast_trace, &export, &[]),
+        "samples.jsonl:1: bad metrics line",
+    );
+    assert!(!cwd().join("out.json").exists(), "nothing exported");
+}
+
+/// The other two exit codes, and a non-ASCII abort reason surviving the
+/// trip through the reader and the Perfetto writer.
+#[test]
+fn bcast_trace_exits_0_on_good_input_and_1_on_a_failed_check() {
+    let bcast_trace = env!("CARGO_BIN_EXE_bcast-trace");
+    let good = file("good.jsonl", &[SUBMIT, COMMIT, TRAILER]);
+    let out = tool(bcast_trace, &["check", &good], &[]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2 events, invariants hold"));
+
+    let twice = file("twice.jsonl", &[SUBMIT, COMMIT, COMMIT]);
+    let out = tool(bcast_trace, &["check", &twice], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("invariant violated: transaction s0:1 terminated 2 times"),
+        "{stderr}"
+    );
+
+    let ledger = repo_root().join("BENCH_wallclock.json");
+    let ledger = ledger.to_str().expect("utf-8 repo path");
+    let out = tool(bcast_trace, &["perf-diff", ledger, ledger], &[]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("perf-diff: ok (14 experiments"));
+
+    let cafe = file("cafe.jsonl", &[SUBMIT, CAFE]);
+    let out = tool(bcast_trace, &["export", &cafe, "cafe.json"], &[]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let exported = std::fs::read_to_string(cwd().join("cafe.json")).expect("export written");
+    assert!(exported.contains(r#""reason":"café""#), "{exported}");
+}
+
+/// One good line per `TraceEvent` variant, as the writer spells it.
+const TRACE_LINES: [&str; 16] = [
+    r#"{"ev":"send","at":3,"from":0,"to":1,"phase":"prepare"}"#,
+    r#"{"ev":"deliver","at":4,"from":0,"to":1,"phase":"vote"}"#,
+    r#"{"ev":"drop","at":8,"from":1,"to":2,"phase":"retransmit"}"#,
+    r#"{"ev":"batch","at":12,"from":0,"to":1,"msgs":3,"bytes":200}"#,
+    r#"{"ev":"submit","at":1,"origin":0,"num":1,"ro":true}"#,
+    r#"{"ev":"locks","at":2,"origin":0,"num":1}"#,
+    r#"{"ev":"commit_req","at":2,"origin":0,"num":1}"#,
+    r#"{"ev":"vote","at":5,"site":1,"origin":0,"num":1,"yes":true}"#,
+    r#"{"ev":"decided","at":6,"site":1,"origin":0,"num":1,"commit":false}"#,
+    r#"{"ev":"commit","at":7,"site":0,"origin":0,"num":1}"#,
+    r#"{"ev":"abort","at":9,"site":0,"origin":0,"num":2,"reason":"café \"q\" \n"}"#,
+    r#"{"ev":"total_order","at":6,"site":0,"origin":0,"num":1,"gseq":18446744073709551615}"#,
+    r#"{"ev":"view","at":10,"site":1,"members":[0,1]}"#,
+    r#"{"ev":"crash","at":11,"site":2}"#,
+    r#"{"ev":"suspect","at":13,"site":0,"suspect":2}"#,
+    r#"{"ev":"fast_decide","at":14,"site":0,"origin":1,"num":3}"#,
+];
+const SAMPLE_LINE: &str =
+    r#"{"t":1000,"v":{"queue_depth":200,"s0.lock_keys":0},"h":{"batch.flush_msgs":[[1,5],[4,2]]}}"#;
+
+/// Every prefix of `good`, and every byte of it replaced by each byte of a
+/// small structural alphabet; only what is still UTF-8 can reach a reader
+/// (the tools read files as strings).
+fn mutations(good: &str) -> impl Iterator<Item = String> + '_ {
+    const ALPHABET: &[u8] = b"{}[]\"\\,:0e-\x00\xC3";
+    let prefixes = (0..good.len()).map(move |cut| good.as_bytes()[..cut].to_vec());
+    let substitutions = (0..good.len()).flat_map(move |at| {
+        ALPHABET.iter().map(move |&byte| {
+            let mut bytes = good.as_bytes().to_vec();
+            bytes[at] = byte;
+            bytes
+        })
+    });
+    prefixes
+        .chain(substitutions)
+        .filter_map(|bytes| String::from_utf8(bytes).ok())
+}
+
+/// `value` as JSON text, through the product escaper.
+fn encode(value: &Json, out: &mut String) {
+    let mut list = |open: char, items: &mut dyn Iterator<Item = (Option<&String>, &Json)>| {
+        out.push(open);
+        for (i, (key, item)) in items.enumerate() {
+            out.push_str(if i > 0 { "," } else { "" });
+            if let Some(key) = key {
+                json::write_str(out, key);
+                out.push(':');
+            }
+            encode(item, out);
+        }
+    };
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(&b.to_string()),
+        Json::Int(n) => out.push_str(&n.to_string()),
+        Json::Num(x) => out.push_str(&format!("{x:?}")),
+        Json::Str(s) => json::write_str(out, s),
+        Json::Arr(items) => {
+            list('[', &mut items.iter().map(|v| (None, v)));
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            list('{', &mut members.iter().map(|(k, v)| (Some(k), v)));
+            out.push('}');
+        }
+    }
+}
+
+/// ROADMAP item 4, the JSON half: no mutation of a good trace line, sample
+/// line or ledger makes a reader panic, and whatever a reader still accepts
+/// survives its own writer — encode, parse again, same value.
+#[test]
+fn mutated_json_never_panics_and_accepted_values_round_trip() {
+    let (mut tried, mut accepted) = (0u32, 0u32);
+    // The committed ledger cut to its header and first two rows: the other
+    // twelve repeat the second's structure and only multiply the run time.
+    let ledger = committed("BENCH_wallclock.json");
+    let lines: Vec<&str> = ledger.lines().collect();
+    let (head, row) = (lines[..8].join("\n"), lines[8].trim_end_matches(','));
+    let ledger = format!("{head}\n{row}\n  ]\n}}\n");
+    let parsed = WallclockLedger::parse(&ledger).expect("the cut ledger parses");
+    assert_eq!(parsed.experiments.len(), 2);
+    for line in TRACE_LINES {
+        let ev = TraceEvent::from_jsonl(line).expect(line);
+        assert_eq!(ev.to_jsonl(), line, "the writer's spelling");
+    }
+    for good in TRACE_LINES.iter().copied().chain([SAMPLE_LINE, &ledger]) {
+        for text in mutations(good) {
+            tried += 1;
+            if let Ok(value) = json::parse(&text) {
+                accepted += 1;
+                let mut again = String::new();
+                encode(&value, &mut again);
+                assert_eq!(json::parse(&again), Ok(value), "{text:?} -> {again:?}");
+            }
+            if let Ok(ev) = TraceEvent::from_jsonl(&text) {
+                let again = ev.to_jsonl();
+                assert!(!again.contains('\n'), "one event, one line: {again:?}");
+                assert_eq!(
+                    TraceEvent::from_jsonl(&again),
+                    Ok(ev),
+                    "{text:?} -> {again:?}"
+                );
+            }
+            if let Ok(sample) = Sample::from_jsonl(&text) {
+                let again = sample.to_jsonl();
+                assert_eq!(
+                    Sample::from_jsonl(&again),
+                    Ok(sample),
+                    "{text:?} -> {again:?}"
+                );
+            }
+            if let Ok(parsed) = WallclockLedger::parse(&text) {
+                let finite = |x: f64| assert!(x.is_finite(), "{text:?}");
+                finite(parsed.total_wall_ms);
+                parsed
+                    .experiments
+                    .iter()
+                    .for_each(|e| finite(e.events_per_sec));
+            }
+        }
+    }
+    assert!(
+        tried > 20_000 && accepted > 1_000,
+        "{tried} tried, {accepted} accepted"
+    );
 }

@@ -86,6 +86,10 @@ impl<M> Pending<M> {
     }
 }
 
+/// The size cap replicas give their [`Batcher`]: one Ethernet payload
+/// (1 500 bytes less IP and UDP headers, rounded down).
+pub const BATCH_MAX_BYTES: usize = 1_400;
+
 /// Coalesces outgoing wire messages per destination up to a size cap.
 ///
 /// Deterministic by construction: pending destinations are kept in a
@@ -105,11 +109,6 @@ impl<M: WireSize> Batcher<M> {
             max_bytes: max_bytes.max(BATCH_HEADER_BYTES + PER_MSG_OVERHEAD_BYTES + 1),
             pending: BTreeMap::new(),
         }
-    }
-
-    /// The configured size cap in bytes.
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
     }
 
     /// Queues `msg` for `to`. If adding it would push the pending batch

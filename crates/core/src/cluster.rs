@@ -10,8 +10,8 @@ use bcastdb_db::sg::SgViolation;
 use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value};
 use bcastdb_sim::stats::{render_jsonl, Sample, StatsHandle, StatsRegistry};
 use bcastdb_sim::telemetry::{
-    JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceSink,
-    TraceViolation, Tracer, TxnRef, TxnSpan,
+    JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceMeta,
+    TraceSink, TraceViolation, Tracer, TxnRef, TxnSpan,
 };
 use bcastdb_sim::{
     FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime, Simulation, SiteId, WheelStats,
@@ -102,8 +102,6 @@ pub struct ClusterConfig {
     /// at most `w` before flushing them as one wire transmission. Logical
     /// per-phase message accounting is unaffected either way.
     pub batch_window: Option<SimDuration>,
-    /// Size cap of one batch on the wire, in bytes (envelope included).
-    pub batch_max_bytes: usize,
     /// Metrics sampling interval: `Some(iv)` attaches a
     /// [`StatsRegistry`] and samples every gauge/counter/histogram at each
     /// `iv` of virtual time; `None` (default) disables metrics entirely.
@@ -145,7 +143,6 @@ impl Default for ClusterConfig {
             trace_jsonl: None,
             commit_window: None,
             batch_window: None,
-            batch_max_bytes: 1_400,
             metrics_interval: None,
             metrics_jsonl: None,
             fault_plan: None,
@@ -301,18 +298,11 @@ impl ClusterBuilder {
 
     /// Enables message batching with the given flush window: outgoing
     /// messages coalesce per destination and leave as one wire
-    /// transmission when the window expires (or the size cap fills).
+    /// transmission when the window expires (or `BATCH_MAX_BYTES` fills).
     /// Leaving this unset keeps the unbatched send path, byte-identical
     /// to runs before the batching layer existed.
     pub fn batch_window(mut self, window: SimDuration) -> Self {
         self.cfg.batch_window = Some(window);
-        self
-    }
-
-    /// Size cap of one batch on the wire, in bytes (envelope included).
-    /// Only meaningful together with [`ClusterBuilder::batch_window`].
-    pub fn batch_max_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.batch_max_bytes = bytes;
         self
     }
 
@@ -706,10 +696,11 @@ impl Cluster {
         // Trailer line: lets offline tools verify the file is complete and
         // surface in-process ring eviction loudly instead of silently
         // analyzing a truncated view.
-        writeln!(
-            out,
-            "{{\"type\":\"trace_meta\",\"events\":{lines},\"ring_evicted\":{evicted}}}"
-        )?;
+        let trailer = TraceMeta {
+            events: lines,
+            ring_evicted: evicted,
+        };
+        writeln!(out, "{trailer}")?;
         out.flush()?;
         Ok(lines)
     }
@@ -1088,34 +1079,19 @@ mod tests {
         }
     }
 
-    /// With `batch_window` unset the batcher is never constructed and the
-    /// run is identical to the pre-batching send path — same events, same
-    /// messages, same outcomes for the same seed.
+    /// With `batch_window` unset the batcher is never constructed: nothing
+    /// travels in an envelope.
     #[test]
-    fn batching_off_is_the_default_and_changes_nothing() {
-        let run = |explicit_default: bool| {
-            let mut b = Cluster::builder()
-                .sites(3)
-                .protocol(ProtocolKind::CausalBcast)
-                .seed(5);
-            if explicit_default {
-                b = b.batch_max_bytes(1_400); // cap without window: inert
-            }
-            let mut c = b.build();
-            c.submit(SiteId(0), write_txn("x", 7));
-            c.run_to_quiescence();
-            (
-                c.events_processed(),
-                c.messages_sent(),
-                c.metrics().commits(),
-                c.metrics().wire_batches(),
-            )
-        };
-        let (ev_a, msg_a, commits_a, batches_a) = run(false);
-        let (ev_b, msg_b, commits_b, batches_b) = run(true);
-        assert_eq!((ev_a, msg_a, commits_a), (ev_b, msg_b, commits_b));
-        assert_eq!(batches_a, 0);
-        assert_eq!(batches_b, 0);
+    fn batching_off_is_the_default() {
+        let mut c = Cluster::builder()
+            .sites(3)
+            .protocol(ProtocolKind::CausalBcast)
+            .seed(5)
+            .build();
+        c.submit(SiteId(0), write_txn("x", 7));
+        c.run_to_quiescence();
+        assert_eq!(c.metrics().commits(), 1);
+        assert_eq!(c.metrics().wire_batches(), 0);
     }
 
     /// Metrics sampling is a pure observer: enabling it changes neither

@@ -7,7 +7,7 @@ use crate::metrics::AbortReason;
 use crate::payload::{ReplicaMsg, ReplicaTimer};
 use crate::protocols::{self, Effects, ProtoSnapshot, Protocol, Step};
 use crate::state::{EventBuf, SiteState};
-use bcastdb_broadcast::batch::{Batch, Batcher};
+use bcastdb_broadcast::batch::{Batch, Batcher, BATCH_MAX_BYTES};
 use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
 use bcastdb_broadcast::msg::dest_iter;
 use bcastdb_sim::inline::InlineVec;
@@ -61,7 +61,7 @@ impl ReplicaNode {
         let member = cfg
             .membership
             .then(|| ViewManager::new(me, n, cfg.tick_every, cfg.suspect_after));
-        let batcher = cfg.batch_window.map(|_| Batcher::new(cfg.batch_max_bytes));
+        let batcher = cfg.batch_window.map(|_| Batcher::new(BATCH_MAX_BYTES));
         ReplicaNode {
             st,
             proto,
@@ -173,29 +173,10 @@ impl ReplicaNode {
                             self.send_wire_batch(batch, ctx);
                         }
                     }
-                    None => match ctx.send(to, msg.clone()) {
-                        SendOutcome::Dropped => {
-                            self.st.tracer.emit(|| TraceEvent::Drop {
-                                at: now,
-                                from: me,
-                                to,
-                                phase,
-                            });
-                        }
-                        SendOutcome::Duplicated => {
-                            // A fault-plan duplicate means two wire copies
-                            // of one logical message: trace the second Send
-                            // so delivered <= sent still holds per link.
-                            // Metrics deliberately count one logical send.
-                            self.st.tracer.emit(|| TraceEvent::Send {
-                                at: now,
-                                from: me,
-                                to,
-                                phase,
-                            });
-                        }
-                        SendOutcome::Accepted => {}
-                    },
+                    None => {
+                        let outcome = ctx.send(to, msg.clone());
+                        self.trace_send_outcome(outcome, now, me, to, [phase]);
+                    }
                 }
             }
         }
@@ -237,33 +218,47 @@ impl ReplicaNode {
         if self.st.tracer.is_enabled() {
             phases.extend(batch.msgs.iter().map(|m| m.phase()));
         }
-        match ctx.send_sized(to, ReplicaMsg::Batch(batch.msgs), bytes) {
-            SendOutcome::Dropped => {
-                // The whole envelope was lost: trace the loss of every
-                // logical message it carried, mirroring the unbatched path.
-                for phase in phases {
-                    self.st.tracer.emit(|| TraceEvent::Drop {
-                        at: now,
-                        from: me,
+        let outcome = ctx.send_sized(to, ReplicaMsg::Batch(batch.msgs), bytes);
+        self.trace_send_outcome(outcome, now, me, to, phases);
+    }
+
+    /// Traces what the network did with a transmission carrying logical
+    /// messages of these `phases` (one for a plain send, a whole envelope's
+    /// for a batch). Lost: a `Drop` per message. Duplicated by a fault plan:
+    /// every message will be delivered twice, so a second `Send` per
+    /// message keeps delivered <= sent per link; metrics deliberately count
+    /// one logical send.
+    fn trace_send_outcome(
+        &self,
+        outcome: SendOutcome,
+        at: SimTime,
+        from: SiteId,
+        to: SiteId,
+        phases: impl IntoIterator<Item = Phase>,
+    ) {
+        let lost = match outcome {
+            SendOutcome::Accepted => return,
+            SendOutcome::Dropped => true,
+            SendOutcome::Duplicated => false,
+        };
+        for phase in phases {
+            self.st.tracer.emit(|| {
+                if lost {
+                    TraceEvent::Drop {
+                        at,
+                        from,
                         to,
                         phase,
-                    });
-                }
-            }
-            SendOutcome::Duplicated => {
-                // The whole envelope was duplicated: every logical message
-                // it carried will be delivered twice, so trace the second
-                // Send of each, mirroring the unbatched path.
-                for phase in phases {
-                    self.st.tracer.emit(|| TraceEvent::Send {
-                        at: now,
-                        from: me,
+                    }
+                } else {
+                    TraceEvent::Send {
+                        at,
+                        from,
                         to,
                         phase,
-                    });
+                    }
                 }
-            }
-            SendOutcome::Accepted => {}
+            });
         }
     }
 

@@ -21,7 +21,9 @@
 //! - [`spans`] / [`analyze`] — per-transaction span reconstruction and
 //!   commit-latency decomposition over the trace stream,
 //! - [`stats`] — a deterministic virtual-time metrics registry (counters,
-//!   gauges, log2 histograms) sampled at fixed sim-clock boundaries.
+//!   gauges, log2 histograms) sampled at fixed sim-clock boundaries,
+//! - [`json`] — the one JSON parser and string escaper every reader and
+//!   writer of trace, sample and ledger files shares.
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@
 pub mod analyze;
 mod event;
 pub mod inline;
+pub mod json;
 mod net;
 mod rng;
 mod simulation;

@@ -30,9 +30,10 @@
 //! `v` holds point-in-time gauges and cumulative counters (both plain
 //! `u64`s — the name documents which); `h` holds sparse log2-bucket
 //! histogram snapshots (cumulative since the start of the run). Names use
-//! only `[a-z0-9._]` with a `s<site>.` prefix for per-site series, so no
-//! JSON escaping is ever needed.
+//! only `[a-z0-9._]` with a `s<site>.` prefix for per-site series, which
+//! the writer's JSON escaping leaves as they are.
 
+use crate::json;
 use crate::{SimDuration, SimTime, SiteId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -209,7 +210,8 @@ impl Sample {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{k}\":{v}");
+                json::write_str(&mut out, k);
+                let _ = write!(out, ":{v}");
             }
             out.push('}');
         }
@@ -219,7 +221,8 @@ impl Sample {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{k}\":[");
+                json::write_str(&mut out, k);
+                out.push_str(":[");
                 for (j, (b, c)) in buckets.iter().enumerate() {
                     if j > 0 {
                         out.push(',');
@@ -239,138 +242,41 @@ impl Sample {
     /// # Errors
     /// Returns a description of the first syntax problem.
     pub fn from_jsonl(line: &str) -> Result<Sample, String> {
-        let mut p = Parser {
-            b: line.as_bytes(),
-            i: 0,
-        };
-        let mut sample = Sample::default();
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
+        let root = json::parse(line)?;
+        let root = root.named("sample");
+        let mut sample = Sample::new(SimTime::from_micros(root.get("t")?.u64()?));
+        for (key, member) in root.obj()? {
             match key.as_str() {
-                "t" => sample.at = SimTime::from_micros(p.u64()?),
+                "t" => {}
                 "v" => {
-                    p.expect(b'{')?;
-                    if !p.try_expect(b'}') {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(b':')?;
-                            sample.values.insert(name, p.u64()?);
-                            if !p.try_expect(b',') {
-                                break;
-                            }
-                        }
-                        p.expect(b'}')?;
+                    for (name, value) in member.named("v").obj()? {
+                        sample.values.insert(name.clone(), value.named(name).u64()?);
                     }
                 }
                 "h" => {
-                    p.expect(b'{')?;
-                    if !p.try_expect(b'}') {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(b':')?;
-                            p.expect(b'[')?;
-                            let mut buckets = Vec::new();
-                            if !p.try_expect(b']') {
-                                loop {
-                                    p.expect(b'[')?;
-                                    let b = p.u64()?;
-                                    if b as usize >= HIST_BUCKETS {
-                                        return Err(format!("bucket {b} out of range"));
-                                    }
-                                    p.expect(b',')?;
-                                    let c = p.u64()?;
-                                    p.expect(b']')?;
-                                    buckets.push((b as u8, c));
-                                    if !p.try_expect(b',') {
-                                        break;
-                                    }
-                                }
-                                p.expect(b']')?;
-                            }
-                            sample.hists.insert(name, buckets);
-                            if !p.try_expect(b',') {
-                                break;
-                            }
-                        }
-                        p.expect(b'}')?;
+                    for (name, buckets) in member.named("h").obj()? {
+                        let buckets = buckets.named(name).arr()?.map(bucket);
+                        sample
+                            .hists
+                            .insert(name.clone(), buckets.collect::<Result<_, _>>()?);
                     }
                 }
                 other => return Err(format!("unknown sample field {other:?}")),
             }
-            if !p.try_expect(b',') {
-                break;
-            }
-        }
-        p.expect(b'}')?;
-        if p.i != p.b.len() {
-            return Err("trailing bytes after sample object".into());
         }
         Ok(sample)
     }
 }
 
-/// Minimal parser for the sample JSONL dialect (unescaped strings, `u64`
-/// numbers, fixed structure).
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                c as char,
-                self.i.min(self.b.len())
-            ))
-        }
-    }
-
-    fn try_expect(&mut self, c: u8) -> bool {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while let Some(&c) = self.b.get(self.i) {
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| "non-utf8 string".to_string())?;
-                self.i += 1;
-                return Ok(s.to_owned());
-            }
-            if c == b'\\' {
-                return Err("escapes not allowed in metric names".into());
-            }
-            self.i += 1;
-        }
-        Err("unterminated string".into())
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let start = self.i;
-        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "bad number".to_string())
+/// One `[bucket, count]` pair of a histogram snapshot.
+fn bucket(pair: json::Field<'_>) -> Result<(u8, u64), String> {
+    let mut pair = pair.arr()?;
+    let (Some(b), Some(c), None) = (pair.next(), pair.next(), pair.next()) else {
+        return Err("a histogram bucket is a [bucket, count] pair".into());
+    };
+    match b.u64()? {
+        b if (b as usize) < HIST_BUCKETS => Ok((b as u8, c.u64()?)),
+        b => Err(format!("bucket {b} out of range")),
     }
 }
 
@@ -636,14 +542,25 @@ mod tests {
     }
 
     #[test]
+    fn names_outside_the_metric_alphabet_still_round_trip() {
+        let mut s = Sample::new(SimTime::from_micros(1));
+        s.values.insert("a\"b\n\u{e9}".into(), 1);
+        s.hists.insert("h\\".into(), vec![(0, 1)]);
+        assert_eq!(Sample::from_jsonl(&s.to_jsonl()).unwrap(), s);
+    }
+
+    #[test]
     fn bad_lines_are_rejected() {
         for bad in [
             "",
             "{",
             "{\"t\":}",
             "{\"x\":1}",
-            "{\"t\":1} ",
-            "{\"t\":1,\"v\":{\"a\\\"b\":1}}",
+            "{\"t\":1} x",
+            "{\"t\":1.5}",
+            "{\"t\":1,\"t\":2}",
+            "{\"t\":1,\"v\":{\"a\":-1}}",
+            "{\"t\":1,\"h\":{\"a\":[[1,2,3]]}}",
             "{\"t\":1,\"h\":{\"a\":[[99,1]]}}",
         ] {
             assert!(Sample::from_jsonl(bad).is_err(), "accepted {bad:?}");

@@ -177,6 +177,11 @@ fn reason() -> impl Strategy<Value = String> {
         Just("quoted \"reason\"".to_string()),
         Just("back\\slash".to_string()),
         Just(String::new()),
+        // Non-ASCII must come back as written, control characters must not
+        // break the one-event-one-line rule.
+        Just("café ✓".to_string()),
+        Just("line\nbreak\ttab\r".to_string()),
+        Just("nul\u{0}bell\u{7}esc\u{1b}del\u{7f}".to_string()),
     ]
 }
 
@@ -268,8 +273,8 @@ proptest! {
     })]
 
     /// Every variant, with adversarial field values (huge timestamps,
-    /// empty member lists, reasons containing quotes and backslashes),
-    /// survives `to_jsonl` → `from_jsonl` unchanged.
+    /// empty member lists, reasons containing quotes, backslashes, non-ASCII
+    /// and control characters), survives `to_jsonl` → `from_jsonl` unchanged.
     #[test]
     fn every_trace_event_round_trips_through_jsonl(ev in event()) {
         let line = ev.to_jsonl();
