@@ -23,6 +23,7 @@
 //! deltas.
 
 use bcastdb_bench::{check_traced_run, TRACE_CAPACITY};
+use bcastdb_broadcast::VectorClock;
 use bcastdb_core::{AbcastImpl, Cluster, ClusterBuilder, ProtocolKind};
 use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
 use bcastdb_workload::WorkloadConfig;
@@ -222,9 +223,11 @@ fn allocs_per_event_stays_bounded() {
     // circulation, cumulative Ack, stability pruning) reuses pre-sized
     // per-site state; the pure-broadcast a1 saturation sweep runs at
     // ~0.3 allocs/event, and this 16-site *transactional* run measures
-    // ~2.7 (certification and txn bookkeeping across 16 replicas on top
-    // of the broadcast layer). The ceiling leaves ~25% headroom — a
-    // per-hop payload clone or a per-Commit Vec blows far past it.
+    // 1.60 in a debug build (certification and txn bookkeeping across 16
+    // replicas on top of the broadcast layer; 2.7 before certification
+    // read the shared request in place and clocks were shared). The
+    // ceiling leaves ~25% headroom — a per-hop payload clone, a
+    // per-replica copy of the request or a per-Commit Vec blows past it.
     let ring = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring);
@@ -235,21 +238,22 @@ fn allocs_per_event_stays_bounded() {
          = {ring_per_event:.3} allocs/event"
     );
     assert!(
-        ring_per_event < 4.0,
+        ring_per_event < 2.0,
         "ring backend now allocates {ring_per_event:.3} times per event \
-         (ceiling 4.0) — a hot-path allocation crept into the ring \
+         (ceiling 2.0) — a hot-path allocation crept into the ring \
          pipeline; see PERFORMANCE.md"
     );
 
     // Baseline and P-CB ratchets: every entry point of every protocol runs
     // through the driver's one recycled work queue (the baseline used to
     // build a fresh queue per delivered message — that drift is what these
-    // rows catch: it ran at 2.71 here). Measured at 1.85 and 5.72
+    // rows catch: it ran at 2.71 here). Measured at 1.84 and 3.68
     // allocs/event on this 5-site run in a debug build, where P-CB also
-    // feeds its full-scan oracle; the ceilings leave ~25% headroom.
+    // feeds its full-scan oracle (P-CB was 5.72 before a wire's clock was
+    // shared by every destination); the ceilings leave ~25% headroom.
     for (protocol, ceiling) in [
         (ProtocolKind::PointToPoint, 2.3),
-        (ProtocolKind::CausalBcast, 7.1),
+        (ProtocolKind::CausalBcast, 4.6),
     ] {
         let (allocs, events) = steady_run(N, 10, 53, Cluster::builder().protocol(protocol));
         let per_event = allocs as f64 / events as f64;
@@ -261,6 +265,38 @@ fn allocs_per_event_stays_bounded() {
             "{protocol} now allocates {per_event:.3} times per event (ceiling \
              {ceiling}) — a per-message allocation crept into the protocol's \
              hot path; see PERFORMANCE.md"
+        );
+    }
+
+    // Clock ratchets, at the narrow and the wide ring's width: an owner's
+    // working clock is overwritten and merged in place (the causal
+    // protocol's snapshot per broadcast), and a clone of a snapshot (a
+    // wire's copy per destination) shares its buffer.
+    for n in [5, 32] {
+        let (mut a, mut b, mut m) = (
+            VectorClock::new(n),
+            VectorClock::new(n),
+            VectorClock::new(n),
+        );
+        for i in 0..n {
+            a.set(SiteId(i), i as u64 * 7);
+            b.set(SiteId(i), i as u64 * 5 + 3);
+        }
+        let snapshot = a.clone();
+        let before = allocs();
+        for _ in 0..1_000 {
+            m.copy_from(&a);
+            m.merge(&b);
+            drop(snapshot.clone());
+        }
+        let clock_allocs = allocs() - before;
+        eprintln!(
+            "vector clock (n = {n}): {clock_allocs} allocs in 1000 copy_from + merge + clone"
+        );
+        assert_eq!(m.get(SiteId(n - 1)), (n as u64 - 1) * 7);
+        assert_eq!(
+            clock_allocs, 0,
+            "an owned clock's copy_from/merge or a snapshot's clone allocates again"
         );
     }
 

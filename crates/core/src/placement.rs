@@ -27,21 +27,11 @@ pub enum Placement {
     #[default]
     Full,
     /// Each key is stored by `replicas` sites chosen deterministically
-    /// (a hash of the key selects a start position on the site ring).
+    /// (the key's FNV-1a hash selects a start position on the site ring).
     Ring {
         /// Copies per key (clamped to the site count at evaluation time).
         replicas: usize,
     },
-}
-
-/// FNV-1a — a tiny deterministic hash, stable across runs and platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl Placement {
@@ -51,7 +41,7 @@ impl Placement {
             Placement::Full => true,
             Placement::Ring { replicas } => {
                 let r = replicas.clamp(1, n);
-                let start = (fnv1a(key.as_str().as_bytes()) % n as u64) as usize;
+                let start = (key.fnv1a() % n as u64) as usize;
                 let offset = (site.0 + n - start) % n;
                 offset < r
             }
@@ -139,6 +129,17 @@ mod tests {
             seen.extend(p.holders(&Key::new(format!("k{i}")), 5));
         }
         assert_eq!(seen.len(), 5, "hashing should reach every site");
+    }
+
+    #[test]
+    fn ring_positions_are_the_keys_fnv1a() {
+        // Pinned: a change to the key's hash must not move replicas.
+        let p = Placement::Ring { replicas: 1 };
+        let starts: Vec<usize> = (0..10)
+            .map(|i| p.holders(&Key::new(format!("k{i:06}")), 5))
+            .map(|hs| hs.first().expect("one holder").0)
+            .collect();
+        assert_eq!(starts, [0, 1, 3, 4, 1, 2, 4, 0, 2, 3]);
     }
 
     #[test]

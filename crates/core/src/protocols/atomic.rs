@@ -32,11 +32,10 @@ use bcastdb_broadcast::atomic::{self, AtomicBcast, IsisAbcast, SequencerAbcast, 
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_broadcast::VectorClock;
-use bcastdb_db::sg::ObservedVersion;
-use bcastdb_db::{Key, TxnId};
+use bcastdb_db::{KeyMap, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
 use bcastdb_sim::{Sample, SiteId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One of the atomic-broadcast engines, selected by [`AbcastImpl`].
@@ -64,16 +63,6 @@ pub(crate) enum AbDelivery {
 /// One driver step of this protocol.
 type AbCx<'a> = Cx<'a, AbDelivery>;
 
-/// A commit request waiting in (or at the head of) the certification queue.
-#[derive(Debug, Clone)]
-struct PendingCert {
-    txn: TxnId,
-    prio: TxnPriority,
-    n_writes: usize,
-    read_versions: Vec<(Key, ObservedVersion)>,
-    write_versions: Vec<(Key, ObservedVersion)>,
-}
-
 /// Delivery position of the configured atomic-broadcast engine.
 #[derive(Debug, Clone)]
 enum AbcastPos {
@@ -91,7 +80,7 @@ enum AbcastPos {
 pub struct AbSnapshot {
     causal: VectorClock,
     order: AbcastPos,
-    latest_writer: BTreeMap<Key, TxnId>,
+    latest_writer: KeyMap<TxnId>,
 }
 
 /// What the atomic-broadcast protocol varies at one site.
@@ -99,14 +88,16 @@ pub struct AbSnapshot {
 pub struct AtomicProto {
     cb: CausalBcast<Arc<Payload>>,
     ab: Abcast,
-    /// Commit requests in total order, certified strictly head-first.
-    cert_queue: VecDeque<PendingCert>,
+    /// Commit requests in total order, certified strictly head-first —
+    /// the delivered requests themselves, shared with every other site's
+    /// queue: certification reads their version vectors in place.
+    cert_queue: VecDeque<Arc<Payload>>,
     /// The version directory: last committed writer of every key, updated
     /// at every certification in total order. Unlike the store (which only
     /// holds replicated keys), every site maintains the full directory —
     /// it is what keeps certification deterministic under partial
     /// replication.
-    latest_writer: BTreeMap<Key, TxnId>,
+    latest_writer: KeyMap<TxnId>,
 }
 
 impl AtomicProto {
@@ -136,31 +127,40 @@ impl AtomicProto {
     /// when the head's write set is not fully delivered yet.
     fn drain_cert_queue(&mut self, cx: &mut AbCx) {
         while let Some(head) = self.cert_queue.front() {
-            let txn = head.txn;
+            let Payload::CommitReq {
+                txn,
+                prio,
+                n_writes,
+                read_versions,
+                write_versions,
+            } = &**head
+            else {
+                unreachable!("only commit requests are queued for certification");
+            };
+            let (txn, prio) = (*txn, *prio);
             if cx.st.decided.contains_key(&txn) {
                 self.cert_queue.pop_front();
                 continue;
             }
-            let ops_ready = head.n_writes == 0
+            let ops_ready = *n_writes == 0
                 || cx
                     .st
                     .remote
                     .get(&txn)
-                    .is_some_and(|e| e.ops.len() == head.n_writes);
+                    .is_some_and(|e| e.ops.len() == *n_writes);
             if !ops_ready {
                 return; // stall: causal writes still in flight
             }
-            let head = self.cert_queue.pop_front().expect("front checked");
+            let pass = read_versions
+                .iter()
+                .chain(write_versions)
+                .all(|(key, expected)| self.latest_writer.get(key).copied() == *expected);
+            self.cert_queue.pop_front();
             // Make sure an entry exists even for write-free transactions.
-            let entry = cx.st.remote_entry(txn, head.prio).expect("undecided");
+            let entry = cx.st.remote_entry(txn, prio).expect("undecided");
             if entry.n_writes.is_none() {
                 entry.n_writes = Some(0);
             }
-            let pass = head
-                .read_versions
-                .iter()
-                .chain(head.write_versions.iter())
-                .all(|(key, expected)| self.latest_writer.get(key).copied() == *expected);
             cx.st.trace_vote(txn, pass, cx.now);
             if !pass {
                 cx.abort_remote(txn, AbortReason::Certification);
@@ -174,7 +174,12 @@ impl AtomicProto {
             // Advance the version directory in total order (all keys, held
             // here or not).
             for op in &cx.st.remote[&txn].ops {
-                self.latest_writer.insert(op.key.clone(), txn);
+                match self.latest_writer.get_mut(&op.key) {
+                    Some(writer) => *writer = txn,
+                    None => {
+                        self.latest_writer.insert(op.key.clone(), txn);
+                    }
+                }
             }
             cx.apply_commit(txn);
         }
@@ -196,7 +201,7 @@ impl Variation for AtomicProto {
                 AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
             },
             cert_queue: VecDeque::new(),
-            latest_writer: BTreeMap::new(),
+            latest_writer: KeyMap::default(),
         }
     }
 
@@ -284,14 +289,7 @@ impl Variation for AtomicProto {
                 }
             }
             AbDelivery::Total(d) => {
-                if let Payload::CommitReq {
-                    txn,
-                    prio,
-                    n_writes,
-                    read_versions,
-                    write_versions,
-                } = &*d.payload
-                {
+                if let Payload::CommitReq { txn, .. } = &*d.payload {
                     let (txn, gseq, me, now) = (*txn, d.gseq, cx.st.me, cx.now);
                     cx.st.tracer.emit(|| TraceEvent::TotalOrder {
                         at: now,
@@ -299,13 +297,7 @@ impl Variation for AtomicProto {
                         txn: txn_ref(txn),
                         gseq,
                     });
-                    self.cert_queue.push_back(PendingCert {
-                        txn,
-                        prio: *prio,
-                        n_writes: *n_writes,
-                        read_versions: read_versions.clone(),
-                        write_versions: write_versions.clone(),
-                    });
+                    self.cert_queue.push_back(d.payload);
                     self.drain_cert_queue(cx);
                 }
             }

@@ -329,7 +329,7 @@ impl<D> Cx<'_, D> {
         let mut wound: Vec<TxnId> = Vec::new();
         let ops = self.st.remote.get(&txn).map_or(&[][..], |e| &e.ops);
         for op in ops {
-            for (holder, mode) in self.st.locks.holders(&op.key) {
+            for &(holder, mode) in self.st.locks.holders(&op.key) {
                 if holder == txn || mode != LockMode::Shared {
                     continue;
                 }

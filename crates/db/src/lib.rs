@@ -67,4 +67,4 @@ pub use lock::{LockManager, LockMode, RequestOutcome};
 pub use log::{Checkpoint, LogRecord, RedoLog};
 pub use sg::{HistoryRecorder, SgViolation, SgWork};
 pub use storage::Store;
-pub use types::{Key, TxnId, TxnSpec, Value, WriteOp};
+pub use types::{Key, KeyMap, TxnId, TxnSpec, Value, WriteOp};

@@ -177,11 +177,8 @@ impl LockManager {
     }
 
     /// Current holders of `key` with their modes.
-    pub fn holders(&self, key: &Key) -> Vec<(TxnId, LockMode)> {
-        self.table
-            .get(key)
-            .map(|e| e.holders.clone())
-            .unwrap_or_default()
+    pub fn holders(&self, key: &Key) -> &[(TxnId, LockMode)] {
+        self.table.get(key).map_or(&[], |e| &e.holders)
     }
 
     /// Transactions queued on `key`, highest priority (oldest) first.

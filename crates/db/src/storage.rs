@@ -6,8 +6,7 @@
 //! observed — exactly the *reads-from* information the one-copy
 //! serialization-graph checker needs.
 
-use crate::types::{Key, TxnId, Value, WriteOp};
-use std::collections::HashMap;
+use crate::types::{Key, KeyMap, TxnId, Value, WriteOp};
 
 /// The committed version of one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,10 +20,10 @@ pub struct Version {
 /// A full replica of the database at one site.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    current: HashMap<Key, Version>,
-    /// Per-key install order of committed writers (the ww order at this
-    /// site), used by the serializability checker.
-    install_order: HashMap<Key, Vec<TxnId>>,
+    /// Per key, the current version and the install order of committed
+    /// writers (the ww order at this site, used by the serializability
+    /// checker): one probe per written key.
+    keys: KeyMap<(Version, Vec<TxnId>)>,
     applied_writes: u64,
 }
 
@@ -37,10 +36,13 @@ impl Store {
 
     /// Reads the current committed version of `key`.
     pub fn read(&self, key: &Key) -> Version {
-        self.current.get(key).copied().unwrap_or(Version {
-            value: 0,
-            writer: None,
-        })
+        self.keys.get(key).map_or(
+            Version {
+                value: 0,
+                writer: None,
+            },
+            |&(version, _)| version,
+        )
     }
 
     /// Convenience: the current committed value of `key` (0 if never
@@ -52,17 +54,23 @@ impl Store {
     /// Installs the write set of committed transaction `txn`.
     pub fn apply(&mut self, txn: TxnId, writes: &[WriteOp]) {
         for w in writes {
-            self.current.insert(
-                w.key.clone(),
-                Version {
-                    value: w.value,
-                    writer: Some(txn),
-                },
-            );
-            self.install_order
-                .entry(w.key.clone())
-                .or_default()
-                .push(txn);
+            let version = Version {
+                value: w.value,
+                writer: Some(txn),
+            };
+            match self.keys.get_mut(&w.key) {
+                Some((current, installs)) => {
+                    *current = version;
+                    installs.push(txn);
+                }
+                None => {
+                    let (_, installs) = self
+                        .keys
+                        .entry(w.key.clone())
+                        .or_insert((version, Vec::new()));
+                    installs.push(txn);
+                }
+            }
             self.applied_writes += 1;
         }
     }
@@ -70,43 +78,42 @@ impl Store {
     /// Pre-loads an initial value without recording a writer (database
     /// population before the measured run).
     pub fn seed(&mut self, key: impl Into<Key>, value: Value) {
-        self.current.insert(
-            key.into(),
-            Version {
-                value,
-                writer: None,
-            },
-        );
+        let version = Version {
+            value,
+            writer: None,
+        };
+        self.keys
+            .entry(key.into())
+            .or_insert((version, Vec::new()))
+            .0 = version;
     }
 
     /// The per-key sequence of committed writers at this site.
     pub fn install_order(&self, key: &Key) -> &[TxnId] {
-        self.install_order
-            .get(key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.keys.get(key).map_or(&[], |(_, installs)| installs)
     }
 
     /// Every written key with its install order, in no particular order —
     /// what the serializability checker compares across replicas, in place.
     pub fn install_orders(&self) -> impl Iterator<Item = (&Key, &[TxnId])> {
-        self.install_order.iter().map(|(k, o)| (k, o.as_slice()))
+        let written = self.keys.iter().filter(|(_, (_, o))| !o.is_empty());
+        written.map(|(k, (_, o))| (k, o.as_slice()))
     }
 
     /// Iterates over `(key, version)` pairs of every object ever written
     /// or seeded.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Version)> {
-        self.current.iter()
+        self.keys.iter().map(|(k, (v, _))| (k, v))
     }
 
     /// Number of distinct keys present.
     pub fn len(&self) -> usize {
-        self.current.len()
+        self.keys.len()
     }
 
     /// True iff no key has ever been written or seeded.
     pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
+        self.keys.is_empty()
     }
 
     /// Total committed write operations applied.
@@ -118,7 +125,7 @@ impl Store {
     /// union of their keys — the *one-copy equivalence* check applied across
     /// replicas after a run quiesces.
     pub fn converged_with(&self, other: &Store) -> bool {
-        let keys = self.current.keys().chain(other.current.keys());
+        let keys = self.keys.keys().chain(other.keys.keys());
         for k in keys {
             if self.read(k) != other.read(k) {
                 return false;

@@ -2,25 +2,77 @@
 //! specifications.
 
 use bcastdb_sim::SiteId;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// The name of a database object.
 ///
-/// Cheap to clone (reference-counted), hashable, orderable. The paper's
-/// model is a set of named objects fully replicated at every site.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(Arc<str>);
+/// One thin pointer to the text and its FNV-1a hash, computed once in
+/// [`Key::new`]: a clone is a refcount bump, and hashing a key — every
+/// probe of a [`KeyMap`] — reads the cached word instead of the text.
+/// Order is lexicographic on the text, so a `BTreeMap<Key, _>` iterates
+/// in the same order whatever the hash. There is deliberately no
+/// `Borrow<str>`: a `&str` does not hash like the key it names.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Key(Arc<KeyText>);
+
+/// Field order is the key order: the text first.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct KeyText {
+    name: Box<str>,
+    fnv1a: u64,
+}
 
 impl Key {
     /// Creates a key from anything string-like.
     pub fn new(s: impl AsRef<str>) -> Self {
-        Key(Arc::from(s.as_ref()))
+        let name: Box<str> = s.as_ref().into();
+        let fnv1a = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        Key(Arc::new(KeyText { name, fnv1a }))
     }
 
     /// The key's textual form.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.0.name
+    }
+
+    /// FNV-1a of the text — deterministic across runs and platforms, so
+    /// it can place the key (`bcastdb_core::Placement`) as well as hash it.
+    pub fn fnv1a(&self) -> u64 {
+        self.0.fnv1a
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.fnv1a);
+    }
+}
+
+/// A hash map keyed by [`Key`], hashing each key by its cached word.
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// The hasher of a [`KeyMap`]: passes a key's cached FNV-1a through one
+/// fold-and-multiply, so the low bits that pick a bucket depend on every
+/// byte of the text.
+#[derive(Debug, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a KeyMap hashes only keys, and a key writes one u64")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
     }
 }
 
@@ -36,15 +88,21 @@ impl From<String> for Key {
     }
 }
 
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Key").field(&self.as_str()).finish()
+    }
+}
+
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl serde::Serialize for Key {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.0)
+        s.serialize_str(self.as_str())
     }
 }
 
@@ -173,6 +231,37 @@ mod tests {
         let k = Key::new("k");
         let k2 = k.clone();
         assert_eq!(k, k2);
+    }
+
+    #[test]
+    fn keys_built_apart_are_equal_and_find_each_other() {
+        let a = Key::new("acct");
+        let b = Key::from(String::from("acct"));
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "two allocations");
+        assert_eq!(a, b);
+        assert_ne!(a, Key::new("acct2"));
+        assert_eq!(a.fnv1a(), b.fnv1a());
+        assert_eq!(Key::new("x").fnv1a(), 0xaf63_f54c_8602_1707, "FNV-1a");
+        let mut map: KeyMap<u32> = KeyMap::default();
+        map.insert(a, 1);
+        assert_eq!(map.get(&b), Some(&1));
+        assert_eq!(map.get(&Key::new("acct2")), None);
+    }
+
+    #[test]
+    fn keys_order_by_text_not_hash() {
+        assert!(Key::new("k10") < Key::new("k9"));
+        let mut keys = [Key::new("b"), Key::new("ab"), Key::new("a")];
+        keys.sort();
+        let names: Vec<&str> = keys.iter().map(Key::as_str).collect();
+        assert_eq!(names, ["a", "ab", "b"]);
+        assert_eq!(Key::new("a").cmp(&Key::new("a")), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn key_formats_as_its_text() {
+        assert_eq!(format!("{:?}", Key::new("x")), r#"Key("x")"#);
+        assert_eq!(Key::new("x").to_string(), "x");
     }
 
     #[test]
