@@ -23,8 +23,8 @@ use bcastdb_sim::SiteId;
 pub struct Wire<P> {
     /// Message identity (origin + per-origin sequence; `seq == vc[origin]`).
     pub id: MsgId,
-    /// The origin's vector clock at broadcast time (own component already
-    /// incremented).
+    /// The origin's clock at broadcast time, own component incremented:
+    /// what it had delivered, or handled ([`CausalBcast::broadcast_after`]).
     pub vc: VectorClock,
     /// Application payload.
     pub payload: P,
@@ -140,15 +140,29 @@ impl<P: Clone> CausalBcast<P> {
     /// immediately.
     pub fn broadcast(&mut self, payload: P) -> (MsgId, Output<P>) {
         let seq = self.vc.increment(self.me);
+        let stamp = self.vc.clone();
+        self.send_stamped(seq, stamp, payload)
+    }
+
+    /// Broadcasts `payload` stamped with `handled` — what the application
+    /// has processed of this engine's deliveries — instead of with all of
+    /// them: one wire can unblock several deliveries, and a broadcast made
+    /// while handling the first must not claim the rest. `handled`'s own
+    /// component becomes the new sequence number; wire and self-delivery
+    /// share one copy of it.
+    pub fn broadcast_after(&mut self, handled: &mut VectorClock, payload: P) -> (MsgId, Output<P>) {
+        let seq = self.vc.increment(self.me);
+        handled.set(self.me, seq);
+        debug_assert!(handled.dominated_by(&self.vc), "stamp beyond delivery");
+        self.send_stamped(seq, handled.clone(), payload)
+    }
+
+    fn send_stamped(&mut self, seq: u64, vc: VectorClock, payload: P) -> (MsgId, Output<P>) {
         let id = MsgId {
             origin: self.me,
             seq,
         };
-        let wire = Wire {
-            id,
-            vc: self.vc.clone(),
-            payload,
-        };
+        let wire = Wire { id, vc, payload };
         if self.archive_enabled {
             self.archive.insert((self.me, seq), wire.clone());
         }
@@ -390,6 +404,38 @@ mod tests {
         // Whereas a message broadcast WITHOUT having seen it does not:
         let (_, o_x) = es[2].broadcast("blind".into());
         assert!(o_x.outbound[0].wire.vc.get(SiteId(0)) < cr_seq);
+    }
+
+    /// One wire unblocks two deliveries; a broadcast made once the
+    /// application has handled only the first must not claim the second.
+    #[test]
+    fn broadcast_after_stamps_only_what_was_processed() {
+        let mut es = engines(3);
+        let (_, oa) = es[0].broadcast("a".into());
+        let wa = oa.outbound[0].wire.clone();
+        es[1].on_wire(SiteId(0), wa.clone());
+        let (_, ob) = es[1].broadcast("b".into());
+        // Site 2 holds b back until a arrives, then delivers both at once.
+        let wb = ob.outbound[0].wire.clone();
+        assert!(es[2].on_wire(SiteId(1), wb).deliveries.is_empty());
+        assert_eq!(payloads(&es[2].on_wire(SiteId(0), wa)), vec!["a", "b"]);
+
+        let mut processed = VectorClock::new(3);
+        processed.set(SiteId(0), 1); // a handled, b not yet
+        let (id, out) = es[2].broadcast_after(&mut processed, "c".into());
+        let stamp = out.outbound[0].wire.vc.clone();
+        assert_eq!(id.seq, 1);
+        assert_eq!(stamp.iter().map(|(_, k)| k).collect::<Vec<_>>(), [1, 0, 1]);
+        assert_eq!(processed, stamp, "own component advanced in place");
+        assert_eq!(out.deliveries[0].vc, stamp);
+        // Site 0 never received b, and need not wait for it.
+        let wc = out.outbound[0].wire.clone();
+        assert_eq!(payloads(&es[0].on_wire(SiteId(2), wc)), vec!["c"]);
+        // The engine still counts both deliveries: a plain broadcast
+        // stamps everything delivered.
+        let (_, od) = es[2].broadcast("d".into());
+        let all: Vec<u64> = od.outbound[0].wire.vc.iter().map(|(_, k)| k).collect();
+        assert_eq!(all, [1, 1, 2]);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! names this as a requirement on the communication layer). Two ideas from
 //! the paper replace the explicit vote round of §3:
 //!
-//! 1. **Implicit positive acknowledgements.** After a site `q` delivers
+//! 1. **Implicit positive acknowledgements.** After a site `q` has handled
 //!    `commit-req(T)`, *any* subsequent message from `q` carries a vector
 //!    clock whose `T.origin` component covers the commit request — proof
-//!    that `q` saw it. A site commits `T` once it holds such proof from
-//!    every view member and has delivered no NACK. Quiet sites would stall
+//!    that `q` saw it and let it through its reader gate. A site commits
+//!    `T` once it holds such proof from every view member and has
+//!    delivered no NACK. Quiet sites would stall
 //!    this, so sites with undecided transactions emit **null messages**
 //!    (heartbeats) — the paper's suggested mitigation, measured in
 //!    experiment F4.
@@ -42,10 +43,9 @@ use crate::protocols::{
 use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::VectorClock;
-use bcastdb_db::{Key, TxnId, WriteOp};
+use bcastdb_db::{KeyMap, TxnId, WriteOp};
 use bcastdb_sim::SiteId;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Fewest conflict-index insertions between two pruning passes.
@@ -70,8 +70,6 @@ type CbCx<'a> = Cx<'a, CbWork>;
 struct CbTxn {
     /// `commit-req`'s component at the origin; acks must cover this.
     cr_seq: Option<u64>,
-    /// Sites whose delivery of the commit request is proven.
-    acked: BTreeSet<SiteId>,
     /// Sites that explicitly rejected the transaction.
     nacked: BTreeSet<SiteId>,
     /// Commit decided; applied when locks are all granted.
@@ -97,36 +95,44 @@ pub struct CausalProto {
     /// classification sites look up the keys at hand instead of walking
     /// transactions; [`CausalProto::prune`] retires entries nothing can
     /// match any more.
-    key_ops: BTreeMap<Key, Vec<(TxnId, TxnPriority, VectorClock)>>,
+    key_ops: KeyMap<Vec<(TxnId, TxnPriority, VectorClock)>>,
     /// Insertions into `key_ops` left before the next prune: as many as
     /// the last one left entries, so the index never holds more than twice
     /// what is live and pruning is O(1) amortized per op.
     until_prune: usize,
     /// The last clock delivered from each site. A sender's clocks only
     /// grow and arrive in FIFO order, so everything it sends from now on
-    /// dominates this.
+    /// dominates this — and it is the sender's implicit acknowledgement of
+    /// every commit request it covers (see [`CausalProto::try_decide`]).
     last_from: Vec<VectorClock>,
     /// Every write-operation clock ever delivered, never pruned: what the
     /// pre-index full scan walked, kept as the oracle `try_decide` checks
     /// the index against.
     #[cfg(debug_assertions)]
-    history: BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>,
+    history: BTreeMap<TxnId, (TxnPriority, BTreeMap<bcastdb_db::Key, VectorClock>)>,
     /// Emit a null message on ticks while transactions are undecided.
     null_messages: bool,
     /// Loss-recovery mode: eager relaying, and archived messages are
     /// retransmitted to lagging peers.
     recover_losses: bool,
+    /// What this site has *handled* of the engine's deliveries, and so the
+    /// stamp of its broadcasts: a stamp is an implicit acknowledgement of
+    /// every commit request it covers, which must not outrun the reader
+    /// gate of a delivery still queued behind the one being handled.
+    processed: VectorClock,
     /// This site's clock at its most recent broadcast: the evidence other
     /// sites hold about what we have delivered. If it does not cover a
     /// delivered commit request, our implicit acknowledgement has not been
     /// published yet and a null message is due.
     last_bcast_vc: VectorClock,
-    /// Transactions whose commit request is delivered but whose outcome is
-    /// not yet in `st.decided` — the only transactions a new implicit
-    /// acknowledgement can advance, so the per-delivery ack scan walks
-    /// this small index instead of `info`; entries are dropped lazily
-    /// once the decision lands.
-    ack_waiting: BTreeSet<TxnId>,
+    /// Per origin, `(cr_seq, txn)` of each delivered commit request whose
+    /// transaction may be undecided — all a new implicit acknowledgement
+    /// can advance. Sorted by `cr_seq`, since one origin's requests arrive
+    /// in FIFO order; decided entries leave from the front as deliveries
+    /// pass, and from anywhere when the index is pruned.
+    ack_waiting: Vec<VecDeque<(u64, TxnId)>>,
+    /// Scratch list of the transactions one delivery newly acknowledges.
+    newly_acked: Vec<TxnId>,
     /// Per-origin maximum commit-request sequence delivered so far.
     /// `cr_seq` values from one origin only grow, so "some delivered
     /// commit request is not covered by our last broadcast" reduces to
@@ -152,8 +158,10 @@ impl CausalProto {
     fn bcast(&mut self, cx: &mut CbCx, payload: Payload) {
         // The single payload allocation of this broadcast: every wire copy
         // and archive entry from here on is a refcount bump.
-        let (_, out) = self.cb.broadcast(Arc::new(payload));
-        self.last_bcast_vc.copy_from(self.cb.clock());
+        let (_, out) = self
+            .cb
+            .broadcast_after(&mut self.processed, Arc::new(payload));
+        self.last_bcast_vc.copy_from(&self.processed);
         Self::route(cx, out);
     }
 
@@ -189,6 +197,9 @@ impl CausalProto {
 
     fn on_delivery(&mut self, cx: &mut CbCx, d: causal::Delivery<Arc<Payload>>) {
         let sender = d.id.origin;
+        // Whatever we broadcast from here on claims this delivery.
+        let seq = d.id.seq.max(self.processed.get(sender));
+        self.processed.set(sender, seq);
         // A NACK must take effect before the same message is credited as
         // its sender's implicit acknowledgement — otherwise the NACK's own
         // clock could complete the ack set and commit the transaction it
@@ -198,9 +209,8 @@ impl CausalProto {
                 self.info.entry(*txn).or_default().nacked.insert(*site);
             }
         }
-        self.last_from[sender.0].copy_from(&d.vc);
         // Every delivery is a potential implicit acknowledgement: the
-        // sender's clock proves which commit requests it had delivered.
+        // sender's clock proves which commit requests it had processed.
         self.absorb_implicit_acks(cx, sender, &d.vc);
 
         match &*d.payload {
@@ -224,11 +234,7 @@ impl CausalProto {
                 if cr_seq > self.max_cr_seq.get(txn.origin) {
                     self.max_cr_seq.set(txn.origin, cr_seq);
                 }
-                self.ack_waiting.insert(txn);
-                // The sender trivially acknowledged its own request, and we
-                // just delivered it ourselves.
-                info.acked.insert(txn.origin);
-                info.acked.insert(cx.st.me);
+                self.ack_waiting[txn.origin.0].push_back((cr_seq, txn));
                 // From this instant on, our outgoing traffic is an implicit
                 // YES — so the gate must run *now*, while no other site can
                 // yet hold our acknowledgement (everything we broadcast so
@@ -244,32 +250,33 @@ impl CausalProto {
         }
     }
 
-    /// Records implicit acks proven by a message from `sender` stamped
-    /// `vc`, and re-evaluates the transactions whose ack sets changed.
+    /// Records the clock of a message from `sender` and re-evaluates, in
+    /// `TxnId` order, what it newly acknowledges: per origin, the commit
+    /// requests between `sender`'s previous clock and this one. (An origin
+    /// and this site acknowledge implicitly; see `try_decide`.)
     fn absorb_implicit_acks(&mut self, cx: &mut CbCx, sender: SiteId, vc: &VectorClock) {
-        // Walk the undecided index, not the full `info` map: transactions
-        // whose commit request has not been delivered have no ack set to
-        // advance, and decided ones (pruned lazily here) are settled. The
-        // walk re-seeks after each step, so it needs no scratch list while
-        // `try_decide` borrows `self`.
-        let mut next = self.ack_waiting.first().copied();
-        while let Some(txn) = next {
-            next = self
-                .ack_waiting
-                .range((Bound::Excluded(txn), Bound::Unbounded))
-                .next()
-                .copied();
-            let info = match self.info.get_mut(&txn) {
-                Some(info) if !cx.st.decided.contains_key(&txn) => info,
-                _ => {
-                    self.ack_waiting.remove(&txn);
-                    continue;
+        let mut acked = std::mem::take(&mut self.newly_acked);
+        if sender != cx.st.me {
+            let decided = |(_, txn): &(u64, TxnId)| cx.st.decided.contains_key(txn);
+            let before = &self.last_from[sender.0];
+            for (origin, waiting) in self.ack_waiting.iter_mut().enumerate() {
+                while waiting.front().is_some_and(decided) {
+                    waiting.pop_front();
                 }
-            };
-            if info.cr_seq.is_some_and(|k| vc.get(txn.origin) >= k) && info.acked.insert(sender) {
-                self.try_decide(cx, txn);
+                let (from, to) = (before.get(SiteId(origin)), vc.get(SiteId(origin)));
+                if origin != sender.0 && to > from {
+                    let lo = waiting.partition_point(|&(k, _)| k <= from);
+                    let hi = waiting.partition_point(|&(k, _)| k <= to);
+                    acked.extend(waiting.range(lo..hi).map(|&(_, txn)| txn));
+                }
             }
         }
+        self.last_from[sender.0].copy_from(vc);
+        acked.sort_unstable();
+        for txn in acked.drain(..) {
+            self.try_decide(cx, txn);
+        }
+        self.newly_acked = acked;
     }
 
     /// Handles a delivered write: classify against other broadcast
@@ -362,6 +369,9 @@ impl CausalProto {
             !ops.is_empty()
         });
         self.info.retain(|txn, _| !decided(txn));
+        for waiting in &mut self.ack_waiting {
+            waiting.retain(|(_, txn)| !decided(txn));
+        }
         let live: usize = self.key_ops.values().map(Vec::len).sum();
         self.until_prune = live.max(PRUNE_FLOOR);
     }
@@ -412,15 +422,17 @@ impl Variation for CausalProto {
                 cb.without_archive()
             },
             info: BTreeMap::new(),
-            key_ops: BTreeMap::new(),
+            key_ops: KeyMap::default(),
             until_prune: PRUNE_FLOOR,
             last_from: vec![VectorClock::new(n); n],
             #[cfg(debug_assertions)]
             history: BTreeMap::new(),
             null_messages: cfg.null_messages,
             recover_losses: cfg.relay,
+            processed: VectorClock::new(n),
             last_bcast_vc: VectorClock::new(n),
-            ack_waiting: BTreeSet::new(),
+            ack_waiting: vec![VecDeque::new(); n],
+            newly_acked: Vec::new(),
             max_cr_seq: VectorClock::new(n),
             backoff: RetransmitBackoff::new(me, cfg.retransmit_backoff),
             last_progress: (0, 0),
@@ -535,14 +547,17 @@ impl Variation for CausalProto {
         let Some(info) = self.info.get(&txn) else {
             return;
         };
-        // Our own acknowledgement is in `acked` from the moment the commit
-        // request is delivered here; before that nothing can be decided
-        // but a rejection.
+        // Acknowledgements are derived, not collected: the origin and this
+        // site acknowledge once the commit request is delivered here (before
+        // that nothing can be decided but a rejection), any other site once
+        // the last clock delivered from it covers the request.
+        let (me, origin) = (cx.st.me, txn.origin);
+        let acked = |s: SiteId| {
+            let covers = |k| s == origin || s == me || self.last_from[s.0].get(origin) >= k;
+            info.cr_seq.is_some_and(covers)
+        };
         let delivered = info.cr_seq.is_some();
-        let fast = match cx
-            .quorum
-            .verdict(!info.nacked.is_empty(), delivered, &info.acked)
-        {
+        let fast = match cx.quorum.verdict(!info.nacked.is_empty(), delivered, acked) {
             Verdict::Abort => {
                 cx.abort_remote(txn, AbortReason::ConcurrentConflict);
                 return;
@@ -560,7 +575,8 @@ impl Variation for CausalProto {
         // Deterministic evaluation: the ack set closes the concurrency
         // window, so every concurrent conflicting candidate operation is
         // already delivered here. An older peer with a same-key
-        // operation concurrent with ours → we abort.
+        // operation concurrent with ours → we abort, whatever became of
+        // the peer: the rule is pairwise, so every site reaches it alike.
         let my_prio = entry.prio;
         let mut examined = 0;
         let loses = entry.ops.iter().any(|op| {
@@ -568,9 +584,7 @@ impl Variation for CausalProto {
             let mine = ops.binary_search_by_key(&txn, |e| e.0).expect("own op");
             ops.iter().any(|(peer, peer_prio, pvc)| {
                 examined += u64::from(*peer != txn);
-                cx.st.ever_held(peer)
-                    && peer_prio.older_than(&my_prio)
-                    && pvc.concurrent_with(&ops[mine].2)
+                peer_prio.older_than(&my_prio) && pvc.concurrent_with(&ops[mine].2)
             })
         });
         cx.st
@@ -655,6 +669,7 @@ impl Variation for CausalProto {
             return;
         };
         self.cb.resume_from(donor_clock);
+        self.processed.copy_from(self.cb.clock());
         self.last_bcast_vc = self.cb.clock().clone();
         self.info.clear();
         self.key_ops.clear();
@@ -664,7 +679,7 @@ impl Variation for CausalProto {
         self.last_from.fill(VectorClock::new(n));
         #[cfg(debug_assertions)]
         self.history.clear();
-        self.ack_waiting.clear();
+        self.ack_waiting.iter_mut().for_each(VecDeque::clear);
         self.max_cr_seq = VectorClock::new(n);
     }
 }
@@ -677,7 +692,6 @@ impl CausalProto {
         let my_prio = st.remote[&txn].prio;
         self.history.iter().any(|(peer, (peer_prio, peer_ops))| {
             *peer != txn
-                && st.ever_held(peer)
                 && peer_prio.older_than(&my_prio)
                 && self.history[&txn].1.iter().any(|(key, my_vc)| {
                     peer_ops
@@ -873,6 +887,68 @@ pub(crate) mod tests {
         proto.on_msg(discarding(st, &mut Effects::new()), SiteId(0), null);
         assert_eq!(st.decided.get(&younger), Some(false));
         assert_eq!(st.store.value(&"x".into()), 0);
+    }
+
+    /// One wire unblocks two commit requests at a site. A NACK the site
+    /// sends while handling the first must not claim the second: that one's
+    /// reader gate has not run here yet, and other sites read any clock
+    /// covering a commit request as this site's implicit YES to it.
+    #[test]
+    fn a_broadcast_claims_only_the_deliveries_already_handled() {
+        let mut rig = rig(3);
+        // A read-only reader of x at site 2, paused between its two reads:
+        // it vetoes any writer of x whose commit request arrives meanwhile.
+        rig.states[2].think = bcastdb_sim::SimDuration::from_millis(1);
+        rig.submit(2, 1, TxnSpec::new().read("x").read("w"));
+        let mut inbox = Vec::new();
+        let mut deliver_or_hold = |rig: &mut Rig| {
+            for (from, to, msg) in std::mem::take(&mut rig.wires) {
+                match to {
+                    SiteId(1) => rig.step(1, 2, |p, step| p.on_msg(step, from, msg)),
+                    SiteId(2) => inbox.push((from, msg)),
+                    _ => {}
+                }
+            }
+        };
+        // Site 0's writer of x reaches site 1, whose writer of y then goes
+        // out causally after it; site 2 has heard nothing yet.
+        let vetoed = rig.submit(0, 10, TxnSpec::new().write("x", 1));
+        deliver_or_hold(&mut rig);
+        rig.submit(1, 20, TxnSpec::new().write("y", 2));
+        deliver_or_hold(&mut rig);
+        let seq = |msg: &ReplicaMsg| match msg {
+            ReplicaMsg::C(wire) => wire.id.seq,
+            _ => unreachable!("causal traffic only"),
+        };
+        assert_eq!(
+            inbox.iter().map(|(_, m)| seq(m)).collect::<Vec<_>>(),
+            [1, 2, 1, 2]
+        );
+        // x's write, then y's write and commit request (held back: they
+        // follow x's commit request), then x's commit request, which
+        // releases all three in one batch.
+        for i in [0, 2, 3, 1] {
+            let (from, msg) = inbox[i].clone();
+            rig.step(2, 3, |p, step| p.on_msg(step, from, msg));
+        }
+        let nack = rig.sent.iter().find_map(|msg| match msg {
+            ReplicaMsg::C(wire) if matches!(*wire.payload, Payload::Nack { .. }) => Some(wire),
+            _ => None,
+        });
+        let nack = nack.expect("the reader vetoes x's writer");
+        assert_eq!(
+            *nack.payload,
+            Payload::Nack {
+                txn: vetoed,
+                site: SiteId(2)
+            }
+        );
+        assert_eq!(
+            nack.vc.get(SiteId(0)),
+            2,
+            "proves delivery of what it rejects"
+        );
+        assert_eq!(nack.vc.get(SiteId(1)), 0, "claims nothing of y's writer");
     }
 
     #[test]

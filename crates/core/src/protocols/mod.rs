@@ -209,7 +209,8 @@ impl Quorum {
     /// THE decision rule over acknowledgements, shared by every protocol
     /// that collects them (explicit votes or implicit acks alike).
     ///
-    /// A rejection always wins; otherwise the full view's positive
+    /// `yes(s)` says whether member `s` acknowledged positively. A
+    /// rejection always wins; otherwise the full view's positive
     /// acknowledgements commit. With fast commit enabled, a transaction
     /// whose only missing members are *suspected* is decided speculatively
     /// from the surviving quorum — the decision a view change would reach
@@ -219,10 +220,10 @@ impl Quorum {
     /// one that lands after is ignored (the decision is final). With an
     /// empty suspicion set the fast path coincides with the full-view test
     /// and so never fires.
-    pub fn verdict(&self, any_no: bool, own_yes: bool, yes: &BTreeSet<SiteId>) -> Verdict {
+    pub fn verdict(&self, any_no: bool, own_yes: bool, yes: impl Fn(SiteId) -> bool) -> Verdict {
         if any_no {
             Verdict::Abort
-        } else if self.view.iter().all(|s| yes.contains(s)) {
+        } else if self.view.iter().all(|&s| yes(s)) {
             Verdict::Commit
         } else if self.fast_commit
             // Our own positive acknowledgement is in: the local write set
@@ -232,10 +233,10 @@ impl Quorum {
             && self
                 .view
                 .iter()
-                .all(|s| yes.contains(s) || self.suspected.contains(s))
+                .all(|&s| yes(s) || self.suspected.contains(&s))
             // …and the survivors are a strict majority of the view, so no
             // other view can decide differently.
-            && 2 * self.view.iter().filter(|s| yes.contains(s)).count() > self.view.len()
+            && 2 * self.view.iter().filter(|&&s| yes(s)).count() > self.view.len()
         {
             Verdict::FastCommit
         } else {
@@ -952,6 +953,13 @@ pub(crate) mod tests {
         ids.iter().copied().map(SiteId).collect()
     }
 
+    impl Quorum {
+        /// The verdict on positive acknowledgements from the sites `yes`.
+        fn on(&self, any_no: bool, own_yes: bool, yes: &[usize]) -> Verdict {
+            self.verdict(any_no, own_yes, |s| yes.contains(&s.0))
+        }
+    }
+
     /// A five-site view with fast commit on, suspecting `suspected`.
     fn quorum(suspected: &[usize]) -> Quorum {
         Quorum {
@@ -962,49 +970,49 @@ pub(crate) mod tests {
 
     #[test]
     fn a_no_beats_a_complete_yes_set_and_a_fast_path() {
-        let everyone = sites(&[0, 1, 2, 3, 4]);
-        assert_eq!(quorum(&[]).verdict(false, true, &everyone), Verdict::Commit);
-        assert_eq!(quorum(&[]).verdict(true, true, &everyone), Verdict::Abort);
-        let survivors = sites(&[0, 1, 2]);
+        let everyone = &[0, 1, 2, 3, 4];
+        assert_eq!(quorum(&[]).on(false, true, everyone), Verdict::Commit);
+        assert_eq!(quorum(&[]).on(true, true, everyone), Verdict::Abort);
+        let survivors = &[0, 1, 2];
         let q = quorum(&[3, 4]);
-        assert_eq!(q.verdict(false, true, &survivors), Verdict::FastCommit);
-        assert_eq!(q.verdict(true, true, &survivors), Verdict::Abort);
+        assert_eq!(q.on(false, true, survivors), Verdict::FastCommit);
+        assert_eq!(q.on(true, true, survivors), Verdict::Abort);
     }
 
     #[test]
     fn fast_path_needs_own_yes_a_strict_majority_and_every_missing_voter_suspected() {
         let q = quorum(&[3, 4]);
-        let survivors = sites(&[0, 1, 2]);
-        assert_eq!(q.verdict(false, true, &survivors), Verdict::FastCommit);
+        let survivors = &[0, 1, 2];
+        assert_eq!(q.on(false, true, survivors), Verdict::FastCommit);
         // Our own acknowledgement is not in yet.
-        assert_eq!(q.verdict(false, false, &survivors), Verdict::Wait);
+        assert_eq!(q.on(false, false, survivors), Verdict::Wait);
         // Site 2 is missing and nobody suspects it.
-        assert_eq!(q.verdict(false, true, &sites(&[0, 1])), Verdict::Wait);
+        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
         // Every missing voter is suspected, but 2 of 5 is no majority.
         let q = quorum(&[2, 3, 4]);
-        assert_eq!(q.verdict(false, true, &sites(&[0, 1])), Verdict::Wait);
+        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
         // Half is not a strict majority either.
         let q = Quorum {
             suspected: sites(&[2, 3]),
             ..Quorum::full(4, true)
         };
-        assert_eq!(q.verdict(false, true, &sites(&[0, 1])), Verdict::Wait);
+        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
         // And the whole rule is off unless the cluster enables it.
         let q = Quorum {
             suspected: sites(&[3, 4]),
             ..Quorum::full(5, false)
         };
-        assert_eq!(q.verdict(false, true, &survivors), Verdict::Wait);
+        assert_eq!(q.on(false, true, survivors), Verdict::Wait);
     }
 
     #[test]
     fn fast_path_never_fires_with_an_empty_suspicion_set() {
         let q = quorum(&[]);
         for yes in [&[][..], &[0], &[0, 1, 2], &[0, 1, 2, 3]] {
-            assert_eq!(q.verdict(false, true, &sites(yes)), Verdict::Wait);
+            assert_eq!(q.on(false, true, yes), Verdict::Wait);
         }
         assert_eq!(
-            q.verdict(false, true, &sites(&[0, 1, 2, 3, 4])),
+            q.on(false, true, &[0, 1, 2, 3, 4]),
             Verdict::Commit,
             "the full view decides on the regular path"
         );

@@ -232,10 +232,9 @@ impl Variation for ReliableProto {
             return;
         };
         let own_yes = entry.my_vote == Some(true);
-        match cx
-            .quorum
-            .verdict(!entry.votes_no.is_empty(), own_yes, &entry.votes_yes)
-        {
+        match cx.quorum.verdict(!entry.votes_no.is_empty(), own_yes, |s| {
+            entry.votes_yes.contains(&s)
+        }) {
             Verdict::Wait => {}
             Verdict::Abort => {
                 let reason = entry.doomed.unwrap_or(AbortReason::NegativeVote);

@@ -179,11 +179,7 @@ impl std::ops::Index<&TxnId> for LiveTxns {
 enum Fate {
     Pending,
     Committed,
-    /// Aborted while this site held a [`RemoteTxn`] for it.
     Aborted,
-    /// Aborted before this site ever held a [`RemoteTxn`] for it (an
-    /// origin-side abort, or a verdict that outran the write set).
-    AbortedUnheld,
 }
 
 /// Outcome of every transaction terminated at a site: a dense table with
@@ -247,20 +243,11 @@ impl Outcomes {
     /// donor's verdicts, plus the verdicts this site reached on its *own*
     /// transactions that the donor never heard of (a transaction aborted
     /// at its origin before anything was broadcast exists nowhere else).
-    /// Nothing in it counts as held here: the recovering site's live
-    /// state is dropped along with its `RemoteTxn`s.
     fn rebased_on(&self, donor: &Outcomes, me: SiteId) -> Outcomes {
         let mut out = donor.clone();
-        let unheld = |f: &Fate| match f {
-            Fate::Aborted => Fate::AbortedUnheld,
-            other => *other,
-        };
-        for row in &mut out.by_origin {
-            row.iter_mut().for_each(|f| *f = unheld(f));
-        }
         for (num, f) in self.by_origin.get(me.0).into_iter().flatten().enumerate() {
             if *f != Fate::Pending {
-                out.record(TxnId::new(me, num as u64), unheld(f));
+                out.record(TxnId::new(me, num as u64), *f);
             }
         }
         out
@@ -467,23 +454,14 @@ impl SiteState {
         self.local.len()
     }
 
-    /// Whether this site ever held a [`RemoteTxn`] for `id` — holds one
-    /// now, or did when `id` was decided. (The causal protocol's decision
-    /// rule counts a decided peer only if its write set reached this site
-    /// while it was still undecided.)
-    pub fn ever_held(&self, id: &TxnId) -> bool {
-        matches!(self.decided.fate(id), Fate::Committed | Fate::Aborted)
-            || self.remote.contains_key(id)
-    }
-
     /// Records a transaction's outcome and retires its [`RemoteTxn`],
     /// which is handed back. Every `decided` insertion goes through here.
     fn mark_decided(&mut self, id: TxnId, committed: bool) -> Option<RemoteTxn> {
         let entry = self.remote.slot(&id).ok().map(|i| self.remote.0.remove(i));
-        let fate = match (committed, &entry) {
-            (true, _) => Fate::Committed,
-            (false, Some(_)) => Fate::Aborted,
-            (false, None) => Fate::AbortedUnheld,
+        let fate = if committed {
+            Fate::Committed
+        } else {
+            Fate::Aborted
         };
         self.decided.record(id, fate);
         entry

@@ -267,26 +267,18 @@ fn causal_origin_vetoes_precede_commit_request() {
     c.check_serializability().expect("serializable");
 }
 
-/// KNOWN GAP, pinned and not fixed (benchmark/README.md "P-CB on skewed
-/// keys diverges", ROADMAP item 4): on a hot key two conflicting P-CB
-/// transactions both commit and the replicas install them in different
-/// orders. The benchmark's own driver hits it on its seeds 108 and 109;
-/// it draws its streams differently from `closed_loop`, through which
-/// seeds 118 and 138 are the first two of 100..200 that reproduce (151,
-/// 158 and 176 are the others; none does on uniform keys). Run with
-/// `cargo test --release --test regression -- --ignored pcb_skewed`.
-#[test]
-#[ignore = "known gap: P-CB DivergentInstallOrder on skewed keys"]
-fn pcb_skewed_keys_install_order_diverges() {
+/// Seeds of `seeds` whose closed-loop P-CB run on skewed keys (`theta`)
+/// is not one-copy serializable.
+fn pcb_skewed_keys_violations(theta: f64, seeds: impl IntoIterator<Item = u64>) -> Vec<u64> {
     let cfg = WorkloadConfig {
         n_keys: 500,
-        theta: 0.8,
+        theta,
         reads_per_txn: 2,
         writes_per_txn: 2,
         reads_per_ro_txn: 4,
         readonly_fraction: 0.2,
     };
-    let diverged = [118, 138].into_iter().filter(|&seed| {
+    let violations = seeds.into_iter().filter(|&seed| {
         let mut c = Cluster::builder()
             .sites(5)
             .protocol(ProtocolKind::CausalBcast)
@@ -297,5 +289,33 @@ fn pcb_skewed_keys_install_order_diverges() {
         assert!(report.quiesced && report.all_terminated(), "seed {seed}");
         c.check_serializability().is_err()
     });
-    assert_eq!(diverged.collect::<Vec<u64>>(), [] as [u64; 0]);
+    violations.collect()
+}
+
+/// On a hot key two conflicting P-CB transactions once both committed and
+/// the replicas installed them in different orders. Two faults, two seeds
+/// each:
+/// - 118 and 138: one wire unblocked two commit requests at a site, and a
+///   NACK sent while handling the first was stamped with the engine's
+///   clock, which already covered the second. Another site took that for
+///   an implicit YES to the second, whose reader gate had not run yet and
+///   then vetoed it;
+/// - 158 and 370: the commit evaluation counted an older concurrent rival
+///   only if this site had held it undecided, which depends on delivery
+///   interleaving, so one site committed what the others aborted.
+#[test]
+fn pcb_skewed_keys_install_in_one_order() {
+    assert_eq!(
+        pcb_skewed_keys_violations(0.8, [118, 138, 158, 370]),
+        Vec::<u64>::new()
+    );
+}
+
+/// The sweep those seeds came from, at two skews. About ten seconds in a
+/// release build: `cargo test --release --test regression -- --ignored`.
+#[test]
+#[ignore = "a release-build sweep"]
+fn pcb_skewed_keys_sweep_is_serializable() {
+    assert_eq!(pcb_skewed_keys_violations(0.8, 100..200), Vec::<u64>::new());
+    assert_eq!(pcb_skewed_keys_violations(0.99, 0..50), Vec::<u64>::new());
 }

@@ -43,8 +43,12 @@ BENCH_CEILING = 4960
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
 # what it deleted (`PendingCert`, placement's own FNV-1a, the lock
-# holders' copy).
-CRATES_CEILING = 20404
+# holders' copy). Raised by exactly its growth, 20402 -> 20408, when P-CB
+# started stamping broadcasts with what it had processed and crediting
+# implicit acks by watermark (DESIGN.md section 7, items 4 and 12):
+# `CausalBcast::broadcast_after` and the per-origin ack queues, less the
+# ack sets, the B-tree walk, `ever_held` and `Fate::AbortedUnheld`.
+CRATES_CEILING = 20410
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
