@@ -25,6 +25,7 @@
 use bcastdb_bench::{check_traced_run, TRACE_CAPACITY};
 use bcastdb_broadcast::VectorClock;
 use bcastdb_core::{AbcastImpl, Cluster, ClusterBuilder, ProtocolKind};
+use bcastdb_db::{Key, LockManager, LockMode, RequestOutcome, TxnId};
 use bcastdb_sim::{DetRng, SimDuration, SimTime, SiteId};
 use bcastdb_workload::WorkloadConfig;
 
@@ -120,23 +121,35 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
     (phases, cluster.events_processed())
 }
 
-/// A failure-free transactional workload, submitted and not yet run.
-fn steady_cluster(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> Cluster {
-    let mut cluster = builder.sites(sites).seed(seed).build();
-    let cfg = WorkloadConfig {
+/// 300 keys at θ 0.5, one read and two writes per transaction.
+fn light_keys() -> WorkloadConfig {
+    WorkloadConfig {
         n_keys: 300,
         theta: 0.5,
         reads_per_txn: 1,
         writes_per_txn: 2,
         ..WorkloadConfig::default()
-    };
+    }
+}
+
+/// A failure-free transactional workload over `cfg`, one transaction per
+/// site every `gap`, submitted and not yet run.
+fn steady_cluster(
+    sites: usize,
+    per_site: usize,
+    seed: u64,
+    builder: ClusterBuilder,
+    cfg: WorkloadConfig,
+    gap: SimDuration,
+) -> Cluster {
+    let mut cluster = builder.sites(sites).seed(seed).build();
     let zipf = cfg.sampler();
     let mut rng = DetRng::new(seed * 10);
     for site in 0..sites {
         let mut at = SimTime::from_micros(1_000);
         let mut site_rng = rng.fork(site as u64);
         for _ in 0..per_site {
-            at += SimDuration::from_millis(10);
+            at += gap;
             cluster.submit_at(at, SiteId(site), cfg.gen_txn(&zipf, &mut site_rng));
         }
     }
@@ -146,9 +159,16 @@ fn steady_cluster(sites: usize, per_site: usize, seed: u64, builder: ClusterBuil
 /// Runs [`steady_cluster`] to quiescence and returns the simulation
 /// phase's allocation delta plus the event count. Workload generation and
 /// cluster build are excluded — only the event loop (engine dispatch, the
-/// protocol's work queue, the broadcast layer) is measured.
-fn steady_run(sites: usize, per_site: usize, seed: u64, builder: ClusterBuilder) -> (u64, u64) {
-    let mut cluster = steady_cluster(sites, per_site, seed, builder);
+/// protocol's work queue, the broadcast layer, the lock table) is measured.
+fn steady_run(
+    sites: usize,
+    per_site: usize,
+    seed: u64,
+    builder: ClusterBuilder,
+    cfg: WorkloadConfig,
+    gap: SimDuration,
+) -> (u64, u64) {
+    let mut cluster = steady_cluster(sites, per_site, seed, builder, cfg, gap);
     let before = allocs();
     cluster.run_to_quiescence();
     let sim_allocs = allocs() - before;
@@ -231,7 +251,8 @@ fn allocs_per_event_stays_bounded() {
     let ring = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring);
-    let (ring_allocs, ring_events) = steady_run(16, 8, 91, ring);
+    let gap = SimDuration::from_millis(10);
+    let (ring_allocs, ring_events) = steady_run(16, 8, 91, ring, light_keys(), gap);
     let ring_per_event = ring_allocs as f64 / ring_events as f64;
     eprintln!(
         "ring backend (16 sites): {ring_allocs} allocs / {ring_events} events \
@@ -247,15 +268,17 @@ fn allocs_per_event_stays_bounded() {
     // Baseline and P-CB ratchets: every entry point of every protocol runs
     // through the driver's one recycled work queue (the baseline used to
     // build a fresh queue per delivered message — that drift is what these
-    // rows catch: it ran at 2.71 here). Measured at 1.84 and 3.68
+    // rows catch: it ran at 2.71 here). Measured at 1.84 and 3.47
     // allocs/event on this 5-site run in a debug build, where P-CB also
     // feeds its full-scan oracle (P-CB was 5.72 before a wire's clock was
-    // shared by every destination); the ceilings leave ~25% headroom.
+    // shared by every destination); the ceilings leave ~25% headroom. The
+    // per-transaction lock index took them to 1.55 and 2.87.
     for (protocol, ceiling) in [
         (ProtocolKind::PointToPoint, 2.3),
         (ProtocolKind::CausalBcast, 4.6),
     ] {
-        let (allocs, events) = steady_run(N, 10, 53, Cluster::builder().protocol(protocol));
+        let builder = Cluster::builder().protocol(protocol);
+        let (allocs, events) = steady_run(N, 10, 53, builder, light_keys(), gap);
         let per_event = allocs as f64 / events as f64;
         eprintln!(
             "{protocol} (5 sites): {allocs} allocs / {events} events = {per_event:.3} allocs/event"
@@ -267,6 +290,69 @@ fn allocs_per_event_stays_bounded() {
              hot path; see PERFORMANCE.md"
         );
     }
+
+    // P-RB under contention: the repo benchmark's `contended` shape (50 hot
+    // keys at θ 0.9, one read and two writes, 10% read-only) at one
+    // transaction per site per millisecond. Every blocked request asks the
+    // lock table whether it closed a waits-for cycle; the table answers
+    // from the new waiter's own locks and rebuilds the whole graph only
+    // when a cycle may already exist, and a release walks the transaction's
+    // own keys, in an index whose storage is reused. Measured at 1.51
+    // allocs/event in a debug build (3.98 before, when every blocked
+    // request rebuilt the graph and every release swept the table); the
+    // ceiling leaves ~25% headroom. A per-transaction allocation in the lock
+    // table is too small to trip it here; the lock-manager row below
+    // catches one exactly.
+    let hot = WorkloadConfig {
+        n_keys: 50,
+        theta: 0.9,
+        reads_per_txn: 1,
+        writes_per_txn: 2,
+        reads_per_ro_txn: 4,
+        readonly_fraction: 0.1,
+    };
+    let rb = Cluster::builder().protocol(ProtocolKind::ReliableBcast);
+    let (hot_allocs, hot_events) = steady_run(N, 60, 29, rb, hot, SimDuration::from_millis(1));
+    let per_event = hot_allocs as f64 / hot_events as f64;
+    eprintln!(
+        "reliable, 50 hot keys (5 sites): {hot_allocs} allocs / {hot_events} events \
+         = {per_event:.3} allocs/event"
+    );
+    assert!(
+        per_event < 1.9,
+        "P-RB under contention now allocates {per_event:.3} times per event (ceiling \
+         1.9) — a per-blocked-request graph rebuild crept back into the lock \
+         table; see PERFORMANCE.md"
+    );
+
+    // Lock-manager ratchet: once warm, a cycle of request, conflicting
+    // request + enqueue + deadlock check, and release over the same keys
+    // allocates nothing — blockers and grants are inline, and the index
+    // and the table entries keep their storage.
+    let keys: Vec<Key> = (0..4).map(|i| Key::new(format!("audit{i}"))).collect();
+    let mut lm = LockManager::new();
+    let lock_round = |lm: &mut LockManager, round: u64| {
+        let (a, b) = (TxnId::new(SiteId(0), round), TxnId::new(SiteId(1), round));
+        for key in &keys {
+            assert_eq!(
+                lm.request(a, key, LockMode::Exclusive),
+                RequestOutcome::Granted
+            );
+            assert!(lm.request(b, key, LockMode::Shared) != RequestOutcome::Granted);
+            lm.enqueue(b, key, LockMode::Shared, u64::MAX);
+            assert_eq!(lm.check_deadlock(), None);
+        }
+        assert_eq!(lm.release_all(a).len(), keys.len());
+        assert!(lm.release_all(b).is_empty());
+    };
+    lock_round(&mut lm, 0);
+    let before = allocs();
+    for round in 1..1_000 {
+        lock_round(&mut lm, round);
+    }
+    let lock_allocs = allocs() - before;
+    eprintln!("lock manager: {lock_allocs} allocs in 999 warm request/enqueue/release rounds");
+    assert_eq!(lock_allocs, 0, "a warm lock-table round allocates again");
 
     // Clock ratchets, at the narrow and the wide ring's width: an owner's
     // working clock is overwritten and merged in place (the causal
@@ -309,7 +395,7 @@ fn allocs_per_event_stays_bounded() {
     // the same history allocates exactly what the first did — which is
     // what lets `allocs_per_txn` in the repo benchmark repeat exactly.
     let rb = Cluster::builder().protocol(ProtocolKind::ReliableBcast);
-    let mut cluster = steady_cluster(N, 400, 71, rb);
+    let mut cluster = steady_cluster(N, 400, 71, rb, light_keys(), gap);
     cluster.run_to_quiescence();
     let commits = cluster.metrics().commits();
     let checks: Vec<u64> = (0..2)

@@ -12,7 +12,7 @@
 use crate::metrics::{AbortReason, Metrics};
 use crate::payload::TxnPriority;
 use crate::placement::Placement;
-use bcastdb_db::lock::{GrantedFromQueue, LockMode, RequestOutcome};
+use bcastdb_db::lock::{Grants, LockMode, RequestOutcome};
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, LockManager, RedoLog, Store, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
@@ -836,8 +836,10 @@ impl SiteState {
     /// unprepared broadcast transaction in it. Prepared (voted) holders and
     /// readers are never victims: prepared transactions terminate on their
     /// own, and the paper guarantees read-only transactions never abort.
+    /// Runs after every enqueue, which is what lets the lock table start
+    /// from the new waiter (`LockManager::check_deadlock`).
     fn resolve_deadlock(&mut self, events: &mut EventBuf) {
-        let Some(cycle) = self.locks.find_deadlock() else {
+        let Some(cycle) = self.locks.check_deadlock() else {
             return;
         };
         let mut candidates: Vec<TxnId> = cycle
@@ -871,22 +873,18 @@ impl SiteState {
         // protecting its own reads at its origin: an older writer queued
         // behind one of those is just as stuck as one behind an exclusive
         // lock.
-        let keys: Vec<Key> = self
-            .locks
-            .locks_of(id)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        for k in keys {
-            for (w, mode) in self.locks.queued(&k) {
+        for (k, _) in self.locks.locks_of(id) {
+            for (w, mode) in self.locks.queued(k) {
                 if mode != LockMode::Exclusive || w == id {
                     continue;
                 }
-                let doomable = self.remote.get(&w).is_some_and(|we| {
+                // `doom_remote`, inline: the lock table stays borrowed.
+                let doomable = |we: &&mut RemoteTxn| {
                     we.prio.older_than(&hp) && we.doomed.is_none() && we.my_vote.is_none()
-                });
-                if doomable {
-                    self.doom_remote(w, AbortReason::Wounded, events);
+                };
+                if let Some(we) = self.remote.get_mut(&w).filter(doomable) {
+                    we.doomed = Some(AbortReason::Wounded);
+                    events.push(LocalEvent::RemoteDoomed(w, AbortReason::Wounded));
                 }
             }
         }
@@ -1028,12 +1026,7 @@ impl SiteState {
 
     /// Routes queue grants produced by a lock release: read grants resume
     /// local read phases, write grants advance remote transactions.
-    pub fn process_grants(
-        &mut self,
-        granted: Vec<GrantedFromQueue>,
-        now: SimTime,
-        events: &mut EventBuf,
-    ) {
+    pub fn process_grants(&mut self, granted: Grants, now: SimTime, events: &mut EventBuf) {
         for g in granted {
             match g.mode {
                 LockMode::Shared => {
@@ -1354,7 +1347,7 @@ mod tests {
         st.apply_commit(t, SimTime::from_micros(10), &mut events);
         assert_eq!(st.store.value(&Key::new("x")), 7);
         assert_eq!(st.decided.get(&t), Some(true));
-        assert_eq!(st.locks.locks_of(t), vec![]);
+        assert_eq!(st.locks.locks_of(t).count(), 0);
         assert_eq!(st.log.committed(), vec![t]);
     }
 
@@ -1392,7 +1385,7 @@ mod tests {
         st.deliver_write_op(t, prio(1, 1, 1), wop("y", 1), 1, SimTime::ZERO, &mut events);
         assert!(events.is_empty());
         assert!(
-            st.locks.locks_of(t).is_empty(),
+            st.locks.locks_of(t).next().is_none(),
             "no lock acquired post-abort"
         );
     }

@@ -17,8 +17,8 @@
 //!   records its writer, giving the reads-from relation for free);
 //! - [`lock`] — a strict-2PL lock manager with shared/exclusive modes,
 //!   upgrade, FIFO wait queues, and a waits-for-graph deadlock detector
-//!   (used by the point-to-point baseline; the broadcast protocols prevent
-//!   deadlock by construction);
+//!   (used by the reliable-broadcast protocol for reader/writer cycles; the
+//!   baseline times out, the other protocols prevent deadlock);
 //! - [`log`] — a redo log with crash-recovery replay;
 //! - [`graph`] — a dense directed graph with cycle detection, under both the
 //!   serialization-graph test and the deadlock detector;
