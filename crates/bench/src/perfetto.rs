@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn metrics_samples_become_counter_tracks() {
         let mut sample = Sample::new(t(1000));
-        sample.set("queue_depth", 7);
+        sample.values.insert("queue_depth".into(), 7);
         sample.hists.insert("lat".into(), vec![(3, 2), (4, 1)]);
         let doc = export_chrome_trace(&committed_txn_events(), &[sample]);
         assert!(doc.contains("\"name\":\"metrics\""));

@@ -121,8 +121,8 @@ fn metrics_jsonl_is_identical_serial_and_parallel() {
 }
 
 /// Dropping a cluster without calling `finish_trace_jsonl` must still
-/// leave a complete, well-formed trace file behind: the `BufWriter`
-/// wrapping the JSONL sink flushes on drop.
+/// leave a complete, well-formed trace file behind: the JSONL sink writes
+/// its pending block on drop.
 #[test]
 fn trace_jsonl_flushes_on_drop() {
     let path =
@@ -138,7 +138,7 @@ fn trace_jsonl_flushes_on_drop() {
             .build();
         cluster.submit(SiteId(0), TxnSpec::new().write("x", 1));
         cluster.run_to_quiescence();
-        // No finish_trace_jsonl: the cluster (and its BufWriter) drops here.
+        // No finish_trace_jsonl: the cluster (and its sink) drops here.
     }
     let text = std::fs::read_to_string(&path).expect("trace file exists after drop");
     let _ = std::fs::remove_file(&path);

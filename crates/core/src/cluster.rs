@@ -348,17 +348,19 @@ struct ClusterSink {
     ring: RingSink,
     inv: TraceInvariants,
     spans: SpanBuilder,
-    jsonl: Option<JsonlSink<BufWriter<File>>>,
+    jsonl: Option<JsonlSink<File>>,
 }
 
 impl TraceSink for ClusterSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.ring.record(ev);
-        self.inv.ingest(ev);
-        self.spans.ingest(ev);
+    /// Shows the event to the checker, the `SpanBuilder` and the JSONL
+    /// stream, then moves it into the ring.
+    fn record(&mut self, ev: TraceEvent) {
+        self.inv.ingest(&ev);
+        self.spans.ingest(&ev);
         if let Some(jsonl) = &mut self.jsonl {
-            jsonl.record(ev);
+            jsonl.ingest(&ev);
         }
+        self.ring.record(ev);
     }
 }
 
@@ -406,7 +408,7 @@ impl Cluster {
             let jsonl = cfg.trace_jsonl.as_ref().map(|path| {
                 let file = File::create(path)
                     .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                JsonlSink::new(BufWriter::new(file))
+                JsonlSink::new(file)
             });
             let sink = Rc::new(RefCell::new(ClusterSink {
                 ring: RingSink::new(cfg.trace_capacity.unwrap_or(0)),
@@ -527,7 +529,7 @@ impl Cluster {
         if let Some(sink) = &self.trace {
             // Recorded so the invariant checker knows lost transactions are
             // expected (a crash relaxes the must-terminate invariant).
-            sink.borrow_mut().record(&TraceEvent::Crash {
+            sink.borrow_mut().record(TraceEvent::Crash {
                 at: self.sim.now(),
                 site,
             });
@@ -700,8 +702,7 @@ impl Cluster {
             events: lines,
             ring_evicted: evicted,
         };
-        writeln!(out, "{trailer}")?;
-        out.flush()?;
+        out.write_all(format!("{trailer}\n").as_bytes())?;
         Ok(lines)
     }
 
@@ -1180,6 +1181,27 @@ mod tests {
             "an explicit backend overrides the size default"
         );
         assert!(run(3, Some(AbcastImpl::Ring)));
+    }
+
+    /// A trace file the device refuses (`/dev/full`, where there is one):
+    /// `finish_trace_jsonl` returns the error, not a line count, and so
+    /// writes no trailer.
+    #[test]
+    fn finish_trace_jsonl_reports_a_refused_write() {
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let mut c = Cluster::builder()
+            .sites(3)
+            .trace_jsonl(full)
+            .seed(5)
+            .build();
+        c.submit(SiteId(0), write_txn("x", 1));
+        c.run_to_quiescence();
+        let err = c.finish_trace_jsonl().expect_err("/dev/full takes nothing");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert_eq!(c.finish_trace_jsonl().unwrap(), 0, "the stream is closed");
     }
 
     #[test]

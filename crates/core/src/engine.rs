@@ -12,7 +12,7 @@ use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
 use bcastdb_broadcast::msg::dest_iter;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::telemetry::{Phase, TraceEvent};
-use bcastdb_sim::{Ctx, Node, Sample, SendOutcome, SimDuration, SimTime, SiteId};
+use bcastdb_sim::{Ctx, Node, SampleWriter, SendOutcome, SimDuration, SimTime, SiteId};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -149,17 +149,12 @@ impl ReplicaNode {
         for (dest, msg) in fx.sends.drain(..) {
             let kind = msg.kind();
             let phase = msg.phase();
+            let mut sent = 0;
             for to in dest_iter(dest, me, ctx.n_sites()) {
                 if to == me {
                     continue; // self-deliveries are handled internally
                 }
-                // Kind and phase counters move together at this single call
-                // site, so the per-phase totals sum to the flat counts by
-                // construction. This is the *logical* accounting: with
-                // batching on, the message is recorded here (when enqueued)
-                // and the wire transmission is recorded at batch flush, so
-                // the logical counts are identical with batching on or off.
-                self.st.metrics.record_send(kind, phase);
+                sent += 1;
                 self.st.tracer.emit(|| TraceEvent::Send {
                     at: now,
                     from: me,
@@ -178,6 +173,15 @@ impl ReplicaNode {
                         self.trace_send_outcome(outcome, now, me, to, [phase]);
                     }
                 }
+            }
+            // Kind and phase counters move together at this single call
+            // site, so the per-phase totals sum to the flat counts by
+            // construction. This is the *logical* accounting: with batching
+            // on, the message is recorded here (when enqueued) and the wire
+            // transmission is recorded at batch flush, so the logical counts
+            // are identical with batching on or off.
+            if sent > 0 {
+                self.st.metrics.record_send(kind, phase, sent);
             }
         }
         self.arm_flush(ctx);
@@ -466,7 +470,7 @@ impl Node for ReplicaNode {
     /// Contributes this replica's gauges to a metrics sample, under the
     /// canonical `s<site>.` prefix. Read-only by contract — the sampler
     /// must never change protocol behavior.
-    fn sample_stats(&self, sample: &mut Sample) {
+    fn sample_stats(&self, sample: &mut SampleWriter) {
         let me = self.st.me;
         sample.set_site(me, "lock_waiters", self.st.locks.waiting_count() as u64);
         sample.set_site(me, "lock_keys", self.st.locks.active_keys() as u64);

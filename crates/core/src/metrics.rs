@@ -101,13 +101,14 @@ impl Metrics {
         self.counters.incr(reason.counter());
     }
 
-    /// Records one outgoing point-to-point message under both its
-    /// fine-grained kind (`msg_*`) and its protocol [`Phase`]
-    /// (`phase_*`). Incrementing both at the same call site is what
-    /// guarantees the per-phase totals sum to the flat per-kind totals.
-    pub fn record_send(&mut self, kind: &'static str, phase: Phase) {
-        self.counters.incr(kind);
-        self.counters.incr(phase.counter());
+    /// Records one outgoing message, sent point to point to `n`
+    /// destinations, under both its fine-grained kind (`msg_*`) and its
+    /// protocol [`Phase`] (`phase_*`). Counting both at the same call site
+    /// is what guarantees the per-phase totals sum to the flat per-kind
+    /// totals.
+    pub fn record_send(&mut self, kind: &'static str, phase: Phase, n: u64) {
+        self.counters.add(kind, n);
+        self.counters.add(phase.counter(), n);
     }
 
     /// Records one wire-level batch transmission carrying `msgs` coalesced
@@ -243,10 +244,9 @@ mod tests {
     #[test]
     fn phase_totals_match_kind_totals() {
         let mut m = Metrics::new();
-        m.record_send("msg_write", Phase::Prepare);
-        m.record_send("msg_write", Phase::Prepare);
-        m.record_send("msg_vote", Phase::Vote);
-        m.record_send("msg_null", Phase::Ack);
+        m.record_send("msg_write", Phase::Prepare, 2);
+        m.record_send("msg_vote", Phase::Vote, 1);
+        m.record_send("msg_null", Phase::Ack, 1);
         let pc = m.phase_counts();
         assert_eq!(pc.prepare, 2);
         assert_eq!(pc.vote, 1);

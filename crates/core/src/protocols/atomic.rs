@@ -34,7 +34,7 @@ use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_broadcast::VectorClock;
 use bcastdb_db::{KeyMap, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
-use bcastdb_sim::{Sample, SiteId};
+use bcastdb_sim::{SampleWriter, SiteId};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -351,7 +351,7 @@ impl Variation for AtomicProto {
 
     /// Each backend reports its own gauges: the ring its pipeline and
     /// repair log, the other two their duplicate trackers.
-    fn sample_stats(&self, me: SiteId, sample: &mut Sample) {
+    fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter) {
         match &self.ab {
             Abcast::Seq(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),
             Abcast::Isis(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),

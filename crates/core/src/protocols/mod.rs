@@ -26,7 +26,7 @@ use crate::state::{EventBuf, LocalEvent, LocalPhase, SiteState};
 use bcastdb_broadcast::msg::{Dest, Outbound};
 use bcastdb_db::lock::LockMode;
 use bcastdb_db::TxnId;
-use bcastdb_sim::{Sample, SimTime, SiteId};
+use bcastdb_sim::{SampleWriter, SimTime, SiteId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -143,7 +143,7 @@ pub trait Protocol: fmt::Debug {
 
     /// Contributes the protocol's gauges to a metrics sample. Read-only by
     /// contract — the sampler must never change protocol behavior.
-    fn sample_stats(&self, me: SiteId, sample: &mut Sample);
+    fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter);
 }
 
 /// Builds the protocol `cfg` selects for site `me`.
@@ -439,7 +439,7 @@ pub(crate) trait Variation: fmt::Debug + Sized {
     fn resume(&mut self, donor: &ProtoSnapshot, view: &BTreeSet<SiteId>);
 
     /// See [`Protocol::sample_stats`].
-    fn sample_stats(&self, _me: SiteId, _sample: &mut Sample) {}
+    fn sample_stats(&self, _me: SiteId, _sample: &mut SampleWriter) {}
 }
 
 /// Processes queued work to a fixed point: nothing a step causes is handled
@@ -644,7 +644,7 @@ impl<V: Variation> Protocol for Driver<V> {
         self.quorum.suspected.clear();
     }
 
-    fn sample_stats(&self, me: SiteId, sample: &mut Sample) {
+    fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter) {
         self.rules.sample_stats(me, sample);
     }
 }

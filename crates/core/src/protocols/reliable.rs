@@ -20,7 +20,7 @@ use crate::protocols::{Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Varia
 use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::reliable::{self, ReliableBcast};
 use bcastdb_db::TxnId;
-use bcastdb_sim::{Sample, SiteId};
+use bcastdb_sim::{SampleWriter, SiteId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -285,7 +285,7 @@ impl Variation for ReliableProto {
     /// The broadcast engine's holdback (everything its duplicate test
     /// consults beyond the watermarks) and what it retains for
     /// retransmission.
-    fn sample_stats(&self, me: SiteId, sample: &mut Sample) {
+    fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter) {
         sample.set_site(me, "rb.dedup_live", self.rb.holdback_len() as u64);
         sample.set_site(me, "rb.archive_len", self.rb.archive_len() as u64);
     }

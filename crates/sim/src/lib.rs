@@ -75,7 +75,7 @@ pub use net::{
 };
 pub use rng::DetRng;
 pub use simulation::{Ctx, Node, RunOutcome, SendOutcome, Simulation};
-pub use stats::{Histogram, Sample, StatsHandle, StatsRegistry};
+pub use stats::{Histogram, Sample, SampleWriter, StatsHandle, StatsRegistry};
 pub use time::{SimDuration, SimTime};
 
 use std::fmt;

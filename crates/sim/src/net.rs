@@ -16,7 +16,7 @@
 //! alone; with no plan installed the RNG stream is byte-identical to a
 //! plan-free build.
 
-use crate::stats::Sample;
+use crate::stats::SampleWriter;
 use crate::{DetRng, SimDuration, SimTime, SiteId};
 use std::collections::HashSet;
 
@@ -680,7 +680,7 @@ impl Network {
     /// delay the next message on that link would see. On infinitely fast
     /// links every transmission completes instantly and all three gauges
     /// stay zero.
-    pub fn sample_into(&self, now: SimTime, sample: &mut Sample) {
+    pub fn sample_into(&self, now: SimTime, sample: &mut SampleWriter) {
         sample.set("net.msgs_sent", self.messages_sent);
         sample.set("net.msgs_dropped", self.messages_dropped);
         sample.set("net.bytes_sent", self.bytes_sent);

@@ -3,7 +3,7 @@
 
 use crate::event::{EventKind, EventQueue};
 use crate::net::{Network, NetworkConfig, Transit};
-use crate::stats::{Sample, StatsHandle};
+use crate::stats::{SampleWriter, StatsHandle};
 use crate::{DetRng, SimDuration, SimTime, SiteId};
 
 /// A deterministic state machine living at one site of the simulated system.
@@ -34,7 +34,7 @@ pub trait Node {
     /// [`Simulation::enable_stats`]); the default contributes nothing.
     /// Implementations must only *read* state — sampling must never change
     /// the simulation's behavior.
-    fn sample_stats(&self, sample: &mut Sample) {
+    fn sample_stats(&self, sample: &mut SampleWriter) {
         let _ = sample;
     }
 }
@@ -191,6 +191,8 @@ pub struct Simulation<N: Node> {
     /// Next virtual-time sampling boundary (meaningful only when `stats`
     /// is enabled).
     next_sample_at: SimTime,
+    /// Reused by every sample.
+    sampler: SampleWriter,
 }
 
 impl<N: Node> Simulation<N> {
@@ -212,6 +214,7 @@ impl<N: Node> Simulation<N> {
             default_msg_size: 64,
             stats: StatsHandle::disabled(),
             next_sample_at: SimTime::ZERO,
+            sampler: SampleWriter::default(),
         }
     }
 
@@ -419,7 +422,7 @@ impl<N: Node> Simulation<N> {
     /// the boundary by one interval.
     fn take_sample(&mut self, interval: SimDuration) {
         let at = self.next_sample_at;
-        let mut sample = Sample::new(at);
+        let sample = &mut self.sampler;
         sample.set("queue_depth", self.queue.len() as u64);
         sample.set("events_processed", self.events_processed);
         let ws = self.queue.wheel_stats();
@@ -428,11 +431,11 @@ impl<N: Node> Simulation<N> {
         sample.set("wheel.sched_past", ws.sched_past);
         sample.set("wheel.far_len", ws.far_len as u64);
         sample.set("wheel.past_len", ws.past_len as u64);
-        self.net.sample_into(at, &mut sample);
+        self.net.sample_into(at, sample);
         for node in &self.nodes {
-            node.sample_stats(&mut sample);
+            node.sample_stats(sample);
         }
-        self.stats.commit_sample(sample);
+        self.stats.commit_sample(at, sample);
         self.next_sample_at = at + interval;
     }
 
@@ -594,7 +597,7 @@ mod tests {
                 sim.schedule_timer(SimTime::from_micros(i as u64), SiteId(i), 3);
             }
             sim.run_to_quiescence(SimDuration::from_secs(1));
-            let samples = reg.borrow().samples().to_vec();
+            let samples = reg.borrow().samples();
             (
                 sim.events_processed(),
                 sim.now(),

@@ -421,8 +421,8 @@ impl SpanBuilder {
 }
 
 impl TraceSink for SpanBuilder {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.ingest(ev);
+    fn record(&mut self, ev: TraceEvent) {
+        self.ingest(&ev);
     }
 }
 

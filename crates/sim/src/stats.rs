@@ -19,6 +19,11 @@
 //! boundaries, so enabling metrics cannot perturb event sequence numbers,
 //! delivery order, or any simulation output.
 //!
+//! A sample is written through a reused [`SampleWriter`] and stored as one
+//! row of `u64`s, under a name table shared by every consecutive sample that
+//! set the same series in the same order; [`Sample`] is the read view,
+//! rebuilt from the rows by [`StatsRegistry::samples`].
+//!
 //! # Sample schema
 //!
 //! One [`Sample`] per period boundary, serialized as one flat JSONL line:
@@ -179,27 +184,6 @@ impl Sample {
         }
     }
 
-    /// Sets a value (gauge or counter snapshot).
-    ///
-    /// # Panics
-    /// Panics (debug builds) if `name` leaves the `[a-z0-9._]` alphabet.
-    pub fn set(&mut self, name: &str, v: u64) {
-        debug_assert!(name_ok(name), "bad metric name {name:?}");
-        self.values.insert(name.to_owned(), v);
-    }
-
-    /// Sets a per-site value under the canonical `s<site>.` prefix.
-    pub fn set_site(&mut self, site: SiteId, name: &str, v: u64) {
-        debug_assert!(name_ok(name), "bad metric name {name:?}");
-        // Sized up front (`s`, up to three digits, `.`): `format!` starts
-        // from the literal pieces and grows twice on the way, and this
-        // runs once per gauge per site per sample.
-        let mut key = String::with_capacity(name.len() + 5);
-        let _ = write!(key, "s{}.", site.0);
-        key.push_str(name);
-        self.values.insert(key, v);
-    }
-
     /// Serializes to one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + 16 * self.values.len());
@@ -340,6 +324,71 @@ pub fn render_csv(samples: &[Sample]) -> String {
     out
 }
 
+/// One series of a sample: a name, or a per-site name rendered under the
+/// canonical `s<site>.` prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Series(Option<SiteId>, &'static str);
+
+impl Series {
+    /// The series' name in a [`Sample`].
+    fn key(self) -> String {
+        match self.0 {
+            None => self.1.to_owned(),
+            Some(site) => format!("s{}.{}", site.0, self.1),
+        }
+    }
+}
+
+/// Collects the values of one sample. The simulation reuses one writer
+/// for every sample, and a call naming the series the previous sample set at
+/// the same position only stores the value, so a sample whose series
+/// repeat allocates nothing. Setting a name twice keeps the last value.
+#[derive(Debug, Default)]
+pub struct SampleWriter {
+    /// The series set so far, then the previous sample's beyond `len`.
+    series: Vec<Series>,
+    /// Their values.
+    row: Vec<u64>,
+    /// Series set in this sample.
+    len: usize,
+}
+
+impl SampleWriter {
+    /// Sets a value (gauge or counter snapshot).
+    ///
+    /// # Panics
+    /// Panics (debug builds) if `name` leaves the `[a-z0-9._]` alphabet.
+    pub fn set(&mut self, name: &'static str, v: u64) {
+        self.put(Series(None, name), v);
+    }
+
+    /// Sets a per-site value under the canonical `s<site>.` prefix.
+    pub fn set_site(&mut self, site: SiteId, name: &'static str, v: u64) {
+        self.put(Series(Some(site), name), v);
+    }
+
+    fn put(&mut self, series: Series, v: u64) {
+        debug_assert!(name_ok(series.1), "bad metric name {:?}", series.1);
+        if self.series.get(self.len) != Some(&series) {
+            self.series.truncate(self.len);
+            self.row.truncate(self.len);
+            self.series.push(series);
+            self.row.push(0);
+        }
+        self.row[self.len] = v;
+        self.len += 1;
+    }
+}
+
+/// The names behind a run of consecutive samples that set the same series
+/// in the same order and snapshotted the same histograms.
+#[derive(Debug)]
+struct Table {
+    samples: usize,
+    series: Vec<Series>,
+    hists: Vec<&'static str>,
+}
+
 /// The shared metric store of one run: push-side counters, gauges, and
 /// histograms, plus the accumulated samples.
 ///
@@ -351,7 +400,12 @@ pub struct StatsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    samples: Vec<Sample>,
+    /// Name tables, oldest first.
+    tables: Vec<Table>,
+    /// Every sample's row, back to back: its time, its values in its
+    /// table's order, then per histogram the number of non-empty buckets
+    /// and their `bucket, count` pairs.
+    rows: Vec<u64>,
 }
 
 impl StatsRegistry {
@@ -366,7 +420,8 @@ impl StatsRegistry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            samples: Vec::new(),
+            tables: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -375,29 +430,53 @@ impl StatsRegistry {
         self.interval
     }
 
-    /// Folds the push-side state into `sample` and appends it.
-    pub fn commit_sample(&mut self, mut sample: Sample) {
-        for (&k, &v) in &self.counters {
-            sample.set(k, v);
+    /// Folds the push-side state into the sample `w` holds, stores it as
+    /// one row stamped `at`, and readies `w` for the next sample.
+    pub fn commit_sample(&mut self, at: SimTime, w: &mut SampleWriter) {
+        for (&k, &v) in self.counters.iter().chain(&self.gauges) {
+            w.set(k, v);
         }
-        for (&k, &v) in &self.gauges {
-            sample.set(k, v);
+        w.series.truncate(w.len);
+        w.row.truncate(w.len);
+        w.len = 0;
+        match self.tables.last_mut() {
+            Some(t) if t.series == w.series && t.hists.iter().eq(self.hists.keys()) => {
+                t.samples += 1;
+            }
+            _ => self.tables.push(Table {
+                samples: 1,
+                series: w.series.clone(),
+                hists: self.hists.keys().copied().collect(),
+            }),
         }
-        for (&k, h) in &self.hists {
-            debug_assert!(name_ok(k), "bad metric name {k:?}");
-            sample.hists.insert(k.to_owned(), h.snapshot());
+        self.rows.push(at.as_micros());
+        self.rows.extend_from_slice(&w.row);
+        for h in self.hists.values() {
+            let buckets = h.counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            self.rows.push(buckets.clone().count() as u64);
+            self.rows.extend(buckets.flat_map(|(b, &c)| [b as u64, c]));
         }
-        self.samples.push(sample);
     }
 
-    /// The samples taken so far, oldest first.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Consumes the registry, yielding its samples.
-    pub fn into_samples(self) -> Vec<Sample> {
-        self.samples
+    /// The samples taken so far, oldest first, rebuilt from their rows.
+    pub fn samples(&self) -> Vec<Sample> {
+        let mut cells = self.rows.iter().copied();
+        let mut next = move || cells.next().expect("a row holds what its table names");
+        let mut out = Vec::new();
+        for table in &self.tables {
+            for _ in 0..table.samples {
+                let mut s = Sample::new(SimTime::from_micros(next()));
+                for series in &table.series {
+                    s.values.insert(series.key(), next());
+                }
+                for &name in &table.hists {
+                    let buckets = (0..next()).map(|_| (next() as u8, next())).collect();
+                    s.hists.insert(name.to_owned(), buckets);
+                }
+                out.push(s);
+            }
+        }
+        out
     }
 
     /// A push-side histogram's current state (`None` if never observed).
@@ -464,16 +543,18 @@ impl StatsHandle {
 
     /// Records one histogram observation.
     pub fn observe(&self, name: &'static str, v: u64) {
+        debug_assert!(name_ok(name), "bad metric name {name:?}");
         if let Some(reg) = &self.inner {
             reg.borrow_mut().hists.entry(name).or_default().record(v);
         }
     }
 
-    /// Folds the push-side state into `sample` and stores it. Called by
-    /// the simulation driver at each period boundary.
-    pub fn commit_sample(&self, sample: Sample) {
+    /// Folds the push-side state into the sample `w` holds and stores it,
+    /// stamped `at`. Called by the simulation loop at each period
+    /// boundary.
+    pub fn commit_sample(&self, at: SimTime, w: &mut SampleWriter) {
         if let Some(reg) = &self.inner {
-            reg.borrow_mut().commit_sample(sample);
+            reg.borrow_mut().commit_sample(at, w);
         }
     }
 
@@ -481,7 +562,7 @@ impl StatsHandle {
     pub fn samples(&self) -> Vec<Sample> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow().samples().to_vec())
+            .map_or_else(Vec::new, |r| r.borrow().samples())
     }
 }
 
@@ -524,8 +605,8 @@ mod tests {
     #[test]
     fn sample_jsonl_round_trips() {
         let mut s = Sample::new(SimTime::from_micros(12345));
-        s.set("queue_depth", 42);
-        s.set_site(SiteId(3), "lock_waiters", 7);
+        s.values.insert("queue_depth".into(), 42);
+        s.values.insert("s3.lock_waiters".into(), 7);
         s.hists
             .insert("batch.flush_msgs".into(), vec![(1, 5), (4, 2)]);
         let line = s.to_jsonl();
@@ -570,9 +651,9 @@ mod tests {
     #[test]
     fn csv_unions_columns_and_leaves_gaps_empty() {
         let mut a = Sample::new(SimTime::from_micros(10));
-        a.set("x", 1);
+        a.values.insert("x".into(), 1);
         let mut b = Sample::new(SimTime::from_micros(20));
-        b.set("y", 2);
+        b.values.insert("y".into(), 2);
         b.hists.insert("h1".into(), vec![(0, 4)]);
         let csv = render_csv(&[a, b]);
         assert_eq!(csv, "t_us,x,y,h1.n\n10,1,,\n20,,2,4\n");
@@ -588,7 +669,7 @@ mod tests {
         h.counter_add("retrans", 2);
         h.gauge_set("depth", 9);
         h.observe("flush", 4);
-        h.commit_sample(Sample::new(SimTime::from_micros(1000)));
+        h.commit_sample(SimTime::from_micros(1000), &mut SampleWriter::default());
         let samples = h.samples();
         assert_eq!(samples.len(), 1);
         assert_eq!(h.counter("retrans"), 5);
@@ -605,7 +686,7 @@ mod tests {
         h.counter_add("x", 1);
         h.gauge_set("y", 2);
         h.observe("z", 3);
-        h.commit_sample(Sample::new(SimTime::ZERO));
+        h.commit_sample(SimTime::ZERO, &mut SampleWriter::default());
         assert_eq!(h.counter("x"), 0);
         assert!(h.samples().is_empty());
         assert_eq!(h.interval(), None);
@@ -617,7 +698,95 @@ mod tests {
         let _ = StatsRegistry::new(SimDuration::ZERO);
     }
 
+    /// The map-building store the rows replaced: a sample is a [`Sample`]
+    /// filled name by name as the sampler calls in, then folded the way
+    /// `StatsRegistry::commit_sample` once folded it.
+    mod oracle {
+        use super::super::*;
+
+        pub fn set(s: &mut Sample, name: &str, v: u64) {
+            s.values.insert(name.to_owned(), v);
+        }
+
+        pub fn set_site(s: &mut Sample, site: SiteId, name: &str, v: u64) {
+            let mut key = String::with_capacity(name.len() + 5);
+            let _ = write!(key, "s{}.", site.0);
+            key.push_str(name);
+            s.values.insert(key, v);
+        }
+
+        pub fn commit(reg: &StatsRegistry, mut sample: Sample) -> Sample {
+            for (&k, &v) in &reg.counters {
+                set(&mut sample, k, v);
+            }
+            for (&k, &v) in &reg.gauges {
+                set(&mut sample, k, v);
+            }
+            for (&k, h) in &reg.hists {
+                sample.hists.insert(k.to_owned(), h.snapshot());
+            }
+            sample
+        }
+    }
+
+    /// Sampler-side names; `s1.x` is also what `x` at site 1 renders as.
+    const NAMES: [&str; 5] = ["x", "queue_depth", "net.msgs_sent", "s1.x", "retrans"];
+    /// Push-side names; `retrans` is a sampler-side name too.
+    const PUSHED: [&str; 3] = ["retrans", "flush", "depth"];
+
     proptest! {
+        /// The rows give back, sample for sample, what the map-building
+        /// store built from the same calls, through series that appear
+        /// mid-run, disappear, change places or are set twice in a sample,
+        /// and push-side counters, gauges and histograms that start
+        /// mid-run.
+        #[test]
+        fn rows_agree_with_the_map_store(
+            start in proptest::collection::vec((0usize..NAMES.len(), 0usize..4), 1..6),
+            steps in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..8, 0u8..4), 1..16),
+        ) {
+            // A series is a name and a site code: 0 global, else site code - 1.
+            let mut series = start;
+            let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(1))));
+            let handle = StatsHandle::new(reg.clone());
+            let mut writer = SampleWriter::default();
+            let mut expected = Vec::new();
+            for (i, &(edit, seed, pos, push)) in steps.iter().enumerate() {
+                let (n, at) = (series.len(), pos % series.len());
+                match edit {
+                    3 if n > 1 => drop(series.remove(at)),
+                    4 => series.insert(at, (seed as usize % NAMES.len(), (seed >> 8) as usize % 4)),
+                    5 => series.swap(at, (at + 1) % n),
+                    6 => series.insert(at, series[(at + 1) % n]),
+                    _ => {}
+                }
+                let pushed = PUSHED[seed as usize % PUSHED.len()];
+                match push {
+                    1 => handle.counter_add(pushed, seed % 9),
+                    2 => handle.gauge_set(pushed, seed),
+                    3 => handle.observe(pushed, seed >> (seed % 64)),
+                    _ => {}
+                }
+                let t = SimTime::from_micros(1_000 * (i as u64 + 1));
+                let mut old = Sample::new(t);
+                for (j, &(name, site)) in series.iter().enumerate() {
+                    let (name, v) = (NAMES[name], seed.wrapping_add(j as u64));
+                    if site == 0 {
+                        writer.set(name, v);
+                        oracle::set(&mut old, name, v);
+                    } else {
+                        writer.set_site(SiteId(site - 1), name, v);
+                        oracle::set_site(&mut old, SiteId(site - 1), name, v);
+                    }
+                }
+                handle.commit_sample(t, &mut writer);
+                expected.push(oracle::commit(&reg.borrow(), old));
+            }
+            let samples = handle.samples();
+            prop_assert_eq!(render_jsonl(&samples), render_jsonl(&expected));
+            prop_assert_eq!(samples, expected);
+        }
+
         /// Every value lands in exactly the bucket whose documented
         /// boundaries contain it, and the boundaries tile `u64` without
         /// gaps or overlap.

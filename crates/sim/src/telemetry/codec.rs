@@ -6,21 +6,46 @@
 use super::{Phase, TraceEvent, TxnRef};
 use crate::json::{self, Field};
 use crate::{SimTime, SiteId};
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// A field type of the schema table.
 pub(super) trait Wire: Sized {
     /// Appends the field to the line being written: `key`, which arrives
-    /// as the ready-made `,"key":`, then the value.
-    fn put(&self, key: &str, out: &mut String);
+    /// as the ready-made `,"key":`, then the value, integers spelled by `D`.
+    fn put<D: Digits>(&self, key: &str, out: &mut String);
     /// Reads the field back from a parsed line.
     fn take(line: Field<'_>, key: &'static str) -> Result<Self, String>;
 }
 
+/// How a line spells an unsigned integer: [`Pairs`]; tests use `core::fmt`.
+pub(super) trait Digits {
+    fn put(out: &mut String, v: u64);
+}
+
+/// Decimal two digits per division, from a table, without `core::fmt`.
+pub(super) enum Pairs {}
+
+const PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+impl Digits for Pairs {
+    fn put(out: &mut String, mut v: u64) {
+        let (mut buf, mut at) = ([0u8; 20], 20);
+        // Zero, too, is one pair; a last pair below 10 leads with a zero.
+        while v > 0 || at == buf.len() {
+            let pair = 2 * (v % 100) as usize;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+            v /= 100;
+        }
+        at += usize::from(buf[at] == b'0');
+        out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+    }
+}
+
 impl Wire for u64 {
-    fn put(&self, key: &str, out: &mut String) {
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
-        let _ = write!(out, "{self}");
+        D::put(out, *self);
     }
     fn take(line: Field<'_>, key: &'static str) -> Result<Self, String> {
         line.get(key)?.u64()
@@ -28,7 +53,7 @@ impl Wire for u64 {
 }
 
 impl Wire for bool {
-    fn put(&self, key: &str, out: &mut String) {
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
         out.push_str(if *self { "true" } else { "false" });
     }
@@ -38,8 +63,8 @@ impl Wire for bool {
 }
 
 impl Wire for SimTime {
-    fn put(&self, key: &str, out: &mut String) {
-        self.as_micros().put(key, out);
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
+        self.as_micros().put::<D>(key, out);
     }
     fn take(line: Field<'_>, key: &'static str) -> Result<Self, String> {
         u64::take(line, key).map(SimTime::from_micros)
@@ -47,8 +72,8 @@ impl Wire for SimTime {
 }
 
 impl Wire for SiteId {
-    fn put(&self, key: &str, out: &mut String) {
-        (self.0 as u64).put(key, out);
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
+        (self.0 as u64).put::<D>(key, out);
     }
     fn take(line: Field<'_>, key: &'static str) -> Result<Self, String> {
         site(line.get(key)?)
@@ -68,9 +93,9 @@ fn site(value: Field<'_>) -> Result<SiteId, String> {
 
 /// A transaction is two fields on the wire, whatever the schema calls it.
 impl Wire for TxnRef {
-    fn put(&self, _key: &str, out: &mut String) {
-        self.origin.put(",\"origin\":", out);
-        self.num.put(",\"num\":", out);
+    fn put<D: Digits>(&self, _key: &str, out: &mut String) {
+        self.origin.put::<D>(",\"origin\":", out);
+        self.num.put::<D>(",\"num\":", out);
     }
     fn take(line: Field<'_>, _key: &'static str) -> Result<Self, String> {
         Ok(TxnRef {
@@ -81,7 +106,7 @@ impl Wire for TxnRef {
 }
 
 impl Wire for Phase {
-    fn put(&self, key: &str, out: &mut String) {
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
         out.push('"');
         out.push_str(self.name());
@@ -94,7 +119,7 @@ impl Wire for Phase {
 }
 
 impl Wire for String {
-    fn put(&self, key: &str, out: &mut String) {
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
         json::write_str(out, self);
     }
@@ -104,11 +129,11 @@ impl Wire for String {
 }
 
 impl Wire for Vec<SiteId> {
-    fn put(&self, key: &str, out: &mut String) {
+    fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
         out.push('[');
         for (i, site) in self.iter().enumerate() {
-            site.put(if i > 0 { "," } else { "" }, out);
+            site.put::<D>(if i > 0 { "," } else { "" }, out);
         }
         out.push(']');
     }
@@ -194,8 +219,126 @@ impl TraceLine {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{sample_events, t, txn};
-    use super::super::{JsonlSink, TraceSink};
+    use super::super::JsonlSink;
     use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// `core::fmt`'s decimal, which every integer field went through
+    /// before the pair table.
+    enum Fmt {}
+
+    impl Digits for Fmt {
+        fn put(out: &mut String, v: u64) {
+            let _ = write!(out, "{v}");
+        }
+    }
+
+    /// 0, `u64::MAX`, and 10^k - 1, 10^k and 10^k + 1 for every k that fits.
+    fn edges() -> Vec<u64> {
+        let mut out = vec![0, u64::MAX];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            power = next;
+            out.extend([power - 1, power, power + 1]);
+        }
+        out
+    }
+
+    /// One event of each of the 16 variants, every integer field one of
+    /// `a`, `b`, `c`, `d`.
+    fn every_variant(a: u64, b: u64, c: u64, d: u64) -> Vec<TraceEvent> {
+        let (at, site, other) = (t(a), SiteId(b as usize), SiteId(c as usize));
+        let txn = txn(c as usize, d);
+        let (from, to, phase) = (site, other, Phase::Decision);
+        vec![
+            TraceEvent::Send {
+                at,
+                from,
+                to,
+                phase,
+            },
+            TraceEvent::Deliver {
+                at,
+                from,
+                to,
+                phase,
+            },
+            TraceEvent::Drop {
+                at,
+                from,
+                to,
+                phase,
+            },
+            TraceEvent::BatchFlushed {
+                at,
+                from,
+                to,
+                msgs: c,
+                bytes: d,
+            },
+            TraceEvent::Submit {
+                at,
+                txn,
+                read_only: a.is_multiple_of(2),
+            },
+            TraceEvent::LocksAcquired { at, txn },
+            TraceEvent::CommitReqOut { at, txn },
+            TraceEvent::Vote {
+                at,
+                site,
+                txn,
+                yes: true,
+            },
+            TraceEvent::Decided {
+                at,
+                site,
+                txn,
+                commit: false,
+            },
+            TraceEvent::Commit { at, site, txn },
+            TraceEvent::Abort {
+                at,
+                site,
+                txn,
+                reason: "abort_timeout".into(),
+            },
+            TraceEvent::TotalOrder {
+                at,
+                site,
+                txn,
+                gseq: b,
+            },
+            TraceEvent::ViewChange {
+                at,
+                site,
+                members: vec![site, other, SiteId(d as usize)],
+            },
+            TraceEvent::Crash { at, site },
+            TraceEvent::Suspect {
+                at,
+                site,
+                suspect: other,
+            },
+            TraceEvent::FastDecide { at, site, txn },
+        ]
+    }
+
+    proptest! {
+        /// The pair table spells every line exactly as `core::fmt` did, at
+        /// the digit-count edges and at the extremes.
+        #[test]
+        fn pair_table_lines_equal_fmt_lines(picks in proptest::collection::vec(any::<usize>(), 4usize)) {
+            let edges = edges();
+            let v: Vec<u64> = picks.iter().map(|&i| edges[i % edges.len()]).collect();
+            for ev in every_variant(v[0], v[1], v[2], v[3]) {
+                let (mut table, mut fmt) = (String::new(), String::new());
+                ev.write_jsonl(&mut table);
+                ev.encode::<Fmt>(&mut fmt);
+                prop_assert_eq!(table, fmt);
+            }
+        }
+    }
 
     #[test]
     fn jsonl_round_trip_preserves_every_variant() {
@@ -240,7 +383,7 @@ mod tests {
         });
         let mut sink = JsonlSink::new(Vec::new());
         for ev in &all {
-            sink.record(ev);
+            sink.ingest(ev);
         }
         assert_eq!(sink.lines(), all.len() as u64);
         let bytes = sink.into_inner().expect("no I/O errors on a Vec");

@@ -343,8 +343,8 @@ impl TraceInvariants {
 }
 
 impl TraceSink for TraceInvariants {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.ingest(ev);
+    fn record(&mut self, ev: TraceEvent) {
+        self.ingest(&ev);
     }
 }
 

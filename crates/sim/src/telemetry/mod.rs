@@ -255,10 +255,13 @@ macro_rules! trace_events {
             /// boolean, a string, or an array of site indices. See `DESIGN.md`
             /// §9 for the full field reference.
             pub fn write_jsonl(&self, out: &mut String) {
+                self.encode::<codec::Pairs>(out);
+            }
+            fn encode<D: codec::Digits>(&self, out: &mut String) {
                 match self {$(
                     TraceEvent::$variant { $($field,)* } => {
                         out.push_str(concat!("{\"ev\":\"", $ev, "\""));
-                        $($field.put(concat!(",\"", wire_key!($field $($key)?), "\":"), out);)*
+                        $($field.put::<D>(concat!(",\"", wire_key!($field $($key)?), "\":"), out);)*
                     }
                 )*}
                 out.push('}');

@@ -6,13 +6,13 @@ use super::TraceEvent;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::rc::Rc;
 
 /// A destination for trace events.
 pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, ev: &TraceEvent);
+    /// Records one event, which the sink may keep.
+    fn record(&mut self, ev: TraceEvent);
 }
 
 /// A bounded in-memory sink keeping the most recent events.
@@ -29,10 +29,10 @@ impl RingSink {
     pub fn new(capacity: usize) -> Self {
         RingSink {
             capacity,
-            // Pre-size to the full ring: the buffer reaches capacity on
-            // every traced run anyway, so allocate once up front instead
-            // of growing through the doubling sequence.
-            buf: VecDeque::with_capacity(capacity),
+            // The full ring plus the event arriving before the oldest leaves,
+            // allocated once: every traced run fills it, and growing would
+            // step through the doubling sequence.
+            buf: VecDeque::with_capacity(capacity + 1),
             evicted: 0,
         }
     }
@@ -64,77 +64,94 @@ impl RingSink {
 }
 
 impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.capacity == 0 {
-            self.evicted += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
+    fn record(&mut self, ev: TraceEvent) {
+        self.buf.push_back(ev);
+        if self.buf.len() > self.capacity {
             self.buf.pop_front();
             self.evicted += 1;
         }
-        self.buf.push_back(ev.clone());
     }
 }
 
+/// A [`JsonlSink`] hands its writer a block once it holds this many bytes.
+const BLOCK: usize = 64 * 1024;
+
 /// A sink writing one JSON object per event to a [`Write`] target
-/// (typically a `.jsonl` file or an in-memory buffer).
+/// (typically a `.jsonl` file or an in-memory buffer), in blocks the writer
+/// receives whole. Dropping the sink writes the pending block and ignores a
+/// write error, which [`JsonlSink::into_inner`] reports.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
-    out: W,
-    /// The line being encoded; reused, so recording allocates nothing.
-    line: String,
+    /// `None` once `into_inner` took it.
+    out: Option<W>,
+    /// Lines not yet written; reused, so recording allocates nothing.
+    block: String,
     lines: u64,
-    error: Option<std::io::Error>,
+    error: Option<io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink writing to `out`.
     pub fn new(out: W) -> Self {
         JsonlSink {
-            out,
-            line: String::new(),
+            out: Some(out),
+            // Room for the line that crosses the threshold.
+            block: String::with_capacity(BLOCK + 1024),
             lines: 0,
             error: None,
         }
     }
 
-    /// Number of lines written so far.
+    /// Lines recorded so far, written or pending. A failed write discards
+    /// its block, so after an error these are the lines the writer took.
     pub fn lines(&self) -> u64 {
         self.lines
     }
 
-    /// The first I/O error encountered, if any (subsequent events are
-    /// dropped once a write fails).
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
+    /// Encodes `ev` as one line; a failed write drops the lines after it.
+    pub fn ingest(&mut self, ev: &TraceEvent) {
+        if self.error.is_none() {
+            ev.write_jsonl(&mut self.block);
+            self.block.push('\n');
+            self.lines += 1;
+            if self.block.len() >= BLOCK {
+                self.write_block();
+            }
+        }
     }
 
-    /// Flushes and returns the underlying writer.
+    fn write_block(&mut self) {
+        if let (Some(out), None) = (&mut self.out, &self.error) {
+            if let Err(e) = out.write_all(self.block.as_bytes()) {
+                self.lines -= self.block.matches('\n').count() as u64;
+                self.error = Some(e);
+            }
+        }
+        self.block.clear();
+    }
+
+    /// Writes the pending block, flushes and returns the underlying writer.
     ///
     /// # Errors
-    /// Returns the first deferred write error, or the flush error.
-    pub fn into_inner(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    /// Returns the first write error, or the flush error.
+    pub fn into_inner(mut self) -> io::Result<W> {
+        self.write_block();
+        let mut out = self.out.take().expect("only into_inner takes the writer");
+        self.error
+            .take()
+            .map_or_else(|| out.flush().map(|()| out), Err)
     }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        ev.write_jsonl(&mut self.line);
-        self.line.push('\n');
-        match self.out.write_all(self.line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
+    fn record(&mut self, ev: TraceEvent) {
+        self.ingest(&ev);
+    }
+}
+
+impl<W: Write> Drop for JsonlSink<W> {
+    fn drop(&mut self) {
+        self.write_block();
     }
 }
 
@@ -166,7 +183,7 @@ impl Tracer {
     /// calling `f`) when disabled.
     pub fn emit<F: FnOnce() -> TraceEvent>(&self, f: F) {
         if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(&f());
+            sink.borrow_mut().record(f());
         }
     }
 }
@@ -182,6 +199,7 @@ impl fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::super::tests::t;
+    use super::super::Phase;
     use super::*;
     use crate::SiteId;
 
@@ -214,7 +232,7 @@ mod tests {
     fn ring_sink_evicts_oldest() {
         let mut ring = RingSink::new(2);
         for i in 0..5 {
-            ring.record(&TraceEvent::Crash {
+            ring.record(TraceEvent::Crash {
                 at: t(i),
                 site: SiteId(0),
             });
@@ -223,5 +241,114 @@ mod tests {
         assert_eq!(ring.evicted(), 3);
         let kept: Vec<u64> = ring.events().map(|e| e.at().as_micros()).collect();
         assert_eq!(kept, vec![3, 4]);
+    }
+
+    /// What a [`Disk`] accepted, one write per chunk.
+    type Chunks = Rc<RefCell<Vec<Vec<u8>>>>;
+
+    /// A writer keeping each write it accepts as one chunk, and refusing
+    /// its `fail_at`-th write (counting from 1) and every one after.
+    struct Disk {
+        chunks: Chunks,
+        fail_at: usize,
+    }
+
+    impl Write for Disk {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut chunks = self.chunks.borrow_mut();
+            if chunks.len() + 1 >= self.fail_at {
+                return Err(io::Error::other("disk full"));
+            }
+            chunks.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn disk(fail_at: usize) -> (JsonlSink<Disk>, Chunks) {
+        let chunks = Rc::new(RefCell::new(Vec::new()));
+        let sink = JsonlSink::new(Disk {
+            chunks: chunks.clone(),
+            fail_at,
+        });
+        (sink, chunks)
+    }
+
+    fn send(at: u64) -> TraceEvent {
+        TraceEvent::Send {
+            at: t(at),
+            from: SiteId(0),
+            to: SiteId(1),
+            phase: Phase::Ack,
+        }
+    }
+
+    /// A writer that fails on its third write: the sink stops there, counts
+    /// exactly the lines the writer holds, and `into_inner` reports the
+    /// error (so the cluster writes no trailer).
+    #[test]
+    fn jsonl_sink_counts_only_what_a_failing_writer_took() {
+        let (mut sink, chunks) = disk(3);
+        for at in 0..10_000 {
+            sink.record(send(at));
+        }
+        let took = chunks.borrow().concat();
+        assert_eq!(chunks.borrow().len(), 2, "10 000 lines fill 3 blocks");
+        assert!(took.ends_with(b"\n"), "a block holds whole lines");
+        let held = took.iter().filter(|&&b| b == b'\n').count() as u64;
+        assert_eq!(sink.lines(), held);
+        assert!(sink.into_inner().is_err());
+        assert_eq!(
+            chunks.borrow().concat(),
+            took,
+            "nothing written after the error"
+        );
+    }
+
+    /// The line that crosses the block threshold leaves whole, with the
+    /// block it started in, however far past the threshold it reaches.
+    #[test]
+    fn jsonl_sink_writes_an_event_that_crosses_the_block_threshold() {
+        let (mut sink, chunks) = disk(usize::MAX);
+        let mut expected = String::new();
+        let mut record = |sink: &mut JsonlSink<Disk>, ev: TraceEvent| {
+            ev.write_jsonl(&mut expected);
+            expected.push('\n');
+            sink.record(ev);
+        };
+        let mut at = 0;
+        while sink.block.len() < BLOCK - 100 {
+            record(&mut sink, send(at));
+            at += 1;
+        }
+        assert!(
+            chunks.borrow().is_empty(),
+            "below the threshold nothing is written"
+        );
+        let members = (0..2_000).map(SiteId).collect();
+        let site = SiteId(0);
+        record(
+            &mut sink,
+            TraceEvent::ViewChange {
+                at: t(at),
+                site,
+                members,
+            },
+        );
+        assert_eq!(
+            chunks.borrow().len(),
+            1,
+            "the crossing line completes the block"
+        );
+        record(&mut sink, send(at + 1));
+        assert_eq!(sink.lines(), at + 2);
+        sink.into_inner().expect("this disk never fails");
+        let chunks = chunks.borrow();
+        assert_eq!(chunks.len(), 2);
+        assert!(chunks[0].len() > BLOCK + 1024, "{}", chunks[0].len());
+        assert_eq!(chunks.concat(), expected.as_bytes());
     }
 }

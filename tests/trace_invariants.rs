@@ -115,7 +115,7 @@ fn trace_round_trips_through_jsonl() {
     // re-run the invariant checker over the reconstruction.
     let mut sink = JsonlSink::new(Vec::new());
     for ev in &events {
-        sink.record(ev);
+        sink.record(ev.clone());
     }
     let buf = sink.into_inner().expect("in-memory writer cannot fail");
     let reparsed: Vec<TraceEvent> = String::from_utf8(buf)

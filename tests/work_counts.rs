@@ -6,7 +6,7 @@
 use bcastdb::db::{HistoryRecorder, SgWork, Store, TxnId, WriteOp};
 use bcastdb::prelude::*;
 use bcastdb::protocols::ProtocolKind;
-use bcastdb::sim::{Node, Sample};
+use bcastdb::sim::{Node, Sample, SampleWriter, StatsRegistry};
 use std::collections::BTreeMap;
 
 /// Peers P-CB's commit evaluation examines per transaction, closed loop on
@@ -74,10 +74,12 @@ fn table_sizes(
         .build();
     let report = WorkloadRun::new(cfg, 11).closed_loop(&mut c, 4, txns_per_client);
     assert!(report.quiesced && report.converged && report.all_terminated());
-    let mut quiet = Sample::new(c.now());
+    let mut quiet = SampleWriter::default();
     for s in c.sites() {
         c.replica(s).sample_stats(&mut quiet);
     }
+    let mut at_rest = StatsRegistry::new(SimDuration::from_millis(1));
+    at_rest.commit_sample(c.now(), &mut quiet);
     let fold = |samples: &[Sample]| {
         let mut max = BTreeMap::new();
         for (name, &v) in samples.iter().flat_map(|s| &s.values) {
@@ -92,7 +94,7 @@ fn table_sizes(
         }
         max
     };
-    (fold(&c.metrics_samples()), fold(&[quiet]))
+    (fold(&c.metrics_samples()), fold(&at_rest.samples()))
 }
 
 /// What a replica keeps per transaction and per message must be released

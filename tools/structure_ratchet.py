@@ -53,12 +53,24 @@ BENCH_CEILING = 4960
 # section 3, DESIGN.md section 18): the per-transaction lock index, the
 # deadlock pre-check from the new waiter with its "may be cyclic" flag, the
 # remembered grantable keys that keep the old full-sweep grants, and a
-# fixed pool of spare table entries.
-CRATES_CEILING = 20485
+# fixed pool of spare table entries. Raised by exactly its growth, 20485 ->
+# 20620 (crates 20483 -> 20618), when tracing and metrics started costing
+# what they write (PERFORMANCE.md section 3, DESIGN.md sections 9 and 14):
+# the metrics sample writer, its rows and name tables (+81 in stats.rs),
+# the block-buffered JSONL sink and the pair-table integer speller (+45,
+# below), less the per-sample map `Sample::set`/`set_site` built and the
+# unused `StatsRegistry::into_samples`.
+CRATES_CEILING = 20620
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
-TELEMETRY_CEILING = 1325
+# Raised by exactly its growth, 1325 -> 1370 (1321 -> 1366), when the JSONL
+# sink started encoding into one block its writer takes whole (with a
+# `Drop` that writes the rest) and integers started going through a
+# two-digit table instead of `core::fmt`, behind the `Digits` seam the
+# test oracle spells them through; the ring's eviction lost its special
+# case for capacity zero.
+TELEMETRY_CEILING = 1370
 
 # The only files under crates/bench/src/bin: an experiment is an entry of
 # `bcastdb_bench::experiments::ALL`, not a process.
