@@ -26,7 +26,6 @@
 
 use crate::msg::MsgId;
 use bcastdb_sim::SiteId;
-use std::collections::BTreeMap;
 
 /// Fixed per-batch framing overhead (envelope header), in bytes.
 pub const BATCH_HEADER_BYTES: usize = 8;
@@ -84,6 +83,18 @@ impl<M> Pending<M> {
             bytes: BATCH_HEADER_BYTES,
         }
     }
+
+    /// Hands the pending messages out as a batch for `to` and starts the
+    /// next one with room for as many.
+    fn take(&mut self, to: SiteId) -> Batch<M> {
+        let next = Vec::with_capacity(self.msgs.len());
+        let bytes = std::mem::replace(&mut self.bytes, BATCH_HEADER_BYTES);
+        Batch {
+            to,
+            msgs: std::mem::replace(&mut self.msgs, next),
+            bytes,
+        }
+    }
 }
 
 /// The size cap replicas give their [`Batcher`]: one Ethernet payload
@@ -92,13 +103,16 @@ pub const BATCH_MAX_BYTES: usize = 1_400;
 
 /// Coalesces outgoing wire messages per destination up to a size cap.
 ///
-/// Deterministic by construction: pending destinations are kept in a
-/// `BTreeMap`, so [`Batcher::flush_all`] always drains in ascending site
-/// order regardless of push order.
+/// Deterministic by construction: pending batches are slots indexed by
+/// destination, so [`Batcher::flush_into`] always drains in ascending site
+/// order regardless of push order. A slot outlives its flushes, so a
+/// steady stream to a destination allocates only the batches it hands out.
 #[derive(Debug)]
 pub struct Batcher<M> {
     max_bytes: usize,
-    pending: BTreeMap<SiteId, Pending<M>>,
+    slots: Vec<Pending<M>>,
+    /// Messages queued across all slots.
+    queued: usize,
 }
 
 impl<M: WireSize> Batcher<M> {
@@ -107,7 +121,8 @@ impl<M: WireSize> Batcher<M> {
     pub fn new(max_bytes: usize) -> Self {
         Batcher {
             max_bytes: max_bytes.max(BATCH_HEADER_BYTES + PER_MSG_OVERHEAD_BYTES + 1),
-            pending: BTreeMap::new(),
+            slots: Vec::new(),
+            queued: 0,
         }
     }
 
@@ -116,60 +131,64 @@ impl<M: WireSize> Batcher<M> {
     /// and `msg` starts the next one.
     pub fn push(&mut self, to: SiteId, msg: M) -> Option<Batch<M>> {
         let framed = PER_MSG_OVERHEAD_BYTES + msg.wire_size();
-        let slot = self.pending.entry(to).or_insert_with(Pending::new);
+        if self.slots.len() <= to.0 {
+            self.slots.resize_with(to.0 + 1, Pending::new);
+        }
+        let slot = &mut self.slots[to.0];
         let full = if !slot.msgs.is_empty() && slot.bytes + framed > self.max_bytes {
-            let done = std::mem::replace(slot, Pending::new());
-            Some(Batch {
-                to,
-                msgs: done.msgs,
-                bytes: done.bytes,
-            })
+            let done = slot.take(to);
+            self.queued -= done.msgs.len();
+            Some(done)
         } else {
             None
         };
-        let slot = self.pending.get_mut(&to).expect("slot just ensured");
         slot.msgs.push(msg);
         slot.bytes += framed;
+        self.queued += 1;
         full
     }
 
     /// True iff nothing is queued for any destination.
     pub fn is_empty(&self) -> bool {
-        self.pending.values().all(|p| p.msgs.is_empty())
+        self.queued == 0
     }
 
     /// Number of messages currently queued for `to`.
     pub fn pending_for(&self, to: SiteId) -> usize {
-        self.pending.get(&to).map_or(0, |p| p.msgs.len())
+        self.slots.get(to.0).map_or(0, |p| p.msgs.len())
     }
 
     /// Total messages currently queued across all destinations.
     pub fn pending_msgs(&self) -> usize {
-        self.pending.values().map(|p| p.msgs.len()).sum()
+        self.queued
     }
 
     /// Total envelope bytes currently queued across all destinations
     /// (header included for each non-empty pending batch).
     pub fn pending_bytes(&self) -> usize {
-        self.pending
-            .values()
+        self.slots
+            .iter()
             .filter(|p| !p.msgs.is_empty())
             .map(|p| p.bytes)
             .sum()
     }
 
+    /// Appends every pending batch to `out`, in ascending destination
+    /// order.
+    pub fn flush_into(&mut self, out: &mut Vec<Batch<M>>) {
+        for (to, slot) in self.slots.iter_mut().enumerate() {
+            if !slot.msgs.is_empty() {
+                out.push(slot.take(SiteId(to)));
+            }
+        }
+        self.queued = 0;
+    }
+
     /// Drains every pending batch, in ascending destination order.
     pub fn flush_all(&mut self) -> Vec<Batch<M>> {
-        let drained = std::mem::take(&mut self.pending);
-        drained
-            .into_iter()
-            .filter(|(_, p)| !p.msgs.is_empty())
-            .map(|(to, p)| Batch {
-                to,
-                msgs: p.msgs,
-                bytes: p.bytes,
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.flush_into(&mut out);
+        out
     }
 }
 
@@ -266,5 +285,145 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.flush_all().is_empty());
         assert_eq!(b.pending_for(SiteId(0)), 0);
+    }
+}
+
+/// The batcher as it was before its slots were indexed by destination — a
+/// `BTreeMap` of pending batches that every flush takes whole — kept as
+/// the reference the indexed one is held to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    struct Oracle<M> {
+        max_bytes: usize,
+        pending: BTreeMap<SiteId, Pending<M>>,
+    }
+
+    impl<M: WireSize> Oracle<M> {
+        fn new(max_bytes: usize) -> Self {
+            Oracle {
+                max_bytes: max_bytes.max(BATCH_HEADER_BYTES + PER_MSG_OVERHEAD_BYTES + 1),
+                pending: BTreeMap::new(),
+            }
+        }
+
+        fn push(&mut self, to: SiteId, msg: M) -> Option<Batch<M>> {
+            let framed = PER_MSG_OVERHEAD_BYTES + msg.wire_size();
+            let slot = self.pending.entry(to).or_insert_with(Pending::new);
+            let full = if !slot.msgs.is_empty() && slot.bytes + framed > self.max_bytes {
+                let done = std::mem::replace(slot, Pending::new());
+                Some(Batch {
+                    to,
+                    msgs: done.msgs,
+                    bytes: done.bytes,
+                })
+            } else {
+                None
+            };
+            let slot = self.pending.get_mut(&to).expect("slot just ensured");
+            slot.msgs.push(msg);
+            slot.bytes += framed;
+            full
+        }
+
+        fn is_empty(&self) -> bool {
+            self.pending.values().all(|p| p.msgs.is_empty())
+        }
+
+        fn pending_for(&self, to: SiteId) -> usize {
+            self.pending.get(&to).map_or(0, |p| p.msgs.len())
+        }
+
+        fn pending_msgs(&self) -> usize {
+            self.pending.values().map(|p| p.msgs.len()).sum()
+        }
+
+        fn pending_bytes(&self) -> usize {
+            (self.pending.values())
+                .filter(|p| !p.msgs.is_empty())
+                .map(|p| p.bytes)
+                .sum()
+        }
+
+        fn flush_all(&mut self) -> Vec<Batch<M>> {
+            let drained = std::mem::take(&mut self.pending);
+            drained
+                .into_iter()
+                .filter(|(_, p)| !p.msgs.is_empty())
+                .map(|(to, p)| Batch {
+                    to,
+                    msgs: p.msgs,
+                    bytes: p.bytes,
+                })
+                .collect()
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Msg(u64, usize);
+
+    impl WireSize for Msg {
+        fn wire_size(&self) -> usize {
+            self.1
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Destination, wire size: usually small, sometimes past the cap.
+        Push(usize, usize),
+        Flush,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..7, 0usize..60).prop_map(|(to, size)| Op::Push(to, size)),
+            (0usize..7, 0usize..60).prop_map(|(to, size)| Op::Push(to, size)),
+            (0usize..7, 0usize..60).prop_map(|(to, size)| Op::Push(to, size)),
+            (0usize..7, 150usize..400).prop_map(|(to, size)| Op::Push(to, size)),
+            Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Destinations pushed out of order, the size cap hit between
+        /// flushes, messages larger than the cap: both batchers hand out
+        /// the same batches in the same order, and agree on what is
+        /// pending after every step.
+        #[test]
+        fn indexed_batcher_agrees_with_the_oracle(
+            cap in 0usize..300,
+            ops in proptest::collection::vec(op(), 0..200)
+        ) {
+            let mut new = Batcher::new(cap);
+            let mut old = Oracle::new(cap);
+            let mut out = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Push(to, size) => {
+                        let msg = Msg(i as u64, size);
+                        let full = new.push(SiteId(to), msg.clone());
+                        prop_assert_eq!(full, old.push(SiteId(to), msg), "push {}", i);
+                    }
+                    Op::Flush => {
+                        new.flush_into(&mut out);
+                        prop_assert_eq!(&out, &old.flush_all(), "flush {}", i);
+                        out.clear();
+                    }
+                }
+                prop_assert_eq!(new.is_empty(), old.is_empty());
+                prop_assert_eq!(new.pending_msgs(), old.pending_msgs());
+                prop_assert_eq!(new.pending_bytes(), old.pending_bytes());
+                for to in 0..8 {
+                    prop_assert_eq!(new.pending_for(SiteId(to)), old.pending_for(SiteId(to)));
+                }
+            }
+            prop_assert_eq!(new.flush_all(), old.flush_all());
+        }
     }
 }

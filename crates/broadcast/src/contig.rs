@@ -36,6 +36,11 @@ impl Contig {
         true
     }
 
+    /// True iff `seq` has been recorded.
+    pub fn contains(&self, seq: u64) -> bool {
+        seq <= self.watermark || self.above.contains(&seq)
+    }
+
     /// Highest `seq` such that all of `1..=seq` have been recorded.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -122,7 +127,9 @@ mod tests {
         assert!(c.insert(2));
         assert!(!c.insert(3), "duplicate above the watermark");
         assert_eq!((c.watermark(), c.above_len(), c.max_seen()), (0, 2, 3));
+        assert!(c.contains(3) && !c.contains(1) && !c.contains(4));
         assert!(c.insert(1));
+        assert!(c.contains(1) && c.contains(3) && !c.contains(4));
         assert_eq!((c.watermark(), c.above_len(), c.max_seen()), (3, 0, 3));
     }
 

@@ -38,6 +38,8 @@ pub struct ReplicaNode {
     tick_armed: bool,
     /// Outgoing-message coalescing, present iff `cfg.batch_window` is set.
     batcher: Option<Batcher<ReplicaMsg>>,
+    /// Reusable buffer the flush timer drains the batcher into.
+    flushed: Vec<Batch<ReplicaMsg>>,
     /// True while a `FlushBatch` timer is pending.
     flush_armed: bool,
     /// Reusable [`Effects`] buffers: taken at the start of each step and
@@ -69,6 +71,7 @@ impl ReplicaNode {
             cfg,
             tick_armed: false,
             batcher,
+            flushed: Vec::new(),
             flush_armed: false,
             scratch: Effects::new(),
             last_suspected: BTreeSet::new(),
@@ -132,7 +135,8 @@ impl ReplicaNode {
         // A leftover FlushBatch timer is harmless (flushing empty is a
         // no-op), so just let the next send re-arm.
         if let Some(b) = &mut self.batcher {
-            b.flush_all();
+            b.flush_into(&mut self.flushed);
+            self.flushed.clear();
         }
         self.flush_armed = false;
     }
@@ -449,13 +453,14 @@ impl Node for ReplicaNode {
                 .continue_write(Step::new(&mut self.st, &mut fx, now), id),
             ReplicaTimer::FlushBatch => {
                 self.flush_armed = false;
-                let batches = match &mut self.batcher {
-                    Some(b) => b.flush_all(),
-                    None => Vec::new(),
-                };
-                for batch in batches {
+                let mut batches = std::mem::take(&mut self.flushed);
+                if let Some(b) = &mut self.batcher {
+                    b.flush_into(&mut batches);
+                }
+                for batch in batches.drain(..) {
                     self.send_wire_batch(batch, ctx);
                 }
+                self.flushed = batches;
             }
             ReplicaTimer::Tick => {
                 self.tick_armed = false;

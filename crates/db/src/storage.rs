@@ -7,6 +7,7 @@
 //! serialization-graph checker needs.
 
 use crate::types::{Key, KeyMap, TxnId, Value, WriteOp};
+use bcastdb_sim::SiteId;
 
 /// The committed version of one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,13 +18,58 @@ pub struct Version {
     pub writer: Option<TxnId>,
 }
 
+/// One key's committed writers in install order. Most keys of a large
+/// keyspace are installed once or twice per run, so the first two are
+/// held inline and only a third moves the order to the heap.
+#[derive(Debug, Clone)]
+enum Installs {
+    Inline(u8, [TxnId; 2]),
+    Spilled(Vec<TxnId>),
+}
+
+impl Installs {
+    fn new() -> Self {
+        Installs::Inline(0, [TxnId::new(SiteId(0), 0); 2])
+    }
+
+    #[inline]
+    fn push(&mut self, txn: TxnId) {
+        match self {
+            Installs::Spilled(all) => all.push(txn),
+            Installs::Inline(len, first) if usize::from(*len) < first.len() => {
+                first[usize::from(*len)] = txn;
+                *len += 1;
+            }
+            Installs::Inline(..) => self.spill(txn),
+        }
+    }
+
+    /// Moves a full inline order to the heap, then appends `txn`. Out of
+    /// line, so a hot key's push stays a branch and a `Vec::push`.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, txn: TxnId) {
+        let mut all = Vec::with_capacity(4);
+        all.extend_from_slice(self.as_slice());
+        all.push(txn);
+        *self = Installs::Spilled(all);
+    }
+
+    fn as_slice(&self) -> &[TxnId] {
+        match self {
+            Installs::Inline(len, first) => &first[..usize::from(*len)],
+            Installs::Spilled(all) => all,
+        }
+    }
+}
+
 /// A full replica of the database at one site.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
     /// Per key, the current version and the install order of committed
     /// writers (the ww order at this site, used by the serializability
     /// checker): one probe per written key.
-    keys: KeyMap<(Version, Vec<TxnId>)>,
+    keys: KeyMap<(Version, Installs)>,
     applied_writes: u64,
 }
 
@@ -64,11 +110,9 @@ impl Store {
                     installs.push(txn);
                 }
                 None => {
-                    let (_, installs) = self
-                        .keys
-                        .entry(w.key.clone())
-                        .or_insert((version, Vec::new()));
+                    let mut installs = Installs::new();
                     installs.push(txn);
+                    self.keys.insert(w.key.clone(), (version, installs));
                 }
             }
             self.applied_writes += 1;
@@ -84,20 +128,22 @@ impl Store {
         };
         self.keys
             .entry(key.into())
-            .or_insert((version, Vec::new()))
+            .or_insert((version, Installs::new()))
             .0 = version;
     }
 
     /// The per-key sequence of committed writers at this site.
     pub fn install_order(&self, key: &Key) -> &[TxnId] {
-        self.keys.get(key).map_or(&[], |(_, installs)| installs)
+        self.keys
+            .get(key)
+            .map_or(&[], |(_, installs)| installs.as_slice())
     }
 
     /// Every written key with its install order, in no particular order —
     /// what the serializability checker compares across replicas, in place.
     pub fn install_orders(&self) -> impl Iterator<Item = (&Key, &[TxnId])> {
-        let written = self.keys.iter().filter(|(_, (_, o))| !o.is_empty());
-        written.map(|(k, (_, o))| (k, o.as_slice()))
+        let orders = self.keys.iter().map(|(k, (_, o))| (k, o.as_slice()));
+        orders.filter(|(_, o)| !o.is_empty())
     }
 
     /// Iterates over `(key, version)` pairs of every object ever written
@@ -178,6 +224,66 @@ mod tests {
         s.apply(t(2), &[w("x", 2)]);
         assert_eq!(s.value(&Key::new("x")), 2);
         assert_eq!(s.install_order(&Key::new("x")), &[t(1), t(2)]);
+    }
+
+    /// Keys installed 0, 1, 2, 3 and 9 times: on both sides of the two
+    /// inline slots, and past the spilled order's first growth.
+    #[test]
+    fn install_orders_cross_the_inline_boundary() {
+        let mut s = Store::new();
+        let counts = [0u64, 1, 2, 3, 9];
+        let key = |count: u64| Key::new(format!("k{count}"));
+        for round in 0..9 {
+            for &count in counts.iter().filter(|&&c| round < c) {
+                s.apply(
+                    t(count * 100 + round),
+                    &[w(&format!("k{count}"), round as i64)],
+                );
+            }
+        }
+        for count in counts {
+            let want: Vec<TxnId> = (0..count).map(|round| t(count * 100 + round)).collect();
+            assert_eq!(s.install_order(&key(count)), want.as_slice(), "k{count}");
+        }
+        let mut orders: Vec<(String, usize)> = (s.install_orders())
+            .map(|(k, o)| (k.as_str().to_string(), o.len()))
+            .collect();
+        orders.sort();
+        let want = [("k1", 1), ("k2", 2), ("k3", 3), ("k9", 9)];
+        let want: Vec<(String, usize)> = want.iter().map(|&(k, n)| (k.into(), n)).collect();
+        assert_eq!(orders, want);
+    }
+
+    #[test]
+    fn seeded_keys_stay_out_of_install_orders() {
+        let mut s = Store::new();
+        s.seed("seeded", 5);
+        s.seed("both", 1);
+        s.apply(t(1), &[w("both", 2), w("written", 3)]);
+        let mut keys: Vec<&str> = s.install_orders().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, vec!["both", "written"]);
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn a_clone_converges_with_its_original_and_keeps_its_orders() {
+        let mut s = Store::new();
+        s.seed("seeded", 5);
+        for n in 0..5 {
+            s.apply(t(n), &[w("hot", n as i64), w(&format!("cold{n}"), 1)]);
+        }
+        let copy = s.clone();
+        assert!(copy.converged_with(&s) && s.converged_with(&copy));
+        let orders = |s: &Store| {
+            let mut o: Vec<(Key, Vec<TxnId>)> = (s.install_orders())
+                .map(|(k, o)| (k.clone(), o.to_vec()))
+                .collect();
+            o.sort();
+            o
+        };
+        assert_eq!(orders(&copy), orders(&s));
+        assert_eq!(copy.install_order(&Key::new("hot")).len(), 5);
     }
 
     #[test]

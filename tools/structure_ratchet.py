@@ -59,8 +59,16 @@ BENCH_CEILING = 4960
 # the metrics sample writer, its rows and name tables (+81 in stats.rs),
 # the block-buffered JSONL sink and the pair-table integer speller (+45,
 # below), less the per-sample map `Sample::set`/`set_site` built and the
-# unused `StatsRegistry::into_samples`.
-CRATES_CEILING = 20620
+# unused `StatsRegistry::into_samples`. Raised by exactly its growth,
+# 20620 -> 20742 (crates 20618 -> 20740), when a ring hop started costing
+# O(1) (PERFORMANCE.md section 3, DESIGN.md sections 11, 16 and 18): the
+# ring engine's per-origin payload tables, gseq-indexed log and per-origin
+# ordered-id trackers with their helpers (+47 in ring.rs, +5 for
+# `Contig::contains`), the batcher's destination-indexed slots and the
+# reused flush buffer (+19, +5 in engine.rs), and a key's first two installs
+# held inline (+46 in storage.rs), less the B-tree and hashed-set code they
+# replaced. The B-tree engine and batcher kept as test oracles are test-only.
+CRATES_CEILING = 20742
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
