@@ -269,7 +269,7 @@ fn bench_whole_sim(c: &mut Criterion) {
     for (proto, events) in [
         (ProtocolKind::ReliableBcast, 10129u64),
         (ProtocolKind::CausalBcast, 9149),
-        (ProtocolKind::AtomicBcast, 8723),
+        (ProtocolKind::AtomicBcast, 8726),
     ] {
         g.bench_function(proto.name(), |b| {
             b.iter(|| {

@@ -20,13 +20,21 @@
 //! change, and the vote-round column shrinks accordingly (asserted, not
 //! just reported).
 //!
+//! Two more rows crash the **coordinator** instead, under the atomic
+//! protocol with each coordinator-based backend (`crash_sequencer`,
+//! `crash_ring_coord`): `crash_mid_2pc`'s schedule aimed at site 0, so the
+//! sequencer (or the ring's coordinator) dies with submissions and
+//! orderings in flight. The next coordinator's repair round must re-order
+//! every survivor's commit request before anything new — no survivor may
+//! be left undecided (`run_nemesis` panics if one is).
+//!
 //! With `--trace-out <base>` every run streams its full JSONL trace to
 //! `<base>-<scenario>-<protocol>[-fast].jsonl` for `bcast-trace check`.
 
 use super::Run;
 use crate::nemesis::{run_nemesis, NemesisConfig, NemesisOutcome, NemesisScenario};
 use crate::Table;
-use bcastdb_core::ProtocolKind;
+use bcastdb_core::{AbcastImpl, ProtocolKind};
 
 pub(super) fn run(run: &mut Run) {
     let mut configs: Vec<NemesisConfig> = Vec::new();
@@ -41,6 +49,13 @@ pub(super) fn run(run: &mut Run) {
     for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
         let mut cfg = NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto);
         cfg.fast_commit = true;
+        configs.push(cfg);
+    }
+    // The coordinator-crash pair: one row per coordinator-based backend.
+    for imp in [AbcastImpl::Sequencer, AbcastImpl::Ring] {
+        let mut cfg =
+            NemesisConfig::new(NemesisScenario::CrashCoordinator, ProtocolKind::AtomicBcast);
+        cfg.abcast = Some(imp);
         configs.push(cfg);
     }
 

@@ -18,6 +18,12 @@
 //! | `cascading_views` | two crashes inside one suspicion window — view changes pile up |
 //! | `crash_recover_rejoin` | crash → majority keeps going → log/state catch-up → readmission |
 //!
+//! A sixth schedule, `crash_coordinator` ([`NemesisScenario::CrashCoordinator`]),
+//! is `crash_mid_2pc` aimed at site 0 — the view coordinator, and so the
+//! atomic broadcast's sequencer or ring coordinator. `t2_failures` runs it
+//! under the atomic protocol once per backend, as the rows
+//! `crash_sequencer` and `crash_ring_coord`.
+//!
 //! Every run is validated three ways before its row is reported: the
 //! streaming trace invariant checker (delivery, termination, total order;
 //! partitions use the pending-tolerant variant because a cut drops
@@ -70,6 +76,11 @@ pub enum NemesisScenario {
     /// Crash, let the majority commit without the site, then catch it up
     /// from a donor's log/state and let membership re-admit it.
     CrashRecoverRejoin,
+    /// `CrashMidTwoPhase` aimed at site 0, the view coordinator: under the
+    /// atomic protocol the sequencer (or the ring's coordinator) dies with
+    /// submissions and orderings in flight, and the next view's
+    /// coordinator must run the repair round before it orders anything.
+    CrashCoordinator,
 }
 
 impl NemesisScenario {
@@ -90,6 +101,7 @@ impl NemesisScenario {
             NemesisScenario::PartitionHeal => "partition_heal",
             NemesisScenario::CascadingViews => "cascading_views",
             NemesisScenario::CrashRecoverRejoin => "crash_recover_rejoin",
+            NemesisScenario::CrashCoordinator => "crash_coordinator",
         }
     }
 
@@ -100,6 +112,7 @@ impl NemesisScenario {
             NemesisScenario::PartitionHeal => 65,
             NemesisScenario::CascadingViews => 67,
             NemesisScenario::CrashRecoverRejoin => 69,
+            NemesisScenario::CrashCoordinator => 71,
         }
     }
 }
@@ -149,6 +162,8 @@ pub struct NemesisOutcome {
     pub protocol: ProtocolKind,
     /// Whether speculative fast commit was enabled.
     pub fast_commit: bool,
+    /// The atomic-broadcast backend override it ran with, if any.
+    pub abcast: Option<AbcastImpl>,
     /// Committed transactions (cluster-wide, origin-counted).
     pub commits: u64,
     /// Aborted transactions.
@@ -177,7 +192,7 @@ impl NemesisOutcome {
     /// `t2_failures` table.
     pub fn cells(&self) -> Vec<String> {
         vec![
-            self.scenario.name().to_string(),
+            row_name(self.scenario, self.abcast).to_string(),
             self.protocol.name().to_string(),
             if self.fast_commit { "on" } else { "off" }.to_string(),
             self.commits.to_string(),
@@ -215,7 +230,7 @@ impl NemesisOutcome {
 pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
     let label = format!(
         "{}-{}{}",
-        cfg.scenario.name(),
+        row_name(cfg.scenario, cfg.abcast),
         cfg.protocol.name(),
         if cfg.fast_commit { "-fast" } else { "" }
     );
@@ -241,11 +256,12 @@ pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
         label: &label,
     };
     let (survivors, allow_pending) = match cfg.scenario {
-        NemesisScenario::CrashMidTwoPhase => crash_mid_two_phase(ctx),
+        NemesisScenario::CrashMidTwoPhase => crash_mid_two_phase(ctx, N - 1),
         NemesisScenario::CrashOrigin => crash_origin(ctx),
         NemesisScenario::PartitionHeal => partition_heal(ctx),
         NemesisScenario::CascadingViews => cascading_views(ctx),
         NemesisScenario::CrashRecoverRejoin => crash_recover_rejoin(ctx),
+        NemesisScenario::CrashCoordinator => crash_mid_two_phase(ctx, 0),
     };
 
     if allow_pending {
@@ -260,6 +276,7 @@ pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
         scenario: cfg.scenario,
         protocol: cfg.protocol,
         fast_commit: cfg.fast_commit,
+        abcast: cfg.abcast,
         commits: metrics.commits(),
         aborts: metrics.aborts(),
         fast_commits: metrics.counters.get("fast_commits"),
@@ -268,6 +285,16 @@ pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
         survivors,
         survivors_serializable,
         events: run.finish(cluster),
+    }
+}
+
+/// A row's scenario cell: the coordinator-crash rows say whose coordinator
+/// they crash.
+fn row_name(scenario: NemesisScenario, abcast: Option<AbcastImpl>) -> &'static str {
+    match (scenario, abcast) {
+        (NemesisScenario::CrashCoordinator, Some(AbcastImpl::Ring)) => "crash_ring_coord",
+        (NemesisScenario::CrashCoordinator, _) => "crash_sequencer",
+        (scenario, _) => scenario.name(),
     }
 }
 
@@ -371,20 +398,23 @@ impl Ctx<'_> {
     }
 }
 
-fn crash_mid_two_phase(mut ctx: Ctx<'_>) -> (Vec<SiteId>, bool) {
+/// `victim` is site `N-1` for `crash_mid_2pc`, site 0 (the coordinator)
+/// for `crash_coordinator`.
+fn crash_mid_two_phase(mut ctx: Ctx<'_>, victim: usize) -> (Vec<SiteId>, bool) {
     // Warm-up load on every site, fully decided before the fault.
     ctx.load(0..N, 0, SimTime::from_micros(1_000), 8);
     ctx.cluster.run_until(SimTime::from_micros(200_000));
-    // A burst whose commit requests are on the wire when site N-1 dies:
+    // A burst whose commit requests are on the wire when the victim dies:
     // at +900 µs the requests have disseminated but the vote round is
     // still in flight, so the survivors hold orphaned vote waits.
     ctx.burst(0..N, 100, SimTime::from_micros(200_000));
     ctx.cluster.run_until(SimTime::from_micros(200_900));
-    ctx.cluster.crash(SiteId(N - 1));
-    let survivors: Vec<SiteId> = (0..N - 1).map(SiteId).collect();
-    let evicted_at = ctx.await_eviction(&[SiteId(N - 1)], &survivors);
+    ctx.cluster.crash(SiteId(victim));
+    let rest = if victim == 0 { 1..N } else { 0..N - 1 };
+    let survivors: Vec<SiteId> = rest.clone().map(SiteId).collect();
+    let evicted_at = ctx.await_eviction(&[SiteId(victim)], &survivors);
     // Post-fault load proves the majority keeps committing.
-    ctx.load(0..N - 1, 200, evicted_at, 5);
+    ctx.load(rest, 200, evicted_at, 5);
     ctx.cluster
         .run_until(evicted_at + SimDuration::from_secs(2));
     ctx.assert_survivors_terminated(&survivors);

@@ -18,7 +18,8 @@
 //!   [`ring::RingAbcast`] — total-order broadcast, in three classical
 //!   implementations whose cost difference is the subject of ablation
 //!   experiment A1 (the pipelined ring stays bandwidth-bound as the group
-//!   grows where the other two go leader-bound).
+//!   grows where the other two go leader-bound); the first and last share
+//!   one ordering core, [`order`].
 //!
 //! [`membership::ViewManager`] provides majority-quorum views: "as long as
 //! the view has majority membership, the system remains operational".
@@ -61,6 +62,7 @@ pub mod causal;
 pub mod contig;
 pub mod membership;
 pub mod msg;
+pub mod order;
 pub mod reliable;
 pub mod ring;
 pub mod vclock;

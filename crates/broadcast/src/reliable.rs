@@ -91,10 +91,6 @@ pub struct ReliableBcast<P> {
     /// request asks for — and how many wires an answer holds is part of
     /// the run's message counts.
     archive: BTreeMap<(SiteId, u64), P>,
-    /// Every id ever accepted: the set `on_wire`'s watermark test
-    /// replaced, kept in debug builds to check each verdict against.
-    #[cfg(debug_assertions)]
-    seen: std::collections::HashSet<MsgId>,
     /// Whether the archive is populated. Retransmissions are only ever
     /// requested via sync rounds, which exist in relay mode; a non-relay
     /// engine skips the per-message archive insert.
@@ -116,8 +112,6 @@ impl<P: Clone> ReliableBcast<P> {
             delivered_seq: vec![0; n],
             holdback: BTreeMap::new(),
             archive: BTreeMap::new(),
-            #[cfg(debug_assertions)]
-            seen: std::collections::HashSet::new(),
             archive_enabled: true,
         }
     }
@@ -150,8 +144,6 @@ impl<P: Clone> ReliableBcast<P> {
             origin: self.me,
             seq: self.next_seq,
         };
-        #[cfg(debug_assertions)]
-        self.seen.insert(id);
         self.delivered_seq[self.me.0] = id.seq;
         if self.archive_enabled {
             self.archive.insert((self.me, id.seq), payload.clone());
@@ -175,8 +167,6 @@ impl<P: Clone> ReliableBcast<P> {
         // accepted is at or below the watermark or waiting in the holdback.
         let duplicate = wire.id.seq <= self.delivered_seq[wire.id.origin.0]
             || self.holdback.contains_key(&(wire.id.origin, wire.id.seq));
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(duplicate, !self.seen.insert(wire.id), "dedup verdict");
         if duplicate {
             return Output::empty();
         }
@@ -235,18 +225,6 @@ impl<P: Clone> ReliableBcast<P> {
         }
         self.next_seq = self.next_seq.max(self.delivered_seq[self.me.0]);
         self.holdback.clear();
-        // What the jump covers counts as accepted; what the holdback lost
-        // does not (a retransmission of it must get back in).
-        #[cfg(debug_assertions)]
-        {
-            let marks = &self.delivered_seq;
-            self.seen.retain(|id| id.seq <= marks[id.origin.0]);
-            for (origin, &mark) in marks.iter().enumerate() {
-                let origin = SiteId(origin);
-                self.seen
-                    .extend((1..=mark).map(|seq| MsgId { origin, seq }));
-            }
-        }
     }
 
     /// Number of messages currently held back waiting for predecessors.
@@ -303,6 +281,97 @@ impl<P: Clone> ReliableBcast<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The duplicate test `on_wire`'s watermark test replaced: the set of
+    /// every id ever accepted. Resuming jumps it with the watermarks: what
+    /// the jump covers counts as accepted, what the cleared holdback lost
+    /// does not (a retransmission of it must get back in).
+    mod oracle {
+        use crate::msg::MsgId;
+        use bcastdb_sim::SiteId;
+        use std::collections::HashSet;
+
+        #[derive(Default)]
+        pub(super) struct Oracle(HashSet<MsgId>);
+
+        impl Oracle {
+            /// Records `id`; returns whether it was a duplicate.
+            pub(super) fn duplicate(&mut self, id: MsgId) -> bool {
+                !self.0.insert(id)
+            }
+
+            fn prefix(&self, origin: SiteId) -> u64 {
+                (1..)
+                    .take_while(|&seq| self.0.contains(&MsgId { origin, seq }))
+                    .count() as u64
+            }
+
+            pub(super) fn resume_from(&mut self, donor: &[u64]) {
+                let marks: Vec<u64> = (donor.iter().enumerate())
+                    .map(|(o, &d)| self.prefix(SiteId(o)).max(d))
+                    .collect();
+                self.0.retain(|id| id.seq <= marks[id.origin.0]);
+                for (origin, &mark) in marks.iter().enumerate() {
+                    let origin = SiteId(origin);
+                    self.0.extend((1..=mark).map(|seq| MsgId { origin, seq }));
+                }
+            }
+        }
+    }
+
+    /// One input to a relaying site 2 of 3.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Broadcast,
+        Wire(usize, u64),
+        Resume(Vec<u64>),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let wire = (0usize..2, 1u64..12).prop_map(|(o, s)| Step::Wire(o, s));
+        let resume = proptest::collection::vec(0u64..8, 3..4).prop_map(Step::Resume);
+        prop_oneof![
+            Just(Step::Broadcast),
+            wire.clone(),
+            wire.clone(),
+            wire,
+            resume
+        ]
+    }
+
+    proptest! {
+        /// Arrivals from two origins out of order and duplicated, own
+        /// broadcasts, and resumes from donors ahead of or behind this
+        /// site: the watermark test accepts exactly what the set of every
+        /// id accepts (in relay mode an accepted copy is relayed, a
+        /// duplicate is not).
+        #[test]
+        fn watermark_dedup_agrees_with_the_oracle(
+            steps in proptest::collection::vec(step(), 0..80)
+        ) {
+            let mut rb = ReliableBcast::new(SiteId(2), 3).with_relay();
+            let mut old = oracle::Oracle::default();
+            for step in steps {
+                match step {
+                    Step::Broadcast => {
+                        let (id, _) = rb.broadcast("p".to_owned());
+                        prop_assert!(!old.duplicate(id), "own {} fresh", id);
+                    }
+                    Step::Wire(o, s) => {
+                        let w = wire(o, s, "p");
+                        let id = w.id;
+                        let relayed = !rb.on_wire(SiteId(o), w).outbound.is_empty();
+                        prop_assert_eq!(!relayed, old.duplicate(id), "verdict on {}", id);
+                    }
+                    Step::Resume(marks) => {
+                        rb.resume_from(&marks);
+                        old.resume_from(&marks);
+                    }
+                }
+            }
+        }
+    }
 
     fn wire(origin: usize, seq: u64, p: &str) -> Wire<String> {
         Wire {

@@ -1,55 +1,31 @@
-//! Pipelined ring atomic broadcast — the third A1 backend.
+//! Pipelined ring atomic broadcast — the third A1 backend (DESIGN.md §16).
 //!
-//! [`SequencerAbcast`](crate::atomic::SequencerAbcast) concentrates all
-//! payload bytes on the sequencer's links (`N-1` copies per broadcast) and
-//! [`IsisAbcast`](crate::atomic::IsisAbcast) concentrates proposal traffic
-//! on the origin. Both go leader-bound as `N` and payload size grow. The
-//! ring backend instead pipelines payload dissemination around a ring in
-//! the style of Ring Paxos \[MPSP10\]: every site forwards each payload to
-//! its successor exactly once, so every link (and every NIC) carries ~1x
-//! the payload bytes regardless of group size.
-//!
-//! Protocol sketch:
-//!
-//! - **Data** — the origin sends the payload to its ring successor; each
-//!   site stores and forwards it onward, stopping at the origin's
-//!   predecessor. The ring coordinator (lowest member, matching
-//!   [`View::coordinator`](crate::membership::View::coordinator)) assigns
-//!   the global sequence number when the payload reaches it.
-//! - **Commit** — the small `(gseq, id)` ordering record also circulates
-//!   hop-by-hop from the coordinator, so no single NIC carries an `O(N)`
-//!   control fan-out either.
-//! - **Ack** — the origin's ring predecessor (the last site to receive its
-//!   payloads) sends a cumulative ack straight back, releasing the
-//!   origin's bounded in-flight window. The origin piggybacks that
-//!   cumulative floor on its next `Data` as a stability hint, letting every
-//!   site prune delivered payloads — the same coalescing idea as
-//!   `batch.rs` cumulative-ack piggybacking.
-//! - **Repair** — on a view change every site re-offers its retained
-//!   payloads to its new successor (heals the ring break) and reports its
-//!   ordering log to the (possibly new) coordinator, which re-announces
-//!   missed commits, fills unrecoverable holes with skip markers, and
-//!   re-orders payloads stranded by a coordinator crash.
-//!
-//! Per broadcast the ring costs `2N - 1` point-to-point messages (`N-1`
-//! data hops, `N-1` commit hops, one ack) but — unlike the sequencer's
-//! `N+1` — no site sends more than a constant number of payload copies.
+//! The sequencer's NIC carries `N-1` copies of every payload and ISIS
+//! concentrates proposals on the origin, so both go leader-bound as `N`
+//! grows. Here, in the style of Ring Paxos \[MPSP10\], every site forwards
+//! each payload to its ring successor exactly once (`Data`, stopping at
+//! the origin's predecessor), so every link carries ~1x the payload bytes.
+//! The coordinator assigns the gseq when a payload reaches it and the
+//! small `(gseq, id)` record circulates hop by hop (`Commit`); the
+//! origin's predecessor acks cumulatively (`Ack`), releasing the origin's
+//! in-flight window, and the origin piggybacks that floor on its next
+//! `Data` so every site can prune what is delivered and stable. Ordering
+//! and the view-change repair round are the [`order`](crate::order) core;
+//! on a view change every site also re-offers its retained payloads to its
+//! new successor. A broadcast costs `2N - 1` messages, and no site sends
+//! more than a constant number of payload copies.
 
-use crate::atomic::{AtomicBcast, Output, TotalDelivery};
+use crate::atomic::{AtomicBcast, Output};
 use crate::contig::Contig;
+use crate::msg::Dest;
 use crate::msg::{MsgId, Outbound};
+pub use crate::order::SKIP_ID;
+use crate::order::{Fresh, Order, OrderWire, Report, Snapshot};
 use bcastdb_sim::SiteId;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Default bound on a site's in-flight (launched but un-acked) broadcasts.
 pub const DEFAULT_WINDOW: u64 = 8;
-
-/// Sentinel id used by hole-filling skip commits after a coordinator
-/// change: the global sequence number is consumed but nothing is delivered.
-pub const SKIP_ID: MsgId = MsgId {
-    origin: SiteId(usize::MAX),
-    seq: 0,
-};
 
 /// Wire messages of [`RingAbcast`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,17 +57,7 @@ pub enum RingWire<P> {
         upto: u64,
     },
     /// View-change report: member → coordinator.
-    Repair {
-        /// Reporting site (carried explicitly; transports may not preserve
-        /// the sender).
-        site: SiteId,
-        /// View epoch this report belongs to.
-        epoch: u64,
-        /// The reporter's full `(gseq, id)` ordering log.
-        entries: Vec<(u64, MsgId)>,
-        /// The reporter's delivery watermark (next gseq to deliver).
-        delivered: u64,
-    },
+    Repair(Report),
 }
 
 impl<P: crate::batch::WireSize> crate::batch::WireSize for RingWire<P> {
@@ -100,82 +66,48 @@ impl<P: crate::batch::WireSize> crate::batch::WireSize for RingWire<P> {
             RingWire::Data { id, payload, .. } => id.wire_size() + payload.wire_size() + 8,
             RingWire::Commit { id, .. } => 8 + 8 + id.wire_size(),
             RingWire::Ack { .. } => 8,
-            RingWire::Repair { entries, .. } => 8 + 8 + 8 + entries.len() * 24,
+            RingWire::Repair(r) => 8 + 8 + 8 + r.entries.len() * 24,
         }
     }
 }
 
-/// A payload retained for forwarding, delivery, and ring repair.
-#[derive(Debug)]
-struct Held<P> {
-    seq: u64,
-    payload: P,
-    delivered: bool,
-}
-
-/// Where `seq` sits in one origin's retained payloads (ascending by
-/// sequence number): `Ok` if held, else the index that keeps the order.
-/// Links are FIFO, so a new payload almost always goes at the back.
-fn slot_of<P>(held: &VecDeque<Held<P>>, seq: u64) -> Result<usize, usize> {
-    match held.back() {
-        Some(last) if last.seq >= seq => held.binary_search_by_key(&seq, |h| h.seq),
-        _ => Err(held.len()),
-    }
-}
-
-/// A stashed [`RingWire::Repair`] report: `(site, epoch, entries,
-/// delivered)`.
-type StashedRepair = (SiteId, u64, Vec<(u64, MsgId)>, u64);
-
-/// Pipelined ring atomic broadcast engine for one site.
-///
-/// Fault handling is driven externally: on a view change the replication
-/// layer calls [`set_ring`](RingAbcast::set_ring) with the surviving
-/// members, and a recovering site seeds itself from a peer snapshot via
-/// [`resume_from`](RingAbcast::resume_from).
+/// Pipelined ring atomic broadcast engine for one site; views and state
+/// transfer come in through [`set_view`](Self::set_view) and
+/// [`resume_from`](Self::resume_from).
 #[derive(Debug)]
 pub struct RingAbcast<P> {
     me: SiteId,
-    /// Current ring members, ascending; `ring[0]` is the coordinator.
-    ring: Vec<SiteId>,
-    /// View epoch of the current ring; stale commits/repairs are dropped.
-    epoch: u64,
     /// Max launched-but-unacked own broadcasts.
     window: u64,
-    /// Last own per-origin sequence number handed out by `broadcast`.
-    next_seq: u64,
-    /// Last own sequence number actually launched onto the ring.
+    /// Last own sequence number launched, and ring-acked.
     sent_seq: u64,
-    /// Own cumulative ring-completion ack.
     acked_seq: u64,
     /// Own broadcasts waiting for window space.
     pending_local: VecDeque<(MsgId, P)>,
-    /// Retained payloads (undelivered, or delivered but not yet stable),
-    /// one table per origin, ascending by sequence number.
-    store: Vec<VecDeque<Held<P>>>,
-    /// Full assignment log indexed by gseq, retained for view-change
-    /// repair; `None` is a gseq not known here. Never ends in `None`.
-    ordered: Vec<Option<MsgId>>,
-    /// Entries of `ordered` that are `Some`.
-    ordered_count: usize,
-    /// Per-origin sequence numbers with an assigned gseq (dedup on
-    /// re-arrival and re-assignment).
-    ordered_ids: Vec<Contig>,
-    /// Next global sequence number to deliver.
-    next_gseq_deliver: u64,
-    /// Per-origin contiguous receipt trackers (drives tail acks); `None`
-    /// until a payload or snapshot floor of that origin arrives.
+    /// Per-origin receipt trackers (drive tail acks); `None` until a
+    /// payload or a floor of that origin arrives.
     received: Vec<Option<Contig>>,
     /// Per-origin stability floors learned from `Data` piggybacks.
     stable: Vec<u64>,
-    /// Coordinator state: next global sequence number to assign.
-    next_gseq_assign: u64,
-    /// Coordinator state: members whose `Repair` arrived this epoch.
-    repaired: BTreeSet<SiteId>,
-    /// `Repair` messages for a future epoch, replayed once we catch up.
-    stashed_repairs: Vec<StashedRepair>,
     /// Total payloads forwarded onward (the `ring.forwarded` counter).
     forwarded_total: u64,
+    /// The order; its held payloads are the retained ones (undelivered,
+    /// or delivered but not yet stable).
+    core: Order<P>,
+}
+
+impl<P> OrderWire<P> for RingWire<P> {
+    fn order(epoch: u64, gseq: u64, id: MsgId, _: Option<&P>) -> Self {
+        RingWire::Commit { epoch, gseq, id }
+    }
+}
+
+/// `me`'s successor on `ring` (itself when solo or not a member).
+fn successor_in(ring: &[SiteId], me: SiteId) -> SiteId {
+    match ring.iter().position(|&s| s == me) {
+        Some(i) => ring[(i + 1) % ring.len()],
+        None => me,
+    }
 }
 
 impl<P: Clone> RingAbcast<P> {
@@ -185,57 +117,33 @@ impl<P: Clone> RingAbcast<P> {
     /// # Panics
     /// Panics if `me` is not a valid site of an `n`-site system.
     pub fn new(me: SiteId, n: usize) -> Self {
-        assert!(me.0 < n, "site {me} out of range for {n} sites");
         RingAbcast {
             me,
-            ring: (0..n).map(SiteId).collect(),
-            epoch: 0,
             window: DEFAULT_WINDOW,
-            next_seq: 0,
             sent_seq: 0,
             acked_seq: 0,
             pending_local: VecDeque::new(),
-            store: (0..n).map(|_| VecDeque::new()).collect(),
-            ordered: Vec::new(),
-            ordered_count: 0,
-            ordered_ids: vec![Contig::default(); n],
-            next_gseq_deliver: 0,
             received: vec![None; n],
             stable: vec![0; n],
-            next_gseq_assign: 0,
-            repaired: BTreeSet::new(),
-            stashed_repairs: Vec::new(),
             forwarded_total: 0,
+            core: Order::new(me, n),
         }
     }
 
-    /// Sets the in-flight pipeline window (default [`DEFAULT_WINDOW`]).
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn with_window(mut self, window: u64) -> Self {
-        assert!(window >= 1, "window must be at least 1");
-        self.window = window;
-        self
+    fn successor(&self) -> SiteId {
+        successor_in(&self.core.members, self.me)
     }
 
-    /// The current ring coordinator (lowest member).
-    pub fn coordinator(&self) -> SiteId {
-        self.ring[0]
-    }
-
-    /// This site's current ring successor (itself when solo or evicted).
-    pub fn successor(&self) -> SiteId {
-        match self.ring.iter().position(|&s| s == self.me) {
-            Some(i) => self.ring[(i + 1) % self.ring.len()],
-            None => self.me,
-        }
+    /// A fresh commit starts circulating at the successor.
+    fn fresh(&self) -> Fresh {
+        let succ = self.successor();
+        (succ != self.me).then_some(Dest::Site(succ))
     }
 
     /// Own broadcasts not yet ring-acked (the `ring.inflight` gauge);
     /// includes broadcasts queued behind the window.
     pub fn inflight(&self) -> u64 {
-        self.next_seq - self.acked_seq
+        self.core.next_seq - self.acked_seq
     }
 
     /// Total payloads this site forwarded onward (the `ring.forwarded`
@@ -244,150 +152,11 @@ impl<P: Clone> RingAbcast<P> {
         self.forwarded_total
     }
 
-    /// The next global sequence number this site would deliver.
-    pub fn delivered_watermark(&self) -> u64 {
-        self.next_gseq_deliver
-    }
-
-    /// Number of payloads currently retained for forwarding/repair.
-    pub fn retained_payloads(&self) -> usize {
-        self.store.iter().map(VecDeque::len).sum()
-    }
-
     /// Entries in the `(gseq, id)` assignment log (the `ring.ordered_len`
     /// gauge). The log is what a view change's repair round reports and
     /// re-announces from, so it is kept whole: it grows with the run.
     pub fn ordered_len(&self) -> usize {
-        self.ordered_count
-    }
-
-    /// Current view epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Per-origin sequence floors for a recovery snapshot: the highest
-    /// sequence number this site has seen from each origin (and assigned
-    /// itself). A rejoiner seeds [`resume_from`](RingAbcast::resume_from) with these so fresh ids
-    /// never collide with pre-crash ones.
-    pub fn seq_floors(&self) -> Vec<(SiteId, u64)> {
-        let mut floors: Vec<(SiteId, u64)> = self
-            .received
-            .iter()
-            .enumerate()
-            .filter_map(|(site, contig)| Some((SiteId(site), contig.as_ref()?.max_seen())))
-            .collect();
-        floors.push((self.me, self.next_seq));
-        floors.sort_unstable();
-        floors
-    }
-
-    /// Re-seeds a recovering site from a peer snapshot: delivery resumes at
-    /// `watermark` and per-origin counters start past `floors` (see
-    /// [`seq_floors`](Self::seq_floors)). Retained transient state is
-    /// discarded; the view change that readmits this site re-supplies
-    /// undelivered payloads and orderings.
-    pub fn resume_from(&mut self, watermark: u64, floors: &[(SiteId, u64)]) {
-        self.ordered.clear();
-        self.ordered_count = 0;
-        self.ordered_ids.fill(Contig::default());
-        self.store.iter_mut().for_each(VecDeque::clear);
-        self.pending_local.clear();
-        self.received.fill(None);
-        self.stable.fill(0);
-        self.repaired.clear();
-        self.stashed_repairs.clear();
-        self.next_gseq_deliver = self.next_gseq_deliver.max(watermark);
-        self.next_gseq_assign = self.next_gseq_assign.max(watermark);
-        for &(site, seq) in floors {
-            if site == self.me {
-                self.next_seq = self.next_seq.max(seq);
-                self.sent_seq = self.sent_seq.max(seq);
-                self.acked_seq = self.acked_seq.max(seq);
-            } else {
-                self.received[site.0]
-                    .get_or_insert_with(Contig::default)
-                    .raise(seq);
-            }
-        }
-    }
-
-    /// Installs a new ring membership for view `epoch` and starts repair:
-    /// re-offers retained payloads to the new successor, refreshes the
-    /// cumulative ack for the origin this site is now tail of, and either
-    /// reports its ordering log to the coordinator or (as coordinator)
-    /// begins collecting reports.
-    pub fn set_ring(&mut self, members: &[SiteId], epoch: u64) -> Output<P, RingWire<P>> {
-        let mut ring: Vec<SiteId> = members.to_vec();
-        ring.sort_unstable();
-        ring.dedup();
-        assert!(!ring.is_empty(), "ring must have at least one member");
-        self.ring = ring;
-        self.epoch = epoch;
-        self.repaired.clear();
-        let mut out = Output::empty();
-        let succ = self.successor();
-        if succ != self.me {
-            // Heal the ring break: re-offer every retained payload to the
-            // new successor. Duplicates are cheap no-ops at the receiver.
-            let mut offered = 0;
-            for (origin, held) in self.store.iter().enumerate() {
-                let origin = SiteId(origin);
-                if origin == succ {
-                    continue;
-                }
-                let stable = self.stable_floor(origin);
-                for h in held {
-                    let id = MsgId { origin, seq: h.seq };
-                    let payload = h.payload.clone();
-                    out.outbound.push(Outbound::to(
-                        succ,
-                        RingWire::Data {
-                            id,
-                            payload,
-                            stable,
-                        },
-                    ));
-                }
-                offered += held.len() as u64;
-            }
-            self.forwarded_total += offered;
-            // We are now the ring tail for our successor's broadcasts;
-            // refresh its cumulative ack so its window can't deadlock.
-            let upto = self.received[succ.0].as_ref().map_or(0, Contig::watermark);
-            out.outbound
-                .push(Outbound::to(succ, RingWire::Ack { upto }));
-        } else {
-            // Ring collapsed to just us: outstanding windows complete
-            // vacuously.
-            self.acked_seq = self.sent_seq;
-            self.pump_pending(&mut out);
-        }
-        if self.me == self.coordinator() {
-            // The log never ends in a gap: its length is the highest
-            // assigned gseq plus one.
-            self.next_gseq_assign = self.next_gseq_assign.max(self.ordered.len() as u64);
-            self.next_gseq_assign = self.next_gseq_assign.max(self.next_gseq_deliver);
-            self.repaired.insert(self.me);
-            self.maybe_fill_holes(&mut out);
-            let stashed = std::mem::take(&mut self.stashed_repairs);
-            for (site, repair_epoch, entries, delivered) in stashed {
-                self.on_repair(site, repair_epoch, entries, delivered, &mut out);
-            }
-        } else {
-            let entries: Vec<(u64, MsgId)> = self.log_from(0).collect();
-            out.outbound.push(Outbound::to(
-                self.coordinator(),
-                RingWire::Repair {
-                    site: self.me,
-                    epoch,
-                    entries,
-                    delivered: self.next_gseq_deliver,
-                },
-            ));
-        }
-        self.drain(&mut out);
-        out
+        self.core.logged
     }
 
     /// Lowest sequence number of `origin` known to be held by every ring
@@ -400,70 +169,21 @@ impl<P: Clone> RingAbcast<P> {
         }
     }
 
-    /// Raises the stability floor for `origin` and prunes newly stable,
-    /// already delivered payloads.
+    /// Raises `origin`'s stability floor, prunes what it covers, and counts
+    /// it as received: what a rejoined origin gave up on never comes, and
+    /// must not hold its tail's cumulative ack back.
     fn raise_stable(&mut self, origin: SiteId, floor: u64) {
         if origin != self.me && floor > self.stable[origin.0] {
             self.stable[origin.0] = floor;
-            self.prune_origin(origin);
+            self.core.prune(origin, floor);
+            let received = self.received[origin.0].get_or_insert_with(Contig::default);
+            received.raise(floor);
         }
     }
 
-    /// Drops delivered payloads of `origin` at or below its stability
-    /// floor.
-    fn prune_origin(&mut self, origin: SiteId) {
-        let floor = self.stable_floor(origin);
-        let held = &mut self.store[origin.0];
-        while held.front().is_some_and(|h| h.delivered && h.seq <= floor) {
-            held.pop_front();
-        }
-        // An undelivered payload at or below the floor stays, and the
-        // delivered ones behind it still go.
-        if held.front().is_some_and(|h| h.seq <= floor) {
-            held.retain(|h| !h.delivered || h.seq > floor);
-        }
-    }
-
-    /// Retains `payload`, which is not held yet, as undelivered.
-    fn hold(&mut self, id: MsgId, payload: P) {
-        let held = &mut self.store[id.origin.0];
-        let at = slot_of(held, id.seq).expect_err("a payload is held once");
-        let h = Held {
-            seq: id.seq,
-            payload,
-            delivered: false,
-        };
-        held.insert(at, h);
-    }
-
-    /// The id assigned `gseq`, if known here.
-    fn ordered_at(&self, gseq: u64) -> Option<MsgId> {
-        self.ordered.get(gseq as usize).copied().flatten()
-    }
-
-    /// True iff `id` has been assigned a gseq.
-    fn is_ordered(&self, id: MsgId) -> bool {
-        self.ordered_ids[id.origin.0].contains(id.seq)
-    }
-
-    /// Logs `id` at `gseq`.
-    fn record(&mut self, gseq: u64, id: MsgId) {
-        let at = gseq as usize;
-        if at >= self.ordered.len() {
-            self.ordered.resize(at + 1, None);
-        }
-        if self.ordered[at].replace(id).is_none() {
-            self.ordered_count += 1;
-        }
-        if id != SKIP_ID {
-            self.ordered_ids[id.origin.0].insert(id.seq);
-        }
-    }
-
-    /// The assignment log from `gseq` on, ascending.
-    fn log_from(&self, gseq: u64) -> impl Iterator<Item = (u64, MsgId)> + '_ {
-        let entries = self.ordered.iter().enumerate().skip(gseq as usize);
-        entries.filter_map(|(gseq, id)| Some((gseq as u64, (*id)?)))
+    /// Assigns `id` a gseq if this site coordinates and no round is open.
+    fn assign(&mut self, id: MsgId, out: &mut Output<P, RingWire<P>>) {
+        self.core.assign(id, out, self.fresh());
     }
 
     /// Launches queued own broadcasts while the pipeline window has room.
@@ -479,151 +199,80 @@ impl<P: Clone> RingAbcast<P> {
     /// Puts one own broadcast onto the ring.
     fn launch(&mut self, id: MsgId, payload: P, out: &mut Output<P, RingWire<P>>) {
         self.sent_seq = id.seq;
-        self.hold(id, payload.clone());
+        self.core.hold(id, payload.clone());
         let succ = self.successor();
         if succ != self.me {
-            out.outbound.push(Outbound::to(
-                succ,
-                RingWire::Data {
-                    id,
-                    payload,
-                    stable: self.acked_seq,
-                },
-            ));
+            let stable = self.acked_seq;
+            let data = RingWire::Data {
+                id,
+                payload,
+                stable,
+            };
+            out.outbound.push(Outbound::to(succ, data));
         } else {
             // Solo ring: there is no tail to ack us.
             self.acked_seq = id.seq;
         }
-        if self.me == self.coordinator() {
-            self.assign(id, out);
-        }
-    }
-
-    /// Coordinator: assigns the next global sequence number to `id` and
-    /// starts the commit circulating. No-op if `id` is already ordered.
-    fn assign(&mut self, id: MsgId, out: &mut Output<P, RingWire<P>>) {
-        if self.is_ordered(id) {
-            return;
-        }
-        let gseq = self.next_gseq_assign;
-        self.next_gseq_assign += 1;
-        self.record(gseq, id);
-        let succ = self.successor();
-        if succ != self.me {
-            out.outbound.push(Outbound::to(
-                succ,
-                RingWire::Commit {
-                    epoch: self.epoch,
-                    gseq,
-                    id,
-                },
-            ));
-        }
+        self.assign(id, out);
     }
 
     /// Delivers every ordered message whose payload has arrived, in gseq
-    /// order.
+    /// order; a delivered payload is retained until it is stable.
     fn drain(&mut self, out: &mut Output<P, RingWire<P>>) {
-        while let Some(id) = self.ordered_at(self.next_gseq_deliver) {
-            if id == SKIP_ID {
-                self.next_gseq_deliver += 1;
-                continue;
-            }
-            let floor = self.stable_floor(id.origin);
-            let held = &mut self.store[id.origin.0];
-            let Ok(at) = slot_of(held, id.seq) else {
-                break;
-            };
-            let h = &mut held[at];
-            debug_assert!(!h.delivered, "message {id} delivered twice");
-            h.delivered = true;
-            out.deliveries.push(TotalDelivery {
-                gseq: self.next_gseq_deliver,
-                id,
-                payload: h.payload.clone(),
-            });
-            self.next_gseq_deliver += 1;
-            if id.seq <= floor {
-                held.remove(at);
-            }
-        }
+        let (me, acked, stable) = (self.me, self.acked_seq, &self.stable);
+        let floor = |o: SiteId| if o == me { acked } else { stable[o.0] };
+        self.core.drain(out, |id| id.seq > floor(id.origin));
     }
 
     /// Handles a payload dissemination hop.
     fn on_data(&mut self, id: MsgId, payload: P, stable: u64, out: &mut Output<P, RingWire<P>>) {
         let origin = id.origin;
         self.raise_stable(origin, stable);
-        if origin == self.me
-            || id.seq <= self.stable_floor(origin)
-            || slot_of(&self.store[origin.0], id.seq).is_ok()
-        {
-            // Echo or duplicate: already held (or stable everywhere).
-            // Never re-forwarded, which bounds circulation. A duplicate
-            // reaching the ring tail does refresh the cumulative ack,
-            // though — if the original Ack was lost, the origin's pipeline
-            // window would otherwise stay clogged forever.
+        if origin == self.me || id.seq <= self.stable_floor(origin) || !self.core.is_new(id) {
+            // Echo or duplicate: never re-forwarded. At the ring tail it
+            // refreshes the cumulative ack, in case the first was lost.
             if origin != self.me && self.successor() == origin {
                 if let Some(contig) = &self.received[origin.0] {
-                    out.outbound.push(Outbound::to(
-                        origin,
-                        RingWire::Ack {
-                            upto: contig.watermark(),
-                        },
-                    ));
+                    let upto = contig.watermark();
+                    out.outbound
+                        .push(Outbound::to(origin, RingWire::Ack { upto }));
                 }
             }
             return;
         }
-        self.hold(id, payload.clone());
+        self.core.hold(id, payload.clone());
         let succ = self.successor();
         if succ != origin && succ != self.me {
-            out.outbound.push(Outbound::to(
-                succ,
-                RingWire::Data {
-                    id,
-                    payload,
-                    stable: self.stable_floor(origin),
-                },
-            ));
+            let stable = self.stable_floor(origin);
+            let data = RingWire::Data {
+                id,
+                payload,
+                stable,
+            };
+            out.outbound.push(Outbound::to(succ, data));
             self.forwarded_total += 1;
         }
         let contig = self.received[origin.0].get_or_insert_with(Contig::default);
         let before = contig.watermark();
         contig.insert(id.seq);
         let upto = contig.watermark();
-        let advanced = upto > before;
-        if advanced && succ == origin {
+        if upto > before && succ == origin {
             // We are the last site on this origin's ring path: cumulative
             // ack releases its pipeline window.
             out.outbound
                 .push(Outbound::to(origin, RingWire::Ack { upto }));
         }
-        if self.me == self.coordinator() {
-            self.assign(id, out);
-        }
+        self.assign(id, out);
         self.drain(out);
     }
 
     /// Handles an ordering record.
     fn on_commit(&mut self, epoch: u64, gseq: u64, id: MsgId, out: &mut Output<P, RingWire<P>>) {
-        if epoch != self.epoch {
-            // A replaced coordinator's commits must not interleave with the
-            // current one's; lagging sites are healed by the Repair
-            // re-announce once they install the view.
-            return;
+        if epoch != self.core.epoch || !self.core.learn(gseq, id) {
+            return; // stale epoch, or known: the round re-announces
         }
-        let known = self.ordered_at(gseq);
-        if gseq < self.next_gseq_deliver || known.is_some() {
-            debug_assert!(
-                known.is_none_or(|known| known == id),
-                "conflicting assignment at gseq {gseq}"
-            );
-            return;
-        }
-        self.record(gseq, id);
-        self.next_gseq_assign = self.next_gseq_assign.max(gseq + 1);
         let succ = self.successor();
-        if succ != self.coordinator() && succ != self.me {
+        if succ != self.core.coordinator() && succ != self.me {
             out.outbound
                 .push(Outbound::to(succ, RingWire::Commit { epoch, gseq, id }));
         }
@@ -635,93 +284,74 @@ impl<P: Clone> RingAbcast<P> {
         let upto = upto.min(self.sent_seq);
         if upto > self.acked_seq {
             self.acked_seq = upto;
-            self.prune_origin(self.me);
+            self.core.prune(self.me, upto);
             self.pump_pending(out);
             self.drain(out);
         }
     }
 
-    /// Coordinator: merges a member's view-change report, re-announces
-    /// commits it missed, and once every member has reported, fills
-    /// unrecoverable holes and re-orders stranded payloads.
-    fn on_repair(
-        &mut self,
-        site: SiteId,
-        epoch: u64,
-        entries: Vec<(u64, MsgId)>,
-        delivered: u64,
-        out: &mut Output<P, RingWire<P>>,
-    ) {
-        if epoch > self.epoch {
-            // The reporter installed the next view before we did; replay
-            // once our own set_ring catches up.
-            self.stashed_repairs.push((site, epoch, entries, delivered));
-            return;
-        }
-        if epoch < self.epoch || self.me != self.coordinator() {
-            return;
-        }
-        for (gseq, id) in entries {
-            if let Some(known) = self.ordered_at(gseq) {
-                debug_assert_eq!(known, id, "conflicting assignment at gseq {gseq}");
-            } else {
-                self.record(gseq, id);
-            }
-            self.next_gseq_assign = self.next_gseq_assign.max(gseq + 1);
-        }
-        self.next_gseq_assign = self.next_gseq_assign.max(delivered);
-        // Re-announce everything the reporter may have missed.
-        for (gseq, id) in self.log_from(delivered) {
+    /// Installs view `epoch`: reports to the coordinator (or opens the
+    /// round), re-offers retained payloads to the new successor, and
+    /// refreshes the cumulative ack of the origin this site is now tail of.
+    pub fn set_view(&mut self, members: &[SiteId], epoch: u64) -> Output<P, RingWire<P>> {
+        let mut out = Output::empty();
+        let mut ring = members.to_vec();
+        ring.sort_unstable();
+        let succ = successor_in(&ring, self.me);
+        let fresh = (succ != self.me).then_some(Dest::Site(succ));
+        if let Some(report) = self.core.install((members, epoch), &mut out, fresh) {
             out.outbound.push(Outbound::to(
-                site,
-                RingWire::Commit {
-                    epoch: self.epoch,
-                    gseq,
-                    id,
-                },
+                self.core.coordinator(),
+                RingWire::Repair(report),
             ));
         }
-        self.repaired.insert(site);
-        self.maybe_fill_holes(out);
-        self.drain(out);
+        if succ != self.me {
+            // Heal the ring break; duplicates are no-ops at the receiver.
+            for (origin, held) in self.core.store.iter().enumerate() {
+                let origin = SiteId(origin);
+                if origin == succ {
+                    continue;
+                }
+                let stable = self.stable_floor(origin);
+                for h in held {
+                    let (id, payload) = (MsgId { origin, seq: h.seq }, h.payload.clone());
+                    let data = RingWire::Data {
+                        id,
+                        payload,
+                        stable,
+                    };
+                    out.outbound.push(Outbound::to(succ, data));
+                }
+                self.forwarded_total += held.len() as u64;
+            }
+            let upto = self.received[succ.0].as_ref().map_or(0, Contig::watermark);
+            out.outbound
+                .push(Outbound::to(succ, RingWire::Ack { upto }));
+        } else {
+            // Solo: outstanding windows complete vacuously.
+            self.acked_seq = self.sent_seq;
+            self.pump_pending(&mut out);
+        }
+        self.drain(&mut out);
+        out
     }
 
-    /// Coordinator: once every current member has reported, fills
-    /// assignment holes nobody can resolve with [`SKIP_ID`] markers (safe:
-    /// a gseq unknown to every survivor was delivered by no survivor) and
-    /// assigns fresh gseqs to payloads stranded without an ordering by the
-    /// old coordinator's crash.
-    fn maybe_fill_holes(&mut self, out: &mut Output<P, RingWire<P>>) {
-        if !self.ring.iter().all(|s| self.repaired.contains(s)) {
-            return;
-        }
-        let succ = self.successor();
-        for gseq in self.next_gseq_deliver..self.next_gseq_assign {
-            if self.ordered_at(gseq).is_some() {
-                continue;
-            }
-            self.record(gseq, SKIP_ID);
-            if succ != self.me {
-                out.outbound.push(Outbound::to(
-                    succ,
-                    RingWire::Commit {
-                        epoch: self.epoch,
-                        gseq,
-                        id: SKIP_ID,
-                    },
-                ));
-            }
-        }
-        let stranded: Vec<MsgId> = (self.store.iter().enumerate())
-            .flat_map(|(origin, held)| {
-                let origin = SiteId(origin);
-                held.iter().map(move |h| MsgId { origin, seq: h.seq })
-            })
-            .filter(|&id| !self.is_ordered(id))
-            .collect();
-        for id in stranded {
-            self.assign(id, out);
-        }
+    /// This site's state-transfer snapshot.
+    pub fn snapshot(&self) -> Snapshot {
+        self.core.snapshot()
+    }
+
+    /// Resumes at the donor's watermark. Receipt starts over: an origin's
+    /// next `Data` raises it to the origin's stability floor. Own
+    /// broadcasts from before the crash are given up (this site's next
+    /// `Data`'s floor says so); the readmitting view change re-supplies
+    /// what is undelivered.
+    pub fn resume_from(&mut self, snap: &Snapshot) {
+        self.core.resume(snap);
+        self.pending_local.clear();
+        self.received.fill(None);
+        self.stable.fill(0);
+        (self.sent_seq, self.acked_seq) = (self.core.next_seq, self.core.next_seq);
     }
 }
 
@@ -729,11 +359,7 @@ impl<P: Clone> AtomicBcast<P> for RingAbcast<P> {
     type Wire = RingWire<P>;
 
     fn broadcast(&mut self, payload: P) -> (MsgId, Output<P, RingWire<P>>) {
-        self.next_seq += 1;
-        let id = MsgId {
-            origin: self.me,
-            seq: self.next_seq,
-        };
+        let id = self.core.next_id();
         self.pending_local.push_back((id, payload));
         let mut out = Output::empty();
         self.pump_pending(&mut out);
@@ -751,24 +377,39 @@ impl<P: Clone> AtomicBcast<P> for RingAbcast<P> {
             } => self.on_data(id, payload, stable, &mut out),
             RingWire::Commit { epoch, gseq, id } => self.on_commit(epoch, gseq, id, &mut out),
             RingWire::Ack { upto } => self.on_ack(upto, &mut out),
-            RingWire::Repair {
-                site,
-                epoch,
-                entries,
-                delivered,
-            } => self.on_repair(site, epoch, entries, delivered, &mut out),
+            RingWire::Repair(report) => {
+                self.core.on_report(report, &mut out, self.fresh());
+                self.drain(&mut out);
+            }
         }
         out
     }
 
     fn delivered_count(&self) -> u64 {
-        self.next_gseq_deliver
+        self.core.next_deliver
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Payloads retained for forwarding and repair.
+    pub(super) fn retained<P: Clone>(engine: &RingAbcast<P>) -> usize {
+        engine.core.store.iter().map(VecDeque::len).sum()
+    }
+
+    /// The highest sequence number received from each tracked origin, and
+    /// handed out here.
+    pub(super) fn seq_floors<P>(engine: &RingAbcast<P>) -> Vec<(SiteId, u64)> {
+        let seen = engine.received.iter().enumerate();
+        let seen = seen.filter_map(|(s, c)| Some((SiteId(s), c.as_ref()?.max_seen())));
+        let mut floors: Vec<(SiteId, u64)> = seen.collect();
+        floors.push((engine.me, engine.core.next_seq));
+        floors.sort_unstable();
+        floors
+    }
+    use crate::atomic::TotalDelivery;
     use crate::batch::WireSize;
     use crate::msg::expand_dest;
 
@@ -873,7 +514,7 @@ mod tests {
                 if self.crashed[i] {
                     continue;
                 }
-                let out = self.engines[i].set_ring(&members, epoch);
+                let out = self.engines[i].set_view(&members, epoch);
                 self.absorb(i, out);
             }
             self.settle();
@@ -1013,7 +654,7 @@ mod tests {
     #[test]
     fn window_bounds_launches_until_acked() {
         let mut fleet = Fleet::new(3);
-        fleet.engines[1] = RingAbcast::new(SiteId(1), 3).with_window(2);
+        fleet.engines[1].window = 2;
         for value in 0..10u64 {
             fleet.broadcast(1, value);
         }
@@ -1037,19 +678,19 @@ mod tests {
         fleet.broadcast(0, 1);
         fleet.settle();
         // Delivered but not yet known stable: everyone retains it.
-        assert_eq!(fleet.engines[1].retained_payloads(), 1);
+        assert_eq!(retained(&fleet.engines[1]), 1);
         // The next broadcast piggybacks stable=1, pruning the first.
         fleet.broadcast(0, 2);
         fleet.settle();
         for site in [1, 2] {
             assert_eq!(
-                fleet.engines[site].retained_payloads(),
+                retained(&fleet.engines[site]),
                 1,
                 "site {site} should have pruned the stable payload"
             );
         }
         // The origin prunes everything acked and delivered.
-        assert_eq!(fleet.engines[0].retained_payloads(), 0);
+        assert_eq!(retained(&fleet.engines[0]), 0);
         fleet.assert_agreement(&[1, 2]);
     }
 
@@ -1112,7 +753,7 @@ mod tests {
     fn stale_epoch_commits_are_dropped() {
         let mut engine: RingAbcast<u64> = RingAbcast::new(SiteId(1), 3);
         let members: Vec<SiteId> = (0..3).map(SiteId).collect();
-        let out = engine.set_ring(&members, 1);
+        let out = engine.set_view(&members, 1);
         drop(out);
         let out = engine.on_wire(
             SiteId(0),
@@ -1126,7 +767,7 @@ mod tests {
             },
         );
         assert!(out.deliveries.is_empty() && out.outbound.is_empty());
-        assert_eq!(engine.delivered_watermark(), 0);
+        assert_eq!(engine.delivered_count(), 0);
     }
 
     #[test]
@@ -1138,12 +779,11 @@ mod tests {
         fleet.settle();
         // Donor 0 snapshots; a "recovered" replacement engine for site 2
         // resumes from it.
-        let watermark = fleet.engines[0].delivered_watermark();
-        let floors = fleet.engines[0].seq_floors();
-        assert_eq!(watermark, 5);
+        let snap = fleet.engines[0].snapshot();
+        assert_eq!(snap.watermark, 5);
         let mut recovered: RingAbcast<u64> = RingAbcast::new(SiteId(2), 3);
-        recovered.resume_from(watermark, &floors);
-        assert_eq!(recovered.delivered_watermark(), 5);
+        recovered.resume_from(&snap);
+        assert_eq!(recovered.delivered_count(), 5);
         // Fresh broadcasts start past the pre-crash ids.
         let (id, _) = recovered.broadcast(99);
         assert_eq!(id.seq, 6);
@@ -1177,12 +817,12 @@ mod tests {
         assert_eq!(commit.wire_size(), 32);
         let ack: RingWire<Blob> = RingWire::Ack { upto: 1 };
         assert_eq!(ack.wire_size(), 8);
-        let repair: RingWire<Blob> = RingWire::Repair {
+        let repair: RingWire<Blob> = RingWire::Repair(Report {
             site: SiteId(0),
             epoch: 1,
             entries: vec![(0, id), (1, id)],
             delivered: 0,
-        };
+        });
         assert_eq!(repair.wire_size(), 24 + 48);
     }
 }
@@ -1191,10 +831,15 @@ mod tests {
 /// `BTreeMap` keyed by id, the assignment log a `BTreeMap` keyed by gseq,
 /// the ordered ids a `HashSet`, receipt and stability floors `BTreeMap`s
 /// keyed by site — kept as the reference the indexed engine is held to,
-/// the way `lock.rs` and `sg.rs` keep theirs.
+/// the way `lock.rs` and `sg.rs` keep theirs. It follows a schedule up to
+/// its first view change: its repair path ordered before every report was
+/// in, so it is gone, and invariants check what comes after.
 #[cfg(test)]
 mod oracle {
+    use super::tests::{retained, seq_floors};
     use super::*;
+    use crate::atomic::TotalDelivery;
+    use crate::order::schedule::{self, step, Fleet, Reached, Step};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashSet};
 
@@ -1221,8 +866,6 @@ mod oracle {
         received: BTreeMap<SiteId, Contig>,
         stable: BTreeMap<SiteId, u64>,
         next_gseq_assign: u64,
-        repaired: BTreeSet<SiteId>,
-        stashed_repairs: Vec<StashedRepair>,
         forwarded_total: u64,
     }
 
@@ -1244,8 +887,6 @@ mod oracle {
                 received: BTreeMap::new(),
                 stable: BTreeMap::new(),
                 next_gseq_assign: 0,
-                repaired: BTreeSet::new(),
-                stashed_repairs: Vec::new(),
                 forwarded_total: 0,
             }
         }
@@ -1295,94 +936,6 @@ mod oracle {
             floors.push((self.me, self.next_seq));
             floors.sort_unstable();
             floors
-        }
-
-        pub(super) fn resume_from(&mut self, watermark: u64, floors: &[(SiteId, u64)]) {
-            self.ordered.clear();
-            self.ordered_ids.clear();
-            self.store.clear();
-            self.pending_local.clear();
-            self.received.clear();
-            self.stable.clear();
-            self.repaired.clear();
-            self.stashed_repairs.clear();
-            self.next_gseq_deliver = self.next_gseq_deliver.max(watermark);
-            self.next_gseq_assign = self.next_gseq_assign.max(watermark);
-            for &(site, seq) in floors {
-                if site == self.me {
-                    self.next_seq = self.next_seq.max(seq);
-                    self.sent_seq = self.sent_seq.max(seq);
-                    self.acked_seq = self.acked_seq.max(seq);
-                } else {
-                    self.received.entry(site).or_default().raise(seq);
-                }
-            }
-        }
-
-        pub(super) fn set_ring(
-            &mut self,
-            members: &[SiteId],
-            epoch: u64,
-        ) -> Output<P, RingWire<P>> {
-            let mut ring: Vec<SiteId> = members.to_vec();
-            ring.sort_unstable();
-            ring.dedup();
-            self.ring = ring;
-            self.epoch = epoch;
-            self.repaired.clear();
-            let mut out = Output::empty();
-            let succ = self.successor();
-            if succ != self.me {
-                let offers: Vec<(MsgId, P, u64)> = self
-                    .store
-                    .iter()
-                    .filter(|(id, _)| id.origin != succ)
-                    .map(|(&id, held)| (id, held.payload.clone(), self.stable_floor(id.origin)))
-                    .collect();
-                for (id, payload, stable) in offers {
-                    out.outbound.push(Outbound::to(
-                        succ,
-                        RingWire::Data {
-                            id,
-                            payload,
-                            stable,
-                        },
-                    ));
-                    self.forwarded_total += 1;
-                }
-                let upto = self.received.get(&succ).map_or(0, Contig::watermark);
-                out.outbound
-                    .push(Outbound::to(succ, RingWire::Ack { upto }));
-            } else {
-                self.acked_seq = self.sent_seq;
-                self.pump_pending(&mut out);
-            }
-            if self.me == self.coordinator() {
-                if let Some((&max_gseq, _)) = self.ordered.iter().next_back() {
-                    self.next_gseq_assign = self.next_gseq_assign.max(max_gseq + 1);
-                }
-                self.next_gseq_assign = self.next_gseq_assign.max(self.next_gseq_deliver);
-                self.repaired.insert(self.me);
-                self.maybe_fill_holes(&mut out);
-                let stashed = std::mem::take(&mut self.stashed_repairs);
-                for (site, repair_epoch, entries, delivered) in stashed {
-                    self.on_repair(site, repair_epoch, entries, delivered, &mut out);
-                }
-            } else {
-                let entries: Vec<(u64, MsgId)> =
-                    self.ordered.iter().map(|(&gseq, &id)| (gseq, id)).collect();
-                out.outbound.push(Outbound::to(
-                    self.coordinator(),
-                    RingWire::Repair {
-                        site: self.me,
-                        epoch,
-                        entries,
-                        delivered: self.next_gseq_deliver,
-                    },
-                ));
-            }
-            self.drain(&mut out);
-            out
         }
 
         fn stable_floor(&self, origin: SiteId) -> u64 {
@@ -1600,80 +1153,6 @@ mod oracle {
             }
         }
 
-        fn on_repair(
-            &mut self,
-            site: SiteId,
-            epoch: u64,
-            entries: Vec<(u64, MsgId)>,
-            delivered: u64,
-            out: &mut Output<P, RingWire<P>>,
-        ) {
-            if epoch > self.epoch {
-                self.stashed_repairs.push((site, epoch, entries, delivered));
-                return;
-            }
-            if epoch < self.epoch || self.me != self.coordinator() {
-                return;
-            }
-            for (gseq, id) in entries {
-                if let Some(&known) = self.ordered.get(&gseq) {
-                    debug_assert_eq!(known, id, "oracle: conflicting assignment at gseq {gseq}");
-                } else {
-                    self.ordered.insert(gseq, id);
-                    if id != SKIP_ID {
-                        self.ordered_ids.insert(id);
-                    }
-                }
-                self.next_gseq_assign = self.next_gseq_assign.max(gseq + 1);
-            }
-            self.next_gseq_assign = self.next_gseq_assign.max(delivered);
-            for (&gseq, &id) in self.ordered.range(delivered..) {
-                out.outbound.push(Outbound::to(
-                    site,
-                    RingWire::Commit {
-                        epoch: self.epoch,
-                        gseq,
-                        id,
-                    },
-                ));
-            }
-            self.repaired.insert(site);
-            self.maybe_fill_holes(out);
-            self.drain(out);
-        }
-
-        fn maybe_fill_holes(&mut self, out: &mut Output<P, RingWire<P>>) {
-            if !self.ring.iter().all(|s| self.repaired.contains(s)) {
-                return;
-            }
-            let holes: Vec<u64> = (self.next_gseq_deliver..self.next_gseq_assign)
-                .filter(|gseq| !self.ordered.contains_key(gseq))
-                .collect();
-            let succ = self.successor();
-            for gseq in holes {
-                self.ordered.insert(gseq, SKIP_ID);
-                if succ != self.me {
-                    out.outbound.push(Outbound::to(
-                        succ,
-                        RingWire::Commit {
-                            epoch: self.epoch,
-                            gseq,
-                            id: SKIP_ID,
-                        },
-                    ));
-                }
-            }
-            let stranded: Vec<MsgId> = self
-                .store
-                .keys()
-                .copied()
-                .filter(|id| !self.ordered_ids.contains(id))
-                .collect();
-            for id in stranded {
-                self.assign(id, out);
-            }
-        }
-
         pub(super) fn broadcast(&mut self, payload: P) -> (MsgId, Output<P, RingWire<P>>) {
             self.next_seq += 1;
             let id = MsgId {
@@ -1697,307 +1176,119 @@ mod oracle {
                 } => self.on_data(id, payload, stable, &mut out),
                 RingWire::Commit { epoch, gseq, id } => self.on_commit(epoch, gseq, id, &mut out),
                 RingWire::Ack { upto } => self.on_ack(upto, &mut out),
-                RingWire::Repair {
-                    site,
-                    epoch,
-                    entries,
-                    delivered,
-                } => self.on_repair(site, epoch, entries, delivered, &mut out),
+                RingWire::Repair { .. } => unreachable!("no view changes here"),
             }
             out
         }
     }
 
-    /// One step of a lock-step schedule; each `usize` picks among what is
-    /// possible at that point (live sites, busy links, crashed sites).
-    #[derive(Debug, Clone)]
-    enum Step {
-        Broadcast(usize),
-        /// Delivers the oldest message on a link (per-link FIFO).
-        Deliver(usize),
-        /// Delivers a copy of a link's oldest `Data` or `Commit`, leaving
-        /// it queued.
-        Duplicate(usize),
-        /// Crashes a live site (dropping its links), then installs the
-        /// survivors' ring at every survivor and settles.
-        Crash(usize),
-        /// Resumes a crashed site from a live donor's watermark and
-        /// floors, then installs the ring with it back in and settles.
-        Rejoin(usize),
-    }
+    /// The indexed engine under the shared schedule driver.
+    impl schedule::FrontEnd for RingAbcast<u64> {
+        fn set_view(&mut self, members: &[SiteId], epoch: u64) -> Output<u64, Self::Wire> {
+            RingAbcast::set_view(self, members, epoch)
+        }
 
-    /// Mostly deliveries; a crash or a rejoin in about one step of
-    /// fourteen.
-    fn step() -> impl Strategy<Value = Step> {
-        let pick = || 0usize..64;
-        let membership = (pick(), 0u8..3).prop_map(|(p, kind)| match kind {
-            0 => Step::Crash(p),
-            1 => Step::Rejoin(p),
-            _ => Step::Deliver(p),
-        });
-        prop_oneof![
-            pick().prop_map(Step::Broadcast),
-            pick().prop_map(Step::Broadcast),
-            pick().prop_map(Step::Deliver),
-            pick().prop_map(Step::Deliver),
-            pick().prop_map(Step::Deliver),
-            pick().prop_map(Step::Deliver),
-            pick().prop_map(Step::Deliver),
-            pick().prop_map(Step::Duplicate),
-            membership,
-        ]
-    }
+        fn snapshot(&self) -> Snapshot {
+            RingAbcast::snapshot(self)
+        }
 
-    /// How often a schedule reached each path worth reaching.
-    #[derive(Debug, Default)]
-    struct Reached {
-        deliveries: usize,
-        /// Broadcasts queued behind a full window.
-        held_back: usize,
-        duplicates: usize,
-        crashes: usize,
-        rejoins: usize,
-        repairs: usize,
-        skips: usize,
-    }
+        fn resume_from(&mut self, snap: &Snapshot) {
+            RingAbcast::resume_from(self, snap)
+        }
 
-    /// Both engines at every site, fed the same inputs.
-    struct Lockstep {
-        window: u64,
-        reached: Reached,
-        new: Vec<RingAbcast<u64>>,
-        old: Vec<Oracle<u64>>,
-        links: BTreeMap<(usize, usize), VecDeque<RingWire<u64>>>,
-        crashed: Vec<bool>,
-        /// Sites that have been resumed from a donor.
-        rejoined: Vec<bool>,
-        epoch: u64,
-        next_payload: u64,
-    }
-
-    impl Lockstep {
-        fn new(n: usize, window: u64) -> Self {
-            Lockstep {
+        fn make(me: SiteId, n: usize, window: u64) -> Self {
+            RingAbcast {
                 window,
-                reached: Reached::default(),
-                new: (0..n)
-                    .map(|i| RingAbcast::new(SiteId(i), n).with_window(window))
-                    .collect(),
-                old: (0..n)
-                    .map(|i| Oracle::new(SiteId(i), n).with_window(window))
-                    .collect(),
-                links: BTreeMap::new(),
-                crashed: vec![false; n],
-                rejoined: vec![false; n],
-                epoch: 0,
-                next_payload: 0,
+                ..RingAbcast::new(me, n)
             }
         }
 
-        fn sites(&self, crashed: bool) -> Vec<usize> {
-            (0..self.new.len())
-                .filter(|&s| self.crashed[s] == crashed)
-                .collect()
+        fn duplicable(wire: &RingWire<u64>) -> bool {
+            matches!(wire, RingWire::Data { .. } | RingWire::Commit { .. })
         }
 
-        /// Checks both engines said the same, then queues what they sent.
-        fn absorb(
+        fn is_report(wire: &RingWire<u64>) -> bool {
+            matches!(wire, RingWire::Repair { .. })
+        }
+
+        fn is_skip(wire: &RingWire<u64>) -> bool {
+            matches!(wire, RingWire::Commit { id, .. } if *id == SKIP_ID)
+        }
+
+        fn inflight(&self) -> Option<u64> {
+            Some(RingAbcast::inflight(self))
+        }
+    }
+
+    /// The oracle engines, fed every input of a schedule's fault-free
+    /// prefix: each output and gauge must match the indexed engine's. A
+    /// view change ends the comparison — the oracle has neither the repair
+    /// round nor the ordered ids in its snapshot.
+    struct Oracles(Vec<Oracle<u64>>);
+
+    impl schedule::Shadow<RingAbcast<u64>> for Oracles {
+        fn broadcast(
             &mut self,
             site: usize,
-            new: Output<u64, RingWire<u64>>,
-            old: Output<u64, RingWire<u64>>,
-        ) -> Result<(), TestCaseError> {
-            prop_assert_eq!(&new, &old, "site {} output", site);
-            self.reached.deliveries += new.deliveries.len();
-            for ob in new.outbound {
-                for to in crate::msg::expand_dest(ob.dest, SiteId(site), self.new.len()) {
-                    if !self.crashed[to.0] {
-                        let link = self.links.entry((site, to.0)).or_default();
-                        link.push_back(ob.wire.clone());
-                    }
-                }
-            }
+            payload: u64,
+            new: &(MsgId, Output<u64, RingWire<u64>>),
+        ) -> TestResult {
+            let old = self.0[site].broadcast(payload);
+            prop_assert_eq!(&old, new, "site {} broadcast", site);
             Ok(())
         }
 
-        fn compare(&self) -> Result<(), TestCaseError> {
-            for (s, (new, old)) in self.new.iter().zip(&self.old).enumerate() {
+        fn on_wire(
+            &mut self,
+            site: usize,
+            wire: RingWire<u64>,
+            new: &Output<u64, RingWire<u64>>,
+        ) -> TestResult {
+            prop_assert_eq!(&self.0[site].on_wire(wire), new, "site {} output", site);
+            Ok(())
+        }
+
+        fn compare(&self, engines: &[RingAbcast<u64>]) -> TestResult {
+            for (s, (new, old)) in engines.iter().zip(&self.0).enumerate() {
                 prop_assert_eq!(
                     new.ordered_len(),
                     old.ordered_len(),
                     "site {} ordered_len",
                     s
                 );
-                let retained = (new.retained_payloads(), old.retained_payloads());
+                let retained = (retained(new), old.retained_payloads());
                 prop_assert_eq!(retained.0, retained.1, "site {} retained", s);
                 prop_assert_eq!(new.inflight(), old.inflight(), "site {} inflight", s);
-                let watermarks = (new.delivered_watermark(), old.delivered_watermark());
+                let watermarks = (new.delivered_count(), old.delivered_watermark());
                 prop_assert_eq!(watermarks.0, watermarks.1, "site {} watermark", s);
-                prop_assert_eq!(new.seq_floors(), old.seq_floors(), "site {} floors", s);
+                prop_assert_eq!(seq_floors(new), old.seq_floors(), "site {} floors", s);
                 let forwarded = (new.forwarded_count(), old.forwarded_count());
                 prop_assert_eq!(forwarded.0, forwarded.1, "site {} forwarded", s);
             }
             Ok(())
         }
-
-        fn deliver(&mut self, (from, to): (usize, usize), wire: RingWire<u64>) -> TestResult {
-            match wire {
-                RingWire::Repair { .. } => self.reached.repairs += 1,
-                RingWire::Commit { id, .. } if id == SKIP_ID => self.reached.skips += 1,
-                _ => {}
-            }
-            let old = self.old[to].on_wire(wire.clone());
-            let new = self.new[to].on_wire(SiteId(from), wire);
-            self.absorb(to, new, old)
-        }
-
-        /// Installs the live sites' ring at each of them, in site order,
-        /// and runs the repair round to the end: a coordinator assigns
-        /// fresh gseqs before every report is in, so a broadcast in the
-        /// middle of the round can take a gseq that only a reporter knows
-        /// is used, in both engines (a repair gap they share).
-        fn view_change(&mut self) -> TestResult {
-            self.epoch += 1;
-            let live = self.sites(false);
-            let members: Vec<SiteId> = live.iter().map(|&s| SiteId(s)).collect();
-            for s in live {
-                let new = self.new[s].set_ring(&members, self.epoch);
-                let old = self.old[s].set_ring(&members, self.epoch);
-                self.absorb(s, new, old)?;
-            }
-            self.settle()
-        }
-
-        fn run(&mut self, step: &Step) -> TestResult {
-            let busy: Vec<(usize, usize)> = (self.links.iter())
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(&link, _)| link)
-                .collect();
-            match *step {
-                Step::Broadcast(pick) => {
-                    let live = self.sites(false);
-                    let site = live[pick % live.len()];
-                    self.next_payload += 1;
-                    let (id, new) = self.new[site].broadcast(self.next_payload);
-                    let (old_id, old) = self.old[site].broadcast(self.next_payload);
-                    prop_assert_eq!(id, old_id);
-                    self.reached.held_back += usize::from(self.new[site].inflight() > self.window);
-                    self.absorb(site, new, old)?;
-                }
-                Step::Deliver(pick) if !busy.is_empty() => {
-                    self.deliver_front(busy[pick % busy.len()])?;
-                }
-                Step::Duplicate(pick) => {
-                    let repeatable: Vec<(usize, usize)> = (busy.into_iter())
-                        .filter(|link| {
-                            let front = self.links[link].front();
-                            matches!(front, Some(RingWire::Data { .. } | RingWire::Commit { .. }))
-                        })
-                        .collect();
-                    if !repeatable.is_empty() {
-                        let link = repeatable[pick % repeatable.len()];
-                        let wire = self.links[&link].front().cloned();
-                        self.reached.duplicates += 1;
-                        self.deliver(link, wire.expect("busy link"))?;
-                    }
-                }
-                Step::Crash(pick) => {
-                    // Never hands the ring to a rejoined site: resuming
-                    // forgets which payloads are ordered, so as coordinator
-                    // it orders the repair's re-offers of delivered ones
-                    // again, in both engines (a rejoin gap they share).
-                    let live = self.sites(false);
-                    let site = live[pick % live.len()];
-                    let next = live.iter().find(|&&s| s != site);
-                    if next.is_some_and(|&next| !self.rejoined[next]) {
-                        self.crashed[site] = true;
-                        self.reached.crashes += 1;
-                        self.links
-                            .retain(|&(from, to), _| from != site && to != site);
-                        self.view_change()?;
-                    }
-                }
-                Step::Rejoin(pick) => {
-                    // Only above the coordinator, for the same reason.
-                    let live = self.sites(false);
-                    let down: Vec<usize> = (self.sites(true).into_iter())
-                        .filter(|&s| s > live[0])
-                        .collect();
-                    if !down.is_empty() {
-                        let site = down[pick % down.len()];
-                        let donor = live[pick % live.len()];
-                        let watermark = self.new[donor].delivered_watermark();
-                        let floors = self.new[donor].seq_floors();
-                        self.new[site].resume_from(watermark, &floors);
-                        self.old[site].resume_from(watermark, &floors);
-                        self.crashed[site] = false;
-                        self.rejoined[site] = true;
-                        self.reached.rejoins += 1;
-                        self.view_change()?;
-                    }
-                }
-                Step::Deliver(_) => {}
-            }
-            self.compare()
-        }
-
-        /// Delivers the oldest message on `link`.
-        fn deliver_front(&mut self, link: (usize, usize)) -> TestResult {
-            let wire = self.links.get_mut(&link).and_then(VecDeque::pop_front);
-            self.deliver(link, wire.expect("busy link"))
-        }
-
-        /// Delivers everything still queued, lowest link first.
-        fn settle(&mut self) -> TestResult {
-            while let Some((&link, _)) = self.links.iter().find(|(_, q)| !q.is_empty()) {
-                self.deliver_front(link)?;
-                self.compare()?;
-            }
-            Ok(())
-        }
-
-        /// Installs the full ring for `epoch` at site `s` only.
-        fn set_ring_at(&mut self, s: usize, epoch: u64) -> TestResult {
-            let members: Vec<SiteId> = (0..self.new.len()).map(SiteId).collect();
-            let new = self.new[s].set_ring(&members, epoch);
-            let old = self.old[s].set_ring(&members, epoch);
-            self.absorb(s, new, old)
-        }
     }
 
-    type TestResult = Result<(), TestCaseError>;
+    type TestResult = schedule::TestResult;
 
+    /// The schedule driver with the oracle watching its fault-free prefix.
     fn lockstep(n: usize, window: u64, steps: &[Step]) -> Result<Reached, TestCaseError> {
-        let mut fleet = Lockstep::new(n, window);
-        for step in steps {
-            fleet.run(step)?;
-        }
-        fleet.settle()?;
-        Ok(fleet.reached)
+        let mut fleet = Fleet::<RingAbcast<u64>>::new(n, window);
+        let oracles = (0..n).map(|i| Oracle::new(SiteId(i), n).with_window(window));
+        fleet.shadow = Some(Box::new(Oracles(oracles.collect())));
+        schedule::run_with(fleet, steps)
     }
 
     /// The cases `indexed_engine_agrees_with_the_oracle` generates reach
     /// deliveries, broadcasts held back by the window, duplicates,
-    /// crashes, rejoins and repair reports; none fills a hole.
+    /// crashes, rejoins, repair reports, broadcasts while a round is open,
+    /// and rejoined sites that coordinate.
     #[test]
     fn generated_schedules_reach_every_path() {
         let mut total = Reached::default();
         for case in 0..256 {
-            let mut rng = proptest::TestRng::for_case(case);
-            let strategy = (
-                2usize..=5,
-                1u64..=3,
-                proptest::collection::vec(step(), 0..160),
-            );
-            let (n, window, steps) = strategy.sample(&mut rng);
-            let r = lockstep(n, window, &steps).expect("agrees with the oracle");
-            total.deliveries += r.deliveries;
-            total.held_back += r.held_back;
-            total.duplicates += r.duplicates;
-            total.crashes += r.crashes;
-            total.rejoins += r.rejoins;
-            total.repairs += r.repairs;
-            total.skips += r.skips;
+            let (n, window, steps) = schedule::sample(case, 2..=5, 160);
+            total += lockstep(n, window, &steps).expect("agrees with the oracle");
         }
         let Reached {
             deliveries,
@@ -2005,85 +1296,123 @@ mod oracle {
             duplicates,
             crashes,
             rejoins,
-            repairs,
-            skips,
+            rejoined_coordinators,
+            reports,
+            broadcasts_mid_round,
+            skips: _,
         } = total;
-        let all = [deliveries, held_back, duplicates, crashes, rejoins, repairs];
+        let all = [
+            deliveries,
+            held_back,
+            duplicates,
+            crashes,
+            rejoins,
+            rejoined_coordinators,
+            reports,
+            broadcasts_mid_round,
+        ];
         assert!(all.iter().all(|&count| count > 0), "{total:?}");
-        assert_eq!(skips, 0, "holes need the schedule below: {total:?}");
     }
 
-    /// "No receipt yet" is not "received up to 0": a payload that is
-    /// already stable when it first reaches its ring tail is acked only if
-    /// the tail holds a receipt tracker for its origin (here seeded by a
-    /// donor's floor of 0), and the tracker shows in the tail's floors.
+    /// A rejoined origin gives up on its broadcasts from before the crash,
+    /// and its next `Data` says so in its stability floor: the ring tail
+    /// counts what is below the floor as received, so the gap they leave
+    /// does not hold the origin's window shut. The tail here has never
+    /// heard from origin 1 (its donor's floors name only itself), or has
+    /// heard up to 0.
     #[test]
-    fn a_tail_acks_a_stable_payload_only_with_a_receipt_tracker() {
+    fn a_tail_acks_up_to_the_origins_stability_floor() {
         let id = MsgId {
             origin: SiteId(1),
-            seq: 1,
+            seq: 3,
         };
         let wire = RingWire::Data {
             id,
             payload: 7u64,
-            stable: 1,
+            stable: 2,
         };
-        for floors in [vec![], vec![(SiteId(1), 0)]] {
-            let mut new = RingAbcast::new(SiteId(0), 2);
-            let mut old = Oracle::new(SiteId(0), 2);
-            new.resume_from(0, &floors);
-            old.resume_from(0, &floors);
-            assert_eq!(new.seq_floors(), old.seq_floors());
-            let out = new.on_wire(SiteId(1), wire.clone());
-            assert_eq!(out, old.on_wire(wire.clone()));
-            assert_eq!(out.outbound.len(), floors.len(), "acked iff tracked");
+        for donor in [0, 1] {
+            let snap = RingAbcast::<u64>::new(SiteId(donor), 2).snapshot();
+            let mut tail = RingAbcast::new(SiteId(0), 2);
+            tail.resume_from(&snap);
+            let out = tail.on_wire(SiteId(1), wire.clone());
+            let wires = out.outbound.iter().map(|ob| ob.wire.clone());
+            let acks: Vec<_> = wires
+                .filter(|w| matches!(w, RingWire::Ack { .. }))
+                .collect();
+            assert_eq!(acks, [RingWire::Ack { upto: 3 }], "donor {donor}");
+            assert_eq!(seq_floors(&tail), [(SiteId(0), 0), (SiteId(1), 3)]);
         }
     }
 
-    /// The hole-filling path, which the generated schedules never reach
-    /// (a hole needs a coordinator crash in the middle of a repair
-    /// round). Site 1 installs epoch 1 first and drops the coordinator's
-    /// epoch-0 commit of X at gseq 0, then hears the epoch-1 commit of Y
-    /// at gseq 1; the coordinator crashes before re-announcing gseq 0, so
-    /// the next coordinator fills it with a skip and orders the stranded X
-    /// again — in both engines alike.
+    /// The first repair gap, pinned. Coordinator 0 orders X at gseq 0;
+    /// before its commit reaches 1, two view changes make it stale there,
+    /// while 2 has heard gseq 0 from 0's first round. Then 0 crashes and 1
+    /// coordinates without knowing gseq 0. Its own broadcast Y must wait
+    /// for 2's report, or it takes gseq 0 too — as the oracle's repair did.
     #[test]
-    fn a_dropped_commit_becomes_a_skip_in_both_engines() {
-        let mut fleet = Lockstep::new(4, DEFAULT_WINDOW);
-        fleet.run(&Step::Broadcast(1)).expect("X from site 1");
-        for link in [(1, 2), (2, 3), (3, 0)] {
-            fleet.deliver_front(link).expect("X around the ring");
+    fn a_round_assigns_nothing_until_every_report_is_in() {
+        let mut fleet = Fleet::<RingAbcast<u64>>::new(5, DEFAULT_WINDOW);
+        fleet.broadcast(0).expect("X, ordered at gseq 0");
+        fleet.crash(4).expect("view {0, 1, 2, 3}");
+        for reporter in [1, 2, 3] {
+            fleet.deliver_front((reporter, 0)).expect("report");
         }
-        fleet.set_ring_at(1, 1).expect("site 1 moves first");
-        fleet.deliver_front((0, 1)).expect("stale commit of X");
-        for s in [0, 2, 3] {
-            fleet.set_ring_at(s, 1).expect("the rest follow");
+        let resend = |w: &RingWire<u64>| matches!(w, RingWire::Commit { epoch: 1, .. });
+        while !fleet.links[&(0, 2)].front().is_some_and(resend) {
+            fleet.deliver_front((0, 2)).expect("to 2");
         }
-        fleet.run(&Step::Broadcast(2)).expect("Y from site 2");
-        for link in [(2, 3), (3, 0), (0, 1)] {
-            while fleet.links.get(&link).is_some_and(|q| !q.is_empty()) {
-                fleet.deliver_front(link).expect("Y ordered, commit to 1");
-            }
-        }
-        fleet.epoch = 1; // the crash installs epoch 2
-        fleet.run(&Step::Crash(0)).expect("coordinator crashes");
-        assert_eq!(fleet.reached.skips, 2, "one skip commit, two hops");
-        let logs: Vec<u64> = (1..4).map(|s| fleet.new[s].delivered_watermark()).collect();
-        assert_eq!(
-            logs,
-            vec![3, 3, 3],
-            "skip, Y and X again delivered everywhere"
-        );
+        fleet.deliver_front((0, 2)).expect("2 hears gseq 0");
+        fleet
+            .crash(3)
+            .expect("view {0, 1, 2}: 0's commits to 1 go stale");
+        fleet.crash(0).expect("view {1, 2}, coordinated by 1");
+        fleet.broadcast(1).expect("Y, during 1's round");
+        fleet.settle().expect("round closes, Y after X");
+        fleet.check().expect("agreement");
+        let x = MsgId {
+            origin: SiteId(0),
+            seq: 1,
+        };
+        assert_eq!(fleet.engines[1].core.ordered_at(0), Some(x));
+        assert_eq!(fleet.engines[1].delivered_count(), 2);
+    }
+
+    /// The second repair gap, pinned: a site that rejoins and coordinates
+    /// knows from its snapshot which payloads are ordered, so the ring's
+    /// re-offers of delivered ones are not ordered (and delivered) again.
+    #[test]
+    fn a_rejoined_coordinator_never_orders_a_delivered_payload_again() {
+        let mut fleet = Fleet::<RingAbcast<u64>>::new(3, DEFAULT_WINDOW);
+        fleet.broadcast(1).expect("X");
+        fleet
+            .settle()
+            .expect("X delivered everywhere, retained (not stable)");
+        fleet.crash(0).expect("view {1, 2}");
+        fleet.settle().expect("round");
+        fleet
+            .run(&Step::Rejoin(0))
+            .expect("0 rejoins from a donor and coordinates");
+        fleet.settle().expect("re-offers of X reach 0");
+        fleet.check().expect("X delivered once");
+        assert_eq!(retained(&fleet.engines[0]), 0, "nothing held again");
+        fleet.broadcast(2).expect("Y");
+        fleet
+            .settle()
+            .expect("Y ordered by the rejoined coordinator");
+        fleet.check().expect("agreement");
+        assert_eq!(fleet.engines[0].delivered_count(), 2);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// Broadcasts from random sites, per-link FIFO deliveries in random
-        /// interleavings, duplicated `Data`/`Commit`, crashes with ring
-        /// repair and rejoins from a donor snapshot: the indexed engine
-        /// sends, delivers and reports exactly what the oracle does after
-        /// every step.
+        /// interleavings, duplicated `Data`/`Commit`, crashes and rejoins
+        /// that never wait for a repair round: the indexed engine sends,
+        /// delivers and reports exactly what the oracle does up to the
+        /// first view change, and at quiescence the survivors agree on one
+        /// total order, delivered once, with no wedged gap.
         #[test]
         fn indexed_engine_agrees_with_the_oracle(
             n in 2usize..=5,
@@ -2098,7 +1427,7 @@ mod oracle {
         #![proptest_config(ProptestConfig { cases: 10_000, ..ProptestConfig::default() })]
 
         /// The same property over 10 000 schedules (release:
-        /// `cargo test --release -p bcastdb-broadcast indexed_engine -- --ignored`).
+        /// `cargo test --release -p bcastdb-broadcast _10k -- --ignored`).
         #[test]
         #[ignore]
         fn indexed_engine_agrees_with_the_oracle_10k(

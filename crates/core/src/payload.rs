@@ -375,9 +375,11 @@ impl ReplicaMsg {
     ///   keep-alives (causal), ISIS priority proposals, ring cumulative
     ///   window acks,
     /// - **decision** — outcome propagation: abort decisions, the
-    ///   sequencer's orderings, ISIS final priorities, ring commits,
+    ///   sequencer's orderings and slots, ISIS final priorities, ring
+    ///   commits,
     /// - **retransmit** — loss recovery: retransmitted causal wires,
-    ///   reliable-broadcast watermark syncs, ring view-change repair,
+    ///   reliable-broadcast watermark syncs, sequencer and ring
+    ///   view-change reports,
     /// - **membership** — heartbeats and view agreement.
     pub fn phase(&self) -> Phase {
         match self {
@@ -385,7 +387,8 @@ impl ReplicaMsg {
             ReplicaMsg::C(w) => Self::payload_phase(&w.payload),
             ReplicaMsg::ASeq(w) => match w {
                 SeqWire::Submit { .. } => Phase::Prepare,
-                SeqWire::Ordered { .. } => Phase::Decision,
+                SeqWire::Ordered { .. } | SeqWire::Slot { .. } => Phase::Decision,
+                SeqWire::Repair(_) => Phase::Retransmit,
             },
             ReplicaMsg::AIsis(w) => match w {
                 IsisWire::Data { .. } => Phase::Prepare,
@@ -396,7 +399,7 @@ impl ReplicaMsg {
                 RingWire::Data { .. } => Phase::Prepare,
                 RingWire::Commit { .. } => Phase::Decision,
                 RingWire::Ack { .. } => Phase::Ack,
-                RingWire::Repair { .. } => Phase::Retransmit,
+                RingWire::Repair(_) => Phase::Retransmit,
             },
             ReplicaMsg::P2p(m) => match m {
                 P2pMsg::Write { .. } | P2pMsg::CommitReq { .. } => Phase::Prepare,
@@ -474,6 +477,7 @@ pub enum ReplicaTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcastdb_broadcast::order::Report;
 
     #[test]
     fn priority_orders_by_age_then_site() {
@@ -582,6 +586,19 @@ mod tests {
                 Phase::Decision,
             ),
             (
+                ReplicaMsg::ASeq(SeqWire::Slot { gseq: 1, id }),
+                Phase::Decision,
+            ),
+            (
+                ReplicaMsg::ASeq(SeqWire::Repair(Report {
+                    site: SiteId(1),
+                    epoch: 1,
+                    entries: vec![(0, id)],
+                    delivered: 0,
+                })),
+                Phase::Retransmit,
+            ),
+            (
                 ReplicaMsg::ARing(RingWire::Data {
                     id,
                     payload: Arc::new(Payload::Null),
@@ -599,12 +616,12 @@ mod tests {
             ),
             (ReplicaMsg::ARing(RingWire::Ack { upto: 1 }), Phase::Ack),
             (
-                ReplicaMsg::ARing(RingWire::Repair {
+                ReplicaMsg::ARing(RingWire::Repair(Report {
                     site: SiteId(1),
                     epoch: 1,
                     entries: vec![(0, id)],
                     delivered: 0,
-                }),
+                })),
                 Phase::Retransmit,
             ),
             (
@@ -661,6 +678,13 @@ mod tests {
                 id,
                 payload: null(),
             }),
+            ReplicaMsg::ASeq(SeqWire::Slot { gseq: 1, id }),
+            ReplicaMsg::ASeq(SeqWire::Repair(Report {
+                site: SiteId(1),
+                epoch: 1,
+                entries: vec![(0, id), (1, id)],
+                delivered: 0,
+            })),
             ReplicaMsg::AIsis(IsisWire::Data {
                 id,
                 payload: null(),
@@ -684,12 +708,12 @@ mod tests {
                 id,
             }),
             ReplicaMsg::ARing(RingWire::Ack { upto: 1 }),
-            ReplicaMsg::ARing(RingWire::Repair {
+            ReplicaMsg::ARing(RingWire::Repair(Report {
                 site: SiteId(1),
                 epoch: 1,
                 entries: vec![(0, id), (1, id)],
                 delivered: 0,
-            }),
+            })),
             ReplicaMsg::P2p(P2pMsg::Write {
                 txn: t,
                 op: WriteOp {
@@ -731,15 +755,15 @@ mod tests {
                 }
                 ReplicaMsg::ASeq(SeqWire::Submit { payload, .. }) => 16 + payload.wire_size(),
                 ReplicaMsg::ASeq(SeqWire::Ordered { payload, .. }) => 8 + 16 + payload.wire_size(),
+                ReplicaMsg::ASeq(SeqWire::Slot { .. }) => 8 + 16,
+                ReplicaMsg::ASeq(SeqWire::Repair(r)) => 8 + 8 + 8 + 24 * r.entries.len(),
                 ReplicaMsg::AIsis(IsisWire::Data { payload, .. }) => 16 + payload.wire_size(),
                 ReplicaMsg::AIsis(IsisWire::Propose { .. })
                 | ReplicaMsg::AIsis(IsisWire::Final { .. }) => 16 + 16,
                 ReplicaMsg::ARing(RingWire::Data { payload, .. }) => 16 + payload.wire_size() + 8,
                 ReplicaMsg::ARing(RingWire::Commit { .. }) => 8 + 8 + 16,
                 ReplicaMsg::ARing(RingWire::Ack { .. }) => 8,
-                ReplicaMsg::ARing(RingWire::Repair { entries, .. }) => {
-                    8 + 8 + 8 + 24 * entries.len()
-                }
+                ReplicaMsg::ARing(RingWire::Repair(r)) => 8 + 8 + 8 + 24 * r.entries.len(),
                 ReplicaMsg::P2p(P2pMsg::Write { op, .. }) => 16 + (op.key.as_str().len() + 8) + 8,
                 ReplicaMsg::P2p(P2pMsg::WriteAck { .. }) => 16 + 8,
                 ReplicaMsg::P2p(P2pMsg::CommitReq { writes, .. }) => {

@@ -30,6 +30,7 @@ use crate::protocols::{paced_write_phase, sweep_view, Cx, Gate, ProtoSnapshot, V
 use crate::state::{txn_ref, SiteState};
 use bcastdb_broadcast::atomic::{self, AtomicBcast, IsisAbcast, SequencerAbcast, TotalDelivery};
 use bcastdb_broadcast::causal::{self, CausalBcast};
+use bcastdb_broadcast::order;
 use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_broadcast::VectorClock;
 use bcastdb_db::{KeyMap, TxnId};
@@ -66,12 +67,10 @@ type AbCx<'a> = Cx<'a, AbDelivery>;
 /// Delivery position of the configured atomic-broadcast engine.
 #[derive(Debug, Clone)]
 enum AbcastPos {
-    /// Sequencer delivery watermark.
-    Seq(u64),
+    /// The ordering core under the sequencer and the ring.
+    Core(order::Snapshot),
     /// ISIS `(lamport, delivered)` pair.
     Isis(u64, u64),
-    /// Ring `(watermark, per-origin sequence floors)` pair.
-    Ring(u64, Vec<(SiteId, u64)>),
 }
 
 /// State-transfer snapshot of the atomic protocol's engines and version
@@ -114,13 +113,6 @@ impl AtomicProto {
             out.outbound,
             out.deliveries.into_iter().map(AbDelivery::Causal),
         );
-    }
-
-    /// The sequencer is the view's coordinator (its lowest member).
-    fn follow_coordinator(&mut self, view: &BTreeSet<SiteId>) {
-        if let (Abcast::Seq(ab), Some(&coord)) = (&mut self.ab, view.first()) {
-            ab.set_sequencer(coord);
-        }
     }
 
     /// Certifies queued commit requests strictly in total order; stalls
@@ -304,15 +296,16 @@ impl Variation for AtomicProto {
         }
     }
 
-    /// The sequencer moves to the view coordinator (the ring recomputes
-    /// successors and starts its repair round, keyed by the view id);
+    /// The sequencer and the ring install the view (keyed by its id) and
+    /// start the ordering core's repair round under its coordinator;
     /// transactions from departed origins abort (their commit request may
     /// never be ordered), which may unblock the certification queue.
     fn set_view(&mut self, cx: &mut AbCx, view_id: u64) {
-        self.follow_coordinator(&cx.quorum.view);
-        if let Abcast::Ring(ab) = &mut self.ab {
-            let roster: Vec<SiteId> = cx.quorum.view.iter().copied().collect();
-            Self::route_total(cx, ab.set_ring(&roster, view_id));
+        let roster: Vec<SiteId> = cx.quorum.view.iter().copied().collect();
+        match &mut self.ab {
+            Abcast::Seq(ab) => Self::route_total(cx, ab.set_view(&roster, view_id)),
+            Abcast::Ring(ab) => Self::route_total(cx, ab.set_view(&roster, view_id)),
+            Abcast::Isis(_) => {}
         }
         sweep_view(self, cx);
         self.drain_cert_queue(cx);
@@ -322,31 +315,30 @@ impl Variation for AtomicProto {
         ProtoSnapshot::Atomic(AbSnapshot {
             causal: self.cb.clock().clone(),
             order: match &self.ab {
-                Abcast::Seq(a) => AbcastPos::Seq(a.delivered_watermark()),
+                Abcast::Seq(a) => AbcastPos::Core(a.snapshot()),
                 Abcast::Isis(a) => AbcastPos::Isis(a.lamport(), a.delivered_count()),
-                Abcast::Ring(a) => AbcastPos::Ring(a.delivered_watermark(), a.seq_floors()),
+                Abcast::Ring(a) => AbcastPos::Core(a.snapshot()),
             },
             latest_writer: self.latest_writer.clone(),
         })
     }
 
-    /// The ring engine only fast-forwards its counters here; its
-    /// membership (and the repair round that refills undelivered payloads)
-    /// is installed by the view change that readmits this site.
-    fn resume(&mut self, donor: &ProtoSnapshot, view: &BTreeSet<SiteId>) {
+    /// The ordering core adopts the donor's view, watermark and ordered
+    /// ids; the repair round of the view change that readmits this site
+    /// refills what is undelivered.
+    fn resume(&mut self, donor: &ProtoSnapshot, _view: &BTreeSet<SiteId>) {
         let ProtoSnapshot::Atomic(donor) = donor else {
             return;
         };
         self.cb.resume_from(&donor.causal);
         match (&mut self.ab, &donor.order) {
-            (Abcast::Seq(a), AbcastPos::Seq(w)) => a.resume_from(*w),
+            (Abcast::Seq(a), AbcastPos::Core(snap)) => a.resume_from(snap),
             (Abcast::Isis(a), AbcastPos::Isis(l, d)) => a.resume_from(*l, *d),
-            (Abcast::Ring(a), AbcastPos::Ring(w, floors)) => a.resume_from(*w, floors),
+            (Abcast::Ring(a), AbcastPos::Core(snap)) => a.resume_from(snap),
             _ => {}
         }
         self.latest_writer.clone_from(&donor.latest_writer);
         self.cert_queue.clear();
-        self.follow_coordinator(view);
     }
 
     /// Each backend reports its own gauges: the ring its pipeline and

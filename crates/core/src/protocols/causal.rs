@@ -105,11 +105,10 @@ pub struct CausalProto {
     /// dominates this — and it is the sender's implicit acknowledgement of
     /// every commit request it covers (see [`CausalProto::try_decide`]).
     last_from: Vec<VectorClock>,
-    /// Every write-operation clock ever delivered, never pruned: what the
-    /// pre-index full scan walked, kept as the oracle `try_decide` checks
-    /// the index against.
-    #[cfg(debug_assertions)]
-    history: BTreeMap<TxnId, (TxnPriority, BTreeMap<bcastdb_db::Key, VectorClock>)>,
+    /// Test builds only: every write-operation clock ever delivered, the
+    /// pre-index full scan `try_decide` checks the index against.
+    #[cfg(test)]
+    oracle: tests::oracle::History,
     /// Emit a null message on ticks while transactions are undecided.
     null_messages: bool,
     /// Loss-recovery mode: eager relaying, and archived messages are
@@ -290,12 +289,8 @@ impl CausalProto {
         of: usize,
         vc: VectorClock,
     ) {
-        #[cfg(debug_assertions)]
-        self.history
-            .entry(txn)
-            .or_insert_with(|| (prio, BTreeMap::new()))
-            .1
-            .insert(op.key.clone(), vc.clone());
+        #[cfg(test)]
+        self.oracle.record(txn, prio, &op.key, &vc);
         // Early conflict detection: another *operation* on the same key
         // whose clock is concurrent with this one means the two
         // transactions conflict irreconcilably. Only undecided writers can
@@ -425,8 +420,8 @@ impl Variation for CausalProto {
             key_ops: KeyMap::default(),
             until_prune: PRUNE_FLOOR,
             last_from: vec![VectorClock::new(n); n],
-            #[cfg(debug_assertions)]
-            history: BTreeMap::new(),
+            #[cfg(test)]
+            oracle: Default::default(),
             null_messages: cfg.null_messages,
             recover_losses: cfg.relay,
             processed: VectorClock::new(n),
@@ -590,12 +585,8 @@ impl Variation for CausalProto {
         cx.st
             .stats
             .counter_add("cb.decide_peers_examined", examined);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            loses,
-            self.full_scan_loses(cx.st, txn),
-            "index vs scan: {txn}"
-        );
+        #[cfg(test)]
+        assert_eq!(loses, self.oracle.loses(cx.st, txn), "index vs scan: {txn}");
         if loses {
             cx.st.trace_decided(txn, false, cx.now);
             cx.abort_remote(txn, AbortReason::ConcurrentConflict);
@@ -677,34 +668,65 @@ impl Variation for CausalProto {
         // A rejoining site cannot vouch for what its peers send next.
         let n = self.last_from.len();
         self.last_from.fill(VectorClock::new(n));
-        #[cfg(debug_assertions)]
-        self.history.clear();
+        #[cfg(test)]
+        {
+            self.oracle = Default::default();
+        }
         self.ack_waiting.iter_mut().for_each(VecDeque::clear);
         self.max_cr_seq = VectorClock::new(n);
-    }
-}
-
-#[cfg(debug_assertions)]
-impl CausalProto {
-    /// The deterministic evaluation as it was before the index: walk every
-    /// transaction this site has ever seen.
-    fn full_scan_loses(&self, st: &SiteState, txn: TxnId) -> bool {
-        let my_prio = st.remote[&txn].prio;
-        self.history.iter().any(|(peer, (peer_prio, peer_ops))| {
-            *peer != txn
-                && peer_prio.older_than(&my_prio)
-                && self.history[&txn].1.iter().any(|(key, my_vc)| {
-                    peer_ops
-                        .get(key)
-                        .is_some_and(|pvc| pvc.concurrent_with(my_vc))
-                })
-        })
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The deterministic evaluation as it was before the conflict index:
+    /// every write clock ever delivered, walked whole at each decision.
+    /// `try_decide` asserts the index agrees with it in test builds.
+    pub(crate) mod oracle {
+        use crate::payload::TxnPriority;
+        use crate::state::SiteState;
+        use bcastdb_broadcast::VectorClock;
+        use bcastdb_db::{Key, TxnId};
+        use std::collections::BTreeMap;
+
+        #[derive(Debug, Default)]
+        pub(crate) struct History(BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>);
+
+        impl History {
+            pub(crate) fn record(
+                &mut self,
+                txn: TxnId,
+                prio: TxnPriority,
+                key: &Key,
+                vc: &VectorClock,
+            ) {
+                let ops = &mut self
+                    .0
+                    .entry(txn)
+                    .or_insert_with(|| (prio, BTreeMap::new()))
+                    .1;
+                ops.insert(key.clone(), vc.clone());
+            }
+
+            /// An older transaction has a same-key operation concurrent
+            /// with one of `txn`'s.
+            pub(crate) fn loses(&self, st: &SiteState, txn: TxnId) -> bool {
+                let my_prio = st.remote[&txn].prio;
+                self.0.iter().any(|(peer, (peer_prio, peer_ops))| {
+                    *peer != txn
+                        && peer_prio.older_than(&my_prio)
+                        && self.0[&txn].1.iter().any(|(key, my_vc)| {
+                            peer_ops
+                                .get(key)
+                                .is_some_and(|pvc| pvc.concurrent_with(my_vc))
+                        })
+                })
+            }
+        }
+    }
     use crate::payload::ProtocolKind;
     use crate::protocols::tests::cfg;
     use crate::protocols::{Driver, Effects, Protocol, Step};
@@ -962,6 +984,73 @@ pub(crate) mod tests {
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
             assert_eq!(st.decided.get(&id), Some(false), "site {i} aborted on NACK");
+        }
+    }
+
+    /// One input of a lock-step schedule on three sites.
+    #[derive(Debug, Clone)]
+    enum Input {
+        /// A transaction at a site reading one key and writing one or two.
+        Submit(usize, usize, usize),
+        /// The oldest message on one busy link (per-link FIFO).
+        Deliver(usize),
+        Tick,
+    }
+
+    fn input() -> impl Strategy<Value = Input> {
+        let submit = (0usize..3, 0usize..3, 0usize..4).prop_map(|(s, r, w)| Input::Submit(s, r, w));
+        let deliver = (0usize..16).prop_map(Input::Deliver);
+        prop_oneof![
+            submit,
+            deliver.clone(),
+            deliver.clone(),
+            deliver,
+            Just(Input::Tick)
+        ]
+    }
+
+    proptest! {
+        /// Concurrent transactions on three keys, delivered in random
+        /// per-link FIFO interleavings with null-message ticks: at every
+        /// decision of every site the conflict index and the full-history
+        /// oracle reach the same verdict (`try_decide` asserts it in test
+        /// builds), and every transaction terminates alike everywhere.
+        #[test]
+        fn conflict_index_agrees_with_the_oracle(
+            steps in proptest::collection::vec(input(), 0..60)
+        ) {
+            let keys = ["x", "y", "z"];
+            let mut rig = rig(3);
+            let mut txns = Vec::new();
+            for (ts, input) in steps.into_iter().enumerate() {
+                match input {
+                    Input::Submit(site, r, w) => {
+                        let mut spec = TxnSpec::new().read(keys[r]).write(keys[w % 3], ts as i64);
+                        if w == 3 {
+                            spec = spec.write(keys[(r + 1) % 3], ts as i64);
+                        }
+                        txns.push(rig.submit(site, ts as u64, spec));
+                    }
+                    Input::Deliver(pick) => {
+                        let mut links: Vec<(SiteId, SiteId)> =
+                            rig.wires.iter().map(|(f, t, _)| (*f, *t)).collect();
+                        links.sort_unstable();
+                        links.dedup();
+                        if let Some(&link) = links.get(pick % links.len().max(1)) {
+                            let at = rig.wires.iter().position(|(f, t, _)| (*f, *t) == link);
+                            let (from, to, msg) = rig.wires.remove(at.expect("busy")).expect("busy");
+                            rig.step(to.0, 2, |p, step| p.on_msg(step, from, msg));
+                        }
+                    }
+                    Input::Tick => rig.tick_all(),
+                }
+            }
+            rig.settle();
+            for id in txns {
+                let verdicts: Vec<Option<bool>> =
+                    rig.states.iter().map(|st| st.decided.get(&id)).collect();
+                prop_assert!(verdicts.iter().all(|v| v.is_some() && *v == verdicts[0]), "{}: {:?}", id, verdicts);
+            }
         }
     }
 }

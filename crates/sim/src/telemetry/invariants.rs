@@ -168,12 +168,6 @@ impl LinkPhaseCounts {
             })
         })
     }
-
-    /// Number of (sender, receiver, phase) triples with a nonzero count.
-    #[cfg(test)]
-    fn distinct(&self) -> usize {
-        self.counts.iter().filter(|&&n| n > 0).count()
-    }
 }
 
 /// Streaming trace-invariant checker.
@@ -502,6 +496,11 @@ mod tests {
         );
     }
 
+    /// Number of (sender, receiver, phase) triples with a nonzero count.
+    fn distinct(counts: &LinkPhaseCounts) -> usize {
+        counts.counts.iter().filter(|&&n| n > 0).count()
+    }
+
     #[test]
     fn checker_memory_is_bounded_by_links_not_events() {
         let mut inv = TraceInvariants::new();
@@ -514,7 +513,7 @@ mod tests {
             });
         }
         assert_eq!(inv.events(), 100_000);
-        assert_eq!(inv.sends.distinct(), 1);
+        assert_eq!(distinct(&inv.sends), 1);
         inv.check().expect("sends alone violate nothing");
     }
 }

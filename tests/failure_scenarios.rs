@@ -94,6 +94,63 @@ fn atomic_protocol_survives_sequencer_crash() {
         .expect("serializable");
 }
 
+/// The coordinator of the atomic broadcast crashes under load: site 0, the
+/// sequencer (and the ring's coordinator), dies at 200 ms while every site
+/// submits a transaction every 2 ms. Every transaction a survivor
+/// submitted must terminate, no survivor may be left undecided, and the
+/// survivors must stay 1SR and converged. Before the view change ran one
+/// repair round for both backends, the sequencer's survivors lost every
+/// submission in flight to the dead sequencer for good: 132 of their 800
+/// transactions stayed pending.
+#[test]
+fn atomic_coordinator_crash_under_load_terminates_everything() {
+    use bcastdb::protocols::AbcastImpl;
+    use bcastdb::sim::DetRng;
+    let wl = WorkloadConfig {
+        n_keys: 300,
+        theta: 0.5,
+        reads_per_txn: 1,
+        writes_per_txn: 2,
+        ..WorkloadConfig::default()
+    };
+    let zipf = wl.sampler();
+    for imp in [AbcastImpl::Sequencer, AbcastImpl::Ring] {
+        let mut c = Cluster::builder()
+            .sites(5)
+            .protocol(ProtocolKind::AtomicBcast)
+            .abcast(imp)
+            .seed(1)
+            .membership(true)
+            .suspect_after(SimDuration::from_millis(60))
+            .build();
+        let mut submitted = Vec::new();
+        for site in 0..5 {
+            let mut rng = DetRng::new(1).fork(site as u64);
+            for k in 1..=200 {
+                let at = SimTime::from_micros(2_000 * k);
+                let id = c.submit_at(at, SiteId(site), wl.gen_txn(&zipf, &mut rng));
+                submitted.push(id);
+            }
+        }
+        c.run_until(SimTime::from_micros(200_000));
+        c.crash(SiteId(0));
+        c.run_until(SimTime::from_micros(2_000_000));
+        let survivors: Vec<SiteId> = (1..5).map(SiteId).collect();
+        let pending = (submitted.iter())
+            .filter(|id| id.origin != SiteId(0) && c.outcome(**id) == TxnOutcome::Pending)
+            .count();
+        assert_eq!(pending, 0, "{imp:?}: survivors' transactions left pending");
+        for s in &survivors {
+            let st = c.replica(*s).state();
+            assert!(!st.has_undecided(), "{imp:?}: {s} left undecided");
+            let first = &c.replica(survivors[0]).state().store;
+            assert!(st.store.converged_with(first), "{imp:?}: {s} diverged");
+        }
+        c.check_serializability_among(&survivors)
+            .unwrap_or_else(|v| panic!("{imp:?}: {v}"));
+    }
+}
+
 #[test]
 fn minority_partition_blocks() {
     // 2 of 5 sites cannot form a majority view: they stop committing.

@@ -8,8 +8,9 @@ checks and exits 1 when
   (`crates/db/src/sg.rs` + `graph.rs`), the JSON codec and telemetry
   (`crates/sim/src/json.rs` + `telemetry/*.rs`), the experiment harness
   (`crates/bench/src`), or all of `crates/*/src`, grow past the ceilings
-  below (a non-test line is one before a file's first `#[cfg(test)]`; raise
-  a ceiling only in the change that earns it, and say why in CHANGES.md);
+  below (a non-test line is one before a file's first test module, a
+  column-0 `#[cfg(test)]` on a `mod`; raise a ceiling only in the change
+  that earns it, and say why in CHANGES.md);
 - a piece of the skeleton is defined a second time under `crates/core/src`
   (a trait's bodiless declaration is not a definition);
 - `enum Proto` is back in `engine.rs`;
@@ -27,8 +28,12 @@ import sys
 
 # Set when the driver landed (DESIGN.md section 19): 3569 -> 2918 and
 # 21151 -> 20424 lines then, so each ceiling leaves a few lines of slack;
-# minus the 5 lines `trace_send_outcome` saved in engine.rs.
-PROTOCOLS_AND_ENGINE_CEILING = 2945
+# minus the 5 lines `trace_send_outcome` saved in engine.rs. Lowered by
+# exactly the 25 lines P-CB's debug full-history scan took, 2945 -> 2920,
+# when it became a test oracle, and by the 8 protocols/atomic.rs lost when
+# both coordinator-based backends started following views through one
+# ordering core, 2920 -> 2912.
+PROTOCOLS_AND_ENGINE_CEILING = 2912
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap).
@@ -37,8 +42,10 @@ CHECKER_CEILING = 620
 # experiment binaries became entries of one table run by one driver, 5282 ->
 # 5205 lines, and CRATES_CEILING came down from 20590 by the same 77.
 # Both came down again when the one JSON codec landed (DESIGN.md section 9):
-# 5205 -> 4957 and 20510 -> 20293.
-BENCH_CEILING = 4960
+# 5205 -> 4957 and 20510 -> 20293. Raised by exactly its growth, 4960 ->
+# 5005, for T2's coordinator-crash rows (a sixth nemesis schedule, the
+# crash_mid_2pc schedule aimed at site 0, once per backend).
+BENCH_CEILING = 5005
 # Raised by exactly its growth when keys started caching their hash and
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
@@ -68,7 +75,19 @@ BENCH_CEILING = 4960
 # reused flush buffer (+19, +5 in engine.rs), and a key's first two installs
 # held inline (+46 in storage.rs), less the B-tree and hashed-set code they
 # replaced. The B-tree engine and batcher kept as test oracles are test-only.
-CRATES_CEILING = 20742
+# Re-baselined by exactly the recount, 20742 -> 20933, when the count stopped
+# ending at the first `#[cfg(test)]` of any kind: a test-only helper at line
+# 173 of telemetry/invariants.rs had hidden the 191 lines after it. Lowered by
+# the 6 lines that helper took, 20933 -> 20927, when it moved into its tests.
+# Lowered by exactly the 56 lines the debug twins took, 20927 -> 20871, when
+# they became test oracles (DESIGN.md section 18): `SeenIds::reference` (-9),
+# `ReliableBcast::seen` (-22) and P-CB's full-history scan (-25, now one
+# test-build field checked at each decision). Unchanged by the sequencer and
+# the ring starting to share one ordering core (DESIGN.md section 16):
+# order.rs +393 against ring.rs -376, atomic.rs -14, protocols/atomic.rs -8,
+# payload.rs +3, lib.rs +2. Raised by exactly its growth, 20871 -> 20916, for
+# T2's two coordinator-crash rows (+45 in crates/bench/src).
+CRATES_CEILING = 20916
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -77,8 +96,9 @@ CRATES_CEILING = 20742
 # `Drop` that writes the rest) and integers started going through a
 # two-digit table instead of `core::fmt`, behind the `Digits` seam the
 # test oracle spells them through; the ring's eviction lost its special
-# case for capacity zero.
-TELEMETRY_CEILING = 1370
+# case for capacity zero. Re-baselined by exactly the recount, 1370 -> 1561,
+# and lowered by 6 to 1555 with the helper's move (see CRATES_CEILING).
+TELEMETRY_CEILING = 1555
 
 # The only files under crates/bench/src/bin: an experiment is an entry of
 # `bcastdb_bench::experiments::ALL`, not a process.
@@ -105,10 +125,19 @@ ONCE = [
 ]
 
 
+TEST_MOD = re.compile(r"(pub(\(crate\))? )?mod \w+")
+
+
 def non_test_lines(path):
+    """The lines before the file's first test module: a column-0
+    `#[cfg(test)]` whose item is a `mod`. A `#[cfg(test)]` on anything else
+    (a helper fn, a field, an indented item) does not end the count."""
     lines = open(path, encoding="utf-8").read().splitlines()
     for i, line in enumerate(lines):
-        if line.strip() == "#[cfg(test)]":
+        if line.rstrip() != "#[cfg(test)]":
+            continue
+        item = next((l for l in lines[i + 1:] if l.strip() and not l.startswith(("#", "//"))), "")
+        if TEST_MOD.match(item):
             return lines[:i]
     return lines
 
