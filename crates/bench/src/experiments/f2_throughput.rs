@@ -8,7 +8,7 @@
 //! the atomic protocol peaks highest, the baseline lowest.
 //!
 //! Commits are also bucketed into a per-run time series
-//! ([`bcastdb_sim::trace::TimeSeries`], 50 ms windows): the
+//! ([`bcastdb_core::CommitSeries`], 50 ms windows): the
 //! `win_commits_*` columns show how commit throughput ramps over the run
 //! and `peak_tps` is the busiest window's rate — the sustained-vs-burst
 //! distinction a single `tps` number hides.
@@ -58,16 +58,14 @@ pub(super) fn run(run: &mut Run) {
             .commit_series
             .as_ref()
             .unwrap_or_else(|| panic!("{label}: commit series not recorded"));
+        let buckets = series.buckets();
         assert_eq!(
-            series.total(),
+            buckets.iter().sum::<u64>(),
             m.commits(),
             "{label}: commit series must account for every commit"
         );
-        let buckets = series.buckets();
-        let peak_tps = series
-            .peak()
-            .map(|(_, c)| c as f64 * 1000.0 / WINDOW_MS as f64)
-            .unwrap_or(0.0);
+        let peak = buckets.iter().copied().max().unwrap_or(0);
+        let peak_tps = peak as f64 * 1000.0 / WINDOW_MS as f64;
         let mut cells = vec![
             mpl.to_string(),
             proto.name().to_string(),

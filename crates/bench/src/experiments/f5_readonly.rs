@@ -55,7 +55,7 @@ pub(super) fn run(run: &mut Run) {
             format!("{ro:.2}"),
             proto.name().to_string(),
             m.commits().to_string(),
-            m.counters.get("commits_readonly").to_string(),
+            m.readonly_latency.count().to_string(),
             m.aborts().to_string(),
             m.counters.get("aborts_readonly").to_string(),
             format!("{:.3}", m.readonly_latency.mean().as_millis_f64()),

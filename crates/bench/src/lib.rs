@@ -119,8 +119,7 @@ pub fn trace_out_for(base: &Path, label: &str) -> PathBuf {
 }
 
 /// Validates a traced experiment run: the trace invariant checker accepts
-/// the execution, and the per-phase totals sum to the flat per-kind
-/// message counters (the accounting identity every experiment relies on).
+/// the execution.
 ///
 /// # Panics
 /// Panics with `label` on any violation — the experiments treat a bad
@@ -129,7 +128,6 @@ pub fn check_traced_run(cluster: &Cluster, label: &str) {
     cluster
         .check_trace_invariants()
         .unwrap_or_else(|v| panic!("{label}: trace invariant violated: {v}"));
-    check_phase_accounting(cluster, label);
 }
 
 /// Like [`check_traced_run`], but tolerates transactions still in flight —
@@ -142,16 +140,6 @@ pub fn check_traced_run_allowing_pending(cluster: &Cluster, label: &str) {
     cluster
         .check_trace_invariants_allowing_pending()
         .unwrap_or_else(|v| panic!("{label}: trace invariant violated: {v}"));
-    check_phase_accounting(cluster, label);
-}
-
-fn check_phase_accounting(cluster: &Cluster, label: &str) {
-    let phases = cluster.phase_counts().total();
-    let flat = cluster.metrics().messages_by_kind();
-    assert_eq!(
-        phases, flat,
-        "{label}: per-phase totals ({phases}) must sum to the flat message counts ({flat})"
-    );
 }
 
 /// A simple aligned-column table printer with optional CSV mirroring.

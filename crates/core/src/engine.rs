@@ -151,7 +151,7 @@ impl ReplicaNode {
         let me = ctx.me();
         let now = ctx.now();
         for (dest, msg) in fx.sends.drain(..) {
-            let kind = msg.kind();
+            let counter = msg.counter();
             let phase = msg.phase();
             let mut sent = 0;
             for to in dest_iter(dest, me, ctx.n_sites()) {
@@ -178,14 +178,12 @@ impl ReplicaNode {
                     }
                 }
             }
-            // Kind and phase counters move together at this single call
-            // site, so the per-phase totals sum to the flat counts by
-            // construction. This is the *logical* accounting: with batching
-            // on, the message is recorded here (when enqueued) and the wire
-            // transmission is recorded at batch flush, so the logical counts
-            // are identical with batching on or off.
+            // The *logical* accounting: with batching on, the message is
+            // recorded here (when enqueued) and the wire transmission at
+            // batch flush, so the logical counts are identical with
+            // batching on or off.
             if sent > 0 {
-                self.st.metrics.record_send(kind, phase, sent);
+                self.st.metrics.record_send(counter, phase, sent);
             }
         }
         self.arm_flush(ctx);

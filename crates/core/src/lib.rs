@@ -49,7 +49,7 @@ mod state;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, TxnOutcome};
 pub use engine::ReplicaNode;
-pub use metrics::{AbortReason, Metrics};
+pub use metrics::{AbortReason, CommitSeries, Counters, Metrics};
 pub use payload::{AbcastImpl, Payload, ProtocolKind, ReplicaMsg, ReplicaTimer, TxnPriority};
 pub use placement::Placement;
 pub use state::ConflictPolicy;

@@ -1,7 +1,10 @@
-//! Per-site protocol metrics.
+//! Per-site protocol metrics: a fixed table of named counts, the commit
+//! latencies, the logical sends per phase and, when asked for, commits per
+//! time window. Each count is read by an experiment, the benchmark, a test
+//! or the sampler; nothing else is counted.
 
+use bcastdb_sim::analyze::LatencyStats;
 use bcastdb_sim::telemetry::{Phase, PhaseCounts};
-use bcastdb_sim::trace::{Counters, LatencyStats, TimeSeries};
 use bcastdb_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -47,11 +50,86 @@ impl fmt::Display for AbortReason {
     }
 }
 
+/// A site's named counts: one slot per name in [`Counters::NAMES`].
+#[derive(Debug, Clone, Default)]
+pub struct Counters([u64; Counters::NAMES.len()]);
+
+impl Counters {
+    /// Every name counted: aborts, in all and by [`AbortReason::counter`]
+    /// (F3, the benchmark), read-only aborts (F5), fast-path decisions (T2,
+    /// the benchmark), wire-batch traffic (F6, the benchmark), and the
+    /// message kinds read one by one: causal nulls (F6) and the retransmits
+    /// and syncs the sampler reports per site.
+    pub const NAMES: [&'static str; 16] = [
+        "aborts",
+        "abort_wounded",
+        "abort_concurrent",
+        "abort_certification",
+        "abort_negative_vote",
+        "abort_timeout",
+        "abort_view_change",
+        "abort_wait_die",
+        "aborts_readonly",
+        "fast_commits",
+        "wire_batches",
+        "wire_batched_msgs",
+        "wire_batched_bytes",
+        "msg_null",
+        "msg_retrans",
+        "msg_sync",
+    ];
+
+    fn slot(name: &str) -> usize {
+        let slot = Self::NAMES.iter().position(|&n| n == name);
+        slot.unwrap_or_else(|| panic!("no counter named {name:?}"))
+    }
+
+    /// Adds `delta` to counter `name`.
+    ///
+    /// # Panics
+    /// Panics if `name` is not in [`Counters::NAMES`].
+    pub(crate) fn add(&mut self, name: &str, delta: u64) {
+        self.0[Self::slot(name)] += delta;
+    }
+
+    /// Counter `name`'s value.
+    ///
+    /// # Panics
+    /// Panics if `name` is not in [`Counters::NAMES`].
+    pub fn get(&self, name: &str) -> u64 {
+        self.0[Self::slot(name)]
+    }
+}
+
+/// Commits per fixed window of virtual time, oldest first.
+#[derive(Debug, Clone)]
+pub struct CommitSeries {
+    window: SimDuration,
+    buckets: Vec<u64>,
+}
+
+impl CommitSeries {
+    /// Per-window counts, oldest first (trailing empty windows included up
+    /// to the last commit).
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    fn add(&mut self, bucket: usize, n: u64) {
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
+        self.buckets[bucket] += n;
+    }
+}
+
 /// Metrics collected at one site (aggregated by the cluster facade).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    /// Named event counters.
+    /// Named counts.
     pub counters: Counters,
+    /// Logical messages sent, per phase.
+    phases: PhaseCounts,
     /// Commit latency of update transactions originated here (submission →
     /// origin learns commit).
     pub update_latency: LatencyStats,
@@ -60,7 +138,7 @@ pub struct Metrics {
     /// Commits originated here bucketed by virtual-time window
     /// (throughput-over-time). `None` until enabled via
     /// [`Metrics::enable_commit_series`].
-    pub commit_series: Option<TimeSeries>,
+    pub commit_series: Option<CommitSeries>,
 }
 
 impl Metrics {
@@ -71,53 +149,64 @@ impl Metrics {
 
     /// Turns on per-window commit counting with the given bucket width.
     /// Commits are bucketed by the virtual time the origin learned them.
+    ///
+    /// # Panics
+    /// Panics if `window` is zero.
     pub fn enable_commit_series(&mut self, window: SimDuration) {
-        self.commit_series = Some(TimeSeries::new(window));
+        assert!(!window.is_zero(), "a commit series needs a nonzero window");
+        self.commit_series = Some(CommitSeries {
+            window,
+            buckets: Vec::new(),
+        });
     }
 
     /// Records a committed update transaction with its latency, committed
     /// (at the origin) at virtual time `at`.
     pub fn commit_update(&mut self, latency: SimDuration, at: SimTime) {
-        self.counters.incr("commits_update");
         self.update_latency.record(latency);
-        if let Some(series) = &mut self.commit_series {
-            series.record(at);
-        }
+        self.count_commit(at);
     }
 
     /// Records a committed read-only transaction with its latency,
     /// committed at virtual time `at`.
     pub fn commit_readonly(&mut self, latency: SimDuration, at: SimTime) {
-        self.counters.incr("commits_readonly");
         self.readonly_latency.record(latency);
+        self.count_commit(at);
+    }
+
+    fn count_commit(&mut self, at: SimTime) {
         if let Some(series) = &mut self.commit_series {
-            series.record(at);
+            let bucket = at.as_micros() / series.window.as_micros();
+            series.add(bucket as usize, 1);
         }
     }
 
     /// Records an abort with its reason.
     pub fn abort(&mut self, reason: AbortReason) {
-        self.counters.incr("aborts");
-        self.counters.incr(reason.counter());
+        self.counters.add("aborts", 1);
+        self.counters.add(reason.counter(), 1);
     }
 
     /// Records one outgoing message, sent point to point to `n`
-    /// destinations, under both its fine-grained kind (`msg_*`) and its
-    /// protocol [`Phase`] (`phase_*`). Counting both at the same call site
-    /// is what guarantees the per-phase totals sum to the flat per-kind
-    /// totals.
-    pub fn record_send(&mut self, kind: &'static str, phase: Phase, n: u64) {
-        self.counters.add(kind, n);
-        self.counters.add(phase.counter(), n);
+    /// destinations: under its protocol [`Phase`], and under `counter`
+    /// when its kind is counted by name.
+    ///
+    /// # Panics
+    /// Panics if `counter` is not in [`Counters::NAMES`].
+    pub fn record_send(&mut self, counter: Option<&str>, phase: Phase, n: u64) {
+        self.phases.add(phase, n);
+        if let Some(name) = counter {
+            self.counters.add(name, n);
+        }
     }
 
     /// Records one wire-level batch transmission carrying `msgs` coalesced
     /// logical messages and `bytes` on the wire. Wire accounting is kept
     /// separate from [`Metrics::record_send`]'s logical accounting (whose
-    /// `msg_*`/`phase_*` counters are identical with batching on or off);
-    /// the `wire_*` counters say what the network actually carried.
+    /// per-phase counts are identical with batching on or off); the `wire_*`
+    /// counters say what the network actually carried.
     pub fn record_wire_batch(&mut self, msgs: u64, bytes: u64) {
-        self.counters.incr("wire_batches");
+        self.counters.add("wire_batches", 1);
         self.counters.add("wire_batched_msgs", msgs);
         self.counters.add("wire_batched_bytes", bytes);
     }
@@ -132,28 +221,15 @@ impl Metrics {
         self.counters.get("wire_batched_msgs")
     }
 
-    /// The per-phase message tally recorded via [`Metrics::record_send`].
+    /// The logical messages recorded via [`Metrics::record_send`], per
+    /// phase.
     pub fn phase_counts(&self) -> PhaseCounts {
-        let mut pc = PhaseCounts::default();
-        for p in Phase::ALL {
-            pc.add(p, self.counters.get(p.counter()));
-        }
-        pc
-    }
-
-    /// Total messages recorded under the fine-grained `msg_*` kinds —
-    /// always equal to [`Metrics::phase_counts`]`.total()`.
-    pub fn messages_by_kind(&self) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("msg_"))
-            .map(|(_, v)| v)
-            .sum()
+        self.phases
     }
 
     /// Total commits (update + read-only).
     pub fn commits(&self) -> u64 {
-        self.counters.get("commits_update") + self.counters.get("commits_readonly")
+        (self.update_latency.count() + self.readonly_latency.count()) as u64
     }
 
     /// Total aborts.
@@ -173,13 +249,23 @@ impl Metrics {
 
     /// Merges another site's metrics into this one.
     pub fn merge(&mut self, other: &Metrics) {
-        self.counters.merge(&other.counters);
+        for (mine, theirs) in self.counters.0.iter_mut().zip(other.counters.0) {
+            *mine += theirs;
+        }
+        for p in Phase::ALL {
+            self.phases.add(p, other.phases.get(p));
+        }
         self.update_latency.merge(&other.update_latency);
         self.readonly_latency.merge(&other.readonly_latency);
-        match (&mut self.commit_series, &other.commit_series) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.commit_series = Some(theirs.clone()),
-            _ => {}
+        if let Some(theirs) = &other.commit_series {
+            let mine = self.commit_series.get_or_insert_with(|| CommitSeries {
+                window: theirs.window,
+                buckets: Vec::new(),
+            });
+            assert_eq!(mine.window, theirs.window, "commit series windows differ");
+            for (bucket, &n) in theirs.buckets.iter().enumerate() {
+                mine.add(bucket, n);
+            }
         }
     }
 }
@@ -199,12 +285,7 @@ mod tests {
         assert_eq!(m.aborts(), 2);
         assert_eq!(m.counters.get("abort_wounded"), 1);
         assert!((m.abort_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn abort_rate_zero_when_idle() {
-        let m = Metrics::new();
-        assert_eq!(m.abort_rate(), 0.0);
+        assert_eq!(Metrics::new().abort_rate(), 0.0);
     }
 
     #[test]
@@ -214,17 +295,37 @@ mod tests {
         assert!(m.commit_series.is_none(), "off by default");
         m.enable_commit_series(SimDuration::from_millis(10));
         m.commit_update(SimDuration::from_millis(1), SimTime::from_micros(5000));
-        m.commit_readonly(SimDuration::from_millis(1), SimTime::from_micros(15000));
+        // A window holds its start and not its end: 9 999 µs is window 0,
+        // 10 000 µs is window 1.
+        m.commit_update(SimDuration::from_millis(1), SimTime::from_micros(9_999));
+        m.commit_update(SimDuration::from_millis(1), SimTime::from_micros(10_000));
+        m.commit_readonly(SimDuration::from_millis(1), SimTime::from_micros(25000));
         let series = m.commit_series.as_ref().unwrap();
-        assert_eq!(series.buckets(), &[1, 1]);
+        assert_eq!(series.buckets(), &[2, 1, 1]);
 
-        // Cross-site merge: only enabled series combine; a disabled
-        // receiver adopts the other side's series.
+        // Cross-site merge: a disabled receiver adopts the other side's
+        // series, an enabled one sums it window by window.
         let mut agg = Metrics::new();
         agg.merge(&m);
-        assert_eq!(agg.commit_series.as_ref().unwrap().total(), 2);
+        assert_eq!(agg.commit_series.as_ref().unwrap().buckets(), &[2, 1, 1]);
         agg.merge(&m);
-        assert_eq!(agg.commit_series.as_ref().unwrap().buckets(), &[2, 2]);
+        assert_eq!(agg.commit_series.as_ref().unwrap().buckets(), &[4, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a commit series needs a nonzero window")]
+    fn a_commit_series_rejects_a_zero_window() {
+        Metrics::new().enable_commit_series(SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit series windows differ")]
+    fn merging_commit_series_of_different_windows_is_an_error() {
+        let mut a = Metrics::new();
+        a.enable_commit_series(SimDuration::from_millis(10));
+        let mut b = Metrics::new();
+        b.enable_commit_series(SimDuration::from_millis(20));
+        a.merge(&b);
     }
 
     #[test]
@@ -233,30 +334,45 @@ mod tests {
         let mut b = Metrics::new();
         a.commit_update(SimDuration::from_millis(2), SimTime::from_micros(2000));
         b.commit_update(SimDuration::from_millis(4), SimTime::from_micros(4000));
-        b.abort(AbortReason::Timeout);
+        for (slot, name) in Counters::NAMES.iter().enumerate() {
+            a.counters.add(name, 1);
+            b.counters.add(name, 10 + slot as u64);
+        }
+        b.record_send(None, Phase::Vote, 3);
         a.merge(&b);
         assert_eq!(a.commits(), 2);
-        assert_eq!(a.aborts(), 1);
-        assert_eq!(a.update_latency.count(), 2);
         assert_eq!(a.update_latency.mean().as_micros(), 3_000);
+        for (slot, name) in Counters::NAMES.iter().enumerate() {
+            assert_eq!(a.counters.get(name), 11 + slot as u64, "{name}");
+        }
+        assert_eq!(a.phase_counts().get(Phase::Vote), 3);
     }
 
     #[test]
-    fn phase_totals_match_kind_totals() {
+    fn sends_count_by_phase_and_read_kinds_by_name() {
         let mut m = Metrics::new();
-        m.record_send("msg_write", Phase::Prepare, 2);
-        m.record_send("msg_vote", Phase::Vote, 1);
-        m.record_send("msg_null", Phase::Ack, 1);
+        m.record_send(None, Phase::Prepare, 2);
+        m.record_send(None, Phase::Vote, 1);
+        m.record_send(Some("msg_null"), Phase::Ack, 1);
+        m.record_send(Some("msg_sync"), Phase::Retransmit, 4);
         let pc = m.phase_counts();
-        assert_eq!(pc.prepare, 2);
-        assert_eq!(pc.vote, 1);
-        assert_eq!(pc.ack, 1);
-        assert_eq!(pc.total(), 4);
-        assert_eq!(m.messages_by_kind(), 4);
+        assert_eq!(
+            [Phase::Prepare, Phase::Vote, Phase::Ack, Phase::Retransmit].map(|p| pc.get(p)),
+            [2, 1, 1, 4]
+        );
+        assert_eq!(pc.total(), 8);
+        assert_eq!(m.counters.get("msg_null"), 1);
+        assert_eq!(m.counters.get("msg_sync"), 4);
     }
 
     #[test]
-    fn all_reasons_have_distinct_counters() {
+    #[should_panic(expected = "no counter named \"msg_write\"")]
+    fn an_uncounted_name_is_an_error() {
+        Metrics::new().counters.get("msg_write");
+    }
+
+    #[test]
+    fn all_reasons_are_counted_under_distinct_names() {
         use AbortReason::*;
         let reasons = [
             Wounded,
@@ -269,5 +385,6 @@ mod tests {
         ];
         let names: std::collections::HashSet<&str> = reasons.iter().map(|r| r.counter()).collect();
         assert_eq!(names.len(), reasons.len());
+        assert!(names.iter().all(|n| Counters::NAMES.contains(n)));
     }
 }

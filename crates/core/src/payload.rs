@@ -327,37 +327,18 @@ wire_variant! {
 }
 
 impl ReplicaMsg {
-    /// A stable label for traffic-decomposition counters (which kind of
-    /// message this is, counted per point-to-point send).
-    pub fn kind(&self) -> &'static str {
+    /// The name a send of this message is counted under in
+    /// [`Counters`](crate::Counters) besides its phase, for the three kinds
+    /// read one by one: causal nulls, causal retransmissions and reliable
+    /// watermark syncs.
+    pub(crate) fn counter(&self) -> Option<&'static str> {
+        let null = |p: &Payload| matches!(p, Payload::Null).then_some("msg_null");
         match self {
-            ReplicaMsg::R(w) => Self::payload_kind(&w.payload),
-            ReplicaMsg::C(w) => Self::payload_kind(&w.payload),
-            ReplicaMsg::ASeq(_) => "msg_abcast",
-            ReplicaMsg::AIsis(_) => "msg_abcast",
-            ReplicaMsg::ARing(_) => "msg_abcast",
-            ReplicaMsg::P2p(m) => match m {
-                P2pMsg::Write { .. } => "msg_write",
-                P2pMsg::WriteAck { .. } => "msg_write_ack",
-                P2pMsg::CommitReq { .. } => "msg_commit_req",
-                P2pMsg::Vote { .. } => "msg_vote",
-                P2pMsg::Abort { .. } => "msg_abort",
-            },
-            ReplicaMsg::Member(_) => "msg_membership",
-            ReplicaMsg::RSync(_) => "msg_sync",
-            ReplicaMsg::CRetrans(_) => "msg_retrans",
-            ReplicaMsg::Batch(_) => "msg_batch",
-        }
-    }
-
-    fn payload_kind(p: &Payload) -> &'static str {
-        match p {
-            Payload::Write { .. } => "msg_write",
-            Payload::CommitReq { .. } => "msg_commit_req",
-            Payload::Vote { .. } => "msg_vote",
-            Payload::Nack { .. } => "msg_nack",
-            Payload::AbortDecision { .. } => "msg_abort",
-            Payload::Null => "msg_null",
+            ReplicaMsg::R(w) => null(&w.payload),
+            ReplicaMsg::C(w) => null(&w.payload),
+            ReplicaMsg::CRetrans(_) => Some("msg_retrans"),
+            ReplicaMsg::RSync(_) => Some("msg_sync"),
+            _ => None,
         }
     }
 
@@ -632,7 +613,7 @@ mod tests {
             (ReplicaMsg::RSync(vec![0, 0]), Phase::Retransmit),
         ];
         for (msg, want) in cases {
-            assert_eq!(msg.phase(), want, "{:?}", msg.kind());
+            assert_eq!(msg.phase(), want, "{msg:?}");
         }
     }
 
@@ -791,14 +772,12 @@ mod tests {
             assert_eq!(
                 msg.wire_size(),
                 expected,
-                "WireSize drifted from the documented layout: {:?}",
-                msg.kind()
+                "WireSize drifted from the documented layout: {msg:?}"
             );
             assert_eq!(
                 msg.size_hint(),
                 msg.wire_size(),
-                "size_hint must charge exactly the wire size: {:?}",
-                msg.kind()
+                "size_hint must charge exactly the wire size: {msg:?}"
             );
         }
     }

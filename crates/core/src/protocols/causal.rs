@@ -792,7 +792,12 @@ pub(crate) mod tests {
         rig.step(0, 60, |p, step| {
             p.on_msg(step, SiteId(1), ReplicaMsg::C(wire))
         });
-        let nulls = |rig: &Rig| rig.sent.iter().filter(|m| m.kind() == "msg_null").count();
+        let nulls = |rig: &Rig| {
+            rig.sent
+                .iter()
+                .filter(|m| m.counter() == Some("msg_null"))
+                .count()
+        };
         let before = nulls(&rig);
         rig.step(0, 70, |p, step| p.on_tick(step));
         assert!(nulls(&rig) > before, "post-progress tick emits again");

@@ -1039,7 +1039,14 @@ pub(crate) mod tests {
         assert_eq!(rig.write_pauses, [id], "{protocol}: no further step");
         rig.settle();
         // Only commit requests travel by atomic broadcast.
-        let is_commit_req = |m: &&ReplicaMsg| matches!(m.kind(), "msg_commit_req" | "msg_abcast");
+        let is_commit_req = |m: &&ReplicaMsg| match m {
+            ReplicaMsg::R(w) => matches!(*w.payload, Payload::CommitReq { .. }),
+            ReplicaMsg::C(w) => matches!(*w.payload, Payload::CommitReq { .. }),
+            m => matches!(
+                m,
+                ReplicaMsg::ASeq(_) | ReplicaMsg::AIsis(_) | ReplicaMsg::ARing(_)
+            ),
+        };
         assert_eq!(
             rig.sent.iter().filter(is_commit_req).count(),
             0,

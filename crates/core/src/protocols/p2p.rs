@@ -375,7 +375,7 @@ pub(crate) mod tests {
         let mut rig = Rig::<Driver<P2pProto>>::of(&cfg(3, ProtocolKind::PointToPoint));
         let id = rig.submit(0, 1, TxnSpec::new().write("a", 1).write("b", 2));
         let writes = |rig: &Rig<Driver<P2pProto>>| {
-            let write = |m: &&ReplicaMsg| m.kind() == "msg_write";
+            let write = |m: &&ReplicaMsg| matches!(m, ReplicaMsg::P2p(P2pMsg::Write { .. }));
             rig.sent.iter().filter(write).count()
         };
         assert_eq!(writes(&rig), 1, "the second op waits for the first's acks");

@@ -453,9 +453,10 @@ mod tests {
             p.on_msg(step, SiteId(1), ReplicaMsg::R(wire))
         });
         // (Relaying re-forwards the first copy; only the sync counts.)
-        let before = rig.sent.iter().filter(|m| m.kind() == "msg_sync").count();
+        let sync = |m: &&ReplicaMsg| matches!(m, ReplicaMsg::RSync(_));
+        let before = rig.sent.iter().filter(sync).count();
         syncs(&mut rig, 1);
-        let after = rig.sent.iter().filter(|m| m.kind() == "msg_sync").count();
+        let after = rig.sent.iter().filter(sync).count();
         assert_eq!(after - before, 1, "post-progress tick solicits again");
     }
 

@@ -435,7 +435,7 @@ impl SiteState {
     /// members, and bumps the `fast_commits` counter. The regular
     /// `Decided`/`Commit` events follow immediately.
     pub fn trace_fast_decide(&mut self, id: TxnId, now: SimTime) {
-        self.metrics.counters.incr("fast_commits");
+        self.metrics.counters.add("fast_commits", 1);
         let me = self.me;
         self.tracer.emit(|| TraceEvent::FastDecide {
             at: now,
@@ -627,7 +627,7 @@ impl SiteState {
             // Only the atomic protocol ever does this (the price of
             // acknowledgement-free commitment); tracked separately so the
             // read-only experiments can report it.
-            self.metrics.counters.incr("aborts_readonly");
+            self.metrics.counters.add("aborts_readonly", 1);
         }
         self.mark_decided(id, false);
         self.log.log_abort(id);

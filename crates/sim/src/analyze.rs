@@ -1,11 +1,74 @@
-//! Trace analysis over reconstructed [`TxnSpan`]s: per-segment latency
-//! summaries, critical-path reports, and ASCII renderings used by the
-//! `bcast-trace` CLI and the `t3_latency_breakdown` experiment.
+//! Latency statistics, and trace analysis over reconstructed [`TxnSpan`]s:
+//! per-segment latency summaries, critical-path reports, and ASCII
+//! renderings used by the `bcast-trace` CLI and the `t3_latency_breakdown`
+//! experiment.
 
 use crate::spans::{Segment, SegmentBreakdown, TxnSpan};
-use crate::trace::LatencyStats;
 use crate::SimDuration;
 use std::fmt::Write as _;
+
+/// Duration samples in microseconds, in recording order, with summary
+/// statistics: the commit latencies a site records (`bcastdb-core`'s
+/// `Metrics`) and the segment latencies of a [`SegmentSummary`].
+#[derive(Debug, Clone, Default)]
+pub struct LatencyStats {
+    samples: Vec<u64>,
+}
+
+impl LatencyStats {
+    /// Records one sample.
+    pub fn record(&mut self, d: SimDuration) {
+        self.samples.push(d.as_micros());
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// The raw samples, in recording order, in microseconds.
+    pub fn samples(&self) -> &[u64] {
+        &self.samples
+    }
+
+    /// Arithmetic mean, truncated, or zero when empty.
+    pub fn mean(&self) -> SimDuration {
+        let sum: u128 = self.samples.iter().map(|&s| s as u128).sum();
+        let n = self.samples.len().max(1) as u128;
+        SimDuration::from_micros((sum / n) as u64)
+    }
+
+    /// The `q`-quantile (clamped to 0.0..=1.0) by nearest rank, or zero
+    /// when empty.
+    fn quantile(&self, q: f64) -> SimDuration {
+        if self.samples.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let rank = ((self.samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        let mut sorted = self.samples.clone();
+        SimDuration::from_micros(*sorted.select_nth_unstable(rank).1)
+    }
+
+    /// Median.
+    pub fn p50(&self) -> SimDuration {
+        self.quantile(0.50)
+    }
+
+    /// 95th percentile.
+    pub fn p95(&self) -> SimDuration {
+        self.quantile(0.95)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> SimDuration {
+        self.quantile(0.99)
+    }
+
+    /// Appends another collection's samples.
+    pub fn merge(&mut self, other: &LatencyStats) {
+        self.samples.extend_from_slice(&other.samples);
+    }
+}
 
 /// Aggregated per-segment latency statistics over a set of committed
 /// transactions. `end_to_end` and the per-segment stats draw from the same
@@ -307,6 +370,28 @@ mod tests {
             txn: tx,
         });
         b
+    }
+
+    #[test]
+    fn latency_stats_summary() {
+        let mut s = LatencyStats::default();
+        assert_eq!((s.mean(), s.p99()), (SimDuration::ZERO, SimDuration::ZERO));
+        for i in (1..=100u64).rev() {
+            s.record(SimDuration::from_micros(i));
+        }
+        assert_eq!(s.count(), 100);
+        // 5050 / 100, truncated.
+        assert_eq!(s.mean().as_micros(), 50);
+        // Nearest rank on an even count rounds up: index round(99 * 0.5) = 50.
+        assert_eq!(s.p50().as_micros(), 51);
+        assert_eq!(s.p95().as_micros(), 95);
+        assert_eq!(s.quantile(-1.0).as_micros(), 1);
+        assert_eq!(s.quantile(2.0).as_micros(), 100);
+        let mut other = LatencyStats::default();
+        other.record(SimDuration::from_micros(7));
+        s.merge(&other);
+        assert_eq!(s.samples()[..2], [100, 99], "samples stay in record order");
+        assert_eq!(s.samples()[100], 7);
     }
 
     #[test]

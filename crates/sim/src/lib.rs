@@ -15,13 +15,13 @@
 //!   loss, partitions, and crash failures,
 //! - [`Simulation`] — the driver that owns a set of [`Node`]s and runs the
 //!   event loop to quiescence or a deadline,
-//! - [`trace`] — counters and histograms used by the experiment harness,
 //! - [`telemetry`] — structured trace events with per-phase message
 //!   accounting, pluggable sinks, and an offline invariant checker,
-//! - [`spans`] / [`analyze`] — per-transaction span reconstruction and
-//!   commit-latency decomposition over the trace stream,
-//! - [`stats`] — a deterministic virtual-time metrics registry (counters,
-//!   gauges, log2 histograms) sampled at fixed sim-clock boundaries,
+//! - [`spans`] / [`analyze`] — per-transaction span reconstruction,
+//!   commit-latency decomposition over the trace stream, and the
+//!   [`LatencyStats`](analyze::LatencyStats) every latency is kept in,
+//! - [`stats`] — deterministic virtual-time metrics: gauges sampled at
+//!   fixed sim-clock boundaries, plus push-side counters and log2 histograms,
 //! - [`json`] — the one JSON parser and string escaper every reader and
 //!   writer of trace, sample and ledger files shares.
 //!
@@ -66,7 +66,6 @@ pub mod spans;
 pub mod stats;
 pub mod telemetry;
 mod time;
-pub mod trace;
 
 pub use event::{Event, EventKind, EventQueue, WheelStats};
 pub use net::{
@@ -75,7 +74,7 @@ pub use net::{
 };
 pub use rng::DetRng;
 pub use simulation::{Ctx, Node, RunOutcome, SendOutcome, Simulation};
-pub use stats::{Histogram, Sample, SampleWriter, StatsHandle, StatsRegistry};
+pub use stats::{Sample, SampleWriter, StatsHandle, StatsRegistry};
 pub use time::{SimDuration, SimTime};
 
 use std::fmt;

@@ -1,5 +1,6 @@
-//! Deterministic, virtual-time metrics: a registry of counters, gauges, and
-//! fixed-log2-bucket histograms, sampled on the simulation clock.
+//! Deterministic, virtual-time metrics: gauges read at fixed sim-clock
+//! boundaries, plus a registry of push-side counters and log2-bucket
+//! histograms folded into every sample.
 //!
 //! Where the [`telemetry`](crate::telemetry) stream answers *"what happened
 //! to this message / transaction"*, this module answers *"what did the
@@ -46,112 +47,21 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
-pub const HIST_BUCKETS: usize = 65;
+const HIST_BUCKETS: usize = 65;
 
-/// A fixed-size log2-bucket histogram of `u64` observations.
+/// A log2-bucket histogram of `u64` observations, kept as its bucket
+/// counts, which is all a sample stores of it.
 ///
 /// Bucket `0` holds exactly the value `0`; bucket `i ≥ 1` holds the range
 /// `[2^(i-1), 2^i - 1]`. Every `u64` maps to exactly one bucket, so the
 /// bucket counts always sum to the observation count.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    counts: [u64; HIST_BUCKETS],
-    sum: u128,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug)]
+struct Histogram([u64; HIST_BUCKETS]);
 
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            counts: [0; HIST_BUCKETS],
-            sum: 0,
-            max: 0,
-        }
-    }
-
     /// The bucket index a value falls into.
-    pub fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Smallest value of bucket `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= HIST_BUCKETS`.
-    pub fn bucket_lo(i: usize) -> u64 {
-        assert!(i < HIST_BUCKETS);
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// Largest value of bucket `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= HIST_BUCKETS`.
-    pub fn bucket_hi(i: usize) -> u64 {
-        assert!(i < HIST_BUCKETS);
-        match i {
-            0 => 0,
-            64 => u64::MAX,
-            _ => (1u64 << i) - 1,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket_of(v)] += 1;
-        self.sum += v as u128;
-        self.max = self.max.max(v);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Largest observation (zero when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean, truncated (zero when empty).
-    pub fn mean(&self) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            0
-        } else {
-            (self.sum / n as u128) as u64
-        }
-    }
-
-    /// Sparse `(bucket, count)` pairs for the non-empty buckets, in bucket
-    /// order.
-    pub fn snapshot(&self) -> Vec<(u8, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u8, c))
-            .collect()
+    fn bucket_of(v: u64) -> usize {
+        64 - v.leading_zeros() as usize
     }
 }
 
@@ -274,56 +184,6 @@ pub fn render_jsonl(samples: &[Sample]) -> String {
     out
 }
 
-/// Renders samples as CSV: a `t_us` column, every value series in name
-/// order, and one `<name>.n` observation-count column per histogram.
-/// Series missing from a sample render as empty cells.
-pub fn render_csv(samples: &[Sample]) -> String {
-    let mut value_cols: Vec<&str> = Vec::new();
-    let mut hist_cols: Vec<&str> = Vec::new();
-    for s in samples {
-        for k in s.values.keys() {
-            if let Err(pos) = value_cols.binary_search(&k.as_str()) {
-                value_cols.insert(pos, k);
-            }
-        }
-        for k in s.hists.keys() {
-            if let Err(pos) = hist_cols.binary_search(&k.as_str()) {
-                hist_cols.insert(pos, k);
-            }
-        }
-    }
-    let mut out = String::from("t_us");
-    for c in &value_cols {
-        let _ = write!(out, ",{c}");
-    }
-    for c in &hist_cols {
-        let _ = write!(out, ",{c}.n");
-    }
-    out.push('\n');
-    for s in samples {
-        let _ = write!(out, "{}", s.at.as_micros());
-        for c in &value_cols {
-            match s.values.get(*c) {
-                Some(v) => {
-                    let _ = write!(out, ",{v}");
-                }
-                None => out.push(','),
-            }
-        }
-        for c in &hist_cols {
-            match s.hists.get(*c) {
-                Some(buckets) => {
-                    let n: u64 = buckets.iter().map(|&(_, c)| c).sum();
-                    let _ = write!(out, ",{n}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// One series of a sample: a name, or a per-site name rendered under the
 /// canonical `s<site>.` prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,16 +249,15 @@ struct Table {
     hists: Vec<&'static str>,
 }
 
-/// The shared metric store of one run: push-side counters, gauges, and
-/// histograms, plus the accumulated samples.
+/// The shared metric store of one run: push-side counters and histograms,
+/// plus the accumulated samples.
 ///
-/// Counters and gauges written through [`StatsHandle`] are folded into
-/// every subsequent sample; histograms are snapshotted cumulatively.
+/// Counters written through [`StatsHandle`] are folded into every
+/// subsequent sample; histograms are snapshotted cumulatively.
 #[derive(Debug)]
 pub struct StatsRegistry {
     interval: SimDuration,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
     /// Name tables, oldest first.
     tables: Vec<Table>,
@@ -418,7 +277,6 @@ impl StatsRegistry {
         StatsRegistry {
             interval,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             tables: Vec::new(),
             rows: Vec::new(),
@@ -433,7 +291,7 @@ impl StatsRegistry {
     /// Folds the push-side state into the sample `w` holds, stores it as
     /// one row stamped `at`, and readies `w` for the next sample.
     pub fn commit_sample(&mut self, at: SimTime, w: &mut SampleWriter) {
-        for (&k, &v) in self.counters.iter().chain(&self.gauges) {
+        for (&k, &v) in &self.counters {
             w.set(k, v);
         }
         w.series.truncate(w.len);
@@ -452,7 +310,7 @@ impl StatsRegistry {
         self.rows.push(at.as_micros());
         self.rows.extend_from_slice(&w.row);
         for h in self.hists.values() {
-            let buckets = h.counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            let buckets = h.0.iter().enumerate().filter(|&(_, &c)| c > 0);
             self.rows.push(buckets.clone().count() as u64);
             self.rows.extend(buckets.flat_map(|(b, &c)| [b as u64, c]));
         }
@@ -477,11 +335,6 @@ impl StatsRegistry {
             }
         }
         out
-    }
-
-    /// A push-side histogram's current state (`None` if never observed).
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
     }
 }
 
@@ -534,18 +387,16 @@ impl StatsHandle {
             .unwrap_or(0)
     }
 
-    /// Sets gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &'static str, v: u64) {
-        if let Some(reg) = &self.inner {
-            reg.borrow_mut().gauges.insert(name, v);
-        }
-    }
-
     /// Records one histogram observation.
     pub fn observe(&self, name: &'static str, v: u64) {
         debug_assert!(name_ok(name), "bad metric name {name:?}");
         if let Some(reg) = &self.inner {
-            reg.borrow_mut().hists.entry(name).or_default().record(v);
+            let mut reg = reg.borrow_mut();
+            let h = reg
+                .hists
+                .entry(name)
+                .or_insert(Histogram([0; HIST_BUCKETS]));
+            h.0[Histogram::bucket_of(v)] += 1;
         }
     }
 
@@ -571,35 +422,48 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn bucket_zero_is_exactly_zero() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_lo(0), 0);
-        assert_eq!(Histogram::bucket_hi(0), 0);
+    /// Smallest value of bucket `i`, as the schema documents it.
+    fn bucket_lo(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64 << (i - 1)
+        }
+    }
+
+    /// Largest value of bucket `i`, as the schema documents it.
+    fn bucket_hi(i: usize) -> u64 {
+        match i {
+            0 => 0,
+            64 => u64::MAX,
+            _ => (1u64 << i) - 1,
+        }
     }
 
     #[test]
     fn bucket_edges_land_where_documented() {
+        assert_eq!(Histogram::bucket_of(0), 0);
         assert_eq!(Histogram::bucket_of(1), 1);
         assert_eq!(Histogram::bucket_of(2), 2);
         assert_eq!(Histogram::bucket_of(3), 2);
         assert_eq!(Histogram::bucket_of(4), 3);
         assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_hi(64), u64::MAX);
     }
 
     #[test]
-    fn histogram_summary_stats() {
-        let mut h = Histogram::new();
+    fn histograms_sample_as_sparse_bucket_counts() {
+        let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
+            1,
+        ))));
+        let h = StatsHandle::new(reg);
         for v in [0u64, 1, 5, 5, 100] {
-            h.record(v);
+            h.observe("flush", v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 111);
-        assert_eq!(h.max(), 100);
-        assert_eq!(h.mean(), 22);
-        let snap = h.snapshot();
-        assert_eq!(snap, vec![(0, 1), (1, 1), (3, 2), (7, 1)]);
+        h.commit_sample(SimTime::from_micros(1000), &mut SampleWriter::default());
+        assert_eq!(
+            h.samples()[0].hists["flush"],
+            vec![(0, 1), (1, 1), (3, 2), (7, 1)]
+        );
     }
 
     #[test]
@@ -649,17 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_unions_columns_and_leaves_gaps_empty() {
-        let mut a = Sample::new(SimTime::from_micros(10));
-        a.values.insert("x".into(), 1);
-        let mut b = Sample::new(SimTime::from_micros(20));
-        b.values.insert("y".into(), 2);
-        b.hists.insert("h1".into(), vec![(0, 4)]);
-        let csv = render_csv(&[a, b]);
-        assert_eq!(csv, "t_us,x,y,h1.n\n10,1,,\n20,,2,4\n");
-    }
-
-    #[test]
     fn registry_folds_push_side_into_samples() {
         let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
             1,
@@ -667,15 +520,13 @@ mod tests {
         let h = StatsHandle::new(reg.clone());
         h.counter_add("retrans", 3);
         h.counter_add("retrans", 2);
-        h.gauge_set("depth", 9);
         h.observe("flush", 4);
         h.commit_sample(SimTime::from_micros(1000), &mut SampleWriter::default());
         let samples = h.samples();
         assert_eq!(samples.len(), 1);
         assert_eq!(h.counter("retrans"), 5);
-        assert_eq!(h.counter("depth"), 0, "a gauge is not a counter");
+        assert_eq!(h.counter("flush"), 0, "a histogram is not a counter");
         assert_eq!(samples[0].values["retrans"], 5);
-        assert_eq!(samples[0].values["depth"], 9);
         assert_eq!(samples[0].hists["flush"], vec![(3, 1)]);
     }
 
@@ -684,7 +535,6 @@ mod tests {
         let h = StatsHandle::disabled();
         assert!(!h.is_enabled());
         h.counter_add("x", 1);
-        h.gauge_set("y", 2);
         h.observe("z", 3);
         h.commit_sample(SimTime::ZERO, &mut SampleWriter::default());
         assert_eq!(h.counter("x"), 0);
@@ -719,11 +569,10 @@ mod tests {
             for (&k, &v) in &reg.counters {
                 set(&mut sample, k, v);
             }
-            for (&k, &v) in &reg.gauges {
-                set(&mut sample, k, v);
-            }
             for (&k, h) in &reg.hists {
-                sample.hists.insert(k.to_owned(), h.snapshot());
+                let buckets = h.0.iter().enumerate().filter(|&(_, &c)| c > 0);
+                let snapshot = buckets.map(|(b, &c)| (b as u8, c)).collect();
+                sample.hists.insert(k.to_owned(), snapshot);
             }
             sample
         }
@@ -738,12 +587,12 @@ mod tests {
         /// The rows give back, sample for sample, what the map-building
         /// store built from the same calls, through series that appear
         /// mid-run, disappear, change places or are set twice in a sample,
-        /// and push-side counters, gauges and histograms that start
+        /// and push-side counters and histograms that start
         /// mid-run.
         #[test]
         fn rows_agree_with_the_map_store(
             start in proptest::collection::vec((0usize..NAMES.len(), 0usize..4), 1..6),
-            steps in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..8, 0u8..4), 1..16),
+            steps in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..8, 0u8..3), 1..16),
         ) {
             // A series is a name and a site code: 0 global, else site code - 1.
             let mut series = start;
@@ -763,8 +612,7 @@ mod tests {
                 let pushed = PUSHED[seed as usize % PUSHED.len()];
                 match push {
                     1 => handle.counter_add(pushed, seed % 9),
-                    2 => handle.gauge_set(pushed, seed),
-                    3 => handle.observe(pushed, seed >> (seed % 64)),
+                    2 => handle.observe(pushed, seed >> (seed % 64)),
                     _ => {}
                 }
                 let t = SimTime::from_micros(1_000 * (i as u64 + 1));
@@ -794,16 +642,16 @@ mod tests {
         fn bucket_boundaries_contain_their_values(v in any::<u64>()) {
             let b = Histogram::bucket_of(v);
             prop_assert!(b < HIST_BUCKETS);
-            prop_assert!(Histogram::bucket_lo(b) <= v);
-            prop_assert!(v <= Histogram::bucket_hi(b));
+            prop_assert!(bucket_lo(b) <= v);
+            prop_assert!(v <= bucket_hi(b));
         }
 
         /// Adjacent buckets abut exactly: `hi(i) + 1 == lo(i+1)`.
         #[test]
         fn buckets_tile_without_gaps(i in 0usize..HIST_BUCKETS - 1) {
             prop_assert_eq!(
-                Histogram::bucket_hi(i).wrapping_add(1),
-                Histogram::bucket_lo(i + 1)
+                bucket_hi(i).wrapping_add(1),
+                bucket_lo(i + 1)
             );
         }
 

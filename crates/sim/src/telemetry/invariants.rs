@@ -1,7 +1,7 @@
 //! The streaming trace-invariant checker: [`TraceInvariants`], the
 //! [`TraceViolation`]s it reports, and the [`check_trace`] convenience.
 
-use super::{Phase, TraceEvent, TraceSink, TxnRef};
+use super::{Phase, PhaseCounts, TraceEvent, TraceSink, TxnRef};
 use crate::SiteId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,7 +102,7 @@ struct TxnLife {
     terminations: u32,
 }
 
-/// Dense per-(sender, receiver, phase) counters.
+/// Dense per-(sender, receiver) [`PhaseCounts`].
 ///
 /// The checker bumps one counter on *every* traced `Send` and `Deliver`,
 /// which makes this the hottest data structure in the tracing pipeline. A
@@ -112,58 +112,48 @@ struct TxnLife {
 /// realistic cluster) and grows by re-indexing when a larger id appears.
 #[derive(Debug, Default)]
 struct LinkPhaseCounts {
-    /// Sites per side; `counts.len() == stride * stride * NPHASES`.
+    /// Sites per side; `links.len() == stride * stride`.
     stride: usize,
-    counts: Vec<u64>,
+    links: Vec<PhaseCounts>,
 }
 
-const NPHASES: usize = Phase::ALL.len();
-
 impl LinkPhaseCounts {
-    fn slot(&self, from: SiteId, to: SiteId, phase: Phase) -> usize {
-        (from.0 * self.stride + to.0) * NPHASES + phase.index()
-    }
-
     fn bump(&mut self, from: SiteId, to: SiteId, phase: Phase) {
         let needed = from.0.max(to.0) + 1;
         if needed > self.stride {
             self.grow(needed);
         }
-        let slot = self.slot(from, to, phase);
-        self.counts[slot] += 1;
+        self.links[from.0 * self.stride + to.0].add(phase, 1);
     }
 
     fn grow(&mut self, needed: usize) {
-        let new_stride = needed.max(self.stride * 2).max(8);
-        let mut counts = vec![0u64; new_stride * new_stride * NPHASES];
-        for from in 0..self.stride {
-            for to in 0..self.stride {
-                for p in 0..NPHASES {
-                    counts[(from * new_stride + to) * NPHASES + p] =
-                        self.counts[(from * self.stride + to) * NPHASES + p];
-                }
-            }
+        let stride = needed.max(self.stride * 2).max(8);
+        let mut links = vec![PhaseCounts::default(); stride * stride];
+        for (from, row) in self.links.chunks(self.stride.max(1)).enumerate() {
+            links[from * stride..][..row.len()].copy_from_slice(row);
         }
-        self.stride = new_stride;
-        self.counts = counts;
+        self.stride = stride;
+        self.links = links;
     }
 
-    fn get(&self, from: SiteId, to: SiteId, phase: Phase) -> u64 {
+    fn get(&self, from: SiteId, to: SiteId) -> PhaseCounts {
         if from.0 >= self.stride || to.0 >= self.stride {
-            return 0;
+            return PhaseCounts::default();
         }
-        self.counts[self.slot(from, to, phase)]
+        self.links[from.0 * self.stride + to.0]
     }
 
     /// Nonzero entries in `(from, to, phase)` lexicographic order — the
     /// same order the former `BTreeMap` iterated in, so the *first*
     /// violation reported by the checker is unchanged.
     fn iter_nonzero(&self) -> impl Iterator<Item = ((SiteId, SiteId, Phase), u64)> + '_ {
-        (0..self.stride).flat_map(move |from| {
-            (0..self.stride).flat_map(move |to| {
-                Phase::ALL.iter().filter_map(move |&phase| {
-                    let n = self.counts[(from * self.stride + to) * NPHASES + phase.index()];
-                    (n > 0).then_some(((SiteId(from), SiteId(to), phase), n))
+        let sites = move || (0..self.stride).map(SiteId);
+        sites().flat_map(move |from| {
+            sites().flat_map(move |to| {
+                let counts = self.get(from, to);
+                Phase::ALL.into_iter().filter_map(move |phase| {
+                    let n = counts.get(phase);
+                    (n > 0).then_some(((from, to, phase), n))
                 })
             })
         })
@@ -307,7 +297,7 @@ impl TraceInvariants {
             return Err(v.clone());
         }
         for ((from, to, phase), delivered) in self.delivers.iter_nonzero() {
-            let sent = self.sends.get(from, to, phase);
+            let sent = self.sends.get(from, to).get(phase);
             if delivered > sent {
                 return Err(TraceViolation::UnsentDelivery {
                     from,
@@ -498,7 +488,28 @@ mod tests {
 
     /// Number of (sender, receiver, phase) triples with a nonzero count.
     fn distinct(counts: &LinkPhaseCounts) -> usize {
-        counts.counts.iter().filter(|&&n| n > 0).count()
+        counts.iter_nonzero().count()
+    }
+
+    proptest::proptest! {
+        /// The per-link table counts what a map keyed by `(from, to,
+        /// phase)` counts, through the re-indexing a larger site id causes,
+        /// and lists its nonzero entries in the map's order.
+        #[test]
+        fn link_table_agrees_with_a_map(
+            bumps in proptest::collection::vec((0usize..20, 0usize..20, 0usize..6), 0..200),
+        ) {
+            let mut table = LinkPhaseCounts::default();
+            let mut map = BTreeMap::new();
+            for &(from, to, phase) in &bumps {
+                let key = (SiteId(from), SiteId(to), Phase::ALL[phase]);
+                table.bump(key.0, key.1, key.2);
+                *map.entry(key).or_insert(0u64) += 1;
+            }
+            let listed: Vec<_> = table.iter_nonzero().collect();
+            proptest::prop_assert_eq!(listed, map.into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(table.get(SiteId(20), SiteId(0)), PhaseCounts::default());
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! - [`Tracer`] — a cheap, cloneable handle that is **zero-overhead when
 //!   disabled**: [`Tracer::emit`] takes a closure that is never evaluated
 //!   unless a sink is attached,
-//! - [`PhaseCounts`] — a per-phase message tally for benchmark tables.
+//! - [`PhaseCounts`] — messages per phase, the one table every per-phase
+//!   count is kept in.
 //!
 //! # Example
 //!
@@ -117,18 +118,6 @@ impl Phase {
         }
     }
 
-    /// Stable counter name (`phase_<name>`) used by the metrics layer.
-    pub fn counter(self) -> &'static str {
-        match self {
-            Phase::Prepare => "phase_prepare",
-            Phase::Vote => "phase_vote",
-            Phase::Ack => "phase_ack",
-            Phase::Decision => "phase_decision",
-            Phase::Retransmit => "phase_retransmit",
-            Phase::Membership => "phase_membership",
-        }
-    }
-
     fn from_name(s: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == s)
     }
@@ -140,53 +129,38 @@ impl fmt::Display for Phase {
     }
 }
 
-/// Per-phase message tally — the structured replacement for a flat
-/// "messages sent" number in benchmark tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseCounts {
-    /// Messages in [`Phase::Prepare`].
-    pub prepare: u64,
-    /// Messages in [`Phase::Vote`].
-    pub vote: u64,
-    /// Messages in [`Phase::Ack`].
-    pub ack: u64,
-    /// Messages in [`Phase::Decision`].
-    pub decision: u64,
-    /// Messages in [`Phase::Retransmit`].
-    pub retransmit: u64,
-    /// Messages in [`Phase::Membership`].
-    pub membership: u64,
-}
+/// Messages per [`Phase`]: the one table every per-phase count is kept in —
+/// a site's logical sends (`bcastdb-core`'s `Metrics`), the invariant
+/// checker's sends and deliveries per link, and the benchmark tables.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseCounts([u64; Phase::ALL.len()]);
 
 impl PhaseCounts {
     /// The count for one phase.
     pub fn get(&self, phase: Phase) -> u64 {
-        match phase {
-            Phase::Prepare => self.prepare,
-            Phase::Vote => self.vote,
-            Phase::Ack => self.ack,
-            Phase::Decision => self.decision,
-            Phase::Retransmit => self.retransmit,
-            Phase::Membership => self.membership,
-        }
+        self.0[phase.index()]
     }
 
     /// Adds `delta` messages to one phase.
     pub fn add(&mut self, phase: Phase, delta: u64) {
-        let slot = match phase {
-            Phase::Prepare => &mut self.prepare,
-            Phase::Vote => &mut self.vote,
-            Phase::Ack => &mut self.ack,
-            Phase::Decision => &mut self.decision,
-            Phase::Retransmit => &mut self.retransmit,
-            Phase::Membership => &mut self.membership,
-        };
-        *slot += delta;
+        self.0[phase.index()] += delta;
     }
 
-    /// Sum over all phases — equals the flat per-kind message total.
+    /// Sum over all phases.
     pub fn total(&self) -> u64 {
-        Phase::ALL.iter().map(|&p| self.get(p)).sum()
+        self.0.iter().sum()
+    }
+}
+
+/// Spelled like a struct with one field per phase, so assertion messages
+/// name the phases.
+impl fmt::Debug for PhaseCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("PhaseCounts");
+        for p in Phase::ALL {
+            s.field(p.name(), &self.get(p));
+        }
+        s.finish()
     }
 }
 
@@ -548,13 +522,16 @@ mod tests {
         assert_eq!(pc.get(Phase::Prepare), 5);
         assert_eq!(pc.get(Phase::Ack), 0);
         assert_eq!(pc.total(), 8);
+        assert_eq!(
+            format!("{pc:?}"),
+            "PhaseCounts { prepare: 5, vote: 2, ack: 0, decision: 0, retransmit: 0, membership: 1 }"
+        );
     }
 
     #[test]
     fn phase_names_round_trip() {
         for p in Phase::ALL {
             assert_eq!(Phase::from_name(p.name()), Some(p));
-            assert!(p.counter().starts_with("phase_"));
         }
         assert_eq!(Phase::from_name("bogus"), None);
     }

@@ -84,7 +84,7 @@ fn read_only_transactions_never_abort_on_rb_and_cb() {
         // in the reliable and causal protocols. Since only read-phase
         // wounds could touch them and those spare read-only transactions,
         // every abort must come from update transactions.
-        let commits_ro = report.metrics.counters.get("commits_readonly");
+        let commits_ro = report.metrics.readonly_latency.count();
         assert!(
             commits_ro > 0,
             "{proto}: workload produced no read-only txns"

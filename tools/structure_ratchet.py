@@ -32,8 +32,10 @@ import sys
 # exactly the 25 lines P-CB's debug full-history scan took, 2945 -> 2920,
 # when it became a test oracle, and by the 8 protocols/atomic.rs lost when
 # both coordinator-based backends started following views through one
-# ordering core, 2920 -> 2912.
-PROTOCOLS_AND_ENGINE_CEILING = 2912
+# ordering core, 2920 -> 2912. Lowered by the 2 lines engine.rs lost when a
+# send stopped being counted under its kind as well as its phase, 2912 ->
+# 2910.
+PROTOCOLS_AND_ENGINE_CEILING = 2910
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap).
@@ -44,8 +46,11 @@ CHECKER_CEILING = 620
 # Both came down again when the one JSON codec landed (DESIGN.md section 9):
 # 5205 -> 4957 and 20510 -> 20293. Raised by exactly its growth, 4960 ->
 # 5005, for T2's coordinator-crash rows (a sixth nemesis schedule, the
-# crash_mid_2pc schedule aimed at site 0, once per backend).
-BENCH_CEILING = 5005
+# crash_mid_2pc schedule aimed at site 0, once per backend). Lowered by
+# exactly the 13 lines it lost, 5005 -> 4992, when every count started being
+# kept once (DESIGN.md section 14): the per-kind vs per-phase reconciliation
+# in lib.rs went, with the commit series' own total and peak.
+BENCH_CEILING = 4992
 # Raised by exactly its growth when keys started caching their hash and
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
@@ -86,8 +91,17 @@ BENCH_CEILING = 5005
 # the ring starting to share one ordering core (DESIGN.md section 16):
 # order.rs +393 against ring.rs -376, atomic.rs -14, protocols/atomic.rs -8,
 # payload.rs +3, lib.rs +2. Raised by exactly its growth, 20871 -> 20916, for
-# T2's two coordinator-crash rows (+45 in crates/bench/src).
-CRATES_CEILING = 20916
+# T2's two coordinator-crash rows (+45 in crates/bench/src). Lowered by
+# exactly the 337 lines it lost, 20916 -> 20579 (crates 20914 -> 20577),
+# when every count started being kept once, and only if read (DESIGN.md
+# section 14): sim/trace.rs went (-264; `LatencyStats` moved into
+# analyze.rs, +63, the rest folded into core's metrics.rs, +86, with -2 in
+# cluster.rs and -1 in sim's lib.rs), the stats registry lost push-side
+# gauges, histogram sums and maxima, `render_csv` and the unread accessors
+# (-149), the phase tally became one array (telemetry -36), every message's
+# kind label gave way to the three kinds counted by name (payload.rs -19,
+# engine.rs -2), and the harness lost its per-kind reconciliation (-13).
+CRATES_CEILING = 20579
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -98,7 +112,10 @@ CRATES_CEILING = 20916
 # test oracle spells them through; the ring's eviction lost its special
 # case for capacity zero. Re-baselined by exactly the recount, 1370 -> 1561,
 # and lowered by 6 to 1555 with the helper's move (see CRATES_CEILING).
-TELEMETRY_CEILING = 1555
+# Lowered by exactly the 36 lines it lost, 1555 -> 1519, when `PhaseCounts`
+# became one array indexed by phase and the checker's per-link table a
+# `PhaseCounts` per link.
+TELEMETRY_CEILING = 1519
 
 # The only files under crates/bench/src/bin: an experiment is an entry of
 # `bcastdb_bench::experiments::ALL`, not a process.
