@@ -50,7 +50,10 @@ fn allocs() -> u64 {
 fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
     let mut phases = Vec::new();
     let mut mark = allocs();
-    let mut phase = |name: &'static str, phases: &mut Vec<(&'static str, u64)>| {
+    // Settles the trace first: its consumers may run on a worker thread,
+    // and what they allocate for a phase's events belongs to that phase.
+    let mut phase = |name: &'static str, phases: &mut Vec<(&'static str, u64)>, c: &Cluster| {
+        c.trace_evicted();
         let now = allocs();
         phases.push((name, now - mark));
         mark = now;
@@ -66,7 +69,7 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
         builder = builder.trace(TRACE_CAPACITY);
     }
     let mut cluster = builder.build();
-    phase("build cluster", &mut phases);
+    phase("build cluster", &mut phases, &cluster);
 
     let cfg = WorkloadConfig {
         n_keys: 300,
@@ -85,10 +88,10 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
             cluster.submit_at(at, SiteId(site), cfg.gen_txn(&zipf, &mut site_rng));
         }
     }
-    phase("generate workload", &mut phases);
+    phase("generate workload", &mut phases, &cluster);
 
     cluster.run_until(SimTime::from_micros(CRASH_AT_US));
-    phase("simulate: pre-crash", &mut phases);
+    phase("simulate: pre-crash", &mut phases, &cluster);
 
     cluster.crash(SiteId(N - 1));
     let mut view_change_done = SimTime::from_micros(CRASH_AT_US);
@@ -105,7 +108,7 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
             break;
         }
     }
-    phase("simulate: view change", &mut phases);
+    phase("simulate: view change", &mut phases, &cluster);
 
     for site in 0..N - 1 {
         let mut at = view_change_done + SimDuration::from_millis(5);
@@ -116,15 +119,15 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
         }
     }
     cluster.run_until(view_change_done + SimDuration::from_secs(2));
-    phase("simulate: post-crash", &mut phases);
+    phase("simulate: post-crash", &mut phases, &cluster);
 
     let survivors: Vec<SiteId> = (0..N - 1).map(SiteId).collect();
     assert!(cluster.check_serializability_among(&survivors).is_ok());
-    phase("check serializability", &mut phases);
+    phase("check serializability", &mut phases, &cluster);
 
     if trace {
         check_traced_run(&cluster, "alloc audit crash run");
-        phase("check traced run", &mut phases);
+        phase("check traced run", &mut phases, &cluster);
     }
 
     (phases, cluster.events_processed())
@@ -180,6 +183,7 @@ fn steady_run(
     let mut cluster = steady_cluster(sites, per_site, seed, builder, cfg, gap);
     let before = allocs();
     cluster.run_to_quiescence();
+    cluster.trace_evicted(); // settles the trace consumers, which may run on a worker
     let sim_allocs = allocs() - before;
     assert!(cluster.check_serializability().is_ok());
     (sim_allocs, cluster.events_processed())

@@ -11,7 +11,7 @@ use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value};
 use bcastdb_sim::stats::{render_jsonl, Sample, StatsHandle, StatsRegistry};
 use bcastdb_sim::telemetry::{
     JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceMeta,
-    TraceSink, TraceViolation, Tracer, TxnRef, TxnSpan,
+    TraceSink, TraceViolation, Tracer, TxnRef, TxnSpan, WorkerSink,
 };
 use bcastdb_sim::{
     FaultPlan, NetworkConfig, RunOutcome, SimDuration, SimTime, Simulation, SiteId, WheelStats,
@@ -339,19 +339,42 @@ impl ClusterBuilder {
     }
 }
 
-/// The cluster's composite trace sink: a bounded ring buffer for
+/// What observes the cluster's trace: a bounded ring buffer for
 /// inspection, the streaming invariant checker, the per-transaction span
 /// builder, and (optionally) a JSONL file stream. All but the ring are
 /// bounded by links/transactions rather than events, so they survive
-/// arbitrarily long runs that overflow the ring.
-struct ClusterSink {
+/// arbitrarily long runs that overflow the ring. They only observe, so the
+/// cluster's [`WorkerSink`] runs them off the simulation thread.
+#[derive(Default)]
+struct Consumers {
     ring: RingSink,
     inv: TraceInvariants,
     spans: SpanBuilder,
     jsonl: Option<JsonlSink<File>>,
 }
 
-impl TraceSink for ClusterSink {
+impl Consumers {
+    /// Flushes and closes the JSONL stream with its trailer line; see
+    /// [`Cluster::finish_trace_jsonl`].
+    fn finish_jsonl(&mut self) -> std::io::Result<u64> {
+        let Some(jsonl) = self.jsonl.take() else {
+            return Ok(0);
+        };
+        let lines = jsonl.lines();
+        let mut out = jsonl.into_inner()?;
+        // Trailer line: lets offline tools verify the file is complete and
+        // surface in-process ring eviction loudly instead of silently
+        // analyzing a truncated view.
+        let trailer = TraceMeta {
+            events: lines,
+            ring_evicted: self.ring.evicted(),
+        };
+        out.write_all(format!("{trailer}\n").as_bytes())?;
+        Ok(lines)
+    }
+}
+
+impl TraceSink for Consumers {
     /// Shows the event to the checker, the `SpanBuilder` and the JSONL
     /// stream, then moves it into the ring.
     fn record(&mut self, ev: TraceEvent) {
@@ -370,7 +393,7 @@ pub struct Cluster {
     cfg: Rc<ClusterConfig>,
     next_num: Vec<u64>,
     last_submit: Vec<SimTime>,
-    trace: Option<Rc<RefCell<ClusterSink>>>,
+    trace: Option<Rc<RefCell<WorkerSink<Consumers>>>>,
     stats: StatsHandle,
 }
 
@@ -406,16 +429,14 @@ impl Cluster {
         let want_trace = cfg.trace_capacity.is_some() || cfg.trace_jsonl.is_some();
         let trace = want_trace.then(|| {
             let jsonl = cfg.trace_jsonl.as_ref().map(|path| {
-                let file = File::create(path)
-                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                JsonlSink::new(file)
+                File::create(path)
+                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()))
             });
-            let sink = Rc::new(RefCell::new(ClusterSink {
+            let sink = Rc::new(RefCell::new(WorkerSink::new(Consumers {
                 ring: RingSink::new(cfg.trace_capacity.unwrap_or(0)),
-                inv: TraceInvariants::new(),
-                spans: SpanBuilder::new(),
-                jsonl,
-            }));
+                jsonl: jsonl.map(JsonlSink::new),
+                ..Consumers::default()
+            })));
             let tracer = Tracer::new(sink.clone());
             for i in 0..cfg.sites {
                 sim.node_mut(SiteId(i)).state_mut().tracer = tracer.clone();
@@ -653,27 +674,30 @@ impl Cluster {
         self.metrics().phase_counts()
     }
 
+    /// Runs `f` on the trace consumers once they have seen every event
+    /// traced so far; `None` when tracing is off.
+    fn settled<R>(&self, f: impl FnOnce(&mut Consumers) -> R) -> Option<R> {
+        self.trace.as_ref().map(|s| f(&mut s.borrow_mut().settle()))
+    }
+
     /// The retained tail of the trace (empty when tracing is off; bounded
     /// by the capacity passed to [`ClusterBuilder::trace`]).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.borrow().ring.to_vec())
+        self.settled(|c| c.ring.to_vec()).unwrap_or_default()
     }
 
     /// Events dropped from the ring so far (the invariant checker still
     /// saw them).
     pub fn trace_evicted(&self) -> u64 {
-        self.trace.as_ref().map_or(0, |s| s.borrow().ring.evicted())
+        self.settled(|c| c.ring.evicted()).unwrap_or(0)
     }
 
     /// Per-transaction spans reconstructed from the full trace stream so
     /// far (every event, not just the ring's tail). Empty when tracing is
     /// off.
     pub fn txn_spans(&self) -> BTreeMap<TxnRef, TxnSpan> {
-        self.trace
-            .as_ref()
-            .map_or_else(BTreeMap::new, |s| s.borrow().spans.spans().clone())
+        self.settled(|c| c.spans.spans().clone())
+            .unwrap_or_default()
     }
 
     /// Flushes and closes the JSONL trace stream, returning the number of
@@ -684,24 +708,7 @@ impl Cluster {
     /// # Errors
     /// Returns the first deferred write error, or the flush error.
     pub fn finish_trace_jsonl(&mut self) -> std::io::Result<u64> {
-        let Some(sink) = &self.trace else {
-            return Ok(0);
-        };
-        let evicted = sink.borrow().ring.evicted();
-        let Some(jsonl) = sink.borrow_mut().jsonl.take() else {
-            return Ok(0);
-        };
-        let lines = jsonl.lines();
-        let mut out = jsonl.into_inner()?;
-        // Trailer line: lets offline tools verify the file is complete and
-        // surface in-process ring eviction loudly instead of silently
-        // analyzing a truncated view.
-        let trailer = TraceMeta {
-            events: lines,
-            ring_evicted: evicted,
-        };
-        out.write_all(format!("{trailer}\n").as_bytes())?;
-        Ok(lines)
+        self.settled(Consumers::finish_jsonl).unwrap_or(Ok(0))
     }
 
     /// The metrics samples taken so far (empty when metrics are off).
@@ -749,9 +756,7 @@ impl Cluster {
     /// # Errors
     /// Returns the first [`TraceViolation`] found.
     pub fn check_trace_invariants(&self) -> Result<(), TraceViolation> {
-        self.trace
-            .as_ref()
-            .map_or(Ok(()), |s| s.borrow().inv.check())
+        self.settled(|c| c.inv.check()).unwrap_or(Ok(()))
     }
 
     /// Like [`Cluster::check_trace_invariants`], but tolerates submitted
@@ -762,9 +767,8 @@ impl Cluster {
     /// # Errors
     /// Returns the first [`TraceViolation`] found.
     pub fn check_trace_invariants_allowing_pending(&self) -> Result<(), TraceViolation> {
-        self.trace
-            .as_ref()
-            .map_or(Ok(()), |s| s.borrow().inv.check_allowing_pending())
+        self.settled(|c| c.inv.check_allowing_pending())
+            .unwrap_or(Ok(()))
     }
 
     /// Direct access to a replica (stores, logs, lock tables).
@@ -849,6 +853,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcastdb_sim::telemetry::{BLOCK_EVENTS, WORKER_START_BLOCK};
 
     fn write_txn(key: &str, v: i64) -> TxnSpec {
         TxnSpec::new().read(key).write(key, v)
@@ -1204,6 +1209,121 @@ mod tests {
         let err = c.finish_trace_jsonl().expect_err("/dev/full takes nothing");
         assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
         assert_eq!(c.finish_trace_jsonl().unwrap(), 0, "the stream is closed");
+    }
+
+    /// The trace consumers run on a worker once a run fills a block; the
+    /// cluster must read exactly what the same consumers fed inline read. A
+    /// ring larger than the run keeps every event, so they are re-fed
+    /// through fresh `Consumers`: the spans, both invariant verdicts and the
+    /// eviction count agree at every read, and the JSONL bytes (trailer
+    /// included) at the end. A run below one block; runs of exactly one
+    /// block and of exactly the block that starts the worker (padded with
+    /// crash records, counted on a twin run, so no read consumes a partial
+    /// block first); and a run of many blocks read in lock-step between
+    /// `run_until` slices, ending in a burst of records read while the
+    /// worker is likely still behind.
+    #[test]
+    fn trace_consumers_agree_with_inline_ones() {
+        const CAPACITY: usize = 100_000;
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        for (case, txns) in [("below", 2u64), ("one", 2), ("start", 2), ("many", 2500)] {
+            let path = |who: &str| dir.join(format!("bcastdb-lockstep-{pid}-{case}-{who}.jsonl"));
+            let build = |capacity: usize, who: &str| {
+                let mut c = Cluster::builder()
+                    .sites(3)
+                    .trace(capacity)
+                    .trace_jsonl(path(who))
+                    .seed(31)
+                    .build();
+                for i in 0..txns {
+                    let key = format!("k{}", i % 17);
+                    let at = SimTime::from_micros(i * 300);
+                    c.submit_at(at, SiteId(i as usize % 3), write_txn(&key, i as i64));
+                }
+                c
+            };
+            let mut c = build(CAPACITY, "cluster");
+            let mut inline = Consumers {
+                ring: RingSink::new(CAPACITY),
+                jsonl: Some(JsonlSink::new(File::create(path("inline")).unwrap())),
+                ..Consumers::default()
+            };
+            let mut fed = Vec::new();
+            let mut lockstep = |c: &Cluster, inline: &mut Consumers| {
+                let events = c.trace_events();
+                assert_eq!(
+                    events[..fed.len()],
+                    fed[..],
+                    "{case}: the ring's prefix moved"
+                );
+                for ev in &events[fed.len()..] {
+                    inline.record(ev.clone());
+                }
+                fed = events;
+                assert_eq!(c.trace_evicted(), inline.ring.evicted(), "{case}");
+                assert_eq!(c.txn_spans(), *inline.spans.spans(), "{case}");
+                assert_eq!(c.check_trace_invariants(), inline.inv.check(), "{case}");
+                assert_eq!(
+                    c.check_trace_invariants_allowing_pending(),
+                    inline.inv.check_allowing_pending(),
+                    "{case}"
+                );
+                fed.len()
+            };
+            let traced = match case {
+                "below" => {
+                    c.run_to_quiescence();
+                    lockstep(&c, &mut inline)
+                }
+                "one" | "start" => {
+                    let blocks = if case == "one" { 1 } else { WORKER_START_BLOCK };
+                    let mut twin = build(CAPACITY, "twin");
+                    twin.run_to_quiescence();
+                    c.run_to_quiescence();
+                    for _ in twin.trace_events().len()..blocks * BLOCK_EVENTS {
+                        c.crash(SiteId(2));
+                    }
+                    lockstep(&c, &mut inline)
+                }
+                _ => {
+                    for slice in 1..=4 {
+                        c.run_until(SimTime::from_micros(slice * 200_000));
+                        lockstep(&c, &mut inline);
+                    }
+                    c.run_to_quiescence();
+                    lockstep(&c, &mut inline);
+                    for _ in 0..4 * BLOCK_EVENTS + 7 {
+                        c.crash(SiteId(2));
+                    }
+                    lockstep(&c, &mut inline)
+                }
+            };
+            match case {
+                "below" => assert!(traced < BLOCK_EVENTS),
+                "one" => assert_eq!(traced, BLOCK_EVENTS),
+                "start" => assert_eq!(traced, WORKER_START_BLOCK * BLOCK_EVENTS),
+                _ => assert!(traced > 2 * WORKER_START_BLOCK * BLOCK_EVENTS, "{traced}"),
+            }
+            c.check_trace_invariants().unwrap();
+            assert_eq!(c.trace_evicted(), 0, "the ring holds the whole run");
+            assert_eq!(
+                c.finish_trace_jsonl().unwrap(),
+                inline.finish_jsonl().unwrap()
+            );
+            let bytes = |who: &str| std::fs::read(path(who)).unwrap();
+            assert_eq!(bytes("cluster"), bytes("inline"), "{case}: JSONL bytes");
+            if case == "many" {
+                // A ring smaller than the run keeps the same tail.
+                let mut small = build(1_000, "small");
+                small.run_to_quiescence();
+                let run = small.trace_evicted() as usize + 1_000;
+                assert_eq!(small.trace_events()[..], fed[run - 1_000..run]);
+            }
+            for who in ["cluster", "inline", "twin", "small"] {
+                let _ = std::fs::remove_file(path(who));
+            }
+        }
     }
 
     #[test]

@@ -527,8 +527,8 @@ impl SiteState {
             };
             if next >= txn.spec.reads().len() {
                 // Read phase complete: observe the versions now (locks held).
-                let keys: Vec<Key> = txn.spec.reads().to_vec();
-                let observed: Vec<(Key, ObservedVersion)> = keys
+                let reads = txn.spec.reads();
+                let observed: Vec<(Key, ObservedVersion)> = reads
                     .iter()
                     .map(|k| (k.clone(), self.store.read(k).writer))
                     .collect();

@@ -11,7 +11,8 @@
 //!   drop and per transaction lifecycle step (submit → locks → vote →
 //!   commit/abort), plus total-order deliveries, view changes, and crashes,
 //! - [`TraceSink`] — where events go: a bounded [`RingSink`], a JSON-Lines
-//!   [`JsonlSink`], or the streaming [`TraceInvariants`] checker,
+//!   [`JsonlSink`], or the streaming [`TraceInvariants`] checker; a
+//!   [`WorkerSink`] runs any of them on a worker thread fed in blocks,
 //! - [`Tracer`] — a cheap, cloneable handle that is **zero-overhead when
 //!   disabled**: [`Tracer::emit`] takes a closure that is never evaluated
 //!   unless a sink is attached,
@@ -52,6 +53,7 @@ mod sinks;
 pub use codec::{TraceLine, TraceMeta};
 pub use invariants::{check_trace, TraceInvariants, TraceViolation};
 pub use sinks::{JsonlSink, RingSink, TraceSink, Tracer};
+pub use sinks::{WorkerSink, BLOCK_EVENTS, WORKER_START_BLOCK};
 
 use crate::json::Field;
 use crate::{SimTime, SiteId};
