@@ -318,10 +318,11 @@ fn allocs_per_event_stays_bounded() {
     // allocs/event on this 5-site run in a debug build, where P-CB also
     // feeds its full-scan oracle (P-CB was 5.72 before a wire's clock was
     // shared by every destination); the ceilings leave ~25% headroom. The
-    // per-transaction lock index took them to 1.55 and 2.87.
+    // per-transaction lock index took them to 1.55 and 2.87; the indexed
+    // live-transaction table and its inline vote sets to 1.27 and 2.25.
     for (protocol, ceiling) in [
-        (ProtocolKind::PointToPoint, 2.3),
-        (ProtocolKind::CausalBcast, 4.6),
+        (ProtocolKind::PointToPoint, 1.6),
+        (ProtocolKind::CausalBcast, 2.8),
     ] {
         let builder = Cluster::builder().protocol(protocol);
         let (allocs, events) = steady_run(N, 10, 53, builder, light_keys(), gap);
@@ -345,8 +346,10 @@ fn allocs_per_event_stays_bounded() {
     // when a cycle may already exist, and a release walks the transaction's
     // own keys, in an index whose storage is reused. Measured at 1.51
     // allocs/event in a debug build (3.98 before, when every blocked
-    // request rebuilt the graph and every release swept the table); the
-    // ceiling leaves ~25% headroom. A per-transaction allocation in the lock
+    // request rebuilt the graph and every release swept the table), 1.27
+    // since a transaction's votes are a bitset and the reliable engine
+    // delivers in-order wires without its holdback; the ceiling leaves
+    // ~25% headroom. A per-transaction allocation in the lock
     // table is too small to trip it here; the lock-manager row below
     // catches one exactly.
     let hot = WorkloadConfig {
@@ -365,9 +368,9 @@ fn allocs_per_event_stays_bounded() {
          = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 1.9,
+        per_event < 1.6,
         "P-RB under contention now allocates {per_event:.3} times per event (ceiling \
-         1.9) — a per-blocked-request graph rebuild crept back into the lock \
+         1.6) — a per-blocked-request graph rebuild crept back into the lock \
          table; see PERFORMANCE.md"
     );
 
@@ -376,7 +379,9 @@ fn allocs_per_event_stays_bounded() {
     // the 1 ms sampler and the JSONL stream, written to a file that
     // discards). Measured at 1.94 allocs/event in a debug build, against
     // 1.82 untraced (6.10 when every event was cloned into the ring and every
-    // sample was a map of owned names); the ceiling leaves ~25% headroom.
+    // sample was a map of owned names), 1.49 since a transaction's votes
+    // are a bitset and in-order wires skip the reliable engine's holdback;
+    // the ceiling leaves ~25% headroom.
     let traced = Cluster::builder()
         .protocol(ProtocolKind::ReliableBcast)
         .trace(TRACE_CAPACITY)
@@ -389,9 +394,9 @@ fn allocs_per_event_stays_bounded() {
          {traced_events} events = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 2.4,
+        per_event < 1.9,
         "product tracing now allocates {per_event:.3} times per event (ceiling \
-         2.4) — an event clone, a per-sample map or a per-line buffer \
+         1.9) — an event clone, a per-sample map or a per-line buffer \
          crept back into the trace and metrics sinks; see PERFORMANCE.md"
     );
 

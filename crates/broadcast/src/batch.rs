@@ -130,7 +130,13 @@ impl<M: WireSize> Batcher<M> {
     /// over the size cap, the pending batch is returned (ready to send)
     /// and `msg` starts the next one.
     pub fn push(&mut self, to: SiteId, msg: M) -> Option<Batch<M>> {
-        let framed = PER_MSG_OVERHEAD_BYTES + msg.wire_size();
+        self.push_sized(to, msg.wire_size(), msg)
+    }
+
+    /// [`Batcher::push`] of a message whose wire size is `size`, for a
+    /// sender that queues one message for many destinations.
+    pub fn push_sized(&mut self, to: SiteId, size: usize, msg: M) -> Option<Batch<M>> {
+        let framed = PER_MSG_OVERHEAD_BYTES + size;
         if self.slots.len() <= to.0 {
             self.slots.resize_with(to.0 + 1, Pending::new);
         }

@@ -13,7 +13,7 @@
 //!   clock shows `s` had already delivered a commit request counts as `s`'s
 //!   positive vote.
 
-use crate::msg::{Dest, MsgId, Outbound};
+use crate::msg::{Archive, Dest, MsgId, Outbound};
 use crate::vclock::VectorClock;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
@@ -81,14 +81,11 @@ pub struct CausalBcast<P> {
     vc: VectorClock,
     /// Messages received but not yet causally deliverable.
     pending: Vec<Wire<P>>,
-    /// When true, every wire ever seen (sent or received) is retained in
-    /// `archive` for retransmission to peers that lost their copies.
-    /// Disabled via [`CausalBcast::without_archive`] when the deployment
-    /// never requests retransmissions, saving a wire clone (and its
-    /// vector-clock allocation) per message.
-    archive_enabled: bool,
-    /// See `archive_enabled`.
-    archive: std::collections::BTreeMap<(SiteId, u64), Wire<P>>,
+    /// Every wire ever seen (sent or received), retained for
+    /// retransmission to peers that lost their copies; off
+    /// ([`CausalBcast::without_archive`]) when the deployment never
+    /// requests retransmissions, saving a wire clone per message.
+    archive: Archive<Wire<P>>,
 }
 
 impl<P: Clone> CausalBcast<P> {
@@ -104,8 +101,7 @@ impl<P: Clone> CausalBcast<P> {
             relay: false,
             vc: VectorClock::new(n),
             pending: Vec::new(),
-            archive_enabled: true,
-            archive: std::collections::BTreeMap::new(),
+            archive: Archive::new(n),
         }
     }
 
@@ -121,8 +117,7 @@ impl<P: Clone> CausalBcast<P> {
     /// history (i.e. loss recovery is off); in exchange, the per-message
     /// archive clone disappears from the hot path.
     pub fn without_archive(mut self) -> Self {
-        self.archive_enabled = false;
-        self.archive.clear();
+        self.archive = Archive::new(0);
         self
     }
 
@@ -163,9 +158,7 @@ impl<P: Clone> CausalBcast<P> {
             seq,
         };
         let wire = Wire { id, vc, payload };
-        if self.archive_enabled {
-            self.archive.insert((self.me, seq), wire.clone());
-        }
+        self.archive.keep(id, || wire.clone());
         let out = Output {
             deliveries: InlineVec::one(Delivery {
                 id,
@@ -197,10 +190,7 @@ impl<P: Clone> CausalBcast<P> {
                 wire: wire.clone(),
             });
         }
-        if self.archive_enabled {
-            self.archive
-                .insert((wire.id.origin, wire.id.seq), wire.clone());
-        }
+        self.archive.keep(wire.id, || wire.clone());
         self.pending.push(wire);
         // Repeatedly scan for deliverable messages; each delivery can
         // unblock others.
@@ -246,29 +236,8 @@ impl<P: Clone> CausalBcast<P> {
     /// others out of every retransmission round. The peer's duplicate
     /// suppression makes over-sending harmless.
     pub fn retransmissions_for(&self, their_vc: &VectorClock, cap: usize) -> Vec<Wire<P>> {
-        // One cursor per origin with at least one archived successor.
-        let mut cursors: Vec<(SiteId, u64)> = their_vc
-            .iter()
-            .map(|(site, delivered)| (site, delivered + 1))
-            .filter(|&(site, next)| self.archive.contains_key(&(site, next)))
-            .collect();
-        let mut out = Vec::new();
-        while out.len() < cap && !cursors.is_empty() {
-            cursors.retain_mut(|(site, next)| {
-                if out.len() >= cap {
-                    return false;
-                }
-                match self.archive.get(&(*site, *next)) {
-                    Some(w) => {
-                        out.push(w.clone());
-                        *next += 1;
-                        true
-                    }
-                    None => false,
-                }
-            });
-        }
-        out
+        let marks = their_vc.iter().map(|(_, delivered)| delivered);
+        self.archive.missing(marks, cap, |_, w| w.clone())
     }
 
     /// Resumes a recovered engine from a donor's delivered-messages clock:

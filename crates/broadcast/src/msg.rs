@@ -130,9 +130,151 @@ pub fn expand_dest(dest: Dest, me: SiteId, n: usize) -> Vec<SiteId> {
     dest_iter(dest, me, n).collect()
 }
 
+/// Every message an engine has seen (sent or received), kept for
+/// retransmission to peers that lost their copies: per origin, a vector
+/// indexed by `seq - 1`. Kept whole on purpose: a sync request can be a
+/// delayed duplicate of an old one, so no watermark a peer has reported
+/// since bounds what the next request asks for — and how many wires an
+/// answer holds is part of the run's message counts.
+#[derive(Debug)]
+pub(crate) struct Archive<T> {
+    by_origin: Vec<Vec<Option<T>>>,
+    len: usize,
+}
+
+impl<T> Archive<T> {
+    /// An empty archive for origins `0..n`. With `n == 0` it keeps nothing:
+    /// only loss-recovery deployments ask for retransmissions, so the
+    /// others skip a copy per message.
+    pub(crate) fn new(n: usize) -> Self {
+        let by_origin = (0..n).map(|_| Vec::new()).collect();
+        Archive { by_origin, len: 0 }
+    }
+
+    /// Keeps `item()` as message `id`, replacing an earlier copy.
+    pub(crate) fn keep(&mut self, id: MsgId, item: impl FnOnce() -> T) {
+        let Some(row) = self.by_origin.get_mut(id.origin.0) else {
+            return;
+        };
+        let i = (id.seq - 1) as usize;
+        if row.len() <= i {
+            row.resize_with(i + 1, || None);
+        }
+        self.len += usize::from(row[i].replace(item()).is_none());
+    }
+
+    fn get(&self, id: MsgId) -> Option<&T> {
+        let row = self.by_origin.get(id.origin.0)?;
+        row.get(id.seq.checked_sub(1)? as usize)?.as_ref()
+    }
+
+    /// Number of messages kept.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Kept messages a peer at per-origin delivery watermarks `marks` is
+    /// missing, made wires by `wire`: at most `cap`, round-robin across
+    /// origins, gap-first within each.
+    pub(crate) fn missing<W>(
+        &self,
+        marks: impl IntoIterator<Item = u64>,
+        cap: usize,
+        wire: impl Fn(MsgId, &T) -> W,
+    ) -> Vec<W> {
+        // One cursor per origin with at least one kept successor.
+        let mut cursors: Vec<MsgId> = (marks.into_iter().enumerate())
+            .map(|(o, mark)| MsgId {
+                origin: SiteId(o),
+                seq: mark + 1,
+            })
+            .filter(|&id| self.get(id).is_some())
+            .collect();
+        let mut out = Vec::new();
+        while out.len() < cap && !cursors.is_empty() {
+            cursors.retain_mut(|id| match self.get(*id) {
+                Some(item) if out.len() < cap => {
+                    out.push(wire(*id, item));
+                    id.seq += 1;
+                    true
+                }
+                _ => false, // capped, or we do not have it (or no gap)
+            });
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The store `Archive` replaced: one map over `(origin, seq)`, and the
+    /// round-robin cursor loop both engines ran over it.
+    fn oracle_retransmissions(
+        map: &BTreeMap<(SiteId, u64), u32>,
+        marks: &[u64],
+        cap: usize,
+    ) -> Vec<(MsgId, u32)> {
+        let mut cursors: Vec<(SiteId, u64)> = (marks.iter().enumerate())
+            .map(|(origin, &wm)| (SiteId(origin), wm + 1))
+            .filter(|&(origin, next)| map.contains_key(&(origin, next)))
+            .collect();
+        let mut out = Vec::new();
+        while out.len() < cap && !cursors.is_empty() {
+            cursors.retain_mut(|(origin, next)| {
+                if out.len() >= cap {
+                    return false;
+                }
+                match map.get(&(*origin, *next)) {
+                    Some(&p) => {
+                        let id = MsgId {
+                            origin: *origin,
+                            seq: *next,
+                        };
+                        out.push((id, p));
+                        *next += 1;
+                        true
+                    }
+                    None => false,
+                }
+            });
+        }
+        out
+    }
+
+    proptest! {
+        /// Inserts from four origins out of order, with gaps and repeats,
+        /// then questions at random watermarks and caps: the same count
+        /// and the same wires in the same order as the map.
+        #[test]
+        fn archive_agrees_with_the_map(
+            inserts in proptest::collection::vec((0usize..4, 1u64..24, any::<u32>()), 0..120),
+            questions in proptest::collection::vec(
+                (proptest::collection::vec(0u64..26, 0..6), 0usize..40),
+                1..8,
+            ),
+        ) {
+            let mut archive = Archive::new(4);
+            let mut map = BTreeMap::new();
+            for (o, seq, p) in inserts {
+                let id = MsgId { origin: SiteId(o), seq };
+                archive.keep(id, || p);
+                map.insert((id.origin, seq), p);
+                prop_assert_eq!(archive.len(), map.len());
+            }
+            for (marks, cap) in questions {
+                let got = archive.missing(marks.iter().copied(), cap, |id, &p| (id, p));
+                prop_assert_eq!(got, oracle_retransmissions(&map, &marks, cap));
+            }
+            let mut off = Archive::new(0);
+            off.keep(MsgId { origin: SiteId(0), seq: 1 }, || 7);
+            prop_assert_eq!(off.len(), 0);
+            prop_assert!(off.missing([0; 4], 8, |id, _| id).is_empty());
+        }
+    }
 
     #[test]
     fn msg_id_orders_by_origin_then_seq() {

@@ -23,7 +23,7 @@
 //!   the first copy it receives — `O(N²)` messages, but agreement holds even
 //!   if the origin crashes mid-broadcast or individual copies are lost.
 
-use crate::msg::{Dest, MsgId, Outbound};
+use crate::msg::{Archive, Dest, MsgId, Outbound};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
 use std::collections::BTreeMap;
@@ -85,16 +85,8 @@ pub struct ReliableBcast<P> {
     /// Out-of-order messages awaiting their FIFO predecessors.
     holdback: BTreeMap<(SiteId, u64), P>,
     /// Every payload ever seen (sent or received), retained for
-    /// retransmission to peers that lost their copies. Kept whole on
-    /// purpose: a sync request can be a delayed duplicate of an old one,
-    /// so no watermark a peer has reported since bounds what the next
-    /// request asks for — and how many wires an answer holds is part of
-    /// the run's message counts.
-    archive: BTreeMap<(SiteId, u64), P>,
-    /// Whether the archive is populated. Retransmissions are only ever
-    /// requested via sync rounds, which exist in relay mode; a non-relay
-    /// engine skips the per-message archive insert.
-    archive_enabled: bool,
+    /// retransmission to peers that lost their copies.
+    archive: Archive<P>,
 }
 
 impl<P: Clone> ReliableBcast<P> {
@@ -111,8 +103,7 @@ impl<P: Clone> ReliableBcast<P> {
             next_seq: 0,
             delivered_seq: vec![0; n],
             holdback: BTreeMap::new(),
-            archive: BTreeMap::new(),
-            archive_enabled: true,
+            archive: Archive::new(n),
         }
     }
 
@@ -120,8 +111,7 @@ impl<P: Clone> ReliableBcast<P> {
     /// ever call [`ReliableBcast::retransmissions_for`] on this engine —
     /// i.e. outside loss-recovery (relay) deployments.
     pub fn without_archive(mut self) -> Self {
-        self.archive_enabled = false;
-        self.archive.clear();
+        self.archive = Archive::new(0);
         self
     }
 
@@ -145,9 +135,7 @@ impl<P: Clone> ReliableBcast<P> {
             seq: self.next_seq,
         };
         self.delivered_seq[self.me.0] = id.seq;
-        if self.archive_enabled {
-            self.archive.insert((self.me, id.seq), payload.clone());
-        }
+        self.archive.keep(id, || payload.clone());
         let out = Output {
             deliveries: InlineVec::one(Delivery {
                 id,
@@ -178,13 +166,18 @@ impl<P: Clone> ReliableBcast<P> {
             });
         }
         let origin = wire.id.origin;
-        if self.archive_enabled {
-            self.archive
-                .insert((origin, wire.id.seq), wire.payload.clone());
+        self.archive.keep(wire.id, || wire.payload.clone());
+        if wire.id.seq == self.delivered_seq[origin.0] + 1 {
+            self.delivered_seq[origin.0] = wire.id.seq;
+            out.deliveries.push(Delivery {
+                id: wire.id,
+                payload: wire.payload,
+            });
+        } else {
+            self.holdback.insert((origin, wire.id.seq), wire.payload);
         }
-        self.holdback.insert((origin, wire.id.seq), wire.payload);
         // Drain the FIFO-contiguous prefix for this origin.
-        loop {
+        while !self.holdback.is_empty() {
             let next = self.delivered_seq[origin.0] + 1;
             match self.holdback.remove(&(origin, next)) {
                 Some(payload) => {
@@ -244,37 +237,11 @@ impl<P: Clone> ReliableBcast<P> {
     /// others out of every retransmission round. The peer's duplicate
     /// suppression makes over-sending harmless.
     pub fn retransmissions_for(&self, watermarks: &[u64], cap: usize) -> Vec<Wire<P>> {
-        // One cursor per origin with at least one archived successor.
-        let mut cursors: Vec<(SiteId, u64)> = watermarks
-            .iter()
-            .enumerate()
-            .take(self.delivered_seq.len())
-            .map(|(origin, &wm)| (SiteId(origin), wm + 1))
-            .filter(|&(origin, next)| self.archive.contains_key(&(origin, next)))
-            .collect();
-        let mut out = Vec::new();
-        while out.len() < cap && !cursors.is_empty() {
-            cursors.retain_mut(|(origin, next)| {
-                if out.len() >= cap {
-                    return false;
-                }
-                match self.archive.get(&(*origin, *next)) {
-                    Some(p) => {
-                        out.push(Wire {
-                            id: MsgId {
-                                origin: *origin,
-                                seq: *next,
-                            },
-                            payload: p.clone(),
-                        });
-                        *next += 1;
-                        true
-                    }
-                    None => false, // we do not have it (or no gap)
-                }
-            });
-        }
-        out
+        let marks = watermarks.iter().copied();
+        self.archive.missing(marks, cap, |id, p| Wire {
+            id,
+            payload: p.clone(),
+        })
     }
 }
 

@@ -7,7 +7,7 @@ use crate::metrics::AbortReason;
 use crate::payload::{ReplicaMsg, ReplicaTimer};
 use crate::protocols::{self, Effects, ProtoSnapshot, Protocol, Step};
 use crate::state::{EventBuf, SiteState};
-use bcastdb_broadcast::batch::{Batch, Batcher, BATCH_MAX_BYTES};
+use bcastdb_broadcast::batch::{Batch, Batcher, WireSize, BATCH_MAX_BYTES};
 use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
 use bcastdb_broadcast::msg::dest_iter;
 use bcastdb_sim::inline::InlineVec;
@@ -153,6 +153,8 @@ impl ReplicaNode {
         for (dest, msg) in fx.sends.drain(..) {
             let counter = msg.counter();
             let phase = msg.phase();
+            // Sized once for all its destinations, and only for a batcher.
+            let size = self.batcher.as_ref().map_or(0, |_| msg.wire_size());
             let mut sent = 0;
             for to in dest_iter(dest, me, ctx.n_sites()) {
                 if to == me {
@@ -167,7 +169,7 @@ impl ReplicaNode {
                 });
                 match &mut self.batcher {
                     Some(b) => {
-                        let full = b.push(to, msg.clone());
+                        let full = b.push_sized(to, size, msg.clone());
                         if let Some(batch) = full {
                             self.send_wire_batch(batch, ctx);
                         }

@@ -233,7 +233,7 @@ impl Variation for ReliableProto {
         };
         let own_yes = entry.my_vote == Some(true);
         match cx.quorum.verdict(!entry.votes_no.is_empty(), own_yes, |s| {
-            entry.votes_yes.contains(&s)
+            entry.votes_yes.contains(s)
         }) {
             Verdict::Wait => {}
             Verdict::Abort => {

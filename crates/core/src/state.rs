@@ -17,7 +17,7 @@ use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, LockManager, RedoLog, Store, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
 use bcastdb_sim::{SimTime, SiteId, StatsHandle};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The trace-level reference for a transaction id (`bcastdb-sim` cannot
 /// depend on the database crate, so its events carry this mirror type).
@@ -81,10 +81,12 @@ pub struct RemoteTxn {
     /// Total write count (known from any op's `of` field or the commit
     /// request).
     pub n_writes: Option<usize>,
-    /// Keys whose exclusive lock has been granted at this site.
-    pub keys_granted: BTreeSet<Key>,
-    /// Keys requested but still queued.
-    pub keys_waiting: BTreeSet<Key>,
+    /// Keys whose exclusive lock has been granted at this site. Each key
+    /// is here at most once, and a write set is small: a vector scanned in
+    /// full, not a tree.
+    pub keys_granted: Vec<Key>,
+    /// Keys requested but still queued (likewise).
+    pub keys_waiting: Vec<Key>,
     /// True once this site delivered the transaction's commit request.
     pub commit_req_seen: bool,
     /// Set when this site has condemned the transaction.
@@ -92,9 +94,9 @@ pub struct RemoteTxn {
     /// This site's 2PC vote, once cast (reliable protocol).
     pub my_vote: Option<bool>,
     /// YES votes collected (reliable protocol).
-    pub votes_yes: BTreeSet<SiteId>,
+    pub votes_yes: SiteSet,
     /// NO votes collected (reliable protocol).
-    pub votes_no: BTreeSet<SiteId>,
+    pub votes_no: SiteSet,
 }
 
 impl RemoteTxn {
@@ -104,13 +106,13 @@ impl RemoteTxn {
             prio,
             ops: Vec::new(),
             n_writes: None,
-            keys_granted: BTreeSet::new(),
-            keys_waiting: BTreeSet::new(),
+            keys_granted: Vec::new(),
+            keys_waiting: Vec::new(),
             commit_req_seen: false,
             doomed: None,
             my_vote: None,
-            votes_yes: BTreeSet::new(),
-            votes_no: BTreeSet::new(),
+            votes_yes: SiteSet::default(),
+            votes_no: SiteSet::default(),
         }
     }
 
@@ -124,46 +126,145 @@ impl RemoteTxn {
     }
 }
 
-/// The broadcast transactions still undecided at a site, in `TxnId` order.
+/// A set of sites, one bit each: ids below 64 in an inline word, the rest
+/// in words spilled to the heap.
+#[derive(Debug, Clone, Default)]
+pub struct SiteSet {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl SiteSet {
+    /// Whether `site` is in the set.
+    pub fn contains(&self, site: SiteId) -> bool {
+        let word = std::iter::once(&self.low)
+            .chain(&self.high)
+            .nth(site.0 / 64);
+        word.is_some_and(|w| w >> (site.0 % 64) & 1 == 1)
+    }
+
+    /// Adds `site`.
+    pub fn insert(&mut self, site: SiteId) {
+        let (w, bit) = (site.0 / 64, 1 << (site.0 % 64));
+        if w == 0 {
+            self.low |= bit;
+        } else {
+            self.high.resize(self.high.len().max(w), 0);
+            self.high[w - 1] |= bit;
+        }
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
+    }
+}
+
+/// The broadcast transactions still undecided at a site.
 ///
-/// A sorted vector, not a tree: the set is small (what is in flight) and
-/// it drains and refills all the time. A vector keeps its buffer through
-/// that; a `BTreeMap` merges and frees nodes as it shrinks and splits new
-/// ones as it grows back.
+/// A dense slab of entries plus, per origin, a window of slab indices
+/// addressed by `TxnId::num - base`. An origin's window spans its oldest to
+/// its newest live transaction, so a lookup is two indexings and a retire
+/// is a `swap_remove` that re-points the entry moved into the hole: nothing
+/// shifts, and both keep their buffers as the set drains and refills.
 #[derive(Debug, Default)]
-pub struct LiveTxns(Vec<RemoteTxn>);
+pub struct LiveTxns {
+    slab: Vec<RemoteTxn>,
+    windows: Vec<Window>,
+}
+
+/// One origin's window: `slots[i]` is the slab index of number `base + i`,
+/// or [`HOLE`]. Both ends are live whenever it is not empty.
+#[derive(Debug, Default)]
+struct Window {
+    base: u64,
+    slots: VecDeque<u32>,
+}
+
+const HOLE: u32 = u32::MAX;
 
 impl LiveTxns {
-    fn slot(&self, id: &TxnId) -> Result<usize, usize> {
-        self.0.binary_search_by_key(id, |e| e.id)
+    fn slot(&self, id: &TxnId) -> Option<usize> {
+        let w = self.windows.get(id.origin.0)?;
+        let i = *w.slots.get(id.num.checked_sub(w.base)? as usize)?;
+        (i != HOLE).then_some(i as usize)
+    }
+
+    fn point(&mut self, id: TxnId, i: u32) {
+        let w = &mut self.windows[id.origin.0];
+        w.slots[(id.num - w.base) as usize] = i;
     }
 
     /// The entry for `id`, if it is live.
     pub fn get(&self, id: &TxnId) -> Option<&RemoteTxn> {
-        self.slot(id).ok().map(|i| &self.0[i])
+        self.slot(id).map(|i| &self.slab[i])
     }
 
     /// The entry for `id`, if it is live.
     pub fn get_mut(&mut self, id: &TxnId) -> Option<&mut RemoteTxn> {
-        self.slot(id).ok().map(|i| &mut self.0[i])
+        self.slot(id).map(|i| &mut self.slab[i])
     }
 
     /// Whether `id` is live.
     pub fn contains_key(&self, id: &TxnId) -> bool {
-        self.slot(id).is_ok()
+        self.slot(id).is_some()
+    }
+
+    /// Number of live transactions.
+    pub fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Whether no transaction is live.
+    pub fn is_empty(&self) -> bool {
+        self.slab.is_empty()
     }
 
     /// Live ids, ascending.
     pub fn keys(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.0.iter().map(|e| e.id)
+        let live = self.windows.iter().flat_map(|w| w.slots.iter());
+        live.filter(|&&i| i != HOLE)
+            .map(|&i| self.slab[i as usize].id)
     }
-}
 
-/// Length, emptiness and iteration are the slice's.
-impl std::ops::Deref for LiveTxns {
-    type Target = [RemoteTxn];
-    fn deref(&self) -> &[RemoteTxn] {
-        &self.0
+    /// Adds `entry`, whose id is not live.
+    fn insert(&mut self, entry: RemoteTxn) -> &mut RemoteTxn {
+        let id = entry.id;
+        if self.windows.len() <= id.origin.0 {
+            self.windows.resize_with(id.origin.0 + 1, Window::default);
+        }
+        let w = &mut self.windows[id.origin.0];
+        if w.slots.is_empty() {
+            w.base = id.num;
+        }
+        for _ in id.num..w.base {
+            w.slots.push_front(HOLE);
+        }
+        w.base = w.base.min(id.num);
+        let len = w.slots.len().max((id.num - w.base) as usize + 1);
+        w.slots.resize(len, HOLE);
+        self.point(id, self.slab.len() as u32);
+        self.slab.push(entry);
+        self.slab.last_mut().expect("just pushed")
+    }
+
+    /// Retires `id`'s entry, if it is live.
+    fn remove(&mut self, id: &TxnId) -> Option<RemoteTxn> {
+        let i = self.slot(id)?;
+        self.point(*id, HOLE);
+        let w = &mut self.windows[id.origin.0];
+        while w.slots.front() == Some(&HOLE) {
+            w.slots.pop_front();
+            w.base += 1;
+        }
+        while w.slots.back() == Some(&HOLE) {
+            w.slots.pop_back();
+        }
+        let gone = self.slab.swap_remove(i);
+        if let Some(moved) = self.slab.get(i) {
+            self.point(moved.id, i as u32);
+        }
+        Some(gone)
     }
 }
 
@@ -457,7 +558,7 @@ impl SiteState {
     /// Records a transaction's outcome and retires its [`RemoteTxn`],
     /// which is handed back. Every `decided` insertion goes through here.
     fn mark_decided(&mut self, id: TxnId, committed: bool) -> Option<RemoteTxn> {
-        let entry = self.remote.slot(&id).ok().map(|i| self.remote.0.remove(i));
+        let entry = self.remote.remove(&id);
         let fate = if committed {
             Fate::Committed
         } else {
@@ -472,7 +573,7 @@ impl SiteState {
     /// on its own transactions that the donor never saw.
     pub fn rebase_on(&mut self, donor: &Outcomes) {
         self.local.clear();
-        self.remote.0.clear();
+        self.remote = LiveTxns::default();
         self.decided = self.decided.rebased_on(donor, self.me);
     }
 
@@ -651,15 +752,11 @@ impl SiteState {
     /// placeholder recorded earlier — votes can arrive before the write
     /// ops that carry the real priority.
     pub fn remote_entry(&mut self, id: TxnId, prio: TxnPriority) -> Option<&mut RemoteTxn> {
-        let i = match self.remote.slot(&id) {
-            Ok(i) => i,
-            Err(_) if self.decided.contains_key(&id) => return None,
-            Err(i) => {
-                self.remote.0.insert(i, RemoteTxn::new(id, prio));
-                i
-            }
+        let e = match self.remote.slot(&id) {
+            Some(i) => &mut self.remote.slab[i],
+            None if self.decided.contains_key(&id) => return None,
+            None => self.remote.insert(RemoteTxn::new(id, prio)),
         };
-        let e = &mut self.remote.0[i];
         if prio < e.prio {
             e.prio = prio;
         }
@@ -690,16 +787,13 @@ impl SiteState {
             return; // no point locking for a condemned transaction
         }
         let key = op.key;
+        let already = entry.keys_granted.contains(&key) || entry.keys_waiting.contains(&key);
         if !self.placement.is_holder(self.me, &key, self.n) {
             // Not a replica of this key: record the op (write-set
             // knowledge) but take no lock and never install it.
             self.check_prepared(id, events);
             return;
         }
-        let already = {
-            let entry = self.remote.get(&id).expect("present");
-            entry.keys_granted.contains(&key) || entry.keys_waiting.contains(&key)
-        };
         if !already {
             self.acquire_write_lock(id, prio, &key, now, events);
         }
@@ -721,7 +815,7 @@ impl SiteState {
             match self.locks.request(id, key, LockMode::Exclusive) {
                 RequestOutcome::Granted => {
                     let entry = self.remote.get_mut(&id).expect("present");
-                    entry.keys_granted.insert(key.clone());
+                    entry.keys_granted.push(key.clone());
                     return;
                 }
                 RequestOutcome::Conflict { holders } => {
@@ -820,7 +914,7 @@ impl SiteState {
                     };
                     self.locks.enqueue(id, key, LockMode::Exclusive, rank);
                     let entry = self.remote.get_mut(&id).expect("present");
-                    entry.keys_waiting.insert(key.clone());
+                    entry.keys_waiting.push(key.clone());
                     // This enqueue may close a waiting cycle through local
                     // readers (which are never wounded); break it now.
                     if self.resolve_read_deadlocks {
@@ -918,12 +1012,9 @@ impl SiteState {
             }
             // Write phase: the remote entry (same id) speaks for it.
         }
-        if self.remote.contains_key(&holder) {
-            return HolderKind::RemoteUndecided;
-        }
-        // A local update transaction whose write phase has started but whose
-        // own broadcast has not come back yet: treat as remote-undecided
-        // semantics with its local priority.
+        // A broadcast transaction, or a local update transaction whose
+        // write phase has started but whose own broadcast has not come back
+        // yet: remote-undecided semantics, with its local priority.
         HolderKind::RemoteUndecided
     }
 
@@ -1040,8 +1131,8 @@ impl SiteState {
                 }
                 LockMode::Exclusive => {
                     if let Some(entry) = self.remote.get_mut(&g.txn) {
-                        entry.keys_waiting.remove(&g.key);
-                        entry.keys_granted.insert(g.key.clone());
+                        entry.keys_waiting.retain(|k| *k != g.key);
+                        entry.keys_granted.push(g.key.clone());
                         events.push(LocalEvent::RemoteKeyGranted(g.txn, g.key.clone()));
                         self.check_prepared(g.txn, events);
                     }
@@ -1062,6 +1153,147 @@ enum HolderKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The table `LiveTxns` replaced: the entries sorted by id, found by
+    /// binary search, shifted on every insert and retire.
+    #[derive(Default)]
+    struct SortedLive(Vec<RemoteTxn>);
+
+    impl SortedLive {
+        fn slot(&self, id: &TxnId) -> Result<usize, usize> {
+            self.0.binary_search_by_key(id, |e| e.id)
+        }
+
+        fn insert(&mut self, entry: RemoteTxn) {
+            let i = self.slot(&entry.id).expect_err("not live");
+            self.0.insert(i, entry);
+        }
+
+        fn remove(&mut self, id: &TxnId) -> Option<RemoteTxn> {
+            self.slot(id).ok().map(|i| self.0.remove(i))
+        }
+    }
+
+    /// One step against both live tables.
+    #[derive(Debug, Clone)]
+    enum LiveStep {
+        Insert(usize, u64),
+        Lookup(usize, u64),
+        Mark(usize, u64),
+        /// Retires the live entry at this rank, modulo the live count
+        /// (front, middle or back).
+        Retire(usize),
+        RetireMissing(usize, u64),
+        Clear,
+    }
+
+    /// Nums cluster near the start and near 5 000, so one origin's window
+    /// must reach across a wide gap; origin 40 grows the window list.
+    fn live_id() -> impl Strategy<Value = (usize, u64)> {
+        let origin = prop_oneof![0usize..4, 0usize..4, 0usize..4, Just(40usize)];
+        let num = prop_oneof![1u64..24, 1u64..24, 1u64..24, 4_990u64..5_010];
+        (origin, num)
+    }
+
+    fn live_step() -> impl Strategy<Value = LiveStep> {
+        prop_oneof![
+            live_id().prop_map(|(o, n)| LiveStep::Insert(o, n)),
+            live_id().prop_map(|(o, n)| LiveStep::Insert(o, n)),
+            live_id().prop_map(|(o, n)| LiveStep::Insert(o, n)),
+            live_id().prop_map(|(o, n)| LiveStep::Lookup(o, n)),
+            live_id().prop_map(|(o, n)| LiveStep::Mark(o, n)),
+            (0usize..1_000).prop_map(LiveStep::Retire),
+            (0usize..1_000).prop_map(LiveStep::Retire),
+            live_id().prop_map(|(o, n)| LiveStep::RetireMissing(o, n)),
+            Just(LiveStep::Clear),
+        ]
+    }
+
+    proptest! {
+        /// The slab and its windows hold exactly what the sorted vector
+        /// holds, find the same entry for every id (a mark made through one
+        /// lookup is seen by the next, after any number of swaps), retire
+        /// the same entries and list the same ids in the same order.
+        #[test]
+        fn indexed_live_table_agrees_with_the_sorted_vector(
+            steps in proptest::collection::vec(live_step(), 0..200)
+        ) {
+            let mut live = LiveTxns::default();
+            let mut old = SortedLive::default();
+            for (ts, step) in steps.into_iter().enumerate() {
+                match step {
+                    LiveStep::Insert(o, n) => {
+                        let id = TxnId::new(SiteId(o), n);
+                        if old.slot(&id).is_err() {
+                            let entry = RemoteTxn::new(id, prio(ts as u64, o, n));
+                            live.insert(entry.clone());
+                            old.insert(entry);
+                        }
+                    }
+                    LiveStep::Lookup(o, n) => {
+                        let id = TxnId::new(SiteId(o), n);
+                        let want = old.slot(&id).ok().map(|i| old.0[i].prio);
+                        prop_assert_eq!(live.get(&id).map(|e| e.prio), want);
+                        prop_assert_eq!(live.contains_key(&id), want.is_some());
+                    }
+                    LiveStep::Mark(o, n) => {
+                        let id = TxnId::new(SiteId(o), n);
+                        let marked = live.get_mut(&id).map(|e| e.my_vote = Some(true));
+                        let i = old.slot(&id).ok();
+                        prop_assert_eq!(marked.is_some(), i.is_some());
+                        if let Some(i) = i {
+                            old.0[i].my_vote = Some(true);
+                        }
+                    }
+                    LiveStep::Retire(rank) if !old.0.is_empty() => {
+                        let id = old.0[rank % old.0.len()].id;
+                        let (got, want) = (live.remove(&id), old.remove(&id));
+                        prop_assert_eq!(got.map(|e| (e.prio, e.my_vote)), want.map(|e| (e.prio, e.my_vote)));
+                    }
+                    LiveStep::Retire(_) => prop_assert!(live.is_empty()),
+                    LiveStep::RetireMissing(o, n) => {
+                        let id = TxnId::new(SiteId(o), n);
+                        let (got, want) = (live.remove(&id), old.remove(&id));
+                        prop_assert_eq!(got.map(|e| e.prio), want.map(|e| e.prio));
+                    }
+                    LiveStep::Clear => {
+                        live = LiveTxns::default();
+                        old.0.clear();
+                    }
+                }
+                prop_assert_eq!(live.len(), old.0.len());
+                for w in &live.windows {
+                    let ends = [w.slots.front(), w.slots.back()];
+                    prop_assert!(!ends.contains(&Some(&HOLE)), "a window spans live ends only");
+                }
+                prop_assert!(live.keys().eq(old.0.iter().map(|e| e.id)), "keys() ascending");
+                for e in &old.0 {
+                    prop_assert_eq!(live[&e.id].prio, e.prio);
+                    prop_assert_eq!(live[&e.id].my_vote, e.my_vote);
+                }
+            }
+        }
+
+        /// Site ids on both sides of the inline word and past a second
+        /// spilled one: the bitset answers as a `BTreeSet` does.
+        #[test]
+        fn site_set_agrees_with_a_btree_set(
+            sites in proptest::collection::vec(0usize..130, 0..40)
+        ) {
+            let (mut set, mut old) = (SiteSet::default(), BTreeSet::new());
+            prop_assert!(set.is_empty());
+            for s in sites {
+                set.insert(SiteId(s));
+                old.insert(s);
+                prop_assert!(!set.is_empty());
+                for q in 0..140 {
+                    prop_assert_eq!(set.contains(SiteId(q)), old.contains(&q), "site {}", q);
+                }
+            }
+        }
+    }
 
     fn state() -> SiteState {
         SiteState::new(SiteId(0), 3, ConflictPolicy::WoundWait)
