@@ -310,10 +310,11 @@ impl std::fmt::Display for LedgerEntry {
     }
 }
 
-/// The current git revision (short), or `"unknown"` outside a checkout.
+/// The current git revision (12 hex digits, plus `-dirty` when the tree
+/// has uncommitted changes), or `"unknown"` outside a checkout.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args("describe --always --dirty --abbrev=12 --exclude=*".split(' '))
         .output()
         .ok()
         .filter(|o| o.status.success())

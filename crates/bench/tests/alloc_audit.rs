@@ -7,7 +7,9 @@
 //! — the same run performs the same allocations every time — which makes
 //! `allocs/event` a noise-free stand-in for profiling on a box with no
 //! `perf`/`valgrind`. (Capturing backtraces inside the allocator is not an
-//! option: it deadlocks — see `crates/memprobe/src/lib.rs`.)
+//! option: it deadlocks — see `crates/memprobe/src/lib.rs`. `gprofng
+//! collect app -H on` attributes allocations to call stacks from outside
+//! the process; PERFORMANCE.md §5 has the recipe.)
 //!
 //! The test runs a t2-style crash workload once, measuring the allocation
 //! delta of each phase (cluster build, simulation, verification), prints
@@ -35,11 +37,11 @@ use bcastdb_workload::WorkloadConfig;
 
 const N: usize = 5;
 const CRASH_AT_US: u64 = 200_000;
-/// The 16-site ring row's ceiling: its debug measurement (1.108) plus 25%.
-const RING16_CEILING: f64 = 1.39;
-/// The 32-site batched ring row's ceiling: its debug measurement (3.068)
+/// The 16-site ring row's ceiling: its debug measurement (0.936) plus 25%.
+const RING16_CEILING: f64 = 1.17;
+/// The 32-site batched ring row's ceiling: its debug measurement (2.420)
 /// plus 25%.
-const RING32_CEILING: f64 = 3.84;
+const RING32_CEILING: f64 = 3.03;
 
 fn allocs() -> u64 {
     bcastdb_memprobe::allocation_count()
@@ -213,9 +215,10 @@ fn allocs_per_event_stays_bounded() {
 
     // The ratchet: allocations per simulated event across the three
     // simulation phases (excluding one-time cluster build, workload
-    // generation, and post-run verification). Measured at ~2.0 with
-    // tracing on; the ceiling leaves headroom for toolchain drift but
-    // not for a reintroduced per-event allocation.
+    // generation, and post-run verification). Measured at 1.503 with
+    // tracing on (1.575 before retired transactions' entries were reused
+    // and the redo log became one arena); the ceiling leaves ~25% headroom
+    // for toolchain drift but not for a reintroduced per-event allocation.
     let sim_allocs: u64 = with_trace
         .iter()
         .filter(|(name, _)| name.starts_with("simulate:"))
@@ -224,15 +227,16 @@ fn allocs_per_event_stays_bounded() {
     let per_event = sim_allocs as f64 / events as f64;
     eprintln!("simulation-phase allocs/event (traced): {per_event:.3}");
     assert!(
-        per_event < 3.0,
+        per_event < 1.88,
         "simulation phases now allocate {per_event:.3} times per event \
-         (ceiling 3.0) — a hot-path allocation crept back in; \
+         (ceiling 1.88) — a hot-path allocation crept back in; \
          see PERFORMANCE.md"
     );
 
     // Tracing must stay allocation-free per event once the ring is
     // pre-sized: the traced and untraced runs may differ by the ring
-    // buffers themselves (cluster build) but not per-event.
+    // buffers themselves (cluster build) but not per-event. Measured at
+    // 0.049; the ceiling leaves ~25% headroom.
     let sim_untraced: u64 = without_trace
         .iter()
         .filter(|(name, _)| name.starts_with("simulate:"))
@@ -241,7 +245,7 @@ fn allocs_per_event_stays_bounded() {
     let tracing_overhead = sim_allocs.saturating_sub(sim_untraced) as f64 / events as f64;
     eprintln!("tracing alloc overhead per event: {tracing_overhead:.3}");
     assert!(
-        tracing_overhead < 0.5,
+        tracing_overhead < 0.062,
         "tracing now allocates {tracing_overhead:.3} times per event during \
          simulation — the trace ring should be pre-sized at build time"
     );
@@ -256,13 +260,14 @@ fn allocs_per_event_stays_bounded() {
     // circulation, cumulative Ack, stability pruning) reuses pre-sized
     // per-site state; the pure-broadcast a1 saturation sweep runs at
     // ~0.3 allocs/event, and this 16-site *transactional* run measures
-    // 1.108 in a debug build (certification and txn bookkeeping across 16
+    // 0.936 in a debug build (certification and txn bookkeeping across 16
     // replicas on top of the broadcast layer; 2.7 before certification
     // read the shared request in place and clocks were shared, 1.576
     // before the ring's tables were indexed and a key's first installs
-    // were held inline). The ceiling leaves ~25% headroom — a per-hop
-    // payload clone, a per-replica copy of the request or a per-Commit Vec
-    // blows past it.
+    // were held inline, 1.111 before retired transactions' entries were
+    // reused and the redo log became one arena). The ceiling leaves ~25%
+    // headroom — a per-hop payload clone, a per-replica copy of the
+    // request or a per-Commit Vec blows past it.
     let ring = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring);
@@ -283,9 +288,11 @@ fn allocs_per_event_stays_bounded() {
     // The same at `wide_ring`'s shape: 32 sites, 5 000 keys at θ 0.3, two
     // reads and two writes, a 500 µs batch window and 2 MB/s NICs, where
     // every hop goes through the batcher and the ring's per-origin tables
-    // and every replica installs each key's first writes. Measured at 3.068
+    // and every replica installs each key's first writes. Measured at 2.420
     // in a debug build (4.677 with B-tree tables, a batcher map rebuilt
-    // every window and a vector per installed key).
+    // every window and a vector per installed key; 3.169 before delivered
+    // envelopes' vectors carried the next batches, retired transactions'
+    // entries were reused and the redo log became one arena).
     let wide = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring)
@@ -319,10 +326,11 @@ fn allocs_per_event_stays_bounded() {
     // feeds its full-scan oracle (P-CB was 5.72 before a wire's clock was
     // shared by every destination); the ceilings leave ~25% headroom. The
     // per-transaction lock index took them to 1.55 and 2.87; the indexed
-    // live-transaction table and its inline vote sets to 1.27 and 2.25.
+    // live-transaction table and its inline vote sets to 1.27 and 2.25;
+    // reused entries and the one-arena redo log to 1.138 and 1.902.
     for (protocol, ceiling) in [
-        (ProtocolKind::PointToPoint, 1.6),
-        (ProtocolKind::CausalBcast, 2.8),
+        (ProtocolKind::PointToPoint, 1.42),
+        (ProtocolKind::CausalBcast, 2.38),
     ] {
         let builder = Cluster::builder().protocol(protocol);
         let (allocs, events) = steady_run(N, 10, 53, builder, light_keys(), gap);
@@ -348,8 +356,9 @@ fn allocs_per_event_stays_bounded() {
     // allocs/event in a debug build (3.98 before, when every blocked
     // request rebuilt the graph and every release swept the table), 1.27
     // since a transaction's votes are a bitset and the reliable engine
-    // delivers in-order wires without its holdback; the ceiling leaves
-    // ~25% headroom. A per-transaction allocation in the lock
+    // delivers in-order wires without its holdback, 0.907 since retired
+    // transactions' entries are reused and the redo log is one arena; the
+    // ceiling leaves ~25% headroom. A per-transaction allocation in the lock
     // table is too small to trip it here; the lock-manager row below
     // catches one exactly.
     let hot = WorkloadConfig {
@@ -368,9 +377,9 @@ fn allocs_per_event_stays_bounded() {
          = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 1.6,
+        per_event < 1.13,
         "P-RB under contention now allocates {per_event:.3} times per event (ceiling \
-         1.6) — a per-blocked-request graph rebuild crept back into the lock \
+         1.13) — a per-blocked-request graph rebuild crept back into the lock \
          table; see PERFORMANCE.md"
     );
 
@@ -380,8 +389,9 @@ fn allocs_per_event_stays_bounded() {
     // discards). Measured at 1.94 allocs/event in a debug build, against
     // 1.82 untraced (6.10 when every event was cloned into the ring and every
     // sample was a map of owned names), 1.49 since a transaction's votes
-    // are a bitset and in-order wires skip the reliable engine's holdback;
-    // the ceiling leaves ~25% headroom.
+    // are a bitset and in-order wires skip the reliable engine's holdback,
+    // 1.233 since retired transactions' entries are reused and the redo log
+    // is one arena; the ceiling leaves ~25% headroom.
     let traced = Cluster::builder()
         .protocol(ProtocolKind::ReliableBcast)
         .trace(TRACE_CAPACITY)
@@ -394,9 +404,9 @@ fn allocs_per_event_stays_bounded() {
          {traced_events} events = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 1.9,
+        per_event < 1.54,
         "product tracing now allocates {per_event:.3} times per event (ceiling \
-         1.9) — an event clone, a per-sample map or a per-line buffer \
+         1.54) — an event clone, a per-sample map or a per-line buffer \
          crept back into the trace and metrics sinks; see PERFORMANCE.md"
     );
 
@@ -477,9 +487,10 @@ fn allocs_per_event_stays_bounded() {
     assert_eq!(lock_allocs, 0, "a warm lock-table round allocates again");
 
     // Batcher ratchet: once warm, a window of eight messages to each of 31
-    // destinations and its flush allocate one vector per batch handed out
-    // (the next batch's, sized like this one) and nothing else: the slots
-    // and the flush buffer keep their storage.
+    // destinations and its flush allocate nothing when the batches' vectors
+    // come back, as a delivered envelope's do: the slots, the spares and
+    // the flush buffer keep their storage (one vector per batch handed out
+    // before the vectors came back).
     struct Hop(#[allow(dead_code)] u64);
     impl WireSize for Hop {
         fn wire_size(&self) -> usize {
@@ -497,7 +508,9 @@ fn allocs_per_event_stays_bounded() {
         }
         batcher.flush_into(&mut flushed);
         let batches = flushed.len() as u64;
-        flushed.clear();
+        for batch in flushed.drain(..) {
+            batcher.recycle(batch.msgs);
+        }
         batches
     };
     window(&mut batcher);
@@ -507,8 +520,8 @@ fn allocs_per_event_stays_bounded() {
     eprintln!("batcher: {batcher_allocs} allocs in 1000 warm windows of {handed_out} batches");
     assert_eq!(handed_out, 31_000);
     assert_eq!(
-        batcher_allocs, handed_out,
-        "a warm batcher window allocates more than the batches it hands out"
+        batcher_allocs, 0,
+        "a warm batcher window allocates again though its vectors came back"
     );
 
     // Clock ratchets, at the narrow and the wide ring's width: an owner's
@@ -562,6 +575,7 @@ fn allocs_per_event_stays_bounded() {
             allocs() - before
         })
         .collect();
+    // Measured at 0.0189; the ceiling leaves ~25% headroom.
     let per_commit = checks[0] as f64 / commits as f64;
     eprintln!(
         "1SR check: {} allocs / {commits} commits = {per_commit:.4} allocs/commit",
@@ -570,9 +584,9 @@ fn allocs_per_event_stays_bounded() {
     assert!(commits >= 1_000, "most of the 2000 transactions commit");
     assert_eq!(checks[0], checks[1], "two checks of one history");
     assert!(
-        per_commit <= 0.1,
+        per_commit <= 0.024,
         "the 1SR check now allocates {per_commit:.3} times per committed \
-         transaction (ceiling 0.1) — a per-transaction or per-read copy \
+         transaction (ceiling 0.024) — a per-transaction or per-read copy \
          crept back into the checker; see PERFORMANCE.md"
     );
 }

@@ -11,7 +11,7 @@
 //! [`Batcher`] is that mechanism, kept sans-IO like the broadcast engines:
 //! the embedding node pushes wire messages tagged with their destination,
 //! and the batcher hands back full batches when a size cap would overflow
-//! or when the node's flush window expires ([`Batcher::flush_all`]). The
+//! or when the node's flush window expires ([`Batcher::flush_into`]). The
 //! batcher never reorders: messages to one destination leave in push order,
 //! so per-link FIFO is preserved end to end. Piggybacking falls out of the
 //! design for free — a sequencer ack, stability ack, or 2PC vote pushed
@@ -74,6 +74,8 @@ pub struct Batch<M> {
 struct Pending<M> {
     msgs: Vec<M>,
     bytes: usize,
+    /// Length of the last batch handed out, the next one's starting room.
+    last: usize,
 }
 
 impl<M> Pending<M> {
@@ -81,19 +83,17 @@ impl<M> Pending<M> {
         Pending {
             msgs: Vec::new(),
             bytes: BATCH_HEADER_BYTES,
+            last: 0,
         }
     }
 
-    /// Hands the pending messages out as a batch for `to` and starts the
-    /// next one with room for as many.
+    /// Hands the pending messages out as a batch for `to`. The next batch
+    /// gets its vector at its first message.
     fn take(&mut self, to: SiteId) -> Batch<M> {
-        let next = Vec::with_capacity(self.msgs.len());
         let bytes = std::mem::replace(&mut self.bytes, BATCH_HEADER_BYTES);
-        Batch {
-            to,
-            msgs: std::mem::replace(&mut self.msgs, next),
-            bytes,
-        }
+        let msgs = std::mem::take(&mut self.msgs);
+        self.last = msgs.len();
+        Batch { to, msgs, bytes }
     }
 }
 
@@ -105,12 +105,14 @@ pub const BATCH_MAX_BYTES: usize = 1_400;
 ///
 /// Deterministic by construction: pending batches are slots indexed by
 /// destination, so [`Batcher::flush_into`] always drains in ascending site
-/// order regardless of push order. A slot outlives its flushes, so a
-/// steady stream to a destination allocates only the batches it hands out.
+/// order regardless of push order. A slot outlives its flushes, and with
+/// [`Batcher::recycle`] so do the vectors of the batches it hands out.
 #[derive(Debug)]
 pub struct Batcher<M> {
     max_bytes: usize,
     slots: Vec<Pending<M>>,
+    /// Empty vectors for the next batches: at most two per slot.
+    spares: Vec<Vec<M>>,
     /// Messages queued across all slots.
     queued: usize,
 }
@@ -122,6 +124,7 @@ impl<M: WireSize> Batcher<M> {
         Batcher {
             max_bytes: max_bytes.max(BATCH_HEADER_BYTES + PER_MSG_OVERHEAD_BYTES + 1),
             slots: Vec::new(),
+            spares: Vec::new(),
             queued: 0,
         }
     }
@@ -148,6 +151,10 @@ impl<M: WireSize> Batcher<M> {
         } else {
             None
         };
+        if slot.msgs.capacity() == 0 {
+            slot.msgs = self.spares.pop().unwrap_or_default();
+            slot.msgs.reserve(slot.last);
+        }
         slot.msgs.push(msg);
         slot.bytes += framed;
         self.queued += 1;
@@ -157,11 +164,6 @@ impl<M: WireSize> Batcher<M> {
     /// True iff nothing is queued for any destination.
     pub fn is_empty(&self) -> bool {
         self.queued == 0
-    }
-
-    /// Number of messages currently queued for `to`.
-    pub fn pending_for(&self, to: SiteId) -> usize {
-        self.slots.get(to.0).map_or(0, |p| p.msgs.len())
     }
 
     /// Total messages currently queued across all destinations.
@@ -196,11 +198,27 @@ impl<M: WireSize> Batcher<M> {
         self.flush_into(&mut out);
         out
     }
+
+    /// Takes back a delivered batch's vector, emptied, for a next batch; up
+    /// to two per slot are kept (DESIGN.md §11 says why).
+    pub fn recycle(&mut self, mut msgs: Vec<M>) {
+        if self.spares.len() < 2 * self.slots.len() && msgs.capacity() > 0 {
+            msgs.clear();
+            self.spares.push(msgs);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M> Batcher<M> {
+        /// Number of messages currently queued for `to`.
+        pub(super) fn pending_for(&self, to: SiteId) -> usize {
+            self.slots.get(to.0).map_or(0, |p| p.msgs.len())
+        }
+    }
 
     /// Test message with an explicit size.
     #[derive(Debug, Clone, PartialEq)]
@@ -382,6 +400,9 @@ mod oracle {
         /// Destination, wire size: usually small, sometimes past the cap.
         Push(usize, usize),
         Flush,
+        /// Hands back the vector of the oldest batch handed out, or a
+        /// fresh one holding this many messages.
+        Recycle(usize),
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -391,6 +412,8 @@ mod oracle {
             (0usize..7, 0usize..60).prop_map(|(to, size)| Op::Push(to, size)),
             (0usize..7, 150usize..400).prop_map(|(to, size)| Op::Push(to, size)),
             Just(Op::Flush),
+            (0usize..3).prop_map(Op::Recycle),
+            (0usize..3).prop_map(Op::Recycle),
         ]
     }
 
@@ -398,9 +421,11 @@ mod oracle {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// Destinations pushed out of order, the size cap hit between
-        /// flushes, messages larger than the cap: both batchers hand out
-        /// the same batches in the same order, and agree on what is
-        /// pending after every step.
+        /// flushes, messages larger than the cap, delivered batches' vectors
+        /// handed back with their messages still in them: both batchers
+        /// hand out the same batches (the pushed messages in push order,
+        /// the same bytes) in the same order, and agree on what is pending
+        /// after every step. The batcher keeps at most two spares per slot.
         #[test]
         fn indexed_batcher_agrees_with_the_oracle(
             cap in 0usize..300,
@@ -409,19 +434,27 @@ mod oracle {
             let mut new = Batcher::new(cap);
             let mut old = Oracle::new(cap);
             let mut out = Vec::new();
+            let mut handed = std::collections::VecDeque::new();
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Push(to, size) => {
                         let msg = Msg(i as u64, size);
                         let full = new.push(SiteId(to), msg.clone());
-                        prop_assert_eq!(full, old.push(SiteId(to), msg), "push {}", i);
+                        prop_assert_eq!(&full, &old.push(SiteId(to), msg), "push {}", i);
+                        handed.extend(full.map(|b| b.msgs));
                     }
                     Op::Flush => {
                         new.flush_into(&mut out);
                         prop_assert_eq!(&out, &old.flush_all(), "flush {}", i);
-                        out.clear();
+                        handed.extend(out.drain(..).map(|b| b.msgs));
+                    }
+                    Op::Recycle(junk) => {
+                        let msgs = handed.pop_front().unwrap_or_else(|| vec![Msg(u64::MAX, 1); junk]);
+                        new.recycle(msgs);
                     }
                 }
+                prop_assert!(new.spares.len() <= 2 * new.slots.len());
+                prop_assert!(new.spares.iter().all(Vec::is_empty));
                 prop_assert_eq!(new.is_empty(), old.is_empty());
                 prop_assert_eq!(new.pending_msgs(), old.pending_msgs());
                 prop_assert_eq!(new.pending_bytes(), old.pending_bytes());

@@ -776,11 +776,6 @@ impl Cluster {
         self.sim.node(site)
     }
 
-    /// Mutable access to a replica (test setup).
-    pub fn replica_mut(&mut self, site: SiteId) -> &mut ReplicaNode {
-        self.sim.node_mut(site)
-    }
-
     /// Events processed by the simulator so far.
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
@@ -841,7 +836,7 @@ impl Cluster {
             for rec in self.sim.node(site).state().log.records() {
                 if let LogRecord::Commit { txn, .. } = rec {
                     if !surveyed.contains(&txn.origin) {
-                        h.record_commit(*txn, Vec::new(), Vec::new());
+                        h.record_commit(txn, Vec::new(), Vec::new());
                     }
                 }
             }

@@ -422,10 +422,13 @@ impl Node for ReplicaNode {
         match msg {
             // Unwrap a batch envelope: each inner message is delivered and
             // processed in push order, exactly as if it had travelled
-            // alone. The envelope itself never enters accounting.
-            ReplicaMsg::Batch(msgs) => {
-                for m in msgs {
+            // alone. The envelope never enters accounting; its vector is reused.
+            ReplicaMsg::Batch(mut msgs) => {
+                for m in msgs.drain(..) {
                     self.handle_one(&mut fx, now, me, from, m);
+                }
+                if let Some(b) = &mut self.batcher {
+                    b.recycle(msgs);
                 }
             }
             msg => self.handle_one(&mut fx, now, me, from, msg),

@@ -70,7 +70,7 @@ pub struct LocalTxn {
 
 /// Per-site state of a *broadcast* update transaction (kept at every site,
 /// including the origin).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoteTxn {
     /// Transaction identity.
     pub id: TxnId,
@@ -116,6 +116,21 @@ impl RemoteTxn {
         }
     }
 
+    /// Makes a retired entry what [`RemoteTxn::new`] gives, keeping the
+    /// storage of its vectors.
+    fn reset(&mut self, id: TxnId, prio: TxnPriority) {
+        fn cleared<T>(mut v: Vec<T>) -> Vec<T> {
+            v.clear();
+            v
+        }
+        let old = std::mem::replace(self, RemoteTxn::new(id, prio));
+        self.ops = cleared(old.ops);
+        self.keys_granted = cleared(old.keys_granted);
+        self.keys_waiting = cleared(old.keys_waiting);
+        self.votes_yes.high = cleared(old.votes_yes.high);
+        self.votes_no.high = cleared(old.votes_no.high);
+    }
+
     /// True iff the full write set is delivered and every key's exclusive
     /// lock is held at this site.
     pub fn fully_prepared(&self) -> bool {
@@ -128,7 +143,7 @@ impl RemoteTxn {
 
 /// A set of sites, one bit each: ids below 64 in an inline word, the rest
 /// in words spilled to the heap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteSet {
     low: u64,
     high: Vec<u64>,
@@ -165,11 +180,13 @@ impl SiteSet {
 /// A dense slab of entries plus, per origin, a window of slab indices
 /// addressed by `TxnId::num - base`. An origin's window spans its oldest to
 /// its newest live transaction, so a lookup is two indexings and a retire
-/// is a `swap_remove` that re-points the entry moved into the hole: nothing
-/// shifts, and both keep their buffers as the set drains and refills.
+/// swaps the entry with the last of the `live` ones and re-points the one
+/// moved: nothing shifts. Retired entries stay as shells that inserts reset,
+/// keeping their vectors' storage, so the slab holds the peak live count.
 #[derive(Debug, Default)]
 pub struct LiveTxns {
     slab: Vec<RemoteTxn>,
+    live: usize,
     windows: Vec<Window>,
 }
 
@@ -212,12 +229,12 @@ impl LiveTxns {
 
     /// Number of live transactions.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.live
     }
 
     /// Whether no transaction is live.
     pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
+        self.live == 0
     }
 
     /// Live ids, ascending.
@@ -227,9 +244,8 @@ impl LiveTxns {
             .map(|&i| self.slab[i as usize].id)
     }
 
-    /// Adds `entry`, whose id is not live.
-    fn insert(&mut self, entry: RemoteTxn) -> &mut RemoteTxn {
-        let id = entry.id;
+    /// Adds a fresh entry for `id`, which is not live, in a shell if any.
+    fn insert(&mut self, id: TxnId, prio: TxnPriority) -> &mut RemoteTxn {
         if self.windows.len() <= id.origin.0 {
             self.windows.resize_with(id.origin.0 + 1, Window::default);
         }
@@ -243,13 +259,20 @@ impl LiveTxns {
         w.base = w.base.min(id.num);
         let len = w.slots.len().max((id.num - w.base) as usize + 1);
         w.slots.resize(len, HOLE);
-        self.point(id, self.slab.len() as u32);
-        self.slab.push(entry);
-        self.slab.last_mut().expect("just pushed")
+        self.point(id, self.live as u32);
+        match self.slab.get_mut(self.live) {
+            Some(shell) => shell.reset(id, prio),
+            None => self.slab.push(RemoteTxn::new(id, prio)),
+        }
+        self.live += 1;
+        &mut self.slab[self.live - 1]
     }
 
-    /// Retires `id`'s entry, if it is live.
-    fn remove(&mut self, id: &TxnId) -> Option<RemoteTxn> {
+    /// Records `fate` for `id` in `decided`, then retires `id`'s entry, if
+    /// it is live, and hands back its shell. Every `decided` insertion goes
+    /// through here.
+    fn retire(&mut self, decided: &mut Outcomes, id: &TxnId, fate: Fate) -> Option<&RemoteTxn> {
+        decided.record(*id, fate);
         let i = self.slot(id)?;
         self.point(*id, HOLE);
         let w = &mut self.windows[id.origin.0];
@@ -260,11 +283,12 @@ impl LiveTxns {
         while w.slots.back() == Some(&HOLE) {
             w.slots.pop_back();
         }
-        let gone = self.slab.swap_remove(i);
-        if let Some(moved) = self.slab.get(i) {
-            self.point(moved.id, i as u32);
+        self.live -= 1;
+        self.slab.swap(i, self.live);
+        if i < self.live {
+            self.point(self.slab[i].id, i as u32);
         }
-        Some(gone)
+        Some(&self.slab[self.live])
     }
 }
 
@@ -555,19 +579,6 @@ impl SiteState {
         self.local.len()
     }
 
-    /// Records a transaction's outcome and retires its [`RemoteTxn`],
-    /// which is handed back. Every `decided` insertion goes through here.
-    fn mark_decided(&mut self, id: TxnId, committed: bool) -> Option<RemoteTxn> {
-        let entry = self.remote.remove(&id);
-        let fate = if committed {
-            Fate::Committed
-        } else {
-            Fate::Aborted
-        };
-        self.decided.record(id, fate);
-        entry
-    }
-
     /// Drops all in-flight state and adopts a donor's verdicts (state
     /// transfer into a recovering replica), keeping this site's verdicts
     /// on its own transactions that the donor never saw.
@@ -693,7 +704,7 @@ impl SiteState {
             site: me,
             txn: txn_ref(id),
         });
-        self.mark_decided(id, true);
+        self.remote.retire(&mut self.decided, &id, Fate::Committed);
         self.terminations.push(TerminationRecord {
             txn: id,
             committed: true,
@@ -730,7 +741,7 @@ impl SiteState {
             // read-only experiments can report it.
             self.metrics.counters.add("aborts_readonly", 1);
         }
-        self.mark_decided(id, false);
+        self.remote.retire(&mut self.decided, &id, Fate::Aborted);
         self.log.log_abort(id);
         self.terminations.push(TerminationRecord {
             txn: id,
@@ -755,7 +766,7 @@ impl SiteState {
         let e = match self.remote.slot(&id) {
             Some(i) => &mut self.remote.slab[i],
             None if self.decided.contains_key(&id) => return None,
-            None => self.remote.insert(RemoteTxn::new(id, prio)),
+            None => self.remote.insert(id, prio),
         };
         if prio < e.prio {
             e.prio = prio;
@@ -1042,21 +1053,23 @@ impl SiteState {
         if self.decided.contains_key(&id) {
             return;
         }
-        let entry = self
-            .mark_decided(id, true)
+        let entry = (self.remote.retire(&mut self.decided, &id, Fate::Committed))
             .expect("commit of unknown transaction");
         assert_eq!(
             Some(entry.ops.len()),
             entry.n_writes,
             "commit applied before full write set delivered"
         );
-        // The write set moves into the redo log; only the origin keeps a
-        // second copy, for the serializability checker.
+        // The write set is copied from the shell into the redo log, and
+        // installed from there; only the origin keeps a second copy, for
+        // the serializability checker.
         let origin = self.local.remove(&id).map(|l| (l, entry.ops.clone()));
-        let mut held = entry.ops;
-        held.retain(|w| self.placement.is_holder(self.me, &w.key, self.n));
-        self.store.apply(id, &held);
-        self.log.log_commit(id, held);
+        let (me, n, placement) = (self.me, self.n, &self.placement);
+        let held = entry
+            .ops
+            .iter()
+            .filter(|w| placement.is_holder(me, &w.key, n));
+        self.store.apply(id, self.log.log_commit(id, held.cloned()));
         let me = self.me;
         self.tracer.emit(|| TraceEvent::Commit {
             at: now,
@@ -1091,7 +1104,7 @@ impl SiteState {
         if self.decided.contains_key(&id) {
             return;
         }
-        self.mark_decided(id, false);
+        self.remote.retire(&mut self.decided, &id, Fate::Aborted);
         self.log.log_abort(id);
         let me = self.me;
         self.tracer.emit(|| TraceEvent::Abort {
@@ -1153,6 +1166,7 @@ enum HolderKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcastdb_db::LogRecord;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1181,12 +1195,60 @@ mod tests {
     enum LiveStep {
         Insert(usize, u64),
         Lookup(usize, u64),
-        Mark(usize, u64),
+        /// Marks the live entry at this rank, modulo the live count.
+        Mark(usize, Scribble),
         /// Retires the live entry at this rank, modulo the live count
         /// (front, middle or back).
         Retire(usize),
         RetireMissing(usize, u64),
         Clear,
+    }
+
+    /// What a mark writes into a live entry, so that the shell it leaves
+    /// behind holds state a reset must clear: one bit per field of
+    /// `RemoteTxn` but its id (which every insert sets), and the site it
+    /// votes with (at or past 64, the vote sets spill a word).
+    #[derive(Debug, Clone, Copy)]
+    struct Scribble {
+        fields: u16,
+        site: usize,
+    }
+
+    impl Scribble {
+        fn apply(self, e: &mut RemoteTxn) {
+            let on = |bit: u16| self.fields >> bit & 1 == 1;
+            let site = SiteId(self.site);
+            if on(0) {
+                e.prio.ts += 1_000_000;
+            }
+            if on(1) {
+                e.ops.push(wop("k", self.site as i64));
+            }
+            if on(2) {
+                e.n_writes = Some(self.site);
+            }
+            if on(3) {
+                e.keys_granted.push(Key::new("g"));
+            }
+            if on(4) {
+                e.keys_waiting.push(Key::new("w"));
+            }
+            if on(5) {
+                e.commit_req_seen = true;
+            }
+            if on(6) {
+                e.doomed = Some(AbortReason::Wounded);
+            }
+            if on(7) {
+                e.my_vote = Some(self.site.is_multiple_of(2));
+            }
+            if on(8) {
+                e.votes_yes.insert(site);
+            }
+            if on(9) {
+                e.votes_no.insert(site);
+            }
+        }
     }
 
     /// Nums cluster near the start and near 5 000, so one origin's window
@@ -1203,7 +1265,12 @@ mod tests {
             live_id().prop_map(|(o, n)| LiveStep::Insert(o, n)),
             live_id().prop_map(|(o, n)| LiveStep::Insert(o, n)),
             live_id().prop_map(|(o, n)| LiveStep::Lookup(o, n)),
-            live_id().prop_map(|(o, n)| LiveStep::Mark(o, n)),
+            (
+                0usize..1_000,
+                0u16..1 << 10,
+                prop_oneof![0usize..8, 60usize..130]
+            )
+                .prop_map(|(rank, fields, site)| LiveStep::Mark(rank, Scribble { fields, site })),
             (0usize..1_000).prop_map(LiveStep::Retire),
             (0usize..1_000).prop_map(LiveStep::Retire),
             live_id().prop_map(|(o, n)| LiveStep::RetireMissing(o, n)),
@@ -1215,54 +1282,59 @@ mod tests {
         /// The slab and its windows hold exactly what the sorted vector
         /// holds, find the same entry for every id (a mark made through one
         /// lookup is seen by the next, after any number of swaps), retire
-        /// the same entries and list the same ids in the same order.
+        /// the same entries and list the same ids in the same order. An
+        /// insert into a retired shell gives exactly a fresh entry, whatever
+        /// the shell's last transaction wrote into it, and the slab never
+        /// holds more entries than were live at once.
         #[test]
         fn indexed_live_table_agrees_with_the_sorted_vector(
             steps in proptest::collection::vec(live_step(), 0..200)
         ) {
-            let mut live = LiveTxns::default();
+            let (mut live, mut decided) = (LiveTxns::default(), Outcomes::default());
             let mut old = SortedLive::default();
+            let mut peak = 0;
             for (ts, step) in steps.into_iter().enumerate() {
                 match step {
                     LiveStep::Insert(o, n) => {
                         let id = TxnId::new(SiteId(o), n);
                         if old.slot(&id).is_err() {
-                            let entry = RemoteTxn::new(id, prio(ts as u64, o, n));
-                            live.insert(entry.clone());
-                            old.insert(entry);
+                            let fresh = RemoteTxn::new(id, prio(ts as u64, o, n));
+                            prop_assert_eq!(&*live.insert(id, fresh.prio), &fresh);
+                            old.insert(fresh);
                         }
                     }
                     LiveStep::Lookup(o, n) => {
                         let id = TxnId::new(SiteId(o), n);
                         let want = old.slot(&id).ok().map(|i| old.0[i].prio);
                         prop_assert_eq!(live.get(&id).map(|e| e.prio), want);
+                        prop_assert_eq!(live.get_mut(&id).map(|e| e.prio), want);
                         prop_assert_eq!(live.contains_key(&id), want.is_some());
                     }
-                    LiveStep::Mark(o, n) => {
-                        let id = TxnId::new(SiteId(o), n);
-                        let marked = live.get_mut(&id).map(|e| e.my_vote = Some(true));
-                        let i = old.slot(&id).ok();
-                        prop_assert_eq!(marked.is_some(), i.is_some());
-                        if let Some(i) = i {
-                            old.0[i].my_vote = Some(true);
-                        }
+                    LiveStep::Mark(rank, scribble) if !old.0.is_empty() => {
+                        let i = rank % old.0.len();
+                        scribble.apply(live.get_mut(&old.0[i].id).expect("live"));
+                        scribble.apply(&mut old.0[i]);
                     }
+                    LiveStep::Mark(..) => prop_assert!(live.is_empty()),
                     LiveStep::Retire(rank) if !old.0.is_empty() => {
                         let id = old.0[rank % old.0.len()].id;
-                        let (got, want) = (live.remove(&id), old.remove(&id));
-                        prop_assert_eq!(got.map(|e| (e.prio, e.my_vote)), want.map(|e| (e.prio, e.my_vote)));
+                        let got = live.retire(&mut decided, &id, Fate::Aborted).cloned();
+                        prop_assert_eq!(got, old.remove(&id));
                     }
                     LiveStep::Retire(_) => prop_assert!(live.is_empty()),
                     LiveStep::RetireMissing(o, n) => {
                         let id = TxnId::new(SiteId(o), n);
-                        let (got, want) = (live.remove(&id), old.remove(&id));
-                        prop_assert_eq!(got.map(|e| e.prio), want.map(|e| e.prio));
+                        let got = live.retire(&mut decided, &id, Fate::Aborted).cloned();
+                        prop_assert_eq!(got, old.remove(&id));
                     }
                     LiveStep::Clear => {
                         live = LiveTxns::default();
                         old.0.clear();
+                        peak = 0;
                     }
                 }
+                peak = peak.max(old.0.len());
+                prop_assert!(live.slab.len() <= peak, "shells: {} > peak {}", live.slab.len(), peak);
                 prop_assert_eq!(live.len(), old.0.len());
                 for w in &live.windows {
                     let ends = [w.slots.front(), w.slots.back()];
@@ -1270,8 +1342,7 @@ mod tests {
                 }
                 prop_assert!(live.keys().eq(old.0.iter().map(|e| e.id)), "keys() ascending");
                 for e in &old.0 {
-                    prop_assert_eq!(live[&e.id].prio, e.prio);
-                    prop_assert_eq!(live[&e.id].my_vote, e.my_vote);
+                    prop_assert_eq!(&live[&e.id], e);
                 }
             }
         }
@@ -1580,7 +1651,15 @@ mod tests {
         assert_eq!(st.store.value(&Key::new("x")), 7);
         assert_eq!(st.decided.get(&t), Some(true));
         assert_eq!(st.locks.locks_of(t).count(), 0);
-        assert_eq!(st.log.committed(), vec![t]);
+        let logged: Vec<_> = st.log.records().collect();
+        let writes = [wop("x", 7)];
+        assert_eq!(
+            logged,
+            [LogRecord::Commit {
+                txn: t,
+                writes: &writes
+            }]
+        );
     }
 
     #[test]

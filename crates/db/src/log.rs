@@ -18,16 +18,16 @@ pub struct Checkpoint {
     pub covered: usize,
 }
 
-/// One entry in a site's redo log.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum LogRecord {
+/// One entry in a site's redo log, borrowed from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogRecord<'a> {
     /// `txn` committed with this write set (empty for read-only commits,
     /// which are logged only if the caller chooses to).
     Commit {
         /// The committed transaction.
         txn: TxnId,
         /// Its full write set.
-        writes: Vec<WriteOp>,
+        writes: &'a [WriteOp],
     },
     /// `txn` aborted (recorded for audit; replay ignores it).
     Abort {
@@ -36,10 +36,13 @@ pub enum LogRecord {
     },
 }
 
-/// An append-only redo log.
+/// An append-only redo log: every commit's writes in one arena, record
+/// after record, and per record its transaction, whether it committed and
+/// where its writes end (they start where the previous record's end).
 #[derive(Debug, Clone, Default)]
 pub struct RedoLog {
-    records: Vec<LogRecord>,
+    entries: Vec<(TxnId, bool, usize)>,
+    writes: Vec<WriteOp>,
 }
 
 impl RedoLog {
@@ -48,44 +51,55 @@ impl RedoLog {
         Self::default()
     }
 
-    /// Appends a commit record.
-    pub fn log_commit(&mut self, txn: TxnId, writes: Vec<WriteOp>) {
-        self.records.push(LogRecord::Commit { txn, writes });
+    /// Appends a commit record and returns the write set just logged.
+    pub fn log_commit(
+        &mut self,
+        txn: TxnId,
+        writes: impl IntoIterator<Item = WriteOp>,
+    ) -> &[WriteOp] {
+        let start = self.writes.len();
+        self.writes.extend(writes);
+        self.entries.push((txn, true, self.writes.len()));
+        &self.writes[start..]
     }
 
     /// Appends an abort record.
     pub fn log_abort(&mut self, txn: TxnId) {
-        self.records.push(LogRecord::Abort { txn });
+        self.entries.push((txn, false, self.writes.len()));
     }
 
     /// All records, oldest first.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    pub fn records(&self) -> impl ExactSizeIterator<Item = LogRecord<'_>> + '_ {
+        let mut start = 0;
+        self.entries.iter().map(move |&(txn, commit, end)| {
+            let writes = &self.writes[std::mem::replace(&mut start, end)..end];
+            match commit {
+                true => LogRecord::Commit { txn, writes },
+                false => LogRecord::Abort { txn },
+            }
+        })
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.entries.len()
     }
 
     /// True iff nothing was logged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Truncates the log to its first `n` records — simulates losing the
-    /// tail in a crash before it reached stable storage.
-    pub fn truncate(&mut self, n: usize) {
-        self.records.truncate(n);
+        self.entries.is_empty()
     }
 
     /// Replays every commit record onto a fresh store, reproducing the
     /// committed state at the time of the crash.
     pub fn replay(&self) -> Store {
-        let mut store = Store::new();
-        for rec in &self.records {
+        self.replay_onto(Store::new())
+    }
+
+    fn replay_onto(&self, mut store: Store) -> Store {
+        for rec in self.records() {
             if let LogRecord::Commit { txn, writes } = rec {
-                store.apply(*txn, writes);
+                store.apply(txn, writes);
             }
         }
         store
@@ -97,7 +111,7 @@ impl RedoLog {
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             store: self.replay(),
-            covered: self.records.len(),
+            covered: self.entries.len(),
         }
     }
 
@@ -105,30 +119,17 @@ impl RedoLog {
     /// Replaying the remainder on top of that checkpoint reproduces the
     /// full state.
     pub fn truncate_before(&mut self, n: usize) {
-        self.records.drain(..n.min(self.records.len()));
+        let n = n.min(self.entries.len());
+        let cut = self.entries[..n].last().map_or(0, |e| e.2);
+        self.entries.drain(..n);
+        self.writes.drain(..cut);
+        self.entries.iter_mut().for_each(|e| e.2 -= cut);
     }
 
     /// Recovers the full committed state from a checkpoint plus this log's
     /// remaining records (which must start where the checkpoint ends).
     pub fn recover_from(&self, cp: &Checkpoint) -> Store {
-        let mut store = cp.store.clone();
-        for rec in &self.records {
-            if let LogRecord::Commit { txn, writes } = rec {
-                store.apply(*txn, writes);
-            }
-        }
-        store
-    }
-
-    /// Ids of all committed transactions, in commit order.
-    pub fn committed(&self) -> Vec<TxnId> {
-        self.records
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { txn, .. } => Some(*txn),
-                LogRecord::Abort { .. } => None,
-            })
-            .collect()
+        self.replay_onto(cp.store.clone())
     }
 }
 
@@ -140,6 +141,14 @@ mod tests {
 
     fn t(n: u64) -> TxnId {
         TxnId::new(SiteId(0), n)
+    }
+
+    fn committed(log: &RedoLog) -> Vec<TxnId> {
+        let commits = log.records().filter_map(|r| match r {
+            LogRecord::Commit { txn, .. } => Some(txn),
+            LogRecord::Abort { .. } => None,
+        });
+        commits.collect()
     }
 
     fn w(key: &str, v: i64) -> WriteOp {
@@ -172,28 +181,17 @@ mod tests {
         log.log_abort(t(2));
         let s = log.replay();
         assert!(s.is_empty());
-        assert_eq!(log.committed(), vec![]);
+        assert_eq!(committed(&log), vec![]);
         assert_eq!(log.len(), 2);
     }
 
     #[test]
-    fn truncation_loses_the_tail_only() {
-        let mut log = RedoLog::new();
-        log.log_commit(t(1), vec![w("x", 1)]);
-        log.log_commit(t(2), vec![w("x", 2)]);
-        log.truncate(1);
-        let s = log.replay();
-        assert_eq!(s.value(&Key::new("x")), 1);
-        assert_eq!(log.committed(), vec![t(1)]);
-    }
-
-    #[test]
-    fn committed_preserves_commit_order() {
+    fn records_keep_commit_order() {
         let mut log = RedoLog::new();
         log.log_commit(t(5), vec![]);
         log.log_abort(t(6));
         log.log_commit(t(2), vec![]);
-        assert_eq!(log.committed(), vec![t(5), t(2)]);
+        assert_eq!(committed(&log), vec![t(5), t(2)]);
     }
 
     #[test]
@@ -240,5 +238,165 @@ mod tests {
         let log = RedoLog::new();
         assert!(log.is_empty());
         assert!(log.replay().is_empty());
+    }
+}
+
+/// The redo log as it was before its writes shared one arena — a vector of
+/// records, each owning its write set — kept as the reference the arena log
+/// is held to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::types::Key;
+    use bcastdb_sim::SiteId;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum OwnedRecord {
+        Commit { txn: TxnId, writes: Vec<WriteOp> },
+        Abort { txn: TxnId },
+    }
+
+    impl From<LogRecord<'_>> for OwnedRecord {
+        fn from(rec: LogRecord<'_>) -> Self {
+            match rec {
+                LogRecord::Commit { txn, writes } => OwnedRecord::Commit {
+                    txn,
+                    writes: writes.to_vec(),
+                },
+                LogRecord::Abort { txn } => OwnedRecord::Abort { txn },
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Oracle {
+        records: Vec<OwnedRecord>,
+    }
+
+    impl Oracle {
+        fn recover_from(&self, mut store: Store) -> Store {
+            for rec in &self.records {
+                if let OwnedRecord::Commit { txn, writes } = rec {
+                    store.apply(*txn, writes);
+                }
+            }
+            store
+        }
+
+        fn truncate_before(&mut self, n: usize) {
+            self.records.drain(..n.min(self.records.len()));
+        }
+    }
+
+    /// Current versions, install orders and the write count agree.
+    fn same(a: &Store, b: &Store) -> bool {
+        let orders = |s: &Store| {
+            let orders = s.install_orders().map(|(k, o)| (k.clone(), o.to_vec()));
+            orders.collect::<BTreeMap<_, _>>()
+        };
+        a.converged_with(b) && orders(a) == orders(b) && a.applied_writes() == b.applied_writes()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Writes as (key, value); the mask keeps the keys this site holds,
+        /// as `apply_commit`'s placement filter does (often none of them).
+        Commit(Vec<(u8, i64)>, u8),
+        Abort,
+        Checkpoint,
+        /// `truncate_before` the last checkpoint's coverage, which
+        /// `recover_from` it then continues.
+        TruncateToCheckpoint,
+        /// `truncate_before` an arbitrary count, past the end included.
+        TruncateBefore(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let writes = proptest::collection::vec((0u8..6, -5i64..5), 0..5);
+        prop_oneof![
+            (writes.clone(), 0u8..64).prop_map(|(w, m)| Step::Commit(w, m)),
+            (writes, Just(u8::MAX)).prop_map(|(w, m)| Step::Commit(w, m)),
+            Just(Step::Abort),
+            Just(Step::Checkpoint),
+            Just(Step::TruncateToCheckpoint),
+            (0usize..12).prop_map(Step::TruncateBefore),
+        ]
+    }
+
+    proptest! {
+        /// Commits with empty and placement-filtered write sets, aborts,
+        /// checkpoints and truncations: the arena log lists the same
+        /// records with the same write slices as the per-record log,
+        /// replays to the same store, and recovers from a checkpoint to the
+        /// same store — the full one when it was truncated at that
+        /// checkpoint.
+        #[test]
+        fn arena_log_agrees_with_the_record_log(
+            steps in proptest::collection::vec(step(), 0..120)
+        ) {
+            let (mut log, mut old) = (RedoLog::new(), Oracle::default());
+            let mut full = Store::new();
+            // The last checkpoint of each log, and whether the arena's
+            // covered every record ever logged.
+            let mut cps: Option<(Checkpoint, Checkpoint, bool)> = None;
+            let mut whole = true;
+            for (i, step) in steps.into_iter().enumerate() {
+                let txn = TxnId::new(SiteId(i % 3), i as u64);
+                match step {
+                    Step::Commit(writes, mask) => {
+                        let held: Vec<WriteOp> = (writes.into_iter())
+                            .filter(|&(k, _)| mask >> k & 1 == 1)
+                            .map(|(k, value)| WriteOp { key: Key::new(format!("k{k}")), value })
+                            .collect();
+                        let logged = log.log_commit(txn, held.iter().cloned());
+                        prop_assert_eq!(logged, &held[..]);
+                        full.apply(txn, &held);
+                        old.records.push(OwnedRecord::Commit { txn, writes: held });
+                    }
+                    Step::Abort => {
+                        log.log_abort(txn);
+                        old.records.push(OwnedRecord::Abort { txn });
+                    }
+                    Step::Checkpoint => {
+                        let cp = log.checkpoint();
+                        prop_assert_eq!(cp.covered, old.records.len());
+                        let old_cp = Checkpoint {
+                            store: old.recover_from(Store::new()),
+                            covered: old.records.len(),
+                        };
+                        prop_assert!(same(&cp.store, &old_cp.store));
+                        cps = Some((cp, old_cp, whole));
+                    }
+                    Step::TruncateToCheckpoint => {
+                        if let Some((cp, old_cp, cp_whole)) = cps.take() {
+                            log.truncate_before(cp.covered);
+                            old.truncate_before(old_cp.covered);
+                            if cp_whole {
+                                prop_assert!(same(&log.recover_from(&cp), &full));
+                            }
+                            cps = Some((cp, old_cp, false));
+                            whole = false;
+                        }
+                    }
+                    Step::TruncateBefore(n) => {
+                        log.truncate_before(n);
+                        old.truncate_before(n);
+                        cps = None;
+                        whole &= n == 0;
+                    }
+                }
+                prop_assert_eq!(log.len(), old.records.len());
+                prop_assert_eq!(log.is_empty(), old.records.is_empty());
+                let records: Vec<OwnedRecord> = log.records().map(OwnedRecord::from).collect();
+                prop_assert_eq!(&records, &old.records);
+                prop_assert!(same(&log.replay(), &old.recover_from(Store::new())));
+                if let Some((cp, old_cp, _)) = &cps {
+                    let want = old.recover_from(old_cp.store.clone());
+                    prop_assert!(same(&log.recover_from(cp), &want));
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --example failure_recovery`
 
+use bcastdb::db::LogRecord;
 use bcastdb::prelude::*;
 
 fn main() {
@@ -72,7 +73,10 @@ fn main() {
     );
     println!(
         "s4 recovered {} committed txns from its redo log",
-        crashed_log.committed().len()
+        crashed_log
+            .records()
+            .filter(|r| matches!(r, LogRecord::Commit { .. }))
+            .count()
     );
     println!("failure + recovery scenario complete ✓");
 }

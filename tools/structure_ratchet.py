@@ -114,8 +114,17 @@ BENCH_CEILING = 4992
 # sorted vector and the four B-tree sets), one `Archive` in
 # broadcast/msg.rs (+75) replacing both engines' maps and cursor loops
 # (reliable.rs -33, causal.rs -31), `Batcher::push_sized` (+6) and its
-# caller in engine.rs (+2).
-CRATES_CEILING = 20904
+# caller in engine.rs (+2). Raised by exactly its growth, 20902 -> 20926
+# (ceiling 20904 -> 20928), when a replica started reusing what every
+# transaction allocated (DESIGN.md sections 11 and 18): retired `RemoteTxn`
+# shells reset in place, with `LiveTxns::retire` taking over
+# `mark_decided` (state.rs +14), the redo log's one write arena (log.rs +1,
+# net of the dropped `truncate` and `committed`), batch vectors taken at a
+# batch's first message and handed back by `recycle` (batch.rs +11, net of
+# `pending_for`, now a test helper), the envelope's hand-back in engine.rs
+# (+4) and the dirty-tree stamp (harness.rs +1), less the unused
+# `Cluster::replica_mut` (-5).
+CRATES_CEILING = 20928
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
