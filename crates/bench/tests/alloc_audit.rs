@@ -31,17 +31,18 @@ use bcastdb_core::{AbcastImpl, Cluster, ClusterBuilder, ProtocolKind};
 use bcastdb_db::{Key, LockManager, LockMode, RequestOutcome, TxnId};
 use bcastdb_sim::telemetry::{JsonlSink, Phase, TraceEvent, TraceSink};
 use bcastdb_sim::{
-    DetRng, NetworkConfig, SampleWriter, SimDuration, SimTime, SiteId, StatsRegistry,
+    DetRng, EventKind, EventQueue, NetworkConfig, SampleWriter, SimDuration, SimTime, SiteId,
+    StatsRegistry,
 };
 use bcastdb_workload::WorkloadConfig;
 
 const N: usize = 5;
 const CRASH_AT_US: u64 = 200_000;
-/// The 16-site ring row's ceiling: its debug measurement (0.936) plus 25%.
-const RING16_CEILING: f64 = 1.17;
-/// The 32-site batched ring row's ceiling: its debug measurement (2.420)
+/// The 16-site ring row's ceiling: its debug measurement (0.456) plus 25%.
+const RING16_CEILING: f64 = 0.57;
+/// The 32-site batched ring row's ceiling: its debug measurement (1.927)
 /// plus 25%.
-const RING32_CEILING: f64 = 3.03;
+const RING32_CEILING: f64 = 2.41;
 
 fn allocs() -> u64 {
     bcastdb_memprobe::allocation_count()
@@ -215,9 +216,10 @@ fn allocs_per_event_stays_bounded() {
 
     // The ratchet: allocations per simulated event across the three
     // simulation phases (excluding one-time cluster build, workload
-    // generation, and post-run verification). Measured at 1.503 with
+    // generation, and post-run verification). Measured at 0.951 with
     // tracing on (1.575 before retired transactions' entries were reused
-    // and the redo log became one arena); the ceiling leaves ~25% headroom
+    // and the redo log became one arena, 1.503 before the event queue's
+    // slots became lists in one pool); the ceiling leaves ~25% headroom
     // for toolchain drift but not for a reintroduced per-event allocation.
     let sim_allocs: u64 = with_trace
         .iter()
@@ -227,9 +229,9 @@ fn allocs_per_event_stays_bounded() {
     let per_event = sim_allocs as f64 / events as f64;
     eprintln!("simulation-phase allocs/event (traced): {per_event:.3}");
     assert!(
-        per_event < 1.88,
+        per_event < 1.19,
         "simulation phases now allocate {per_event:.3} times per event \
-         (ceiling 1.88) — a hot-path allocation crept back in; \
+         (ceiling 1.19) — a hot-path allocation crept back in; \
          see PERFORMANCE.md"
     );
 
@@ -260,12 +262,13 @@ fn allocs_per_event_stays_bounded() {
     // circulation, cumulative Ack, stability pruning) reuses pre-sized
     // per-site state; the pure-broadcast a1 saturation sweep runs at
     // ~0.3 allocs/event, and this 16-site *transactional* run measures
-    // 0.936 in a debug build (certification and txn bookkeeping across 16
+    // 0.456 in a debug build (certification and txn bookkeeping across 16
     // replicas on top of the broadcast layer; 2.7 before certification
     // read the shared request in place and clocks were shared, 1.576
     // before the ring's tables were indexed and a key's first installs
     // were held inline, 1.111 before retired transactions' entries were
-    // reused and the redo log became one arena). The ceiling leaves ~25%
+    // reused and the redo log became one arena, 0.936 before the event
+    // queue's slots became lists in one pool). The ceiling leaves ~25%
     // headroom — a per-hop payload clone, a per-replica copy of the
     // request or a per-Commit Vec blows past it.
     let ring = Cluster::builder()
@@ -288,11 +291,12 @@ fn allocs_per_event_stays_bounded() {
     // The same at `wide_ring`'s shape: 32 sites, 5 000 keys at θ 0.3, two
     // reads and two writes, a 500 µs batch window and 2 MB/s NICs, where
     // every hop goes through the batcher and the ring's per-origin tables
-    // and every replica installs each key's first writes. Measured at 2.420
+    // and every replica installs each key's first writes. Measured at 1.927
     // in a debug build (4.677 with B-tree tables, a batcher map rebuilt
     // every window and a vector per installed key; 3.169 before delivered
     // envelopes' vectors carried the next batches, retired transactions'
-    // entries were reused and the redo log became one arena).
+    // entries were reused and the redo log became one arena; 2.420 before
+    // the event queue's slots became lists in one pool).
     let wide = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring)
@@ -327,10 +331,11 @@ fn allocs_per_event_stays_bounded() {
     // shared by every destination); the ceilings leave ~25% headroom. The
     // per-transaction lock index took them to 1.55 and 2.87; the indexed
     // live-transaction table and its inline vote sets to 1.27 and 2.25;
-    // reused entries and the one-arena redo log to 1.138 and 1.902.
+    // reused entries and the one-arena redo log to 1.138 and 1.902; the
+    // event queue's one pool of cells to 0.450 and 1.335.
     for (protocol, ceiling) in [
-        (ProtocolKind::PointToPoint, 1.42),
-        (ProtocolKind::CausalBcast, 2.38),
+        (ProtocolKind::PointToPoint, 0.56),
+        (ProtocolKind::CausalBcast, 1.67),
     ] {
         let builder = Cluster::builder().protocol(protocol);
         let (allocs, events) = steady_run(N, 10, 53, builder, light_keys(), gap);
@@ -357,8 +362,9 @@ fn allocs_per_event_stays_bounded() {
     // request rebuilt the graph and every release swept the table), 1.27
     // since a transaction's votes are a bitset and the reliable engine
     // delivers in-order wires without its holdback, 0.907 since retired
-    // transactions' entries are reused and the redo log is one arena; the
-    // ceiling leaves ~25% headroom. A per-transaction allocation in the lock
+    // transactions' entries are reused and the redo log is one arena, 0.488
+    // since the event queue's slots are lists in one pool; the ceiling
+    // leaves ~25% headroom. A per-transaction allocation in the lock
     // table is too small to trip it here; the lock-manager row below
     // catches one exactly.
     let hot = WorkloadConfig {
@@ -377,9 +383,9 @@ fn allocs_per_event_stays_bounded() {
          = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 1.13,
+        per_event < 0.61,
         "P-RB under contention now allocates {per_event:.3} times per event (ceiling \
-         1.13) — a per-blocked-request graph rebuild crept back into the lock \
+         0.61) — a per-blocked-request graph rebuild crept back into the lock \
          table; see PERFORMANCE.md"
     );
 
@@ -391,7 +397,8 @@ fn allocs_per_event_stays_bounded() {
     // sample was a map of owned names), 1.49 since a transaction's votes
     // are a bitset and in-order wires skip the reliable engine's holdback,
     // 1.233 since retired transactions' entries are reused and the redo log
-    // is one arena; the ceiling leaves ~25% headroom.
+    // is one arena, 0.664 since the event queue's slots are lists in one
+    // pool; the ceiling leaves ~25% headroom.
     let traced = Cluster::builder()
         .protocol(ProtocolKind::ReliableBcast)
         .trace(TRACE_CAPACITY)
@@ -404,9 +411,9 @@ fn allocs_per_event_stays_bounded() {
          {traced_events} events = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 1.54,
+        per_event < 0.83,
         "product tracing now allocates {per_event:.3} times per event (ceiling \
-         1.54) — an event clone, a per-sample map or a per-line buffer \
+         0.83) — an event clone, a per-sample map or a per-line buffer \
          crept back into the trace and metrics sinks; see PERFORMANCE.md"
     );
 
@@ -522,6 +529,59 @@ fn allocs_per_event_stays_bounded() {
     assert_eq!(
         batcher_allocs, 0,
         "a warm batcher window allocates again though its vectors came back"
+    );
+
+    // Event-queue ratchet: the wheel's slots and the ready list are lists of
+    // cells in one pool, so a queue sized for its pending events allocates
+    // nothing from its first event on: not for a slot's first event (each
+    // slot had a vector of its own), not for a same-instant burst, and not
+    // when a far event joins a wheel slot. Two spins of three revolutions
+    // each, at most 202 events pending; every 16th event goes to the
+    // instant of the one before it.
+    let at = SimTime::from_micros;
+    let deliver = |msg: u64| EventKind::Deliver {
+        from: SiteId(0),
+        to: SiteId(1),
+        msg,
+    };
+    let mut queue: EventQueue<u64, ()> = EventQueue::with_capacity(256);
+    let mut now = 0;
+    let mut spin = |queue: &mut EventQueue<u64, ()>| {
+        let (end, far) = (now + 3 * 8_192, now + 10_000);
+        queue.schedule(at(far), deliver(0));
+        for i in 1..200 {
+            queue.schedule(at(now + i * 10), deliver(i));
+        }
+        let (mut last, mut joined, mut popped) = (0, false, 0);
+        while let Some(e) = queue.pop() {
+            now = e.time.as_micros();
+            popped += 1;
+            if now >= end {
+                continue;
+            }
+            let t = if !joined && now < far && far - now < 8_192 {
+                joined = true;
+                far
+            } else if popped % 16 == 0 {
+                last.max(now)
+            } else {
+                now + 500 + popped * 37 % 1_500
+            };
+            queue.schedule(at(t), deliver(popped));
+            last = t;
+        }
+        assert!(joined, "a wheel event joined the far one");
+        popped
+    };
+    let before = allocs();
+    let popped = spin(&mut queue) + spin(&mut queue);
+    let queue_allocs = allocs() - before;
+    eprintln!("event queue: {queue_allocs} allocs in {popped} pops over six revolutions");
+    assert_eq!(queue.wheel_stats().sched_far, 2);
+    assert_eq!(
+        queue_allocs, 0,
+        "a pre-sized event queue allocates again: a slot, the ready list or a \
+         far/wheel merge keeps storage of its own"
     );
 
     // Clock ratchets, at the narrow and the wide ring's width: an owner's

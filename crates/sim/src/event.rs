@@ -15,27 +15,38 @@
 //! sift-down on the hot path. Four structures cooperate:
 //!
 //! - **`ready`** — events at exactly the current cursor time, in seq order.
-//!   Popping the front is the common fast path.
+//!   Popping the head is the common fast path.
 //! - **the wheel** — [`WHEEL_SLOTS`] buckets of one virtual microsecond
 //!   each. An event with `0 < time - cursor < WHEEL_SLOTS` lives in slot
 //!   `time % WHEEL_SLOTS`. Because every resident delta is smaller than one
 //!   revolution, a slot holds events of **exactly one** timestamp, and
-//!   because the insertion seq only grows, each slot's vector is sorted by
+//!   because the insertion seq only grows, each slot's list is sorted by
 //!   seq *by construction* — no per-slot sorting, ever. A 1-bit-per-slot
 //!   occupancy bitmap (plus a 1-bit-per-word summary) finds the next
 //!   non-empty slot in a handful of word scans.
 //! - **`far`** — a `BinaryHeap` for events at or beyond one wheel
-//!   revolution (long timers, workload arrivals scheduled far ahead). Far
-//!   events are *not* cascaded into the wheel as the cursor approaches —
-//!   they are merged (by seq) with the wheel slot of the same timestamp at
-//!   pop time, which is what preserves the FIFO tie-break exactly.
+//!   revolution (timers, workload arrivals scheduled far ahead, and every
+//!   delivery a saturated link's backlog pushes past 8.192 ms). Far events
+//!   are *not* cascaded into the wheel as the cursor approaches — they are
+//!   merged (by seq) with the wheel slot of the same timestamp at pop time,
+//!   which is what preserves the FIFO tie-break exactly.
 //! - **`past`** — a `BinaryHeap` for events scheduled strictly before the
 //!   cursor. The simulation driver never does this, but the queue stays a
 //!   faithful stable priority queue even for pathological schedules.
 //!
+//! `ready` and every wheel slot are `(head, tail)` lists of cells in one
+//! pool: a cell holds one event and a parallel `next` vector links it to
+//! the one after it. Appending is O(1), so is handing a slot to `ready`
+//! when the cursor reaches it, and a far event joins a slot's run by being
+//! linked in at its seq. A pop unlinks `ready`'s head and pushes the cell
+//! onto a LIFO free list, so the next schedule writes the cell the last
+//! pop vacated, still in cache. The pool grows only when no cell is free:
+//! its length is the peak number of events the wheel and `ready` held at
+//! once, whatever the slots they were spread over.
+//!
 //! Pop order is **identical** to the previous `BinaryHeap` implementation
-//! for every schedule; the property tests at the bottom of this module and
-//! the cross-implementation tests in `tests/` hold the two in lock-step.
+//! for every schedule; the property tests at the bottom of this module
+//! hold the two in lock-step.
 //!
 //! # Examples
 //!
@@ -63,18 +74,21 @@
 
 use crate::{SimTime, SiteId};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Number of one-microsecond slots in the timing wheel (one revolution).
 ///
-/// 8192 µs comfortably covers the LAN latency/tick horizon the experiments
-/// schedule into; anything further out (long failure-detector timeouts,
-/// workload arrivals injected at absolute times) takes the `far` heap path,
-/// which is exactly the old binary-heap behavior.
+/// 8192 µs covers the LAN latency/tick horizon the experiments schedule
+/// into; anything further out (long failure-detector timeouts, workload
+/// arrivals injected at absolute times, deliveries queued behind a
+/// saturated link) takes the `far` heap path, which is exactly the old
+/// binary-heap behavior.
 const WHEEL_SLOTS: usize = 8192;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap words (64 slots per word).
 const OCC_WORDS: usize = WHEEL_SLOTS / 64;
+/// The end of a cell list.
+const NIL: u32 = u32::MAX;
 
 /// What an [`Event`] does when it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +146,30 @@ impl<M, T> Ord for Event<M, T> {
     }
 }
 
+/// A list of pool cells linked through [`EventQueue`]'s `next`: a wheel
+/// slot's events or `ready`, in seq order. Empty iff `head` is `NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Cells = Cells {
+    head: NIL,
+    tail: NIL,
+};
+
+impl Cells {
+    /// Appends cell `c`, whose link is `NIL`.
+    fn push(&mut self, next: &mut [u32], c: u32) {
+        match self.tail {
+            NIL => self.head = c,
+            tail => next[tail as usize] = c,
+        }
+        self.tail = c;
+    }
+}
+
 /// A stable min-priority queue of [`Event`]s.
 ///
 /// Pops strictly in `(time, seq)` order: earliest firing time first, and
@@ -140,10 +178,18 @@ impl<M, T> Ord for Event<M, T> {
 /// describe the internal wheel/heap layout.
 #[derive(Debug)]
 pub struct EventQueue<M, T> {
-    /// Wheel buckets; entry = `(seq, kind)`. Each occupied slot holds
-    /// events of exactly one timestamp, recoverable from the slot index
-    /// and the cursor, and its vector is seq-sorted by construction.
-    slots: Vec<Vec<(u64, EventKind<M, T>)>>,
+    /// One cell per event in the wheel or `ready`, `(seq, kind)`; a free
+    /// cell is `None`. Never shrinks.
+    pool: Vec<Option<(u64, EventKind<M, T>)>>,
+    /// `next[c]`: the cell after `c` in its slot's list, in `ready` or in
+    /// the free list; `NIL` at the end.
+    next: Vec<u32>,
+    /// Head of the free list, most recently vacated cell first.
+    free: u32,
+    /// Wheel buckets. Each occupied slot lists events of exactly one
+    /// timestamp, recoverable from the slot index and the cursor, and is
+    /// seq-sorted by construction.
+    slots: Vec<Cells>,
     /// One occupancy bit per slot.
     occ: [u64; OCC_WORDS],
     /// One bit per occupancy word (any-set summary for fast scans).
@@ -151,8 +197,8 @@ pub struct EventQueue<M, T> {
     /// The current batch timestamp in µs: every event in `ready` fires at
     /// exactly this time, every wheel/far event strictly after it.
     cursor: u64,
-    /// Events at time == `cursor`, in seq order; popped from the front.
-    ready: VecDeque<(u64, EventKind<M, T>)>,
+    /// Events at time == `cursor`, in seq order; popped from the head.
+    ready: Cells,
     /// Events at or beyond one wheel revolution, in `(time, seq)` order.
     far: BinaryHeap<Event<M, T>>,
     /// Events scheduled strictly before the cursor (pathological case).
@@ -205,16 +251,15 @@ impl<M, T> EventQueue<M, T> {
     /// reallocates. Ordering semantics are identical to
     /// [`EventQueue::new`] — capacity never affects pop order.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut slots = Vec::with_capacity(WHEEL_SLOTS);
-        slots.resize_with(WHEEL_SLOTS, Vec::new);
         EventQueue {
-            slots,
+            pool: Vec::with_capacity(cap),
+            next: Vec::with_capacity(cap),
+            free: NIL,
+            slots: vec![EMPTY; WHEEL_SLOTS],
             occ: [0; OCC_WORDS],
             summary: 0,
             cursor: 0,
-            // A same-instant batch is a broadcast fan-out plus ties, far
-            // smaller than the total pending population.
-            ready: VecDeque::with_capacity(cap.min(64)),
+            ready: EMPTY,
             // Absolute-time workload arrivals land here in bulk.
             far: BinaryHeap::with_capacity(cap),
             past: BinaryHeap::new(),
@@ -237,7 +282,8 @@ impl<M, T> EventQueue<M, T> {
             let delta = t - self.cursor;
             if delta < WHEEL_SLOTS as u64 {
                 let idx = (t & WHEEL_MASK) as usize;
-                self.slots[idx].push((seq, kind));
+                let c = self.alloc(seq, kind);
+                self.slots[idx].push(&mut self.next, c);
                 self.occ[idx >> 6] |= 1u64 << (idx & 63);
                 self.summary |= 1u128 << (idx >> 6);
                 self.sched_near += 1;
@@ -249,7 +295,8 @@ impl<M, T> EventQueue<M, T> {
             // Fires at the instant currently being drained: this seq is
             // larger than everything already in `ready`, so appending
             // keeps `ready` seq-sorted.
-            self.ready.push_back((seq, kind));
+            let c = self.alloc(seq, kind);
+            self.ready.push(&mut self.next, c);
             self.sched_near += 1;
         } else {
             self.past.push(Event { time, seq, kind });
@@ -265,10 +312,16 @@ impl<M, T> EventQueue<M, T> {
             self.len -= 1;
             return Some(ev);
         }
-        if self.ready.is_empty() && !self.advance() {
+        if self.ready.head == NIL && !self.advance() {
             return None;
         }
-        let (seq, kind) = self.ready.pop_front().expect("advance filled ready");
+        let c = self.ready.head;
+        self.ready.head = std::mem::replace(&mut self.next[c as usize], self.free);
+        if self.ready.head == NIL {
+            self.ready.tail = NIL;
+        }
+        self.free = c;
+        let (seq, kind) = self.pool[c as usize].take().expect("a listed cell is full");
         self.len -= 1;
         Some(Event {
             time: SimTime::from_micros(self.cursor),
@@ -282,7 +335,7 @@ impl<M, T> EventQueue<M, T> {
         if let Some(ev) = self.past.peek() {
             return Some(ev.time);
         }
-        if !self.ready.is_empty() {
+        if self.ready.head != NIL {
             return Some(SimTime::from_micros(self.cursor));
         }
         let wheel_t = self.next_occupied().map(|(_, t)| t);
@@ -307,20 +360,36 @@ impl<M, T> EventQueue<M, T> {
 
     /// Lifetime placement counts and live per-structure residency.
     pub fn wheel_stats(&self) -> WheelStats {
+        let link = |c: u32| Some(c).filter(|&c| c != NIL);
+        let ready = std::iter::successors(link(self.ready.head), |&c| link(self.next[c as usize]));
         WheelStats {
             sched_near: self.sched_near,
             sched_far: self.sched_far,
             sched_past: self.sched_past,
-            ready_len: self.ready.len(),
+            ready_len: ready.count(),
             far_len: self.far.len(),
             past_len: self.past.len(),
         }
     }
 
+    /// Stores `(seq, kind)` in the most recently vacated cell, or a new
+    /// one when none is free, and returns the cell with its link `NIL`.
+    fn alloc(&mut self, seq: u64, kind: EventKind<M, T>) -> u32 {
+        let c = self.free;
+        if c == NIL {
+            self.pool.push(Some((seq, kind)));
+            self.next.push(NIL);
+            return u32::try_from(self.pool.len() - 1).expect("under 2^32 pending events");
+        }
+        self.free = std::mem::replace(&mut self.next[c as usize], NIL);
+        self.pool[c as usize] = Some((seq, kind));
+        c
+    }
+
     /// Moves the next timestamp's events into `ready` and advances the
     /// cursor to it. Returns `false` when the queue is empty.
     fn advance(&mut self) -> bool {
-        debug_assert!(self.ready.is_empty() && self.past.is_empty());
+        debug_assert!(self.ready.head == NIL && self.past.is_empty());
         let wheel = self.next_occupied();
         let far_t = self.far.peek().map(|e| e.time.as_micros());
         match (wheel, far_t) {
@@ -341,7 +410,7 @@ impl<M, T> EventQueue<M, T> {
                     Ordering::Less => self.move_slot_to_ready(idx),
                     Ordering::Greater => self.move_far_to_ready(tf),
                     // A far event caught up with a wheel slot at the same
-                    // timestamp: interleave the two seq-sorted runs.
+                    // timestamp: the two runs go out in seq order.
                     Ordering::Equal => self.merge_slot_and_far(idx, tf),
                 }
                 true
@@ -404,42 +473,31 @@ impl<M, T> EventQueue<M, T> {
         }
     }
 
-    /// Drains slot `idx` (one timestamp, seq-sorted) into `ready`.
+    /// Hands slot `idx`'s list (one timestamp, seq-sorted) to `ready`.
     fn move_slot_to_ready(&mut self, idx: usize) {
-        let mut v = std::mem::take(&mut self.slots[idx]);
-        self.ready.extend(v.drain(..));
-        self.slots[idx] = v; // hand the capacity back to the slot
+        self.ready = std::mem::replace(&mut self.slots[idx], EMPTY);
         self.clear_bit(idx);
     }
 
-    /// Drains every far event at exactly time `t` into `ready`. The heap
+    /// Moves every far event at exactly time `t` into `ready`. The heap
     /// yields equal-time events in seq order, so `ready` stays sorted.
     fn move_far_to_ready(&mut self, t: u64) {
         while self.far.peek().is_some_and(|e| e.time.as_micros() == t) {
             let e = self.far.pop().expect("peeked");
-            self.ready.push_back((e.seq, e.kind));
+            let c = self.alloc(e.seq, e.kind);
+            self.ready.push(&mut self.next, c);
         }
     }
 
-    /// Two-way merge (by seq) of slot `idx` and the far events at time `t`
-    /// into `ready`. Both runs are already seq-sorted.
+    /// Hands the far events at time `t`, then slot `idx`'s list, to
+    /// `ready`. That is seq order: a far event was scheduled while the
+    /// cursor was a revolution or more before `t`, every slot event once it
+    /// was less, and the cursor only moves forward.
     fn merge_slot_and_far(&mut self, idx: usize, t: u64) {
-        let mut v = std::mem::take(&mut self.slots[idx]);
-        let mut slot_it = v.drain(..).peekable();
-        while let Some(far_seq) = self
-            .far
-            .peek()
-            .filter(|e| e.time.as_micros() == t)
-            .map(|e| e.seq)
-        {
-            while slot_it.peek().is_some_and(|&(s, _)| s < far_seq) {
-                self.ready.push_back(slot_it.next().expect("peeked"));
-            }
-            let e = self.far.pop().expect("peeked");
-            self.ready.push_back((e.seq, e.kind));
-        }
-        self.ready.extend(slot_it);
-        self.slots[idx] = v;
+        self.move_far_to_ready(t);
+        let run = std::mem::replace(&mut self.slots[idx], EMPTY);
+        self.next[self.ready.tail as usize] = run.head;
+        self.ready.tail = run.tail;
         self.clear_bit(idx);
     }
 }
@@ -615,29 +673,100 @@ mod tests {
         assert_eq!((s.far_len, s.past_len), (1, 1));
     }
 
-    /// Reference implementation: the previous `BinaryHeap` scheduler.
+    #[test]
+    fn a_schedule_takes_the_cell_the_last_pop_vacated() {
+        let mut q = EventQueue::new();
+        for t in 1..=3 {
+            q.schedule(SimTime::from_micros(t), deliver(t as usize));
+        }
+        // Cells 0, 1, 2 in time order; the two pops vacate 0, then 1.
+        assert_eq!(q.pop().unwrap().seq, 0);
+        assert_eq!(q.pop().unwrap().seq, 1);
+        q.schedule(SimTime::from_micros(9), deliver(9));
+        assert_eq!(q.pool.len(), 3, "a free cell was there to take");
+        assert_eq!(q.pool[1].as_ref().map(|&(seq, _)| seq), Some(3));
+        assert!(q.pool[0].is_none());
+    }
+
+    /// Reference implementation: the previous `BinaryHeap` scheduler. It
+    /// also remembers which events were scheduled a revolution or more
+    /// ahead of the clock, so where the wheel keeps each pending event can
+    /// be derived from it.
+    #[derive(Default)]
     struct RefQueue {
         heap: BinaryHeap<Event<u32, ()>>,
-        next_seq: u64,
+        went_far: Vec<bool>,
+        /// Most events pending at once.
+        peak: usize,
     }
 
     impl RefQueue {
-        fn new() -> Self {
-            RefQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
-        }
-        fn schedule(&mut self, time: SimTime, kind: EventKind<u32, ()>) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+        fn schedule(&mut self, now: u64, t: u64) {
+            let seq = self.went_far.len() as u64;
+            self.went_far.push(t >= now + WHEEL_SLOTS as u64);
+            let (time, kind) = (SimTime::from_micros(t), deliver(seq as usize));
             self.heap.push(Event { time, seq, kind });
+            self.peak = self.peak.max(self.heap.len());
         }
-        fn pop(&mut self) -> Option<Event<u32, ()>> {
-            self.heap.pop()
+
+        /// `(ready, far, past)` lengths with the clock at `now`: an event
+        /// before it was scheduled behind the cursor, one at it is ready,
+        /// and one after it sits where it was scheduled.
+        fn residency(&self, now: u64) -> (usize, usize, usize) {
+            let mut r = (0, 0, 0);
+            for e in &self.heap {
+                match e.time.as_micros().cmp(&now) {
+                    Ordering::Less => r.2 += 1,
+                    Ordering::Equal => r.0 += 1,
+                    Ordering::Greater => r.1 += self.went_far[e.seq as usize] as usize,
+                }
+            }
+            r
         }
-        fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
+    }
+
+    /// The wheel and the reference driven in lock-step. `now` mirrors the
+    /// simulation clock, the latest time popped, which is the wheel's
+    /// cursor.
+    #[derive(Default)]
+    struct Lockstep {
+        wheel: EventQueue<u32, ()>,
+        heap: RefQueue,
+        now: u64,
+    }
+
+    impl Lockstep {
+        fn schedule(&mut self, t: u64) {
+            let seq = self.heap.went_far.len();
+            self.wheel.schedule(SimTime::from_micros(t), deliver(seq));
+            self.heap.schedule(self.now, t);
+        }
+
+        /// Pops both; false once both are empty.
+        fn pop(&mut self) -> Result<bool, TestCaseError> {
+            prop_assert_eq!(
+                self.wheel.peek_time(),
+                self.heap.heap.peek().map(|e| e.time)
+            );
+            let a = self.wheel.pop().map(|e| (e.time.as_micros(), e.seq));
+            let b = self.heap.heap.pop().map(|e| (e.time.as_micros(), e.seq));
+            prop_assert_eq!(a, b);
+            if let Some((t, _)) = a {
+                self.now = self.now.max(t);
+            }
+            Ok(a.is_some())
+        }
+
+        /// The pending count and where each event sits agree with the
+        /// reference, and the pool holds no more cells than were ever
+        /// pending at once.
+        fn check(&self) -> Result<(), TestCaseError> {
+            prop_assert_eq!(self.wheel.len(), self.heap.heap.len());
+            let s = self.wheel.wheel_stats();
+            let residency = (s.ready_len, s.far_len, s.past_len);
+            prop_assert_eq!(residency, self.heap.residency(self.now));
+            prop_assert!(self.wheel.pool.len() <= self.heap.peak);
+            Ok(())
         }
     }
 
@@ -672,55 +801,35 @@ mod tests {
         ]
     }
 
+    /// Runs `ops`, then drains both queues, checking after every step.
+    fn lockstep(ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut run = Lockstep::default();
+        for op in ops {
+            match *op {
+                Op::ScheduleNear(d) => run.schedule(run.now + d as u64),
+                Op::ScheduleFar(d) => run.schedule(run.now + WHEEL_SLOTS as u64 + d as u64),
+                Op::ScheduleAbs(t) => run.schedule(t as u64),
+                Op::Pop => {
+                    run.pop()?;
+                }
+            }
+            run.check()?;
+        }
+        while run.pop()? {
+            run.check()?;
+        }
+        prop_assert!(run.wheel.is_empty());
+        Ok(())
+    }
+
     proptest! {
         /// The wheel queue and the heap reference pop identical
         /// `(time, seq)` streams for arbitrary interleaved workloads,
-        /// including same-timestamp bursts.
+        /// including same-timestamp bursts, and agree after every step on
+        /// the pending count and where each event sits.
         #[test]
         fn wheel_matches_heap_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-            let mut wheel: EventQueue<u32, ()> = EventQueue::new();
-            let mut heap = RefQueue::new();
-            let mut now = 0u64; // mirror of the simulation clock
-            for (i, op) in ops.iter().enumerate() {
-                match *op {
-                    Op::ScheduleNear(d) => {
-                        let t = SimTime::from_micros(now + d as u64);
-                        wheel.schedule(t, deliver(i));
-                        heap.schedule(t, deliver(i));
-                    }
-                    Op::ScheduleFar(d) => {
-                        let t = SimTime::from_micros(now + WHEEL_SLOTS as u64 + d as u64);
-                        wheel.schedule(t, deliver(i));
-                        heap.schedule(t, deliver(i));
-                    }
-                    Op::ScheduleAbs(t) => {
-                        let t = SimTime::from_micros(t as u64);
-                        wheel.schedule(t, deliver(i));
-                        heap.schedule(t, deliver(i));
-                    }
-                    Op::Pop => {
-                        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                        let a = wheel.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(a.as_ref().map(|e| (e.time, e.seq)),
-                                        b.as_ref().map(|e| (e.time, e.seq)));
-                        if let Some(e) = a {
-                            // The sim clock only moves forward.
-                            now = now.max(e.time.as_micros());
-                        }
-                    }
-                }
-            }
-            // Drain both to the end.
-            loop {
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a.as_ref().map(|e| (e.time, e.seq)),
-                                b.as_ref().map(|e| (e.time, e.seq)));
-                if a.is_none() { break; }
-            }
-            prop_assert!(wheel.is_empty());
+            lockstep(&ops)?;
         }
 
         /// Same-timestamp bursts pop strictly in scheduling order no
@@ -734,5 +843,63 @@ mod tests {
             let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
             prop_assert_eq!(seqs, (0..burst as u64).collect::<Vec<_>>());
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 10_000, ..ProptestConfig::default() })]
+
+        /// The same property over 10 000 workloads of up to 2 000 steps
+        /// (release: `cargo test --release -p bcastdb-sim _10k -- --ignored`).
+        #[test]
+        #[ignore]
+        fn wheel_matches_heap_reference_10k(ops in proptest::collection::vec(op_strategy(), 1..2000)) {
+            lockstep(&ops)?;
+        }
+    }
+
+    /// A million schedule/pop cycles at 300 pending over hundreds of
+    /// revolutions, with same-instant bursts and far events that wheel
+    /// events later join: the pops match the reference throughout, and
+    /// the pool stops at the most events ever pending.
+    #[test]
+    fn a_long_run_keeps_the_pool_at_its_peak() {
+        let mut rng = crate::DetRng::new(37);
+        let mut run = Lockstep::default();
+        for _ in 0..300 {
+            run.schedule(rng.gen_range(1..2_700));
+        }
+        let (mut last, mut far_at, mut merges, mut ties) = (0, u64::MAX, 0, 0);
+        for cycle in 0..1_000_000u32 {
+            let now = run.now;
+            let t = match rng.gen_range(0..100) {
+                // A burst: several events at the instant just scheduled.
+                0..=11 if last > now => last,
+                // Far ahead; a later near event at the same time merges.
+                12 => {
+                    far_at = now + WHEEL_SLOTS as u64 + rng.gen_range(0..2_000);
+                    far_at
+                }
+                13..=15 if far_at > now && far_at - now < WHEEL_SLOTS as u64 => {
+                    merges += 1;
+                    far_at
+                }
+                _ => now + rng.gen_range(1..2_700),
+            };
+            run.schedule(t);
+            last = t;
+            assert!(run.pop().unwrap());
+            ties += (run.now == now) as u32;
+            if cycle % 1_000 == 0 {
+                run.check().unwrap();
+            }
+        }
+        assert_eq!(run.heap.peak, 301);
+        assert!(run.wheel.pool.len() <= 301);
+        assert!(run.now > 100 * WHEEL_SLOTS as u64, "{} µs", run.now);
+        assert!(
+            merges > 1_000 && ties > 10_000,
+            "{merges} merges, {ties} ties"
+        );
+        while run.pop().unwrap() {}
     }
 }

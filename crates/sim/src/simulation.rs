@@ -8,7 +8,7 @@ use crate::{DetRng, SimDuration, SimTime, SiteId};
 
 /// A deterministic state machine living at one site of the simulated system.
 ///
-/// Nodes communicate only through [`Ctx::send`] / [`Ctx::send_all`] and
+/// Nodes communicate only through [`Ctx::send`] / [`Ctx::send_sized`] and
 /// receive input through [`Node::on_message`] and [`Node::on_timer`]. All
 /// randomness must come from [`Ctx::rng`] so runs stay reproducible.
 pub trait Node {
@@ -70,11 +70,6 @@ impl<'a, M: Clone, T: Clone> Ctx<'a, M, T> {
         self.n_sites
     }
 
-    /// All site identifiers, in index order.
-    pub fn all_sites(&self) -> impl Iterator<Item = SiteId> {
-        (0..self.n_sites).map(SiteId)
-    }
-
     /// Deterministic random source for this run.
     pub fn rng(&mut self) -> &mut DetRng {
         self.rng
@@ -129,24 +124,6 @@ impl<'a, M: Clone, T: Clone> Ctx<'a, M, T> {
         }
     }
 
-    /// Sends `msg` to every site *including* self. This is the raw
-    /// best-effort "network multicast" the broadcast primitives are built
-    /// on; it provides no guarantees beyond per-link FIFO.
-    pub fn send_all(&mut self, msg: M) {
-        for i in 0..self.n_sites {
-            self.send(SiteId(i), msg.clone());
-        }
-    }
-
-    /// Sends `msg` to every site except self.
-    pub fn send_others(&mut self, msg: M) {
-        for i in 0..self.n_sites {
-            if SiteId(i) != self.me {
-                self.send(SiteId(i), msg.clone());
-            }
-        }
-    }
-
     /// Schedules `tag` to fire at this node after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, tag: T) {
         self.queue
@@ -198,11 +175,14 @@ pub struct Simulation<N: Node> {
 impl<N: Node> Simulation<N> {
     /// Creates a simulation over the given nodes (site `i` is `nodes[i]`).
     pub fn new(seed: u64, config: NetworkConfig, nodes: Vec<N>) -> Self {
-        // Pre-size the event queue for a broadcast-heavy workload: every
-        // step of an N-site cluster can fan out O(N) deliveries, and
-        // in-flight timers add a few more per site. 64·N slots absorb the
-        // steady state of every experiment sweep without a single heap
-        // reallocation; capacity never affects ordering.
+        // Pre-size the event queue's pool and far heap for a broadcast-heavy
+        // workload: every step of an N-site cluster can fan out O(N)
+        // deliveries, and in-flight timers add a few more per site. 64·N
+        // is a starting size, not a bound: a lossy 4-site P-RB run holds
+        // up to 758 cells, so its pool doubles twice while warming up and
+        // then keeps its peak; a saturated 32-site ring holds up to 2 141
+        // events, half of them far, and needs 349 cells. Capacity never
+        // affects ordering.
         let cap = nodes.len().saturating_mul(64).max(256);
         Simulation {
             nodes,
@@ -492,8 +472,11 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, u32>, tag: u32) {
             // On timer `k`, ping everyone else `k` times.
+            let me = ctx.me();
             for _ in 0..tag {
-                ctx.send_others(Msg::Ping);
+                for to in (0..ctx.n_sites()).map(SiteId).filter(|&to| to != me) {
+                    ctx.send(to, Msg::Ping);
+                }
             }
         }
     }

@@ -123,8 +123,15 @@ BENCH_CEILING = 4992
 # batch's first message and handed back by `recycle` (batch.rs +11, net of
 # `pending_for`, now a test helper), the envelope's hand-back in engine.rs
 # (+4) and the dirty-tree stamp (harness.rs +1), less the unused
-# `Cluster::replica_mut` (-5).
-CRATES_CEILING = 20928
+# `Cluster::replica_mut` (-5). Raised by exactly its growth, 20926 -> 20964
+# (ceiling 20928 -> 20966), when the event queue's wheel slots and ready
+# queue became lists of recycled cells in one pool (DESIGN.md section 13):
+# the pool, its links, free list and list type in sim/event.rs (+58 net of
+# the per-slot vectors, the `VecDeque` and the two-way merge, which became
+# a splice), less `Ctx::send_all`, `Ctx::send_others` and `Ctx::all_sites`,
+# which nothing but a test called (sim/simulation.rs -20, with the
+# pre-size comment now saying what the pool's starting size covers).
+CRATES_CEILING = 20966
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
