@@ -3,9 +3,11 @@
 //! against the committed `results/` and `experiments_output.txt`, and the
 //! `run_all` / `chaos` / `bcast-trace` command lines keep the 0 / 1 / 2 exit
 //! contract — the last one also on hostile files, with a mutation sweep
-//! over the JSON readers behind it.
+//! over the JSON readers behind it — and the fault-plan grammar behind
+//! `chaos --replay` gets a sweep of its own.
 
 use bcastdb_bench::experiments::{Experiment, Options, Run, ALL};
+use bcastdb_bench::faultplan::{parse_plan, plan_to_string};
 use bcastdb_bench::perfdiff::WallclockLedger;
 use bcastdb_sim::json::{self, Json};
 use bcastdb_sim::stats::Sample;
@@ -248,6 +250,11 @@ fn chaos_usage_errors_exit_2_with_one_line() {
             "unknown cell",
         ),
         (&["--replay", "causal|garbage"], &[], "bad clause"),
+        (
+            &["--replay", "reliable|drop(0.5)@0>1@0.."],
+            &[],
+            "time must be integer µs",
+        ),
         (
             &["--seeds", "1"],
             &[("BCASTDB_JOBS", "zero")],
@@ -576,6 +583,49 @@ fn mutated_json_never_panics_and_accepted_values_round_trip() {
     }
     assert!(
         tried > 20_000 && accepted > 1_000,
+        "{tried} tried, {accepted} accepted"
+    );
+}
+
+/// Every prefix of `good`, and every byte of it replaced by each byte of
+/// the fault-plan grammar's alphabet.
+fn plan_mutations(good: &str) -> impl Iterator<Item = String> + '_ {
+    const ALPHABET: &[u8] = b";@>.*(),0159e-+ a";
+    let prefixes = (0..good.len()).map(move |cut| good[..cut].to_owned());
+    let substitutions = (0..good.len()).flat_map(move |at| {
+        ALPHABET.iter().map(move |&byte| {
+            let mut bytes = good.as_bytes().to_vec();
+            bytes[at] = byte;
+            String::from_utf8(bytes).expect("an ASCII plan stays UTF-8")
+        })
+    });
+    prefixes.chain(substitutions)
+}
+
+/// ROADMAP item 9, the fault-plan half: no mutation of a good plan makes
+/// `parse_plan` panic, and every plan it still accepts survives its own
+/// writer — render, parse again, same plan, same text.
+#[test]
+fn mutated_fault_plans_never_panic_and_accepted_plans_round_trip() {
+    let (mut tried, mut accepted) = (0u32, 0u32);
+    for good in [
+        "drop(0.25)@1>2@0..600000;dup(0.1,2500)@*>*@50000..150000",
+        "reorder(0.5,300)@0>*@10..20;burst@*>1@5..6",
+        "spike(1,99)@2>0@0..18446744073709551615",
+    ] {
+        assert!(parse_plan(good).is_ok(), "{good}");
+        for text in plan_mutations(good) {
+            tried += 1;
+            if let Ok(plan) = parse_plan(&text) {
+                accepted += 1;
+                let again = plan_to_string(&plan);
+                assert_eq!(parse_plan(&again), Ok(plan), "{text:?} -> {again:?}");
+                assert_eq!(plan_to_string(&parse_plan(&again).unwrap()), again);
+            }
+        }
+    }
+    assert!(
+        tried > 1_500 && accepted > 300,
         "{tried} tried, {accepted} accepted"
     );
 }

@@ -18,8 +18,7 @@
 //! Both deliver [`TotalDelivery`] values carrying a dense global sequence
 //! number, identical at every site.
 
-use crate::contig::SeenIds;
-use crate::msg::{Dest, MsgId, Outbound};
+use crate::msg::{Dest, MsgId, Outbound, SeqWindow};
 use crate::order::{Order, OrderWire, Report, Snapshot};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
@@ -309,7 +308,7 @@ pub struct IsisAbcast<P> {
     /// Duplicate suppression must outlive delivery: a late network
     /// duplicate of a delivered `Data` would otherwise re-insert a
     /// pending entry that can never finalize, wedging the holdback.
-    seen: SeenIds,
+    seen: Vec<SeqWindow<()>>,
     /// Proposals collected by this site for its own broadcasts.
     proposals: HashMap<MsgId, Vec<Priority>>,
     delivered: u64,
@@ -328,7 +327,7 @@ impl<P: Clone> IsisAbcast<P> {
             next_seq: 0,
             lamport: 0,
             pending: BTreeMap::new(),
-            seen: SeenIds::new(n),
+            seen: vec![SeqWindow::default(); n],
             proposals: HashMap::new(),
             delivered: 0,
         }
@@ -342,7 +341,7 @@ impl<P: Clone> IsisAbcast<P> {
     /// Accepted ids held individually because an earlier `Data` of the
     /// same origin has not arrived.
     pub fn dedup_live(&self) -> usize {
-        self.seen.live()
+        self.seen.iter().map(SeqWindow::held).sum()
     }
 
     /// The donor-visible logical clock (for state transfer).
@@ -438,7 +437,7 @@ impl<P: Clone> AtomicBcast<P> for IsisAbcast<P> {
             payload: payload.clone(),
         }));
         let own = self.propose();
-        self.seen.insert(id);
+        self.seen[id.origin.0].insert(id.seq);
         self.pending.insert(
             id,
             IsisEntry {
@@ -455,7 +454,7 @@ impl<P: Clone> AtomicBcast<P> for IsisAbcast<P> {
         let mut out = Output::empty();
         match wire {
             IsisWire::Data { id, payload } => {
-                if !self.seen.insert(id) {
+                if !self.seen[id.origin.0].insert(id.seq) {
                     return out; // duplicate (pending or already delivered)
                 }
                 let prio = self.propose();

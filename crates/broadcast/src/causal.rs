@@ -13,7 +13,7 @@
 //!   clock shows `s` had already delivered a commit request counts as `s`'s
 //!   positive vote.
 
-use crate::msg::{Archive, Dest, MsgId, Outbound};
+use crate::msg::{Archive, Dest, MsgId, Outbound, SeqWindow};
 use crate::vclock::VectorClock;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
@@ -79,8 +79,9 @@ pub struct CausalBcast<P> {
     /// Component `i` = number of messages from site `i` delivered here.
     /// Component `me` also counts our own broadcasts.
     vc: VectorClock,
-    /// Messages received but not yet causally deliverable.
-    pending: Vec<Wire<P>>,
+    /// Per origin, messages received but not yet causally deliverable,
+    /// above a watermark that follows `vc[origin]`.
+    waiting: Vec<SeqWindow<Wire<P>>>,
     /// Every wire ever seen (sent or received), retained for
     /// retransmission to peers that lost their copies; off
     /// ([`CausalBcast::without_archive`]) when the deployment never
@@ -100,7 +101,7 @@ impl<P: Clone> CausalBcast<P> {
             n,
             relay: false,
             vc: VectorClock::new(n),
-            pending: Vec::new(),
+            waiting: (0..n).map(|_| SeqWindow::default()).collect(),
             archive: Archive::new(n),
         }
     }
@@ -153,6 +154,7 @@ impl<P: Clone> CausalBcast<P> {
     }
 
     fn send_stamped(&mut self, seq: u64, vc: VectorClock, payload: P) -> (MsgId, Output<P>) {
+        self.waiting[self.me.0].raise(seq);
         let id = MsgId {
             origin: self.me,
             seq,
@@ -174,13 +176,13 @@ impl<P: Clone> CausalBcast<P> {
     }
 
     /// Handles an incoming wire message, returning every delivery it
-    /// unblocks (in causal order).
+    /// unblocks (in causal order; of several origins unblocked at once,
+    /// the lowest first).
     pub fn on_wire(&mut self, _from: SiteId, wire: Wire<P>) -> Output<P> {
         // Deliveries from one origin are gapless, so a wire was received
         // before iff the clock already covers it or it is still waiting.
-        if wire.id.seq <= self.vc.get(wire.id.origin)
-            || self.pending.iter().any(|w| w.id == wire.id)
-        {
+        let origin = wire.id.origin;
+        if self.waiting[origin.0].contains(wire.id.seq) {
             return Output::empty();
         }
         let mut out = Output::empty();
@@ -191,33 +193,28 @@ impl<P: Clone> CausalBcast<P> {
             });
         }
         self.archive.keep(wire.id, || wire.clone());
-        self.pending.push(wire);
-        // Repeatedly scan for deliverable messages; each delivery can
-        // unblock others.
-        loop {
-            let idx = self.pending.iter().position(|w| self.deliverable(w));
-            match idx {
-                Some(i) => {
-                    let w = self.pending.swap_remove(i);
-                    self.vc.set(w.id.origin, w.id.seq);
-                    out.deliveries.push(Delivery {
-                        id: w.id,
-                        vc: w.vc,
-                        payload: w.payload,
-                    });
-                }
-                None => break,
-            }
+        if wire.id.seq != self.vc.get(origin) + 1 || !self.deliverable(&wire) {
+            // Nothing else can be unblocked: the clock has not moved.
+            self.waiting[origin.0].hold(wire.id.seq, wire);
+            return out;
+        }
+        self.waiting[origin.0].advance();
+        let mut next = Some(wire);
+        while let Some(w) = next {
+            self.vc.set(w.id.origin, w.id.seq);
+            let (id, vc, payload) = (w.id, w.vc, w.payload);
+            out.deliveries.push(Delivery { id, vc, payload });
+            // Each delivery can unblock the head of any origin's window.
+            let ready = |o: &usize| self.waiting[*o].head().is_some_and(|w| self.deliverable(w));
+            let head = (0..self.n).find(ready);
+            next = head.and_then(|o| self.waiting[o].advance());
         }
         out
     }
 
-    /// BSS delivery condition: next-in-FIFO from its origin, and every
+    /// BSS delivery condition for the next wire of its origin: every
     /// causal dependency already delivered.
     fn deliverable(&self, w: &Wire<P>) -> bool {
-        if w.id.seq != self.vc.get(w.id.origin) + 1 {
-            return false;
-        }
         (0..self.n)
             .map(SiteId)
             .filter(|&k| k != w.id.origin)
@@ -226,7 +223,7 @@ impl<P: Clone> CausalBcast<P> {
 
     /// Number of messages waiting on causal predecessors.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.waiting.iter().map(SeqWindow::held).sum()
     }
 
     /// Archived messages a peer whose delivered clock is `their_vc` is
@@ -246,13 +243,259 @@ impl<P: Clone> CausalBcast<P> {
     /// numbering from the merged component.
     pub fn resume_from(&mut self, donor: &VectorClock) {
         self.vc.merge(donor);
-        self.pending.clear();
+        for (o, waiting) in self.waiting.iter_mut().enumerate() {
+            waiting.clear();
+            waiting.raise(self.vc.get(SiteId(o)));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The engine as it was before its waiting messages were windowed: one
+    /// vector of every waiting wire, rescanned with `position` after every
+    /// delivery. Its order among several origins unblocked at once is the
+    /// vector's, shaped by earlier `swap_remove`s; the windowed engine
+    /// delivers the lowest origin first, so the two agree on what is
+    /// delivered by each input, not on the order within it.
+    pub(super) mod oracle {
+        use super::super::{Delivery, Wire};
+        use crate::vclock::VectorClock;
+        use bcastdb_sim::SiteId;
+
+        pub(crate) struct Oracle<P> {
+            me: SiteId,
+            relay: bool,
+            vc: VectorClock,
+            pending: Vec<Wire<P>>,
+        }
+
+        impl<P: Clone> Oracle<P> {
+            pub(crate) fn new(me: SiteId, n: usize, relay: bool) -> Self {
+                let (vc, pending) = (VectorClock::new(n), Vec::new());
+                Oracle {
+                    me,
+                    relay,
+                    vc,
+                    pending,
+                }
+            }
+
+            pub(crate) fn clock(&self) -> &VectorClock {
+                &self.vc
+            }
+
+            pub(crate) fn pending_len(&self) -> usize {
+                self.pending.len()
+            }
+
+            /// The id of the next own broadcast (its stamp is the clock).
+            pub(crate) fn broadcast(&mut self) -> u64 {
+                self.vc.increment(self.me)
+            }
+
+            /// Deliveries, and whether the wire was relayed.
+            pub(crate) fn on_wire(&mut self, wire: Wire<P>) -> (Vec<Delivery<P>>, bool) {
+                if wire.id.seq <= self.vc.get(wire.id.origin)
+                    || self.pending.iter().any(|w| w.id == wire.id)
+                {
+                    return (Vec::new(), false);
+                }
+                self.pending.push(wire);
+                let mut out = Vec::new();
+                while let Some(i) = self.pending.iter().position(|w| self.deliverable(w)) {
+                    let w = self.pending.swap_remove(i);
+                    self.vc.set(w.id.origin, w.id.seq);
+                    let (id, vc, payload) = (w.id, w.vc, w.payload);
+                    out.push(Delivery { id, vc, payload });
+                }
+                (out, self.relay)
+            }
+
+            fn deliverable(&self, w: &Wire<P>) -> bool {
+                if w.id.seq != self.vc.get(w.id.origin) + 1 {
+                    return false;
+                }
+                (0..self.vc.len())
+                    .map(SiteId)
+                    .filter(|&k| k != w.id.origin)
+                    .all(|k| w.vc.get(k) <= self.vc.get(k))
+            }
+
+            pub(crate) fn resume_from(&mut self, donor: &VectorClock) {
+                self.vc.merge(donor);
+                self.pending.clear();
+            }
+        }
+    }
+
+    /// One input of the lock-step run; each `usize` picks among what
+    /// exists at that point.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A generator site broadcasts.
+        Broadcast(usize),
+        /// A generator site receives a sent wire (builds causal chains).
+        Gossip(usize, usize),
+        /// The watched site receives a sent wire: out of order, again, or
+        /// an echo of its own.
+        Observe(usize),
+        /// The watched site broadcasts.
+        Own,
+        /// The watched site resumes from a generator's clock (ahead of it)
+        /// or from one of its own earlier clocks (behind it).
+        Resume(usize, bool),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let observe = any::<usize>().prop_map(Step::Observe);
+        prop_oneof![
+            any::<usize>().prop_map(Step::Broadcast),
+            (any::<usize>(), any::<usize>()).prop_map(|(g, i)| Step::Gossip(g, i)),
+            (any::<usize>(), any::<usize>()).prop_map(|(g, i)| Step::Gossip(g, i)),
+            observe.clone(),
+            observe.clone(),
+            observe,
+            Just(Step::Own),
+            (any::<usize>(), any::<bool>()).prop_map(|(i, ahead)| Step::Resume(i, ahead)),
+        ]
+    }
+
+    /// Checks that `deliveries`, made from clock `at`, each come next from
+    /// their origin with every dependency delivered; returns the clock after.
+    fn causal_order<'a, P: 'a>(
+        mut at: VectorClock,
+        deliveries: impl Iterator<Item = &'a Delivery<P>>,
+    ) -> Result<VectorClock, TestCaseError> {
+        for d in deliveries {
+            prop_assert_eq!(d.id.seq, at.get(d.id.origin) + 1, "FIFO at {}", d.id);
+            let deps = (d.vc.iter()).all(|(k, c)| k == d.id.origin || c <= at.get(k));
+            prop_assert!(deps, "{} delivered before a dependency", d.id);
+            at.set(d.id.origin, d.id.seq);
+        }
+        Ok(at)
+    }
+
+    /// Drives the windowed engine and the oracle at the last of `n` sites
+    /// through `steps`; the other sites generate the wires. After every
+    /// input both deliver the same set, relay alike, end at the same clock
+    /// and hold the same count, and each delivery order is causal.
+    fn lockstep(n: usize, relay: bool, steps: &[Step]) -> Result<(), TestCaseError> {
+        let me = SiteId(n - 1);
+        let mut gens: Vec<CausalBcast<u64>> =
+            (0..n - 1).map(|i| CausalBcast::new(SiteId(i), n)).collect();
+        let mut new = CausalBcast::new(me, n);
+        if relay {
+            new = new.with_relay();
+        }
+        let mut old = oracle::Oracle::new(me, n, relay);
+        let (mut sent, mut clocks) = (Vec::<Wire<u64>>::new(), vec![VectorClock::new(n)]);
+        for (i, step) in steps.iter().enumerate() {
+            let payload = i as u64;
+            match *step {
+                Step::Broadcast(g) => {
+                    let (_, out) = gens[g % (n - 1)].broadcast(payload);
+                    sent.push(out.outbound[0].wire.clone());
+                }
+                Step::Gossip(_, _) | Step::Observe(_) if sent.is_empty() => {}
+                Step::Gossip(g, w) => {
+                    let w = sent[w % sent.len()].clone();
+                    gens[g % (n - 1)].on_wire(w.id.origin, w);
+                }
+                Step::Observe(w) => {
+                    let w = sent[w % sent.len()].clone();
+                    let before = new.clock().clone();
+                    let got = new.on_wire(w.id.origin, w.clone());
+                    let (want, relayed) = old.on_wire(w);
+                    let ids = |ds: &mut dyn Iterator<Item = MsgId>| {
+                        let mut ids: Vec<MsgId> = ds.collect();
+                        ids.sort_unstable();
+                        ids
+                    };
+                    let got_ids = ids(&mut got.deliveries.iter().map(|d| d.id));
+                    prop_assert_eq!(got_ids, ids(&mut want.iter().map(|d| d.id)));
+                    prop_assert_eq!(!got.outbound.is_empty(), relayed);
+                    let after = causal_order(before.clone(), got.deliveries.iter())?;
+                    prop_assert_eq!(&after, new.clock());
+                    causal_order(before, want.iter())?;
+                }
+                Step::Own => {
+                    let (id, out) = new.broadcast(payload);
+                    prop_assert_eq!(id.seq, old.broadcast());
+                    sent.push(out.outbound[0].wire.clone());
+                }
+                Step::Resume(g, ahead) => {
+                    let donor = match ahead {
+                        true => gens[g % (n - 1)].clock().clone(),
+                        false => clocks[g % clocks.len()].clone(),
+                    };
+                    new.resume_from(&donor);
+                    old.resume_from(&donor);
+                }
+            }
+            prop_assert_eq!(new.clock(), old.clock(), "after {:?}", step);
+            prop_assert_eq!(new.pending_len(), old.pending_len(), "after {:?}", step);
+            clocks.push(new.clock().clone());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Out-of-order and duplicated wires from causal chains over 3–5
+        /// sites, echoes of the site's own broadcasts, relay on or off,
+        /// and resumes from clocks ahead of and behind the site.
+        #[test]
+        fn windowed_engine_agrees_with_the_oracle(
+            n in 3usize..=5,
+            relay in any::<bool>(),
+            steps in proptest::collection::vec(step(), 0..120)
+        ) {
+            lockstep(n, relay, &steps)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 10_000, ..ProptestConfig::default() })]
+
+        /// The same property over 10 000 runs (release:
+        /// `cargo test --release -p bcastdb-broadcast _10k -- --ignored`).
+        #[test]
+        #[ignore]
+        fn windowed_engine_agrees_with_the_oracle_10k(
+            n in 3usize..=5,
+            relay in any::<bool>(),
+            steps in proptest::collection::vec(step(), 0..240)
+        ) {
+            lockstep(n, relay, &steps)?;
+        }
+    }
+
+    /// When one delivery unblocks the heads of several origins at once, the
+    /// lowest origin goes first. The oracle goes by position in its vector.
+    #[test]
+    fn unblocked_origins_deliver_lowest_first() {
+        let mut es = engines(4);
+        let (_, om) = es[0].broadcast("m".into());
+        let wm = om.outbound[0].wire.clone();
+        es[1].on_wire(SiteId(0), wm.clone());
+        es[2].on_wire(SiteId(0), wm.clone());
+        let wx = es[1].broadcast("x".into()).1.outbound[0].wire.clone();
+        let wy = es[2].broadcast("y".into()).1.outbound[0].wire.clone();
+        let mut old = oracle::Oracle::new(SiteId(3), 4, false);
+        for w in [wy, wx] {
+            assert!(es[3].on_wire(w.id.origin, w.clone()).deliveries.is_empty());
+            assert!(old.on_wire(w).0.is_empty());
+        }
+        assert_eq!(
+            payloads(&es[3].on_wire(SiteId(0), wm.clone())),
+            ["m", "x", "y"]
+        );
+        let old_order: Vec<String> = old.on_wire(wm).0.into_iter().map(|d| d.payload).collect();
+        assert_eq!(old_order, ["m", "y", "x"]);
+    }
 
     /// Drives `k` engines by hand, returning mutable handles.
     fn engines(n: usize) -> Vec<CausalBcast<String>> {

@@ -27,7 +27,8 @@
 //! All engines are *sans-IO*: they consume wire messages and produce
 //! `(destination, wire)` pairs plus application deliveries, so they can be
 //! unit-tested exhaustively and embedded in any transport (here, the
-//! deterministic simulator in `bcastdb-sim`).
+//! deterministic simulator in `bcastdb-sim`). What one keeps per origin is
+//! a `msg::SeqWindow`: a watermark plus whatever arrived above it.
 //!
 //! # Example: causal order end to end
 //!
@@ -59,7 +60,6 @@
 pub mod atomic;
 pub mod batch;
 pub mod causal;
-pub mod contig;
 pub mod membership;
 pub mod msg;
 pub mod order;

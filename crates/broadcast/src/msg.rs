@@ -1,6 +1,7 @@
 //! Common message plumbing shared by the broadcast engines.
 
 use bcastdb_sim::SiteId;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Globally unique identifier of a broadcast message: the originating site
@@ -130,16 +131,130 @@ pub fn expand_dest(dest: Dest, me: SiteId, n: usize) -> Vec<SiteId> {
     dest_iter(dest, me, n).collect()
 }
 
+/// One origin's sequence numbers: a watermark, every number at or below
+/// it settled, and one slot per number above it up to the highest held.
+/// Every engine numbers its broadcasts per origin from 1 and links are
+/// (nearly) FIFO, so the slots are almost always empty and the next number
+/// settles through [`advance`](Self::advance) without touching them. An id
+/// tracker is a `SeqWindow<()>`.
+#[derive(Debug, Clone)]
+pub(crate) struct SeqWindow<T> {
+    base: u64,
+    /// Slot `i` holds number `base + 1 + i`; never ends in `None`.
+    slots: VecDeque<Option<T>>,
+    held: usize,
+}
+
+impl<T> Default for SeqWindow<T> {
+    fn default() -> Self {
+        SeqWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            held: 0,
+        }
+    }
+}
+
+impl<T> SeqWindow<T> {
+    /// Every number at or below the watermark is settled.
+    pub(crate) fn watermark(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of items held above the watermark.
+    pub(crate) fn held(&self) -> usize {
+        self.held
+    }
+
+    /// The highest number settled or held.
+    pub(crate) fn max_seen(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    /// The item held as number `seq`.
+    pub(crate) fn get(&self, seq: u64) -> Option<&T> {
+        let at = seq.checked_sub(self.base + 1)?;
+        self.slots.get(at as usize)?.as_ref()
+    }
+
+    /// True iff `seq` is settled or held.
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        seq <= self.base || self.get(seq).is_some()
+    }
+
+    /// The item held as the next number, if any.
+    pub(crate) fn head(&self) -> Option<&T> {
+        self.slots.front()?.as_ref()
+    }
+
+    /// Holds `item` as number `seq`, replacing a copy held before; returns
+    /// whether none was. A settled `seq` drops `item` and returns false.
+    pub(crate) fn hold(&mut self, seq: u64, item: T) -> bool {
+        let Some(at) = seq.checked_sub(self.base + 1) else {
+            return false;
+        };
+        let at = at as usize;
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        let fresh = self.slots[at].replace(item).is_none();
+        self.held += usize::from(fresh);
+        fresh
+    }
+
+    /// Settles the next number, returning what was held for it.
+    pub(crate) fn advance(&mut self) -> Option<T> {
+        self.base += 1;
+        let item = self.slots.pop_front().flatten();
+        self.held -= usize::from(item.is_some());
+        item
+    }
+
+    /// Settles the next number if it is held, returning its item.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        self.head()?;
+        self.advance()
+    }
+
+    /// Settles every number up to `floor` (the watermark never falls),
+    /// dropping what was held for them.
+    pub(crate) fn raise(&mut self, floor: u64) {
+        if floor > self.base {
+            let covered = ((floor - self.base) as usize).min(self.slots.len());
+            self.held -= self.slots.drain(..covered).flatten().count();
+            self.base = floor;
+        }
+    }
+
+    /// Drops every held item.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.held = 0;
+    }
+}
+
+impl SeqWindow<()> {
+    /// Records `seq` in an id tracker; returns whether it was new. The
+    /// watermark moves past every number that is now contiguous.
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
+        let new = match seq == self.base + 1 {
+            true => self.advance().is_none(),
+            false => self.hold(seq, ()),
+        };
+        while self.pop().is_some() {}
+        new
+    }
+}
+
 /// Every message an engine has seen (sent or received), kept for
-/// retransmission to peers that lost their copies: per origin, a vector
-/// indexed by `seq - 1`. Kept whole on purpose: a sync request can be a
-/// delayed duplicate of an old one, so no watermark a peer has reported
+/// retransmission to peers that lost their copies: one window per origin
+/// whose watermark stays at 0. Kept whole on purpose: a sync request can be
+/// a delayed duplicate of an old one, so no watermark a peer has reported
 /// since bounds what the next request asks for — and how many wires an
 /// answer holds is part of the run's message counts.
 #[derive(Debug)]
 pub(crate) struct Archive<T> {
-    by_origin: Vec<Vec<Option<T>>>,
-    len: usize,
+    by_origin: Vec<SeqWindow<T>>,
 }
 
 impl<T> Archive<T> {
@@ -147,30 +262,24 @@ impl<T> Archive<T> {
     /// only loss-recovery deployments ask for retransmissions, so the
     /// others skip a copy per message.
     pub(crate) fn new(n: usize) -> Self {
-        let by_origin = (0..n).map(|_| Vec::new()).collect();
-        Archive { by_origin, len: 0 }
+        let by_origin = (0..n).map(|_| SeqWindow::default()).collect();
+        Archive { by_origin }
     }
 
     /// Keeps `item()` as message `id`, replacing an earlier copy.
     pub(crate) fn keep(&mut self, id: MsgId, item: impl FnOnce() -> T) {
-        let Some(row) = self.by_origin.get_mut(id.origin.0) else {
-            return;
-        };
-        let i = (id.seq - 1) as usize;
-        if row.len() <= i {
-            row.resize_with(i + 1, || None);
+        if let Some(row) = self.by_origin.get_mut(id.origin.0) {
+            row.hold(id.seq, item());
         }
-        self.len += usize::from(row[i].replace(item()).is_none());
     }
 
     fn get(&self, id: MsgId) -> Option<&T> {
-        let row = self.by_origin.get(id.origin.0)?;
-        row.get(id.seq.checked_sub(1)? as usize)?.as_ref()
+        self.by_origin.get(id.origin.0)?.get(id.seq)
     }
 
     /// Number of messages kept.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.by_origin.iter().map(SeqWindow::held).sum()
     }
 
     /// Kept messages a peer at per-origin delivery watermarks `marks` is
@@ -209,7 +318,163 @@ impl<T> Archive<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
+
+    /// The reference a window is held to: a watermark plus a map of what
+    /// is held above it.
+    #[derive(Default)]
+    struct Model {
+        base: u64,
+        held: BTreeMap<u64, u32>,
+    }
+
+    /// One operation on a window; sequence numbers and floors are small so
+    /// that holds collide, land below the watermark and get raised over.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Hold(u64, u32),
+        Advance,
+        Pop,
+        Raise(u64),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let hold = (1u64..40, any::<u32>()).prop_map(|(seq, v)| Op::Hold(seq, v));
+        prop_oneof![
+            hold.clone(),
+            hold,
+            Just(Op::Advance),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            (0u64..40).prop_map(Op::Raise),
+            Just(Op::Clear),
+        ]
+    }
+
+    /// Applies `ops` to a window and the model, comparing every return
+    /// value, the watermark, the held count, the highest number seen, the
+    /// head and every slot after each one.
+    fn window_agrees(ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut w = SeqWindow::default();
+        let mut m = Model::default();
+        for op in ops {
+            match *op {
+                Op::Hold(seq, v) => {
+                    let fresh = seq > m.base && m.held.insert(seq, v).is_none();
+                    prop_assert_eq!(w.hold(seq, v), fresh, "{:?}", op);
+                }
+                Op::Advance => {
+                    m.base += 1;
+                    prop_assert_eq!(w.advance(), m.held.remove(&m.base));
+                }
+                Op::Pop => {
+                    let want = m.held.remove(&(m.base + 1));
+                    m.base += u64::from(want.is_some());
+                    prop_assert_eq!(w.pop(), want);
+                }
+                Op::Raise(floor) => {
+                    w.raise(floor);
+                    m.base = m.base.max(floor);
+                    m.held.retain(|&seq, _| seq > m.base);
+                }
+                Op::Clear => {
+                    w.clear();
+                    m.held.clear();
+                }
+            }
+            let max_seen = m.held.keys().last().copied().unwrap_or(m.base);
+            prop_assert_eq!(w.watermark(), m.base);
+            prop_assert_eq!(w.held(), m.held.len());
+            prop_assert_eq!(w.max_seen(), max_seen);
+            prop_assert_eq!(w.head(), m.held.get(&(m.base + 1)));
+            for seq in 0..=max_seen + 1 {
+                prop_assert_eq!(w.get(seq), m.held.get(&seq), "slot {}", seq);
+                let contains = seq <= m.base || m.held.contains_key(&seq);
+                prop_assert_eq!(w.contains(seq), contains, "contains {}", seq);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Holds above, at and below the watermark, replacements, the
+        /// in-order path, pops, raises and clears: the window answers every
+        /// question as the map does.
+        #[test]
+        fn window_agrees_with_the_map(ops in proptest::collection::vec(op(), 0..120)) {
+            window_agrees(&ops)?;
+        }
+
+        /// Ids from three origins, mostly in order with gaps and
+        /// duplicates: every verdict of the per-origin id trackers matches
+        /// the set of every id, and their held counts are exactly the ids
+        /// above each origin's gap.
+        #[test]
+        fn seen_ids_agree_with_the_oracle(
+            ids in proptest::collection::vec((0usize..3, 1u64..24), 0..120)
+        ) {
+            let mut new = vec![SeqWindow::<()>::default(); 3];
+            let mut old = HashSet::new();
+            for (origin, seq) in ids {
+                let id = MsgId { origin: SiteId(origin), seq };
+                prop_assert_eq!(new[origin].insert(seq), old.insert(id), "verdict on {}", id);
+            }
+            for (o, w) in new.iter().enumerate() {
+                let origin = SiteId(o);
+                let prefix = (1..).take_while(|&seq| old.contains(&MsgId { origin, seq })).count();
+                let above = old.iter().filter(|id| id.origin == origin).count() - prefix;
+                prop_assert_eq!((w.watermark(), w.held()), (prefix as u64, above));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 10_000, ..ProptestConfig::default() })]
+
+        /// The same property over 10 000 sequences (release:
+        /// `cargo test --release -p bcastdb-broadcast _10k -- --ignored`).
+        #[test]
+        #[ignore]
+        fn window_agrees_with_the_map_10k(ops in proptest::collection::vec(op(), 0..240)) {
+            window_agrees(&ops)?;
+        }
+    }
+
+    #[test]
+    fn in_order_numbers_never_touch_the_slots() {
+        let mut w = SeqWindow::<()>::default();
+        for seq in 1..=100 {
+            assert!(w.insert(seq));
+            assert_eq!((w.held(), w.slots.capacity()), (0, 0));
+        }
+        assert_eq!(w.watermark(), 100);
+        assert!(!w.insert(7), "duplicate below the watermark");
+    }
+
+    #[test]
+    fn gaps_are_held_then_absorbed() {
+        let mut w = SeqWindow::<()>::default();
+        assert!(w.insert(3) && w.insert(2));
+        assert!(!w.insert(3), "duplicate above the watermark");
+        assert_eq!((w.watermark(), w.held(), w.max_seen()), (0, 2, 3));
+        assert!(w.contains(3) && !w.contains(1) && !w.contains(4));
+        assert!(w.insert(1));
+        assert_eq!((w.watermark(), w.held(), w.max_seen()), (3, 0, 3));
+    }
+
+    #[test]
+    fn raise_drops_what_it_covers_and_keeps_the_rest() {
+        let mut w = SeqWindow::default();
+        for seq in [2, 5, 6, 9] {
+            w.hold(seq, seq);
+        }
+        w.raise(4);
+        assert_eq!((w.watermark(), w.held(), w.head()), (4, 3, Some(&5)));
+        assert_eq!((w.pop(), w.pop(), w.pop()), (Some(5), Some(6), None));
+        w.raise(2);
+        assert_eq!(w.watermark(), 6, "never lowered");
+    }
 
     /// The store `Archive` replaced: one map over `(origin, seq)`, and the
     /// round-robin cursor loop both engines ran over it.

@@ -9,8 +9,7 @@
 //! assignments travel.
 
 use crate::atomic::{Output, TotalDelivery};
-use crate::contig::Contig;
-use crate::msg::{Dest, MsgId, Outbound};
+use crate::msg::{Dest, MsgId, Outbound, SeqWindow};
 use bcastdb_sim::SiteId;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -41,7 +40,7 @@ pub struct Snapshot {
     members: Vec<SiteId>,
     /// The next gseq the donor would deliver.
     pub(crate) watermark: u64,
-    ordered: Vec<Contig>,
+    ordered: Vec<SeqWindow<()>>,
     pending: Vec<(u64, MsgId)>,
     /// Per origin, the highest sequence number the donor knows of: a
     /// rejoiner's fresh ids start past its own.
@@ -90,7 +89,7 @@ pub(crate) struct Order<P> {
     log: Vec<Option<MsgId>>,
     pub(crate) logged: usize,
     /// Per-origin sequence numbers with an assigned gseq.
-    ordered: Vec<Contig>,
+    ordered: Vec<SeqWindow<()>>,
     next_assign: u64,
     pub(crate) next_deliver: u64,
     /// Coordinator, while a round is open: each reporter's watermark.
@@ -110,7 +109,7 @@ impl<P: Clone> Order<P> {
             store: (0..n).map(|_| VecDeque::new()).collect(),
             log: Vec::new(),
             logged: 0,
-            ordered: vec![Contig::default(); n],
+            ordered: vec![SeqWindow::default(); n],
             next_assign: 0,
             next_deliver: 0,
             round: None,
@@ -135,7 +134,7 @@ impl<P: Clone> Order<P> {
 
     /// Ordered ids held individually, above a gap in their origin's.
     pub(crate) fn dedup_live(&self) -> usize {
-        self.ordered.iter().map(Contig::above_len).sum()
+        self.ordered.iter().map(SeqWindow::held).sum()
     }
 
     /// The id assigned `gseq`, if known here.

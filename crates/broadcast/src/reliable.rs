@@ -23,10 +23,9 @@
 //!   the first copy it receives — `O(N²)` messages, but agreement holds even
 //!   if the origin crashes mid-broadcast or individual copies are lost.
 
-use crate::msg::{Archive, Dest, MsgId, Outbound};
+use crate::msg::{Archive, Dest, MsgId, Outbound, SeqWindow};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
-use std::collections::BTreeMap;
 
 /// Wire format of the reliable broadcast engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,10 +79,9 @@ pub struct ReliableBcast<P> {
     me: SiteId,
     relay: bool,
     next_seq: u64,
-    /// Highest contiguously delivered sequence per origin.
-    delivered_seq: Vec<u64>,
-    /// Out-of-order messages awaiting their FIFO predecessors.
-    holdback: BTreeMap<(SiteId, u64), P>,
+    /// Per origin: delivered up to the watermark, and the messages that
+    /// arrived ahead of a gap, awaiting their FIFO predecessors.
+    fifo: Vec<SeqWindow<P>>,
     /// Every payload ever seen (sent or received), retained for
     /// retransmission to peers that lost their copies.
     archive: Archive<P>,
@@ -101,8 +99,7 @@ impl<P: Clone> ReliableBcast<P> {
             me,
             relay: false,
             next_seq: 0,
-            delivered_seq: vec![0; n],
-            holdback: BTreeMap::new(),
+            fifo: (0..n).map(|_| SeqWindow::default()).collect(),
             archive: Archive::new(n),
         }
     }
@@ -134,7 +131,7 @@ impl<P: Clone> ReliableBcast<P> {
             origin: self.me,
             seq: self.next_seq,
         };
-        self.delivered_seq[self.me.0] = id.seq;
+        self.fifo[self.me.0].raise(id.seq);
         self.archive.keep(id, || payload.clone());
         let out = Output {
             deliveries: InlineVec::one(Delivery {
@@ -152,10 +149,9 @@ impl<P: Clone> ReliableBcast<P> {
     /// Handles an incoming wire message.
     pub fn on_wire(&mut self, _from: SiteId, wire: Wire<P>) -> Output<P> {
         // Delivery is a contiguous prefix per origin, so everything ever
-        // accepted is at or below the watermark or waiting in the holdback.
-        let duplicate = wire.id.seq <= self.delivered_seq[wire.id.origin.0]
-            || self.holdback.contains_key(&(wire.id.origin, wire.id.seq));
-        if duplicate {
+        // accepted is at or below the watermark or held above it.
+        let origin = wire.id.origin;
+        if self.fifo[origin.0].contains(wire.id.seq) {
             return Output::empty();
         }
         let mut out = Output::empty();
@@ -165,42 +161,31 @@ impl<P: Clone> ReliableBcast<P> {
                 wire: wire.clone(),
             });
         }
-        let origin = wire.id.origin;
         self.archive.keep(wire.id, || wire.payload.clone());
-        if wire.id.seq == self.delivered_seq[origin.0] + 1 {
-            self.delivered_seq[origin.0] = wire.id.seq;
-            out.deliveries.push(Delivery {
-                id: wire.id,
-                payload: wire.payload,
-            });
-        } else {
-            self.holdback.insert((origin, wire.id.seq), wire.payload);
+        let fifo = &mut self.fifo[origin.0];
+        if wire.id.seq != fifo.watermark() + 1 {
+            fifo.hold(wire.id.seq, wire.payload);
+            return out;
         }
-        // Drain the FIFO-contiguous prefix for this origin.
-        while !self.holdback.is_empty() {
-            let next = self.delivered_seq[origin.0] + 1;
-            match self.holdback.remove(&(origin, next)) {
-                Some(payload) => {
-                    self.delivered_seq[origin.0] = next;
-                    out.deliveries.push(Delivery {
-                        id: MsgId { origin, seq: next },
-                        payload,
-                    });
-                }
-                None => break,
-            }
+        fifo.advance();
+        let mut next = Some(wire.payload);
+        while let Some(payload) = next {
+            let seq = fifo.watermark();
+            let id = MsgId { origin, seq };
+            out.deliveries.push(Delivery { id, payload });
+            next = fifo.pop();
         }
         out
     }
 
     /// Number of messages delivered from `origin` so far.
     pub fn delivered_from(&self, origin: SiteId) -> u64 {
-        self.delivered_seq[origin.0]
+        self.fifo[origin.0].watermark()
     }
 
     /// Snapshot of per-origin delivery watermarks (for state transfer).
     pub fn watermarks(&self) -> Vec<u64> {
-        self.delivered_seq.clone()
+        self.fifo.iter().map(SeqWindow::watermark).collect()
     }
 
     /// Resumes a recovered engine from a donor's watermarks: deliveries the
@@ -212,17 +197,17 @@ impl<P: Clone> ReliableBcast<P> {
     /// # Panics
     /// Panics if the watermark vector has the wrong width.
     pub fn resume_from(&mut self, watermarks: &[u64]) {
-        assert_eq!(watermarks.len(), self.delivered_seq.len(), "width mismatch");
-        for (mine, &donor) in self.delivered_seq.iter_mut().zip(watermarks) {
-            *mine = (*mine).max(donor);
+        assert_eq!(watermarks.len(), self.fifo.len(), "width mismatch");
+        for (fifo, &donor) in self.fifo.iter_mut().zip(watermarks) {
+            fifo.clear();
+            fifo.raise(donor);
         }
-        self.next_seq = self.next_seq.max(self.delivered_seq[self.me.0]);
-        self.holdback.clear();
+        self.next_seq = self.next_seq.max(self.fifo[self.me.0].watermark());
     }
 
     /// Number of messages currently held back waiting for predecessors.
     pub fn holdback_len(&self) -> usize {
-        self.holdback.len()
+        self.fifo.iter().map(SeqWindow::held).sum()
     }
 
     /// Number of payloads retained for retransmission.
@@ -268,10 +253,16 @@ mod tests {
                 !self.0.insert(id)
             }
 
-            fn prefix(&self, origin: SiteId) -> u64 {
+            pub(super) fn prefix(&self, origin: SiteId) -> u64 {
                 (1..)
                     .take_while(|&seq| self.0.contains(&MsgId { origin, seq }))
                     .count() as u64
+            }
+
+            /// Ids of `origin` accepted above its prefix.
+            pub(super) fn above(&self, origin: SiteId) -> usize {
+                let of = self.0.iter().filter(|id| id.origin == origin).count();
+                of - self.prefix(origin) as usize
             }
 
             pub(super) fn resume_from(&mut self, donor: &[u64]) {
@@ -312,7 +303,8 @@ mod tests {
         /// broadcasts, and resumes from donors ahead of or behind this
         /// site: the watermark test accepts exactly what the set of every
         /// id accepts (in relay mode an accepted copy is relayed, a
-        /// duplicate is not).
+        /// duplicate is not), each origin's watermark is the set's prefix
+        /// and the holdback is what the set holds above it.
         #[test]
         fn watermark_dedup_agrees_with_the_oracle(
             steps in proptest::collection::vec(step(), 0..80)
@@ -336,6 +328,11 @@ mod tests {
                         old.resume_from(&marks);
                     }
                 }
+                let origins = || (0..3).map(SiteId);
+                for origin in origins() {
+                    prop_assert_eq!(rb.delivered_from(origin), old.prefix(origin));
+                }
+                prop_assert_eq!(rb.holdback_len(), origins().map(|o| old.above(o)).sum::<usize>());
             }
         }
     }

@@ -16,9 +16,7 @@
 //! more than a constant number of payload copies.
 
 use crate::atomic::{AtomicBcast, Output};
-use crate::contig::Contig;
-use crate::msg::Dest;
-use crate::msg::{MsgId, Outbound};
+use crate::msg::{Dest, MsgId, Outbound, SeqWindow};
 pub use crate::order::SKIP_ID;
 use crate::order::{Fresh, Order, OrderWire, Report, Snapshot};
 use bcastdb_sim::SiteId;
@@ -86,7 +84,7 @@ pub struct RingAbcast<P> {
     pending_local: VecDeque<(MsgId, P)>,
     /// Per-origin receipt trackers (drive tail acks); `None` until a
     /// payload or a floor of that origin arrives.
-    received: Vec<Option<Contig>>,
+    received: Vec<Option<SeqWindow<()>>>,
     /// Per-origin stability floors learned from `Data` piggybacks.
     stable: Vec<u64>,
     /// Total payloads forwarded onward (the `ring.forwarded` counter).
@@ -176,8 +174,9 @@ impl<P: Clone> RingAbcast<P> {
         if origin != self.me && floor > self.stable[origin.0] {
             self.stable[origin.0] = floor;
             self.core.prune(origin, floor);
-            let received = self.received[origin.0].get_or_insert_with(Contig::default);
+            let received = self.received[origin.0].get_or_insert_with(SeqWindow::default);
             received.raise(floor);
+            while received.pop().is_some() {}
         }
     }
 
@@ -232,8 +231,8 @@ impl<P: Clone> RingAbcast<P> {
             // Echo or duplicate: never re-forwarded. At the ring tail it
             // refreshes the cumulative ack, in case the first was lost.
             if origin != self.me && self.successor() == origin {
-                if let Some(contig) = &self.received[origin.0] {
-                    let upto = contig.watermark();
+                if let Some(received) = &self.received[origin.0] {
+                    let upto = received.watermark();
                     out.outbound
                         .push(Outbound::to(origin, RingWire::Ack { upto }));
                 }
@@ -252,10 +251,10 @@ impl<P: Clone> RingAbcast<P> {
             out.outbound.push(Outbound::to(succ, data));
             self.forwarded_total += 1;
         }
-        let contig = self.received[origin.0].get_or_insert_with(Contig::default);
-        let before = contig.watermark();
-        contig.insert(id.seq);
-        let upto = contig.watermark();
+        let received = self.received[origin.0].get_or_insert_with(SeqWindow::default);
+        let before = received.watermark();
+        received.insert(id.seq);
+        let upto = received.watermark();
         if upto > before && succ == origin {
             // We are the last site on this origin's ring path: cumulative
             // ack releases its pipeline window.
@@ -324,7 +323,9 @@ impl<P: Clone> RingAbcast<P> {
                 }
                 self.forwarded_total += held.len() as u64;
             }
-            let upto = self.received[succ.0].as_ref().map_or(0, Contig::watermark);
+            let upto = self.received[succ.0]
+                .as_ref()
+                .map_or(0, SeqWindow::watermark);
             out.outbound
                 .push(Outbound::to(succ, RingWire::Ack { upto }));
         } else {
@@ -829,8 +830,8 @@ mod tests {
 
 /// The engine as it was before its tables were indexed — payloads in one
 /// `BTreeMap` keyed by id, the assignment log a `BTreeMap` keyed by gseq,
-/// the ordered ids a `HashSet`, receipt and stability floors `BTreeMap`s
-/// keyed by site — kept as the reference the indexed engine is held to,
+/// the ordered ids a `HashSet`, receipt sets and stability floors
+/// `BTreeMap`s keyed by site — kept as the reference the indexed engine is held to,
 /// the way `lock.rs` and `sg.rs` keep theirs. It follows a schedule up to
 /// its first view change: its repair path ordered before every report was
 /// in, so it is gone, and invariants check what comes after.
@@ -841,12 +842,27 @@ mod oracle {
     use crate::atomic::TotalDelivery;
     use crate::order::schedule::{self, step, Fleet, Reached, Step};
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
 
     #[derive(Debug)]
     struct Held<P> {
         payload: P,
         delivered: bool,
+    }
+
+    /// One origin's receipts: every sequence number received.
+    #[derive(Debug, Default)]
+    struct Received(BTreeSet<u64>);
+
+    impl Received {
+        /// Highest `seq` such that all of `1..=seq` were received.
+        fn watermark(&self) -> u64 {
+            (1..).take_while(|seq| self.0.contains(seq)).count() as u64
+        }
+
+        fn max_seen(&self) -> u64 {
+            self.0.last().copied().unwrap_or(0)
+        }
     }
 
     #[derive(Debug)]
@@ -863,7 +879,7 @@ mod oracle {
         ordered: BTreeMap<u64, MsgId>,
         ordered_ids: HashSet<MsgId>,
         next_gseq_deliver: u64,
-        received: BTreeMap<SiteId, Contig>,
+        received: BTreeMap<SiteId, Received>,
         stable: BTreeMap<SiteId, u64>,
         next_gseq_assign: u64,
         forwarded_total: u64,
@@ -931,7 +947,7 @@ mod oracle {
             let mut floors: Vec<(SiteId, u64)> = self
                 .received
                 .iter()
-                .map(|(&site, contig)| (site, contig.max_seen()))
+                .map(|(&site, received)| (site, received.max_seen()))
                 .collect();
             floors.push((self.me, self.next_seq));
             floors.sort_unstable();
@@ -1069,11 +1085,11 @@ mod oracle {
                 || self.store.contains_key(&id)
             {
                 if origin != self.me && self.successor() == origin {
-                    if let Some(contig) = self.received.get(&origin) {
+                    if let Some(received) = self.received.get(&origin) {
                         out.outbound.push(Outbound::to(
                             origin,
                             RingWire::Ack {
-                                upto: contig.watermark(),
+                                upto: received.watermark(),
                             },
                         ));
                     }
@@ -1099,10 +1115,10 @@ mod oracle {
                 ));
                 self.forwarded_total += 1;
             }
-            let contig = self.received.entry(origin).or_default();
-            let before = contig.watermark();
-            contig.insert(id.seq);
-            let upto = contig.watermark();
+            let received = self.received.entry(origin).or_default();
+            let before = received.watermark();
+            received.0.insert(id.seq);
+            let upto = received.watermark();
             if upto > before && succ == origin {
                 out.outbound
                     .push(Outbound::to(origin, RingWire::Ack { upto }));

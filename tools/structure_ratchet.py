@@ -9,8 +9,8 @@ checks and exits 1 when
   (`crates/sim/src/json.rs` + `telemetry/*.rs`), the experiment harness
   (`crates/bench/src`), or all of `crates/*/src`, grow past the ceilings
   below (a non-test line is one before a file's first test module, a
-  column-0 `#[cfg(test)]` on a `mod`; raise a ceiling only in the change
-  that earns it, and say why in CHANGES.md);
+  column-0 `#[cfg(test)]` on an inline `mod name {`; raise a ceiling only
+  in the change that earns it, and say why in CHANGES.md);
 - a piece of the skeleton is defined a second time under `crates/core/src`
   (a trait's bodiless declaration is not a definition);
 - `enum Proto` is back in `engine.rs`;
@@ -131,7 +131,17 @@ BENCH_CEILING = 4992
 # a splice), less `Ctx::send_all`, `Ctx::send_others` and `Ctx::all_sites`,
 # which nothing but a test called (sim/simulation.rs -20, with the
 # pre-size comment now saying what the pool's starting size covers).
-CRATES_CEILING = 20966
+# Lowered by exactly the 4 lines it lost, 20964 -> 20960 (ceiling 20966 ->
+# 20962), when one per-origin sequence window replaced the four
+# watermark-plus-gaps structures in crates/broadcast (DESIGN.md section
+# 18): `msg::SeqWindow` (+109 in msg.rs net of the archive's rows and
+# count), contig.rs deleted (-97, not moved: its oracle is the `HashSet`
+# test in msg.rs), reliable.rs -15, causal.rs 0 (the rescan became a
+# check of each origin's head), atomic.rs and order.rs -1 each, ring.rs
+# +1, lib.rs 0 (the module line out, a line of crate docs in). Unchanged by the count now ending only at an inline test
+# `mod name {` (an out-of-line `#[cfg(test)] mod name;` no longer hides
+# the rest of its file): no file declares one today.
+CRATES_CEILING = 20962
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -173,13 +183,14 @@ ONCE = [
 ]
 
 
-TEST_MOD = re.compile(r"(pub(\(crate\))? )?mod \w+")
+TEST_MOD = re.compile(r"(pub(\(crate\))? )?mod \w+\s*\{")
 
 
 def non_test_lines(path):
     """The lines before the file's first test module: a column-0
-    `#[cfg(test)]` whose item is a `mod`. A `#[cfg(test)]` on anything else
-    (a helper fn, a field, an indented item) does not end the count."""
+    `#[cfg(test)]` whose item is an inline `mod name {`. A `#[cfg(test)]` on
+    anything else (a helper fn, a field, an indented item, an out-of-line
+    `mod name;` declaration) does not end the count."""
     lines = open(path, encoding="utf-8").read().splitlines()
     for i, line in enumerate(lines):
         if line.rstrip() != "#[cfg(test)]":
