@@ -226,15 +226,20 @@ impl<P: Clone> CausalBcast<P> {
         self.waiting.iter().map(SeqWindow::held).sum()
     }
 
-    /// Archived messages a peer whose delivered clock is `their_vc` is
-    /// missing, at most `cap` in total. The cap is spread round-robin
+    /// Hands `send` the archived messages a peer whose delivered clock is
+    /// `their_vc` is missing, at most `cap` in total. The cap is spread round-robin
     /// across origins (one message per origin per pass, gap-first within
     /// each origin) so a long gap from one origin cannot starve the
     /// others out of every retransmission round. The peer's duplicate
     /// suppression makes over-sending harmless.
-    pub fn retransmissions_for(&self, their_vc: &VectorClock, cap: usize) -> Vec<Wire<P>> {
+    pub fn retransmissions_for(
+        &mut self,
+        their_vc: &VectorClock,
+        cap: usize,
+        mut send: impl FnMut(Wire<P>),
+    ) {
         let marks = their_vc.iter().map(|(_, delivered)| delivered);
-        self.archive.missing(marks, cap, |_, w| w.clone())
+        self.archive.missing(marks, cap, |_, w| send(w.clone()))
     }
 
     /// Resumes a recovered engine from a donor's delivered-messages clock:
@@ -502,6 +507,17 @@ mod tests {
         (0..n).map(|i| CausalBcast::new(SiteId(i), n)).collect()
     }
 
+    /// What `retransmissions_for` hands its `send`, in order.
+    fn resent(
+        e: &mut CausalBcast<String>,
+        their_vc: &VectorClock,
+        cap: usize,
+    ) -> Vec<Wire<String>> {
+        let mut out = Vec::new();
+        e.retransmissions_for(their_vc, cap, |w| out.push(w));
+        out
+    }
+
     /// Extracts payloads from deliveries.
     fn payloads(out: &Output<String>) -> Vec<String> {
         out.deliveries.iter().map(|d| d.payload.clone()).collect()
@@ -709,7 +725,7 @@ mod tests {
         }
         // A peer that has delivered nothing asks with cap 2: it must get
         // the first message of EACH gapped origin, not two from origin 0.
-        let out = es[2].retransmissions_for(&VectorClock::new(3), 2);
+        let out = resent(&mut es[2], &VectorClock::new(3), 2);
         assert_eq!(out.len(), 2);
         let origins: Vec<SiteId> = out.iter().map(|w| w.id.origin).collect();
         assert!(
@@ -721,11 +737,11 @@ mod tests {
             "each origin's retransmission starts at its gap"
         );
         // A larger cap round-robins: 2 from each origin before any third.
-        let out = es[2].retransmissions_for(&VectorClock::new(3), 4);
+        let out = resent(&mut es[2], &VectorClock::new(3), 4);
         let from = |s: usize| out.iter().filter(|w| w.id.origin == SiteId(s)).count();
         assert_eq!((from(0), from(1)), (2, 2));
         // Uncapped, everything archived comes back, in-gap-order per origin.
-        let out = es[2].retransmissions_for(&VectorClock::new(3), 64);
+        let out = resent(&mut es[2], &VectorClock::new(3), 64);
         assert_eq!(out.len(), 6);
         for s in [0usize, 1] {
             let seqs: Vec<u64> = out
@@ -767,7 +783,7 @@ mod tests {
             }
             rounds += 1;
             assert!(rounds <= 12, "retransmission rounds must converge");
-            let batch = es[3].retransmissions_for(peer.clock(), 3);
+            let batch = resent(&mut es[3], peer.clock(), 3);
             // Cap 3 split over three gapped origins: one message each.
             let mut origins: Vec<usize> = batch.iter().map(|w| w.id.origin.index()).collect();
             origins.sort_unstable();

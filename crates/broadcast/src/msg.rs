@@ -255,6 +255,8 @@ impl SeqWindow<()> {
 #[derive(Debug)]
 pub(crate) struct Archive<T> {
     by_origin: Vec<SeqWindow<T>>,
+    /// `missing`'s per-origin cursors, kept for reuse.
+    cursors: Vec<MsgId>,
 }
 
 impl<T> Archive<T> {
@@ -263,7 +265,10 @@ impl<T> Archive<T> {
     /// others skip a copy per message.
     pub(crate) fn new(n: usize) -> Self {
         let by_origin = (0..n).map(|_| SeqWindow::default()).collect();
-        Archive { by_origin }
+        Archive {
+            by_origin,
+            cursors: Vec::new(),
+        }
     }
 
     /// Keeps `item()` as message `id`, replacing an earlier copy.
@@ -282,35 +287,39 @@ impl<T> Archive<T> {
         self.by_origin.iter().map(SeqWindow::held).sum()
     }
 
-    /// Kept messages a peer at per-origin delivery watermarks `marks` is
-    /// missing, made wires by `wire`: at most `cap`, round-robin across
+    /// Hands `send` the kept messages a peer at per-origin delivery
+    /// watermarks `marks` is missing: at most `cap`, round-robin across
     /// origins, gap-first within each.
-    pub(crate) fn missing<W>(
-        &self,
+    pub(crate) fn missing(
+        &mut self,
         marks: impl IntoIterator<Item = u64>,
         cap: usize,
-        wire: impl Fn(MsgId, &T) -> W,
-    ) -> Vec<W> {
+        mut send: impl FnMut(MsgId, &T),
+    ) {
         // One cursor per origin with at least one kept successor.
-        let mut cursors: Vec<MsgId> = (marks.into_iter().enumerate())
-            .map(|(o, mark)| MsgId {
-                origin: SiteId(o),
-                seq: mark + 1,
-            })
-            .filter(|&id| self.get(id).is_some())
-            .collect();
-        let mut out = Vec::new();
-        while out.len() < cap && !cursors.is_empty() {
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        cursors.extend(
+            (marks.into_iter().enumerate())
+                .map(|(o, mark)| MsgId {
+                    origin: SiteId(o),
+                    seq: mark + 1,
+                })
+                .filter(|&id| self.get(id).is_some()),
+        );
+        let mut sent = 0;
+        while sent < cap && !cursors.is_empty() {
             cursors.retain_mut(|id| match self.get(*id) {
-                Some(item) if out.len() < cap => {
-                    out.push(wire(*id, item));
+                Some(item) if sent < cap => {
+                    send(*id, item);
+                    sent += 1;
                     id.seq += 1;
                     true
                 }
                 _ => false, // capped, or we do not have it (or no gap)
             });
         }
-        out
+        self.cursors = cursors;
     }
 }
 
@@ -531,13 +540,14 @@ mod tests {
                 prop_assert_eq!(archive.len(), map.len());
             }
             for (marks, cap) in questions {
-                let got = archive.missing(marks.iter().copied(), cap, |id, &p| (id, p));
+                let mut got = Vec::new();
+                archive.missing(marks.iter().copied(), cap, |id, &p| got.push((id, p)));
                 prop_assert_eq!(got, oracle_retransmissions(&map, &marks, cap));
             }
             let mut off = Archive::new(0);
             off.keep(MsgId { origin: SiteId(0), seq: 1 }, || 7);
             prop_assert_eq!(off.len(), 0);
-            prop_assert!(off.missing([0; 4], 8, |id, _| id).is_empty());
+            off.missing([0; 4], 8, |_, _| panic!("an archive that keeps nothing sent"));
         }
     }
 

@@ -215,17 +215,24 @@ impl<P: Clone> ReliableBcast<P> {
         self.archive.len()
     }
 
-    /// Archived messages a peer at the given delivery watermarks is
-    /// missing, at most `cap` in total. The cap is spread round-robin
+    /// Hands `send` the archived messages a peer at the given delivery
+    /// watermarks is missing, at most `cap` in total. The cap is spread round-robin
     /// across origins (one message per origin per pass, gap-first within
     /// each origin) so a long gap from one origin cannot starve the
     /// others out of every retransmission round. The peer's duplicate
     /// suppression makes over-sending harmless.
-    pub fn retransmissions_for(&self, watermarks: &[u64], cap: usize) -> Vec<Wire<P>> {
+    pub fn retransmissions_for(
+        &mut self,
+        watermarks: &[u64],
+        cap: usize,
+        mut send: impl FnMut(Wire<P>),
+    ) {
         let marks = watermarks.iter().copied();
-        self.archive.missing(marks, cap, |id, p| Wire {
-            id,
-            payload: p.clone(),
+        self.archive.missing(marks, cap, |id, p| {
+            send(Wire {
+                id,
+                payload: p.clone(),
+            })
         })
     }
 }
@@ -335,6 +342,13 @@ mod tests {
                 prop_assert_eq!(rb.holdback_len(), origins().map(|o| old.above(o)).sum::<usize>());
             }
         }
+    }
+
+    /// What `retransmissions_for` hands its `send`, in order.
+    fn resent(rb: &mut ReliableBcast<String>, watermarks: &[u64], cap: usize) -> Vec<Wire<String>> {
+        let mut out = Vec::new();
+        rb.retransmissions_for(watermarks, cap, |w| out.push(w));
+        out
     }
 
     fn wire(origin: usize, seq: u64, p: &str) -> Wire<String> {
@@ -480,7 +494,7 @@ mod tests {
         }
         // A peer that has delivered nothing syncs with cap 2: it must get
         // the first message of EACH gapped origin, not two from origin 0.
-        let out = rb.retransmissions_for(&[0, 0, 0], 2);
+        let out = resent(&mut rb, &[0, 0, 0], 2);
         assert_eq!(out.len(), 2);
         let origins: Vec<SiteId> = out.iter().map(|w| w.id.origin).collect();
         assert!(
@@ -492,11 +506,11 @@ mod tests {
             "each origin's retransmission starts at its gap"
         );
         // A larger cap round-robins: 2 from each origin before any third.
-        let out = rb.retransmissions_for(&[0, 0, 0], 4);
+        let out = resent(&mut rb, &[0, 0, 0], 4);
         let from = |s: usize| out.iter().filter(|w| w.id.origin == SiteId(s)).count();
         assert_eq!((from(0), from(1)), (2, 2));
         // Uncapped, everything archived comes back, gap-first per origin.
-        let out = rb.retransmissions_for(&[0, 0, 0], 64);
+        let out = resent(&mut rb, &[0, 0, 0], 64);
         assert_eq!(out.len(), 6);
         for s in [0usize, 1] {
             let seqs: Vec<u64> = out
@@ -532,7 +546,7 @@ mod tests {
         while peer.watermarks()[..3] != [4, 4, 4] {
             rounds += 1;
             assert!(rounds <= 4, "convergence must take ≤ max-gap rounds");
-            let mut batch = rb.retransmissions_for(&peer.watermarks(), 3);
+            let mut batch = resent(&mut rb, &peer.watermarks(), 3);
             // Cap 3 split over three origins: exactly one each.
             let mut origins: Vec<usize> = batch.iter().map(|w| w.id.origin.index()).collect();
             origins.sort_unstable();

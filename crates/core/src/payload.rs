@@ -9,6 +9,7 @@ use bcastdb_broadcast::{causal, reliable};
 use bcastdb_db::{Key, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::Phase;
 use bcastdb_sim::SiteId;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Which of the paper's protocols a cluster runs.
@@ -180,6 +181,32 @@ impl Payload {
     }
 }
 
+/// How many of its own broadcast payloads a site keeps for reuse.
+const SHELF: usize = 256;
+
+/// The payloads this site broadcast, oldest first: a broadcast rewrites the
+/// oldest one in place once every wire, holdback and archive copy of it is
+/// gone, instead of allocating a new one.
+#[derive(Debug, Default)]
+pub(crate) struct Shelf(VecDeque<Arc<Payload>>);
+
+impl Shelf {
+    /// `payload`, shared: the oldest shelved allocation if nothing else
+    /// holds it any more, a new one otherwise.
+    pub(crate) fn make(&mut self, payload: Payload) -> Arc<Payload> {
+        if let Some(slot) = self.0.front_mut().and_then(Arc::get_mut) {
+            *slot = payload;
+            self.0.rotate_left(1);
+        } else {
+            if self.0.len() == SHELF {
+                self.0.pop_front();
+            }
+            self.0.push_back(Arc::new(payload));
+        }
+        Arc::clone(self.0.back().expect("just shelved"))
+    }
+}
+
 /// Wire-size estimate of one `(key, version)` certification entry.
 fn version_entry_size(entry: &(Key, Option<TxnId>)) -> usize {
     entry.0.as_str().len() + 1 + if entry.1.is_some() { 16 } else { 0 }
@@ -276,10 +303,11 @@ impl WireSize for P2pMsg {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplicaMsg {
     /// Reliable-broadcast wire traffic. The payload body is `Arc`-shared:
-    /// an N-site broadcast allocates the payload once and every
-    /// per-destination copy of the wire is a refcount bump.
+    /// every per-destination copy of the wire is a refcount bump, and the
+    /// body itself comes off the broadcasting site's payload `Shelf`.
     R(reliable::Wire<Arc<Payload>>),
-    /// Causal-broadcast wire traffic (`Arc`-shared payload body).
+    /// Causal-broadcast wire traffic (`Arc`-shared payload body, off the
+    /// broadcasting site's `Shelf`).
     C(causal::Wire<Arc<Payload>>),
     /// Sequencer atomic-broadcast wire traffic (`Arc`-shared payload body).
     ASeq(SeqWire<Arc<Payload>>),
@@ -459,6 +487,62 @@ pub enum ReplicaTimer {
 mod tests {
     use super::*;
     use bcastdb_broadcast::order::Report;
+    use proptest::prelude::*;
+
+    /// The `n`th payload of a shelf schedule.
+    fn nth(n: u64) -> Payload {
+        Payload::AbortDecision {
+            txn: TxnId::new(SiteId(0), n),
+        }
+    }
+
+    proptest! {
+        /// Broadcasts whose copies (wires, holdbacks, archive entries) live
+        /// on and die in random order: a handed-out payload keeps its value
+        /// while any copy of it lives, a broadcast reuses the oldest
+        /// shelved allocation exactly when nothing else holds it, and the
+        /// shelf never holds more than its bound.
+        #[test]
+        fn shelf_reuses_only_what_nothing_else_holds(
+            steps in proptest::collection::vec((0u8..4, 0usize..64), 0..700)
+        ) {
+            let mut shelf = Shelf::default();
+            let mut copies: Vec<(u64, Arc<Payload>)> = Vec::new();
+            for (n, (kind, pick)) in (0u64..).zip(steps) {
+                if kind == 3 {
+                    if !copies.is_empty() {
+                        copies.swap_remove(pick % copies.len());
+                    }
+                    continue;
+                }
+                let front = shelf.0.front().map(|p| (Arc::as_ptr(p), Arc::strong_count(p) == 1));
+                let made = shelf.make(nth(n));
+                prop_assert_eq!(&*made, &nth(n));
+                let reused = front.is_some_and(|(at, _)| Arc::as_ptr(&made) == at);
+                prop_assert_eq!(reused, front.is_some_and(|(_, unique)| unique));
+                prop_assert!(shelf.0.len() <= SHELF);
+                copies.extend((0..kind).map(|_| (n, Arc::clone(&made))));
+                for (m, copy) in &copies {
+                    prop_assert_eq!(&**copy, &nth(*m));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_front_fills_the_shelf_to_its_bound_and_no_further() {
+        let mut shelf = Shelf::default();
+        let held = shelf.make(nth(0));
+        for n in 1..2 * SHELF as u64 {
+            shelf.make(nth(n));
+            assert!(shelf.0.len() <= SHELF);
+        }
+        assert_eq!(shelf.0.len(), SHELF);
+        assert_eq!(*held, nth(0), "the held payload left the shelf intact");
+        // Nothing holds the shelved ones: the next broadcast reuses one.
+        let front = Arc::as_ptr(shelf.0.front().expect("full"));
+        assert_eq!(Arc::as_ptr(&shelf.make(nth(0))), front);
+    }
 
     #[test]
     fn priority_orders_by_age_then_site() {

@@ -25,7 +25,7 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{AbcastImpl, Payload, ReplicaMsg, TxnPriority};
+use crate::payload::{AbcastImpl, Payload, ReplicaMsg, Shelf, TxnPriority};
 use crate::protocols::{paced_write_phase, sweep_view, Cx, Gate, ProtoSnapshot, Variation};
 use crate::state::{txn_ref, SiteState};
 use bcastdb_broadcast::atomic::{self, AtomicBcast, IsisAbcast, SequencerAbcast, TotalDelivery};
@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// One of the atomic-broadcast engines, selected by [`AbcastImpl`].
 ///
 /// All engines carry `Arc<Payload>` so their holdback/pending buffers and
-/// the per-destination fan-out share one payload allocation per broadcast.
+/// the per-destination fan-out share one payload per broadcast.
 #[derive(Debug)]
 enum Abcast {
     Seq(SequencerAbcast<Arc<Payload>>),
@@ -87,6 +87,8 @@ pub struct AbSnapshot {
 pub struct AtomicProto {
     cb: CausalBcast<Arc<Payload>>,
     ab: Abcast,
+    /// Where both streams' payloads come from.
+    shelf: Shelf,
     /// Commit requests in total order, certified strictly head-first —
     /// the delivered requests themselves, shared with every other site's
     /// queue: certification reads their version vectors in place.
@@ -192,6 +194,7 @@ impl Variation for AtomicProto {
                 AbcastImpl::Isis => Abcast::Isis(IsisAbcast::new(me, n)),
                 AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
             },
+            shelf: Shelf::default(),
             cert_queue: VecDeque::new(),
             latest_writer: KeyMap::default(),
         }
@@ -232,7 +235,7 @@ impl Variation for AtomicProto {
 
     /// Write operations travel by (cheap) causal broadcast.
     fn disseminate_write(&mut self, cx: &mut AbCx, write: Payload) {
-        let (_, out) = self.cb.broadcast(Arc::new(write));
+        let (_, out) = self.cb.broadcast(self.shelf.make(write));
         Self::route_causal(cx, out);
     }
 
@@ -241,7 +244,7 @@ impl Variation for AtomicProto {
     /// it.
     fn request_commit(&mut self, cx: &mut AbCx, txn: TxnId, prio: TxnPriority, n_writes: usize) {
         let local = &cx.st.local[&txn];
-        let request = Arc::new(Payload::CommitReq {
+        let request = self.shelf.make(Payload::CommitReq {
             txn,
             prio,
             n_writes,

@@ -36,11 +36,11 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{Payload, ReplicaMsg, TxnPriority};
+use crate::payload::{Payload, ReplicaMsg, Shelf, TxnPriority};
 use crate::protocols::{
     Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict, Work,
 };
-use crate::state::{LocalEvent, SiteState};
+use crate::state::{LocalEvent, SiteSet, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::VectorClock;
 use bcastdb_db::{KeyMap, TxnId, WriteOp};
@@ -71,7 +71,7 @@ struct CbTxn {
     /// `commit-req`'s component at the origin; acks must cover this.
     cr_seq: Option<u64>,
     /// Sites that explicitly rejected the transaction.
-    nacked: BTreeSet<SiteId>,
+    nacked: SiteSet,
     /// Commit decided; applied when locks are all granted.
     commit_pending: bool,
 }
@@ -79,11 +79,12 @@ struct CbTxn {
 /// What the causal-broadcast protocol varies at one site.
 ///
 /// The broadcast engine is instantiated with `Arc<Payload>` so its archive,
-/// pending set, and per-destination fan-out share one payload allocation
-/// per broadcast instead of deep-cloning it N−1 times.
+/// pending set, and per-destination fan-out share one payload (off
+/// `shelf`) per broadcast instead of deep-cloning it N−1 times.
 #[derive(Debug)]
 pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
+    shelf: Shelf,
     info: BTreeMap<TxnId, CbTxn>,
     /// Vector clock of each delivered write operation (and its
     /// transaction's priority: the entry outlives the `RemoteTxn`), by
@@ -96,6 +97,9 @@ pub struct CausalProto {
     /// transactions; [`CausalProto::prune`] retires entries nothing can
     /// match any more.
     key_ops: KeyMap<Vec<(TxnId, TxnPriority, VectorClock)>>,
+    /// Vectors of keys whose every entry was pruned, kept for the next new
+    /// key: at most as many as keys were indexed at once.
+    spare_ops: Vec<Vec<(TxnId, TxnPriority, VectorClock)>>,
     /// Insertions into `key_ops` left before the next prune: as many as
     /// the last one left entries, so the index never holds more than twice
     /// what is live and pruning is O(1) amortized per op.
@@ -155,11 +159,9 @@ impl CausalProto {
     }
 
     fn bcast(&mut self, cx: &mut CbCx, payload: Payload) {
-        // The single payload allocation of this broadcast: every wire copy
-        // and archive entry from here on is a refcount bump.
-        let (_, out) = self
-            .cb
-            .broadcast_after(&mut self.processed, Arc::new(payload));
+        // Every wire copy and archive entry from here on is a refcount bump.
+        let payload = self.shelf.make(payload);
+        let (_, out) = self.cb.broadcast_after(&mut self.processed, payload);
         self.last_bcast_vc.copy_from(&self.processed);
         Self::route(cx, out);
     }
@@ -295,7 +297,8 @@ impl CausalProto {
         // whose clock is concurrent with this one means the two
         // transactions conflict irreconcilably. Only undecided writers can
         // conflict.
-        let ops = self.key_ops.entry(op.key.clone()).or_default();
+        let ops = (self.key_ops.entry(op.key.clone()))
+            .or_insert_with(|| self.spare_ops.pop().unwrap_or_default());
         let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
         for (peer, peer_prio, pvc) in ops.iter() {
             if *peer != txn && cx.st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
@@ -361,6 +364,9 @@ impl CausalProto {
                     ops.remove(i);
                 }
             }
+            if ops.is_empty() {
+                self.spare_ops.push(std::mem::take(ops));
+            }
             !ops.is_empty()
         });
         self.info.retain(|txn, _| !decided(txn));
@@ -394,7 +400,9 @@ impl CausalProto {
             return;
         }
         let site = cx.st.me;
-        if self.info.entry(txn).or_default().nacked.insert(site) {
+        let nacked = &mut self.info.entry(txn).or_default().nacked;
+        if !nacked.contains(site) {
+            nacked.insert(site);
             cx.st.trace_vote(txn, false, cx.now);
             self.bcast(cx, Payload::Nack { txn, site });
         }
@@ -416,8 +424,10 @@ impl Variation for CausalProto {
             } else {
                 cb.without_archive()
             },
+            shelf: Shelf::default(),
             info: BTreeMap::new(),
             key_ops: KeyMap::default(),
+            spare_ops: Vec::new(),
             until_prune: PRUNE_FLOOR,
             last_from: vec![VectorClock::new(n); n],
             #[cfg(test)]
@@ -464,11 +474,11 @@ impl Variation for CausalProto {
                     // per message is enough (the origin always has its own
                     // archive).
                     let me = self.cb.me();
-                    for w in self.cb.retransmissions_for(&wire.vc, 16) {
+                    self.cb.retransmissions_for(&wire.vc, 16, |w| {
                         if w.id.origin == me {
                             cx.fx.send_to(from, ReplicaMsg::CRetrans(w));
                         }
-                    }
+                    });
                 }
                 wire
             }
@@ -693,7 +703,9 @@ pub(crate) mod tests {
         use std::collections::BTreeMap;
 
         #[derive(Debug, Default)]
-        pub(crate) struct History(BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>);
+        pub(crate) struct History(
+            pub(crate) BTreeMap<TxnId, (TxnPriority, BTreeMap<Key, VectorClock>)>,
+        );
 
         impl History {
             pub(crate) fn record(
@@ -1000,62 +1012,122 @@ pub(crate) mod tests {
         /// The oldest message on one busy link (per-link FIFO).
         Deliver(usize),
         Tick,
+        /// Everything in flight delivered and every transaction decided,
+        /// so the next prune can empty keys that later writes refill.
+        Settle,
     }
 
     fn input() -> impl Strategy<Value = Input> {
         let submit = (0usize..3, 0usize..3, 0usize..4).prop_map(|(s, r, w)| Input::Submit(s, r, w));
         let deliver = (0usize..16).prop_map(Input::Deliver);
         prop_oneof![
+            submit.clone(),
             submit,
             deliver.clone(),
             deliver.clone(),
             deliver,
-            Just(Input::Tick)
+            Just(Input::Tick),
+            Just(Input::Settle)
         ]
+    }
+
+    /// Key vectors a run's prunes emptied, and new keys that took one.
+    #[derive(Debug, Default)]
+    struct Reached {
+        emptied: usize,
+        refilled: usize,
+    }
+
+    /// Runs one schedule. After every input, every row of every site's
+    /// conflict index is one the full history holds under that key (a
+    /// reused vector carries nothing of its last key); at the end every
+    /// transaction terminates alike everywhere.
+    fn run_schedule(steps: Vec<Input>) -> Result<Reached, TestCaseError> {
+        let keys = ["x", "y", "z"];
+        let mut rig = rig(3);
+        let mut txns = Vec::new();
+        let mut reached = Reached::default();
+        for (ts, input) in steps.into_iter().enumerate() {
+            let before: Vec<(usize, usize)> = (rig.protos.iter())
+                .map(|p| (p.rules.spare_ops.len(), p.rules.key_ops.len()))
+                .collect();
+            match input {
+                Input::Submit(site, r, w) => {
+                    let mut spec = TxnSpec::new().read(keys[r]).write(keys[w % 3], ts as i64);
+                    if w == 3 {
+                        spec = spec.write(keys[(r + 1) % 3], ts as i64);
+                    }
+                    txns.push(rig.submit(site, ts as u64, spec));
+                }
+                Input::Deliver(pick) => {
+                    let mut links: Vec<(SiteId, SiteId)> =
+                        rig.wires.iter().map(|(f, t, _)| (*f, *t)).collect();
+                    links.sort_unstable();
+                    links.dedup();
+                    if let Some(&link) = links.get(pick % links.len().max(1)) {
+                        let at = rig.wires.iter().position(|(f, t, _)| (*f, *t) == link);
+                        let (from, to, msg) = rig.wires.remove(at.expect("busy")).expect("busy");
+                        rig.step(to.0, 2, |p, step| p.on_msg(step, from, msg));
+                    }
+                }
+                Input::Tick => rig.tick_all(),
+                Input::Settle => rig.settle(),
+            }
+            for (p, &(spare, indexed)) in rig.protos.iter().map(|p| &p.rules).zip(&before) {
+                reached.emptied += p.spare_ops.len().saturating_sub(spare);
+                // A key new to the index with a spare at hand took the spare.
+                reached.refilled += usize::from(spare > 0 && p.key_ops.len() > indexed);
+                for (key, rows) in p.key_ops.iter() {
+                    for (txn, _, vc) in rows {
+                        let recorded = p.oracle.0.get(txn).and_then(|(_, ops)| ops.get(key));
+                        prop_assert_eq!(recorded, Some(vc), "{}'s row under {}", txn, key);
+                    }
+                }
+            }
+        }
+        rig.settle();
+        for id in txns {
+            let verdicts: Vec<Option<bool>> =
+                rig.states.iter().map(|st| st.decided.get(&id)).collect();
+            prop_assert!(
+                verdicts.iter().all(|v| v.is_some() && *v == verdicts[0]),
+                "{}: {:?}",
+                id,
+                verdicts
+            );
+        }
+        Ok(reached)
     }
 
     proptest! {
         /// Concurrent transactions on three keys, delivered in random
-        /// per-link FIFO interleavings with null-message ticks: at every
-        /// decision of every site the conflict index and the full-history
-        /// oracle reach the same verdict (`try_decide` asserts it in test
-        /// builds), and every transaction terminates alike everywhere.
+        /// per-link FIFO interleavings with null-message ticks and
+        /// settles, long enough to cross prunes that empty keys and writes
+        /// that refill them: at every decision of every site the conflict
+        /// index and the full-history oracle reach the same verdict
+        /// (`try_decide` asserts it in test builds), the index holds only
+        /// rows the history holds, and every transaction terminates alike
+        /// everywhere.
         #[test]
         fn conflict_index_agrees_with_the_oracle(
-            steps in proptest::collection::vec(input(), 0..60)
+            steps in proptest::collection::vec(input(), 0..300)
         ) {
-            let keys = ["x", "y", "z"];
-            let mut rig = rig(3);
-            let mut txns = Vec::new();
-            for (ts, input) in steps.into_iter().enumerate() {
-                match input {
-                    Input::Submit(site, r, w) => {
-                        let mut spec = TxnSpec::new().read(keys[r]).write(keys[w % 3], ts as i64);
-                        if w == 3 {
-                            spec = spec.write(keys[(r + 1) % 3], ts as i64);
-                        }
-                        txns.push(rig.submit(site, ts as u64, spec));
-                    }
-                    Input::Deliver(pick) => {
-                        let mut links: Vec<(SiteId, SiteId)> =
-                            rig.wires.iter().map(|(f, t, _)| (*f, *t)).collect();
-                        links.sort_unstable();
-                        links.dedup();
-                        if let Some(&link) = links.get(pick % links.len().max(1)) {
-                            let at = rig.wires.iter().position(|(f, t, _)| (*f, *t) == link);
-                            let (from, to, msg) = rig.wires.remove(at.expect("busy")).expect("busy");
-                            rig.step(to.0, 2, |p, step| p.on_msg(step, from, msg));
-                        }
-                    }
-                    Input::Tick => rig.tick_all(),
-                }
-            }
-            rig.settle();
-            for id in txns {
-                let verdicts: Vec<Option<bool>> =
-                    rig.states.iter().map(|st| st.decided.get(&id)).collect();
-                prop_assert!(verdicts.iter().all(|v| v.is_some() && *v == verdicts[0]), "{}: {:?}", id, verdicts);
-            }
+            run_schedule(steps)?;
         }
+    }
+
+    /// The generated schedules cross prunes that empty a key's vector,
+    /// and new keys that take an emptied vector back.
+    #[test]
+    fn generated_schedules_empty_and_refill_keys() {
+        let mut total = Reached::default();
+        for case in 0..64 {
+            let mut rng = proptest::TestRng::for_case(case);
+            let steps = proptest::collection::vec(input(), 0..300).sample(&mut rng);
+            let r = run_schedule(steps).expect("agrees with the oracle");
+            total.emptied += r.emptied;
+            total.refilled += r.refilled;
+        }
+        assert!(total.emptied > 0 && total.refilled > 0, "{total:?}");
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{Payload, ReplicaMsg, TxnPriority};
+use crate::payload::{Payload, ReplicaMsg, Shelf, TxnPriority};
 use crate::protocols::{Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict};
 use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::reliable::{self, ReliableBcast};
@@ -30,11 +30,12 @@ type RbCx<'a> = Cx<'a, Arc<Payload>>;
 /// What the reliable-broadcast protocol varies at one site.
 ///
 /// The broadcast engine is instantiated with `Arc<Payload>` so its archive,
-/// holdback, and per-destination fan-out share one payload allocation per
-/// broadcast instead of deep-cloning it N−1 times.
+/// holdback, and per-destination fan-out share one payload (off `shelf`)
+/// per broadcast instead of deep-cloning it N−1 times.
 #[derive(Debug)]
 pub struct ReliableProto {
     rb: ReliableBcast<Arc<Payload>>,
+    shelf: Shelf,
     /// Loss-recovery mode: the broadcast layer re-forwards first copies so
     /// agreement survives message loss (at `O(N²)` message cost), and this
     /// site publishes its watermarks on ticks while anything is undecided.
@@ -50,9 +51,8 @@ impl ReliableProto {
     /// Broadcasts `payload`, routing wire traffic to the network and the
     /// local self-delivery into the work queue.
     fn bcast(&mut self, cx: &mut RbCx, payload: Payload) {
-        // The single payload allocation of this broadcast: every wire copy
-        // and archive entry from here on is a refcount bump.
-        let (_, out) = self.rb.broadcast(Arc::new(payload));
+        // Every wire copy and archive entry from here on is a refcount bump.
+        let (_, out) = self.rb.broadcast(self.shelf.make(payload));
         Self::route(cx, out);
     }
 
@@ -103,6 +103,7 @@ impl Variation for ReliableProto {
             } else {
                 rb.without_archive()
             },
+            shelf: Shelf::default(),
             recover_losses: cfg.relay,
             backoff: RetransmitBackoff::new(me, cfg.retransmit_backoff),
             last_watermarks: Vec::new(),
@@ -125,11 +126,11 @@ impl Variation for ReliableProto {
                 // Answer only for our own messages: one authoritative
                 // responder per gap keeps lossy-mode recovery traffic linear.
                 let me = self.rb.me();
-                for wire in self.rb.retransmissions_for(&watermarks, 32) {
+                self.rb.retransmissions_for(&watermarks, 32, |wire| {
                     if wire.id.origin == me {
                         cx.fx.send_to(from, ReplicaMsg::R(wire));
                     }
-                }
+                });
             }
             _ => {} // traffic of a protocol this cluster does not run
         }

@@ -115,10 +115,10 @@ impl Entry {
 #[derive(Debug, Default)]
 pub struct LockManager {
     /// Keys with holders or waiters. An entry left unused by a release
-    /// goes, its storage kept in `spare` (when a slot is free) for the next
-    /// key locked.
+    /// goes, its storage kept in `spare` for the next key locked: at most
+    /// as many as keys were locked at once.
     table: KeyMap<Entry>,
-    spare: Spare,
+    spare: Vec<Entry>,
     /// The keys each transaction holds or waits on, sorted by transaction
     /// and then key; a transaction's run goes at its `release_all`.
     owned: Vec<(TxnId, Key)>,
@@ -135,10 +135,6 @@ pub struct LockManager {
     seen: Vec<TxnId>,
 }
 
-/// How many unused table entries a lock manager keeps for reuse.
-const SPARE: usize = 16;
-type Spare = [Option<Entry>; SPARE];
-
 impl LockManager {
     /// Creates an empty lock table.
     pub fn new() -> Self {
@@ -146,8 +142,8 @@ impl LockManager {
     }
 
     /// The table entry of `key`, made from a spare one if absent.
-    fn entry<'a>(table: &'a mut KeyMap<Entry>, spare: &mut Spare, key: &Key) -> &'a mut Entry {
-        let new = || spare.iter_mut().find_map(Option::take).unwrap_or_default();
+    fn entry<'a>(table: &'a mut KeyMap<Entry>, spare: &mut Vec<Entry>, key: &Key) -> &'a mut Entry {
+        let new = || spare.pop().unwrap_or_default();
         table.entry(key.clone()).or_insert_with(new)
     }
 
@@ -263,10 +259,7 @@ impl LockManager {
             if entry.head_grantable() {
                 self.ready.push(key.clone());
             } else if entry.is_unused() {
-                let unused = self.table.remove(key);
-                if let Some(slot) = self.spare.iter_mut().find(|s| s.is_none()) {
-                    *slot = unused;
-                }
+                self.spare.extend(self.table.remove(key));
             }
         }
         self.owned.drain(span);
@@ -615,14 +608,18 @@ mod tests {
     #[test]
     fn released_entries_leave_the_table_and_are_reused() {
         let mut lm = LockManager::new();
-        for i in 0..2 * SPARE as u64 {
+        for i in 0..40 {
             lm.request(t(1), &k(&format!("k{i}")), LockMode::Exclusive);
         }
         lm.release_all(t(1));
         assert_eq!(lm.active_keys(), 0);
-        assert!(lm.spare.iter().all(Option::is_some), "spare slots filled");
-        lm.request(t(2), &k("x"), LockMode::Shared);
-        assert_eq!(lm.spare.iter().filter(|s| s.is_none()).count(), 1);
+        assert_eq!(lm.spare.len(), 40, "every released entry kept");
+        for i in 0..40 {
+            lm.request(t(2), &k(&format!("j{i}")), LockMode::Shared);
+        }
+        assert!(lm.spare.is_empty(), "every kept entry reused");
+        // A fresh entry's holder list has no storage; a reused one does.
+        assert!(lm.table.values().all(|e| e.holders.capacity() > 0));
         assert!(lm.owned.iter().all(|(txn, _)| *txn == t(2)));
     }
 

@@ -15,13 +15,14 @@
 //! negligible next to the allocation itself — so the probe stays enabled in
 //! every build of the harness.
 //!
-//! Attribution of counts to *sites* is done offline with delta
-//! measurements (run a workload slice, diff [`allocation_count`] around
-//! it), not by capturing backtraces in the allocator: a
-//! `std::backtrace::Backtrace` capture from inside [`GlobalAlloc::alloc`]
-//! deadlocks — the capture machinery takes locks and allocates while the
-//! allocator call is still in flight. See the alloc-audit test in
-//! `crates/bench/tests/` for the working pattern.
+//! Counts are attributed to *sites* by delta measurements (diff
+//! [`allocation_count`] around a workload slice, as the alloc-audit test in
+//! `crates/bench/tests/` does per phase) or, for call sites, by a scratch
+//! copy of this allocator that walks a frame-pointer build's stack into a
+//! fixed static table, taking no lock and allocating nothing
+//! (`PERFORMANCE.md` §5). A `std::backtrace::Backtrace` capture from inside
+//! [`GlobalAlloc::alloc`] deadlocks instead: it takes locks and allocates
+//! while the allocator call is still in flight.
 //!
 //! # Example
 //!
