@@ -38,11 +38,11 @@ use bcastdb_workload::WorkloadConfig;
 
 const N: usize = 5;
 const CRASH_AT_US: u64 = 200_000;
-/// The 16-site ring row's ceiling: its debug measurement (0.456) plus 25%.
-const RING16_CEILING: f64 = 0.57;
-/// The 32-site batched ring row's ceiling: its debug measurement (1.927)
+/// The 16-site ring row's ceiling: its debug measurement (0.408) plus 25%.
+const RING16_CEILING: f64 = 0.51;
+/// The 32-site batched ring row's ceiling: its debug measurement (1.914)
 /// plus 25%.
-const RING32_CEILING: f64 = 2.41;
+const RING32_CEILING: f64 = 2.39;
 
 fn allocs() -> u64 {
     bcastdb_memprobe::allocation_count()
@@ -216,11 +216,12 @@ fn allocs_per_event_stays_bounded() {
 
     // The ratchet: allocations per simulated event across the three
     // simulation phases (excluding one-time cluster build, workload
-    // generation, and post-run verification). Measured at 0.951 with
+    // generation, and post-run verification). Measured at 0.299 with
     // tracing on (1.575 before retired transactions' entries were reused
     // and the redo log became one arena, 1.503 before the event queue's
-    // slots became lists in one pool); the ceiling leaves ~25% headroom
-    // for toolchain drift but not for a reintroduced per-event allocation.
+    // slots became lists in one pool, 0.891 before install orders and read
+    // sets became arenas); the ceiling leaves ~25% headroom for toolchain
+    // drift but not for a reintroduced per-event allocation.
     let sim_allocs: u64 = with_trace
         .iter()
         .filter(|(name, _)| name.starts_with("simulate:"))
@@ -229,9 +230,9 @@ fn allocs_per_event_stays_bounded() {
     let per_event = sim_allocs as f64 / events as f64;
     eprintln!("simulation-phase allocs/event (traced): {per_event:.3}");
     assert!(
-        per_event < 1.19,
+        per_event < 0.37,
         "simulation phases now allocate {per_event:.3} times per event \
-         (ceiling 1.19) — a hot-path allocation crept back in; \
+         (ceiling 0.37) — a hot-path allocation crept back in; \
          see PERFORMANCE.md"
     );
 
@@ -262,13 +263,14 @@ fn allocs_per_event_stays_bounded() {
     // circulation, cumulative Ack, stability pruning) reuses pre-sized
     // per-site state; the pure-broadcast a1 saturation sweep runs at
     // ~0.3 allocs/event, and this 16-site *transactional* run measures
-    // 0.456 in a debug build (certification and txn bookkeeping across 16
+    // 0.408 in a debug build (certification and txn bookkeeping across 16
     // replicas on top of the broadcast layer; 2.7 before certification
     // read the shared request in place and clocks were shared, 1.576
     // before the ring's tables were indexed and a key's first installs
     // were held inline, 1.111 before retired transactions' entries were
     // reused and the redo log became one arena, 0.936 before the event
-    // queue's slots became lists in one pool). The ceiling leaves ~25%
+    // queue's slots became lists in one pool, 0.435 before install orders
+    // and read sets became arenas). The ceiling leaves ~25%
     // headroom — a per-hop payload clone, a per-replica copy of the
     // request or a per-Commit Vec blows past it.
     let ring = Cluster::builder()
@@ -291,12 +293,13 @@ fn allocs_per_event_stays_bounded() {
     // The same at `wide_ring`'s shape: 32 sites, 5 000 keys at θ 0.3, two
     // reads and two writes, a 500 µs batch window and 2 MB/s NICs, where
     // every hop goes through the batcher and the ring's per-origin tables
-    // and every replica installs each key's first writes. Measured at 1.927
-    // in a debug build (4.677 with B-tree tables, a batcher map rebuilt
-    // every window and a vector per installed key; 3.169 before delivered
+    // and every replica installs each key's writes. Measured at 1.914 in a
+    // debug build (4.677 with B-tree tables, a batcher map rebuilt every
+    // window and a vector per installed key; 3.169 before delivered
     // envelopes' vectors carried the next batches, retired transactions'
     // entries were reused and the redo log became one arena; 2.420 before
-    // the event queue's slots became lists in one pool).
+    // the event queue's slots became lists in one pool; 1.927 before
+    // install orders and read sets became arenas).
     let wide = Cluster::builder()
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring)
@@ -334,10 +337,11 @@ fn allocs_per_event_stays_bounded() {
     // reused entries and the one-arena redo log to 1.138 and 1.902; the
     // event queue's one pool of cells to 0.450 and 1.335; recycled
     // broadcast payloads, conflict-index vectors and lock-table entries and
-    // bitset NACK sets took P-CB to 1.017 (the baseline's ceiling stays).
+    // bitset NACK sets took P-CB to 1.017 (the baseline's ceiling stays);
+    // install orders and read sets in arenas to 0.421 and 0.942.
     for (protocol, ceiling) in [
-        (ProtocolKind::PointToPoint, 0.56),
-        (ProtocolKind::CausalBcast, 1.27),
+        (ProtocolKind::PointToPoint, 0.53),
+        (ProtocolKind::CausalBcast, 1.18),
     ] {
         let builder = Cluster::builder().protocol(protocol);
         let (allocs, events) = steady_run(N, 10, 53, builder, light_keys(), gap);
@@ -366,8 +370,9 @@ fn allocs_per_event_stays_bounded() {
     // delivers in-order wires without its holdback, 0.907 since retired
     // transactions' entries are reused and the redo log is one arena, 0.488
     // since the event queue's slots are lists in one pool, 0.267 since
-    // broadcast payloads and lock-table entries are recycled; the ceiling
-    // leaves ~25% headroom. A per-transaction allocation in the lock
+    // broadcast payloads and lock-table entries are recycled, 0.183 since
+    // install orders and read sets are arenas; the ceiling leaves ~25%
+    // headroom. A per-transaction allocation in the lock
     // table is too small to trip it here; the lock-manager row below
     // catches one exactly.
     let hot = WorkloadConfig {
@@ -386,9 +391,9 @@ fn allocs_per_event_stays_bounded() {
          = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 0.33,
+        per_event < 0.23,
         "P-RB under contention now allocates {per_event:.3} times per event (ceiling \
-         0.33) — a per-blocked-request graph rebuild crept back into the lock \
+         0.23) — a per-blocked-request graph rebuild crept back into the lock \
          table; see PERFORMANCE.md"
     );
 
@@ -402,7 +407,8 @@ fn allocs_per_event_stays_bounded() {
     // 1.233 since retired transactions' entries are reused and the redo log
     // is one arena, 0.664 since the event queue's slots are lists in one
     // pool, 0.461 since broadcast payloads and lock-table entries are
-    // recycled; the ceiling leaves ~25% headroom.
+    // recycled, 0.404 since install orders and read sets are arenas; the
+    // ceiling leaves ~25% headroom.
     let traced = Cluster::builder()
         .protocol(ProtocolKind::ReliableBcast)
         .trace(TRACE_CAPACITY)
@@ -415,9 +421,9 @@ fn allocs_per_event_stays_bounded() {
          {traced_events} events = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 0.58,
+        per_event < 0.51,
         "product tracing now allocates {per_event:.3} times per event (ceiling \
-         0.58) — an event clone, a per-sample map or a per-line buffer \
+         0.51) — an event clone, a per-sample map or a per-line buffer \
          crept back into the trace and metrics sinks; see PERFORMANCE.md"
     );
 
@@ -620,7 +626,7 @@ fn allocs_per_event_stays_bounded() {
         );
     }
 
-    // Check-phase ratchet: the 1SR check borrows the sites' termination
+    // Check-phase ratchet: the 1SR check borrows the sites' commit
     // records and stores and works on flat arrays sized once, so what it
     // allocates is a few dozen tables per check, not a set and a list per
     // transaction plus a copy of every read and write set (3+ per
@@ -639,7 +645,8 @@ fn allocs_per_event_stays_bounded() {
             allocs() - before
         })
         .collect();
-    // Measured at 0.0189; the ceiling leaves ~25% headroom.
+    // Measured at 0.0189, and at 0.0194 once it groups each site's install
+    // arena by key in reused storage; the ceiling leaves ~25% headroom.
     let per_commit = checks[0] as f64 / commits as f64;
     eprintln!(
         "1SR check: {} allocs / {commits} commits = {per_commit:.4} allocs/commit",

@@ -157,17 +157,17 @@ impl ViewManager {
             self.last_beat = now;
             outbound.push(Outbound::others(MemberWire::Heartbeat));
         }
-        let alive: BTreeSet<SiteId> = (0..self.n)
-            .map(SiteId)
-            .filter(|&s| {
-                s == self.me || now.saturating_since(self.last_heard[s.0]) < self.suspect_after
-            })
-            .collect();
-        let current: BTreeSet<SiteId> = self.view.members.clone();
-        if alive != current {
+        // Compared in place, ascending both: a set is built only to change.
+        let heard = |s: &SiteId| now.saturating_since(self.last_heard[s.0]) < self.suspect_after;
+        let alive = || {
+            (0..self.n)
+                .map(SiteId)
+                .filter(|s| *s == self.me || heard(s))
+        };
+        if !alive().eq(self.view.members.iter().copied()) {
             let proposal = View {
                 id: self.view.id + 1,
-                members: alive,
+                members: alive().collect(),
             };
             outbound.push(Outbound::others(MemberWire::Propose(proposal.clone())));
             self.try_install(proposal, now, &mut events);

@@ -183,8 +183,8 @@ impl<P: Clone> ReliableBcast<P> {
         self.fifo[origin.0].watermark()
     }
 
-    /// Snapshot of per-origin delivery watermarks (for state transfer).
-    pub fn watermarks(&self) -> Vec<u64> {
+    /// Snapshot of per-origin delivery watermarks, shared by every copy.
+    pub fn watermarks(&self) -> std::sync::Arc<[u64]> {
         self.fifo.iter().map(SeqWindow::watermark).collect()
     }
 

@@ -634,7 +634,7 @@ impl Cluster {
                     for (key, version) in st.store.iter() {
                         for h in self.cfg.placement.holders(key, self.cfg.sites) {
                             let other = self.sim.node(h).state();
-                            if other.store.read(key) != *version {
+                            if other.store.read(key) != version {
                                 return false;
                             }
                         }
@@ -810,16 +810,15 @@ impl Cluster {
     }
 
     /// Assembles the execution's history recorder from the surveyed sites.
-    /// It borrows their termination records and stores; nothing is copied.
+    /// It borrows their commit records, read arenas and stores; nothing is
+    /// copied.
     fn recorder(&self, sites: &[SiteId]) -> HistoryRecorder<'_> {
         let mut h = HistoryRecorder::new();
         let surveyed: std::collections::BTreeSet<SiteId> = sites.iter().copied().collect();
         for &site in sites {
             let st = self.sim.node(site).state();
-            for rec in &st.terminations {
-                if rec.committed {
-                    h.record_commit_ref(rec.txn, &rec.reads, &rec.writes);
-                }
+            for rec in &st.commits {
+                h.record_commit_ref(rec.txn, st.reads.run(&rec.reads), &rec.writes);
             }
             h.record_site_order(site, &st.store);
         }

@@ -321,7 +321,7 @@ pub enum ReplicaMsg {
     Member(MemberWire),
     /// Loss-recovery sync: the sender's per-origin reliable-broadcast
     /// delivery watermarks; the receiver retransmits what the sender lacks.
-    RSync(Vec<u64>),
+    RSync(Arc<[u64]>),
     /// A retransmitted causal wire. Processed exactly like [`ReplicaMsg::C`]
     /// except it never triggers gap-report handling — retransmitted nulls
     /// carry stale clocks that must not solicit further retransmissions.
@@ -694,7 +694,7 @@ mod tests {
                 Phase::Ack,
             ),
             (ReplicaMsg::P2p(P2pMsg::Abort { txn: t }), Phase::Decision),
-            (ReplicaMsg::RSync(vec![0, 0]), Phase::Retransmit),
+            (ReplicaMsg::RSync(Arc::new([0, 0])), Phase::Retransmit),
         ];
         for (msg, want) in cases {
             assert_eq!(msg.phase(), want, "{msg:?}");
@@ -803,7 +803,7 @@ mod tests {
             ReplicaMsg::P2p(P2pMsg::Abort { txn: t }),
             ReplicaMsg::Member(MemberWire::Heartbeat),
             ReplicaMsg::Member(MemberWire::Propose(view.clone())),
-            ReplicaMsg::RSync(vec![0, 0, 0]),
+            ReplicaMsg::RSync(Arc::new([0, 0, 0])),
             ReplicaMsg::Batch(vec![
                 ReplicaMsg::ARing(RingWire::Ack { upto: 1 }),
                 ReplicaMsg::Member(MemberWire::Heartbeat),

@@ -248,7 +248,7 @@ impl Variation for AtomicProto {
             txn,
             prio,
             n_writes,
-            read_versions: local.reads_observed.clone(),
+            read_versions: cx.st.reads.run(&local.reads_observed).to_vec(),
             write_versions: local
                 .spec
                 .writes()

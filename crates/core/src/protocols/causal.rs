@@ -861,9 +861,10 @@ pub(crate) mod tests {
         for st in &rig.states {
             assert_eq!(st.decided.get(&first), Some(true));
             assert_eq!(st.decided.get(&second), Some(true));
+            let of_x = st.store.installs().filter(|(k, _)| k.as_str() == "x");
             assert_eq!(
-                st.store.install_order(&"x".into()),
-                &[first, second],
+                of_x.map(|(_, txn)| txn).collect::<Vec<_>>(),
+                [first, second],
                 "causal order = install order"
             );
         }

@@ -72,7 +72,7 @@ pub enum ProtoSnapshot {
     /// The baseline has no broadcast layer to fast-forward.
     None,
     /// Per-origin reliable-broadcast delivery watermarks.
-    Reliable(Vec<u64>),
+    Reliable(std::sync::Arc<[u64]>),
     /// The causal engine's delivered-messages clock.
     Causal(bcastdb_broadcast::VectorClock),
     /// Both engines of the atomic protocol plus its version directory.

@@ -44,7 +44,7 @@ pub struct ReliableProto {
     backoff: RetransmitBackoff,
     /// Delivery watermarks at the last solicitation, the progress signal
     /// that resets the backoff.
-    last_watermarks: Vec<u64>,
+    last_watermarks: Arc<[u64]>,
 }
 
 impl ReliableProto {
@@ -106,7 +106,7 @@ impl Variation for ReliableProto {
             shelf: Shelf::default(),
             recover_losses: cfg.relay,
             backoff: RetransmitBackoff::new(me, cfg.retransmit_backoff),
-            last_watermarks: Vec::new(),
+            last_watermarks: Arc::new([]),
         }
     }
 
@@ -266,7 +266,7 @@ impl Variation for ReliableProto {
         let marks = self.rb.watermarks();
         if marks != self.last_watermarks {
             self.backoff.reset();
-            self.last_watermarks.clone_from(&marks);
+            self.last_watermarks = Arc::clone(&marks);
         }
         if self.backoff.due() {
             cx.fx.send_others(ReplicaMsg::RSync(marks));

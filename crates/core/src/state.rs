@@ -14,7 +14,7 @@ use crate::payload::TxnPriority;
 use crate::placement::Placement;
 use bcastdb_db::lock::{Grants, LockMode, RequestOutcome};
 use bcastdb_db::sg::ObservedVersion;
-use bcastdb_db::{Key, LockManager, RedoLog, Store, TxnId, TxnSpec, WriteOp};
+use bcastdb_db::{Arena, Key, LockManager, RedoLog, Run, Store, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
 use bcastdb_sim::{SimTime, SiteId, StatsHandle};
 use std::collections::{BTreeMap, VecDeque};
@@ -64,8 +64,8 @@ pub struct LocalTxn {
     pub submitted: SimTime,
     /// Current phase.
     pub phase: LocalPhase,
-    /// Versions observed by completed reads.
-    pub reads_observed: Vec<(Key, ObservedVersion)>,
+    /// Versions observed by completed reads: a run of [`SiteState::reads`].
+    pub reads_observed: Run,
 }
 
 /// Per-site state of a *broadcast* update transaction (kept at every site,
@@ -407,17 +407,15 @@ pub enum LocalEvent {
 /// correct. The alloc-audit test in `crates/bench/tests/` ratchets this.
 pub type EventBuf = bcastdb_sim::inline::InlineVec<LocalEvent, 4>;
 
-/// The result of a terminated transaction, recorded for the cluster facade
-/// and the serializability checker.
+/// A transaction committed at its origin, recorded there for the
+/// serializability checker.
 #[derive(Debug, Clone)]
-pub struct TerminationRecord {
+pub struct CommitRecord {
     /// The transaction.
     pub txn: TxnId,
-    /// `true` = committed.
-    pub committed: bool,
-    /// Observed read versions (origin only; empty elsewhere).
-    pub reads: Vec<(Key, ObservedVersion)>,
-    /// Write set (committed transactions only).
+    /// Observed read versions, a run of [`SiteState::reads`].
+    pub reads: Run,
+    /// Write set.
     pub writes: Vec<WriteOp>,
 }
 
@@ -483,8 +481,12 @@ pub struct SiteState {
     pub remote: LiveTxns,
     /// Terminated transactions.
     pub decided: Outcomes,
-    /// Origin-side records for the serializability checker.
-    pub terminations: Vec<TerminationRecord>,
+    /// Origin-side records of committed transactions, for the
+    /// serializability checker.
+    pub commits: Vec<CommitRecord>,
+    /// The versions the read phases of local transactions observed, one
+    /// after another.
+    pub reads: Arena<(Key, ObservedVersion)>,
     next_txn_num: u64,
 }
 
@@ -511,7 +513,8 @@ impl SiteState {
             local: BTreeMap::new(),
             remote: LiveTxns::default(),
             decided: Outcomes::default(),
-            terminations: Vec::new(),
+            commits: Vec::new(),
+            reads: Arena::default(),
             next_txn_num: 0,
         }
     }
@@ -617,7 +620,7 @@ impl SiteState {
                 spec,
                 submitted: now,
                 phase: LocalPhase::AcquiringReads { next: 0 },
-                reads_observed: Vec::new(),
+                reads_observed: Run::default(),
             },
         );
         let mut events = EventBuf::new();
@@ -639,13 +642,11 @@ impl SiteState {
             };
             if next >= txn.spec.reads().len() {
                 // Read phase complete: observe the versions now (locks held).
-                let reads = txn.spec.reads();
-                let observed: Vec<(Key, ObservedVersion)> = reads
-                    .iter()
-                    .map(|k| (k.clone(), self.store.read(k).writer))
-                    .collect();
+                let observed = txn.spec.reads().iter();
+                let observed = observed.map(|k| (k.clone(), self.store.read(k).writer));
+                let run = self.reads.push_run(observed);
                 let txn = self.local.get_mut(&id).expect("present");
-                txn.reads_observed = observed;
+                txn.reads_observed = run;
                 self.tracer.emit(|| TraceEvent::LocksAcquired {
                     at: now,
                     txn: txn_ref(id),
@@ -705,9 +706,8 @@ impl SiteState {
             txn: txn_ref(id),
         });
         self.remote.retire(&mut self.decided, &id, Fate::Committed);
-        self.terminations.push(TerminationRecord {
+        self.commits.push(CommitRecord {
             txn: id,
-            committed: true,
             reads: txn.reads_observed,
             writes: Vec::new(),
         });
@@ -743,12 +743,6 @@ impl SiteState {
         }
         self.remote.retire(&mut self.decided, &id, Fate::Aborted);
         self.log.log_abort(id);
-        self.terminations.push(TerminationRecord {
-            txn: id,
-            committed: false,
-            reads: Vec::new(),
-            writes: Vec::new(),
-        });
         let granted = self.locks.release_all(id);
         self.process_grants(granted, now, events);
     }
@@ -1061,9 +1055,9 @@ impl SiteState {
             "commit applied before full write set delivered"
         );
         // The write set is copied from the shell into the redo log, and
-        // installed from there; only the origin keeps a second copy, for
-        // the serializability checker.
-        let origin = self.local.remove(&id).map(|l| (l, entry.ops.clone()));
+        // installed from there; the origin's own copy, its specification's,
+        // moves into its record for the serializability checker.
+        let origin = self.local.remove(&id);
         let (me, n, placement) = (self.me, self.n, &self.placement);
         let held = entry
             .ops
@@ -1078,14 +1072,13 @@ impl SiteState {
         });
 
         // Origin side: latency + read observations for the checker.
-        if let Some((local, writes)) = origin {
+        if let Some(local) = origin {
             let latency = now.saturating_since(local.submitted);
             self.metrics.commit_update(latency, now);
-            self.terminations.push(TerminationRecord {
+            self.commits.push(CommitRecord {
                 txn: id,
-                committed: true,
                 reads: local.reads_observed,
-                writes,
+                writes: local.spec.into_writes(),
             });
         }
 
@@ -1117,12 +1110,6 @@ impl SiteState {
             // Origin records the abort (one metrics entry per transaction,
             // at its origin only).
             self.metrics.abort(reason);
-            self.terminations.push(TerminationRecord {
-                txn: id,
-                committed: false,
-                reads: Vec::new(),
-                writes: Vec::new(),
-            });
         }
         let granted = self.locks.release_all(id);
         self.process_grants(granted, now, events);
@@ -1401,7 +1388,7 @@ mod tests {
         let (id, events) = st.begin_txn(SimTime::ZERO, TxnSpec::new().read("x").write("y", 1));
         assert_eq!(events, vec![LocalEvent::ReadsComplete(id)]);
         assert_eq!(st.local[&id].phase, LocalPhase::WritePhase);
-        assert_eq!(st.local[&id].reads_observed.len(), 1);
+        assert_eq!(st.reads.run(&st.local[&id].reads_observed).len(), 1);
     }
 
     #[test]

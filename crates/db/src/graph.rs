@@ -10,32 +10,39 @@
 use std::collections::BinaryHeap;
 
 /// Stable counting sort: files every `(bucket, value)` of `items` under its
-/// bucket in `0..buckets`. Returns `(start, values)`: bucket `b` holds
-/// `values[start[b]..start[b + 1]]`, in arrival order. Linear in buckets +
-/// items, three allocations whatever the size.
+/// bucket in `0..buckets`, in the storage of an earlier sort (or none).
+/// Returns `(start, values)`: bucket `b` holds `values[start[b]..start[b +
+/// 1]]`, in arrival order. Linear in buckets + items; allocates only what
+/// the storage lacks.
 ///
 /// # Panics
 /// If a bucket is out of range or the items do not fit `u32` offsets.
-pub(crate) fn bucket<T: Copy + Default>(
+pub(crate) fn bucket<T: Copy>(
     buckets: usize,
     items: impl Iterator<Item = (u32, T)> + Clone,
+    (mut start, mut values): (Vec<u32>, Vec<T>),
 ) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; buckets + 1];
+    // Counted two places up, each bucket's start sits one place up, where
+    // the fill moves it to the bucket's end: the next bucket's start.
+    start.clear();
+    start.resize(buckets + 2, 0);
     for (b, _) in items.clone() {
-        start[b as usize + 1] += 1;
+        start[b as usize + 2] += 1;
     }
     let mut total = 0usize;
-    for end in &mut start[1..] {
+    for end in &mut start[2..] {
         total += *end as usize;
         *end = u32::try_from(total).expect("fewer than 2^32 items");
     }
-    let mut cursor = start.clone();
-    let mut values = vec![T::default(); start[buckets] as usize];
+    values.clear();
+    values.reserve(total);
+    values.extend(items.clone().map(|(_, value)| value)); // each overwritten
     for (b, value) in items {
-        let at = &mut cursor[b as usize];
+        let at = &mut start[b as usize + 1];
         values[*at as usize] = value;
         *at += 1;
     }
+    start.pop();
     (start, values)
 }
 
@@ -63,12 +70,13 @@ impl DenseGraph {
     pub fn from_edges(nodes: usize, edges: &[(u32, u32)]) -> Self {
         // Stable pass by target, then stable pass by source: rows come out
         // grouped by source with their targets ascending.
-        let (start, sources) = bucket(nodes, edges.iter().map(|&(from, to)| (to, from)));
+        let by_source = edges.iter().map(|&(from, to)| (to, from));
+        let (start, sources) = bucket(nodes, by_source, Default::default());
         let by_target = (0..nodes).flat_map(|to| {
             let row = &sources[start[to] as usize..start[to + 1] as usize];
             row.iter().map(move |&from| (from, to as u32))
         });
-        let (off, adj) = bucket(nodes, by_target);
+        let (off, adj) = bucket(nodes, by_target, Default::default());
         DenseGraph { off, adj }
     }
 

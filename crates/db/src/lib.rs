@@ -66,5 +66,5 @@ pub mod types;
 pub use lock::{LockManager, LockMode, RequestOutcome};
 pub use log::{Checkpoint, LogRecord, RedoLog};
 pub use sg::{HistoryRecorder, SgViolation, SgWork};
-pub use storage::Store;
+pub use storage::{Arena, Run, Store};
 pub use types::{Key, KeyMap, TxnId, TxnSpec, Value, WriteOp};

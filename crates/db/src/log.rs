@@ -250,7 +250,6 @@ mod oracle {
     use crate::types::Key;
     use bcastdb_sim::SiteId;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq)]
     enum OwnedRecord {
@@ -292,10 +291,7 @@ mod oracle {
 
     /// Current versions, install orders and the write count agree.
     fn same(a: &Store, b: &Store) -> bool {
-        let orders = |s: &Store| {
-            let orders = s.install_orders().map(|(k, o)| (k.clone(), o.to_vec()));
-            orders.collect::<BTreeMap<_, _>>()
-        };
+        let orders = crate::storage::tests::install_orders;
         a.converged_with(b) && orders(a) == orders(b) && a.applied_writes() == b.applied_writes()
     }
 

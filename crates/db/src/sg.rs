@@ -17,11 +17,11 @@
 //! the replication layer loudly visible in tests.
 
 use crate::graph::{bucket, DenseGraph};
-use crate::storage::Store;
+use crate::storage::{InstallOrders, Store};
 use crate::types::{Key, TxnId, WriteOp};
 use bcastdb_sim::SiteId;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A read observation: which committed version (by writer) a read saw.
@@ -30,10 +30,6 @@ pub type ObservedVersion = Option<TxnId>;
 
 /// "No such entry" in the checker's `u32` tables.
 const NONE: u32 = u32::MAX;
-
-/// A key's canonical install order: the first site that holds the key, and
-/// that site's order.
-type Order<'a> = (&'a Key, SiteId, &'a [TxnId]);
 
 #[derive(Debug, Clone)]
 struct CommittedTxn<'a> {
@@ -254,35 +250,21 @@ impl<'a> HistoryRecorder<'a> {
         sg.acyclic().map(|()| sg.work)
     }
 
-    /// Step 1: all sites must agree on each key's install order. Returns
-    /// the canonical orders — per key, the first site that holds it and
-    /// that site's order — and each key's index among them. Every other
-    /// site's order is compared with the canonical slice in place; nothing
-    /// is copied unless the comparison fails.
-    fn agreed_orders(&self) -> Result<(HashMap<&'a Key, u32>, Vec<Order<'a>>), SgViolation> {
-        let hint = self.sites.values().next().map_or(0, |store| store.len());
-        let mut index: HashMap<&'a Key, u32> = HashMap::with_capacity(hint);
-        let mut orders: Vec<Order<'a>> = Vec::with_capacity(hint);
+    /// Step 1: all sites must agree on each key's install order; a site's
+    /// order of a key is compared with the first site's, the one kept.
+    fn agreed_orders(&self) -> Result<InstallOrders<'a>, SgViolation> {
+        let mut orders = InstallOrders::default();
         for (&site, store) in &self.sites {
-            let mut diverging: Option<(&'a Key, &'a [TxnId])> = None;
-            for (key, order) in store.install_orders().filter(|(_, o)| !o.is_empty()) {
-                let k = *index.entry(key).or_insert(orders.len() as u32) as usize;
-                if k == orders.len() {
-                    orders.push((key, site, order));
-                } else if orders[k].2 != order && diverging.is_none_or(|(least, _)| key < least) {
-                    diverging = Some((key, order));
-                }
-            }
-            if let Some((key, order)) = diverging {
-                let (_, first_site, first_order) = orders[index[key] as usize];
+            if let Err((k, order)) = orders.add(site, store) {
                 return Err(SgViolation::DivergentInstallOrder {
-                    key: key.clone(),
-                    site_a: (first_site, first_order.to_vec()),
-                    site_b: (site, order.to_vec()),
+                    key: orders.keys[k].0.clone(),
+                    site_a: (orders.keys[k].1, orders.first(k).to_vec()),
+                    site_b: (site, order),
                 });
             }
         }
-        Ok((index, orders))
+        orders.last = Default::default(); // scratch, freed before the graph's arrays
+        Ok(orders)
     }
 
     /// Everything of [`HistoryRecorder::check`] but the search for a cycle
@@ -290,9 +272,8 @@ impl<'a> HistoryRecorder<'a> {
     /// Linear in the committed reads and writes plus every site's install
     /// orders; allocates a fixed number of arrays.
     fn graph(&self, check_installed: bool) -> Result<Sg, SgViolation> {
-        let (key_index, orders) = self.agreed_orders()?;
-        let writers = || orders.iter().flat_map(|&(_, _, order)| order);
-        let nodes = Nodes::of(self.committed.iter().map(|c| &c.txn).chain(writers()));
+        let orders = self.agreed_orders()?;
+        let nodes = Nodes::of(self.committed.iter().map(|c| &c.txn).chain(&orders.kept));
         let node = |txn: &TxnId| nodes.get(*txn).expect("numbered above");
         let n = nodes.len();
         let mut commit_of = vec![NONE; n];
@@ -308,13 +289,14 @@ impl<'a> HistoryRecorder<'a> {
         // under its writer as (key, writer of the key's next version). The
         // counting sort keeps key-then-position order, so a probe meets a
         // writer's earliest install of a key first.
-        let entries = orders.iter().enumerate().flat_map(|(k, &(_, _, order))| {
+        let entries = (0..orders.keys.len()).flat_map(|k| {
+            let order = orders.first(k);
             (0..order.len()).map(move |pos| {
                 let next = order.get(pos + 1).map_or(NONE, node);
                 (node(&order[pos]), (k as u32, next))
             })
         });
-        let (installed_at, installed) = bucket(n, entries);
+        let (installed_at, installed) = bucket(n, entries, Default::default());
         let installed_by = |v: u32| {
             &installed[installed_at[v as usize] as usize..installed_at[v as usize + 1] as usize]
         };
@@ -323,7 +305,9 @@ impl<'a> HistoryRecorder<'a> {
         // the last), or `None` if `writer` never installed `key`.
         let mut next_writer = |writer: u32, key: &Key| -> Option<u32> {
             let row = installed_by(writer);
-            let at = row.iter().position(|&(k, _)| orders[k as usize].0 == key);
+            let at = row
+                .iter()
+                .position(|&(k, _)| orders.keys[k as usize].0 == key);
             work.order_entries_examined += row.len() as u64;
             at.map(|at| row[at].1)
         };
@@ -355,8 +339,8 @@ impl<'a> HistoryRecorder<'a> {
             for (key, observed) in rec.reads.iter() {
                 let Some(writer) = observed else {
                     // Read the initial version: precedes the first writer.
-                    if let Some(&k) = key_index.get(key) {
-                        let first = node(&orders[k as usize].2[0]);
+                    if let Some(&k) = orders.index.get(key) {
+                        let first = node(&orders.first(k as usize)[0]);
                         if first != reader {
                             edges.push((reader, first));
                         }
@@ -461,6 +445,7 @@ mod tests {
     use super::*;
     use crate::graph::hashed::DiGraph;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     type Reads = Vec<(Key, ObservedVersion)>;
 
@@ -483,15 +468,14 @@ mod tests {
                 .iter()
                 .map(|c| (c.txn, (c.reads.to_vec(), c.writes.to_vec())))
                 .collect();
-            let orders = |store: &Store| {
-                store
-                    .install_orders()
-                    .map(|(k, o)| (k.clone(), o.to_vec()))
-                    .collect()
-            };
+            let orders = |st: &Store| crate::storage::tests::install_orders(st).into_iter();
             Oracle {
                 committed,
-                site_orders: h.sites.iter().map(|(&s, &st)| (s, orders(st))).collect(),
+                site_orders: h
+                    .sites
+                    .iter()
+                    .map(|(&s, &st)| (s, orders(st).collect()))
+                    .collect(),
             }
         }
 
@@ -849,6 +833,42 @@ mod tests {
             h.check(),
             Err(SgViolation::DivergentInstallOrder { .. })
         ));
+    }
+
+    /// With divergences at two sites on three keys the witness is the
+    /// lowest disagreeing site and its smallest disagreeing key, whatever
+    /// order the sites were recorded in and the keys were installed in.
+    #[test]
+    fn divergence_witness_is_the_lowest_site_and_its_smallest_key() {
+        let (t1, t2) = (t(0, 1), t(1, 1));
+        // Installed c, b, a: the keys' indices run against their order.
+        let all = [w("c", 1), w("b", 1), w("a", 1)];
+        let mut canonical = Store::new();
+        canonical.apply(t1, &all);
+        canonical.apply(t2, &all);
+        // b and c swapped (c installed first), a agreed.
+        let mut low = Store::new();
+        low.apply(t2, &[w("c", 2), w("b", 2)]);
+        low.apply(t1, &all);
+        low.apply(t2, &[w("a", 2)]);
+        // a swapped: a smaller key, at a higher site.
+        let mut high = Store::new();
+        high.apply(t2, &[w("a", 2)]);
+        high.apply(t1, &all);
+        high.apply(t2, &[w("b", 2), w("c", 2)]);
+        let mut h = HistoryRecorder::new();
+        h.record_commit(t1, vec![], all.to_vec());
+        h.record_commit(t2, vec![], all.to_vec());
+        for (site, store) in [(2, &high), (1, &low), (0, &canonical)] {
+            h.record_site_order(SiteId(site), store);
+        }
+        let want = SgViolation::DivergentInstallOrder {
+            key: k("b"),
+            site_a: (SiteId(0), vec![t1, t2]),
+            site_b: (SiteId(1), vec![t2, t1]),
+        };
+        assert_eq!(h.check(), Err(want.clone()));
+        assert_eq!(Oracle::of(&h).check(), Err(want));
     }
 
     #[test]

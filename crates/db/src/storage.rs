@@ -6,8 +6,46 @@
 //! observed — exactly the *reads-from* information the one-copy
 //! serialization-graph checker needs.
 
-use crate::types::{Key, KeyMap, TxnId, Value, WriteOp};
+use crate::graph::bucket;
+use crate::types::{Key, KeyHasher, KeyMap, TxnId, Value, WriteOp};
 use bcastdb_sim::SiteId;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
+
+/// Where a run of items sits in an [`Arena`]: its chunk, its range there.
+pub type Run = (usize, Range<usize>);
+
+/// An append-only arena of chunks of at least 512 items: a run of items
+/// appended together stays contiguous and nothing moves as the arena grows;
+/// the slack is the last chunk's room and the tails runs did not fit in.
+#[derive(Debug, Clone)]
+pub struct Arena<T>(Vec<Vec<T>>);
+
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Arena(Vec::new())
+    }
+}
+
+impl<T> Arena<T> {
+    /// Appends `items` as one run, and says where it went.
+    pub fn push_run(&mut self, items: impl ExactSizeIterator<Item = T>) -> Run {
+        let n = items.len();
+        if self.0.last().is_none_or(|c| c.capacity() - c.len() < n) {
+            self.0.push(Vec::with_capacity(n.max(512)));
+        }
+        let (at, chunk) = (self.0.len() - 1, self.0.last_mut().expect("a chunk"));
+        let from = chunk.len();
+        chunk.extend(items);
+        (at, from..chunk.len())
+    }
+
+    /// The items of `run`.
+    pub fn run(&self, (chunk, range): &Run) -> &[T] {
+        self.0.get(*chunk).map_or(&[], |c| &c[range.clone()])
+    }
+}
 
 /// The committed version of one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,59 +56,24 @@ pub struct Version {
     pub writer: Option<TxnId>,
 }
 
-/// One key's committed writers in install order. Most keys of a large
-/// keyspace are installed once or twice per run, so the first two are
-/// held inline and only a third moves the order to the heap.
-#[derive(Debug, Clone)]
-enum Installs {
-    Inline(u8, [TxnId; 2]),
-    Spilled(Vec<TxnId>),
-}
-
-impl Installs {
-    fn new() -> Self {
-        Installs::Inline(0, [TxnId::new(SiteId(0), 0); 2])
-    }
-
-    #[inline]
-    fn push(&mut self, txn: TxnId) {
-        match self {
-            Installs::Spilled(all) => all.push(txn),
-            Installs::Inline(len, first) if usize::from(*len) < first.len() => {
-                first[usize::from(*len)] = txn;
-                *len += 1;
-            }
-            Installs::Inline(..) => self.spill(txn),
-        }
-    }
-
-    /// Moves a full inline order to the heap, then appends `txn`. Out of
-    /// line, so a hot key's push stays a branch and a `Vec::push`.
-    #[cold]
-    #[inline(never)]
-    fn spill(&mut self, txn: TxnId) {
-        let mut all = Vec::with_capacity(4);
-        all.extend_from_slice(self.as_slice());
-        all.push(txn);
-        *self = Installs::Spilled(all);
-    }
-
-    fn as_slice(&self) -> &[TxnId] {
-        match self {
-            Installs::Inline(len, first) => &first[..usize::from(*len)],
-            Installs::Spilled(all) => all,
-        }
-    }
+/// A writer packed in one word (`Store::apply`), its origin above bit 40;
+/// `u64::MAX` is none, since origins stay below 2^24.
+fn unpack(word: u64) -> Option<TxnId> {
+    (word != u64::MAX).then(|| TxnId::new(SiteId((word >> 40) as usize), word & ((1 << 40) - 1)))
 }
 
 /// A full replica of the database at one site.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    /// Per key, the current version and the install order of committed
-    /// writers (the ww order at this site, used by the serializability
-    /// checker): one probe per written key.
-    keys: KeyMap<(Version, Installs)>,
-    applied_writes: u64,
+    /// Per key: its value, its writer packed, and its number here
+    /// (`u32::MAX` until first installed): one probe per written key.
+    keys: KeyMap<(Value, u64, u32)>,
+    /// Per number, the key: the keys in the order of their first install.
+    numbered: Vec<Key>,
+    /// Every committed write's key number and packed writer, in install
+    /// order: the ww order at this site, read only by the serializability
+    /// checker, which groups it by key.
+    installs: Arena<(u32, u64)>,
 }
 
 impl Store {
@@ -82,13 +85,9 @@ impl Store {
 
     /// Reads the current committed version of `key`.
     pub fn read(&self, key: &Key) -> Version {
-        self.keys.get(key).map_or(
-            Version {
-                value: 0,
-                writer: None,
-            },
-            |&(version, _)| version,
-        )
+        let (value, writer, _) = self.keys.get(key).copied().unwrap_or((0, u64::MAX, 0));
+        let writer = unpack(writer);
+        Version { value, writer }
     }
 
     /// Convenience: the current committed value of `key` (0 if never
@@ -99,57 +98,46 @@ impl Store {
 
     /// Installs the write set of committed transaction `txn`.
     pub fn apply(&mut self, txn: TxnId, writes: &[WriteOp]) {
+        assert!(txn.origin.0 >> 24 == 0 && txn.num >> 40 == 0, "{txn}");
+        let writer = (txn.origin.0 as u64) << 40 | txn.num;
         for w in writes {
-            let version = Version {
-                value: w.value,
-                writer: Some(txn),
-            };
-            match self.keys.get_mut(&w.key) {
-                Some((current, installs)) => {
-                    *current = version;
-                    installs.push(txn);
+            let next = self.numbered.len() as u32;
+            let number = match self.keys.get_mut(&w.key) {
+                // A key seeded but never installed (`u32::MAX`) takes `next`.
+                Some((value, word, number)) => {
+                    (*value, *word, *number) = (w.value, writer, next.min(*number));
+                    *number
                 }
                 None => {
-                    let mut installs = Installs::new();
-                    installs.push(txn);
-                    self.keys.insert(w.key.clone(), (version, installs));
+                    self.keys.insert(w.key.clone(), (w.value, writer, next));
+                    next
                 }
+            };
+            if number == next {
+                self.numbered.push(w.key.clone());
             }
-            self.applied_writes += 1;
+            self.installs.push_run([(number, writer)].into_iter());
         }
     }
 
     /// Pre-loads an initial value without recording a writer (database
     /// population before the measured run).
     pub fn seed(&mut self, key: impl Into<Key>, value: Value) {
-        let version = Version {
-            value,
-            writer: None,
-        };
-        self.keys
-            .entry(key.into())
-            .or_insert((version, Installs::new()))
-            .0 = version;
+        let slot = self.keys.entry(key.into()).or_insert((0, 0, u32::MAX));
+        (slot.0, slot.1) = (value, u64::MAX);
     }
 
-    /// The per-key sequence of committed writers at this site.
-    pub fn install_order(&self, key: &Key) -> &[TxnId] {
-        self.keys
-            .get(key)
-            .map_or(&[], |(_, installs)| installs.as_slice())
-    }
-
-    /// Every written key with its install order, in no particular order —
-    /// what the serializability checker compares across replicas, in place.
-    pub fn install_orders(&self) -> impl Iterator<Item = (&Key, &[TxnId])> {
-        let orders = self.keys.iter().map(|(k, (_, o))| (k, o.as_slice()));
-        orders.filter(|(_, o)| !o.is_empty())
+    /// Every committed write's key and writer, in the order this site
+    /// installed them.
+    pub fn installs(&self) -> impl Iterator<Item = (&Key, TxnId)> + Clone {
+        let installs = self.installs.0.iter().flatten();
+        installs.map(|&(n, w)| (&self.numbered[n as usize], unpack(w).expect("a writer")))
     }
 
     /// Iterates over `(key, version)` pairs of every object ever written
     /// or seeded.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Version)> {
-        self.keys.iter().map(|(k, (v, _))| (k, v))
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, Version)> {
+        self.keys.keys().map(|key| (key, self.read(key)))
     }
 
     /// Number of distinct keys present.
@@ -164,7 +152,7 @@ impl Store {
 
     /// Total committed write operations applied.
     pub fn applied_writes(&self) -> u64 {
-        self.applied_writes
+        self.installs.0.iter().map(|chunk| chunk.len() as u64).sum()
     }
 
     /// True iff `self` and `other` hold identical current versions for the
@@ -181,13 +169,83 @@ impl Store {
     }
 }
 
+/// Stores' install orders grouped by key, a store at a time in storage
+/// reused from store to store, each key's first order kept for the
+/// serializability checker to compare the later stores' with.
+#[derive(Debug, Default)]
+pub(crate) struct InstallOrders<'a> {
+    /// Keys numbered in the order the stores number them; per number the
+    /// key, its first store, and where its order ends in `kept`.
+    pub index: HashMap<&'a Key, u32, BuildHasherDefault<KeyHasher>>,
+    pub keys: Vec<(&'a Key, SiteId, u32)>,
+    pub kept: Vec<TxnId>,
+    /// The last store's writers grouped by its own key numbers.
+    pub last: (Vec<u32>, Vec<TxnId>),
+}
+
+impl<'a> InstallOrders<'a> {
+    /// Groups `site`'s `store` by key and keeps the orders of the keys new
+    /// here; or says which known key, the smallest, the store installed in
+    /// another order, and that order.
+    pub fn add(&mut self, site: SiteId, store: &'a Store) -> Result<(), (usize, Vec<TxnId>)> {
+        // Room for the store at once: the later stores mostly repeat the first's keys.
+        let (keys, installs) = (store.numbered.len(), store.applied_writes() as usize);
+        let more = keys.saturating_sub(self.keys.len());
+        self.index.reserve(more);
+        self.keys.reserve(more);
+        self.kept.reserve(installs.saturating_sub(self.kept.len()));
+        let writers = store.installs.0.iter().flatten();
+        let writers = writers.map(|&(n, w)| (n, unpack(w).expect("a writer")));
+        self.last = bucket(keys, writers, std::mem::take(&mut self.last));
+        let mut least: Option<(usize, usize)> = None;
+        for (n, key) in store.numbered.iter().enumerate() {
+            let (order, next) = (group(&self.last, n), self.keys.len() as u32);
+            let k = *self.index.entry(key).or_insert(next) as usize;
+            if k == next as usize {
+                self.kept.extend_from_slice(order);
+                self.keys.push((key, site, self.kept.len() as u32));
+            } else if order != self.first(k) && least.is_none_or(|(l, _)| key < self.keys[l].0) {
+                least = Some((k, n));
+            }
+        }
+        least.map_or(Ok(()), |(k, n)| Err((k, group(&self.last, n).to_vec())))
+    }
+
+    /// Key `k`'s kept order.
+    pub fn first(&self, k: usize) -> &[TxnId] {
+        let from = k.checked_sub(1).map_or(0, |p| self.keys[p].2);
+        &self.kept[from as usize..self.keys[k].2 as usize]
+    }
+}
+
+/// What a counting sort filed under `n`.
+fn group((at, txns): &(Vec<u32>, Vec<TxnId>), n: usize) -> &[TxnId] {
+    &txns[at[n] as usize..at[n + 1] as usize]
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use bcastdb_sim::SiteId;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn t(n: u64) -> TxnId {
         TxnId::new(SiteId(0), n)
+    }
+
+    /// The writers of `key` at `s`, in install order.
+    fn order(s: &Store, key: &str) -> Vec<TxnId> {
+        let of_key = s.installs().filter(|(k, _)| k.as_str() == key);
+        of_key.map(|(_, txn)| txn).collect()
+    }
+
+    /// Every key `s` installed, with its writers in install order.
+    pub(crate) fn install_orders(s: &Store) -> BTreeMap<Key, Vec<TxnId>> {
+        let mut orders: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
+        for (key, txn) in s.installs() {
+            orders.entry(key.clone()).or_default().push(txn);
+        }
+        orders
     }
 
     fn w(key: &str, v: Value) -> WriteOp {
@@ -223,35 +281,141 @@ mod tests {
         s.apply(t(1), &[w("x", 1)]);
         s.apply(t(2), &[w("x", 2)]);
         assert_eq!(s.value(&Key::new("x")), 2);
-        assert_eq!(s.install_order(&Key::new("x")), &[t(1), t(2)]);
+        assert_eq!(order(&s, "x"), &[t(1), t(2)]);
     }
 
-    /// Keys installed 0, 1, 2, 3 and 9 times: on both sides of the two
-    /// inline slots, and past the spilled order's first growth.
-    #[test]
-    fn install_orders_cross_the_inline_boundary() {
-        let mut s = Store::new();
-        let counts = [0u64, 1, 2, 3, 9];
-        let key = |count: u64| Key::new(format!("k{count}"));
-        for round in 0..9 {
-            for &count in counts.iter().filter(|&&c| round < c) {
-                s.apply(
-                    t(count * 100 + round),
-                    &[w(&format!("k{count}"), round as i64)],
-                );
+    /// The store as it was before its install orders became one arena: per
+    /// key, the version beside the key's writers in install order, the
+    /// first two inline and the rest spilled to a vector.
+    mod oracle {
+        use super::*;
+
+        #[derive(Debug, Clone)]
+        enum Installs {
+            Inline(u8, [TxnId; 2]),
+            Spilled(Vec<TxnId>),
+        }
+
+        impl Installs {
+            fn push(&mut self, txn: TxnId) {
+                match self {
+                    Installs::Spilled(all) => all.push(txn),
+                    Installs::Inline(len, first) if usize::from(*len) < first.len() => {
+                        first[usize::from(*len)] = txn;
+                        *len += 1;
+                    }
+                    Installs::Inline(..) => {
+                        let mut all = self.as_slice().to_vec();
+                        all.push(txn);
+                        *self = Installs::Spilled(all);
+                    }
+                }
+            }
+
+            fn as_slice(&self) -> &[TxnId] {
+                match self {
+                    Installs::Inline(len, first) => &first[..usize::from(*len)],
+                    Installs::Spilled(all) => all,
+                }
             }
         }
-        for count in counts {
-            let want: Vec<TxnId> = (0..count).map(|round| t(count * 100 + round)).collect();
-            assert_eq!(s.install_order(&key(count)), want.as_slice(), "k{count}");
+
+        #[derive(Default)]
+        pub(super) struct KeyedStore(KeyMap<(Version, Installs)>);
+
+        impl KeyedStore {
+            pub(super) fn apply(&mut self, txn: TxnId, writes: &[WriteOp]) {
+                for w in writes {
+                    let version = Version {
+                        value: w.value,
+                        writer: Some(txn),
+                    };
+                    let empty = Installs::Inline(0, [t(0); 2]);
+                    let (current, installs) =
+                        self.0.entry(w.key.clone()).or_insert((version, empty));
+                    *current = version;
+                    installs.push(txn);
+                }
+            }
+
+            pub(super) fn seed(&mut self, key: &str, value: Value) {
+                let version = Version {
+                    value,
+                    writer: None,
+                };
+                let empty = Installs::Inline(0, [t(0); 2]);
+                self.0.entry(Key::new(key)).or_insert((version, empty)).0 = version;
+            }
+
+            pub(super) fn read(&self, key: &Key) -> Version {
+                let initial = Version {
+                    value: 0,
+                    writer: None,
+                };
+                self.0.get(key).map_or(initial, |&(version, _)| version)
+            }
+
+            pub(super) fn len(&self) -> usize {
+                self.0.len()
+            }
+
+            pub(super) fn install_order(&self, key: &Key) -> &[TxnId] {
+                self.0
+                    .get(key)
+                    .map_or(&[], |(_, installs)| installs.as_slice())
+            }
+
+            pub(super) fn install_orders(&self) -> BTreeMap<Key, Vec<TxnId>> {
+                let orders = self
+                    .0
+                    .iter()
+                    .map(|(k, (_, o))| (k.clone(), o.as_slice().to_vec()));
+                orders.filter(|(_, o)| !o.is_empty()).collect()
+            }
         }
-        let mut orders: Vec<(String, usize)> = (s.install_orders())
-            .map(|(k, o)| (k.as_str().to_string(), o.len()))
-            .collect();
-        orders.sort();
-        let want = [("k1", 1), ("k2", 2), ("k3", 3), ("k9", 9)];
-        let want: Vec<(String, usize)> = want.iter().map(|&(k, n)| (k.into(), n)).collect();
-        assert_eq!(orders, want);
+    }
+
+    proptest! {
+        /// The arena's per-key views, the checker's grouping among them,
+        /// agree with the keyed store they replaced: keys installed 0 to 9
+        /// times (`counts`), some seeded first, in write sets of one to three
+        /// keys.
+        #[test]
+        fn arena_orders_agree_with_the_keyed_store(
+            counts in proptest::collection::vec(0u64..10, 1..8),
+            seeded in proptest::collection::vec(any::<bool>(), 8),
+            keys_per_txn in 1usize..4,
+        ) {
+            let (mut arena, mut keyed) = (Store::new(), oracle::KeyedStore::default());
+            let key = |k: usize| format!("k{k}");
+            for k in (0..counts.len()).filter(|&k| seeded[k]) {
+                arena.seed(key(k), -1);
+                keyed.seed(&key(k), -1);
+            }
+            let installs = (0..10).flat_map(|round| {
+                let due = counts.iter().enumerate().filter(move |&(_, &c)| round < c);
+                due.map(move |(k, _)| w(&key(k), round as i64))
+            });
+            let installs: Vec<WriteOp> = installs.collect();
+            for (n, writes) in installs.chunks(keys_per_txn).enumerate() {
+                arena.apply(t(n as u64), writes);
+                keyed.apply(t(n as u64), writes);
+            }
+            prop_assert_eq!(install_orders(&arena), keyed.install_orders());
+            let mut grouped = InstallOrders::default();
+            prop_assert_eq!(grouped.add(SiteId(0), &arena), Ok(()));
+            prop_assert_eq!(grouped.add(SiteId(1), &arena), Ok(()));
+            for (n, &(k, _, _)) in grouped.keys.iter().enumerate() {
+                prop_assert_eq!(grouped.first(n), keyed.install_order(k));
+            }
+            for k in 0..counts.len() {
+                let k = Key::new(key(k));
+                prop_assert_eq!(order(&arena, k.as_str()), keyed.install_order(&k));
+                prop_assert_eq!(arena.read(&k), keyed.read(&k));
+            }
+            prop_assert_eq!(arena.len(), keyed.len());
+            prop_assert_eq!(arena.applied_writes(), counts.iter().sum::<u64>());
+        }
     }
 
     #[test]
@@ -260,9 +424,11 @@ mod tests {
         s.seed("seeded", 5);
         s.seed("both", 1);
         s.apply(t(1), &[w("both", 2), w("written", 3)]);
-        let mut keys: Vec<&str> = s.install_orders().map(|(k, _)| k.as_str()).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec!["both", "written"]);
+        let orders = install_orders(&s);
+        assert_eq!(
+            orders.keys().map(Key::as_str).collect::<Vec<_>>(),
+            ["both", "written"]
+        );
         assert_eq!(s.len(), 3);
     }
 
@@ -275,15 +441,8 @@ mod tests {
         }
         let copy = s.clone();
         assert!(copy.converged_with(&s) && s.converged_with(&copy));
-        let orders = |s: &Store| {
-            let mut o: Vec<(Key, Vec<TxnId>)> = (s.install_orders())
-                .map(|(k, o)| (k.clone(), o.to_vec()))
-                .collect();
-            o.sort();
-            o
-        };
-        assert_eq!(orders(&copy), orders(&s));
-        assert_eq!(copy.install_order(&Key::new("hot")).len(), 5);
+        assert_eq!(install_orders(&copy), install_orders(&s));
+        assert_eq!(order(&copy, "hot").len(), 5);
     }
 
     #[test]
@@ -291,7 +450,7 @@ mod tests {
         let mut s = Store::new();
         s.seed("x", 7);
         assert_eq!(s.read(&Key::new("x")).writer, None);
-        assert!(s.install_order(&Key::new("x")).is_empty());
+        assert!(order(&s, "x").is_empty());
     }
 
     #[test]

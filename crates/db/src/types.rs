@@ -192,6 +192,11 @@ impl TxnSpec {
         &self.writes
     }
 
+    /// The write set, taken out of the specification.
+    pub fn into_writes(self) -> Vec<WriteOp> {
+        self.writes
+    }
+
     /// True iff the transaction performs no writes. Read-only transactions
     /// get special treatment in the paper: they execute entirely locally
     /// and never broadcast a commit decision.
@@ -202,14 +207,6 @@ impl TxnSpec {
     /// True iff the transaction touches no objects at all.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
-    }
-
-    /// True iff this transaction's write set conflicts (shares a key) with
-    /// another write set.
-    pub fn ww_conflicts_with(&self, other: &TxnSpec) -> bool {
-        self.writes
-            .iter()
-            .any(|w| other.writes.iter().any(|o| o.key == w.key))
     }
 }
 
@@ -293,15 +290,6 @@ mod tests {
         assert!(TxnSpec::new().is_read_only());
         assert!(TxnSpec::new().is_empty());
         assert!(!TxnSpec::new().write("x", 1).is_read_only());
-    }
-
-    #[test]
-    fn ww_conflict_detection() {
-        let t1 = TxnSpec::new().write("x", 1).write("y", 2);
-        let t2 = TxnSpec::new().write("y", 9);
-        let t3 = TxnSpec::new().write("z", 9).read("x");
-        assert!(t1.ww_conflicts_with(&t2));
-        assert!(!t1.ww_conflicts_with(&t3), "read-write overlap is not ww");
     }
 
     #[test]

@@ -43,33 +43,29 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// A pass-through allocator that counts allocations and allocated bytes.
+/// A pass-through allocator that counts allocations.
 ///
 /// Install it in a binary with
 /// `#[global_allocator] static A: CountingAllocator = CountingAllocator;`
-/// and read the totals via [`allocation_count`] / [`allocated_bytes`].
+/// and read the total via [`allocation_count`].
 pub struct CountingAllocator;
 
-// SAFETY: pure pass-through to `System`; the counters never influence the
+// SAFETY: pure pass-through to `System`; the counter never influences the
 // returned pointers or layouts.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -84,12 +80,4 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// global allocator.
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested from the allocator since process start.
-///
-/// Returns 0 unless the program installed [`CountingAllocator`] as its
-/// global allocator.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }

@@ -431,11 +431,6 @@ impl<N: Node> Simulation<N> {
         let deadline = self.now + budget;
         self.run_until(deadline)
     }
-
-    /// Consumes the simulation and returns its nodes.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
 }
 
 #[cfg(test)]

@@ -52,10 +52,8 @@ fn main() {
     let mut h = HistoryRecorder::new();
     for site in cluster.sites().collect::<Vec<_>>() {
         let st = cluster.replica(site).state();
-        for rec in &st.terminations {
-            if rec.committed {
-                h.record_commit(rec.txn, rec.reads.clone(), rec.writes.clone());
-            }
+        for rec in &st.commits {
+            h.record_commit_ref(rec.txn, st.reads.run(&rec.reads), &rec.writes);
         }
         h.record_site_order(site, &st.store);
     }

@@ -423,3 +423,57 @@ fn wan_profile_all_protocols() {
         cluster.check_serializability().expect("serializable");
     }
 }
+
+/// An origin's commit record holds the write set of its specification,
+/// moved into the record rather than copied from the broadcast shell: on
+/// every protocol, at every origin, it equals the shell's ops as the
+/// origin's redo log installed them. Read-only commits carry none and log
+/// nothing.
+#[test]
+fn origin_commit_records_hold_the_shells_write_sets() {
+    use bcastdb::db::{LogRecord, WriteOp};
+    use std::collections::BTreeMap;
+    let cfg = WorkloadConfig {
+        n_keys: 30,
+        theta: 0.5,
+        reads_per_txn: 2,
+        writes_per_txn: 3,
+        readonly_fraction: 0.2,
+        ..WorkloadConfig::default()
+    };
+    for proto in all_protocols() {
+        let mut cluster = Cluster::builder().sites(4).protocol(proto).seed(9).build();
+        let run = WorkloadRun::new(cfg.clone(), 41);
+        let report = run.open_loop(&mut cluster, 15, SimDuration::from_millis(5));
+        assert!(report.quiesced && report.converged, "{proto}");
+        let (mut updates, mut read_only) = (0, 0);
+        for site in cluster.sites().collect::<Vec<_>>() {
+            let st = cluster.replica(site).state();
+            let logged: BTreeMap<TxnId, &[WriteOp]> = (st.log.records())
+                .filter_map(|rec| match rec {
+                    LogRecord::Commit { txn, writes } => Some((txn, writes)),
+                    LogRecord::Abort { .. } => None,
+                })
+                .collect();
+            for rec in &st.commits {
+                assert_eq!(
+                    rec.txn.origin, site,
+                    "{proto}: a record away from its origin"
+                );
+                if rec.writes.is_empty() {
+                    assert!(!logged.contains_key(&rec.txn), "{proto}: {}", rec.txn);
+                    read_only += 1;
+                } else {
+                    let shell = logged.get(&rec.txn).copied();
+                    assert_eq!(Some(&rec.writes[..]), shell, "{proto}: {}", rec.txn);
+                    assert_eq!(rec.writes.len(), 3, "{proto}: {}", rec.txn);
+                    updates += 1;
+                }
+            }
+        }
+        assert!(
+            updates >= 5 && read_only >= 5,
+            "{proto}: {updates} {read_only}"
+        );
+    }
+}
