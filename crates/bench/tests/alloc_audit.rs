@@ -407,8 +407,10 @@ fn allocs_per_event_stays_bounded() {
     // 1.233 since retired transactions' entries are reused and the redo log
     // is one arena, 0.664 since the event queue's slots are lists in one
     // pool, 0.461 since broadcast payloads and lock-table entries are
-    // recycled, 0.404 since install orders and read sets are arenas; the
-    // ceiling leaves ~25% headroom.
+    // recycled, 0.404 since install orders and read sets are arenas, 0.415
+    // (697 -> 685 allocations) since a traced abort's reason borrows its
+    // counter name instead of building a `String`; the ceiling is that last
+    // figure plus the benchmark's 5% bound.
     let traced = Cluster::builder()
         .protocol(ProtocolKind::ReliableBcast)
         .trace(TRACE_CAPACITY)
@@ -421,9 +423,9 @@ fn allocs_per_event_stays_bounded() {
          {traced_events} events = {per_event:.3} allocs/event"
     );
     assert!(
-        per_event < 0.51,
+        per_event < 0.436,
         "product tracing now allocates {per_event:.3} times per event (ceiling \
-         0.51) — an event clone, a per-sample map or a per-line buffer \
+         0.436) — an event clone, a per-sample map or a per-line buffer \
          crept back into the trace and metrics sinks; see PERFORMANCE.md"
     );
 

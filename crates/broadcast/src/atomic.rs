@@ -13,7 +13,8 @@
 //! - [`IsisAbcast`] — the decentralized ISIS/Skeen algorithm: every site
 //!   proposes a Lamport priority, the origin picks the maximum and
 //!   finalizes; `3(N-1)` messages and 3 hops per broadcast \[Bv94\]. It
-//!   has no coordinator, so no repair round: it is A1's leaderless cell.
+//!   has no coordinator, so no repair round: it is A1's leaderless cell,
+//!   and the replica does not offer it (see its doc).
 //!
 //! Both deliver [`TotalDelivery`] values carrying a dense global sequence
 //! number, identical at every site.
@@ -296,6 +297,12 @@ struct IsisEntry<P> {
 }
 
 /// ISIS-style decentralized atomic broadcast (Skeen's algorithm).
+///
+/// A1 measures it where nothing crashes. The replica does not offer it:
+/// it has no view change and no repair round, so a message whose origin
+/// or proposer crashed before its `Final` stays pending forever and holds
+/// back every later delivery. The sequencer and the ring share the
+/// ordering core, whose repair round settles that case.
 #[derive(Debug)]
 pub struct IsisAbcast<P> {
     me: SiteId,
@@ -331,31 +338,6 @@ impl<P: Clone> IsisAbcast<P> {
             proposals: HashMap::new(),
             delivered: 0,
         }
-    }
-
-    /// Number of messages awaiting finalization or delivery.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Accepted ids held individually because an earlier `Data` of the
-    /// same origin has not arrived.
-    pub fn dedup_live(&self) -> usize {
-        self.seen.iter().map(SeqWindow::held).sum()
-    }
-
-    /// The donor-visible logical clock (for state transfer).
-    pub fn lamport(&self) -> u64 {
-        self.lamport
-    }
-
-    /// Resumes a recovered engine: adopts a donor's logical clock and
-    /// delivered count, dropping stale pending agreement state.
-    pub fn resume_from(&mut self, lamport: u64, delivered: u64) {
-        self.lamport = self.lamport.max(lamport);
-        self.delivered = self.delivered.max(delivered);
-        self.pending.clear();
-        self.proposals.clear();
     }
 
     fn propose(&mut self) -> Priority {
@@ -866,6 +848,34 @@ mod tests {
             }
         }
         assert_eq!(wires, 3 * (n - 1));
+    }
+
+    /// A1 charges ISIS's links by these sizes: MsgId = 16, a priority
+    /// `(u64, SiteId)` = 16.
+    #[test]
+    fn isis_wire_sizes_match_encoded_layout() {
+        use crate::batch::WireSize;
+        #[derive(Clone)]
+        struct Blob(usize);
+        impl WireSize for Blob {
+            fn wire_size(&self) -> usize {
+                self.0
+            }
+        }
+        let id = MsgId {
+            origin: SiteId(0),
+            seq: 1,
+        };
+        let data = IsisWire::Data {
+            id,
+            payload: Blob(100),
+        };
+        assert_eq!(data.wire_size(), 16 + 100);
+        let prio = (1, SiteId(1));
+        let propose: IsisWire<Blob> = IsisWire::Propose { id, prio };
+        assert_eq!(propose.wire_size(), 16 + 16);
+        let fin: IsisWire<Blob> = IsisWire::Final { id, prio };
+        assert_eq!(fin.wire_size(), 16 + 16);
     }
 
     #[test]

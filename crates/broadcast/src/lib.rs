@@ -19,7 +19,8 @@
 //!   implementations whose cost difference is the subject of ablation
 //!   experiment A1 (the pipelined ring stays bandwidth-bound as the group
 //!   grows where the other two go leader-bound); the first and last share
-//!   one ordering core, [`order`].
+//!   one ordering core, [`order`], and are the two the replica offers:
+//!   ISIS has no view change and no repair round, so it runs in A1 only.
 //!
 //! [`membership::ViewManager`] provides majority-quorum views: "as long as
 //! the view has majority membership, the system remains operational".

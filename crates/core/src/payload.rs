@@ -1,7 +1,7 @@
 //! Message and timer types exchanged by the replicas, and the protocol
 //! selector.
 
-use bcastdb_broadcast::atomic::{IsisWire, SeqWire};
+use bcastdb_broadcast::atomic::SeqWire;
 use bcastdb_broadcast::batch::{WireSize, BATCH_HEADER_BYTES, PER_MSG_OVERHEAD_BYTES};
 use bcastdb_broadcast::membership::MemberWire;
 use bcastdb_broadcast::ring::RingWire;
@@ -56,15 +56,14 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// Which atomic-broadcast implementation the atomic protocol uses
-/// (ablation A1).
+/// Which atomic-broadcast implementation the atomic protocol uses. Both
+/// run the ordering core, so both survive a crash through its view change
+/// and repair round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AbcastImpl {
     /// Fixed sequencer (site 0): fewest messages, 2 hops.
     #[default]
     Sequencer,
-    /// ISIS-style agreed priorities: `3(N-1)` messages, 3 hops.
-    Isis,
     /// Pipelined ring dissemination: `2N-1` messages, every link carries
     /// ~1x the payload bytes regardless of N (bandwidth-bound at scale).
     Ring,
@@ -311,8 +310,6 @@ pub enum ReplicaMsg {
     C(causal::Wire<Arc<Payload>>),
     /// Sequencer atomic-broadcast wire traffic (`Arc`-shared payload body).
     ASeq(SeqWire<Arc<Payload>>),
-    /// ISIS atomic-broadcast wire traffic (`Arc`-shared payload body).
-    AIsis(IsisWire<Arc<Payload>>),
     /// Ring atomic-broadcast wire traffic (`Arc`-shared payload body).
     ARing(RingWire<Arc<Payload>>),
     /// Point-to-point baseline traffic.
@@ -350,7 +347,6 @@ wire_variant! {
     reliable::Wire<Arc<Payload>> => R,
     causal::Wire<Arc<Payload>> => C,
     SeqWire<Arc<Payload>> => ASeq,
-    IsisWire<Arc<Payload>> => AIsis,
     RingWire<Arc<Payload>> => ARing,
 }
 
@@ -376,16 +372,13 @@ impl ReplicaMsg {
     ///
     /// - **prepare** — disseminating a transaction's effects: write
     ///   operations, commit requests, and the payload-carrying legs of the
-    ///   atomic broadcast (sequencer submissions, ISIS data, ring data
-    ///   hops),
+    ///   atomic broadcast (sequencer submissions, ring data hops),
     /// - **vote** — explicit 2PC votes,
     /// - **ack** — acknowledgement-shaped control traffic: per-operation
     ///   write acks (baseline), negative acknowledgements and null
-    ///   keep-alives (causal), ISIS priority proposals, ring cumulative
-    ///   window acks,
+    ///   keep-alives (causal), ring cumulative window acks,
     /// - **decision** — outcome propagation: abort decisions, the
-    ///   sequencer's orderings and slots, ISIS final priorities, ring
-    ///   commits,
+    ///   sequencer's orderings and slots, ring commits,
     /// - **retransmit** — loss recovery: retransmitted causal wires,
     ///   reliable-broadcast watermark syncs, sequencer and ring
     ///   view-change reports,
@@ -398,11 +391,6 @@ impl ReplicaMsg {
                 SeqWire::Submit { .. } => Phase::Prepare,
                 SeqWire::Ordered { .. } | SeqWire::Slot { .. } => Phase::Decision,
                 SeqWire::Repair(_) => Phase::Retransmit,
-            },
-            ReplicaMsg::AIsis(w) => match w {
-                IsisWire::Data { .. } => Phase::Prepare,
-                IsisWire::Propose { .. } => Phase::Ack,
-                IsisWire::Final { .. } => Phase::Decision,
             },
             ReplicaMsg::ARing(w) => match w {
                 RingWire::Data { .. } => Phase::Prepare,
@@ -450,7 +438,6 @@ impl WireSize for ReplicaMsg {
             ReplicaMsg::R(w) => w.wire_size(),
             ReplicaMsg::C(w) | ReplicaMsg::CRetrans(w) => w.wire_size(),
             ReplicaMsg::ASeq(w) => w.wire_size(),
-            ReplicaMsg::AIsis(w) => w.wire_size(),
             ReplicaMsg::ARing(w) => w.wire_size(),
             ReplicaMsg::P2p(m) => m.wire_size(),
             ReplicaMsg::Member(w) => w.wire_size(),
@@ -750,18 +737,6 @@ mod tests {
                 entries: vec![(0, id), (1, id)],
                 delivered: 0,
             })),
-            ReplicaMsg::AIsis(IsisWire::Data {
-                id,
-                payload: null(),
-            }),
-            ReplicaMsg::AIsis(IsisWire::Propose {
-                id,
-                prio: (1, SiteId(1)),
-            }),
-            ReplicaMsg::AIsis(IsisWire::Final {
-                id,
-                prio: (1, SiteId(1)),
-            }),
             ReplicaMsg::ARing(RingWire::Data {
                 id,
                 payload: null(),
@@ -822,9 +797,6 @@ mod tests {
                 ReplicaMsg::ASeq(SeqWire::Ordered { payload, .. }) => 8 + 16 + payload.wire_size(),
                 ReplicaMsg::ASeq(SeqWire::Slot { .. }) => 8 + 16,
                 ReplicaMsg::ASeq(SeqWire::Repair(r)) => 8 + 8 + 8 + 24 * r.entries.len(),
-                ReplicaMsg::AIsis(IsisWire::Data { payload, .. }) => 16 + payload.wire_size(),
-                ReplicaMsg::AIsis(IsisWire::Propose { .. })
-                | ReplicaMsg::AIsis(IsisWire::Final { .. }) => 16 + 16,
                 ReplicaMsg::ARing(RingWire::Data { payload, .. }) => 16 + payload.wire_size() + 8,
                 ReplicaMsg::ARing(RingWire::Commit { .. }) => 8 + 8 + 16,
                 ReplicaMsg::ARing(RingWire::Ack { .. }) => 8,

@@ -28,7 +28,7 @@ use crate::metrics::AbortReason;
 use crate::payload::{AbcastImpl, Payload, ReplicaMsg, Shelf, TxnPriority};
 use crate::protocols::{paced_write_phase, sweep_view, Cx, Gate, ProtoSnapshot, Variation};
 use crate::state::{txn_ref, SiteState};
-use bcastdb_broadcast::atomic::{self, AtomicBcast, IsisAbcast, SequencerAbcast, TotalDelivery};
+use bcastdb_broadcast::atomic::{self, AtomicBcast, SequencerAbcast, TotalDelivery};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::order;
 use bcastdb_broadcast::ring::RingAbcast;
@@ -39,16 +39,16 @@ use bcastdb_sim::{SampleWriter, SiteId};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// One of the atomic-broadcast engines, selected by [`AbcastImpl`].
+/// One of the two front ends of the ordering core, selected by
+/// [`AbcastImpl`].
 ///
-/// All engines carry `Arc<Payload>` so their holdback/pending buffers and
-/// the per-destination fan-out share one payload per broadcast.
+/// Both engines carry `Arc<Payload>` so their holdback buffers and the
+/// per-destination fan-out share one payload per broadcast.
 #[derive(Debug)]
 enum Abcast {
     Seq(SequencerAbcast<Arc<Payload>>),
-    Isis(IsisAbcast<Arc<Payload>>),
-    // Boxed: the ring engine's repair/pipeline state dwarfs the other
-    // variants (clippy::large_enum_variant).
+    // Boxed: the ring engine's repair/pipeline state dwarfs the sequencer
+    // (clippy::large_enum_variant).
     Ring(Box<RingAbcast<Arc<Payload>>>),
 }
 
@@ -64,21 +64,12 @@ pub(crate) enum AbDelivery {
 /// One driver step of this protocol.
 type AbCx<'a> = Cx<'a, AbDelivery>;
 
-/// Delivery position of the configured atomic-broadcast engine.
-#[derive(Debug, Clone)]
-enum AbcastPos {
-    /// The ordering core under the sequencer and the ring.
-    Core(order::Snapshot),
-    /// ISIS `(lamport, delivered)` pair.
-    Isis(u64, u64),
-}
-
 /// State-transfer snapshot of the atomic protocol's engines and version
 /// directory.
 #[derive(Debug, Clone)]
 pub struct AbSnapshot {
     causal: VectorClock,
-    order: AbcastPos,
+    order: order::Snapshot,
     latest_writer: KeyMap<TxnId>,
 }
 
@@ -191,7 +182,6 @@ impl Variation for AtomicProto {
             cb: CausalBcast::new(me, n).without_archive(),
             ab: match cfg.abcast_impl() {
                 AbcastImpl::Sequencer => Abcast::Seq(SequencerAbcast::new(me, n)),
-                AbcastImpl::Isis => Abcast::Isis(IsisAbcast::new(me, n)),
                 AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
             },
             shelf: Shelf::default(),
@@ -213,9 +203,6 @@ impl Variation for AtomicProto {
         match (msg, &mut self.ab) {
             (ReplicaMsg::C(wire), _) => Self::route_causal(cx, self.cb.on_wire(from, wire)),
             (ReplicaMsg::ASeq(wire), Abcast::Seq(ab)) => {
-                Self::route_total(cx, ab.on_wire(from, wire))
-            }
-            (ReplicaMsg::AIsis(wire), Abcast::Isis(ab)) => {
                 Self::route_total(cx, ab.on_wire(from, wire))
             }
             (ReplicaMsg::ARing(wire), Abcast::Ring(ab)) => {
@@ -259,7 +246,6 @@ impl Variation for AtomicProto {
         cx.st.trace_commit_req_out(txn, cx.now);
         match &mut self.ab {
             Abcast::Seq(ab) => Self::route_total(cx, ab.broadcast(request).1),
-            Abcast::Isis(ab) => Self::route_total(cx, ab.broadcast(request).1),
             Abcast::Ring(ab) => Self::route_total(cx, ab.broadcast(request).1),
         }
     }
@@ -299,8 +285,8 @@ impl Variation for AtomicProto {
         }
     }
 
-    /// The sequencer and the ring install the view (keyed by its id) and
-    /// start the ordering core's repair round under its coordinator;
+    /// The backend installs the view (keyed by its id) and starts the
+    /// ordering core's repair round under its coordinator;
     /// transactions from departed origins abort (their commit request may
     /// never be ordered), which may unblock the certification queue.
     fn set_view(&mut self, cx: &mut AbCx, view_id: u64) {
@@ -308,7 +294,6 @@ impl Variation for AtomicProto {
         match &mut self.ab {
             Abcast::Seq(ab) => Self::route_total(cx, ab.set_view(&roster, view_id)),
             Abcast::Ring(ab) => Self::route_total(cx, ab.set_view(&roster, view_id)),
-            Abcast::Isis(_) => {}
         }
         sweep_view(self, cx);
         self.drain_cert_queue(cx);
@@ -318,9 +303,8 @@ impl Variation for AtomicProto {
         ProtoSnapshot::Atomic(AbSnapshot {
             causal: self.cb.clock().clone(),
             order: match &self.ab {
-                Abcast::Seq(a) => AbcastPos::Core(a.snapshot()),
-                Abcast::Isis(a) => AbcastPos::Isis(a.lamport(), a.delivered_count()),
-                Abcast::Ring(a) => AbcastPos::Core(a.snapshot()),
+                Abcast::Seq(a) => a.snapshot(),
+                Abcast::Ring(a) => a.snapshot(),
             },
             latest_writer: self.latest_writer.clone(),
         })
@@ -334,22 +318,19 @@ impl Variation for AtomicProto {
             return;
         };
         self.cb.resume_from(&donor.causal);
-        match (&mut self.ab, &donor.order) {
-            (Abcast::Seq(a), AbcastPos::Core(snap)) => a.resume_from(snap),
-            (Abcast::Isis(a), AbcastPos::Isis(l, d)) => a.resume_from(*l, *d),
-            (Abcast::Ring(a), AbcastPos::Core(snap)) => a.resume_from(snap),
-            _ => {}
+        match &mut self.ab {
+            Abcast::Seq(a) => a.resume_from(&donor.order),
+            Abcast::Ring(a) => a.resume_from(&donor.order),
         }
         self.latest_writer.clone_from(&donor.latest_writer);
         self.cert_queue.clear();
     }
 
     /// Each backend reports its own gauges: the ring its pipeline and
-    /// repair log, the other two their duplicate trackers.
+    /// repair log, the sequencer its duplicate tracker.
     fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter) {
         match &self.ab {
             Abcast::Seq(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),
-            Abcast::Isis(a) => sample.set_site(me, "abcast.dedup_live", a.dedup_live() as u64),
             Abcast::Ring(a) => {
                 sample.set_site(me, "ring.inflight", a.inflight());
                 sample.set_site(me, "ring.forwarded", a.forwarded_count());
@@ -402,7 +383,7 @@ pub(crate) mod tests {
 
     #[test]
     fn commits_with_no_acknowledgement_traffic() {
-        for imp in [AbcastImpl::Sequencer, AbcastImpl::Isis, AbcastImpl::Ring] {
+        for imp in [AbcastImpl::Sequencer, AbcastImpl::Ring] {
             let mut rig = rig(3, imp);
             let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
             rig.settle();
@@ -468,7 +449,7 @@ pub(crate) mod tests {
 
     #[test]
     fn applies_follow_total_order_on_every_site() {
-        let mut rig = rig(4, AbcastImpl::Isis);
+        let mut rig = rig(4, AbcastImpl::Ring);
         let mut ids = Vec::new();
         for i in 0..4 {
             ids.push(rig.submit(

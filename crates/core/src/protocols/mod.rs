@@ -1042,10 +1042,7 @@ pub(crate) mod tests {
         let is_commit_req = |m: &&ReplicaMsg| match m {
             ReplicaMsg::R(w) => matches!(*w.payload, Payload::CommitReq { .. }),
             ReplicaMsg::C(w) => matches!(*w.payload, Payload::CommitReq { .. }),
-            m => matches!(
-                m,
-                ReplicaMsg::ASeq(_) | ReplicaMsg::AIsis(_) | ReplicaMsg::ARing(_)
-            ),
+            m => matches!(m, ReplicaMsg::ASeq(_) | ReplicaMsg::ARing(_)),
         };
         assert_eq!(
             rig.sent.iter().filter(is_commit_req).count(),

@@ -733,7 +733,7 @@ impl SiteState {
             at: now,
             site: me,
             txn: txn_ref(id),
-            reason: reason.counter().to_string(),
+            reason: reason.counter().into(),
         });
         if gone.spec.is_read_only() {
             // Only the atomic protocol ever does this (the price of
@@ -1104,7 +1104,7 @@ impl SiteState {
             at: now,
             site: me,
             txn: txn_ref(id),
-            reason: reason.counter().to_string(),
+            reason: reason.counter().into(),
         });
         if self.local.remove(&id).is_some() {
             // Origin records the abort (one metrics entry per transaction,

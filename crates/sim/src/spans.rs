@@ -25,10 +25,11 @@
 //! `disseminate`, the reliable protocol's cost sits in `votes`/`decide`,
 //! the causal protocol's implicit-acknowledgement wait shows up as
 //! `votes` (closed by its origin-side `Decided` milestone), and the
-//! atomic protocol's sequencer/ISIS latency is `order_wait`.
+//! atomic protocol's total-order latency (sequencer or ring) is `order_wait`.
 
 use crate::telemetry::{TraceEvent, TraceSink, TxnRef};
 use crate::{SimDuration, SimTime, SiteId};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -169,7 +170,7 @@ pub enum SpanOutcome {
         /// Origin-side abort time.
         at: SimTime,
         /// Stable abort-reason counter name.
-        reason: String,
+        reason: Cow<'static, str>,
     },
 }
 

@@ -6,6 +6,7 @@
 use super::{Phase, TraceEvent, TxnRef};
 use crate::json::{self, Field};
 use crate::{SimTime, SiteId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A field type of the schema table.
@@ -118,13 +119,13 @@ impl Wire for Phase {
     }
 }
 
-impl Wire for String {
+impl Wire for Cow<'static, str> {
     fn put<D: Digits>(&self, key: &str, out: &mut String) {
         out.push_str(key);
         json::write_str(out, self);
     }
     fn take(line: Field<'_>, key: &'static str) -> Result<Self, String> {
-        line.get(key)?.str().map(str::to_owned)
+        line.get(key)?.str().map(|s| Cow::Owned(s.to_owned()))
     }
 }
 

@@ -58,6 +58,7 @@ pub use sinks::{WorkerSink, BLOCK_EVENTS, WORKER_START_BLOCK};
 use crate::json::Field;
 use crate::{SimTime, SiteId};
 use codec::Wire;
+use std::borrow::Cow;
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -80,10 +81,10 @@ pub enum Phase {
     /// Explicit 2PC votes.
     Vote,
     /// Acknowledgement-shaped traffic: per-operation write acks, negative
-    /// acknowledgements, null keep-alives, ISIS priority proposals.
+    /// acknowledgements, null keep-alives, ring window acks.
     Ack,
-    /// Outcome propagation: abort decisions, sequencer orderings, ISIS
-    /// final priorities.
+    /// Outcome propagation: abort decisions, sequencer orderings, ring
+    /// commits.
     Decision,
     /// Loss recovery: retransmitted broadcasts and watermark syncs.
     Retransmit,
@@ -386,8 +387,8 @@ trace_events! {
         site: SiteId,
         /// The aborted transaction.
         txn: TxnRef,
-        /// Stable abort-reason counter name (e.g. `abort_wounded`).
-        reason: String,
+        /// Stable abort-reason counter name (e.g. `abort_wounded`), borrowed when emitted.
+        reason: Cow<'static, str>,
     }
     /// The atomic broadcast delivered a commit request in the agreed
     /// total order at this site.

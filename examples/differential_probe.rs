@@ -4,10 +4,11 @@
 //! per-phase traffic) for each of ~1000 small seeded runs: every protocol
 //! across the knob matrix — membership, crashes, partitions, state
 //! transfer, fast commit, loss recovery with and without backoff, think
-//! time, batching, partial placement, all three atomic-broadcast backends —
-//! plus the baseline under heavy contention through crashes, the one
-//! regime where the order in which a view change settles its orphans shows
-//! up in the counts. The committed `results/` cover far fewer corners.
+//! time, batching, partial placement, both atomic-broadcast backends
+//! through a crash and rejoin — plus the baseline under heavy contention
+//! through crashes, the one regime where the order in which a view change
+//! settles its orphans shows up in the counts. The committed `results/`
+//! cover far fewer corners.
 //!
 //! Use: run it here and in a checkout of the parent commit (copy this file
 //! over if the parent predates it), then `cmp` the two outputs — see
@@ -87,7 +88,8 @@ fn knob_matrix() {
                 }
                 6 => (b, fault) = (membership(b), "partition"),
                 _ => {
-                    let backend = [AbcastImpl::Isis, AbcastImpl::Ring][(seed % 2) as usize];
+                    let backend =
+                        [AbcastImpl::Sequencer, AbcastImpl::Ring][(seed / 8 % 2) as usize];
                     b = membership(b)
                         .abcast(backend)
                         .fast_commit(seed % 4 < 2)

@@ -115,6 +115,11 @@ fn atomic_coordinator_crash_under_load_terminates_everything() {
     };
     let zipf = wl.sampler();
     for imp in [AbcastImpl::Sequencer, AbcastImpl::Ring] {
+        // Every backend the config offers must be in this loop: a new
+        // variant fails to compile here until it joins it.
+        match imp {
+            AbcastImpl::Sequencer | AbcastImpl::Ring => {}
+        }
         let mut c = Cluster::builder()
             .sites(5)
             .protocol(ProtocolKind::AtomicBcast)

@@ -231,7 +231,7 @@ fn event() -> impl Strategy<Value = TraceEvent> {
             at,
             site,
             txn,
-            reason
+            reason: reason.into()
         }),
         (time(), site(), txn(), 0u64..1_000_000).prop_map(|(at, site, txn, gseq)| {
             TraceEvent::TotalOrder {
