@@ -310,16 +310,15 @@ impl std::fmt::Display for LedgerEntry {
     }
 }
 
-/// The current git revision (12 hex digits, plus `-dirty` when the tree
-/// has uncommitted changes), or `"unknown"` outside a checkout.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args("describe --always --dirty --abbrev=12 --exclude=*".split(' '))
+/// A ledger stamp: what `program args` prints, trimmed, or `"unknown"`
+/// when that fails (outside a checkout, or with no `rustc` on the path).
+fn stamp(program: &str, args: &str) -> String {
+    std::process::Command::new(program)
+        .args(args.split(' '))
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_owned())
 }
@@ -330,6 +329,7 @@ pub fn git_rev() -> String {
 /// ```json
 /// {
 ///   "git_rev": "abc123def456",
+///   "rustc": "rustc 1.80.0 (051478957 2024-07-21)",
 ///   "jobs": 4,
 ///   "total_wall_ms": 1234.5,
 ///   "total_runs_wall_ms": 4321.0,
@@ -353,7 +353,9 @@ pub fn write_wallclock_json(path: &Path, entries: &[LedgerEntry]) -> std::io::Re
     };
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"git_rev\": {},", quote(&git_rev()));
+    let git_rev = stamp("git", "describe --always --dirty --abbrev=12 --exclude=*");
+    let _ = writeln!(out, "  \"git_rev\": {},", quote(&git_rev));
+    let _ = writeln!(out, "  \"rustc\": {},", quote(&stamp("rustc", "-V")));
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"total_wall_ms\": {total_wall:.3},");
     let _ = writeln!(out, "  \"total_runs_wall_ms\": {total_runs_wall:.3},");

@@ -64,7 +64,7 @@ pub mod perfdiff;
 pub mod perfetto;
 pub mod scenarios;
 
-pub use harness::{git_rev, write_wallclock_json, LedgerEntry, Sweep, SweepOutcome};
+pub use harness::{write_wallclock_json, LedgerEntry, Sweep, SweepOutcome};
 
 use bcastdb_core::Cluster;
 use bcastdb_sim::telemetry::{Phase, PhaseCounts, Segment, SegmentSummary};

@@ -357,6 +357,14 @@ mod tests {
   ]
 }"#;
         let l = WallclockLedger::parse(text).expect("parse");
+        // Ledgers since the compiler stamp carry `rustc` beside `git_rev`;
+        // both shapes read the same.
+        let stamped = text.replace(
+            "\n  \"jobs\"",
+            "\n  \"rustc\": \"rustc 1.80.0\",\n  \"jobs\"",
+        );
+        assert!(stamped.contains("\"rustc\""));
+        assert_eq!(WallclockLedger::parse(&stamped), Ok(l.clone()));
         assert_eq!(l.git_rev, "906a4b849d0a");
         assert_eq!(l.jobs, 1);
         assert_eq!(l.experiments.len(), 1);

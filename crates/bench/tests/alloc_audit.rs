@@ -31,8 +31,8 @@ use bcastdb_core::{AbcastImpl, Cluster, ClusterBuilder, ProtocolKind};
 use bcastdb_db::{Key, LockManager, LockMode, RequestOutcome, TxnId};
 use bcastdb_sim::telemetry::{JsonlSink, Phase, TraceEvent, TraceSink};
 use bcastdb_sim::{
-    DetRng, EventKind, EventQueue, NetworkConfig, SampleWriter, SimDuration, SimTime, SiteId,
-    StatsRegistry,
+    DetRng, EventKind, EventQueue, Histogram, NetworkConfig, SampleWriter, SimDuration, SimTime,
+    SiteId, StatsRegistry,
 };
 use bcastdb_workload::WorkloadConfig;
 
@@ -430,16 +430,22 @@ fn allocs_per_event_stays_bounded() {
     );
 
     // Sampler ratchet: once the series repeat, a sample stores its values
-    // and nothing else, so 1 000 warm samples of 11 series allocate only
-    // when the registry's row vector doubles: at most 14 times on the way to
-    // 12 000 cells (10 measured).
+    // and nothing else, so 1 000 warm samples of 11 series, plus one
+    // cluster-wide sum and one histogram that every site adds its share to,
+    // allocate only when the registry's row vector doubles: at most 14
+    // times on the way to 18 000 cells (10 measured).
     let mut registry = StatsRegistry::new(SimDuration::from_millis(1));
     let mut writer = SampleWriter::default();
+    let mut flush = Histogram::default();
+    flush.record(3);
+    flush.record(40);
     let sample = |at: u64, w: &mut SampleWriter, registry: &mut StatsRegistry| {
         w.set("queue_depth", at);
         for site in 0..N {
             w.set_site(SiteId(site), "lock_waiters", at);
             w.set_site(SiteId(site), "core.remote_live", at);
+            w.add("cb.decide_peers_examined", at);
+            w.add_hist("batch.flush_msgs", &flush);
         }
         registry.commit_sample(SimTime::from_micros(at), w);
     };
@@ -449,13 +455,21 @@ fn allocs_per_event_stays_bounded() {
         sample(at, &mut writer, &mut registry);
     }
     let sample_allocs = allocs() - before;
-    eprintln!("sampler: {sample_allocs} allocs in 1000 warm samples of 11 series");
+    eprintln!(
+        "sampler: {sample_allocs} allocs in 1000 warm samples of 11 series, a sum and a histogram"
+    );
     assert!(
         sample_allocs <= 14,
         "1000 warm samples allocate {sample_allocs} times, more than the row \
          vector's doublings — a sample with unchanged series allocates again"
     );
-    assert_eq!(registry.samples().len(), 1_001);
+    let samples = registry.samples();
+    assert_eq!(samples.len(), 1_001);
+    assert_eq!(
+        samples[1_000].values["cb.decide_peers_examined"],
+        N as u64 * 1_000
+    );
+    assert_eq!(samples[1_000].hists["batch.flush_msgs"], [(2, 5), (6, 5)]);
 
     // JSONL ratchet: encoding goes into the sink's one block, which its
     // writer receives whole, so recording allocates nothing.

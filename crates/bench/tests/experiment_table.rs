@@ -537,7 +537,14 @@ fn mutated_json_never_panics_and_accepted_values_round_trip() {
     // twelve repeat the second's structure and only multiply the run time.
     let ledger = committed("BENCH_wallclock.json");
     let lines: Vec<&str> = ledger.lines().collect();
-    let (head, row) = (lines[..8].join("\n"), lines[8].trim_end_matches(','));
+    let rows = 1 + lines
+        .iter()
+        .position(|l| l.contains("\"experiments\""))
+        .expect("rows");
+    let (head, row) = (
+        lines[..=rows].join("\n"),
+        lines[rows + 1].trim_end_matches(','),
+    );
     let ledger = format!("{head}\n{row}\n  ]\n}}\n");
     let parsed = WallclockLedger::parse(&ledger).expect("the cut ledger parses");
     assert_eq!(parsed.experiments.len(), 2);

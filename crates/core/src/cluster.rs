@@ -8,7 +8,7 @@ use crate::placement::Placement;
 use crate::state::ConflictPolicy;
 use bcastdb_db::sg::SgViolation;
 use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value};
-use bcastdb_sim::stats::{render_jsonl, Sample, StatsHandle, StatsRegistry};
+use bcastdb_sim::stats::{render_jsonl, Sample};
 use bcastdb_sim::telemetry::{
     JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceMeta,
     TraceSink, TraceViolation, Tracer, TxnRef, TxnSpan, WorkerSink,
@@ -102,9 +102,9 @@ pub struct ClusterConfig {
     /// at most `w` before flushing them as one wire transmission. Logical
     /// per-phase message accounting is unaffected either way.
     pub batch_window: Option<SimDuration>,
-    /// Metrics sampling interval: `Some(iv)` attaches a
-    /// [`StatsRegistry`] and samples every gauge/counter/histogram at each
-    /// `iv` of virtual time; `None` (default) disables metrics entirely.
+    /// Metrics sampling interval: `Some(iv)` samples every gauge, count and
+    /// histogram at each `iv` of virtual time; `None` (default) disables
+    /// metrics entirely.
     /// Sampling is driven between events on the sim clock, so turning it
     /// on never changes the run itself — only the sample stream exists.
     pub metrics_interval: Option<SimDuration>,
@@ -394,7 +394,6 @@ pub struct Cluster {
     next_num: Vec<u64>,
     last_submit: Vec<SimTime>,
     trace: Option<Rc<RefCell<WorkerSink<Consumers>>>>,
-    stats: StatsHandle,
 }
 
 impl Cluster {
@@ -443,19 +442,9 @@ impl Cluster {
             }
             sink
         });
-        let want_metrics = cfg.metrics_interval.is_some() || cfg.metrics_jsonl.is_some();
-        let stats = if want_metrics {
-            let interval = cfg.metrics_interval.unwrap_or(SimDuration::from_millis(1));
-            let registry = Rc::new(RefCell::new(StatsRegistry::new(interval)));
-            let handle = StatsHandle::new(registry);
-            for i in 0..cfg.sites {
-                sim.node_mut(SiteId(i)).state_mut().stats = handle.clone();
-            }
-            sim.enable_stats(handle.clone());
-            handle
-        } else {
-            StatsHandle::disabled()
-        };
+        if cfg.metrics_interval.is_some() || cfg.metrics_jsonl.is_some() {
+            sim.enable_stats(cfg.metrics_interval.unwrap_or(SimDuration::from_millis(1)));
+        }
         if cfg.membership {
             // Bootstrap the heartbeat machinery: one staggered initial tick
             // per site (afterwards each node re-arms its own ticks).
@@ -473,7 +462,6 @@ impl Cluster {
             last_submit: vec![SimTime::ZERO; cfg.sites],
             cfg,
             trace,
-            stats,
         }
     }
 
@@ -713,15 +701,7 @@ impl Cluster {
 
     /// The metrics samples taken so far (empty when metrics are off).
     pub fn metrics_samples(&self) -> Vec<Sample> {
-        self.stats.samples()
-    }
-
-    /// The current total of a push-side work counter such as
-    /// `cb.decide_peers_examined` — exact at any instant, unlike the
-    /// samples, which stop at the last period boundary. Zero when metrics
-    /// are off.
-    pub fn metrics_counter(&self, name: &str) -> u64 {
-        self.stats.counter(name)
+        self.sim.samples()
     }
 
     /// Writes the metrics samples as JSONL to the path configured with
@@ -734,7 +714,7 @@ impl Cluster {
         let Some(path) = &self.cfg.metrics_jsonl else {
             return Ok(0);
         };
-        let samples = self.stats.samples();
+        let samples = self.sim.samples();
         let mut out = BufWriter::new(File::create(path)?);
         out.write_all(render_jsonl(&samples).as_bytes())?;
         out.flush()?;
@@ -1140,6 +1120,72 @@ mod tests {
         // And the stream is reproducible.
         let again = run(true);
         assert_eq!(samples, again.metrics_samples());
+    }
+
+    /// Each cluster-wide series holds every site's share once: the
+    /// batch-size histograms count every wire batch, and P-CB's decision
+    /// work matches a quiet pull and the sites' own counts.
+    #[test]
+    fn cluster_wide_series_sum_every_site_once() {
+        use bcastdb_sim::{Node, SampleWriter, StatsRegistry};
+        let run = |batch: Option<SimDuration>| {
+            let mut b = Cluster::builder()
+                .sites(5)
+                .protocol(ProtocolKind::CausalBcast)
+                .seed(11)
+                .metrics(SimDuration::from_millis(1));
+            if let Some(window) = batch {
+                b = b.batch_window(window);
+            }
+            let mut c = b.build();
+            for i in 0..20u64 {
+                let key = ["x", "y", "z"][(i % 3) as usize];
+                c.submit_at(
+                    SimTime::from_micros(i * 300),
+                    SiteId((i % 5) as usize),
+                    write_txn(key, i as i64),
+                );
+            }
+            c.run_to_quiescence();
+            // An empty flush past the last event: the last sample sees the
+            // quiet cluster.
+            let past = c.now() + SimDuration::from_millis(2);
+            c.sim
+                .schedule_timer(past, SiteId(0), ReplicaTimer::FlushBatch);
+            c.run_to_quiescence();
+            c
+        };
+        let c = run(Some(SimDuration::from_micros(200)));
+        let last = c
+            .metrics_samples()
+            .pop()
+            .expect("a sample past the last event");
+        let batches = c.metrics().wire_batches();
+        assert!(batches > 0, "the batcher ran");
+        for name in ["batch.flush_msgs", "batch.flush_bytes"] {
+            let counted: u64 = last.hists[name].iter().map(|&(_, n)| n).sum();
+            assert_eq!(counted, batches, "{name} counts every wire batch once");
+        }
+        let mut quiet = SampleWriter::default();
+        for s in c.sites() {
+            c.replica(s).sample_stats(&mut quiet);
+        }
+        let mut at_rest = StatsRegistry::new(SimDuration::from_millis(1));
+        at_rest.commit_sample(c.now(), &mut quiet);
+        let pulled = at_rest.samples()[0].values["cb.decide_peers_examined"];
+        let own: u64 = c
+            .sites()
+            .filter_map(|s| c.site_metrics(s).peers_examined)
+            .sum();
+        assert!(own > 0, "the counter is wired");
+        assert_eq!(last.values["cb.decide_peers_examined"], pulled);
+        assert_eq!(pulled, own);
+        let unbatched = run(None).metrics_samples();
+        assert!(!unbatched.is_empty());
+        assert!(
+            unbatched.iter().all(|s| s.hists.is_empty()),
+            "no batch.* histogram"
+        );
     }
 
     /// The default backend flips to the ring at 16 sites — observable via

@@ -209,8 +209,6 @@ impl ReplicaNode {
         let msgs = batch.msgs.len() as u64;
         let bytes = batch.bytes;
         self.st.metrics.record_wire_batch(msgs, bytes as u64);
-        self.st.stats.observe("batch.flush_msgs", msgs);
-        self.st.stats.observe("batch.flush_bytes", bytes as u64);
         self.st.tracer.emit(|| TraceEvent::BatchFlushed {
             at: now,
             from: me,
@@ -475,9 +473,9 @@ impl Node for ReplicaNode {
         self.arm_tick(ctx);
     }
 
-    /// Contributes this replica's gauges to a metrics sample, under the
-    /// canonical `s<site>.` prefix. Read-only by contract — the sampler
-    /// must never change protocol behavior.
+    /// Contributes this replica's gauges, under the canonical `s<site>.`
+    /// prefix, and its share of the cluster-wide series to a metrics sample.
+    /// Read-only by contract — the sampler must never change protocol behavior.
     fn sample_stats(&self, sample: &mut SampleWriter) {
         let me = self.st.me;
         sample.set_site(me, "lock_waiters", self.st.locks.waiting_count() as u64);
@@ -497,6 +495,7 @@ impl Node for ReplicaNode {
             sample.set_site(me, "batch_pending_msgs", b.pending_msgs() as u64);
             sample.set_site(me, "batch_pending_bytes", b.pending_bytes() as u64);
         }
+        self.st.metrics.sample_into(sample);
         self.proto.sample_stats(me, sample);
     }
 }

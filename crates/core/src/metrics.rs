@@ -1,9 +1,10 @@
 //! Per-site protocol metrics: a fixed table of named counts, the commit
-//! latencies, the logical sends per phase and, when asked for, commits per
-//! time window. Each count is read by an experiment, the benchmark, a test
-//! or the sampler; nothing else is counted.
+//! latencies, the logical sends per phase, wire-batch sizes, P-CB's decision
+//! work and, when asked for, commits per time window. Each is read by an
+//! experiment, the benchmark, a test or the sampler; nothing else is counted.
 
 use bcastdb_sim::analyze::LatencyStats;
+use bcastdb_sim::stats::{Histogram, SampleWriter};
 use bcastdb_sim::telemetry::{Phase, PhaseCounts};
 use bcastdb_sim::{SimDuration, SimTime};
 use std::fmt;
@@ -139,6 +140,13 @@ pub struct Metrics {
     /// (throughput-over-time). `None` until enabled via
     /// [`Metrics::enable_commit_series`].
     pub commit_series: Option<CommitSeries>,
+    /// Logical messages per wire batch.
+    flush_msgs: Histogram,
+    /// Bytes per wire batch.
+    flush_bytes: Histogram,
+    /// Peers P-CB's commit evaluations examined: `None` before the first,
+    /// so the sampled series starts with it even if it examined none.
+    pub(crate) peers_examined: Option<u64>,
 }
 
 impl Metrics {
@@ -209,6 +217,17 @@ impl Metrics {
         self.counters.add("wire_batches", 1);
         self.counters.add("wire_batched_msgs", msgs);
         self.counters.add("wire_batched_bytes", bytes);
+        self.flush_msgs.record(msgs);
+        self.flush_bytes.record(bytes);
+    }
+
+    /// Adds this site's share of the cluster-wide series to a sample.
+    pub(crate) fn sample_into(&self, sample: &mut SampleWriter) {
+        if let Some(peers) = self.peers_examined {
+            sample.add("cb.decide_peers_examined", peers);
+        }
+        sample.add_hist("batch.flush_msgs", &self.flush_msgs);
+        sample.add_hist("batch.flush_bytes", &self.flush_bytes);
     }
 
     /// Number of wire-level batch transmissions recorded.
@@ -257,6 +276,11 @@ impl Metrics {
         }
         self.update_latency.merge(&other.update_latency);
         self.readonly_latency.merge(&other.readonly_latency);
+        self.flush_msgs.merge(&other.flush_msgs);
+        self.flush_bytes.merge(&other.flush_bytes);
+        if let Some(n) = other.peers_examined {
+            *self.peers_examined.get_or_insert(0) += n;
+        }
         if let Some(theirs) = &other.commit_series {
             let mine = self.commit_series.get_or_insert_with(|| CommitSeries {
                 window: theirs.window,
@@ -339,7 +363,14 @@ mod tests {
             b.counters.add(name, 10 + slot as u64);
         }
         b.record_send(None, Phase::Vote, 3);
+        b.flush_msgs.record(2);
+        b.flush_bytes.record(100);
+        a.peers_examined = Some(1);
+        b.peers_examined = Some(4);
         a.merge(&b);
+        assert_eq!(a.flush_msgs, b.flush_msgs);
+        assert_eq!(a.flush_bytes, b.flush_bytes);
+        assert_eq!(a.peers_examined, Some(5));
         assert_eq!(a.commits(), 2);
         assert_eq!(a.update_latency.mean().as_micros(), 3_000);
         for (slot, name) in Counters::NAMES.iter().enumerate() {

@@ -592,9 +592,7 @@ impl Variation for CausalProto {
                 peer_prio.older_than(&my_prio) && pvc.concurrent_with(&ops[mine].2)
             })
         });
-        cx.st
-            .stats
-            .counter_add("cb.decide_peers_examined", examined);
+        *cx.st.metrics.peers_examined.get_or_insert(0) += examined;
         #[cfg(test)]
         assert_eq!(loses, self.oracle.loses(cx.st, txn), "index vs scan: {txn}");
         if loses {

@@ -16,7 +16,7 @@ use bcastdb_db::lock::{Grants, LockMode, RequestOutcome};
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Arena, Key, LockManager, RedoLog, Run, Store, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
-use bcastdb_sim::{SimTime, SiteId, StatsHandle};
+use bcastdb_sim::{SimTime, SiteId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The trace-level reference for a transaction id (`bcastdb-sim` cannot
@@ -436,10 +436,6 @@ pub struct SiteState {
     pub metrics: Metrics,
     /// Structured trace sink (disabled by default; zero overhead when off).
     pub tracer: Tracer,
-    /// Metrics registry handle (disabled by default; zero overhead when
-    /// off). Protocol layers push histograms through it; the sampler reads
-    /// gauges off this state at period boundaries.
-    pub stats: StatsHandle,
     /// Conflict policy between update transactions.
     pub policy: ConflictPolicy,
     /// Whether delivered writes may wound *broadcast* (remote or
@@ -501,7 +497,6 @@ impl SiteState {
             log: RedoLog::new(),
             metrics: Metrics::new(),
             tracer: Tracer::disabled(),
-            stats: StatsHandle::disabled(),
             policy,
             wound_remote: true,
             wound_local_readers: true,

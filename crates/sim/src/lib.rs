@@ -20,8 +20,8 @@
 //! - [`spans`] / [`analyze`] — per-transaction span reconstruction,
 //!   commit-latency decomposition over the trace stream, and the
 //!   [`LatencyStats`](analyze::LatencyStats) every latency is kept in,
-//! - [`stats`] — deterministic virtual-time metrics: gauges sampled at
-//!   fixed sim-clock boundaries, plus push-side counters and log2 histograms,
+//! - [`stats`] — deterministic virtual-time metrics: every gauge, count and
+//!   log2 histogram pulled from its owner at fixed sim-clock boundaries,
 //! - [`json`] — the one JSON parser and string escaper every reader and
 //!   writer of trace, sample and ledger files shares.
 //!
@@ -74,7 +74,7 @@ pub use net::{
 };
 pub use rng::DetRng;
 pub use simulation::{Ctx, Node, RunOutcome, SendOutcome, Simulation};
-pub use stats::{Sample, SampleWriter, StatsHandle, StatsRegistry};
+pub use stats::{Histogram, Sample, SampleWriter, StatsRegistry};
 pub use time::{SimDuration, SimTime};
 
 use std::fmt;

@@ -3,7 +3,7 @@
 
 use crate::event::{EventKind, EventQueue};
 use crate::net::{Network, NetworkConfig, Transit};
-use crate::stats::{SampleWriter, StatsHandle};
+use crate::stats::{Sample, SampleWriter, StatsRegistry};
 use crate::{DetRng, SimDuration, SimTime, SiteId};
 
 /// A deterministic state machine living at one site of the simulated system.
@@ -29,7 +29,7 @@ pub trait Node {
     /// (or one scheduled externally via [`Simulation::schedule_timer`]).
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>, tag: Self::Timer);
 
-    /// Contributes this node's gauges to a metrics sample. Called by the
+    /// Contributes this node's series to a metrics sample. Called by the
     /// driver at each sampling boundary when metrics are enabled (see
     /// [`Simulation::enable_stats`]); the default contributes nothing.
     /// Implementations must only *read* state — sampling must never change
@@ -164,9 +164,9 @@ pub struct Simulation<N: Node> {
     now: SimTime,
     events_processed: u64,
     default_msg_size: usize,
-    stats: StatsHandle,
-    /// Next virtual-time sampling boundary (meaningful only when `stats`
-    /// is enabled).
+    /// The metric store, when metrics are on.
+    stats: Option<StatsRegistry>,
+    /// Next virtual-time sampling boundary (meaningful only with `stats`).
     next_sample_at: SimTime,
     /// Reused by every sample.
     sampler: SampleWriter,
@@ -192,15 +192,15 @@ impl<N: Node> Simulation<N> {
             now: SimTime::ZERO,
             events_processed: 0,
             default_msg_size: 64,
-            stats: StatsHandle::disabled(),
+            stats: None,
             next_sample_at: SimTime::ZERO,
             sampler: SampleWriter::default(),
         }
     }
 
-    /// Attaches a metrics registry and starts the virtual-time sampler.
+    /// Starts the virtual-time sampler, one sample every `interval`.
     ///
-    /// The driver takes one sample per registry interval, always *between*
+    /// The driver takes one sample per interval, always *between*
     /// events: before processing the first event at or past a boundary (so
     /// the sample sees the state the boundary was crossed with), and up to
     /// the deadline when a run ends with [`RunOutcome::DeadlineReached`].
@@ -214,13 +214,15 @@ impl<N: Node> Simulation<N> {
     /// loops bypass the sampler.
     ///
     /// # Panics
-    /// Panics if `stats` is disabled.
-    pub fn enable_stats(&mut self, stats: StatsHandle) {
-        let interval = stats
-            .interval()
-            .expect("enable_stats needs an attached registry");
+    /// Panics if `interval` is zero.
+    pub fn enable_stats(&mut self, interval: SimDuration) {
+        self.stats = Some(StatsRegistry::new(interval));
         self.next_sample_at = self.now + interval;
-        self.stats = stats;
+    }
+
+    /// The samples taken so far, oldest first (empty when metrics are off).
+    pub fn samples(&self) -> Vec<Sample> {
+        self.stats.iter().flat_map(StatsRegistry::samples).collect()
     }
 
     /// Current virtual time.
@@ -353,8 +355,8 @@ impl<N: Node> Simulation<N> {
     /// deadline itself, so repeated calls with increasing deadlines make
     /// progress even through quiet periods.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.stats.is_enabled() {
-            return self.run_until_sampled(deadline);
+        if let Some(stats) = &self.stats {
+            return self.run_until_sampled(deadline, stats.interval());
         }
         loop {
             match self.queue.peek_time() {
@@ -373,11 +375,7 @@ impl<N: Node> Simulation<N> {
     /// The metrics-enabled run loop: identical event processing to
     /// [`Simulation::run_until`], plus a sample at every elapsed boundary.
     /// Kept separate so the metrics-off hot loop pays nothing.
-    fn run_until_sampled(&mut self, deadline: SimTime) -> RunOutcome {
-        let interval = self
-            .stats
-            .interval()
-            .expect("sampled loop needs a registry");
+    fn run_until_sampled(&mut self, deadline: SimTime, interval: SimDuration) -> RunOutcome {
         loop {
             match self.queue.peek_time() {
                 None => return RunOutcome::Quiesced { at: self.now },
@@ -415,7 +413,9 @@ impl<N: Node> Simulation<N> {
         for node in &self.nodes {
             node.sample_stats(sample);
         }
-        self.stats.commit_sample(at, sample);
+        if let Some(stats) = &mut self.stats {
+            stats.commit_sample(at, sample);
+        }
         self.next_sample_at = at + interval;
     }
 
@@ -559,28 +559,20 @@ mod tests {
 
     #[test]
     fn sampler_does_not_perturb_the_run() {
-        use crate::stats::StatsRegistry;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let run = |sampled: bool| {
             let mut sim = mk(4);
-            let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
-                1,
-            ))));
             if sampled {
-                sim.enable_stats(StatsHandle::new(reg.clone()));
+                sim.enable_stats(SimDuration::from_millis(1));
             }
             for i in 0..4 {
                 sim.schedule_timer(SimTime::from_micros(i as u64), SiteId(i), 3);
             }
             sim.run_to_quiescence(SimDuration::from_secs(1));
-            let samples = reg.borrow().samples();
             (
                 sim.events_processed(),
                 sim.now(),
                 sim.network().messages_sent(),
-                samples,
+                sim.samples(),
             )
         };
         let (ev_off, now_off, sent_off, samples_off) = run(false);
@@ -602,20 +594,13 @@ mod tests {
 
     #[test]
     fn deadline_flushes_samples_up_to_the_deadline() {
-        use crate::stats::StatsRegistry;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let mut sim = mk(2);
-        let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
-            1,
-        ))));
-        sim.enable_stats(StatsHandle::new(reg));
+        sim.enable_stats(SimDuration::from_millis(1));
         // One far-future event keeps the queue non-empty past the deadline.
         sim.schedule_timer(SimTime::from_micros(10_000_000), SiteId(0), 1);
         let out = sim.run_until(SimTime::from_micros(5_500));
         assert_eq!(out, RunOutcome::DeadlineReached);
-        let samples = sim.stats.samples();
+        let samples = sim.samples();
         let ats: Vec<u64> = samples.iter().map(|s| s.at.as_micros()).collect();
         assert_eq!(ats, vec![1_000, 2_000, 3_000, 4_000, 5_000]);
     }

@@ -1,6 +1,5 @@
-//! Deterministic, virtual-time metrics: gauges read at fixed sim-clock
-//! boundaries, plus a registry of push-side counters and log2-bucket
-//! histograms folded into every sample.
+//! Deterministic, virtual-time metrics: every series is pulled from the
+//! state that holds it, at fixed sim-clock boundaries.
 //!
 //! Where the [`telemetry`](crate::telemetry) stream answers *"what happened
 //! to this message / transaction"*, this module answers *"what did the
@@ -11,19 +10,19 @@
 //! stream depends only on the run's inputs — the output is byte-identical
 //! at any `BCASTDB_JOBS`, on any machine, with any wall-clock jitter.
 //!
-//! The write side mirrors [`Tracer`](crate::telemetry::Tracer): a
-//! [`StatsHandle`] is either attached to a shared [`StatsRegistry`] or
-//! disabled, and every recording method on a disabled handle is a single
-//! `Option` check — enabling metrics is a run-configuration choice with
-//! zero cost on runs that do not make it. Crucially, sampling never
-//! schedules events: the driver takes samples *between* events at period
-//! boundaries, so enabling metrics cannot perturb event sequence numbers,
-//! delivery order, or any simulation output.
+//! Metrics flow one way. Nothing records into this module between samples:
+//! at each boundary the driver asks the event queue, the network and every
+//! [`Node`](crate::Node) to write what they hold into one reused
+//! [`SampleWriter`] — gauges and counts per site, and cluster-wide sums and
+//! log2-bucket [`Histogram`]s that each site adds its share to. A run
+//! without metrics therefore pays nothing, and sampling never schedules
+//! events: the driver samples *between* events, so enabling metrics cannot
+//! perturb event sequence numbers, delivery order, or any simulation output.
 //!
-//! A sample is written through a reused [`SampleWriter`] and stored as one
-//! row of `u64`s, under a name table shared by every consecutive sample that
-//! set the same series in the same order; [`Sample`] is the read view,
-//! rebuilt from the rows by [`StatsRegistry::samples`].
+//! [`StatsRegistry`] stores each sample as one row of `u64`s, under a name
+//! table shared by every consecutive sample that set the same series in the
+//! same order; [`Sample`] is the read view, rebuilt from the rows by
+//! [`StatsRegistry::samples`].
 //!
 //! # Sample schema
 //!
@@ -41,27 +40,50 @@
 
 use crate::json;
 use crate::{SimDuration, SimTime, SiteId};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 const HIST_BUCKETS: usize = 65;
 
 /// A log2-bucket histogram of `u64` observations, kept as its bucket
-/// counts, which is all a sample stores of it.
+/// counts, which is all a sample stores of it. Its owner records into it;
+/// the sampler adds it in with [`SampleWriter::add_hist`].
 ///
 /// Bucket `0` holds exactly the value `0`; bucket `i ≥ 1` holds the range
 /// `[2^(i-1), 2^i - 1]`. Every `u64` maps to exactly one bucket, so the
 /// bucket counts always sum to the observation count.
-#[derive(Debug)]
-struct Histogram([u64; HIST_BUCKETS]);
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram([u64; HIST_BUCKETS]);
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram([0; HIST_BUCKETS])
+    }
+}
 
 impl Histogram {
     /// The bucket index a value falls into.
     fn bucket_of(v: u64) -> usize {
         64 - v.leading_zeros() as usize
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, v: u64) {
+        self.0[Self::bucket_of(v)] += 1;
+    }
+
+    /// Adds `other`'s observations to these.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+    }
+
+    /// The non-empty buckets, as `(bucket, count)`.
+    fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let counts = self.0.iter().enumerate();
+        counts.filter(|&(_, &c)| c > 0).map(|(b, &c)| (b as u64, c))
     }
 }
 
@@ -211,6 +233,8 @@ pub struct SampleWriter {
     row: Vec<u64>,
     /// Series set in this sample.
     len: usize,
+    /// Every histogram added in the run, holding this sample's sum.
+    hists: Vec<(&'static str, Histogram)>,
 }
 
 impl SampleWriter {
@@ -227,6 +251,29 @@ impl SampleWriter {
         self.put(Series(Some(site), name), v);
     }
 
+    /// Adds one site's share to the cluster-wide series `name` (no site
+    /// prefix): the sample holds the sum of every share added to it since
+    /// the name was last set.
+    pub fn add(&mut self, name: &'static str, v: u64) {
+        let series = Series(None, name);
+        match self.series[..self.len].iter().rposition(|&s| s == series) {
+            Some(i) => self.row[i] += v,
+            None => self.put(series, v),
+        }
+    }
+
+    /// Adds one site's observations to the cluster-wide histogram `name`:
+    /// the sample holds the bucket-wise sum, and leaves it out while that
+    /// holds no observation.
+    pub fn add_hist(&mut self, name: &'static str, h: &Histogram) {
+        debug_assert!(name_ok(name), "bad metric name {name:?}");
+        match self.hists.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, sum)) => sum.merge(h),
+            None if h.buckets().next().is_some() => self.hists.push((name, h.clone())),
+            None => {}
+        }
+    }
+
     fn put(&mut self, series: Series, v: u64) {
         debug_assert!(name_ok(series.1), "bad metric name {:?}", series.1);
         if self.series.get(self.len) != Some(&series) {
@@ -241,7 +288,7 @@ impl SampleWriter {
 }
 
 /// The names behind a run of consecutive samples that set the same series
-/// in the same order and snapshotted the same histograms.
+/// in the same order and added the same histograms.
 #[derive(Debug)]
 struct Table {
     samples: usize,
@@ -249,16 +296,10 @@ struct Table {
     hists: Vec<&'static str>,
 }
 
-/// The shared metric store of one run: push-side counters and histograms,
-/// plus the accumulated samples.
-///
-/// Counters written through [`StatsHandle`] are folded into every
-/// subsequent sample; histograms are snapshotted cumulatively.
+/// The samples of one run, each stored as one row.
 #[derive(Debug)]
 pub struct StatsRegistry {
     interval: SimDuration,
-    counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
     /// Name tables, oldest first.
     tables: Vec<Table>,
     /// Every sample's row, back to back: its time, its values in its
@@ -276,8 +317,6 @@ impl StatsRegistry {
         assert!(!interval.is_zero(), "metrics need a nonzero interval");
         StatsRegistry {
             interval,
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
             tables: Vec::new(),
             rows: Vec::new(),
         }
@@ -288,31 +327,32 @@ impl StatsRegistry {
         self.interval
     }
 
-    /// Folds the push-side state into the sample `w` holds, stores it as
-    /// one row stamped `at`, and readies `w` for the next sample.
+    /// Stores the sample `w` holds as one row stamped `at`, and readies
+    /// `w` for the next sample.
     pub fn commit_sample(&mut self, at: SimTime, w: &mut SampleWriter) {
-        for (&k, &v) in &self.counters {
-            w.set(k, v);
-        }
         w.series.truncate(w.len);
         w.row.truncate(w.len);
         w.len = 0;
+        let hists = w.hists.iter().filter(|(_, h)| h.buckets().next().is_some());
+        let names = hists.clone().map(|&(name, _)| name);
         match self.tables.last_mut() {
-            Some(t) if t.series == w.series && t.hists.iter().eq(self.hists.keys()) => {
+            Some(t) if t.series == w.series && t.hists.iter().copied().eq(names.clone()) => {
                 t.samples += 1;
             }
             _ => self.tables.push(Table {
                 samples: 1,
                 series: w.series.clone(),
-                hists: self.hists.keys().copied().collect(),
+                hists: names.collect(),
             }),
         }
         self.rows.push(at.as_micros());
         self.rows.extend_from_slice(&w.row);
-        for h in self.hists.values() {
-            let buckets = h.0.iter().enumerate().filter(|&(_, &c)| c > 0);
-            self.rows.push(buckets.clone().count() as u64);
-            self.rows.extend(buckets.flat_map(|(b, &c)| [b as u64, c]));
+        for (_, h) in hists {
+            self.rows.push(h.buckets().count() as u64);
+            self.rows.extend(h.buckets().flat_map(|(b, c)| [b, c]));
+        }
+        for (_, h) in &mut w.hists {
+            *h = Histogram::default();
         }
     }
 
@@ -335,85 +375,6 @@ impl StatsRegistry {
             }
         }
         out
-    }
-}
-
-/// A cheap, cloneable handle to a run's [`StatsRegistry`] — or to nothing.
-///
-/// Mirrors [`Tracer`](crate::telemetry::Tracer): components hold a handle
-/// unconditionally and record through it; when no registry is attached
-/// every method is one branch and metrics cost nothing. Handles are
-/// reference-counted and `!Send`, like the rest of a cluster.
-#[derive(Debug, Clone, Default)]
-pub struct StatsHandle {
-    inner: Option<Rc<RefCell<StatsRegistry>>>,
-}
-
-impl StatsHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// A handle attached to `registry`.
-    pub fn new(registry: Rc<RefCell<StatsRegistry>>) -> Self {
-        StatsHandle {
-            inner: Some(registry),
-        }
-    }
-
-    /// True iff a registry is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The sampling period, when attached.
-    pub fn interval(&self) -> Option<SimDuration> {
-        self.inner.as_ref().map(|r| r.borrow().interval())
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        if let Some(reg) = &self.inner {
-            *reg.borrow_mut().counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    /// Counter `name`'s current total (zero when never bumped or disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|reg| reg.borrow().counters.get(name).copied())
-            .unwrap_or(0)
-    }
-
-    /// Records one histogram observation.
-    pub fn observe(&self, name: &'static str, v: u64) {
-        debug_assert!(name_ok(name), "bad metric name {name:?}");
-        if let Some(reg) = &self.inner {
-            let mut reg = reg.borrow_mut();
-            let h = reg
-                .hists
-                .entry(name)
-                .or_insert(Histogram([0; HIST_BUCKETS]));
-            h.0[Histogram::bucket_of(v)] += 1;
-        }
-    }
-
-    /// Folds the push-side state into the sample `w` holds and stores it,
-    /// stamped `at`. Called by the simulation loop at each period
-    /// boundary.
-    pub fn commit_sample(&self, at: SimTime, w: &mut SampleWriter) {
-        if let Some(reg) = &self.inner {
-            reg.borrow_mut().commit_sample(at, w);
-        }
-    }
-
-    /// The samples taken so far (empty when disabled).
-    pub fn samples(&self) -> Vec<Sample> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow().samples())
     }
 }
 
@@ -452,16 +413,16 @@ mod tests {
 
     #[test]
     fn histograms_sample_as_sparse_bucket_counts() {
-        let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
-            1,
-        ))));
-        let h = StatsHandle::new(reg);
+        let mut h = Histogram::default();
         for v in [0u64, 1, 5, 5, 100] {
-            h.observe("flush", v);
+            h.record(v);
         }
-        h.commit_sample(SimTime::from_micros(1000), &mut SampleWriter::default());
+        let mut reg = StatsRegistry::new(SimDuration::from_millis(1));
+        let mut w = SampleWriter::default();
+        w.add_hist("flush", &h);
+        reg.commit_sample(SimTime::from_micros(1000), &mut w);
         assert_eq!(
-            h.samples()[0].hists["flush"],
+            reg.samples()[0].hists["flush"],
             vec![(0, 1), (1, 1), (3, 2), (7, 1)]
         );
     }
@@ -512,34 +473,32 @@ mod tests {
         }
     }
 
+    /// Each sample sums the shares its sites add, with no site prefix, and
+    /// starts from zero; a histogram no site recorded into stays out.
     #[test]
-    fn registry_folds_push_side_into_samples() {
-        let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(
-            1,
-        ))));
-        let h = StatsHandle::new(reg.clone());
-        h.counter_add("retrans", 3);
-        h.counter_add("retrans", 2);
-        h.observe("flush", 4);
-        h.commit_sample(SimTime::from_micros(1000), &mut SampleWriter::default());
-        let samples = h.samples();
-        assert_eq!(samples.len(), 1);
-        assert_eq!(h.counter("retrans"), 5);
-        assert_eq!(h.counter("flush"), 0, "a histogram is not a counter");
-        assert_eq!(samples[0].values["retrans"], 5);
-        assert_eq!(samples[0].hists["flush"], vec![(3, 1)]);
-    }
-
-    #[test]
-    fn disabled_handle_records_nothing() {
-        let h = StatsHandle::disabled();
-        assert!(!h.is_enabled());
-        h.counter_add("x", 1);
-        h.observe("z", 3);
-        h.commit_sample(SimTime::ZERO, &mut SampleWriter::default());
-        assert_eq!(h.counter("x"), 0);
-        assert!(h.samples().is_empty());
-        assert_eq!(h.interval(), None);
+    fn cluster_series_sum_over_sites() {
+        let mut reg = StatsRegistry::new(SimDuration::from_millis(1));
+        let mut w = SampleWriter::default();
+        let (mut flush, idle) = (Histogram::default(), Histogram::default());
+        flush.record(4);
+        for at in [1_000, 2_000] {
+            for (site, n) in [(0, 3), (1, 0), (2, 2)] {
+                w.set_site(SiteId(site), "retrans", n);
+                w.add("retrans", n);
+                w.add_hist("flush", &flush);
+                w.add_hist("idle", &idle);
+            }
+            reg.commit_sample(SimTime::from_micros(at), &mut w);
+        }
+        let samples = reg.samples();
+        assert_eq!(samples.len(), 2);
+        for s in &samples {
+            assert_eq!(s.values["retrans"], 5);
+            assert_eq!(s.values["s0.retrans"], 3);
+            assert_eq!(s.hists["flush"], vec![(3, 3)]);
+            assert!(!s.hists.contains_key("idle"));
+        }
+        assert_eq!(reg.tables.len(), 1, "a repeated sample reuses its table");
     }
 
     #[test]
@@ -549,8 +508,7 @@ mod tests {
     }
 
     /// The map-building store the rows replaced: a sample is a [`Sample`]
-    /// filled name by name as the sampler calls in, then folded the way
-    /// `StatsRegistry::commit_sample` once folded it.
+    /// filled name by name as the sampler calls in.
     mod oracle {
         use super::super::*;
 
@@ -565,39 +523,46 @@ mod tests {
             s.values.insert(key, v);
         }
 
-        pub fn commit(reg: &StatsRegistry, mut sample: Sample) -> Sample {
-            for (&k, &v) in &reg.counters {
-                set(&mut sample, k, v);
+        pub fn add(s: &mut Sample, name: &str, v: u64) {
+            *s.values.entry(name.to_owned()).or_insert(0) += v;
+        }
+
+        pub fn add_hist(s: &mut Sample, name: &str, h: &Histogram) {
+            let mut sum = BTreeMap::new();
+            for &(b, c) in s.hists.get(name).into_iter().flatten() {
+                sum.insert(b, c);
             }
-            for (&k, h) in &reg.hists {
-                let buckets = h.0.iter().enumerate().filter(|&(_, &c)| c > 0);
-                let snapshot = buckets.map(|(b, &c)| (b as u8, c)).collect();
-                sample.hists.insert(k.to_owned(), snapshot);
+            for (b, &c) in h.0.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                *sum.entry(b as u8).or_insert(0) += c;
             }
-            sample
+            if !sum.is_empty() {
+                s.hists.insert(name.to_owned(), sum.into_iter().collect());
+            }
         }
     }
 
     /// Sampler-side names; `s1.x` is also what `x` at site 1 renders as.
     const NAMES: [&str; 5] = ["x", "queue_depth", "net.msgs_sent", "s1.x", "retrans"];
-    /// Push-side names; `retrans` is a sampler-side name too.
-    const PUSHED: [&str; 3] = ["retrans", "flush", "depth"];
+    /// Cluster-wide names; `retrans` is a sampler-side name too.
+    const ADDED: [&str; 3] = ["retrans", "flush", "depth"];
 
     proptest! {
         /// The rows give back, sample for sample, what the map-building
         /// store built from the same calls, through series that appear
         /// mid-run, disappear, change places or are set twice in a sample,
-        /// and push-side counters and histograms that start
-        /// mid-run.
+        /// and cluster-wide counts and histograms, kept by two sites, that
+        /// start mid-run (some histograms still empty).
         #[test]
         fn rows_agree_with_the_map_store(
             start in proptest::collection::vec((0usize..NAMES.len(), 0usize..4), 1..6),
-            steps in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..8, 0u8..3), 1..16),
+            steps in proptest::collection::vec((0u8..7, any::<u64>(), 0usize..8, 0u8..4), 1..16),
         ) {
             // A series is a name and a site code: 0 global, else site code - 1.
             let mut series = start;
-            let reg = Rc::new(RefCell::new(StatsRegistry::new(SimDuration::from_millis(1))));
-            let handle = StatsHandle::new(reg.clone());
+            // What each of two sites holds under a cluster-wide name.
+            let mut counts: BTreeMap<(&str, u64), u64> = BTreeMap::new();
+            let mut hists: BTreeMap<(&str, u64), Histogram> = BTreeMap::new();
+            let mut reg = StatsRegistry::new(SimDuration::from_millis(1));
             let mut writer = SampleWriter::default();
             let mut expected = Vec::new();
             for (i, &(edit, seed, pos, push)) in steps.iter().enumerate() {
@@ -609,16 +574,17 @@ mod tests {
                     6 => series.insert(at, series[(at + 1) % n]),
                     _ => {}
                 }
-                let pushed = PUSHED[seed as usize % PUSHED.len()];
+                let share = (ADDED[seed as usize % ADDED.len()], (seed >> 16) % 2);
                 match push {
-                    1 => handle.counter_add(pushed, seed % 9),
-                    2 => handle.observe(pushed, seed >> (seed % 64)),
+                    1 => *counts.entry(share).or_insert(0) += seed % 9,
+                    2 => hists.entry(share).or_default().record(seed >> (seed % 64)),
+                    3 => drop(hists.entry(share).or_default()),
                     _ => {}
                 }
                 let t = SimTime::from_micros(1_000 * (i as u64 + 1));
                 let mut old = Sample::new(t);
                 for (j, &(name, site)) in series.iter().enumerate() {
-                    let (name, v) = (NAMES[name], seed.wrapping_add(j as u64));
+                    let (name, v) = (NAMES[name], seed.wrapping_add(j as u64) >> 1);
                     if site == 0 {
                         writer.set(name, v);
                         oracle::set(&mut old, name, v);
@@ -627,10 +593,18 @@ mod tests {
                         oracle::set_site(&mut old, SiteId(site - 1), name, v);
                     }
                 }
-                handle.commit_sample(t, &mut writer);
-                expected.push(oracle::commit(&reg.borrow(), old));
+                for (&(name, _), &v) in &counts {
+                    writer.add(name, v);
+                    oracle::add(&mut old, name, v);
+                }
+                for (&(name, _), h) in &hists {
+                    writer.add_hist(name, h);
+                    oracle::add_hist(&mut old, name, h);
+                }
+                reg.commit_sample(t, &mut writer);
+                expected.push(old);
             }
-            let samples = handle.samples();
+            let samples = reg.samples();
             prop_assert_eq!(render_jsonl(&samples), render_jsonl(&expected));
             prop_assert_eq!(samples, expected);
         }

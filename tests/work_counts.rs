@@ -1,7 +1,7 @@
 //! Work-count gates: exact, deterministic counts of what a layer does per
-//! unit of work, read from the `sim::stats` registry. A count does not
-//! depend on the machine, so these hold on a noisy box where a timing
-//! could not.
+//! unit of work, pulled from the replicas the way the `sim::stats` sampler
+//! pulls a sample. A count does not depend on the machine, so these hold
+//! on a noisy box where a timing could not.
 
 use bcastdb::db::{HistoryRecorder, SgWork, Store, TxnId, WriteOp};
 use bcastdb::prelude::*;
@@ -25,12 +25,24 @@ fn pcb_peers_examined_per_txn(txns_per_client: usize) -> f64 {
         .sites(5)
         .protocol(ProtocolKind::CausalBcast)
         .seed(11)
-        .metrics(SimDuration::from_secs(1))
         .build();
     let report = WorkloadRun::new(cfg, 11).closed_loop(&mut c, 4, txns_per_client);
     assert!(report.quiesced && report.converged && report.all_terminated());
     c.check_serializability().expect("serializable");
-    c.metrics_counter("cb.decide_peers_examined") as f64 / report.submitted as f64
+    quiet_pull(&c).values["cb.decide_peers_examined"] as f64 / report.submitted as f64
+}
+
+/// One sample pulled from every replica of a quiet cluster, as the
+/// sampler pulls one at a boundary: exact at this instant, where the
+/// cluster's own samples stop at the last boundary.
+fn quiet_pull(c: &Cluster) -> Sample {
+    let mut quiet = SampleWriter::default();
+    for s in c.sites() {
+        c.replica(s).sample_stats(&mut quiet);
+    }
+    let mut at_rest = StatsRegistry::new(SimDuration::from_millis(1));
+    at_rest.commit_sample(c.now(), &mut quiet);
+    at_rest.samples().remove(0)
 }
 
 /// P-CB's decision must look only at transactions still live on the keys
@@ -74,12 +86,6 @@ fn table_sizes(
         .build();
     let report = WorkloadRun::new(cfg, 11).closed_loop(&mut c, 4, txns_per_client);
     assert!(report.quiesced && report.converged && report.all_terminated());
-    let mut quiet = SampleWriter::default();
-    for s in c.sites() {
-        c.replica(s).sample_stats(&mut quiet);
-    }
-    let mut at_rest = StatsRegistry::new(SimDuration::from_millis(1));
-    at_rest.commit_sample(c.now(), &mut quiet);
     let fold = |samples: &[Sample]| {
         let mut max = BTreeMap::new();
         for (name, &v) in samples.iter().flat_map(|s| &s.values) {
@@ -94,7 +100,7 @@ fn table_sizes(
         }
         max
     };
-    (fold(&c.metrics_samples()), fold(&at_rest.samples()))
+    (fold(&c.metrics_samples()), fold(&[quiet_pull(&c)]))
 }
 
 /// What a replica keeps per transaction and per message must be released

@@ -142,8 +142,9 @@ def ledger(rev, samples):
         rows.append({"experiment": row, "runs": len(runs), "jobs": 1, "wall_ms": wall,
                      "events": round(rate * wall / 1000.0), "events_per_sec": rate,
                      "allocs_per_event": runs[-1][2]})
-    return {"git_rev": rev, "jobs": 1, "total_wall_ms": sum(r["wall_ms"] for r in rows),
-            "experiments": rows}
+    rustc = subprocess.run(["rustc", "-V"], capture_output=True, text=True).stdout.strip()
+    return {"git_rev": rev, "rustc": rustc or "unknown", "jobs": 1,
+            "total_wall_ms": sum(r["wall_ms"] for r in rows), "experiments": rows}
 
 
 def main():
