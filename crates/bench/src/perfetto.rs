@@ -8,9 +8,10 @@
 //!
 //! * **pid 1 "cluster"** — one thread track per site (`tid = site + 1`).
 //!   Transaction lifecycle milestones (`submit`, `vote`, `commit`, …)
-//!   appear as instant events on the site that recorded them. Message
-//!   transmissions (`Send`/`Deliver`/`Drop`/`BatchFlushed`) are *omitted*:
-//!   they dominate event counts a thousandfold and Perfetto's counter and
+//!   appear as instant events on the site that recorded them, named and
+//!   with the fields of their JSONL trace lines. Message transmissions
+//!   (`Send`/`Deliver`/`Drop`/`BatchFlushed`) are *omitted*: they
+//!   dominate event counts a thousandfold and Perfetto's counter and
 //!   slice views tell the bandwidth story better.
 //! * **async "txn" slices** — every committed transaction becomes a
 //!   nestable async slice on its origin's track, from submission to
@@ -28,7 +29,7 @@
 //! [Chrome Trace Event format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use bcastdb_sim::json::quote;
+use bcastdb_sim::json::{self, quote, Field};
 use bcastdb_sim::stats::Sample;
 use bcastdb_sim::telemetry::{Segment, SpanBuilder, TraceEvent, TxnRef, TxnSpan};
 use bcastdb_sim::SiteId;
@@ -47,7 +48,8 @@ pub const METRICS_PID: u64 = 2;
 /// metrics process is then omitted entirely.
 pub fn export_chrome_trace(events: &[TraceEvent], samples: &[Sample]) -> String {
     let mut out = Vec::new();
-    let sites = sites_in(events);
+    let records: Vec<_> = events.iter().map(read).collect();
+    let sites: BTreeSet<SiteId> = records.iter().flat_map(|r| r.2.iter().copied()).collect();
 
     // Process/thread metadata first, so every later (pid, tid) pair is
     // declared before use.
@@ -64,10 +66,11 @@ pub fn export_chrome_trace(events: &[TraceEvent], samples: &[Sample]) -> String 
     }
 
     let mut spans = SpanBuilder::new();
-    for ev in events {
+    for (ev, (name, fields, sites)) in events.iter().zip(&records) {
         spans.ingest(ev);
-        if let Some(e) = instant_event(ev) {
-            out.push(e);
+        // A message transmission names two sites and is left out.
+        if let [site] = sites[..] {
+            out.push(instant(name, ev.at().as_micros(), tid_for(site), fields));
         }
     }
     for span in spans.spans().values() {
@@ -91,38 +94,6 @@ fn txn_label(txn: TxnRef) -> String {
     format!("{}:{}", txn.origin.0, txn.num)
 }
 
-fn sites_in(events: &[TraceEvent]) -> BTreeSet<SiteId> {
-    let mut sites = BTreeSet::new();
-    for ev in events {
-        match ev {
-            TraceEvent::Send { from, to, .. }
-            | TraceEvent::Deliver { from, to, .. }
-            | TraceEvent::Drop { from, to, .. }
-            | TraceEvent::BatchFlushed { from, to, .. } => {
-                sites.insert(*from);
-                sites.insert(*to);
-            }
-            TraceEvent::Submit { txn, .. }
-            | TraceEvent::LocksAcquired { txn, .. }
-            | TraceEvent::CommitReqOut { txn, .. } => {
-                sites.insert(txn.origin);
-            }
-            TraceEvent::Vote { site, .. }
-            | TraceEvent::Decided { site, .. }
-            | TraceEvent::Commit { site, .. }
-            | TraceEvent::Abort { site, .. }
-            | TraceEvent::TotalOrder { site, .. }
-            | TraceEvent::ViewChange { site, .. }
-            | TraceEvent::Crash { site, .. }
-            | TraceEvent::Suspect { site, .. }
-            | TraceEvent::FastDecide { site, .. } => {
-                sites.insert(*site);
-            }
-        }
-    }
-    sites
-}
-
 fn meta_process(pid: u64, name: &str) -> String {
     format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
@@ -144,104 +115,30 @@ fn instant(name: &str, ts: u64, tid: u64, args: &str) -> String {
     )
 }
 
-/// The instant event for a lifecycle trace record; `None` for the
-/// message-level records the export deliberately drops.
-fn instant_event(ev: &TraceEvent) -> Option<String> {
-    Some(match ev {
-        TraceEvent::Send { .. }
-        | TraceEvent::Deliver { .. }
-        | TraceEvent::Drop { .. }
-        | TraceEvent::BatchFlushed { .. } => return None,
-        TraceEvent::Submit { at, txn, read_only } => instant(
-            "submit",
-            at.as_micros(),
-            tid_for(txn.origin),
-            &format!("\"txn\":\"{}\",\"read_only\":{read_only}", txn_label(*txn)),
-        ),
-        TraceEvent::LocksAcquired { at, txn } => instant(
-            "locks_acquired",
-            at.as_micros(),
-            tid_for(txn.origin),
-            &format!("\"txn\":\"{}\"", txn_label(*txn)),
-        ),
-        TraceEvent::CommitReqOut { at, txn } => instant(
-            "commit_req_out",
-            at.as_micros(),
-            tid_for(txn.origin),
-            &format!("\"txn\":\"{}\"", txn_label(*txn)),
-        ),
-        TraceEvent::Vote { at, site, txn, yes } => instant(
-            "vote",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"txn\":\"{}\",\"yes\":{yes}", txn_label(*txn)),
-        ),
-        TraceEvent::Decided {
-            at,
-            site,
-            txn,
-            commit,
-        } => instant(
-            "decided",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"txn\":\"{}\",\"commit\":{commit}", txn_label(*txn)),
-        ),
-        TraceEvent::Commit { at, site, txn } => instant(
-            "commit",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"txn\":\"{}\"", txn_label(*txn)),
-        ),
-        TraceEvent::Abort {
-            at,
-            site,
-            txn,
-            reason,
-        } => instant(
-            "abort",
-            at.as_micros(),
-            tid_for(*site),
-            &format!(
-                "\"txn\":\"{}\",\"reason\":{}",
-                txn_label(*txn),
-                quote(reason)
-            ),
-        ),
-        TraceEvent::TotalOrder {
-            at,
-            site,
-            txn,
-            gseq,
-        } => instant(
-            "total_order",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"txn\":\"{}\",\"gseq\":{gseq}", txn_label(*txn)),
-        ),
-        TraceEvent::ViewChange { at, site, members } => {
-            let members: Vec<String> = members.iter().map(|s| s.0.to_string()).collect();
-            instant(
-                "view_change",
-                at.as_micros(),
-                tid_for(*site),
-                &format!("\"members\":[{}]", members.join(",")),
-            )
-        }
-        TraceEvent::Crash { at, site } => instant("crash", at.as_micros(), tid_for(*site), ""),
-        TraceEvent::Suspect { at, site, suspect } => instant(
-            "suspect",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"suspect\":{}", suspect.0),
-        ),
-        TraceEvent::FastDecide { at, site, txn } => instant(
-            "fast_decide",
-            at.as_micros(),
-            tid_for(*site),
-            &format!("\"txn\":\"{}\"", txn_label(*txn)),
-        ),
-    })
+/// What the export takes from an event, read off its JSONL line so that
+/// every variant of the schema exports alike: its name, the fields after
+/// its time as the line spells them, and the sites it names — a message's
+/// `from` and `to`, or the one a lifecycle record happened at (its `site`,
+/// else its transaction's `origin`).
+fn read(ev: &TraceEvent) -> (String, String, Vec<SiteId>) {
+    let mut line = String::new();
+    ev.write_jsonl(&mut line);
+    let json = json::parse(&line).expect("a trace line parses");
+    let site = |key| json.named("event").get(key).and_then(Field::u64).ok();
+    let sites = match (site("from"), site("to")) {
+        (Some(from), Some(to)) => vec![from, to],
+        _ => site("site").or(site("origin")).into_iter().collect(),
+    };
+    // `{"ev":"<name>","at":<us>,<fields>}`: neither name nor time holds a comma.
+    let mut parts = line.splitn(3, ',');
+    let name = parts.next().and_then(|ev| ev.split('"').nth(3));
+    let fields = parts.nth(1).and_then(|rest| rest.strip_suffix('}'));
+    let sites = sites.into_iter().map(|s| SiteId(s as usize)).collect();
+    (
+        name.unwrap_or_default().into(),
+        fields.unwrap_or_default().into(),
+        sites,
+    )
 }
 
 fn async_event(ph: char, name: &str, id: &str, ts: u64, tid: u64) -> String {
@@ -388,6 +285,16 @@ mod tests {
         assert!(doc.contains("\"name\":\"submit\""));
         assert!(doc.contains("\"name\":\"vote\""));
         assert!(doc.contains("\"name\":\"commit\""));
+        // An instant carries its trace line's fields, on its site's track.
+        let lifecycle = "\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\"";
+        assert!(doc.contains(&format!(
+            "{{\"name\":\"submit\",{lifecycle},\"ts\":100,\"pid\":1,\"tid\":1,\
+             \"args\":{{\"origin\":0,\"num\":1,\"ro\":false}}}}"
+        )));
+        assert!(doc.contains(&format!(
+            "{{\"name\":\"vote\",{lifecycle},\"ts\":300,\"pid\":1,\"tid\":2,\
+             \"args\":{{\"site\":1,\"origin\":0,\"num\":1,\"yes\":true}}}}"
+        )));
         // The Send's endpoints still get thread tracks.
         assert!(doc.contains("\"name\":\"site 1\""));
     }

@@ -13,7 +13,7 @@
 //!   clock shows `s` had already delivered a commit request counts as `s`'s
 //!   positive vote.
 
-use crate::msg::{Archive, Dest, MsgId, Outbound, SeqWindow};
+use crate::msg::{Archive, Dest, MsgId, Outbound, SeqWindow, Shelf};
 use crate::vclock::VectorClock;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
@@ -79,6 +79,8 @@ pub struct CausalBcast<P> {
     /// Component `i` = number of messages from site `i` delivered here.
     /// Component `me` also counts our own broadcasts.
     vc: VectorClock,
+    /// Where every broadcast's frozen stamp comes from.
+    stamps: Shelf<[u64]>,
     /// Per origin, messages received but not yet causally deliverable,
     /// above a watermark that follows `vc[origin]`.
     waiting: Vec<SeqWindow<Wire<P>>>,
@@ -101,6 +103,7 @@ impl<P: Clone> CausalBcast<P> {
             n,
             relay: false,
             vc: VectorClock::new(n),
+            stamps: Shelf::default(),
             waiting: (0..n).map(|_| SeqWindow::default()).collect(),
             archive: Archive::new(n),
         }
@@ -136,7 +139,7 @@ impl<P: Clone> CausalBcast<P> {
     /// immediately.
     pub fn broadcast(&mut self, payload: P) -> (MsgId, Output<P>) {
         let seq = self.vc.increment(self.me);
-        let stamp = self.vc.clone();
+        let stamp = self.vc.freeze(&mut self.stamps);
         self.send_stamped(seq, stamp, payload)
     }
 
@@ -150,7 +153,8 @@ impl<P: Clone> CausalBcast<P> {
         let seq = self.vc.increment(self.me);
         handled.set(self.me, seq);
         debug_assert!(handled.dominated_by(&self.vc), "stamp beyond delivery");
-        self.send_stamped(seq, handled.clone(), payload)
+        let stamp = handled.freeze(&mut self.stamps);
+        self.send_stamped(seq, stamp, payload)
     }
 
     fn send_stamped(&mut self, seq: u64, vc: VectorClock, payload: P) -> (MsgId, Output<P>) {
@@ -530,6 +534,29 @@ mod tests {
         assert_eq!(id.seq, 1);
         assert_eq!(out.deliveries[0].vc.get(SiteId(1)), 1);
         assert_eq!(out.deliveries[0].vc.get(SiteId(0)), 0);
+    }
+
+    /// Stamps come off the engine's shelf and are rewritten once nothing
+    /// holds them, but a wire still held keeps its clock through 300 more
+    /// broadcasts (past the shelf's bound), stamped either way.
+    #[test]
+    fn a_held_wire_keeps_its_stamp() {
+        let mut e = CausalBcast::<String>::new(SiteId(0), 3).without_archive();
+        let mut peer = CausalBcast::<String>::new(SiteId(1), 3);
+        let held = e.broadcast("held".into()).1.outbound[0].wire.clone();
+        let mut handled = VectorClock::new(3);
+        for i in 0..300u64 {
+            let w = peer.broadcast(String::new()).1.outbound[0].wire.clone();
+            assert_eq!(e.on_wire(SiteId(1), w).deliveries.len(), 1);
+            handled.set(SiteId(1), i + 1);
+            let (_, out) = match i % 2 {
+                0 => e.broadcast(i.to_string()),
+                _ => e.broadcast_after(&mut handled, i.to_string()),
+            };
+            let stamp = out.outbound[0].wire.vc.to_string();
+            assert_eq!(stamp, format!("[{},{},0]", i + 2, i + 1));
+        }
+        assert_eq!(held.vc.to_string(), "[1,0,0]");
     }
 
     #[test]

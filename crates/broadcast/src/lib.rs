@@ -72,7 +72,7 @@ pub use atomic::{AtomicBcast, IsisAbcast, SequencerAbcast};
 pub use batch::{Batch, Batcher, WireSize};
 pub use causal::CausalBcast;
 pub use membership::{View, ViewManager};
-pub use msg::{Dest, MsgId, Outbound};
+pub use msg::{Dest, MsgId, Outbound, Shelf};
 pub use reliable::ReliableBcast;
 pub use ring::{RingAbcast, RingWire};
 pub use vclock::{CausalRelation, VectorClock};

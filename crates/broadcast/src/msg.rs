@@ -3,6 +3,7 @@
 use bcastdb_sim::SiteId;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Globally unique identifier of a broadcast message: the originating site
 /// plus a per-origin sequence number.
@@ -323,6 +324,51 @@ impl<T> Archive<T> {
     }
 }
 
+/// How many of the values it shared a [`Shelf`] keeps for reuse.
+const SHELF: usize = 256;
+
+/// The values a site shared (payloads, clock stamps, commit requests),
+/// oldest first. The next value is written into the oldest allocation once
+/// every wire, holdback and archive copy of it is gone, and into a new one
+/// otherwise: a value another holder can still read is never written.
+#[derive(Debug)]
+pub struct Shelf<T: ?Sized>(VecDeque<Arc<T>>);
+
+impl<T: ?Sized> Default for Shelf<T> {
+    fn default() -> Self {
+        Shelf(VecDeque::new())
+    }
+}
+
+impl<T: ?Sized> Shelf<T> {
+    /// The value made from `from`, shared: `refill` writes it into the
+    /// oldest allocation if nothing else holds that, `fresh` allocates it.
+    pub fn make_with<S>(
+        &mut self,
+        from: S,
+        refill: impl FnOnce(&mut T, S),
+        fresh: impl FnOnce(S) -> Arc<T>,
+    ) -> Arc<T> {
+        if let Some(slot) = self.0.front_mut().and_then(Arc::get_mut) {
+            refill(slot, from);
+            self.0.rotate_left(1);
+        } else {
+            if self.0.len() == SHELF {
+                self.0.pop_front();
+            }
+            self.0.push_back(fresh(from));
+        }
+        Arc::clone(self.0.back().expect("just shelved"))
+    }
+}
+
+impl<T> Shelf<T> {
+    /// `value`, shared (see [`Shelf::make_with`]).
+    pub fn make(&mut self, value: T) -> Arc<T> {
+        self.make_with(value, |slot, value| *slot = value, Arc::new)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,6 +650,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a shelf is exercised with: a sized value made by assignment
+    /// (`make`, as payloads are) and an unsized one copied into place
+    /// (`make_with`, as clock stamps are).
+    trait Value {
+        /// The `n`th value of a schedule, made on `shelf`.
+        fn make(shelf: &mut Shelf<Self>, n: u64) -> Arc<Self>;
+        /// True iff this is the `n`th value.
+        fn is(&self, n: u64) -> bool;
+    }
+
+    impl Value for String {
+        fn make(shelf: &mut Shelf<Self>, n: u64) -> Arc<Self> {
+            shelf.make(format!("txn {n}"))
+        }
+        fn is(&self, n: u64) -> bool {
+            *self == format!("txn {n}")
+        }
+    }
+
+    impl Value for [u64] {
+        fn make(shelf: &mut Shelf<Self>, n: u64) -> Arc<Self> {
+            shelf.make_with(&[n, 0, n + 1][..], <[u64]>::copy_from_slice, Arc::from)
+        }
+        fn is(&self, n: u64) -> bool {
+            *self == [n, 0, n + 1]
+        }
+    }
+
+    /// Values whose copies (wires, holdbacks, archive entries) live on and
+    /// die in random order: a handed-out value keeps its value while any
+    /// copy of it lives, a new value reuses the oldest shelved allocation
+    /// exactly when nothing else holds it, and the shelf never holds more
+    /// than its bound.
+    fn reuses_only_what_nothing_else_holds<T: Value + ?Sized>(
+        steps: &[(u8, usize)],
+    ) -> Result<(), TestCaseError> {
+        let mut shelf = Shelf::<T>::default();
+        let mut copies: Vec<(u64, Arc<T>)> = Vec::new();
+        for (n, &(kind, pick)) in (0u64..).zip(steps) {
+            if kind == 3 {
+                if !copies.is_empty() {
+                    copies.swap_remove(pick % copies.len());
+                }
+                continue;
+            }
+            let front = shelf
+                .0
+                .front()
+                .map(|p| (Arc::as_ptr(p), Arc::strong_count(p) == 1));
+            let made = T::make(&mut shelf, n);
+            prop_assert!(made.is(n));
+            let reused = front.is_some_and(|(at, _)| std::ptr::eq(Arc::as_ptr(&made), at));
+            prop_assert_eq!(reused, front.is_some_and(|(_, unique)| unique));
+            prop_assert!(shelf.0.len() <= SHELF);
+            copies.extend((0..kind).map(|_| (n, Arc::clone(&made))));
+            for (m, copy) in &copies {
+                prop_assert!(copy.is(*m), "copy of value {m} was rewritten");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn shelf_reuses_only_what_nothing_else_holds(
+            steps in proptest::collection::vec((0u8..4, 0usize..64), 0..700)
+        ) {
+            reuses_only_what_nothing_else_holds::<String>(&steps)?;
+            reuses_only_what_nothing_else_holds::<[u64]>(&steps)?;
+        }
+    }
+
+    fn held_front_fills_to_the_bound<T: Value + ?Sized>() {
+        let mut shelf = Shelf::<T>::default();
+        let held = T::make(&mut shelf, 0);
+        for n in 1..2 * SHELF as u64 {
+            T::make(&mut shelf, n);
+            assert!(shelf.0.len() <= SHELF);
+        }
+        assert_eq!(shelf.0.len(), SHELF);
+        assert!(held.is(0), "the held value left the shelf intact");
+        // Nothing holds the shelved ones: the next value reuses one.
+        let front = Arc::as_ptr(shelf.0.front().expect("full"));
+        assert_eq!(Arc::as_ptr(&T::make(&mut shelf, 0)), front);
+    }
+
+    #[test]
+    fn a_held_front_fills_the_shelf_to_its_bound_and_no_further() {
+        held_front_fills_to_the_bound::<String>();
+        held_front_fills_to_the_bound::<[u64]>();
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! messages" — both to detect concurrent conflicting operations early and to
 //! recognise implicit acknowledgements. [`VectorClock`] is that mechanism.
 
+use crate::msg::Shelf;
 use bcastdb_sim::SiteId;
 use std::cmp::Ordering;
 use std::fmt;
@@ -112,6 +113,15 @@ impl VectorClock {
         match &mut self.counts {
             Counts::Owned(mine) if mine.len() == theirs.len() => mine.copy_from_slice(theirs),
             _ => self.counts = other.counts.clone(),
+        }
+    }
+
+    /// A frozen snapshot like [`Clone::clone`]'s, in a buffer off `shelf`:
+    /// a broadcast's stamp allocates only while every shelved one is held.
+    pub fn freeze(&self, shelf: &mut Shelf<[u64]>) -> VectorClock {
+        let shared = shelf.make_with(self.counts(), <[u64]>::copy_from_slice, Arc::from);
+        VectorClock {
+            counts: Counts::Shared(shared),
         }
     }
 

@@ -9,7 +9,6 @@ use bcastdb_broadcast::{causal, reliable};
 use bcastdb_db::{Key, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::telemetry::Phase;
 use bcastdb_sim::SiteId;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Which of the paper's protocols a cluster runs.
@@ -126,14 +125,11 @@ pub enum Payload {
         prio: TxnPriority,
         /// Number of write operations that precede this request.
         n_writes: usize,
-        /// Read-set versions observed at the origin (atomic protocol only):
-        /// for each read key, the transaction that wrote the observed
-        /// version. Used for deterministic certification.
-        read_versions: Vec<(Key, Option<TxnId>)>,
-        /// For each written key, the committed version (by writer) current
-        /// at the origin when the commit request was broadcast (atomic
-        /// protocol only).
-        write_versions: Vec<(Key, Option<TxnId>)>,
+        /// For each key the transaction read, then each key it writes, the
+        /// committed version (by writer) current at the origin when the
+        /// request was broadcast (atomic protocol only): what deterministic
+        /// certification checks.
+        versions: Vec<(Key, Option<TxnId>)>,
     },
     /// A 2PC vote (reliable protocol): `site`'s verdict on `txn`,
     /// broadcast to all participants (decentralized 2PC).
@@ -180,32 +176,6 @@ impl Payload {
     }
 }
 
-/// How many of its own broadcast payloads a site keeps for reuse.
-const SHELF: usize = 256;
-
-/// The payloads this site broadcast, oldest first: a broadcast rewrites the
-/// oldest one in place once every wire, holdback and archive copy of it is
-/// gone, instead of allocating a new one.
-#[derive(Debug, Default)]
-pub(crate) struct Shelf(VecDeque<Arc<Payload>>);
-
-impl Shelf {
-    /// `payload`, shared: the oldest shelved allocation if nothing else
-    /// holds it any more, a new one otherwise.
-    pub(crate) fn make(&mut self, payload: Payload) -> Arc<Payload> {
-        if let Some(slot) = self.0.front_mut().and_then(Arc::get_mut) {
-            *slot = payload;
-            self.0.rotate_left(1);
-        } else {
-            if self.0.len() == SHELF {
-                self.0.pop_front();
-            }
-            self.0.push_back(Arc::new(payload));
-        }
-        Arc::clone(self.0.back().expect("just shelved"))
-    }
-}
-
 /// Wire-size estimate of one `(key, version)` certification entry.
 fn version_entry_size(entry: &(Key, Option<TxnId>)) -> usize {
     entry.0.as_str().len() + 1 + if entry.1.is_some() { 16 } else { 0 }
@@ -223,15 +193,8 @@ impl WireSize for Payload {
         // the simulator charges transmission time per byte.
         match self {
             Payload::Write { op, .. } => 16 + 24 + write_op_size(op) + 8 + 8,
-            Payload::CommitReq {
-                read_versions,
-                write_versions,
-                ..
-            } => {
-                16 + 24
-                    + 8
-                    + read_versions.iter().map(version_entry_size).sum::<usize>()
-                    + write_versions.iter().map(version_entry_size).sum::<usize>()
+            Payload::CommitReq { versions, .. } => {
+                16 + 24 + 8 + versions.iter().map(version_entry_size).sum::<usize>()
             }
             Payload::Vote { .. } => 16 + 8 + 1,
             Payload::Nack { .. } => 16 + 8,
@@ -474,62 +437,6 @@ pub enum ReplicaTimer {
 mod tests {
     use super::*;
     use bcastdb_broadcast::order::Report;
-    use proptest::prelude::*;
-
-    /// The `n`th payload of a shelf schedule.
-    fn nth(n: u64) -> Payload {
-        Payload::AbortDecision {
-            txn: TxnId::new(SiteId(0), n),
-        }
-    }
-
-    proptest! {
-        /// Broadcasts whose copies (wires, holdbacks, archive entries) live
-        /// on and die in random order: a handed-out payload keeps its value
-        /// while any copy of it lives, a broadcast reuses the oldest
-        /// shelved allocation exactly when nothing else holds it, and the
-        /// shelf never holds more than its bound.
-        #[test]
-        fn shelf_reuses_only_what_nothing_else_holds(
-            steps in proptest::collection::vec((0u8..4, 0usize..64), 0..700)
-        ) {
-            let mut shelf = Shelf::default();
-            let mut copies: Vec<(u64, Arc<Payload>)> = Vec::new();
-            for (n, (kind, pick)) in (0u64..).zip(steps) {
-                if kind == 3 {
-                    if !copies.is_empty() {
-                        copies.swap_remove(pick % copies.len());
-                    }
-                    continue;
-                }
-                let front = shelf.0.front().map(|p| (Arc::as_ptr(p), Arc::strong_count(p) == 1));
-                let made = shelf.make(nth(n));
-                prop_assert_eq!(&*made, &nth(n));
-                let reused = front.is_some_and(|(at, _)| Arc::as_ptr(&made) == at);
-                prop_assert_eq!(reused, front.is_some_and(|(_, unique)| unique));
-                prop_assert!(shelf.0.len() <= SHELF);
-                copies.extend((0..kind).map(|_| (n, Arc::clone(&made))));
-                for (m, copy) in &copies {
-                    prop_assert_eq!(&**copy, &nth(*m));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_held_front_fills_the_shelf_to_its_bound_and_no_further() {
-        let mut shelf = Shelf::default();
-        let held = shelf.make(nth(0));
-        for n in 1..2 * SHELF as u64 {
-            shelf.make(nth(n));
-            assert!(shelf.0.len() <= SHELF);
-        }
-        assert_eq!(shelf.0.len(), SHELF);
-        assert_eq!(*held, nth(0), "the held payload left the shelf intact");
-        // Nothing holds the shelved ones: the next broadcast reuses one.
-        let front = Arc::as_ptr(shelf.0.front().expect("full"));
-        assert_eq!(Arc::as_ptr(&shelf.make(nth(0))), front);
-    }
 
     #[test]
     fn priority_orders_by_age_then_site() {

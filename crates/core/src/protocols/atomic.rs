@@ -25,14 +25,14 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{AbcastImpl, Payload, ReplicaMsg, Shelf, TxnPriority};
+use crate::payload::{AbcastImpl, Payload, ReplicaMsg, TxnPriority};
 use crate::protocols::{paced_write_phase, sweep_view, Cx, Gate, ProtoSnapshot, Variation};
 use crate::state::{txn_ref, SiteState};
 use bcastdb_broadcast::atomic::{self, AtomicBcast, SequencerAbcast, TotalDelivery};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::order;
 use bcastdb_broadcast::ring::RingAbcast;
-use bcastdb_broadcast::VectorClock;
+use bcastdb_broadcast::{Shelf, VectorClock};
 use bcastdb_db::{KeyMap, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
 use bcastdb_sim::{SampleWriter, SiteId};
@@ -78,8 +78,10 @@ pub struct AbSnapshot {
 pub struct AtomicProto {
     cb: CausalBcast<Arc<Payload>>,
     ab: Abcast,
-    /// Where both streams' payloads come from.
-    shelf: Shelf,
+    /// Where the causal stream's writes come from.
+    shelf: Shelf<Payload>,
+    /// Where the commit requests come from.
+    requests: Shelf<Payload>,
     /// Commit requests in total order, certified strictly head-first —
     /// the delivered requests themselves, shared with every other site's
     /// queue: certification reads their version vectors in place.
@@ -116,8 +118,7 @@ impl AtomicProto {
                 txn,
                 prio,
                 n_writes,
-                read_versions,
-                write_versions,
+                versions,
             } = &**head
             else {
                 unreachable!("only commit requests are queued for certification");
@@ -127,25 +128,16 @@ impl AtomicProto {
                 self.cert_queue.pop_front();
                 continue;
             }
-            let ops_ready = *n_writes == 0
-                || cx
-                    .st
-                    .remote
-                    .get(&txn)
-                    .is_some_and(|e| e.ops.len() == *n_writes);
-            if !ops_ready {
+            let remote = cx.st.remote.get(&txn);
+            if *n_writes != 0 && remote.is_none_or(|e| e.ops.len() != *n_writes) {
                 return; // stall: causal writes still in flight
             }
-            let pass = read_versions
-                .iter()
-                .chain(write_versions)
+            let pass = (versions.iter())
                 .all(|(key, expected)| self.latest_writer.get(key).copied() == *expected);
             self.cert_queue.pop_front();
             // Make sure an entry exists even for write-free transactions.
             let entry = cx.st.remote_entry(txn, prio).expect("undecided");
-            if entry.n_writes.is_none() {
-                entry.n_writes = Some(0);
-            }
+            entry.n_writes.get_or_insert(0);
             cx.st.trace_vote(txn, pass, cx.now);
             if !pass {
                 cx.abort_remote(txn, AbortReason::Certification);
@@ -185,6 +177,7 @@ impl Variation for AtomicProto {
                 AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
             },
             shelf: Shelf::default(),
+            requests: Shelf::default(),
             cert_queue: VecDeque::new(),
             latest_writer: KeyMap::default(),
         }
@@ -231,18 +224,28 @@ impl Variation for AtomicProto {
     /// it.
     fn request_commit(&mut self, cx: &mut AbCx, txn: TxnId, prio: TxnPriority, n_writes: usize) {
         let local = &cx.st.local[&txn];
-        let request = self.shelf.make(Payload::CommitReq {
-            txn,
-            prio,
-            n_writes,
-            read_versions: cx.st.reads.run(&local.reads_observed).to_vec(),
-            write_versions: local
-                .spec
-                .writes()
-                .iter()
-                .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()))
-                .collect(),
-        });
+        let reads = cx.st.reads.run(&local.reads_observed).iter().cloned();
+        let writes = (local.spec.writes().iter())
+            .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()));
+        let fill = |mut versions: Vec<_>, new| {
+            versions.clear();
+            versions.extend(new);
+            Payload::CommitReq {
+                txn,
+                prio,
+                n_writes,
+                versions,
+            }
+        };
+        // A reused request keeps its version vector's capacity.
+        let refill = |req: &mut Payload, new| {
+            let Payload::CommitReq { versions, .. } = req else {
+                unreachable!("only commit requests are shelved here");
+            };
+            *req = fill(std::mem::take(versions), new);
+        };
+        let fresh = |new| Arc::new(fill(Vec::new(), new));
+        let request = self.requests.make_with(reads.chain(writes), refill, fresh);
         cx.st.trace_commit_req_out(txn, cx.now);
         match &mut self.ab {
             Abcast::Seq(ab) => Self::route_total(cx, ab.broadcast(request).1),
@@ -345,7 +348,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::payload::ProtocolKind;
     use crate::protocols::tests::cfg;
-    use crate::protocols::Driver;
+    use crate::protocols::{Driver, Protocol};
     use bcastdb_broadcast::msg::MsgId;
     use bcastdb_db::TxnSpec;
 
@@ -445,6 +448,49 @@ pub(crate) mod tests {
                 "site {i}: stale read must fail certification"
             );
         }
+    }
+
+    /// A commit request that waits in a site's certification queue is
+    /// never refilled, though its origin's shelf reuses every other
+    /// request meanwhile: site 2 gets T0's slot but not its write, and
+    /// nothing of the 300 transactions the origin runs after it.
+    #[test]
+    fn a_queued_commit_request_is_never_refilled() {
+        let mut rig = rig(3, AbcastImpl::Sequencer);
+        let spec = |key: String| TxnSpec::new().read("y").write(key.as_str(), 1);
+        // Drops what `cut` says, delivers the rest, and keeps the commit
+        // requests the origin sent; the rig's log would hold them all.
+        let pump = |rig: &mut Rig, cut: fn(usize, &ReplicaMsg) -> bool| {
+            let mut sent = Vec::new();
+            while let Some((from, to, msg)) = rig.wires.pop_front() {
+                if !cut(to.0, &msg) {
+                    rig.step(to.0, 2, |p, step| p.on_msg(step, from, msg));
+                }
+                for msg in rig.sent.drain(..) {
+                    if let ReplicaMsg::ASeq(atomic::SeqWire::Submit { payload, .. }) = msg {
+                        sent.push(Arc::as_ptr(&payload));
+                    }
+                }
+            }
+            sent
+        };
+        let t0 = rig.submit(1, 1, spec("x".into()));
+        pump(&mut rig, |to, msg| {
+            to == 2 && matches!(msg, ReplicaMsg::C(_))
+        });
+        let queued = &rig.protos[2].rules.cert_queue;
+        assert_eq!(queued.len(), 1, "T0 waits for its write at site 2");
+        let (at, before) = (Arc::as_ptr(&queued[0]), (*queued[0]).clone());
+        assert_eq!(before.txn(), Some(t0));
+        let mut requests = BTreeSet::new();
+        for i in 0..300 {
+            rig.submit(1, 10 + i, spec(format!("k{i}")));
+            requests.extend(pump(&mut rig, |to, _| to == 2));
+        }
+        assert!(requests.len() < 300, "the origin reused its requests");
+        assert!(!requests.contains(&at), "and never the queued one");
+        let queued = &rig.protos[2].rules.cert_queue;
+        assert_eq!((Arc::as_ptr(&queued[0]), &*queued[0]), (at, &before));
     }
 
     #[test]

@@ -36,13 +36,13 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{Payload, ReplicaMsg, Shelf, TxnPriority};
+use crate::payload::{Payload, ReplicaMsg, TxnPriority};
 use crate::protocols::{
     Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict, Work,
 };
 use crate::state::{LocalEvent, SiteSet, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
-use bcastdb_broadcast::VectorClock;
+use bcastdb_broadcast::{Shelf, VectorClock};
 use bcastdb_db::{KeyMap, TxnId, WriteOp};
 use bcastdb_sim::SiteId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -84,7 +84,7 @@ struct CbTxn {
 #[derive(Debug)]
 pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
-    shelf: Shelf,
+    shelf: Shelf<Payload>,
     info: BTreeMap<TxnId, CbTxn>,
     /// Vector clock of each delivered write operation (and its
     /// transaction's priority: the entry outlives the `RemoteTxn`), by
@@ -190,8 +190,7 @@ impl CausalProto {
             txn: id,
             prio,
             n_writes,
-            read_versions: Vec::new(),
-            write_versions: Vec::new(),
+            versions: Vec::new(),
         };
         self.bcast(cx, request);
     }
@@ -322,9 +321,7 @@ impl CausalProto {
             } else {
                 txn
             };
-            if loser == txn {
-                doomed_self = true;
-            }
+            doomed_self |= loser == txn;
             self.abort_with_nack(cx, loser);
         }
         if doomed_self || cx.st.decided.contains_key(&txn) {

@@ -865,8 +865,7 @@ pub(crate) mod tests {
                 txn,
                 prio,
                 n_writes: 1,
-                read_versions: Vec::new(),
-                write_versions: Vec::new(),
+                versions: Vec::new(),
             },
             Payload::Vote {
                 txn,

@@ -15,10 +15,11 @@
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::AbortReason;
-use crate::payload::{Payload, ReplicaMsg, Shelf, TxnPriority};
+use crate::payload::{Payload, ReplicaMsg, TxnPriority};
 use crate::protocols::{Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict};
 use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::reliable::{self, ReliableBcast};
+use bcastdb_broadcast::Shelf;
 use bcastdb_db::TxnId;
 use bcastdb_sim::{SampleWriter, SiteId};
 use std::collections::BTreeSet;
@@ -35,7 +36,7 @@ type RbCx<'a> = Cx<'a, Arc<Payload>>;
 #[derive(Debug)]
 pub struct ReliableProto {
     rb: ReliableBcast<Arc<Payload>>,
-    shelf: Shelf,
+    shelf: Shelf<Payload>,
     /// Loss-recovery mode: the broadcast layer re-forwards first copies so
     /// agreement survives message loss (at `O(N²)` message cost), and this
     /// site publishes its watermarks on ticks while anything is undecided.
@@ -148,8 +149,7 @@ impl Variation for ReliableProto {
             txn,
             prio,
             n_writes,
-            read_versions: Vec::new(),
-            write_versions: Vec::new(),
+            versions: Vec::new(),
         };
         self.bcast(cx, request);
     }

@@ -210,8 +210,8 @@ impl<N: Node> Simulation<N> {
     /// attach-time clock: the first sample lands one interval after `now`.
     ///
     /// Samples are only taken inside [`Simulation::run_until`] (and
-    /// [`Simulation::run_to_quiescence`]); manual [`Simulation::step`]
-    /// loops bypass the sampler.
+    /// [`Simulation::run_to_quiescence`]) and [`Simulation::samples`];
+    /// manual [`Simulation::step`] loops bypass the sampler.
     ///
     /// # Panics
     /// Panics if `interval` is zero.
@@ -220,9 +220,20 @@ impl<N: Node> Simulation<N> {
         self.next_sample_at = self.now + interval;
     }
 
-    /// The samples taken so far, oldest first (empty when metrics are off).
+    /// The samples taken so far, oldest first (empty when metrics are off),
+    /// and once the run has quiesced, the next boundary's: not kept, since
+    /// a driver may still schedule events before that boundary.
     pub fn samples(&self) -> Vec<Sample> {
-        self.stats.iter().flat_map(StatsRegistry::samples).collect()
+        let Some(stats) = &self.stats else {
+            return Vec::new();
+        };
+        if !self.queue.is_empty() {
+            return stats.samples();
+        }
+        let (mut stats, mut sample) = (stats.clone(), SampleWriter::default());
+        self.fill_sample(self.next_sample_at, &mut sample);
+        stats.commit_sample(self.next_sample_at, &mut sample);
+        stats.samples()
     }
 
     /// Current virtual time.
@@ -399,8 +410,16 @@ impl<N: Node> Simulation<N> {
     /// Takes the sample for the boundary at `next_sample_at` and advances
     /// the boundary by one interval.
     fn take_sample(&mut self, interval: SimDuration) {
-        let at = self.next_sample_at;
-        let sample = &mut self.sampler;
+        let (at, mut sample) = (self.next_sample_at, std::mem::take(&mut self.sampler));
+        self.fill_sample(at, &mut sample);
+        if let Some(stats) = &mut self.stats {
+            stats.commit_sample(at, &mut sample);
+        }
+        (self.sampler, self.next_sample_at) = (sample, at + interval);
+    }
+
+    /// Writes the sample for the boundary at `at` into `sample`.
+    fn fill_sample(&self, at: SimTime, sample: &mut SampleWriter) {
         sample.set("queue_depth", self.queue.len() as u64);
         sample.set("events_processed", self.events_processed);
         let ws = self.queue.wheel_stats();
@@ -413,10 +432,6 @@ impl<N: Node> Simulation<N> {
         for node in &self.nodes {
             node.sample_stats(sample);
         }
-        if let Some(stats) = &mut self.stats {
-            stats.commit_sample(at, sample);
-        }
-        self.next_sample_at = at + interval;
     }
 
     /// The queue's timing-wheel placement statistics (see

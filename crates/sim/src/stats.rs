@@ -289,7 +289,7 @@ impl SampleWriter {
 
 /// The names behind a run of consecutive samples that set the same series
 /// in the same order and added the same histograms.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Table {
     samples: usize,
     series: Vec<Series>,
@@ -297,7 +297,7 @@ struct Table {
 }
 
 /// The samples of one run, each stored as one row.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StatsRegistry {
     interval: SimDuration,
     /// Name tables, oldest first.

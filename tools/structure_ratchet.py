@@ -46,7 +46,12 @@ import sys
 # the count, 2893 -> 2890, when metrics started flowing one way (DESIGN.md
 # section 14): P-CB's examined-peers count became a plain increment in
 # `Metrics` (causal.rs -2) and the engine's two histogram pushes one
-# `sample_into` call (engine.rs -1).
+# `sample_into` call (engine.rs -1). Unchanged at 2890 when clock stamps
+# and P-AB's commit requests started coming off one generic shelf
+# (DESIGN.md section 18): protocols/atomic.rs +3 (the request shelf and
+# its refill, net of one `versions` vector in place of two and a flatter
+# certification stall), causal.rs -3 (the one `versions` field and a
+# flatter doomed-self check).
 PROTOCOLS_AND_ENGINE_CEILING = 2890
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
@@ -66,8 +71,11 @@ CHECKER_CEILING = 610
 # crash_mid_2pc schedule aimed at site 0, once per backend). Lowered by
 # exactly the 13 lines it lost, 5005 -> 4992, when every count started being
 # kept once (DESIGN.md section 14): the per-kind vs per-phase reconciliation
-# in lib.rs went, with the commit series' own total and peak.
-BENCH_CEILING = 4992
+# in lib.rs went, with the commit series' own total and peak. Lowered by
+# exactly the 103 lines it lost, 4992 -> 4889, when the Perfetto export
+# started reading each event's name, fields and sites off its JSONL line
+# instead of a hand-written arm per variant (perfetto.rs).
+BENCH_CEILING = 4889
 # Raised by exactly its growth when keys started caching their hash and
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
@@ -193,8 +201,16 @@ BENCH_CEILING = 4992
 # causal.rs -2, engine.rs -1, simulation.rs 0 (the registry is its own
 # field), metrics.rs +24 (the two batch-size histograms, the examined-peers
 # count and their share of a sample), and the ledger's `rustc` stamp
-# (harness.rs +2).
-CRATES_CEILING = 20930
+# (harness.rs +2). Lowered to the count, 20930 -> 20865, when clock stamps
+# and P-AB's commit requests started coming off one generic shelf
+# (DESIGN.md section 18): the generic `msg::Shelf` (msg.rs +46) against
+# core's payload shelf and P-AB's second version vector (payload.rs -37),
+# `VectorClock::freeze` (vclock.rs +10), the stamp shelf (broadcast
+# causal.rs +4), protocols 0 (see PROTOCOLS_AND_ENGINE_CEILING), a quiesced
+# run's last sample taken when its samples are read (simulation.rs +15),
+# paid for by the Perfetto export reading every event off its JSONL line
+# (perfetto.rs -103, see BENCH_CEILING).
+CRATES_CEILING = 20865
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
