@@ -111,7 +111,7 @@ pub const BATCH_MAX_BYTES: usize = 1_400;
 pub struct Batcher<M> {
     max_bytes: usize,
     slots: Vec<Pending<M>>,
-    /// Empty vectors for the next batches: at most two per slot.
+    /// Empty vectors for the next batches: at most four per slot.
     spares: Vec<Vec<M>>,
     /// Messages queued across all slots.
     queued: usize,
@@ -200,9 +200,9 @@ impl<M: WireSize> Batcher<M> {
     }
 
     /// Takes back a delivered batch's vector, emptied, for a next batch; up
-    /// to two per slot are kept (DESIGN.md §11 says why).
+    /// to four per slot are kept (DESIGN.md §11 says why).
     pub fn recycle(&mut self, mut msgs: Vec<M>) {
-        if self.spares.len() < 2 * self.slots.len() && msgs.capacity() > 0 {
+        if self.spares.len() < 4 * self.slots.len() && msgs.capacity() > 0 {
             msgs.clear();
             self.spares.push(msgs);
         }
@@ -425,7 +425,7 @@ mod oracle {
         /// handed back with their messages still in them: both batchers
         /// hand out the same batches (the pushed messages in push order,
         /// the same bytes) in the same order, and agree on what is pending
-        /// after every step. The batcher keeps at most two spares per slot.
+        /// after every step. The batcher keeps at most four spares per slot.
         #[test]
         fn indexed_batcher_agrees_with_the_oracle(
             cap in 0usize..300,
@@ -453,7 +453,7 @@ mod oracle {
                         new.recycle(msgs);
                     }
                 }
-                prop_assert!(new.spares.len() <= 2 * new.slots.len());
+                prop_assert!(new.spares.len() <= 4 * new.slots.len());
                 prop_assert!(new.spares.iter().all(Vec::is_empty));
                 prop_assert_eq!(new.is_empty(), old.is_empty());
                 prop_assert_eq!(new.pending_msgs(), old.pending_msgs());

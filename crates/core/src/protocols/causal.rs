@@ -40,12 +40,12 @@ use crate::payload::{Payload, ReplicaMsg, TxnPriority};
 use crate::protocols::{
     Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict, Work,
 };
-use crate::state::{LocalEvent, SiteSet, SiteState};
+use crate::state::{LocalEvent, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::{Shelf, VectorClock};
 use bcastdb_db::{KeyMap, TxnId, WriteOp};
 use bcastdb_sim::SiteId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Fewest conflict-index insertions between two pruning passes.
@@ -65,27 +65,16 @@ pub(crate) enum CbWork {
 /// One driver step of this protocol.
 type CbCx<'a> = Cx<'a, CbWork>;
 
-/// Causal-protocol bookkeeping for one broadcast transaction.
-#[derive(Debug, Clone, Default)]
-struct CbTxn {
-    /// `commit-req`'s component at the origin; acks must cover this.
-    cr_seq: Option<u64>,
-    /// Sites that explicitly rejected the transaction.
-    nacked: SiteSet,
-    /// Commit decided; applied when locks are all granted.
-    commit_pending: bool,
-}
-
 /// What the causal-broadcast protocol varies at one site.
 ///
 /// The broadcast engine is instantiated with `Arc<Payload>` so its archive,
 /// pending set, and per-destination fan-out share one payload (off
-/// `shelf`) per broadcast instead of deep-cloning it N−1 times.
+/// `shelf`) per broadcast instead of deep-cloning it N−1 times. A
+/// transaction's own state is all in its shared live entry.
 #[derive(Debug)]
 pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
     shelf: Shelf<Payload>,
-    info: BTreeMap<TxnId, CbTxn>,
     /// Vector clock of each delivered write operation (and its
     /// transaction's priority: the entry outlives the `RemoteTxn`), by
     /// key, each list in `TxnId` order — the conflict index. Concurrency is classified
@@ -109,6 +98,10 @@ pub struct CausalProto {
     /// dominates this — and it is the sender's implicit acknowledgement of
     /// every commit request it covers (see [`CausalProto::try_decide`]).
     last_from: Vec<VectorClock>,
+    /// The stability floor of the last prune, refilled in place by each.
+    stable: VectorClock,
+    /// Scratch list of the live peers one write operation is concurrent with.
+    peers: Vec<(TxnId, TxnPriority)>,
     /// Test builds only: every write-operation clock ever delivered, the
     /// pre-index full scan `try_decide` checks the index against.
     #[cfg(test)]
@@ -205,8 +198,8 @@ impl CausalProto {
         // clock could complete the ack set and commit the transaction it
         // rejects. One for a settled transaction has nothing left to do.
         if let Payload::Nack { txn, site } = &*d.payload {
-            if !cx.st.decided.contains_key(txn) {
-                self.info.entry(*txn).or_default().nacked.insert(*site);
+            if let Some(entry) = cx.st.remote.get_mut(txn) {
+                entry.votes_no.insert(*site);
             }
         }
         // Every delivery is a potential implicit acknowledgement: the
@@ -228,9 +221,8 @@ impl CausalProto {
                 };
                 entry.commit_req_seen = true;
                 entry.n_writes = Some(n_writes);
-                let info = self.info.entry(txn).or_default();
                 let cr_seq = d.vc.get(txn.origin);
-                info.cr_seq = Some(cr_seq);
+                entry.cr_seq = Some(cr_seq);
                 if cr_seq > self.max_cr_seq.get(txn.origin) {
                     self.max_cr_seq.set(txn.origin, cr_seq);
                 }
@@ -242,11 +234,11 @@ impl CausalProto {
                 self.gate_readers(cx, txn);
                 self.try_decide(cx, txn);
             }
-            &Payload::Nack { txn, .. } => self.try_decide(cx, txn),
-            Payload::Null => {}
-            Payload::Vote { .. } | Payload::AbortDecision { .. } => {
-                // Not used by this protocol.
-            }
+            // A NACK is a NO vote: the transaction aborts (a no-op once
+            // decided), with or without a live entry to record it on.
+            Payload::Nack { txn, .. } => cx.abort_remote(*txn, AbortReason::ConcurrentConflict),
+            // A null carries only its clock; votes are not this protocol's.
+            Payload::Null | Payload::Vote { .. } | Payload::AbortDecision { .. } => {}
         }
     }
 
@@ -298,7 +290,7 @@ impl CausalProto {
         // conflict.
         let ops = (self.key_ops.entry(op.key.clone()))
             .or_insert_with(|| self.spare_ops.pop().unwrap_or_default());
-        let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
+        let mut peers = std::mem::take(&mut self.peers);
         for (peer, peer_prio, pvc) in ops.iter() {
             if *peer != txn && cx.st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
                 peers.push((*peer, *peer_prio));
@@ -315,7 +307,7 @@ impl CausalProto {
             self.prune(cx.st);
         }
         let mut doomed_self = false;
-        for (peer, peer_prio) in peers {
+        for (peer, peer_prio) in peers.drain(..) {
             let loser = if prio.older_than(&peer_prio) {
                 peer
             } else {
@@ -324,6 +316,7 @@ impl CausalProto {
             doomed_self |= loser == txn;
             self.abort_with_nack(cx, loser);
         }
+        self.peers = peers;
         if doomed_self || cx.st.decided.contains_key(&txn) {
             return; // no point acquiring locks for a dead transaction
         }
@@ -339,10 +332,10 @@ impl CausalProto {
     /// A decided transaction's ack bookkeeping is never read again.
     fn prune(&mut self, st: &SiteState) {
         let me = self.cb.me().0;
-        let mut stable = self.cb.clock().clone();
+        self.stable.copy_from(self.cb.clock());
         for (site, seen) in self.last_from.iter().enumerate() {
             if site != me {
-                stable.meet(seen);
+                self.stable.meet(seen);
             }
         }
         let decided = |txn: &TxnId| st.decided.contains_key(txn);
@@ -351,7 +344,7 @@ impl CausalProto {
             while i < ops.len() {
                 let (txn, _, vc) = &ops[i];
                 let live = !decided(txn)
-                    || !vc.dominated_by(&stable)
+                    || !vc.dominated_by(&self.stable)
                     || ops
                         .iter()
                         .any(|(peer, _, pvc)| !decided(peer) && pvc.concurrent_with(vc));
@@ -366,7 +359,6 @@ impl CausalProto {
             }
             !ops.is_empty()
         });
-        self.info.retain(|txn, _| !decided(txn));
         for waiting in &mut self.ack_waiting {
             waiting.retain(|(_, txn)| !decided(txn));
         }
@@ -397,9 +389,7 @@ impl CausalProto {
             return;
         }
         let site = cx.st.me;
-        let nacked = &mut self.info.entry(txn).or_default().nacked;
-        if !nacked.contains(site) {
-            nacked.insert(site);
+        if cx.st.remote.get(&txn).map(|e| e.votes_no.contains(site)) != Some(true) {
             cx.st.trace_vote(txn, false, cx.now);
             self.bcast(cx, Payload::Nack { txn, site });
         }
@@ -422,11 +412,12 @@ impl Variation for CausalProto {
                 cb.without_archive()
             },
             shelf: Shelf::default(),
-            info: BTreeMap::new(),
             key_ops: KeyMap::default(),
             spare_ops: Vec::new(),
             until_prune: PRUNE_FLOOR,
             last_from: vec![VectorClock::new(n); n],
+            stable: VectorClock::new(n),
+            peers: Vec::new(),
             #[cfg(test)]
             oracle: Default::default(),
             null_messages: cfg.null_messages,
@@ -514,7 +505,7 @@ impl Variation for CausalProto {
         match ev {
             // Locks complete: if the commit was already decided, apply.
             LocalEvent::RemotePrepared(id)
-                if self.info.get(&id).is_some_and(|i| i.commit_pending) =>
+                if cx.st.remote.get(&id).is_some_and(|e| e.commit_pending) =>
             {
                 cx.apply_commit(id)
             }
@@ -543,11 +534,8 @@ impl Variation for CausalProto {
     /// So the evaluation below sees every candidate, exactly as if the
     /// view change evicting the suspect had already been installed.
     fn try_decide(&mut self, cx: &mut CbCx, txn: TxnId) {
-        if cx.st.decided.contains_key(&txn) {
-            return;
-        }
-        let Some(info) = self.info.get(&txn) else {
-            return;
+        let Some(entry) = cx.st.remote.get(&txn) else {
+            return; // decided, or nothing delivered here to decide on
         };
         // Acknowledgements are derived, not collected: the origin and this
         // site acknowledge once the commit request is delivered here (before
@@ -556,10 +544,10 @@ impl Variation for CausalProto {
         let (me, origin) = (cx.st.me, txn.origin);
         let acked = |s: SiteId| {
             let covers = |k| s == origin || s == me || self.last_from[s.0].get(origin) >= k;
-            info.cr_seq.is_some_and(covers)
+            entry.cr_seq.is_some_and(covers)
         };
-        let delivered = info.cr_seq.is_some();
-        let fast = match cx.quorum.verdict(!info.nacked.is_empty(), delivered, acked) {
+        let (delivered, nacked) = (entry.cr_seq.is_some(), !entry.votes_no.is_empty());
+        let fast = match cx.quorum.verdict(nacked, delivered, acked) {
             Verdict::Abort => {
                 cx.abort_remote(txn, AbortReason::ConcurrentConflict);
                 return;
@@ -567,9 +555,6 @@ impl Variation for CausalProto {
             Verdict::Commit if delivered => false,
             Verdict::FastCommit => true,
             _ => return,
-        };
-        let Some(entry) = cx.st.remote.get(&txn) else {
-            return;
         };
         if entry.n_writes != Some(entry.ops.len()) {
             return; // write set incomplete (cannot happen with FIFO, but be safe)
@@ -604,12 +589,13 @@ impl Variation for CausalProto {
             cx.st.trace_fast_decide(txn, cx.now);
         }
         cx.st.trace_decided(txn, true, cx.now);
-        if cx.st.remote[&txn].fully_prepared() {
+        let entry = cx.st.remote.get_mut(&txn).expect("live");
+        if entry.fully_prepared() {
             cx.apply_commit(txn);
         } else {
             // Application waits for the lock queue (causal order
             // guarantees every site installs in the same order).
-            self.info.get_mut(&txn).expect("present").commit_pending = true;
+            entry.commit_pending = true;
         }
     }
 
@@ -667,7 +653,6 @@ impl Variation for CausalProto {
         self.cb.resume_from(donor_clock);
         self.processed.copy_from(self.cb.clock());
         self.last_bcast_vc = self.cb.clock().clone();
-        self.info.clear();
         self.key_ops.clear();
         self.until_prune = PRUNE_FLOOR;
         // A rejoining site cannot vouch for what its peers send next.
@@ -997,6 +982,74 @@ pub(crate) mod tests {
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
             assert_eq!(st.decided.get(&id), Some(false), "site {i} aborted on NACK");
+        }
+    }
+
+    /// A NACK for an undecided transaction this site holds no live entry
+    /// for (only a state transfer lets one outrun the transaction's
+    /// writes) aborts the transaction on the spot, though nothing holds
+    /// the vote.
+    #[test]
+    fn a_nack_without_a_live_entry_aborts_at_once() {
+        let mut rig = rig(3);
+        let txn = TxnId::new(SiteId(1), 7);
+        let nack = redeliver(
+            &rig.protos[2],
+            Payload::Nack {
+                txn,
+                site: SiteId(0),
+            },
+        );
+        rig.step(2, 3, |p, step| {
+            p.pump(step, |_, cx| {
+                cx.work.extend(nack.into_iter().map(Work::Deliver))
+            })
+        });
+        let st = &rig.states[2];
+        assert_eq!(st.decided.get(&txn), Some(false));
+        assert!(st.remote.is_empty() && rig.sent.is_empty());
+    }
+
+    /// The decided-before-locks path: a transaction whose ack set closes
+    /// while its write lock still queues behind a causally earlier, still
+    /// undecided writer is committed with its application pending, and
+    /// applied when the lock is granted — after the earlier writer, at
+    /// every site.
+    #[test]
+    fn a_commit_decided_before_its_locks_applies_when_they_are_granted() {
+        let paced = ClusterConfig {
+            think_time: bcastdb_sim::SimDuration::from_millis(1),
+            ..cfg(3, ProtocolKind::CausalBcast)
+        };
+        let mut rig = Rig::of(&paced);
+        let deliver_all = |rig: &mut Rig| {
+            while let Some((from, to, msg)) = rig.wires.pop_front() {
+                rig.step(to.0, 2, |p, step| p.on_msg(step, from, msg));
+            }
+        };
+        // The earlier writer takes x everywhere and pauses before y.
+        let earlier = rig.submit(0, 1, TxnSpec::new().write("x", 1).write("y", 1));
+        deliver_all(&mut rig);
+        // The later one writes x causally after it and asks to commit.
+        let later = rig.submit(1, 20, TxnSpec::new().write("x", 2));
+        deliver_all(&mut rig);
+        // Nulls from every site close the later one's ack set, not the
+        // earlier one's: its commit request is not out yet.
+        rig.tick_all();
+        deliver_all(&mut rig);
+        for (i, st) in rig.states.iter().enumerate() {
+            assert!(!st.decided.contains_key(&later), "site {i}");
+            assert!(st.remote[&later].commit_pending, "site {i}");
+            assert!(!st.remote[&earlier].commit_pending, "site {i}");
+        }
+        rig.step(0, 1_000, |p, step| p.continue_write(step, earlier));
+        rig.settle();
+        for (i, st) in rig.states.iter().enumerate() {
+            assert_eq!(st.decided.get(&earlier), Some(true), "site {i}");
+            assert_eq!(st.decided.get(&later), Some(true), "site {i}");
+            let of_x = st.store.installs().filter(|(k, _)| k.as_str() == "x");
+            let order: Vec<TxnId> = of_x.map(|(_, txn)| txn).collect();
+            assert_eq!(order, [earlier, later], "site {i}");
         }
     }
 

@@ -44,8 +44,9 @@ pub struct ReliableProto {
     /// Cadence control of the periodic `RSync` solicitation.
     backoff: RetransmitBackoff,
     /// Delivery watermarks at the last solicitation, the progress signal
-    /// that resets the backoff.
+    /// that resets the backoff; every tick's are written off `marks`.
     last_watermarks: Arc<[u64]>,
+    marks: Shelf<[u64]>,
 }
 
 impl ReliableProto {
@@ -108,6 +109,7 @@ impl Variation for ReliableProto {
             recover_losses: cfg.relay,
             backoff: RetransmitBackoff::new(me, cfg.retransmit_backoff),
             last_watermarks: Arc::new([]),
+            marks: Shelf::default(),
         }
     }
 
@@ -263,7 +265,11 @@ impl Variation for ReliableProto {
         if !self.needs_ticks(cx.st) {
             return;
         }
-        let marks = self.rb.watermarks();
+        let marks = self.marks.make_with(
+            self.rb.watermarks(),
+            |slot, marks| slot.iter_mut().zip(marks).for_each(|(s, m)| *s = m),
+            Iterator::collect,
+        );
         if marks != self.last_watermarks {
             self.backoff.reset();
             self.last_watermarks = Arc::clone(&marks);
@@ -274,7 +280,7 @@ impl Variation for ReliableProto {
     }
 
     fn snapshot(&self) -> ProtoSnapshot {
-        ProtoSnapshot::Reliable(self.rb.watermarks())
+        ProtoSnapshot::Reliable(self.rb.watermarks().collect())
     }
 
     fn resume(&mut self, donor: &ProtoSnapshot, _view: &BTreeSet<SiteId>) {

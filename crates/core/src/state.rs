@@ -93,10 +93,14 @@ pub struct RemoteTxn {
     pub doomed: Option<AbortReason>,
     /// This site's 2PC vote, once cast (reliable protocol).
     pub my_vote: Option<bool>,
-    /// YES votes collected (reliable protocol).
+    /// YES votes collected (reliable protocol, baseline).
     pub votes_yes: SiteSet,
-    /// NO votes collected (reliable protocol).
+    /// NO votes collected, or NACKs delivered (causal protocol).
     pub votes_no: SiteSet,
+    /// Causal protocol: the commit request's clock component at its origin.
+    pub cr_seq: Option<u64>,
+    /// Causal protocol: commit decided, applied once every lock is granted.
+    pub commit_pending: bool,
 }
 
 impl RemoteTxn {
@@ -113,6 +117,8 @@ impl RemoteTxn {
             my_vote: None,
             votes_yes: SiteSet::default(),
             votes_no: SiteSet::default(),
+            cr_seq: None,
+            commit_pending: false,
         }
     }
 
@@ -1230,6 +1236,12 @@ mod tests {
             if on(9) {
                 e.votes_no.insert(site);
             }
+            if on(10) {
+                e.cr_seq = Some(self.site as u64);
+            }
+            if on(11) {
+                e.commit_pending = true;
+            }
         }
     }
 
@@ -1249,7 +1261,7 @@ mod tests {
             live_id().prop_map(|(o, n)| LiveStep::Lookup(o, n)),
             (
                 0usize..1_000,
-                0u16..1 << 10,
+                0u16..1 << 12,
                 prop_oneof![0usize..8, 60usize..130]
             )
                 .prop_map(|(rank, fields, site)| LiveStep::Mark(rank, Scribble { fields, site })),

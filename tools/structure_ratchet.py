@@ -51,8 +51,14 @@ import sys
 # (DESIGN.md section 18): protocols/atomic.rs +3 (the request shelf and
 # its refill, net of one `versions` vector in place of two and a flatter
 # certification stall), causal.rs -3 (the one `versions` field and a
-# flatter doomed-self check).
-PROTOCOLS_AND_ENGINE_CEILING = 2890
+# flatter doomed-self check). Lowered to the count, 2890 -> 2881, when
+# P-CB's per-transaction state moved into the shared `RemoteTxn` (DESIGN.md
+# section 7 item 12, section 18): causal.rs -15 (`CbTxn` and the `info`
+# map with its retain and clear gone, the kept floor clock and peer list
+# added, a delivered NACK aborting in one arm; 2 of the 15 are the null
+# and foreign-vote arms merged into one), reliable.rs +6 (the RSync
+# watermark shelf and its refill).
+PROTOCOLS_AND_ENGINE_CEILING = 2881
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap). Lowered by the 8
@@ -209,8 +215,13 @@ BENCH_CEILING = 4889
 # causal.rs +4), protocols 0 (see PROTOCOLS_AND_ENGINE_CEILING), a quiesced
 # run's last sample taken when its samples are read (simulation.rs +15),
 # paid for by the Perfetto export reading every event off its JSONL line
-# (perfetto.rs -103, see BENCH_CEILING).
-CRATES_CEILING = 20865
+# (perfetto.rs -103, see BENCH_CEILING). Lowered to the count, 20865 ->
+# 20862, when P-CB's per-transaction state moved into the shared
+# `RemoteTxn`: protocols -9 (see PROTOCOLS_AND_ENGINE_CEILING) against
+# state.rs +6 (the entry's `cr_seq` and `commit_pending`);
+# broadcast/reliable.rs 0 (the watermarks handed out as an iterator, the
+# inline delivery list at 8).
+CRATES_CEILING = 20862
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
