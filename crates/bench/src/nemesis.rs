@@ -483,6 +483,8 @@ fn partition_heal(mut ctx: Ctx<'_>) -> (Vec<SiteId>, bool) {
     ctx.cluster
         .run_until(rejoined_at + SimDuration::from_secs(2));
     ctx.assert_survivors_terminated(&majority);
+    // Every site, the readmitted ones included.
+    (ctx.cluster.check_serializability()).unwrap_or_else(|v| panic!("{}: {v}", ctx.label));
     // A cut drops messages without a Crash trace event, so transactions
     // wedged at the cut-off minority are expected — the pending-tolerant
     // invariant check applies.
@@ -538,6 +540,8 @@ fn crash_recover_rejoin(mut ctx: Ctx<'_>) -> (Vec<SiteId>, bool) {
         "{}: recovered site diverged after catch-up",
         ctx.label
     );
+    // Every site, the readmitted ones included.
+    (ctx.cluster.check_serializability()).unwrap_or_else(|v| panic!("{}: {v}", ctx.label));
     (survivors, false)
 }
 

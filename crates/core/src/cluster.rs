@@ -2,12 +2,13 @@
 //! deterministic simulator.
 
 use crate::engine::ReplicaNode;
+use crate::history::History;
 use crate::metrics::Metrics;
 use crate::payload::{AbcastImpl, ProtocolKind, ReplicaTimer};
 use crate::placement::Placement;
 use crate::state::ConflictPolicy;
 use bcastdb_db::sg::SgViolation;
-use bcastdb_db::{HistoryRecorder, Key, LogRecord, TxnId, TxnSpec, Value};
+use bcastdb_db::{Key, TxnId, TxnSpec, Value};
 use bcastdb_sim::stats::{render_jsonl, Sample};
 use bcastdb_sim::telemetry::{
     JsonlSink, PhaseCounts, RingSink, SpanBuilder, TraceEvent, TraceInvariants, TraceMeta,
@@ -394,6 +395,7 @@ pub struct Cluster {
     next_num: Vec<u64>,
     last_submit: Vec<SimTime>,
     trace: Option<Rc<RefCell<WorkerSink<Consumers>>>>,
+    history: Rc<RefCell<History>>,
 }
 
 impl Cluster {
@@ -414,6 +416,10 @@ impl Cluster {
             .map(|i| ReplicaNode::new(SiteId(i), cfg.clone()))
             .collect();
         let mut sim = Simulation::new(cfg.seed, cfg.net.clone(), nodes);
+        let history = Rc::new(RefCell::new(History::default()));
+        for i in 0..cfg.sites {
+            sim.node_mut(SiteId(i)).state_mut().history = Some(history.clone());
+        }
         if let Some(plan) = &cfg.fault_plan {
             sim.network_mut().install_fault_plan(plan.clone());
         }
@@ -462,6 +468,7 @@ impl Cluster {
             last_submit: vec![SimTime::ZERO; cfg.sites],
             cfg,
             trace,
+            history,
         }
     }
 
@@ -566,10 +573,13 @@ impl Cluster {
     /// re-admits it through its heartbeats.
     ///
     /// # Panics
-    /// Panics if `site == donor` or either id is out of range.
+    /// Panics if `site == donor`, if either id is out of range, or if
+    /// `donor` is crashed (its snapshot stopped at its crash).
     pub fn recover(&mut self, site: SiteId, donor: SiteId) {
         assert_ne!(site, donor, "a site cannot donate to itself");
         assert!(site.0 < self.cfg.sites && donor.0 < self.cfg.sites);
+        let crashed = self.sim.network().is_crashed(donor);
+        assert!(!crashed, "{donor} is crashed and cannot donate");
         let snap = self.sim.node(donor).export_snapshot();
         let now = self.sim.now();
         self.sim.network_mut().recover(site);
@@ -776,51 +786,29 @@ impl Cluster {
     /// # Errors
     /// Returns the first [`SgViolation`] found.
     pub fn serialization_order(&self) -> Result<Vec<TxnId>, SgViolation> {
-        self.recorder(&self.sites().collect::<Vec<_>>())
+        let sites: Vec<SiteId> = self.sites().collect();
+        let stores = |site| &self.sim.node(site).state().store;
+        self.history()
+            .recorder(&sites, stores)
             .serialization_order()
     }
 
     /// Like [`Cluster::check_serializability`], restricted to a subset of
-    /// sites (failure experiments check the surviving majority only).
+    /// sites (failure experiments check the surviving majority only): the
+    /// commits of the surveyed origins against the surveyed stores, where a
+    /// writer without such a commit counts as committed, with no reads and
+    /// no writes of its own (`History::recorder`). Nothing is copied.
     ///
     /// # Errors
     /// Returns the first [`SgViolation`] found.
     pub fn check_serializability_among(&self, sites: &[SiteId]) -> Result<(), SgViolation> {
-        self.recorder(sites).check()
+        let stores = |site| &self.sim.node(site).state().store;
+        self.history().recorder(sites, stores).check()
     }
 
-    /// Assembles the execution's history recorder from the surveyed sites.
-    /// It borrows their commit records, read arenas and stores; nothing is
-    /// copied.
-    fn recorder(&self, sites: &[SiteId]) -> HistoryRecorder<'_> {
-        let mut h = HistoryRecorder::new();
-        let surveyed: std::collections::BTreeSet<SiteId> = sites.iter().copied().collect();
-        for &site in sites {
-            let st = self.sim.node(site).state();
-            for rec in &st.commits {
-                h.record_commit_ref(rec.txn, st.reads.run(&rec.reads), &rec.writes);
-            }
-            h.record_site_order(site, &st.store);
-        }
-        // Commits whose origin is outside the surveyed set (e.g. a crashed
-        // site) have no origin-side record; the surveyed replicas' redo
-        // logs say they committed (each log that holds one says so again;
-        // the recorder goes by the last record). Their writes are in the
-        // install orders already, and their reads happened at the lost
-        // origin and impose no constraints the survivors can check.
-        if surveyed.len() == self.cfg.sites {
-            return h; // every origin speaks for itself
-        }
-        for &site in sites {
-            for rec in self.sim.node(site).state().log.records() {
-                if let LogRecord::Commit { txn, .. } = rec {
-                    if !surveyed.contains(&txn.origin) {
-                        h.record_commit(txn, Vec::new(), Vec::new());
-                    }
-                }
-            }
-        }
-        h
+    /// What the origins committed: the checker's input, kept here.
+    pub fn history(&self) -> std::cell::Ref<'_, History> {
+        self.history.borrow()
     }
 }
 

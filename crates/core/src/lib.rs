@@ -41,6 +41,7 @@
 
 mod cluster;
 mod engine;
+mod history;
 mod metrics;
 mod payload;
 mod placement;
@@ -49,6 +50,7 @@ mod state;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, TxnOutcome};
 pub use engine::ReplicaNode;
+pub use history::History;
 pub use metrics::{AbortReason, CommitSeries, Counters, Metrics};
 pub use payload::{AbcastImpl, Payload, ProtocolKind, ReplicaMsg, ReplicaTimer, TxnPriority};
 pub use placement::Placement;

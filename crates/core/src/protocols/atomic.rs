@@ -224,7 +224,7 @@ impl Variation for AtomicProto {
     /// it.
     fn request_commit(&mut self, cx: &mut AbCx, txn: TxnId, prio: TxnPriority, n_writes: usize) {
         let local = &cx.st.local[&txn];
-        let reads = cx.st.reads.run(&local.reads_observed).iter().cloned();
+        let reads = local.observed();
         let writes = (local.spec.writes().iter())
             .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()));
         let fill = |mut versions: Vec<_>, new| {

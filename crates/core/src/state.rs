@@ -9,15 +9,19 @@
 //! State-changing helpers return [`LocalEvent`]s that the protocol layer
 //! reacts to (e.g. "all write locks granted → cast my vote").
 
+use crate::history::History;
 use crate::metrics::{AbortReason, Metrics};
 use crate::payload::TxnPriority;
 use crate::placement::Placement;
 use bcastdb_db::lock::{Grants, LockMode, RequestOutcome};
 use bcastdb_db::sg::ObservedVersion;
-use bcastdb_db::{Arena, Key, LockManager, RedoLog, Run, Store, TxnId, TxnSpec, WriteOp};
+use bcastdb_db::{Key, LockManager, RedoLog, Store, TxnId, TxnSpec, WriteOp};
+use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
 use bcastdb_sim::{SimTime, SiteId};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// The trace-level reference for a transaction id (`bcastdb-sim` cannot
 /// depend on the database crate, so its events carry this mirror type).
@@ -64,8 +68,18 @@ pub struct LocalTxn {
     pub submitted: SimTime,
     /// Current phase.
     pub phase: LocalPhase,
-    /// Versions observed by completed reads: a run of [`SiteState::reads`].
-    pub reads_observed: Run,
+    /// The version each read observed, in read order, set when the read
+    /// phase completes; inline, so a read phase of up to 8 reads
+    /// allocates nothing.
+    pub versions: InlineVec<ObservedVersion, 8>,
+}
+
+impl LocalTxn {
+    /// Each read's key and the version it observed.
+    pub(crate) fn observed(&self) -> impl ExactSizeIterator<Item = (Key, ObservedVersion)> + '_ {
+        let reads = self.spec.reads().iter().enumerate();
+        reads.map(|(i, key)| (key.clone(), self.versions[i]))
+    }
 }
 
 /// Per-site state of a *broadcast* update transaction (kept at every site,
@@ -413,18 +427,6 @@ pub enum LocalEvent {
 /// correct. The alloc-audit test in `crates/bench/tests/` ratchets this.
 pub type EventBuf = bcastdb_sim::inline::InlineVec<LocalEvent, 4>;
 
-/// A transaction committed at its origin, recorded there for the
-/// serializability checker.
-#[derive(Debug, Clone)]
-pub struct CommitRecord {
-    /// The transaction.
-    pub txn: TxnId,
-    /// Observed read versions, a run of [`SiteState::reads`].
-    pub reads: Run,
-    /// Write set.
-    pub writes: Vec<WriteOp>,
-}
-
 /// All protocol-independent state of one replica.
 #[derive(Debug)]
 pub struct SiteState {
@@ -442,6 +444,9 @@ pub struct SiteState {
     pub metrics: Metrics,
     /// Structured trace sink (disabled by default; zero overhead when off).
     pub tracer: Tracer,
+    /// The cluster's history, which origin-side commits are recorded into
+    /// (none for a site built alone).
+    pub history: Option<Rc<RefCell<History>>>,
     /// Conflict policy between update transactions.
     pub policy: ConflictPolicy,
     /// Whether delivered writes may wound *broadcast* (remote or
@@ -483,12 +488,6 @@ pub struct SiteState {
     pub remote: LiveTxns,
     /// Terminated transactions.
     pub decided: Outcomes,
-    /// Origin-side records of committed transactions, for the
-    /// serializability checker.
-    pub commits: Vec<CommitRecord>,
-    /// The versions the read phases of local transactions observed, one
-    /// after another.
-    pub reads: Arena<(Key, ObservedVersion)>,
     next_txn_num: u64,
 }
 
@@ -503,6 +502,7 @@ impl SiteState {
             log: RedoLog::new(),
             metrics: Metrics::new(),
             tracer: Tracer::disabled(),
+            history: None,
             policy,
             wound_remote: true,
             wound_local_readers: true,
@@ -514,8 +514,6 @@ impl SiteState {
             local: BTreeMap::new(),
             remote: LiveTxns::default(),
             decided: Outcomes::default(),
-            commits: Vec::new(),
-            reads: Arena::default(),
             next_txn_num: 0,
         }
     }
@@ -621,7 +619,7 @@ impl SiteState {
                 spec,
                 submitted: now,
                 phase: LocalPhase::AcquiringReads { next: 0 },
-                reads_observed: Run::default(),
+                versions: InlineVec::new(),
             },
         );
         let mut events = EventBuf::new();
@@ -643,11 +641,11 @@ impl SiteState {
             };
             if next >= txn.spec.reads().len() {
                 // Read phase complete: observe the versions now (locks held).
-                let observed = txn.spec.reads().iter();
-                let observed = observed.map(|k| (k.clone(), self.store.read(k).writer));
-                let run = self.reads.push_run(observed);
                 let txn = self.local.get_mut(&id).expect("present");
-                txn.reads_observed = run;
+                let store = &self.store;
+                txn.versions = (txn.spec.reads().iter())
+                    .map(|k| store.read(k).writer)
+                    .collect();
                 self.tracer.emit(|| TraceEvent::LocksAcquired {
                     at: now,
                     txn: txn_ref(id),
@@ -655,7 +653,6 @@ impl SiteState {
                 if txn.spec.is_read_only() {
                     self.commit_read_only(id, now, events);
                 } else {
-                    let txn = self.local.get_mut(&id).expect("present");
                     txn.phase = LocalPhase::WritePhase;
                     events.push(LocalEvent::ReadsComplete(id));
                 }
@@ -707,13 +704,16 @@ impl SiteState {
             txn: txn_ref(id),
         });
         self.remote.retire(&mut self.decided, &id, Fate::Committed);
-        self.commits.push(CommitRecord {
-            txn: id,
-            reads: txn.reads_observed,
-            writes: Vec::new(),
-        });
+        self.record_commit(txn);
         let granted = self.locks.release_all(id);
         self.process_grants(granted, now, events);
+    }
+
+    /// Hands a transaction committed here, its origin, to the history.
+    fn record_commit(&self, txn: LocalTxn) {
+        if let Some(history) = &self.history {
+            history.borrow_mut().record(txn);
+        }
     }
 
     /// Aborts a transaction originated here. Safe in any phase; releases
@@ -1057,7 +1057,7 @@ impl SiteState {
         );
         // The write set is copied from the shell into the redo log, and
         // installed from there; the origin's own copy, its specification's,
-        // moves into its record for the serializability checker.
+        // moves into the cluster's history.
         let origin = self.local.remove(&id);
         let (me, n, placement) = (self.me, self.n, &self.placement);
         let held = entry
@@ -1072,15 +1072,11 @@ impl SiteState {
             txn: txn_ref(id),
         });
 
-        // Origin side: latency + read observations for the checker.
+        // Origin side: latency + the commit for the checker.
         if let Some(local) = origin {
             let latency = now.saturating_since(local.submitted);
             self.metrics.commit_update(latency, now);
-            self.commits.push(CommitRecord {
-                txn: id,
-                reads: local.reads_observed,
-                writes: local.spec.into_writes(),
-            });
+            self.record_commit(local);
         }
 
         let granted = self.locks.release_all(id);
@@ -1395,7 +1391,7 @@ mod tests {
         let (id, events) = st.begin_txn(SimTime::ZERO, TxnSpec::new().read("x").write("y", 1));
         assert_eq!(events, vec![LocalEvent::ReadsComplete(id)]);
         assert_eq!(st.local[&id].phase, LocalPhase::WritePhase);
-        assert_eq!(st.reads.run(&st.local[&id].reads_observed).len(), 1);
+        assert_eq!(st.local[&id].observed().len(), 1);
     }
 
     #[test]

@@ -49,13 +49,13 @@ fn main() {
 
     // Rebuild the recorder to render the graph (the cluster API exposes the
     // checker; the dot export lives on the recorder itself).
+    let history = cluster.history();
     let mut h = HistoryRecorder::new();
+    for (txn, reads, writes) in history.commits() {
+        h.record_commit_ref(txn, reads, writes);
+    }
     for site in cluster.sites().collect::<Vec<_>>() {
-        let st = cluster.replica(site).state();
-        for rec in &st.commits {
-            h.record_commit_ref(rec.txn, st.reads.run(&rec.reads), &rec.writes);
-        }
-        h.record_site_order(site, &st.store);
+        h.record_site_order(site, &cluster.replica(site).state().store);
     }
     println!("one-copy serialization graph (Graphviz):\n{}", h.to_dot());
 

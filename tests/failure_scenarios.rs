@@ -399,6 +399,86 @@ fn crashed_site_recovers_by_state_transfer_and_rejoins() {
     }
 }
 
+/// The whole cluster stays one-copy serializable with a rejoined site
+/// surveyed. The victim originated transactions that the survivors
+/// committed after it crashed; it never applied them, so its origin never
+/// recorded them, and the checker counts each as a bare commit from the
+/// install orders, as it does for an origin left out of the survey. These
+/// are `differential_probe`'s v7 rows (crash, `recover` from the neighbour,
+/// ten more transactions at the victim) for reliable seed 14 (victim s2,
+/// T2.5) and causal seed 69 (victim s3, T3.11).
+#[test]
+fn whole_cluster_is_serializable_with_a_rejoined_site() {
+    use bcastdb::protocols::AbcastImpl;
+    use bcastdb::sim::DetRng;
+    for (proto, seed) in [
+        (ProtocolKind::ReliableBcast, 14u64),
+        (ProtocolKind::CausalBcast, 69),
+    ] {
+        let sites = 6;
+        let backend = [AbcastImpl::Sequencer, AbcastImpl::Ring][(seed / 8 % 2) as usize];
+        let mut c = Cluster::builder()
+            .sites(sites)
+            .protocol(proto)
+            .seed(seed)
+            .membership(true)
+            .suspect_after(SimDuration::from_millis(40))
+            .abcast(backend)
+            .fast_commit(seed % 4 < 2)
+            .think_time(SimDuration::from_micros(150))
+            .build();
+        let cfg = WorkloadConfig {
+            n_keys: 25,
+            readonly_fraction: 0.2,
+            ..WorkloadConfig::default()
+        };
+        let zipf = cfg.sampler();
+        let mut rng = DetRng::new(seed * 7 + 1);
+        for site in c.sites().collect::<Vec<_>>() {
+            let mut at = SimTime::from_micros(1_000);
+            let mut site_rng = rng.fork(site.0 as u64);
+            for _ in 0..40 {
+                at += SimDuration::from_micros(900);
+                c.submit_at(at, site, cfg.gen_txn(&zipf, &mut site_rng));
+            }
+        }
+        let t = 6_000 + (seed % 13) * 1_500;
+        let victim = SiteId((seed % sites as u64) as usize);
+        let neighbour = SiteId((victim.0 + 1) % sites);
+        c.run_until(SimTime::from_micros(t));
+        c.crash(victim);
+        c.run_until(SimTime::from_micros(t + 200_000));
+        c.recover(victim, neighbour);
+        for k in 0..10 {
+            let at = SimTime::from_micros(t + 260_000 + k * 1_000);
+            c.submit_at(at, victim, cfg.gen_txn(&zipf, &mut rng));
+        }
+        c.run_until(SimTime::from_micros(3_000_000));
+        assert!(c.replicas_converged(), "{proto} seed {seed}: diverged");
+        // The case is there: a writer of the victim's, installed, that its
+        // origin never recorded.
+        let recorded: Vec<TxnId> = c.history().commits().map(|(txn, ..)| txn).collect();
+        let store = &c.replica(neighbour).state().store;
+        assert!(
+            (store.installs()).any(|(_, w)| w.origin == victim && !recorded.contains(&w)),
+            "{proto} seed {seed}: no unrecorded writer of {victim}"
+        );
+        c.check_serializability()
+            .unwrap_or_else(|v| panic!("{proto} seed {seed}: {v}"));
+    }
+}
+
+/// A crashed donor's snapshot stopped at its crash: `recover` refuses it.
+#[test]
+#[should_panic(expected = "is crashed and cannot donate")]
+fn recover_refuses_a_crashed_donor() {
+    let mut c = failure_cluster(ProtocolKind::ReliableBcast, 5, 3);
+    c.run_until(SimTime::from_micros(10_000));
+    c.crash(SiteId(3));
+    c.crash(SiteId(4));
+    c.recover(SiteId(4), SiteId(3));
+}
+
 #[test]
 fn partition_and_heal_round_trip() {
     // A 2/3 partition of five sites: the majority keeps committing, the

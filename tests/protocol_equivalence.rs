@@ -402,11 +402,11 @@ fn wan_profile_all_protocols() {
     }
 }
 
-/// An origin's commit record holds the write set of its specification,
-/// moved into the record rather than copied from the broadcast shell: on
-/// every protocol, at every origin, it equals the shell's ops as the
-/// origin's redo log installed them. Read-only commits carry none and log
-/// nothing.
+/// An origin's commit record in the cluster's history holds the write set
+/// of its specification, moved into the record rather than copied from the
+/// broadcast shell: on every protocol, for every origin, it equals the
+/// shell's ops as the origin's redo log installed them. Read-only commits
+/// carry none and log nothing.
 #[test]
 fn origin_commit_records_hold_the_shells_write_sets() {
     use bcastdb::db::{LogRecord, WriteOp};
@@ -424,29 +424,28 @@ fn origin_commit_records_hold_the_shells_write_sets() {
         let run = WorkloadRun::new(cfg.clone(), 41);
         let report = run.open_loop(&mut cluster, 15, SimDuration::from_millis(5));
         assert!(report.quiesced && report.converged, "{proto}");
+        let logs: Vec<BTreeMap<TxnId, &[WriteOp]>> = (cluster.sites())
+            .map(|site| {
+                (cluster.replica(site).state().log.records())
+                    .filter_map(|rec| match rec {
+                        LogRecord::Commit { txn, writes } => Some((txn, writes)),
+                        LogRecord::Abort { .. } => None,
+                    })
+                    .collect()
+            })
+            .collect();
         let (mut updates, mut read_only) = (0, 0);
-        for site in cluster.sites().collect::<Vec<_>>() {
-            let st = cluster.replica(site).state();
-            let logged: BTreeMap<TxnId, &[WriteOp]> = (st.log.records())
-                .filter_map(|rec| match rec {
-                    LogRecord::Commit { txn, writes } => Some((txn, writes)),
-                    LogRecord::Abort { .. } => None,
-                })
-                .collect();
-            for rec in &st.commits {
-                assert_eq!(
-                    rec.txn.origin, site,
-                    "{proto}: a record away from its origin"
-                );
-                if rec.writes.is_empty() {
-                    assert!(!logged.contains_key(&rec.txn), "{proto}: {}", rec.txn);
-                    read_only += 1;
-                } else {
-                    let shell = logged.get(&rec.txn).copied();
-                    assert_eq!(Some(&rec.writes[..]), shell, "{proto}: {}", rec.txn);
-                    assert_eq!(rec.writes.len(), 3, "{proto}: {}", rec.txn);
-                    updates += 1;
-                }
+        for (txn, reads, writes) in cluster.history().commits() {
+            let logged = &logs[txn.origin.0];
+            if writes.is_empty() {
+                assert!(!logged.contains_key(&txn), "{proto}: {txn}");
+                assert_eq!(reads.len(), cfg.reads_per_ro_txn, "{proto}: {txn}");
+                read_only += 1;
+            } else {
+                assert_eq!(Some(writes), logged.get(&txn).copied(), "{proto}: {txn}");
+                assert_eq!(writes.len(), 3, "{proto}: {txn}");
+                assert_eq!(reads.len(), 2, "{proto}: {txn}");
+                updates += 1;
             }
         }
         assert!(
