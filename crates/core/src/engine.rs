@@ -21,7 +21,6 @@ use std::rc::Rc;
 pub struct ResyncSnapshot {
     store: bcastdb_db::Store,
     decided: crate::state::Outcomes,
-    log: bcastdb_db::RedoLog,
     view: BTreeSet<SiteId>,
     member_view: Option<bcastdb_broadcast::membership::View>,
     proto: ProtoSnapshot,
@@ -102,13 +101,12 @@ impl ReplicaNode {
     }
 
     /// Captures everything a recovering replica needs from this one (state
-    /// transfer at a quiet moment): the committed store, decisions, redo
-    /// log, view, and the broadcast engines' delivery positions.
+    /// transfer at a quiet moment): the committed store, decisions, view,
+    /// and the broadcast engines' delivery positions.
     pub fn export_snapshot(&self) -> ResyncSnapshot {
         ResyncSnapshot {
             store: self.st.store.clone(),
             decided: self.st.decided.clone(),
-            log: self.st.log.clone(),
             view: self.view_members(),
             member_view: self.member.as_ref().map(|m| m.view().clone()),
             proto: self.proto.snapshot(),
@@ -116,14 +114,12 @@ impl ReplicaNode {
     }
 
     /// Re-initialises this (previously crashed) replica from a donor
-    /// snapshot. Assumes a quiet moment — in-flight transaction state is
-    /// dropped; the transferred store, log, and decisions carry all
-    /// outcomes. Missed broadcasts are *not* redelivered: the engines
-    /// resume past them at the donor's delivery positions.
+    /// snapshot at a quiet moment: in-flight transaction state is dropped,
+    /// the store and decisions carry all outcomes, and missed broadcasts
+    /// are *not* redelivered: the engines resume at the donor's positions.
     pub fn import_snapshot(&mut self, snap: ResyncSnapshot, now: SimTime) {
         self.st.store = snap.store;
         self.st.rebase_on(&snap.decided);
-        self.st.log = snap.log;
         self.st.locks = bcastdb_db::LockManager::new();
         self.proto.resume(&snap.proto, snap.view);
         if let (Some(m), Some(v)) = (&mut self.member, snap.member_view) {

@@ -898,7 +898,7 @@ pub(crate) mod tests {
         let now = SimTime::from_micros(9);
         for (i, (p, st)) in rig.protos.iter_mut().zip(&mut rig.states).enumerate() {
             assert_eq!(st.decided.get(&id), Some(true), "{protocol} site {i}");
-            let logged = st.log.len();
+            let installed = st.store.applied_writes();
             for payload in stale_payloads(id) {
                 for d in redeliver(p, payload.clone()) {
                     let mut fx = Effects::new();
@@ -918,8 +918,8 @@ pub(crate) mod tests {
             );
             assert!(idle(&p.rules), "{protocol} site {i} kept protocol state");
             assert_eq!(
-                st.log.len(),
-                logged,
+                st.store.applied_writes(),
+                installed,
                 "{protocol} site {i} terminated {id} again"
             );
             assert_eq!(st.decided.get(&id), Some(true), "{protocol} site {i}");

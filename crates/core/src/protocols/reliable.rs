@@ -480,11 +480,8 @@ mod tests {
         rig.settle();
         for st in &rig.states {
             assert_eq!(st.decided.get(&id), Some(true));
-            let logged = st.log.records().find_map(|r| match r {
-                bcastdb_db::LogRecord::Commit { txn, writes } if txn == id => Some(writes.len()),
-                _ => None,
-            });
-            assert_eq!(logged, Some(3), "the whole write set committed");
+            let installed = st.store.installs().filter(|&(_, w)| w == id).count();
+            assert_eq!(installed, 3, "the whole write set committed");
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::payload::TxnPriority;
 use crate::placement::Placement;
 use bcastdb_db::lock::{Grants, LockMode, RequestOutcome};
 use bcastdb_db::sg::ObservedVersion;
-use bcastdb_db::{Key, LockManager, RedoLog, Store, TxnId, TxnSpec, WriteOp};
+use bcastdb_db::{Key, LockManager, Store, TxnId, TxnSpec, WriteOp};
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::telemetry::{TraceEvent, Tracer, TxnRef};
 use bcastdb_sim::{SimTime, SiteId};
@@ -438,8 +438,6 @@ pub struct SiteState {
     pub store: Store,
     /// Strict-2PL lock table.
     pub locks: LockManager,
-    /// Redo log.
-    pub log: RedoLog,
     /// Metrics for this site.
     pub metrics: Metrics,
     /// Structured trace sink (disabled by default; zero overhead when off).
@@ -499,7 +497,6 @@ impl SiteState {
             n,
             store: Store::new(),
             locks: LockManager::new(),
-            log: RedoLog::new(),
             metrics: Metrics::new(),
             tracer: Tracer::disabled(),
             history: None,
@@ -743,7 +740,6 @@ impl SiteState {
             self.metrics.counters.add("aborts_readonly", 1);
         }
         self.remote.retire(&mut self.decided, &id, Fate::Aborted);
-        self.log.log_abort(id);
         let granted = self.locks.release_all(id);
         self.process_grants(granted, now, events);
     }
@@ -1039,7 +1035,7 @@ impl SiteState {
     // ------------------------------------------------------------------
 
     /// Applies the commit of broadcast transaction `id` at this site:
-    /// installs the writes, logs, records origin-side bookkeeping, and
+    /// installs the writes, records origin-side bookkeeping, and
     /// releases locks.
     ///
     /// # Panics
@@ -1055,16 +1051,15 @@ impl SiteState {
             entry.n_writes,
             "commit applied before full write set delivered"
         );
-        // The write set is copied from the shell into the redo log, and
-        // installed from there; the origin's own copy, its specification's,
-        // moves into the cluster's history.
+        // The held writes install straight from the shell; the origin's
+        // own copy, its specification's, moves into the cluster's history.
         let origin = self.local.remove(&id);
         let (me, n, placement) = (self.me, self.n, &self.placement);
         let held = entry
             .ops
             .iter()
             .filter(|w| placement.is_holder(me, &w.key, n));
-        self.store.apply(id, self.log.log_commit(id, held.cloned()));
+        self.store.apply(id, held);
         let me = self.me;
         self.tracer.emit(|| TraceEvent::Commit {
             at: now,
@@ -1095,7 +1090,6 @@ impl SiteState {
             return;
         }
         self.remote.retire(&mut self.decided, &id, Fate::Aborted);
-        self.log.log_abort(id);
         let me = self.me;
         self.tracer.emit(|| TraceEvent::Abort {
             at: now,
@@ -1150,7 +1144,6 @@ enum HolderKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcastdb_db::LogRecord;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1641,15 +1634,8 @@ mod tests {
         assert_eq!(st.store.value(&Key::new("x")), 7);
         assert_eq!(st.decided.get(&t), Some(true));
         assert_eq!(st.locks.locks_of(t).count(), 0);
-        let logged: Vec<_> = st.log.records().collect();
-        let writes = [wop("x", 7)];
-        assert_eq!(
-            logged,
-            [LogRecord::Commit {
-                txn: t,
-                writes: &writes
-            }]
-        );
+        let installs: Vec<_> = st.store.installs().collect();
+        assert_eq!(installs, [(&Key::new("x"), t)]);
     }
 
     #[test]

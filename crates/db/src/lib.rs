@@ -7,9 +7,10 @@
 //! The paper assumes each site runs a conventional database kernel:
 //! a store holding a full copy of every object, **strict two-phase
 //! locking** for local concurrency control, and a redo log for durability.
-//! This crate provides exactly that substrate, plus the machinery the
-//! paper uses in its *proofs* — serialization graphs — turned into a
-//! *checker* ([`sg::HistoryRecorder`]) that validates one-copy
+//! This crate provides the store and the locks (durability is by state
+//! transfer from a live member, so no replica keeps a log), plus the
+//! machinery the paper uses in its *proofs* — serialization graphs —
+//! turned into a *checker* ([`sg::HistoryRecorder`]) that validates one-copy
 //! serializability of every simulated execution:
 //!
 //! - [`types`] — keys, values, transaction identifiers and specifications;
@@ -19,7 +20,7 @@
 //!   upgrade, FIFO wait queues, and a waits-for-graph deadlock detector
 //!   (used by the reliable-broadcast protocol for reader/writer cycles; the
 //!   baseline times out, the other protocols prevent deadlock);
-//! - [`log`] — a redo log with crash-recovery replay;
+//! - [`log`] — the append path of a redo log, which no replica keeps;
 //! - [`graph`] — a dense directed graph with cycle detection, under both the
 //!   serialization-graph test and the deadlock detector;
 //! - [`sg`] — history recording and the one-copy serialization-graph test.
@@ -64,7 +65,7 @@ pub mod storage;
 pub mod types;
 
 pub use lock::{LockManager, LockMode, RequestOutcome};
-pub use log::{Checkpoint, LogRecord, RedoLog};
+pub use log::RedoLog;
 pub use sg::{HistoryRecorder, SgViolation, SgWork};
 pub use storage::{Arena, Run, Store};
 pub use types::{Key, KeyMap, TxnId, TxnSpec, Value, WriteOp};

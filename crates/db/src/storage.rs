@@ -97,27 +97,30 @@ impl Store {
     }
 
     /// Installs the write set of committed transaction `txn`.
-    pub fn apply(&mut self, txn: TxnId, writes: &[WriteOp]) {
+    pub fn apply<'a>(&mut self, txn: TxnId, writes: impl IntoIterator<Item = &'a WriteOp>) {
         assert!(txn.origin.0 >> 24 == 0 && txn.num >> 40 == 0, "{txn}");
         let writer = (txn.origin.0 as u64) << 40 | txn.num;
-        for w in writes {
-            let next = self.numbered.len() as u32;
-            let number = match self.keys.get_mut(&w.key) {
-                // A key seeded but never installed (`u32::MAX`) takes `next`.
-                Some((value, word, number)) => {
-                    (*value, *word, *number) = (w.value, writer, next.min(*number));
-                    *number
-                }
-                None => {
-                    self.keys.insert(w.key.clone(), (w.value, writer, next));
-                    next
-                }
-            };
-            if number == next {
-                self.numbered.push(w.key.clone());
+        writes.into_iter().for_each(|w| self.install(w, writer));
+    }
+
+    /// One write of `apply`, not generic: every caller shares this copy.
+    fn install(&mut self, w: &WriteOp, writer: u64) {
+        let next = self.numbered.len() as u32;
+        let number = match self.keys.get_mut(&w.key) {
+            // A key seeded but never installed (`u32::MAX`) takes `next`.
+            Some((value, word, number)) => {
+                (*value, *word, *number) = (w.value, writer, next.min(*number));
+                *number
             }
-            self.installs.push_run([(number, writer)].into_iter());
+            None => {
+                self.keys.insert(w.key.clone(), (w.value, writer, next));
+                next
+            }
+        };
+        if number == next {
+            self.numbered.push(w.key.clone());
         }
+        self.installs.push_run([(number, writer)].into_iter());
     }
 
     /// Pre-loads an initial value without recording a writer (database

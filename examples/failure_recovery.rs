@@ -2,12 +2,11 @@
 //! view and keeps committing — "as long as the view has majority
 //! membership, the system remains operational".
 //!
-//! Also demonstrates redo-log recovery: the crashed replica's log replays
-//! to exactly the state it had committed before the crash.
+//! Then the crashed replica recovers by state transfer from a live member,
+//! is re-admitted to the view, and serves the committed state it missed.
 //!
 //! Run with: `cargo run --example failure_recovery`
 
-use bcastdb::db::LogRecord;
 use bcastdb::prelude::*;
 
 fn main() {
@@ -62,21 +61,24 @@ fn main() {
         .check_serializability_among(&survivors)
         .expect("surviving history one-copy serializable");
 
-    // Phase 4: the crashed replica recovers its committed state from its
-    // redo log — everything it had applied before failing.
-    let crashed_log = &cluster.replica(SiteId(4)).state().log;
-    let recovered = crashed_log.replay();
+    // Phase 4: s4 recovers by state transfer from s0 — the store and
+    // verdicts a live member holds — and membership re-admits it.
+    cluster.recover(SiteId(4), SiteId(0));
+    cluster.run_until(SimTime::from_micros(2_100_000));
+    for s in cluster.sites().collect::<Vec<_>>() {
+        assert!(
+            cluster.replica(s).view_members().contains(&SiteId(4)),
+            "{s} re-admitted s4"
+        );
+    }
     assert_eq!(
-        recovered.value(&Key::new("x")),
-        1,
-        "pre-crash state recovered"
+        cluster.committed_value(SiteId(4), "x"),
+        Some(2),
+        "s4 holds the commit it missed"
     );
-    println!(
-        "s4 recovered {} committed txns from its redo log",
-        crashed_log
-            .records()
-            .filter(|r| matches!(r, LogRecord::Commit { .. }))
-            .count()
-    );
+    cluster
+        .check_serializability()
+        .expect("whole history one-copy serializable");
+    println!("s4 recovered from s0 and rejoined at {}", cluster.now());
     println!("failure + recovery scenario complete ✓");
 }

@@ -404,12 +404,11 @@ fn wan_profile_all_protocols() {
 
 /// An origin's commit record in the cluster's history holds the write set
 /// of its specification, moved into the record rather than copied from the
-/// broadcast shell: on every protocol, for every origin, it equals the
-/// shell's ops as the origin's redo log installed them. Read-only commits
-/// carry none and log nothing.
+/// broadcast shell: on every protocol, for every origin, its keys are the
+/// ones the origin's store installed for it, in the same order. Read-only
+/// commits carry none and install nothing.
 #[test]
 fn origin_commit_records_hold_the_shells_write_sets() {
-    use bcastdb::db::{LogRecord, WriteOp};
     use std::collections::BTreeMap;
     let cfg = WorkloadConfig {
         n_keys: 30,
@@ -424,25 +423,25 @@ fn origin_commit_records_hold_the_shells_write_sets() {
         let run = WorkloadRun::new(cfg.clone(), 41);
         let report = run.open_loop(&mut cluster, 15, SimDuration::from_millis(5));
         assert!(report.quiesced && report.converged, "{proto}");
-        let logs: Vec<BTreeMap<TxnId, &[WriteOp]>> = (cluster.sites())
+        let installs: Vec<BTreeMap<TxnId, Vec<&Key>>> = (cluster.sites())
             .map(|site| {
-                (cluster.replica(site).state().log.records())
-                    .filter_map(|rec| match rec {
-                        LogRecord::Commit { txn, writes } => Some((txn, writes)),
-                        LogRecord::Abort { .. } => None,
-                    })
-                    .collect()
+                let mut by_writer = BTreeMap::<_, Vec<_>>::new();
+                for (key, writer) in cluster.replica(site).state().store.installs() {
+                    by_writer.entry(writer).or_default().push(key);
+                }
+                by_writer
             })
             .collect();
         let (mut updates, mut read_only) = (0, 0);
         for (txn, reads, writes) in cluster.history().commits() {
-            let logged = &logs[txn.origin.0];
+            let installed = &installs[txn.origin.0];
             if writes.is_empty() {
-                assert!(!logged.contains_key(&txn), "{proto}: {txn}");
+                assert!(!installed.contains_key(&txn), "{proto}: {txn}");
                 assert_eq!(reads.len(), cfg.reads_per_ro_txn, "{proto}: {txn}");
                 read_only += 1;
             } else {
-                assert_eq!(Some(writes), logged.get(&txn).copied(), "{proto}: {txn}");
+                let keys: Vec<&Key> = writes.iter().map(|w| &w.key).collect();
+                assert_eq!(Some(&keys), installed.get(&txn), "{proto}: {txn}");
                 assert_eq!(writes.len(), 3, "{proto}: {txn}");
                 assert_eq!(reads.len(), 2, "{proto}: {txn}");
                 updates += 1;

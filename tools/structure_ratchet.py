@@ -14,6 +14,8 @@ checks and exits 1 when
 - a piece of the skeleton is defined a second time under `crates/core/src`
   (a trait's bodiless declaration is not a definition);
 - `enum Proto` is back in `engine.rs`;
+- `RedoLog` is named under `crates/core/src` (a replica keeps commit
+  state, not a log: recovery is state transfer, DESIGN.md section 5);
 - a `BCASTDB_*` variable is read from the environment anywhere under
   `crates/` but `crates/bench/src/harness.rs`;
 - a JSON parser, a string escaper or the `trace_meta` trailer literal shows
@@ -57,8 +59,11 @@ import sys
 # map with its retain and clear gone, the kept floor clock and peer list
 # added, a delivered NACK aborting in one arm; 2 of the 15 are the null
 # and foreign-vote arms merged into one), reliable.rs +6 (the RSync
-# watermark shelf and its refill).
-PROTOCOLS_AND_ENGINE_CEILING = 2881
+# watermark shelf and its refill). Lowered to the count, 2881 -> 2877,
+# when the replica stopped keeping a redo log (DESIGN.md section 18):
+# engine.rs -4, the state-transfer snapshot's log field, its clone and its
+# overwrite, with the two docs that named it.
+PROTOCOLS_AND_ENGINE_CEILING = 2877
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap). Lowered by the 8
@@ -232,8 +237,19 @@ BENCH_CEILING = 4893
 # the observed versions inline on `LocalTxn`, its `observed` pairs and the
 # history handle in), cluster.rs -12 (the redo-log scan out; the history
 # field, `Cluster::history` and the crashed-donor check in), bench +4 (see
-# BENCH_CEILING).
-CRATES_CEILING = 20935
+# BENCH_CEILING). Lowered to the count, 20935 -> 20835, when the replica
+# stopped keeping a redo log that nothing read (DESIGN.md sections 5 and
+# 18): db/log.rs -94 (checkpoints, borrowed records, abort records,
+# replay, truncation and recovery gone; only the append path a benchmark
+# kernel times is left), state.rs -6 (the field, its two abort appends and
+# the copy `apply_commit` installed from), engine.rs -4 (see
+# PROTOCOLS_AND_ENGINE_CEILING), db/lib.rs +1 (the crate doc says how a
+# replica recovers instead), storage.rs +3 (`Store::apply` takes any
+# iterator of writes, so the shell's held ops install without a copy; each
+# write goes through one non-generic `install`, which kept
+# `kernel.store_apply_ns` where it was, where a fully generic body read it
+# at twice the parent's).
+CRATES_CEILING = 20835
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -344,6 +360,9 @@ def main():
             failures.append(f"`{pattern}` is defined {n} times under crates/core/src")
     if re.search(r"enum Proto\b", open("crates/core/src/engine.rs", encoding="utf-8").read()):
         failures.append("`enum Proto` is back in engine.rs")
+    for path in glob.glob("crates/core/src/**/*.rs", recursive=True):
+        if re.search(r"\bRedoLog\b", open(path, encoding="utf-8").read()):
+            failures.append(f"{path} names `RedoLog`; a replica keeps no redo log")
 
     for path in glob.glob("crates/**/*.rs", recursive=True):
         code = open(path, encoding="utf-8").read()
