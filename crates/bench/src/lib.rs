@@ -3,9 +3,8 @@
 //! The experiment harness: one table of experiments
 //! ([`experiments::ALL`], one entry per table / figure of the reproduced
 //! evaluation — `t1_messages`, `t2_failures`, `f1_latency_vs_n` …
-//! `a3_loss_tolerance`, `chaos`), one driver (`run_all`, alone for the
-//! whole suite or with `--only <name>` for one entry), and the Criterion
-//! micro-benches.
+//! `a3_loss_tolerance`, `chaos`) and one driver (`run_all`, alone for the
+//! whole suite or with `--only <name>` for one entry).
 //!
 //! Every experiment is a `fn(&mut Run)`: the [`experiments::Run`] context
 //! builds its clusters with tracing enabled ([`TRACE_CAPACITY`], plus the
@@ -62,7 +61,6 @@ pub mod harness;
 pub mod nemesis;
 pub mod perfdiff;
 pub mod perfetto;
-pub mod scenarios;
 
 pub use harness::{write_wallclock_json, LedgerEntry, Sweep, SweepOutcome};
 

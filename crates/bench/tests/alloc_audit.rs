@@ -13,9 +13,10 @@
 //!
 //! The test runs a t2-style crash workload once, measuring the allocation
 //! delta of each phase (cluster build, simulation, verification), prints
-//! the breakdown (visible with `--nocapture`), and ratchets a ceiling on
-//! the simulation phase's allocs/event. The ceiling has ~25% headroom over
-//! the measured value so that toolchain drift doesn't trip it, but any
+//! the breakdown (visible with `--nocapture`), pins the run's event count,
+//! and ratchets a ceiling on the simulation phase's allocs/event. The
+//! ceiling has ~25% headroom over the measured value so that toolchain
+//! drift doesn't trip it, but any
 //! change that reintroduces a per-event or per-message allocation on the
 //! hot path (a clone per delivery, a `Vec` per fan-out, an un-pre-sized
 //! ring) blows well past it.
@@ -213,6 +214,11 @@ fn allocs_per_event_stays_bounded() {
     for (name, delta) in &without_trace {
         eprintln!("{delta:>9}  {name}");
     }
+
+    // The denominator of both ceilings below, pinned: a change that adds
+    // events lowers allocs/event and could hide an allocation that crept
+    // back in. It moves only when the message flow does; move it with it.
+    assert_eq!(events, 10_129, "the crash run's event count moved");
 
     // The ratchet: allocations per simulated event across the three
     // simulation phases (excluding one-time cluster build, workload

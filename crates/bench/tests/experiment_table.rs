@@ -527,9 +527,10 @@ fn encode(value: &Json, out: &mut String) {
     }
 }
 
-/// ROADMAP item 4, the JSON half: no mutation of a good trace line, sample
-/// line or ledger makes a reader panic, and whatever a reader still accepts
-/// survives its own writer — encode, parse again, same value.
+/// The never-panic contract for tools (ROADMAP aim 3), the JSON half: no
+/// mutation of a good trace line, sample line or ledger makes a reader
+/// panic, and whatever a reader still accepts survives its own writer —
+/// encode, parse again, same value.
 #[test]
 fn mutated_json_never_panics_and_accepted_values_round_trip() {
     let (mut tried, mut accepted) = (0u32, 0u32);
@@ -609,9 +610,10 @@ fn plan_mutations(good: &str) -> impl Iterator<Item = String> + '_ {
     prefixes.chain(substitutions)
 }
 
-/// ROADMAP item 9, the fault-plan half: no mutation of a good plan makes
-/// `parse_plan` panic, and every plan it still accepts survives its own
-/// writer — render, parse again, same plan, same text.
+/// The never-panic contract for tools (ROADMAP aim 3), the fault-plan
+/// half: no mutation of a good plan makes `parse_plan` panic, and every
+/// plan it still accepts survives its own writer — render, parse again,
+/// same plan, same text.
 #[test]
 fn mutated_fault_plans_never_panic_and_accepted_plans_round_trip() {
     let (mut tried, mut accepted) = (0u32, 0u32);

@@ -21,14 +21,20 @@
 //! ```
 //! use bcastdb_core::{Cluster, ProtocolKind};
 //! use bcastdb_sim::SimDuration;
-//! use bcastdb_workload::{Scenario, WorkloadRun};
+//! use bcastdb_workload::{WorkloadConfig, WorkloadRun};
 //!
 //! let mut cluster = Cluster::builder()
 //!     .sites(3)
 //!     .protocol(ProtocolKind::ReliableBcast)
 //!     .seed(1)
 //!     .build();
-//! let run = WorkloadRun::new(Scenario::Moderate.config(), 99);
+//! let cfg = WorkloadConfig {
+//!     n_keys: 200,
+//!     theta: 0.8,
+//!     readonly_fraction: 0.2,
+//!     ..WorkloadConfig::default()
+//! };
+//! let run = WorkloadRun::new(cfg, 99);
 //! let report = run.open_loop(&mut cluster, 5, SimDuration::from_millis(10));
 //! assert!(report.quiesced && report.all_terminated());
 //! cluster.check_serializability().expect("one-copy serializable");
@@ -38,11 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod runner;
-pub mod scenarios;
 pub mod spec;
 pub mod zipf;
 
 pub use runner::{RunReport, WorkloadRun};
-pub use scenarios::Scenario;
 pub use spec::WorkloadConfig;
 pub use zipf::Zipf;

@@ -243,27 +243,52 @@ mod tests {
     #[test]
     fn contended_workload_stays_serializable() {
         // A 5-key database with multi-key transactions: heavy conflicts.
-        let cfg = WorkloadConfig {
+        let multi_key = WorkloadConfig {
             n_keys: 5,
             theta: 0.9,
             reads_per_txn: 1,
             writes_per_txn: 2,
             ..WorkloadConfig::default()
         };
-        for proto in ProtocolKind::ALL {
-            let mut c = cluster(proto, 4, 13);
-            let run = WorkloadRun::new(cfg.clone(), 44);
-            let report = run.open_loop(&mut c, 8, SimDuration::from_millis(2));
-            assert!(report.quiesced, "{proto}: stuck under contention");
-            assert!(report.converged, "{proto}: diverged under contention");
-            c.check_serializability()
-                .unwrap_or_else(|v| panic!("{proto}: {v}"));
-            // Every transaction terminated one way or the other.
-            assert_eq!(
-                report.metrics.commits() + report.metrics.aborts(),
-                4 * 8,
-                "{proto}"
-            );
+        // One key, written blind by every transaction: the hot spot.
+        let hot_spot = WorkloadConfig {
+            n_keys: 1,
+            theta: 0.0,
+            reads_per_txn: 0,
+            writes_per_txn: 1,
+            ..WorkloadConfig::default()
+        };
+        // Half the transactions are six-read queries racing the writers.
+        let read_heavy = WorkloadConfig {
+            n_keys: 200,
+            reads_per_txn: 1,
+            reads_per_ro_txn: 6,
+            readonly_fraction: 0.5,
+            ..WorkloadConfig::default()
+        };
+        for cfg in [multi_key, hot_spot, read_heavy] {
+            let keys = cfg.n_keys;
+            for proto in ProtocolKind::ALL {
+                let mut c = cluster(proto, 4, 13);
+                let run = WorkloadRun::new(cfg.clone(), 44);
+                let report = run.open_loop(&mut c, 8, SimDuration::from_millis(2));
+                assert!(
+                    report.quiesced,
+                    "{proto}/{keys} keys: stuck under contention"
+                );
+                assert!(
+                    report.converged,
+                    "{proto}/{keys} keys: diverged under contention"
+                );
+                c.check_serializability()
+                    .unwrap_or_else(|v| panic!("{proto}/{keys} keys: {v}"));
+                // Every transaction terminated one way or the other.
+                assert_eq!(
+                    report.metrics.commits() + report.metrics.aborts(),
+                    4 * 8,
+                    "{proto}/{keys} keys"
+                );
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 use bcastdb::prelude::*;
 use bcastdb::protocols::ProtocolKind;
 use bcastdb::sim::NetworkConfig;
-use bcastdb::workload::{Scenario, WorkloadRun};
+use bcastdb::workload::{WorkloadConfig, WorkloadRun};
 
 fn main() {
     println!("5 replicas over a WAN (≈20ms one-way), moderate-contention workload\n");
@@ -27,7 +27,13 @@ fn main() {
             .p2p_timeout(SimDuration::from_secs(5))
             .seed(3)
             .build();
-        let run = WorkloadRun::new(Scenario::Moderate.config(), 33);
+        let cfg = WorkloadConfig {
+            n_keys: 200,
+            theta: 0.8,
+            readonly_fraction: 0.2,
+            ..WorkloadConfig::default()
+        };
+        let run = WorkloadRun::new(cfg, 33);
         let report = run.open_loop(&mut cluster, 25, SimDuration::from_millis(120));
         cluster
             .check_serializability()

@@ -25,7 +25,7 @@
 //! - [`db`] — single-site database substrate (storage, strict 2PL,
 //!   logging, serializability checking),
 //! - [`protocols`] — the four replication protocols and the cluster API,
-//! - [`workload`] — workload generators and experiment scenarios.
+//! - [`workload`] — workload generators and drivers.
 //!
 //! # Quickstart
 //!

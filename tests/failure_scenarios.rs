@@ -490,8 +490,9 @@ fn atomic_crash_row(backend: AbcastImpl, seed: u64) {
         .unwrap_or_else(|v| panic!("{backend:?} seed {seed}: {v}"));
 }
 
-/// ROADMAP item 1's rows on the sequencer backend, whose followers get
-/// `Ordered` straight from the sequencer (DESIGN.md §16): survivors agree.
+/// The rows of the ROADMAP's P-AB view-change item on the sequencer
+/// backend, whose followers get `Ordered` straight from the sequencer
+/// (DESIGN.md §16): survivors agree.
 #[test]
 fn atomic_sequencer_survivors_agree_through_a_crash() {
     for seed in [28, 76] {
@@ -503,7 +504,7 @@ fn atomic_sequencer_survivors_agree_through_a_crash() {
 /// s5 sweeps s4's undecided commit before the repair round orders it, and
 /// its install order then departs from s0's.
 #[test]
-#[ignore = "ROADMAP item 1: AtomicProto::set_view sweeps before the repair orders"]
+#[ignore = "ROADMAP, P-AB's view change: AtomicProto::set_view sweeps before the repair orders"]
 fn atomic_ring_survivors_agree_through_a_crash() {
     for seed in [28, 76] {
         atomic_crash_row(AbcastImpl::Ring, seed);

@@ -22,7 +22,11 @@ checks and exits 1 when
   up under `crates/` outside `crates/sim/src/json.rs` and
   `crates/sim/src/telemetry/codec.rs`; or
 - `crates/bench/src/bin/` holds anything but the one experiment driver and
-  the three tools.
+  the two tools; or
+- a second way to time the code comes back: a `[[bench]]` target or a
+  `criterion` dependency in the root manifest or a crate's, or a
+  `benches/` directory under `crates/` (the timing path is `run_all`'s
+  ledger and `benchmark/`, DESIGN.md section 12).
 """
 import glob
 import re
@@ -88,8 +92,11 @@ CHECKER_CEILING = 610
 # instead of a hand-written arm per variant (perfetto.rs). Raised by
 # exactly its growth, 4889 -> 4893, when the checker's history left the
 # replica: the two nemesis schedules that readmit sites also check 1SR over
-# every site once readmission is done.
-BENCH_CEILING = 4893
+# every site once readmission is done. Lowered to the count, 4893 -> 4762,
+# when the second timing path went (DESIGN.md section 12): the
+# `profile_loop` driver (-53), the `scenarios` crash run it and the
+# criterion benches shared (-76), its module line and a crate-doc line.
+BENCH_CEILING = 4762
 # Raised by exactly its growth when keys started caching their hash and
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
@@ -248,8 +255,12 @@ BENCH_CEILING = 4893
 # iterator of writes, so the shell's held ops install without a copy; each
 # write goes through one non-generic `install`, which kept
 # `kernel.store_apply_ns` where it was, where a fully generic body read it
-# at twice the parent's).
-CRATES_CEILING = 20835
+# at twice the parent's). Lowered to the count, 20835 -> 20609, when the
+# second timing path went (DESIGN.md section 12): crates/bench/src -131
+# (see BENCH_CEILING) and the workload crate's five `Scenario` presets,
+# which nothing but an example and a doctest built (scenarios.rs -99, its
+# two module lines, net of the doctest's inline `WorkloadConfig`, +6).
+CRATES_CEILING = 20609
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -268,7 +279,7 @@ TELEMETRY_CEILING = 1730
 
 # The only files under crates/bench/src/bin: an experiment is an entry of
 # `bcastdb_bench::experiments::ALL`, not a process.
-BENCH_BINS = ["chaos.rs", "profile_loop.rs", "run_all.rs", "trace_tool.rs"]
+BENCH_BINS = ["chaos.rs", "run_all.rs", "trace_tool.rs"]
 ENV_READER = "crates/bench/src/harness.rs"
 # One JSON codec: its function names and the one wire literal that is not
 # derived from the `TraceEvent` schema table live here and nowhere else.
@@ -374,6 +385,12 @@ def main():
     bins = sorted(p.rsplit("/", 1)[1] for p in glob.glob("crates/bench/src/bin/*"))
     if bins != BENCH_BINS:
         failures.append(f"crates/bench/src/bin holds {bins}, expected {BENCH_BINS}")
+    for path in ["Cargo.toml"] + glob.glob("crates/*/Cargo.toml"):
+        manifest = open(path, encoding="utf-8").read()
+        if re.search(r"^\s*(\[\[bench\]\]|(\[[\w.-]*dependencies\.)?criterion\b)", manifest, re.M):
+            failures.append(f"{path} declares a bench target or criterion; time the code with run_all or benchmark/")
+    for path in glob.glob("crates/**/benches", recursive=True):
+        failures.append(f"{path} exists; time the code with run_all or benchmark/")
 
     for f in failures:
         print(f"structure ratchet: {f}", file=sys.stderr)
