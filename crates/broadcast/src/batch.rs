@@ -74,7 +74,7 @@ pub struct Batch<M> {
 struct Pending<M> {
     msgs: Vec<M>,
     bytes: usize,
-    /// Length of the last batch handed out, the next one's starting room.
+    /// Length of the last batch handed out; the next starts with room for it or 16.
     last: usize,
 }
 
@@ -153,7 +153,7 @@ impl<M: WireSize> Batcher<M> {
         };
         if slot.msgs.capacity() == 0 {
             slot.msgs = self.spares.pop().unwrap_or_default();
-            slot.msgs.reserve(slot.last);
+            slot.msgs.reserve(slot.last.max(16));
         }
         slot.msgs.push(msg);
         slot.bytes += framed;

@@ -12,11 +12,14 @@
 //! - recognise *implicit acknowledgements*: a message from site `s` whose
 //!   clock shows `s` had already delivered a commit request counts as `s`'s
 //!   positive vote.
+//!
+//! A wire's clock travels differentially ([`Stamp`], Singhal & Kshemkalyani).
 
 use crate::msg::{Archive, Dest, MsgId, Outbound, SeqWindow, Shelf};
 use crate::vclock::VectorClock;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::SiteId;
+use std::sync::Arc;
 
 /// Wire format of the causal broadcast engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,15 +28,30 @@ pub struct Wire<P> {
     pub id: MsgId,
     /// The origin's clock at broadcast time, own component incremented:
     /// what it had delivered, or handled ([`CausalBcast::broadcast_after`]).
-    pub vc: VectorClock,
+    pub stamp: Stamp,
     /// Application payload.
     pub payload: P,
 }
 
+/// A wire's clock, in the shorter form (the full one on a tie, so the
+/// length tells them apart). A receiver reads it only once it delivered
+/// the origin's previous broadcast, whose stamp a delta patches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Stamp {
+    /// All `N` entries, a u64 each.
+    Full(VectorClock),
+    /// Each entry, but the origin's own (`id.seq`), that differs from the
+    /// origin's previous stamp: a u16 count, a u16 site + u64 value each.
+    Delta(Arc<Vec<(SiteId, u64)>>),
+}
+
 impl<P: crate::batch::WireSize> crate::batch::WireSize for Wire<P> {
     fn wire_size(&self) -> usize {
-        // id + one u64 per vector-clock component + payload.
-        self.id.wire_size() + 8 * self.vc.len() + self.payload.wire_size()
+        let stamp = match &self.stamp {
+            Stamp::Full(vc) => 8 * vc.len(),
+            Stamp::Delta(changed) => 2 + 10 * changed.len(),
+        };
+        self.id.wire_size() + stamp + self.payload.wire_size()
     }
 }
 
@@ -50,13 +68,13 @@ pub struct Delivery<P> {
 
 /// Result of feeding the engine one input.
 ///
-/// Both lists use inline storage: a broadcast or delivery step almost
-/// always yields at most one outbound bundle and a couple of deliveries,
-/// so the common case constructs no heap allocation at all.
+/// Both lists use inline storage: a step almost always yields at most one
+/// outbound bundle and fewer than eight deliveries (a wire releasing a held
+/// burst), so the common case constructs no heap allocation at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Output<P> {
     /// Messages now deliverable, in causal order.
-    pub deliveries: InlineVec<Delivery<P>, 2>,
+    pub deliveries: InlineVec<Delivery<P>, 8>,
     /// Wire messages to hand to the transport.
     pub outbound: InlineVec<Outbound<Wire<P>>, 1>,
 }
@@ -70,6 +88,10 @@ impl<P> Output<P> {
     }
 }
 
+/// A donor's delivered clock and last stamps ([`CausalBcast::resume_from`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot(VectorClock, Vec<u64>);
+
 /// A sans-IO causal broadcast engine for one site.
 #[derive(Debug)]
 pub struct CausalBcast<P> {
@@ -79,8 +101,15 @@ pub struct CausalBcast<P> {
     /// Component `i` = number of messages from site `i` delivered here.
     /// Component `me` also counts our own broadcasts.
     vc: VectorClock,
-    /// Where every broadcast's frozen stamp comes from.
+    /// Row `o` (`n` entries): the stamp of `o`'s message `vc[o]`, written in
+    /// place, so a quiet origin's last stamp pins no buffer of `stamps`.
+    last: Vec<u64>,
+    /// Where every broadcast's frozen stamp, and every decoded one, comes
+    /// from; and where every delta's entries do.
     stamps: Shelf<[u64]>,
+    deltas: Shelf<Vec<(SiteId, u64)>>,
+    /// Every empty delta's one copy.
+    unchanged: Arc<Vec<(SiteId, u64)>>,
     /// Per origin, messages received but not yet causally deliverable,
     /// above a watermark that follows `vc[origin]`.
     waiting: Vec<SeqWindow<Wire<P>>>,
@@ -90,6 +119,9 @@ pub struct CausalBcast<P> {
     /// requests retransmissions, saving a wire clone per message.
     archive: Archive<Wire<P>>,
 }
+
+/// A broadcast's id and output.
+type Sent<P> = (MsgId, Output<P>);
 
 impl<P: Clone> CausalBcast<P> {
     /// Creates an engine for site `me` of an `n`-site system.
@@ -103,7 +135,10 @@ impl<P: Clone> CausalBcast<P> {
             n,
             relay: false,
             vc: VectorClock::new(n),
+            last: vec![0; n * n],
             stamps: Shelf::default(),
+            deltas: Shelf::default(),
+            unchanged: Arc::default(),
             waiting: (0..n).map(|_| SeqWindow::default()).collect(),
             archive: Archive::new(n),
         }
@@ -137,10 +172,10 @@ impl<P: Clone> CausalBcast<P> {
 
     /// Broadcasts `payload`; the local delivery (with its clock) is returned
     /// immediately.
-    pub fn broadcast(&mut self, payload: P) -> (MsgId, Output<P>) {
-        let seq = self.vc.increment(self.me);
+    pub fn broadcast(&mut self, payload: P) -> Sent<P> {
+        self.vc.increment(self.me);
         let stamp = self.vc.freeze(&mut self.stamps);
-        self.send_stamped(seq, stamp, payload)
+        self.send_stamped(stamp, false, payload)
     }
 
     /// Broadcasts `payload` stamped with `handled` — what the application
@@ -148,27 +183,37 @@ impl<P: Clone> CausalBcast<P> {
     /// them: one wire can unblock several deliveries, and a broadcast made
     /// while handling the first must not claim the rest. `handled`'s own
     /// component becomes the new sequence number; wire and self-delivery
-    /// share one copy of it.
-    pub fn broadcast_after(&mut self, handled: &mut VectorClock, payload: P) -> (MsgId, Output<P>) {
-        let seq = self.vc.increment(self.me);
-        handled.set(self.me, seq);
+    /// share one copy of it. A `full` stamp can be read by a receiver that
+    /// has not delivered our previous broadcast.
+    pub fn broadcast_after(&mut self, handled: &mut VectorClock, full: bool, p: P) -> Sent<P> {
+        handled.set(self.me, self.vc.increment(self.me));
         debug_assert!(handled.dominated_by(&self.vc), "stamp beyond delivery");
         let stamp = handled.freeze(&mut self.stamps);
-        self.send_stamped(seq, stamp, payload)
+        self.send_stamped(stamp, full, p)
     }
 
-    fn send_stamped(&mut self, seq: u64, vc: VectorClock, payload: P) -> (MsgId, Output<P>) {
-        self.waiting[self.me.0].raise(seq);
-        let id = MsgId {
-            origin: self.me,
-            seq,
+    fn send_stamped(&mut self, vc: VectorClock, full: bool, payload: P) -> Sent<P> {
+        let (me, n, seq) = (self.me, self.n, vc.get(self.me));
+        self.waiting[me.0].raise(seq);
+        let before = &mut self.last[me.0 * n..][..n];
+        let changed = |&(k, c): &(SiteId, u64)| k != me && c != before[k.0];
+        let stamp = match vc.iter().filter(changed).count() {
+            k if full || 8 * n <= 2 + 10 * k => Stamp::Full(vc.clone()),
+            0 => Stamp::Delta(Arc::clone(&self.unchanged)),
+            _ => Stamp::Delta(self.deltas.make_with(
+                vc.iter().filter(changed),
+                |to, changes| drop(to.splice(.., changes)),
+                |changes| Arc::new(changes.collect()),
+            )),
         };
-        let wire = Wire { id, vc, payload };
+        vc.iter().for_each(|(k, c)| before[k.0] = c);
+        let id = MsgId { origin: me, seq };
+        let wire = Wire { id, stamp, payload };
         self.archive.keep(id, || wire.clone());
         let out = Output {
             deliveries: InlineVec::one(Delivery {
                 id,
-                vc: wire.vc.clone(),
+                vc,
                 payload: wire.payload.clone(),
             }),
             outbound: InlineVec::one(Outbound {
@@ -204,9 +249,20 @@ impl<P: Clone> CausalBcast<P> {
         }
         self.waiting[origin.0].advance();
         let mut next = Some(wire);
-        while let Some(w) = next {
-            self.vc.set(w.id.origin, w.id.seq);
-            let (id, vc, payload) = (w.id, w.vc, w.payload);
+        while let Some(Wire { id, stamp, payload }) = next {
+            let last = &mut self.last[id.origin.0 * self.n..][..self.n];
+            let vc = match stamp {
+                Stamp::Full(vc) => {
+                    vc.iter().for_each(|(k, c)| last[k.0] = c);
+                    vc
+                }
+                Stamp::Delta(changed) => {
+                    changed.iter().for_each(|&(k, c)| last[k.0] = c);
+                    last[id.origin.0] = id.seq;
+                    VectorClock::frozen(last, &mut self.stamps)
+                }
+            };
+            self.vc.set(id.origin, id.seq);
             out.deliveries.push(Delivery { id, vc, payload });
             // Each delivery can unblock the head of any origin's window.
             let ready = |o: &usize| self.waiting[*o].head().is_some_and(|w| self.deliverable(w));
@@ -217,12 +273,14 @@ impl<P: Clone> CausalBcast<P> {
     }
 
     /// BSS delivery condition for the next wire of its origin: every
-    /// causal dependency already delivered.
+    /// causal dependency already delivered. A delta's other entries are a
+    /// delivered stamp's.
     fn deliverable(&self, w: &Wire<P>) -> bool {
-        (0..self.n)
-            .map(SiteId)
-            .filter(|&k| k != w.id.origin)
-            .all(|k| w.vc.get(k) <= self.vc.get(k))
+        let covered = |(k, c): (SiteId, u64)| k == w.id.origin || c <= self.vc.get(k);
+        match &w.stamp {
+            Stamp::Full(vc) => vc.iter().all(covered),
+            Stamp::Delta(changed) => changed.iter().copied().all(covered),
+        }
     }
 
     /// Number of messages waiting on causal predecessors.
@@ -246,13 +304,23 @@ impl<P: Clone> CausalBcast<P> {
         self.archive.missing(marks, cap, |_, w| send(w.clone()))
     }
 
-    /// Resumes a recovered engine from a donor's delivered-messages clock:
-    /// everything the donor delivered counts as delivered here (the
-    /// application state arrives via state transfer). Own broadcasts keep
+    /// What a state transfer carries of this engine.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot(self.vc.clone(), self.last.clone())
+    }
+
+    /// Resumes a recovered engine from a donor's snapshot: everything the
+    /// donor delivered counts as delivered here (the application state
+    /// arrives via state transfer), and an origin's next delta patches the
+    /// donor's stamp where the donor is ahead. Own broadcasts keep
     /// numbering from the merged component.
-    pub fn resume_from(&mut self, donor: &VectorClock) {
-        self.vc.merge(donor);
+    pub fn resume_from(&mut self, Snapshot(clock, last): &Snapshot) {
         for (o, waiting) in self.waiting.iter_mut().enumerate() {
+            let rows = o * self.n..(o + 1) * self.n;
+            if clock.get(SiteId(o)) > self.vc.get(SiteId(o)) {
+                self.vc.set(SiteId(o), clock.get(SiteId(o)));
+                self.last[rows.clone()].copy_from_slice(&last[rows]);
+            }
             waiting.clear();
             waiting.raise(self.vc.get(SiteId(o)));
         }
@@ -264,14 +332,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The engine as it was before its waiting messages were windowed: one
-    /// vector of every waiting wire, rescanned with `position` after every
+    /// The engine as it was before its waiting messages were windowed and
+    /// its wires carried deltas: one vector of every waiting message, each
+    /// with its full clock, rescanned with `position` after every
     /// delivery. Its order among several origins unblocked at once is the
     /// vector's, shaped by earlier `swap_remove`s; the windowed engine
     /// delivers the lowest origin first, so the two agree on what is
     /// delivered by each input, not on the order within it.
     pub(super) mod oracle {
-        use super::super::{Delivery, Wire};
+        use super::super::Delivery;
         use crate::vclock::VectorClock;
         use bcastdb_sim::SiteId;
 
@@ -279,7 +348,7 @@ mod tests {
             me: SiteId,
             relay: bool,
             vc: VectorClock,
-            pending: Vec<Wire<P>>,
+            pending: Vec<Delivery<P>>,
         }
 
         impl<P: Clone> Oracle<P> {
@@ -306,8 +375,9 @@ mod tests {
                 self.vc.increment(self.me)
             }
 
-            /// Deliveries, and whether the wire was relayed.
-            pub(crate) fn on_wire(&mut self, wire: Wire<P>) -> (Vec<Delivery<P>>, bool) {
+            /// Deliveries, and whether the message was relayed: `wire` is
+            /// a message with its full clock.
+            pub(crate) fn on_wire(&mut self, wire: Delivery<P>) -> (Vec<Delivery<P>>, bool) {
                 if wire.id.seq <= self.vc.get(wire.id.origin)
                     || self.pending.iter().any(|w| w.id == wire.id)
                 {
@@ -318,13 +388,12 @@ mod tests {
                 while let Some(i) = self.pending.iter().position(|w| self.deliverable(w)) {
                     let w = self.pending.swap_remove(i);
                     self.vc.set(w.id.origin, w.id.seq);
-                    let (id, vc, payload) = (w.id, w.vc, w.payload);
-                    out.push(Delivery { id, vc, payload });
+                    out.push(w);
                 }
                 (out, self.relay)
             }
 
-            fn deliverable(&self, w: &Wire<P>) -> bool {
+            fn deliverable(&self, w: &Delivery<P>) -> bool {
                 if w.id.seq != self.vc.get(w.id.origin) + 1 {
                     return false;
                 }
@@ -345,24 +414,28 @@ mod tests {
     /// exists at that point.
     #[derive(Debug, Clone)]
     enum Step {
-        /// A generator site broadcasts.
-        Broadcast(usize),
+        /// A generator site broadcasts: stamped with its clock, or with
+        /// an earlier one as what it has handled (entries can fall), in
+        /// full if asked.
+        Broadcast(usize, Option<(usize, bool)>),
         /// A generator site receives a sent wire (builds causal chains).
         Gossip(usize, usize),
-        /// The watched site receives a sent wire: out of order, again, or
-        /// an echo of its own.
+        /// The watched site receives a sent wire: out of order, again, an
+        /// echo of its own, or a relayed copy.
         Observe(usize),
         /// The watched site broadcasts.
         Own,
-        /// The watched site resumes from a generator's clock (ahead of it)
-        /// or from one of its own earlier clocks (behind it).
+        /// The watched site resumes from a generator's snapshot (ahead of
+        /// it) or from one of its own earlier ones (behind it).
         Resume(usize, bool),
     }
 
     fn step() -> impl Strategy<Value = Step> {
         let observe = any::<usize>().prop_map(Step::Observe);
+        let after = |(pick, form): (usize, u8)| (form > 0).then_some((pick, form > 1));
         prop_oneof![
-            any::<usize>().prop_map(Step::Broadcast),
+            (any::<usize>(), any::<usize>(), 0u8..3)
+                .prop_map(move |(g, pick, form)| Step::Broadcast(g, after((pick, form)))),
             (any::<usize>(), any::<usize>()).prop_map(|(g, i)| Step::Gossip(g, i)),
             (any::<usize>(), any::<usize>()).prop_map(|(g, i)| Step::Gossip(g, i)),
             observe.clone(),
@@ -388,74 +461,104 @@ mod tests {
         Ok(at)
     }
 
+    /// `deliveries` as `(id, clock)` pairs in id order.
+    fn stamped<'a, P: 'a>(
+        deliveries: impl Iterator<Item = &'a Delivery<P>>,
+    ) -> Vec<(MsgId, VectorClock)> {
+        let mut stamped: Vec<_> = deliveries.map(|d| (d.id, d.vc.clone())).collect();
+        stamped.sort_unstable_by_key(|(id, _)| *id);
+        stamped
+    }
+
     /// Drives the windowed engine and the oracle at the last of `n` sites
-    /// through `steps`; the other sites generate the wires. After every
-    /// input both deliver the same set, relay alike, end at the same clock
-    /// and hold the same count, and each delivery order is causal.
+    /// through `steps`; the other sites generate the wires, which travel
+    /// encoded while the oracle gets each with the full clock its origin
+    /// stamped. After every input both deliver the same messages with the
+    /// same clocks, relay alike, end at the same clock and hold the same
+    /// count, and each delivery order is causal; every generator decodes
+    /// every clock it delivers to the one its origin stamped.
     fn lockstep(n: usize, relay: bool, steps: &[Step]) -> Result<(), TestCaseError> {
         let me = SiteId(n - 1);
         let mut gens: Vec<CausalBcast<u64>> =
             (0..n - 1).map(|i| CausalBcast::new(SiteId(i), n)).collect();
+        let mut seen: Vec<Vec<VectorClock>> = vec![vec![VectorClock::new(n)]; n - 1];
         let mut new = CausalBcast::new(me, n);
         if relay {
             new = new.with_relay();
         }
         let mut old = oracle::Oracle::new(me, n, relay);
-        let (mut sent, mut clocks) = (Vec::<Wire<u64>>::new(), vec![VectorClock::new(n)]);
+        let mut sent = Vec::<(Wire<u64>, Delivery<u64>)>::new();
+        let mut snapshots = vec![new.snapshot()];
         for (i, step) in steps.iter().enumerate() {
             let payload = i as u64;
             match *step {
-                Step::Broadcast(g) => {
-                    let (_, out) = gens[g % (n - 1)].broadcast(payload);
-                    sent.push(out.outbound[0].wire.clone());
+                Step::Broadcast(g, after) => {
+                    let g = g % (n - 1);
+                    let (_, out) = match after {
+                        None => gens[g].broadcast(payload),
+                        Some((pick, full)) => {
+                            let mut handled = seen[g][pick % seen[g].len()].clone();
+                            gens[g].broadcast_after(&mut handled, full, payload)
+                        }
+                    };
+                    let wire = out.outbound[0].wire.clone();
+                    if after.is_some_and(|(_, full)| full) {
+                        prop_assert!(matches!(wire.stamp, Stamp::Full(_)));
+                    }
+                    sent.push((wire, out.deliveries[0].clone()));
                 }
                 Step::Gossip(_, _) | Step::Observe(_) if sent.is_empty() => {}
                 Step::Gossip(g, w) => {
-                    let w = sent[w % sent.len()].clone();
-                    gens[g % (n - 1)].on_wire(w.id.origin, w);
+                    let wire = sent[w % sent.len()].0.clone();
+                    let g = g % (n - 1);
+                    let out = gens[g].on_wire(wire.id.origin, wire);
+                    for d in out.deliveries.iter() {
+                        let stamped = sent.iter().find(|(_, full)| full.id == d.id);
+                        prop_assert_eq!(&d.vc, &stamped.expect("sent").1.vc, "{}", d.id);
+                    }
+                    seen[g].push(gens[g].clock().clone());
                 }
                 Step::Observe(w) => {
-                    let w = sent[w % sent.len()].clone();
+                    let (wire, full) = sent[w % sent.len()].clone();
                     let before = new.clock().clone();
-                    let got = new.on_wire(w.id.origin, w.clone());
-                    let (want, relayed) = old.on_wire(w);
-                    let ids = |ds: &mut dyn Iterator<Item = MsgId>| {
-                        let mut ids: Vec<MsgId> = ds.collect();
-                        ids.sort_unstable();
-                        ids
-                    };
-                    let got_ids = ids(&mut got.deliveries.iter().map(|d| d.id));
-                    prop_assert_eq!(got_ids, ids(&mut want.iter().map(|d| d.id)));
+                    let got = new.on_wire(wire.id.origin, wire);
+                    let (want, relayed) = old.on_wire(full.clone());
+                    prop_assert_eq!(stamped(got.deliveries.iter()), stamped(want.iter()));
                     prop_assert_eq!(!got.outbound.is_empty(), relayed);
                     let after = causal_order(before.clone(), got.deliveries.iter())?;
                     prop_assert_eq!(&after, new.clock());
                     causal_order(before, want.iter())?;
+                    for relayed in got.outbound.iter() {
+                        sent.push((relayed.wire.clone(), full.clone()));
+                    }
                 }
                 Step::Own => {
                     let (id, out) = new.broadcast(payload);
                     prop_assert_eq!(id.seq, old.broadcast());
-                    sent.push(out.outbound[0].wire.clone());
+                    let wire = out.outbound[0].wire.clone();
+                    sent.push((wire, out.deliveries[0].clone()));
                 }
                 Step::Resume(g, ahead) => {
                     let donor = match ahead {
-                        true => gens[g % (n - 1)].clock().clone(),
-                        false => clocks[g % clocks.len()].clone(),
+                        true => gens[g % (n - 1)].snapshot(),
+                        false => snapshots[g % snapshots.len()].clone(),
                     };
                     new.resume_from(&donor);
-                    old.resume_from(&donor);
+                    old.resume_from(&donor.0);
                 }
             }
             prop_assert_eq!(new.clock(), old.clock(), "after {:?}", step);
             prop_assert_eq!(new.pending_len(), old.pending_len(), "after {:?}", step);
-            clocks.push(new.clock().clone());
+            snapshots.push(new.snapshot());
         }
         Ok(())
     }
 
     proptest! {
-        /// Out-of-order and duplicated wires from causal chains over 3–5
-        /// sites, echoes of the site's own broadcasts, relay on or off,
-        /// and resumes from clocks ahead of and behind the site.
+        /// Out-of-order, duplicated and relayed wires from causal chains
+        /// over 3–5 sites, stamped whole or partly handled, in either
+        /// form; echoes of the site's own broadcasts, relay on or off,
+        /// and resumes from snapshots ahead of and behind the site.
         #[test]
         fn windowed_engine_agrees_with_the_oracle(
             n in 3usize..=5,
@@ -487,23 +590,25 @@ mod tests {
     #[test]
     fn unblocked_origins_deliver_lowest_first() {
         let mut es = engines(4);
-        let (_, om) = es[0].broadcast("m".into());
-        let wm = om.outbound[0].wire.clone();
+        let (wm, dm) = sent(es[0].broadcast("m".into()).1);
         es[1].on_wire(SiteId(0), wm.clone());
         es[2].on_wire(SiteId(0), wm.clone());
-        let wx = es[1].broadcast("x".into()).1.outbound[0].wire.clone();
-        let wy = es[2].broadcast("y".into()).1.outbound[0].wire.clone();
+        let x = sent(es[1].broadcast("x".into()).1);
+        let y = sent(es[2].broadcast("y".into()).1);
         let mut old = oracle::Oracle::new(SiteId(3), 4, false);
-        for w in [wy, wx] {
-            assert!(es[3].on_wire(w.id.origin, w.clone()).deliveries.is_empty());
-            assert!(old.on_wire(w).0.is_empty());
+        for (w, d) in [y, x] {
+            assert!(es[3].on_wire(w.id.origin, w).deliveries.is_empty());
+            assert!(old.on_wire(d).0.is_empty());
         }
-        assert_eq!(
-            payloads(&es[3].on_wire(SiteId(0), wm.clone())),
-            ["m", "x", "y"]
-        );
-        let old_order: Vec<String> = old.on_wire(wm).0.into_iter().map(|d| d.payload).collect();
+        assert_eq!(payloads(&es[3].on_wire(SiteId(0), wm)), ["m", "x", "y"]);
+        let old_order: Vec<String> = old.on_wire(dm).0.into_iter().map(|d| d.payload).collect();
         assert_eq!(old_order, ["m", "y", "x"]);
+    }
+
+    /// A broadcast's wire and its self-delivery, which holds the full
+    /// stamp.
+    fn sent(out: Output<String>) -> (Wire<String>, Delivery<String>) {
+        (out.outbound[0].wire.clone(), out.deliveries[0].clone())
     }
 
     /// Drives `k` engines by hand, returning mutable handles.
@@ -537,13 +642,14 @@ mod tests {
     }
 
     /// Stamps come off the engine's shelf and are rewritten once nothing
-    /// holds them, but a wire still held keeps its clock through 300 more
-    /// broadcasts (past the shelf's bound), stamped either way.
+    /// holds them, but a stamp still held keeps its clock through 300 more
+    /// broadcasts (past the shelf's bound), stamped either way; the wires
+    /// carry only the entry that changed.
     #[test]
-    fn a_held_wire_keeps_its_stamp() {
+    fn a_held_stamp_keeps_its_clock() {
         let mut e = CausalBcast::<String>::new(SiteId(0), 3).without_archive();
         let mut peer = CausalBcast::<String>::new(SiteId(1), 3);
-        let held = e.broadcast("held".into()).1.outbound[0].wire.clone();
+        let held = e.broadcast("held".into()).1.deliveries[0].vc.clone();
         let mut handled = VectorClock::new(3);
         for i in 0..300u64 {
             let w = peer.broadcast(String::new()).1.outbound[0].wire.clone();
@@ -551,12 +657,14 @@ mod tests {
             handled.set(SiteId(1), i + 1);
             let (_, out) = match i % 2 {
                 0 => e.broadcast(i.to_string()),
-                _ => e.broadcast_after(&mut handled, i.to_string()),
+                _ => e.broadcast_after(&mut handled, false, i.to_string()),
             };
-            let stamp = out.outbound[0].wire.vc.to_string();
+            let stamp = out.deliveries[0].vc.to_string();
             assert_eq!(stamp, format!("[{},{},0]", i + 2, i + 1));
+            let delta = Stamp::Delta(Arc::new(vec![(SiteId(1), i + 1)]));
+            assert_eq!(out.outbound[0].wire.stamp, delta);
         }
-        assert_eq!(held.vc.to_string(), "[1,0,0]");
+        assert_eq!(held.to_string(), "[1,0,0]");
     }
 
     #[test]
@@ -591,7 +699,7 @@ mod tests {
         let o2 = es[2].on_wire(SiteId(0), wa.clone());
         assert_eq!(payloads(&o2), vec!["a"]);
         // And their clocks are concurrent — exposed to the application.
-        assert!(wa.vc.concurrent_with(&wb.vc));
+        assert!(o1.deliveries[0].vc.concurrent_with(&o2.deliveries[0].vc));
     }
 
     #[test]
@@ -616,7 +724,7 @@ mod tests {
         assert_eq!(es[1].pending_len(), 1);
         // A wire the donor's clock already covers was never received
         // here, yet must not wait for a predecessor that will never come.
-        let donor = es[0].clock().clone();
+        let donor = es[0].snapshot();
         es[1].resume_from(&donor);
         assert!(es[1].on_wire(SiteId(0), w1).deliveries.is_empty());
         assert!(es[1].on_wire(SiteId(0), w2).deliveries.is_empty());
@@ -641,24 +749,26 @@ mod tests {
         // The implicit-ack pattern from the paper: site 1 delivers site 0's
         // "commit request", then broadcasts anything; the clock of that
         // broadcast proves the delivery.
-        let mut es = engines(3);
+        let mut es = engines(4);
         let (cr_id, o_cr) = es[0].broadcast("commit-req".into());
         let w_cr = o_cr.outbound[0].wire.clone();
         let cr_seq = cr_id.seq;
 
         es[1].on_wire(SiteId(0), w_cr.clone());
-        let (_, o_m) = es[1].broadcast("unrelated".into());
-        let w_m = o_m.outbound[0].wire.clone();
+        let (w_m, _) = sent(es[1].broadcast("unrelated".into()).1);
 
-        // Any observer can tell from w_m alone:
+        // Any observer can tell from w_m's clock, once it delivers w_m:
+        let d_m = es[2].on_wire(SiteId(1), w_m).deliveries;
+        assert!(d_m.is_empty(), "held for the commit request");
+        let d_m = es[2].on_wire(SiteId(0), w_cr).deliveries;
         assert!(
-            w_m.vc.get(SiteId(0)) >= cr_seq,
+            d_m[1].vc.get(SiteId(0)) >= cr_seq,
             "message clock must show origin delivered the commit request"
         );
 
         // Whereas a message broadcast WITHOUT having seen it does not:
-        let (_, o_x) = es[2].broadcast("blind".into());
-        assert!(o_x.outbound[0].wire.vc.get(SiteId(0)) < cr_seq);
+        let (_, o_x) = es[3].broadcast("blind".into());
+        assert!(o_x.deliveries[0].vc.get(SiteId(0)) < cr_seq);
     }
 
     /// One wire unblocks two deliveries; a broadcast made once the
@@ -677,20 +787,105 @@ mod tests {
 
         let mut processed = VectorClock::new(3);
         processed.set(SiteId(0), 1); // a handled, b not yet
-        let (id, out) = es[2].broadcast_after(&mut processed, "c".into());
-        let stamp = out.outbound[0].wire.vc.clone();
+        let (id, out) = es[2].broadcast_after(&mut processed, false, "c".into());
+        let stamp = out.deliveries[0].vc.clone();
         assert_eq!(id.seq, 1);
         assert_eq!(stamp.iter().map(|(_, k)| k).collect::<Vec<_>>(), [1, 0, 1]);
         assert_eq!(processed, stamp, "own component advanced in place");
-        assert_eq!(out.deliveries[0].vc, stamp);
+        let delta = Stamp::Delta(Arc::new(vec![(SiteId(0), 1)]));
+        assert_eq!(out.outbound[0].wire.stamp, delta, "b's entry unchanged: 0");
         // Site 0 never received b, and need not wait for it.
         let wc = out.outbound[0].wire.clone();
         assert_eq!(payloads(&es[0].on_wire(SiteId(2), wc)), vec!["c"]);
         // The engine still counts both deliveries: a plain broadcast
         // stamps everything delivered.
         let (_, od) = es[2].broadcast("d".into());
-        let all: Vec<u64> = od.outbound[0].wire.vc.iter().map(|(_, k)| k).collect();
+        let all: Vec<u64> = od.deliveries[0].vc.iter().map(|(_, k)| k).collect();
         assert_eq!(all, [1, 1, 2]);
+    }
+
+    /// A delta holds only the entries that changed since its origin's
+    /// previous stamp, at their new values (down as well as up), and
+    /// decodes against the last stamp delivered from that origin: not the
+    /// receiver's clock, nor another origin's last stamp.
+    #[test]
+    fn a_delta_decodes_against_its_origins_previous_stamp() {
+        let mut es = engines(4);
+        let (wa, _) = sent(es[0].broadcast("a".into()).1);
+        let (wd, _) = sent(es[2].broadcast("d".into()).1);
+        es[1].on_wire(SiteId(0), wa.clone());
+        let b = sent(es[1].broadcast("b".into()).1);
+        let c = sent(es[1].broadcast("c".into()).1);
+        let mut handled = VectorClock::new(4); // nothing of a handled
+        let e = sent(es[1].broadcast_after(&mut handled, false, "e".into()).1);
+        let delta = |changed: &[(usize, u64)]| {
+            Stamp::Delta(Arc::new(
+                changed.iter().map(|&(k, c)| (SiteId(k), c)).collect(),
+            ))
+        };
+        assert_eq!(b.0.stamp, delta(&[(0, 1)]));
+        assert_eq!(c.0.stamp, delta(&[]));
+        assert_eq!(e.0.stamp, delta(&[(0, 0)]));
+        // Site 3 delivers d, holds b, c and e for a, then delivers all.
+        assert_eq!(payloads(&es[3].on_wire(SiteId(2), wd)), ["d"]);
+        for (w, _) in [&e, &c, &b] {
+            assert!(es[3].on_wire(SiteId(1), w.clone()).deliveries.is_empty());
+        }
+        let out = es[3].on_wire(SiteId(0), wa);
+        assert_eq!(payloads(&out), ["a", "b", "c", "e"]);
+        for (got, (_, want)) in out.deliveries.iter().skip(1).zip([&b, &c, &e]) {
+            assert_eq!(got.vc, want.vc, "{}", got.id);
+        }
+        assert_eq!(out.deliveries[3].vc.to_string(), "[0,3,0,0]");
+    }
+
+    /// A stamp goes in full when a delta would be no shorter, or when the
+    /// caller asks: then a receiver can read it before it has delivered
+    /// the origin's previous broadcast.
+    #[test]
+    fn a_stamp_goes_in_full_when_no_longer_or_asked() {
+        let mut es = engines(4);
+        for o in 0..3 {
+            let (w, _) = sent(es[o].broadcast(format!("m{o}")).1);
+            es[3].on_wire(SiteId(o), w);
+        }
+        // Three changed entries: 2 + 10 * 3 = 32 bytes, a tie with 8 * 4.
+        let (w, d) = sent(es[3].broadcast("all".into()).1);
+        assert_eq!(w.stamp, Stamp::Full(d.vc));
+        let mut handled = es[3].clock().clone();
+        let (w, d) = sent(es[3].broadcast_after(&mut handled, true, "null".into()).1);
+        assert_eq!(w.stamp, Stamp::Full(d.vc.clone()));
+        // Site 0 has delivered nothing of site 3, yet reads this stamp.
+        let Stamp::Full(stamp) = &w.stamp else {
+            unreachable!("full")
+        };
+        assert_eq!(stamp.to_string(), "[1,1,1,2]");
+    }
+
+    /// A site resumed from a donor's snapshot decodes every origin's next
+    /// delta wire, though it never delivered the stamps they patch.
+    #[test]
+    fn a_resumed_engine_decodes_every_origins_next_delta() {
+        let mut es = engines(4);
+        for round in 0..3 {
+            for o in 0..3 {
+                let (w, _) = sent(es[o].broadcast(format!("m{o}-{round}")).1);
+                for r in (0..3).filter(|&r| r != o) {
+                    es[r].on_wire(SiteId(o), w.clone());
+                }
+            }
+        }
+        let mut away = CausalBcast::<String>::new(SiteId(3), 4);
+        away.resume_from(&es[1].snapshot());
+        assert_eq!(away.clock(), es[1].clock());
+        for (o, e) in es.iter_mut().enumerate().take(3) {
+            let (w, d) = sent(e.broadcast(format!("next{o}")).1);
+            // Origin o heard 2 - o broadcasts since its own last one.
+            assert!(matches!(w.stamp, Stamp::Delta(ref changed) if changed.len() == 2 - o));
+            let out = away.on_wire(SiteId(o), w);
+            assert_eq!(out.deliveries.len(), 1, "origin {o}");
+            assert_eq!(out.deliveries[0].vc, d.vc, "origin {o}");
+        }
     }
 
     #[test]

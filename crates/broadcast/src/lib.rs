@@ -75,4 +75,4 @@ pub use membership::{View, ViewManager};
 pub use msg::{Dest, MsgId, Outbound, Shelf};
 pub use reliable::ReliableBcast;
 pub use ring::{RingAbcast, RingWire};
-pub use vclock::{CausalRelation, VectorClock};
+pub use vclock::{ClockSlab, VectorClock};

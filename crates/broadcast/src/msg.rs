@@ -326,11 +326,15 @@ impl<T> Archive<T> {
 
 /// How many of the values it shared a [`Shelf`] keeps for reuse.
 const SHELF: usize = 256;
+/// How many of its oldest values a [`Shelf`] looks at for a free one: a
+/// long-held value costs one look, not an allocation per value made.
+const TRIES: usize = 4;
 
 /// The values a site shared (payloads, clock stamps, commit requests),
-/// oldest first. The next value is written into the oldest allocation once
-/// every wire, holdback and archive copy of it is gone, and into a new one
-/// otherwise: a value another holder can still read is never written.
+/// oldest first. The next value is written into the oldest of the first
+/// `TRIES` allocations every wire, holdback and archive copy of is gone,
+/// and into a new one otherwise: a value another holder can still read is
+/// never written.
 #[derive(Debug)]
 pub struct Shelf<T: ?Sized>(VecDeque<Arc<T>>);
 
@@ -341,17 +345,19 @@ impl<T: ?Sized> Default for Shelf<T> {
 }
 
 impl<T: ?Sized> Shelf<T> {
-    /// The value made from `from`, shared: `refill` writes it into the
-    /// oldest allocation if nothing else holds that, `fresh` allocates it.
+    /// The value made from `from`, shared: `refill` writes it into an
+    /// allocation nothing else holds, `fresh` allocates it.
     pub fn make_with<S>(
         &mut self,
         from: S,
         refill: impl FnOnce(&mut T, S),
         fresh: impl FnOnce(S) -> Arc<T>,
     ) -> Arc<T> {
-        if let Some(slot) = self.0.front_mut().and_then(Arc::get_mut) {
-            refill(slot, from);
-            self.0.rotate_left(1);
+        // No `Weak` is ever made of a shelved value: a count of one is unheld.
+        let free = (self.0.iter().take(TRIES)).position(|v| Arc::strong_count(v) == 1);
+        if let Some(mut slot) = free.and_then(|at| self.0.remove(at)) {
+            refill(Arc::get_mut(&mut slot).expect("unheld"), from);
+            self.0.push_back(slot);
         } else {
             if self.0.len() == SHELF {
                 self.0.pop_front();
@@ -682,9 +688,9 @@ mod tests {
 
     /// Values whose copies (wires, holdbacks, archive entries) live on and
     /// die in random order: a handed-out value keeps its value while any
-    /// copy of it lives, a new value reuses the oldest shelved allocation
-    /// exactly when nothing else holds it, and the shelf never holds more
-    /// than its bound.
+    /// copy of it lives, a new value reuses the oldest of the first `TRIES`
+    /// shelved allocations nothing else holds, a new one if there is none,
+    /// and the shelf never holds more than its bound.
     fn reuses_only_what_nothing_else_holds<T: Value + ?Sized>(
         steps: &[(u8, usize)],
     ) -> Result<(), TestCaseError> {
@@ -697,14 +703,16 @@ mod tests {
                 }
                 continue;
             }
-            let front = shelf
-                .0
-                .front()
-                .map(|p| (Arc::as_ptr(p), Arc::strong_count(p) == 1));
+            let free = (shelf.0.iter().take(TRIES))
+                .find(|p| Arc::strong_count(p) == 1)
+                .map(Arc::as_ptr);
+            let shelved: Vec<*const T> = shelf.0.iter().map(Arc::as_ptr).collect();
             let made = T::make(&mut shelf, n);
             prop_assert!(made.is(n));
-            let reused = front.is_some_and(|(at, _)| std::ptr::eq(Arc::as_ptr(&made), at));
-            prop_assert_eq!(reused, front.is_some_and(|(_, unique)| unique));
+            match free {
+                Some(at) => prop_assert!(std::ptr::eq(Arc::as_ptr(&made), at)),
+                None => prop_assert!(!shelved.contains(&Arc::as_ptr(&made))),
+            }
             prop_assert!(shelf.0.len() <= SHELF);
             copies.extend((0..kind).map(|_| (n, Arc::clone(&made))));
             for (m, copy) in &copies {
@@ -724,24 +732,32 @@ mod tests {
         }
     }
 
-    fn held_front_fills_to_the_bound<T: Value + ?Sized>() {
+    /// A held value is passed over for an unheld one behind it; only
+    /// `TRIES` held values in a row make a new allocation, and the shelf
+    /// never outgrows its bound nor rewrites a held value.
+    fn held_values_are_passed_over<T: Value + ?Sized>() {
         let mut shelf = Shelf::<T>::default();
         let held = T::make(&mut shelf, 0);
         for n in 1..2 * SHELF as u64 {
             T::make(&mut shelf, n);
-            assert!(shelf.0.len() <= SHELF);
         }
+        assert_eq!(shelf.0.len(), 2, "the held value and one reused");
+        let kept: Vec<_> = (0..2 * SHELF as u64)
+            .map(|n| T::make(&mut shelf, n))
+            .collect();
         assert_eq!(shelf.0.len(), SHELF);
         assert!(held.is(0), "the held value left the shelf intact");
-        // Nothing holds the shelved ones: the next value reuses one.
-        let front = Arc::as_ptr(shelf.0.front().expect("full"));
-        assert_eq!(Arc::as_ptr(&T::make(&mut shelf, 0)), front);
+        assert!((0..).zip(&kept).all(|(n, v)| v.is(n)));
+        drop(kept);
+        // Nothing else holds the shelved ones: the next value reuses one.
+        let shelved: Vec<*const T> = shelf.0.iter().map(Arc::as_ptr).collect();
+        assert!(shelved.contains(&Arc::as_ptr(&T::make(&mut shelf, 0))));
     }
 
     #[test]
-    fn a_held_front_fills_the_shelf_to_its_bound_and_no_further() {
-        held_front_fills_to_the_bound::<String>();
-        held_front_fills_to_the_bound::<[u64]>();
+    fn held_values_are_passed_over_up_to_the_bound() {
+        held_values_are_passed_over::<String>();
+        held_values_are_passed_over::<[u64]>();
     }
 
     #[test]

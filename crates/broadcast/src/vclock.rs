@@ -8,22 +8,8 @@
 
 use crate::msg::Shelf;
 use bcastdb_sim::SiteId;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
-
-/// The causal relationship between two events, per their vector clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CausalRelation {
-    /// `a` happened-before `b`.
-    Before,
-    /// `b` happened-before `a`.
-    After,
-    /// Identical clocks.
-    Equal,
-    /// Neither happened-before the other.
-    Concurrent,
-}
 
 /// A fixed-width vector clock over the sites of the system.
 ///
@@ -119,7 +105,13 @@ impl VectorClock {
     /// A frozen snapshot like [`Clone::clone`]'s, in a buffer off `shelf`:
     /// a broadcast's stamp allocates only while every shelved one is held.
     pub fn freeze(&self, shelf: &mut Shelf<[u64]>) -> VectorClock {
-        let shared = shelf.make_with(self.counts(), <[u64]>::copy_from_slice, Arc::from);
+        VectorClock::frozen(self.counts(), shelf)
+    }
+
+    /// The clock whose components are `counts`, frozen like
+    /// [`VectorClock::freeze`]'s snapshot.
+    pub fn frozen(counts: &[u64], shelf: &mut Shelf<[u64]>) -> VectorClock {
+        let shared = shelf.make_with(counts, <[u64]>::copy_from_slice, Arc::from);
         VectorClock {
             counts: Counts::Shared(shared),
         }
@@ -163,32 +155,12 @@ impl VectorClock {
     /// True iff every component of `self` is `<=` the corresponding
     /// component of `other` (i.e. `self` causally precedes or equals).
     pub fn dominated_by(&self, other: &VectorClock) -> bool {
-        assert_eq!(self.len(), other.len(), "clock width mismatch");
-        self.counts()
-            .iter()
-            .zip(other.counts())
-            .all(|(a, b)| a <= b)
-    }
-
-    /// Classifies the causal relationship between the events stamped with
-    /// `self` and `other`.
-    ///
-    /// # Panics
-    /// Panics if the clocks have different widths.
-    pub fn relation(&self, other: &VectorClock) -> CausalRelation {
-        let le = self.dominated_by(other);
-        let ge = other.dominated_by(self);
-        match (le, ge) {
-            (true, true) => CausalRelation::Equal,
-            (true, false) => CausalRelation::Before,
-            (false, true) => CausalRelation::After,
-            (false, false) => CausalRelation::Concurrent,
-        }
+        le(self.counts(), other.counts())
     }
 
     /// True iff the two clocks are causally concurrent (neither dominates).
     pub fn concurrent_with(&self, other: &VectorClock) -> bool {
-        self.relation(other) == CausalRelation::Concurrent
+        !self.dominated_by(other) && !other.dominated_by(self)
     }
 
     /// Iterates over `(SiteId, count)` pairs.
@@ -197,6 +169,60 @@ impl VectorClock {
             .iter()
             .enumerate()
             .map(|(i, &c)| (SiteId(i), c))
+    }
+}
+
+/// Component-wise `<=` of two clocks' counts.
+fn le(a: &[u64], b: &[u64]) -> bool {
+    assert_eq!(a.len(), b.len(), "clock width mismatch");
+    a.iter().zip(b).all(|(a, b)| a <= b)
+}
+
+/// Clocks of `n` sites side by side in one buffer, a slot each, a freed
+/// slot reused: a holder of many clocks copies each in rather than keep
+/// its buffer alive, and grows one allocation instead of making one per
+/// clock.
+#[derive(Debug)]
+pub struct ClockSlab {
+    n: usize,
+    counts: Vec<u64>,
+    free: Vec<usize>,
+}
+
+impl ClockSlab {
+    /// An empty slab of `n`-site clocks, with room for `slots` of them.
+    pub fn new(n: usize, slots: usize) -> Self {
+        let (counts, free) = (Vec::with_capacity(n * slots), Vec::with_capacity(slots));
+        ClockSlab { n, counts, free }
+    }
+
+    /// Copies `vc` into a free slot, and returns the slot.
+    pub fn insert(&mut self, vc: &VectorClock) -> usize {
+        let slot = self.free.pop().unwrap_or(self.counts.len() / self.n);
+        let end = (slot + 1) * self.n;
+        self.counts.resize(self.counts.len().max(end), 0);
+        self.counts[end - self.n..end].copy_from_slice(vc.counts());
+        slot
+    }
+
+    /// The counts of the clock in `slot`.
+    pub fn get(&self, slot: usize) -> &[u64] {
+        &self.counts[slot * self.n..][..self.n]
+    }
+
+    /// Frees `slot` for the next insert.
+    pub fn remove(&mut self, slot: usize) {
+        self.free.push(slot);
+    }
+
+    /// True iff the clocks in slots `a` and `b` are causally concurrent.
+    pub fn concurrent(&self, a: usize, b: usize) -> bool {
+        !le(self.get(a), self.get(b)) && !le(self.get(b), self.get(a))
+    }
+
+    /// True iff the clock in `slot` is dominated by `vc`.
+    pub fn dominated_by(&self, slot: usize, vc: &VectorClock) -> bool {
+        le(self.get(slot), vc.counts())
     }
 }
 
@@ -228,18 +254,6 @@ impl PartialEq for VectorClock {
 }
 
 impl Eq for VectorClock {}
-
-impl PartialOrd for VectorClock {
-    /// Partial order by causality; `None` for concurrent clocks.
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        match self.relation(other) {
-            CausalRelation::Before => Some(Ordering::Less),
-            CausalRelation::After => Some(Ordering::Greater),
-            CausalRelation::Equal => Some(Ordering::Equal),
-            CausalRelation::Concurrent => None,
-        }
-    }
-}
 
 impl fmt::Display for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -299,27 +313,46 @@ mod tests {
     }
 
     #[test]
-    fn relation_classifies_all_cases() {
-        assert_eq!(vc(&[1, 0]).relation(&vc(&[1, 1])), CausalRelation::Before);
-        assert_eq!(vc(&[2, 1]).relation(&vc(&[1, 1])), CausalRelation::After);
-        assert_eq!(vc(&[1, 1]).relation(&vc(&[1, 1])), CausalRelation::Equal);
-        assert_eq!(
-            vc(&[1, 0]).relation(&vc(&[0, 1])),
-            CausalRelation::Concurrent
-        );
+    fn domination_and_concurrency_classify_all_cases() {
+        assert!(vc(&[1, 0]).dominated_by(&vc(&[1, 1])));
+        assert!(!vc(&[2, 1]).dominated_by(&vc(&[1, 1])));
+        assert!(vc(&[1, 1]).dominated_by(&vc(&[1, 1])));
+        assert!(vc(&[1, 0]).concurrent_with(&vc(&[0, 1])));
+        assert!(!vc(&[1, 0]).concurrent_with(&vc(&[1, 1])));
+        assert!(!vc(&[1, 1]).concurrent_with(&vc(&[1, 1])));
     }
 
+    /// A frozen clock reads as the counts it was made from, whether its
+    /// buffer is fresh or a reused one.
     #[test]
-    fn partial_ord_matches_relation() {
-        assert!(vc(&[1, 0]) < vc(&[1, 1]));
-        assert!(vc(&[2, 2]) > vc(&[1, 1]));
-        assert_eq!(vc(&[1, 0]).partial_cmp(&vc(&[0, 1])), None);
+    fn frozen_reads_as_its_counts() {
+        let mut shelf = Shelf::default();
+        for round in 0..3 {
+            let counts = [round, 5, 9];
+            assert_eq!(VectorClock::frozen(&counts, &mut shelf), vc(&counts));
+        }
+        assert_eq!(vc(&[4, 5, 6]).freeze(&mut shelf), vc(&[4, 5, 6]));
+    }
+
+    /// A slab copies clocks in, gives a freed slot to the next one, and
+    /// leaves the other slots alone.
+    #[test]
+    fn slab_slots_hold_their_clocks_and_are_reused() {
+        let mut slab = ClockSlab::new(3, 1);
+        let (a, b) = (slab.insert(&vc(&[1, 0, 2])), slab.insert(&vc(&[0, 1, 2])));
+        assert_eq!((slab.get(a), slab.get(b)), (&[1, 0, 2][..], &[0, 1, 2][..]));
+        assert!(slab.concurrent(a, b) && slab.dominated_by(a, &vc(&[1, 1, 2])));
+        slab.remove(a);
+        let c = slab.insert(&vc(&[1, 1, 2]));
+        assert_eq!(c, a, "the freed slot");
+        assert!(!slab.concurrent(b, c) && !slab.dominated_by(c, &vc(&[1, 0, 2])));
+        assert_eq!(slab.get(b), [0, 1, 2]);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn mismatched_widths_panic() {
-        let _ = vc(&[1]).relation(&vc(&[1, 2]));
+        let _ = vc(&[1]).concurrent_with(&vc(&[1, 2]));
     }
 
     #[test]
@@ -339,20 +372,20 @@ mod tests {
             prop_assert!(cb.dominated_by(&m));
         }
 
+        /// Mutual domination is equality, and concurrency is symmetric
+        /// and excludes domination either way.
         #[test]
-        fn relation_is_antisymmetric(a in proptest::collection::vec(0u64..10, 3),
-                                     b in proptest::collection::vec(0u64..10, 3)) {
-            let ca = vc(&a);
-            let cb = vc(&b);
-            let fwd = ca.relation(&cb);
-            let bwd = cb.relation(&ca);
-            let expected = match fwd {
-                CausalRelation::Before => CausalRelation::After,
-                CausalRelation::After => CausalRelation::Before,
-                CausalRelation::Equal => CausalRelation::Equal,
-                CausalRelation::Concurrent => CausalRelation::Concurrent,
-            };
-            prop_assert_eq!(bwd, expected);
+        fn domination_is_antisymmetric(a in proptest::collection::vec(0u64..10, 3),
+                                       b in proptest::collection::vec(0u64..10, 3)) {
+            let (ca, cb) = (vc(&a), vc(&b));
+            let (le, ge) = (ca.dominated_by(&cb), cb.dominated_by(&ca));
+            prop_assert_eq!(le && ge, ca == cb);
+            prop_assert_eq!(ca.concurrent_with(&cb), cb.concurrent_with(&ca));
+            prop_assert_eq!(ca.concurrent_with(&cb), !le && !ge);
+            let mut slab = ClockSlab::new(3, 0);
+            let (sa, sb) = (slab.insert(&ca), slab.insert(&cb));
+            prop_assert_eq!(slab.concurrent(sa, sb), ca.concurrent_with(&cb));
+            prop_assert_eq!(slab.dominated_by(sa, &cb), le);
         }
 
         #[test]

@@ -620,12 +620,17 @@ mod tests {
             }),
             ReplicaMsg::C(causal::Wire {
                 id,
-                vc: vc.clone(),
+                stamp: causal::Stamp::Full(vc.clone()),
+                payload: null(),
+            }),
+            ReplicaMsg::C(causal::Wire {
+                id,
+                stamp: causal::Stamp::Delta(Arc::new(vec![(SiteId(1), 4), (SiteId(2), 7)])),
                 payload: null(),
             }),
             ReplicaMsg::CRetrans(causal::Wire {
                 id,
-                vc: vc.clone(),
+                stamp: causal::Stamp::Delta(Arc::new(Vec::new())),
                 payload: null(),
             }),
             ReplicaMsg::ASeq(SeqWire::Submit {
@@ -693,12 +698,18 @@ mod tests {
         ];
         // The documented layouts, written out independently of the
         // `WireSize` impls: MsgId = 16, one u64 per counter/watermark,
-        // `Payload::Null` = 1, a WriteOp = key bytes + 8-byte value.
+        // `Payload::Null` = 1, a WriteOp = key bytes + 8-byte value; a
+        // causal stamp is one u64 per site in full, or a u16 count and a
+        // u16 site + u64 value per changed entry as a delta.
         let body = |m: &ReplicaMsg| -> usize {
             match m {
                 ReplicaMsg::R(w) => 16 + w.payload.wire_size(),
                 ReplicaMsg::C(w) | ReplicaMsg::CRetrans(w) => {
-                    16 + 8 * w.vc.len() + w.payload.wire_size()
+                    let stamp = match &w.stamp {
+                        causal::Stamp::Full(vc) => 8 * vc.len(),
+                        causal::Stamp::Delta(changed) => 2 + (2 + 8) * changed.len(),
+                    };
+                    16 + stamp + w.payload.wire_size()
                 }
                 ReplicaMsg::ASeq(SeqWire::Submit { payload, .. }) => 16 + payload.wire_size(),
                 ReplicaMsg::ASeq(SeqWire::Ordered { payload, .. }) => 8 + 16 + payload.wire_size(),

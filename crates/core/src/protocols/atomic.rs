@@ -32,7 +32,7 @@ use bcastdb_broadcast::atomic::{self, AtomicBcast, SequencerAbcast, TotalDeliver
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::order;
 use bcastdb_broadcast::ring::RingAbcast;
-use bcastdb_broadcast::{Shelf, VectorClock};
+use bcastdb_broadcast::Shelf;
 use bcastdb_db::{KeyMap, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
 use bcastdb_sim::{SampleWriter, SiteId};
@@ -68,7 +68,7 @@ type AbCx<'a> = Cx<'a, AbDelivery>;
 /// directory.
 #[derive(Debug, Clone)]
 pub struct AbSnapshot {
-    causal: VectorClock,
+    causal: causal::Snapshot,
     order: order::Snapshot,
     latest_writer: KeyMap<TxnId>,
 }
@@ -304,7 +304,7 @@ impl Variation for AtomicProto {
 
     fn snapshot(&self) -> ProtoSnapshot {
         ProtoSnapshot::Atomic(AbSnapshot {
-            causal: self.cb.clock().clone(),
+            causal: self.cb.snapshot(),
             order: match &self.ab {
                 Abcast::Seq(a) => a.snapshot(),
                 Abcast::Ring(a) => a.snapshot(),

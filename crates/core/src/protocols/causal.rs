@@ -41,8 +41,8 @@ use crate::protocols::{
     Cx, Gate, ProtoSnapshot, Reader, RetransmitBackoff, Variation, Verdict, Work,
 };
 use crate::state::{LocalEvent, SiteState};
-use bcastdb_broadcast::causal::{self, CausalBcast};
-use bcastdb_broadcast::{Shelf, VectorClock};
+use bcastdb_broadcast::causal::{self, CausalBcast, Stamp};
+use bcastdb_broadcast::{ClockSlab, Shelf, VectorClock};
 use bcastdb_db::{KeyMap, TxnId, WriteOp};
 use bcastdb_sim::SiteId;
 use std::collections::{BTreeSet, VecDeque};
@@ -75,9 +75,9 @@ type CbCx<'a> = Cx<'a, CbWork>;
 pub struct CausalProto {
     cb: CausalBcast<Arc<Payload>>,
     shelf: Shelf<Payload>,
-    /// Vector clock of each delivered write operation (and its
-    /// transaction's priority: the entry outlives the `RemoteTxn`), by
-    /// key, each list in `TxnId` order — the conflict index. Concurrency is classified
+    /// The slot in `clocks` of each delivered write operation's vector
+    /// clock (and its transaction's priority: the entry outlives the
+    /// `RemoteTxn`), by key, each list in `TxnId` order — the conflict index. Concurrency is classified
     /// **per operation**: a transaction's operations are broadcast
     /// individually and are not a causal unit — one op can causally
     /// precede a peer while the next is concurrent with it. Two
@@ -85,10 +85,12 @@ pub struct CausalProto {
     /// classification sites look up the keys at hand instead of walking
     /// transactions; [`CausalProto::prune`] retires entries nothing can
     /// match any more.
-    key_ops: KeyMap<Vec<(TxnId, TxnPriority, VectorClock)>>,
+    key_ops: KeyMap<Vec<(TxnId, TxnPriority, usize)>>,
     /// Vectors of keys whose every entry was pruned, kept for the next new
     /// key: at most as many as keys were indexed at once.
-    spare_ops: Vec<Vec<(TxnId, TxnPriority, VectorClock)>>,
+    spare_ops: Vec<Vec<(TxnId, TxnPriority, usize)>>,
+    /// The indexed clocks, copied out of the deliveries that stamped them.
+    clocks: ClockSlab,
     /// Insertions into `key_ops` left before the next prune: as many as
     /// the last one left entries, so the index never holds more than twice
     /// what is live and pruning is O(1) amortized per op.
@@ -153,8 +155,9 @@ impl CausalProto {
 
     fn bcast(&mut self, cx: &mut CbCx, payload: Payload) {
         // Every wire copy and archive entry from here on is a refcount bump.
+        let full = matches!(payload, Payload::Null); // a gap report: see `on_wire`
         let payload = self.shelf.make(payload);
-        let (_, out) = self.cb.broadcast_after(&mut self.processed, payload);
+        let (_, out) = self.cb.broadcast_after(&mut self.processed, full, payload);
         self.last_bcast_vc.copy_from(&self.processed);
         Self::route(cx, out);
     }
@@ -290,16 +293,16 @@ impl CausalProto {
         // conflict.
         let ops = (self.key_ops.entry(op.key.clone()))
             .or_insert_with(|| self.spare_ops.pop().unwrap_or_default());
-        let mut peers = std::mem::take(&mut self.peers);
-        for (peer, peer_prio, pvc) in ops.iter() {
-            if *peer != txn && cx.st.remote.contains_key(peer) && pvc.concurrent_with(&vc) {
-                peers.push((*peer, *peer_prio));
+        let (mut peers, slot) = (std::mem::take(&mut self.peers), self.clocks.insert(&vc));
+        for &(peer, peer_prio, p) in ops.iter() {
+            if peer != txn && cx.st.remote.contains_key(&peer) && self.clocks.concurrent(p, slot) {
+                peers.push((peer, peer_prio));
             }
         }
         match ops.binary_search_by_key(&txn, |e| e.0) {
-            Ok(i) => ops[i].2 = vc,
+            Ok(i) => self.clocks.remove(std::mem::replace(&mut ops[i].2, slot)),
             Err(i) => {
-                ops.insert(i, (txn, prio, vc));
+                ops.insert(i, (txn, prio, slot));
                 self.until_prune -= 1;
             }
         }
@@ -342,16 +345,15 @@ impl CausalProto {
         self.key_ops.retain(|_, ops| {
             let mut i = 0;
             while i < ops.len() {
-                let (txn, _, vc) = &ops[i];
-                let live = !decided(txn)
-                    || !vc.dominated_by(&self.stable)
-                    || ops
-                        .iter()
-                        .any(|(peer, _, pvc)| !decided(peer) && pvc.concurrent_with(vc));
+                let (txn, _, slot) = ops[i];
+                let live = !decided(&txn)
+                    || !self.clocks.dominated_by(slot, &self.stable)
+                    || (ops.iter())
+                        .any(|&(peer, _, p)| !decided(&peer) && self.clocks.concurrent(p, slot));
                 if live {
                     i += 1;
                 } else {
-                    ops.remove(i);
+                    self.clocks.remove(ops.remove(i).2);
                 }
             }
             if ops.is_empty() {
@@ -414,6 +416,7 @@ impl Variation for CausalProto {
             shelf: Shelf::default(),
             key_ops: KeyMap::default(),
             spare_ops: Vec::new(),
+            clocks: ClockSlab::new(n, 2 * PRUNE_FLOOR),
             until_prune: PRUNE_FLOOR,
             last_from: vec![VectorClock::new(n); n],
             stable: VectorClock::new(n),
@@ -447,14 +450,14 @@ impl Variation for CausalProto {
             ReplicaMsg::CRetrans(wire) => wire,
             ReplicaMsg::C(wire) => {
                 // In loss-recovery mode a *null* message doubles as a gap
-                // report: its clock reveals what its origin had delivered,
-                // so ship it anything we have that it lacks. Only direct
-                // (unrelayed, unretransmitted) nulls trigger this — reacting
-                // to every wire would let stale retransmitted clocks solicit
-                // retransmissions of their own, a storm that never drains.
-                if self.recover_losses
-                    && from == wire.id.origin
-                    && matches!(*wire.payload, Payload::Null)
+                // report: its clock (in full, so readable on receipt) reveals
+                // what its origin had delivered, so ship it anything we have
+                // that it lacks. Only direct (unrelayed, unretransmitted) nulls
+                // trigger this — reacting to every wire would let stale
+                // retransmitted clocks solicit retransmissions of their own.
+                let report = self.recover_losses && from == wire.id.origin;
+                if let (true, Payload::Null, Stamp::Full(vc)) =
+                    (report, &*wire.payload, &wire.stamp)
                 {
                     // Only our *own* missing messages are retransmitted from
                     // here: with every site answering for every gap, a lossy
@@ -462,7 +465,7 @@ impl Variation for CausalProto {
                     // per message is enough (the origin always has its own
                     // archive).
                     let me = self.cb.me();
-                    self.cb.retransmissions_for(&wire.vc, 16, |w| {
+                    self.cb.retransmissions_for(vc, 16, |w| {
                         if w.id.origin == me {
                             cx.fx.send_to(from, ReplicaMsg::CRetrans(w));
                         }
@@ -569,9 +572,9 @@ impl Variation for CausalProto {
         let loses = entry.ops.iter().any(|op| {
             let ops = &self.key_ops[&op.key];
             let mine = ops.binary_search_by_key(&txn, |e| e.0).expect("own op");
-            ops.iter().any(|(peer, peer_prio, pvc)| {
-                examined += u64::from(*peer != txn);
-                peer_prio.older_than(&my_prio) && pvc.concurrent_with(&ops[mine].2)
+            ops.iter().any(|&(peer, peer_prio, p)| {
+                examined += u64::from(peer != txn);
+                peer_prio.older_than(&my_prio) && self.clocks.concurrent(p, ops[mine].2)
             })
         });
         *cx.st.metrics.peers_examined.get_or_insert(0) += examined;
@@ -643,20 +646,21 @@ impl Variation for CausalProto {
     }
 
     fn snapshot(&self) -> ProtoSnapshot {
-        ProtoSnapshot::Causal(self.cb.clock().clone())
+        ProtoSnapshot::Causal(self.cb.snapshot())
     }
 
     fn resume(&mut self, donor: &ProtoSnapshot, _view: &BTreeSet<SiteId>) {
-        let ProtoSnapshot::Causal(donor_clock) = donor else {
+        let ProtoSnapshot::Causal(donor) = donor else {
             return;
         };
-        self.cb.resume_from(donor_clock);
+        self.cb.resume_from(donor);
         self.processed.copy_from(self.cb.clock());
         self.last_bcast_vc = self.cb.clock().clone();
         self.key_ops.clear();
         self.until_prune = PRUNE_FLOOR;
         // A rejoining site cannot vouch for what its peers send next.
         let n = self.last_from.len();
+        self.clocks = ClockSlab::new(n, 2 * PRUNE_FLOOR);
         self.last_from.fill(VectorClock::new(n));
         #[cfg(test)]
         {
@@ -778,7 +782,7 @@ pub(crate) mod tests {
                 origin: SiteId(1),
                 seq: 1,
             },
-            vc,
+            stamp: causal::Stamp::Full(vc),
             payload: Arc::new(Payload::Null),
         };
         rig.step(0, 60, |p, step| {
@@ -903,7 +907,8 @@ pub(crate) mod tests {
             seq: 3,
         };
         let payload = Arc::new(Payload::Null);
-        let null = ReplicaMsg::C(causal::Wire { id, vc, payload });
+        let stamp = causal::Stamp::Full(vc);
+        let null = ReplicaMsg::C(causal::Wire { id, stamp, payload });
         proto.on_msg(discarding(st, &mut Effects::new()), SiteId(0), null);
         assert_eq!(st.decided.get(&younger), Some(false));
         assert_eq!(st.store.value(&"x".into()), 0);
@@ -963,12 +968,52 @@ pub(crate) mod tests {
                 site: SiteId(2)
             }
         );
-        assert_eq!(
-            nack.vc.get(SiteId(0)),
-            2,
-            "proves delivery of what it rejects"
-        );
-        assert_eq!(nack.vc.get(SiteId(1)), 0, "claims nothing of y's writer");
+        // Site 2's first broadcast, so its delta against the all-zero clock
+        // lists every entry it claims: x's writer's 2 proves delivery of
+        // what it rejects, and y's writer's entry stays 0.
+        let claims = causal::Stamp::Delta(Arc::new(vec![(SiteId(0), 2)]));
+        assert_eq!(nack.stamp, claims, "claims nothing of y's writer");
+    }
+
+    /// Under loss recovery a direct null is a gap report, read on receipt
+    /// before its sender's earlier messages are delivered: it travels in
+    /// full, and its origin answers what it lacks of the origin's own.
+    #[test]
+    fn a_null_travels_in_full_and_reports_a_gap() {
+        let relaying = ClusterConfig {
+            relay: true,
+            ..cfg(3, ProtocolKind::CausalBcast)
+        };
+        let mut rig = Rig::of(&relaying);
+        rig.submit(0, 1, TxnSpec::new().write("x", 1));
+        rig.submit(1, 2, TxnSpec::new().write("y", 2));
+        // Site 1 loses everything site 0 sent it; site 0 hears site 1.
+        let from_1: Vec<_> = (rig.wires.drain(..))
+            .filter(|&(from, to, _)| from == SiteId(1) && to == SiteId(0))
+            .collect();
+        for (from, _, msg) in from_1 {
+            rig.step(0, 2, |p, step| p.on_msg(step, from, msg));
+        }
+        rig.wires.clear();
+        rig.sent.clear();
+        rig.step(1, 50, |p, step| p.on_tick(step));
+        let null = rig.wires.iter().find(|(_, to, _)| *to == SiteId(0));
+        let (_, _, null) = null.cloned().expect("site 1 owes a null");
+        let ReplicaMsg::C(wire) = &null else {
+            unreachable!("causal traffic only")
+        };
+        assert!(matches!(*wire.payload, Payload::Null));
+        let causal::Stamp::Full(vc) = &wire.stamp else {
+            panic!("a null's stamp is full: {:?}", wire.stamp)
+        };
+        assert_eq!(vc.get(SiteId(0)), 0, "site 1 delivered nothing of site 0");
+        rig.wires.clear();
+        rig.step(0, 60, |p, step| p.on_msg(step, SiteId(1), null));
+        let resent = rig.wires.iter().filter(|(from, to, msg)| {
+            (*from, *to) == (SiteId(0), SiteId(1))
+                && matches!(msg, ReplicaMsg::CRetrans(w) if w.id.origin == SiteId(0))
+        });
+        assert_eq!(resent.count(), 2, "site 0's write and commit request");
     }
 
     #[test]
@@ -1127,9 +1172,16 @@ pub(crate) mod tests {
                 // A key new to the index with a spare at hand took the spare.
                 reached.refilled += usize::from(spare > 0 && p.key_ops.len() > indexed);
                 for (key, rows) in p.key_ops.iter() {
-                    for (txn, _, vc) in rows {
+                    for (txn, _, slot) in rows {
                         let recorded = p.oracle.0.get(txn).and_then(|(_, ops)| ops.get(key));
-                        prop_assert_eq!(recorded, Some(vc), "{}'s row under {}", txn, key);
+                        let counts = recorded.map(|vc| vc.iter().map(|(_, c)| c).collect());
+                        prop_assert_eq!(
+                            counts,
+                            Some(p.clocks.get(*slot).to_vec()),
+                            "{}'s row under {}",
+                            txn,
+                            key
+                        );
                     }
                 }
             }

@@ -73,8 +73,8 @@ pub enum ProtoSnapshot {
     None,
     /// Per-origin reliable-broadcast delivery watermarks.
     Reliable(std::sync::Arc<[u64]>),
-    /// The causal engine's delivered-messages clock.
-    Causal(bcastdb_broadcast::VectorClock),
+    /// The causal engine's delivered-messages clock and last stamps.
+    Causal(bcastdb_broadcast::causal::Snapshot),
     /// Both engines of the atomic protocol plus its version directory.
     Atomic(atomic::AbSnapshot),
 }

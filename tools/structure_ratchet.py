@@ -66,8 +66,12 @@ import sys
 # watermark shelf and its refill). Lowered to the count, 2881 -> 2877,
 # when the replica stopped keeping a redo log (DESIGN.md section 18):
 # engine.rs -4, the state-transfer snapshot's log field, its clone and its
-# overwrite, with the two docs that named it.
-PROTOCOLS_AND_ENGINE_CEILING = 2877
+# overwrite, with the two docs that named it. Raised by exactly its
+# growth, 2877 -> 2881, when causal wires started carrying clock deltas
+# (DESIGN.md sections 2, 11 and 18): P-CB's conflict index keeps its clocks
+# in a `ClockSlab` (the field, its construction, its reset on resume), its
+# nulls go in full and its gap report reads the full stamp.
+PROTOCOLS_AND_ENGINE_CEILING = 2881
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap). Lowered by the 8
@@ -260,7 +264,19 @@ BENCH_CEILING = 4762
 # (see BENCH_CEILING) and the workload crate's five `Scenario` presets,
 # which nothing but an example and a doctest built (scenarios.rs -99, its
 # two module lines, net of the doctest's inline `WorkloadConfig`, +6).
-CRATES_CEILING = 20609
+# Raised by exactly its growth, 20609 -> 20701, when causal wires started
+# carrying clock deltas (DESIGN.md sections 2, 11 and 18): broadcast
+# causal.rs +68 (the `Stamp` forms and their sizes, the per-origin table
+# of last stamps, the delta shelf and the empty delta, encoding in
+# `send_stamped`, decoding in `on_wire`, the delta's BSS check and the
+# engine `Snapshot` with its resume), vclock.rs +14 (`CausalRelation`,
+# `relation` and the `PartialOrd` impl out; `frozen`, one `le` and the
+# `ClockSlab` P-CB's conflict index copies its clocks into, in), msg.rs
+# +6 (a shelf looks at its four oldest values for a free one),
+# protocols +4 (see PROTOCOLS_AND_ENGINE_CEILING). The slab and the shelf's
+# look-ahead are what keep `allocs_per_txn` at or under the parent's on
+# `steady_cb` (1.145 without them) and `wide_ring` (8.72 without them).
+CRATES_CEILING = 20701
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
