@@ -13,14 +13,7 @@
 //! survivor-termination sweeps inside [`run_nemesis`]; a violation panics
 //! the experiment rather than producing a row.
 //!
-//! Two extra rows rerun `crash_mid_2pc` under the reliable and causal
-//! protocols with **speculative fast commit** enabled: transactions
-//! orphaned by the crash are decided from the surviving quorum's votes at
-//! the speculative suspicion threshold instead of waiting out the view
-//! change, and the vote-round column shrinks accordingly (asserted, not
-//! just reported).
-//!
-//! Two more rows crash the **coordinator** instead, under the atomic
+//! Two extra rows crash the **coordinator** instead, under the atomic
 //! protocol with each coordinator-based backend (`crash_sequencer`,
 //! `crash_ring_coord`): `crash_mid_2pc`'s schedule aimed at site 0, so the
 //! sequencer (or the ring's coordinator) dies with submissions and
@@ -29,7 +22,7 @@
 //! be left undecided (`run_nemesis` panics if one is).
 //!
 //! With `--trace-out <base>` every run streams its full JSONL trace to
-//! `<base>-<scenario>-<protocol>[-fast].jsonl` for `bcast-trace check`.
+//! `<base>-<scenario>-<protocol>.jsonl` for `bcast-trace check`.
 
 use super::Run;
 use crate::nemesis::{run_nemesis, NemesisConfig, NemesisOutcome, NemesisScenario};
@@ -42,14 +35,6 @@ pub(super) fn run(run: &mut Run) {
         for proto in ProtocolKind::ALL {
             configs.push(NemesisConfig::new(scenario, proto));
         }
-    }
-    // The speculative fast-commit comparison pair: same crash schedule,
-    // fast path on (only meaningful for the two vote/ack-quorum
-    // protocols).
-    for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
-        let mut cfg = NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto);
-        cfg.fast_commit = true;
-        configs.push(cfg);
     }
     // The coordinator-crash pair: one row per coordinator-based backend.
     for imp in [AbcastImpl::Sequencer, AbcastImpl::Ring] {
@@ -72,36 +57,4 @@ pub(super) fn run(run: &mut Run) {
         table.row_strings(&r.cells());
     }
     run.emit(&table);
-
-    // The speculation must have engaged and must have shortened the
-    // orphaned transactions' decision wait, run for run.
-    let find = |proto: ProtocolKind, fast: bool| -> &NemesisOutcome {
-        results
-            .iter()
-            .find(|r| {
-                r.scenario == NemesisScenario::CrashMidTwoPhase
-                    && r.protocol == proto
-                    && r.fast_commit == fast
-            })
-            .expect("matrix row")
-    };
-    run.say("");
-    for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
-        let base = find(proto, false);
-        let fast = find(proto, true);
-        assert!(fast.fast_commits > 0, "{proto}: fast path never engaged");
-        assert!(
-            fast.vote_round_ms < base.vote_round_ms,
-            "{proto}: fast commit did not shorten the vote round"
-        );
-        assert_eq!(
-            base.commits, fast.commits,
-            "{proto}: speculation changed outcomes"
-        );
-        run.say(&format!(
-            "fast commit under {proto}: vote round {:.2} ms -> {:.2} ms \
-             ({} speculative decisions, same {} commits)",
-            base.vote_round_ms, fast.vote_round_ms, fast.fast_commits, fast.commits
-        ));
-    }
 }

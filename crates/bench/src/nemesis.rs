@@ -31,14 +31,6 @@
 //! `has_undecided` sweeps on the survivors, and one-copy
 //! serializability among the survivors via
 //! [`bcastdb_core::Cluster::check_serializability_among`].
-//!
-//! The campaign doubles as the harness for the **speculative fast
-//! commit** measurement: rerunning `crash_mid_2pc` with
-//! [`NemesisConfig::fast_commit`] on shows the vote round of the latency
-//! decomposition shrink — suspected sites are excluded from the
-//! vote/ack quorum at the *speculative* suspicion threshold (half the
-//! eviction timeout) instead of at view installation, cutting the
-//! orphaned transactions' decision wait roughly in half.
 
 use crate::experiments::Run;
 use crate::{check_traced_run, check_traced_run_allowing_pending};
@@ -58,7 +50,7 @@ const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(60);
 pub enum NemesisScenario {
     /// Crash a 2PC participant after commit requests disseminate but
     /// before its votes land: the survivors must resolve the orphaned
-    /// vote rounds (view change, or fast commit under suspicion).
+    /// vote rounds through the view change.
     CrashMidTwoPhase,
     /// Crash the commit-request origin itself: nobody is left to drive
     /// its transactions, so the survivors must terminate them on their
@@ -130,10 +122,6 @@ pub struct NemesisConfig {
     pub scenario: NemesisScenario,
     /// The protocol under test.
     pub protocol: ProtocolKind,
-    /// Speculative fast commit under suspicion (reliable/causal only —
-    /// p2p has no broadcast vote round and atomic has no acks to wait
-    /// for, so the knob is inert there).
-    pub fast_commit: bool,
     /// Atomic-broadcast backend override (only meaningful with
     /// [`ProtocolKind::AtomicBcast`]). `None` keeps the cluster's
     /// size-based default, which at [`NEMESIS_SITES`] is the sequencer —
@@ -142,12 +130,11 @@ pub struct NemesisConfig {
 }
 
 impl NemesisConfig {
-    /// A cell with fast commit off and the default abcast backend.
+    /// A cell with the default abcast backend.
     pub fn new(scenario: NemesisScenario, protocol: ProtocolKind) -> Self {
         NemesisConfig {
             scenario,
             protocol,
-            fast_commit: false,
             abcast: None,
         }
     }
@@ -160,24 +147,18 @@ pub struct NemesisOutcome {
     pub scenario: NemesisScenario,
     /// The protocol it ran under.
     pub protocol: ProtocolKind,
-    /// Whether speculative fast commit was enabled.
-    pub fast_commit: bool,
     /// The atomic-broadcast backend override it ran with, if any.
     pub abcast: Option<AbcastImpl>,
     /// Committed transactions (cluster-wide, origin-counted).
     pub commits: u64,
     /// Aborted transactions.
     pub aborts: u64,
-    /// Transactions decided through the speculative fast path, summed
-    /// over all sites (0 unless `fast_commit` and a crash was suspected).
-    pub fast_commits: u64,
     /// Mean of the vote round of the committed-update latency
     /// decomposition, milliseconds: the `votes` segment (commit request
     /// out → last vote heard) plus the `decide` segment (last vote →
     /// decision). A transaction orphaned by a crash parks in the latter —
-    /// waiting on a vote that will never come — until the view change or
-    /// a speculative fast commit resolves it, so this is the number fast
-    /// commit shortens.
+    /// waiting on a vote that will never come — until the view change
+    /// resolves it.
     pub vote_round_ms: f64,
     /// The sites that never crashed and were never cut off.
     pub survivors: Vec<SiteId>,
@@ -194,24 +175,20 @@ impl NemesisOutcome {
         vec![
             row_name(self.scenario, self.abcast).to_string(),
             self.protocol.name().to_string(),
-            if self.fast_commit { "on" } else { "off" }.to_string(),
             self.commits.to_string(),
             self.aborts.to_string(),
-            self.fast_commits.to_string(),
             format!("{:.2}", self.vote_round_ms),
             self.survivors_serializable.to_string(),
         ]
     }
 
     /// The table headers matching [`NemesisOutcome::cells`].
-    pub fn headers() -> [&'static str; 8] {
+    pub fn headers() -> [&'static str; 6] {
         [
             "scenario",
             "protocol",
-            "fast_commit",
             "commits",
             "aborts",
-            "fast_commits",
             "vote_round_ms",
             "survivors_serializable",
         ]
@@ -219,7 +196,7 @@ impl NemesisOutcome {
 }
 
 /// Runs one campaign cell: builds the cluster (through [`Run::cluster`],
-/// labelled `<scenario>-<protocol>[-fast]`), replays the scenario's fault
+/// labelled `<scenario>-<protocol>`), replays the scenario's fault
 /// schedule against a seeded workload, and validates the execution (trace
 /// invariants, survivor termination, 1SR among survivors) before
 /// returning the outcome row.
@@ -229,18 +206,16 @@ impl NemesisOutcome {
 /// a bug, not a data point.
 pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
     let label = format!(
-        "{}-{}{}",
+        "{}-{}",
         row_name(cfg.scenario, cfg.abcast),
-        cfg.protocol.name(),
-        if cfg.fast_commit { "-fast" } else { "" }
+        cfg.protocol.name()
     );
     let mut builder = Cluster::builder()
         .sites(N)
         .protocol(cfg.protocol)
         .seed(cfg.scenario.seed())
         .membership(true)
-        .suspect_after(SUSPECT_AFTER)
-        .fast_commit(cfg.fast_commit);
+        .suspect_after(SUSPECT_AFTER);
     if let Some(imp) = cfg.abcast {
         builder = builder.abcast(imp);
     }
@@ -275,11 +250,9 @@ pub fn run_nemesis(run: &Run, cfg: &NemesisConfig) -> NemesisOutcome {
     NemesisOutcome {
         scenario: cfg.scenario,
         protocol: cfg.protocol,
-        fast_commit: cfg.fast_commit,
         abcast: cfg.abcast,
         commits: metrics.commits(),
         aborts: metrics.aborts(),
-        fast_commits: metrics.counters.get("fast_commits"),
         vote_round_ms: summary.segment(Segment::Votes).mean().as_millis_f64()
             + summary.segment(Segment::Decide).mean().as_millis_f64(),
         survivors,
@@ -559,7 +532,6 @@ mod tests {
             );
             assert!(out.survivors_serializable, "{scenario}");
             assert!(out.commits > 0, "{scenario}: nothing committed");
-            assert_eq!(out.fast_commits, 0, "{scenario}: fast path off by default");
         }
     }
 
@@ -617,39 +589,5 @@ mod tests {
             seq.commits,
             seq.aborts
         );
-    }
-
-    #[test]
-    fn fast_commit_engages_and_shortens_the_vote_round() {
-        let quiet = Run::default();
-        for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
-            let base = run_nemesis(
-                &quiet,
-                &NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto),
-            );
-            let fast = run_nemesis(
-                &quiet,
-                &NemesisConfig {
-                    fast_commit: true,
-                    ..NemesisConfig::new(NemesisScenario::CrashMidTwoPhase, proto)
-                },
-            );
-            assert!(
-                fast.fast_commits > 0,
-                "{proto}: the speculative path never fired"
-            );
-            assert!(
-                fast.vote_round_ms < base.vote_round_ms,
-                "{proto}: fast commit must shorten the vote round \
-                 ({:.3} ms -> {:.3} ms)",
-                base.vote_round_ms,
-                fast.vote_round_ms
-            );
-            assert!(fast.survivors_serializable, "{proto}: fast run not 1SR");
-            assert_eq!(
-                base.commits, fast.commits,
-                "{proto}: speculation must not change outcomes, only timing"
-            );
-        }
     }
 }

@@ -179,22 +179,13 @@ impl ViewManager {
     /// in the installed view, but silent for longer than the suspicion
     /// timeout.
     pub fn suspected(&self, now: SimTime) -> BTreeSet<SiteId> {
-        self.suspected_within(now, self.suspect_after)
-    }
-
-    /// Like [`ViewManager::suspected`], but with an explicit silence
-    /// `window`. The speculative fast-commit path probes with a window
-    /// *shorter* than the eviction timeout (a two-level failure detector):
-    /// silence past the short window is enough to exclude a site from a
-    /// vote quorum speculatively, while eviction — which tears the view —
-    /// still waits for the full timeout. Both windows must dwarf the
-    /// worst-case link latency for the speculation to be safe.
-    pub fn suspected_within(&self, now: SimTime, window: SimDuration) -> BTreeSet<SiteId> {
         self.view
             .members
             .iter()
             .copied()
-            .filter(|&s| s != self.me && now.saturating_since(self.last_heard[s.0]) >= window)
+            .filter(|&s| {
+                s != self.me && now.saturating_since(self.last_heard[s.0]) >= self.suspect_after
+            })
             .collect()
     }
 

@@ -64,11 +64,6 @@ pub struct ClusterConfig {
     pub membership: bool,
     /// Failure-detector suspicion timeout.
     pub suspect_after: SimDuration,
-    /// Speculative fast commit (reliable and causal protocols, membership
-    /// on): decide from the surviving quorum's votes as soon as every
-    /// missing voter is suspected by the failure detector, instead of
-    /// waiting out the view change.
-    pub fast_commit: bool,
     /// Eager broadcast relaying: every site re-forwards the first copy of
     /// each broadcast, so the reliable/causal protocols tolerate message
     /// loss (pair with a lossy [`NetworkConfig`]).
@@ -135,7 +130,6 @@ impl Default for ClusterConfig {
             null_messages: true,
             membership: false,
             suspect_after: SimDuration::from_millis(100),
-            fast_commit: false,
             relay: false,
             retransmit_backoff: false,
             think_time: SimDuration::ZERO,
@@ -238,12 +232,6 @@ impl ClusterBuilder {
     /// Failure-detector suspicion timeout.
     pub fn suspect_after(mut self, d: SimDuration) -> Self {
         self.cfg.suspect_after = d;
-        self
-    }
-
-    /// Enable speculative fast commit under suspicion (reliable/causal).
-    pub fn fast_commit(mut self, on: bool) -> Self {
-        self.cfg.fast_commit = on;
         self
     }
 

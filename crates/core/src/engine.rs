@@ -12,7 +12,7 @@ use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
 use bcastdb_broadcast::msg::dest_iter;
 use bcastdb_sim::inline::InlineVec;
 use bcastdb_sim::telemetry::{Phase, TraceEvent};
-use bcastdb_sim::{Ctx, Node, SampleWriter, SendOutcome, SimDuration, SimTime, SiteId};
+use bcastdb_sim::{Ctx, Node, SampleWriter, SendOutcome, SimTime, SiteId};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -45,9 +45,6 @@ pub struct ReplicaNode {
     /// stored back (drained, capacity kept) by [`ReplicaNode::flush`], so
     /// steady-state steps allocate no effect vectors at all.
     scratch: Effects,
-    /// The suspicion set reported to the protocol on the previous
-    /// membership tick; `Suspect` trace events fire on its growth.
-    last_suspected: BTreeSet<SiteId>,
 }
 
 impl ReplicaNode {
@@ -73,7 +70,6 @@ impl ReplicaNode {
             flushed: Vec::new(),
             flush_armed: false,
             scratch: Effects::new(),
-            last_suspected: BTreeSet::new(),
         }
     }
 
@@ -126,7 +122,6 @@ impl ReplicaNode {
             m.resume(v, now);
         }
         self.tick_armed = false;
-        self.last_suspected.clear();
         // Anything queued for batching at crash time is stale: discard it.
         // A leftover FlushBatch timer is harmless (flushing empty is a
         // no-op), so just let the next send re-arm.
@@ -294,32 +289,7 @@ impl ReplicaNode {
         for ob in outbound {
             fx.send(ob.dest, ReplicaMsg::Member(ob.wire));
         }
-        // Snapshot the failure detector's *speculative* suspicion set after
-        // the tick (view installs refresh liveness for re-admitted members),
-        // before `apply_member_events` needs `&mut self`. The speculation
-        // window is half the eviction timeout: eviction installs the
-        // shrunken view at the very tick full suspicion fires, so a fast
-        // commit only beats the view change if it suspects sooner. Half the
-        // timeout still dwarfs the worst-case link latency, which is all
-        // the safety argument needs (DESIGN.md §15).
-        let suspected = self.cfg.fast_commit.then(|| {
-            let window = SimDuration::from_micros(self.cfg.suspect_after.as_micros() / 2);
-            m.suspected_within(now, window)
-        });
         self.apply_member_events(fx, now, events);
-        if let Some(suspected) = suspected {
-            let me = self.st.me;
-            for &s in suspected.difference(&self.last_suspected) {
-                self.st.tracer.emit(|| TraceEvent::Suspect {
-                    at: now,
-                    site: me,
-                    suspect: s,
-                });
-            }
-            self.last_suspected.clone_from(&suspected);
-            self.proto
-                .on_suspect(Step::new(&mut self.st, fx, now), &suspected);
-        }
     }
 
     fn apply_member_events(&mut self, fx: &mut Effects, now: SimTime, events: Vec<MemberEvent>) {

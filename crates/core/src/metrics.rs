@@ -57,10 +57,11 @@ pub struct Counters([u64; Counters::NAMES.len()]);
 
 impl Counters {
     /// Every name counted: aborts, in all and by [`AbortReason::counter`]
-    /// (F3, the benchmark), read-only aborts (F5), fast-path decisions (T2,
-    /// the benchmark), wire-batch traffic (F6, the benchmark), and the
-    /// message kinds read one by one: causal nulls (F6) and the retransmits
-    /// and syncs the sampler reports per site.
+    /// (F3, the benchmark), read-only aborts (F5), `fast_commits` (always 0
+    /// since speculative fast commit was retired; it stays only because the
+    /// benchmark still reads it), wire-batch traffic (F6, the benchmark),
+    /// and the message kinds read one by one: causal nulls (F6) and the
+    /// retransmits and syncs the sampler reports per site.
     pub const NAMES: [&'static str; 16] = [
         "aborts",
         "abort_wounded",

@@ -418,7 +418,7 @@ impl Variation for CausalProto {
             spare_ops: Vec::new(),
             clocks: ClockSlab::new(n, 2 * PRUNE_FLOOR),
             until_prune: PRUNE_FLOOR,
-            last_from: vec![VectorClock::new(n); n],
+            last_from: (0..n).map(|_| VectorClock::new(n)).collect(),
             stable: VectorClock::new(n),
             peers: Vec::new(),
             #[cfg(test)]
@@ -529,13 +529,10 @@ impl Variation for CausalProto {
     /// concurrent conflicting peer. Aborts on NACK.
     ///
     /// An acknowledgement here is *implicit*: any message from a site
-    /// whose clock covers the commit request. On the fast path the
-    /// survivors' acks close the concurrency window for every *surviving*
-    /// origin (causal order puts an origin's concurrent writes before its
-    /// ack), and anything the suspect broadcast before falling silent
-    /// arrived long ago — the suspicion timeout dwarfs the link latency.
-    /// So the evaluation below sees every candidate, exactly as if the
-    /// view change evicting the suspect had already been installed.
+    /// whose clock covers the commit request. Causal order puts an
+    /// origin's concurrent writes before its ack, so the view's acks close
+    /// the concurrency window and the evaluation below sees every
+    /// candidate.
     fn try_decide(&mut self, cx: &mut CbCx, txn: TxnId) {
         let Some(entry) = cx.st.remote.get(&txn) else {
             return; // decided, or nothing delivered here to decide on
@@ -549,16 +546,14 @@ impl Variation for CausalProto {
             let covers = |k| s == origin || s == me || self.last_from[s.0].get(origin) >= k;
             entry.cr_seq.is_some_and(covers)
         };
-        let (delivered, nacked) = (entry.cr_seq.is_some(), !entry.votes_no.is_empty());
-        let fast = match cx.quorum.verdict(nacked, delivered, acked) {
+        match cx.quorum.verdict(!entry.votes_no.is_empty(), acked) {
             Verdict::Abort => {
                 cx.abort_remote(txn, AbortReason::ConcurrentConflict);
                 return;
             }
-            Verdict::Commit if delivered => false,
-            Verdict::FastCommit => true,
-            _ => return,
-        };
+            Verdict::Commit => {}
+            Verdict::Wait => return,
+        }
         if entry.n_writes != Some(entry.ops.len()) {
             return; // write set incomplete (cannot happen with FIFO, but be safe)
         }
@@ -588,9 +583,6 @@ impl Variation for CausalProto {
         // The implicit-acknowledgement wait ends here: the ack set is
         // complete and the verdict is fixed, whether or not the lock
         // queue lets us apply yet.
-        if fast {
-            cx.st.trace_fast_decide(txn, cx.now);
-        }
         cx.st.trace_decided(txn, true, cx.now);
         let entry = cx.st.remote.get_mut(&txn).expect("live");
         if entry.fully_prepared() {
@@ -661,7 +653,7 @@ impl Variation for CausalProto {
         // A rejoining site cannot vouch for what its peers send next.
         let n = self.last_from.len();
         self.clocks = ClockSlab::new(n, 2 * PRUNE_FLOOR);
-        self.last_from.fill(VectorClock::new(n));
+        self.last_from = (0..n).map(|_| VectorClock::new(n)).collect();
         #[cfg(test)]
         {
             self.oracle = Default::default();

@@ -127,12 +127,6 @@ pub trait Protocol: fmt::Debug {
     /// decision, and transactions they originated abort.
     fn set_view(&mut self, step: Step<'_>, view_id: u64, members: BTreeSet<SiteId>);
 
-    /// Refreshes the failure detector's suspicion set and re-evaluates
-    /// every undecided transaction: a fresh suspicion may complete a
-    /// surviving quorum that the fast-commit rule can decide from now,
-    /// before the view change that would evict the suspect lands.
-    fn on_suspect(&mut self, step: Step<'_>, suspected: &BTreeSet<SiteId>);
-
     /// The broadcast engines' delivery positions (state transfer).
     fn snapshot(&self) -> ProtoSnapshot;
 
@@ -166,43 +160,29 @@ pub(crate) enum Work<D> {
     Deliver(D),
 }
 
-/// Whose word a decision needs: the installed view, the members the
-/// failure detector currently suspects, and whether a surviving quorum may
-/// decide without the suspects.
+/// Whose word a decision needs: the installed view's members.
 #[derive(Debug)]
 pub(crate) struct Quorum {
     /// The installed view's members.
     pub view: BTreeSet<SiteId>,
-    /// View members the local failure detector currently suspects
-    /// (refreshed by the engine on every membership tick).
-    suspected: BTreeSet<SiteId>,
-    /// Speculative fast commit (Emerson & Ezhilchelvan): when the failure
-    /// detector suspects a view member, decide from the surviving quorum's
-    /// positive acknowledgements instead of waiting for the suspect.
-    fast_commit: bool,
 }
 
 /// What [`Quorum::verdict`] makes of a transaction's acknowledgements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Acknowledgements are still missing from unsuspected members.
+    /// Acknowledgements are still missing.
     Wait,
     /// Somebody rejected the transaction.
     Abort,
     /// The whole view acknowledged positively.
     Commit,
-    /// The surviving quorum acknowledged positively and every missing
-    /// member is suspected.
-    FastCommit,
 }
 
 impl Quorum {
     /// The quorum of an `n`-site system before any view change.
-    pub fn full(n: usize, fast_commit: bool) -> Self {
+    pub fn full(n: usize) -> Self {
         Quorum {
             view: (0..n).map(SiteId).collect(),
-            suspected: BTreeSet::new(),
-            fast_commit,
         }
     }
 
@@ -211,34 +191,13 @@ impl Quorum {
     ///
     /// `yes(s)` says whether member `s` acknowledged positively. A
     /// rejection always wins; otherwise the full view's positive
-    /// acknowledgements commit. With fast commit enabled, a transaction
-    /// whose only missing members are *suspected* is decided speculatively
-    /// from the surviving quorum — the decision a view change would reach
-    /// anyway, taken one failure-detection round earlier. The
-    /// abort-on-late-conflicting-vote rule is the NO-first ordering here: a
-    /// rejection that lands before the speculative decision always wins;
-    /// one that lands after is ignored (the decision is final). With an
-    /// empty suspicion set the fast path coincides with the full-view test
-    /// and so never fires.
-    pub fn verdict(&self, any_no: bool, own_yes: bool, yes: impl Fn(SiteId) -> bool) -> Verdict {
+    /// acknowledgements commit, and anything less waits. A member that
+    /// falls silent is waited out until the view change evicts it.
+    pub fn verdict(&self, any_no: bool, yes: impl Fn(SiteId) -> bool) -> Verdict {
         if any_no {
             Verdict::Abort
         } else if self.view.iter().all(|&s| yes(s)) {
             Verdict::Commit
-        } else if self.fast_commit
-            // Our own positive acknowledgement is in: the local write set
-            // is complete, so the commit can apply here.
-            && own_yes
-            // Every missing member is suspected by the failure detector…
-            && self
-                .view
-                .iter()
-                .all(|&s| yes(s) || self.suspected.contains(&s))
-            // …and the survivors are a strict majority of the view, so no
-            // other view can decide differently.
-            && 2 * self.view.iter().filter(|&&s| yes(s)).count() > self.view.len()
-        {
-            Verdict::FastCommit
         } else {
             Verdict::Wait
         }
@@ -551,7 +510,7 @@ impl<V: Variation> Driver<V> {
     pub(crate) fn new(me: SiteId, cfg: &ClusterConfig) -> Self {
         Driver {
             rules: V::new(me, cfg),
-            quorum: Quorum::full(cfg.sites, cfg.fast_commit),
+            quorum: Quorum::full(cfg.sites),
             writing: BTreeMap::new(),
             idle_work: VecDeque::new(),
         }
@@ -618,22 +577,6 @@ impl<V: Variation> Protocol for Driver<V> {
         self.pump(step, |v, cx| v.set_view(cx, view_id));
     }
 
-    fn on_suspect(&mut self, step: Step<'_>, suspected: &BTreeSet<SiteId>) {
-        if self.quorum.suspected == *suspected {
-            return;
-        }
-        self.quorum.suspected.clone_from(suspected);
-        if suspected.is_empty() {
-            return;
-        }
-        self.pump(step, |v, cx| {
-            let undecided: Vec<TxnId> = cx.st.remote.keys().collect();
-            for txn in undecided {
-                v.try_decide(cx, txn);
-            }
-        });
-    }
-
     fn snapshot(&self) -> ProtoSnapshot {
         self.rules.snapshot()
     }
@@ -641,7 +584,6 @@ impl<V: Variation> Protocol for Driver<V> {
     fn resume(&mut self, donor: &ProtoSnapshot, view: BTreeSet<SiteId>) {
         self.rules.resume(donor, &view);
         self.quorum.view = view;
-        self.quorum.suspected.clear();
     }
 
     fn sample_stats(&self, me: SiteId, sample: &mut SampleWriter) {
@@ -948,73 +890,24 @@ pub(crate) mod tests {
         );
     }
 
-    fn sites(ids: &[usize]) -> BTreeSet<SiteId> {
-        ids.iter().copied().map(SiteId).collect()
-    }
-
-    impl Quorum {
-        /// The verdict on positive acknowledgements from the sites `yes`.
-        fn on(&self, any_no: bool, own_yes: bool, yes: &[usize]) -> Verdict {
-            self.verdict(any_no, own_yes, |s| yes.contains(&s.0))
-        }
-    }
-
-    /// A five-site view with fast commit on, suspecting `suspected`.
-    fn quorum(suspected: &[usize]) -> Quorum {
-        Quorum {
-            suspected: sites(suspected),
-            ..Quorum::full(5, true)
-        }
-    }
-
     #[test]
-    fn a_no_beats_a_complete_yes_set_and_a_fast_path() {
+    fn a_no_aborts_the_full_view_commits_and_anything_less_waits() {
+        let on = |q: &Quorum, no: bool, yes: &[usize]| q.verdict(no, |s| yes.contains(&s.0));
+        let q = Quorum::full(5);
         let everyone = &[0, 1, 2, 3, 4];
-        assert_eq!(quorum(&[]).on(false, true, everyone), Verdict::Commit);
-        assert_eq!(quorum(&[]).on(true, true, everyone), Verdict::Abort);
-        let survivors = &[0, 1, 2];
-        let q = quorum(&[3, 4]);
-        assert_eq!(q.on(false, true, survivors), Verdict::FastCommit);
-        assert_eq!(q.on(true, true, survivors), Verdict::Abort);
-    }
-
-    #[test]
-    fn fast_path_needs_own_yes_a_strict_majority_and_every_missing_voter_suspected() {
-        let q = quorum(&[3, 4]);
-        let survivors = &[0, 1, 2];
-        assert_eq!(q.on(false, true, survivors), Verdict::FastCommit);
-        // Our own acknowledgement is not in yet.
-        assert_eq!(q.on(false, false, survivors), Verdict::Wait);
-        // Site 2 is missing and nobody suspects it.
-        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
-        // Every missing voter is suspected, but 2 of 5 is no majority.
-        let q = quorum(&[2, 3, 4]);
-        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
-        // Half is not a strict majority either.
-        let q = Quorum {
-            suspected: sites(&[2, 3]),
-            ..Quorum::full(4, true)
-        };
-        assert_eq!(q.on(false, true, &[0, 1]), Verdict::Wait);
-        // And the whole rule is off unless the cluster enables it.
-        let q = Quorum {
-            suspected: sites(&[3, 4]),
-            ..Quorum::full(5, false)
-        };
-        assert_eq!(q.on(false, true, survivors), Verdict::Wait);
-    }
-
-    #[test]
-    fn fast_path_never_fires_with_an_empty_suspicion_set() {
-        let q = quorum(&[]);
+        assert_eq!(on(&q, false, everyone), Verdict::Commit);
+        assert_eq!(on(&q, true, everyone), Verdict::Abort);
+        assert_eq!(on(&q, true, &[]), Verdict::Abort);
         for yes in [&[][..], &[0], &[0, 1, 2], &[0, 1, 2, 3]] {
-            assert_eq!(q.on(false, true, yes), Verdict::Wait);
+            assert_eq!(on(&q, false, yes), Verdict::Wait, "{yes:?}");
         }
-        assert_eq!(
-            q.on(false, true, &[0, 1, 2, 3, 4]),
-            Verdict::Commit,
-            "the full view decides on the regular path"
-        );
+        // Once a view change evicts the silent members, the survivors'
+        // acknowledgements are the full view's.
+        let q = Quorum {
+            view: [0, 1, 2].map(SiteId).into(),
+        };
+        assert_eq!(on(&q, false, &[0, 1, 2]), Verdict::Commit);
+        assert_eq!(on(&q, false, &[0, 1]), Verdict::Wait);
     }
 
     /// A transaction wounded between two `WriteStep`s: the paced write

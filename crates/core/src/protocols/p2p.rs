@@ -138,7 +138,7 @@ impl Variation for P2pProto {
             timeout: cfg.p2p_timeout,
             driving: BTreeMap::new(),
             pending_acks: BTreeMap::new(),
-            everyone: Quorum::full(cfg.sites, false),
+            everyone: Quorum::full(cfg.sites),
         }
     }
 
@@ -259,7 +259,7 @@ impl Variation for P2pProto {
                 }
                 // Decentralized 2PC: explicit votes from every site.
                 let (any_no, yes) = (!entry.votes_no.is_empty(), &entry.votes_yes);
-                match self.everyone.verdict(any_no, false, |s| yes.contains(s)) {
+                match self.everyone.verdict(any_no, |s| yes.contains(s)) {
                     Verdict::Abort => cx.abort_remote(txn, AbortReason::NegativeVote),
                     Verdict::Commit if entry.fully_prepared() => cx.apply_commit(txn),
                     _ => return,

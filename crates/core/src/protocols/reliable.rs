@@ -227,28 +227,19 @@ impl Variation for ReliableProto {
     }
 
     /// Decides `txn` once the view's votes are in (decentralized 2PC: each
-    /// site decides independently from the same votes), or — fast commit —
-    /// once the surviving quorum's are: an explicit vote is this protocol's
-    /// acknowledgement, our own YES its proof of local preparedness.
+    /// site decides independently from the same votes).
     fn try_decide(&mut self, cx: &mut RbCx, txn: TxnId) {
         let Some(entry) = cx.st.remote.get(&txn) else {
             return;
         };
-        let own_yes = entry.my_vote == Some(true);
-        match cx.quorum.verdict(!entry.votes_no.is_empty(), own_yes, |s| {
-            entry.votes_yes.contains(s)
-        }) {
+        let any_no = !entry.votes_no.is_empty();
+        match cx.quorum.verdict(any_no, |s| entry.votes_yes.contains(s)) {
             Verdict::Wait => {}
             Verdict::Abort => {
                 let reason = entry.doomed.unwrap_or(AbortReason::NegativeVote);
                 cx.abort_remote(txn, reason);
             }
             Verdict::Commit => cx.apply_commit(txn),
-            Verdict::FastCommit => {
-                cx.st.trace_fast_decide(txn, cx.now);
-                cx.st.trace_decided(txn, true, cx.now);
-                cx.apply_commit(txn);
-            }
         }
     }
 

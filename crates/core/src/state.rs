@@ -554,20 +554,6 @@ impl SiteState {
         });
     }
 
-    /// Records a speculative fast decision: this site fixed `id`'s outcome
-    /// from a surviving quorum's votes without waiting for suspected
-    /// members, and bumps the `fast_commits` counter. The regular
-    /// `Decided`/`Commit` events follow immediately.
-    pub fn trace_fast_decide(&mut self, id: TxnId, now: SimTime) {
-        self.metrics.counters.add("fast_commits", 1);
-        let me = self.me;
-        self.tracer.emit(|| TraceEvent::FastDecide {
-            at: now,
-            site: me,
-            txn: txn_ref(id),
-        });
-    }
-
     /// True iff this site knows of any transaction that has not terminated.
     pub fn has_undecided(&self) -> bool {
         !self.local.is_empty() || !self.remote.is_empty()

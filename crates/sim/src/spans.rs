@@ -387,11 +387,7 @@ impl SpanBuilder {
             | TraceEvent::Drop { .. }
             | TraceEvent::BatchFlushed { .. }
             | TraceEvent::ViewChange { .. }
-            | TraceEvent::Crash { .. }
-            // The speculative decision is always followed by the Decided /
-            // Commit / Abort that actually moves the segment boundary.
-            | TraceEvent::Suspect { .. }
-            | TraceEvent::FastDecide { .. } => {}
+            | TraceEvent::Crash { .. } => {}
         }
     }
 

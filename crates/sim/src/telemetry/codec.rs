@@ -316,12 +316,6 @@ mod tests {
                 members: vec![site, other, SiteId(d as usize)],
             },
             TraceEvent::Crash { at, site },
-            TraceEvent::Suspect {
-                at,
-                site,
-                suspect: other,
-            },
-            TraceEvent::FastDecide { at, site, txn },
         ]
     }
 
@@ -371,16 +365,6 @@ mod tests {
             to: SiteId(1),
             msgs: 3,
             bytes: 200,
-        });
-        all.push(TraceEvent::Suspect {
-            at: t(13),
-            site: SiteId(0),
-            suspect: SiteId(2),
-        });
-        all.push(TraceEvent::FastDecide {
-            at: t(14),
-            site: SiteId(0),
-            txn: txn(1, 3),
         });
         let mut sink = JsonlSink::new(Vec::new());
         for ev in &all {

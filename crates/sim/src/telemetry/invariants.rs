@@ -263,11 +263,6 @@ impl TraceInvariants {
             }
             TraceEvent::ViewChange { .. } => {}
             TraceEvent::Crash { .. } => self.crashed = true,
-            // Failure-detector bookkeeping: suspicion and speculative
-            // decisions have no cross-event invariant of their own — the
-            // Commit/Abort events a fast decision produces are checked
-            // like any other termination.
-            TraceEvent::Suspect { .. } | TraceEvent::FastDecide { .. } => {}
         }
     }
 

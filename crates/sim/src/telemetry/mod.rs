@@ -418,29 +418,6 @@ trace_events! {
         /// The crashed site.
         site: SiteId,
     }
-    /// This site's failure detector started suspecting a view member
-    /// (silent past the suspicion timeout). Arms the speculative
-    /// fast-commit path: votes from suspects are no longer awaited.
-    Suspect "suspect" {
-        /// Virtual time the suspicion was raised.
-        at: SimTime,
-        /// The suspecting site.
-        site: SiteId,
-        /// The suspected (silent) member.
-        suspect: SiteId,
-    }
-    /// A site decided a transaction speculatively, from a surviving
-    /// quorum's votes, without waiting for suspected members. Always
-    /// followed by the matching [`TraceEvent::Decided`] /
-    /// [`TraceEvent::Commit`] / [`TraceEvent::Abort`].
-    FastDecide "fast_decide" {
-        /// Virtual time of the speculative decision.
-        at: SimTime,
-        /// The deciding site.
-        site: SiteId,
-        /// The decided transaction.
-        txn: TxnRef,
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
 //! Differential probe for behaviour-neutral protocol refactors.
 //!
-//! Prints one line of counts (events, messages, commits, fast commits,
-//! per-phase traffic) for each of ~1000 small seeded runs: every protocol
-//! across the knob matrix — membership, crashes, partitions, state
-//! transfer, fast commit, loss recovery with and without backoff, think
-//! time, batching, partial placement, both atomic-broadcast backends
-//! through a crash and rejoin — plus the baseline under heavy contention
-//! through crashes, the one regime where the order in which a view change
-//! settles its orphans shows up in the counts. The committed `results/`
-//! cover far fewer corners.
+//! Prints one line of counts (events, messages, commits, per-phase
+//! traffic) for each of ~1000 small seeded runs: every protocol across
+//! the knob matrix — membership, crashes, partitions, state transfer,
+//! loss recovery with and without backoff, think time, batching, partial
+//! placement, both atomic-broadcast backends through a crash and rejoin —
+//! plus the baseline under heavy contention through crashes, the one
+//! regime where the order in which a view change settles its orphans shows
+//! up in the counts. The committed `results/` cover far fewer corners.
 //!
 //! Use: run it here and in a checkout of the parent commit (copy this file
 //! over if the parent predates it), then `cmp` the two outputs — see
@@ -46,11 +45,10 @@ fn load(
 fn report(label: &str, cluster: &Cluster) {
     let m = cluster.metrics();
     println!(
-        "{label} events={} msgs={} commits={} fast={} phases={:?}",
+        "{label} events={} msgs={} commits={} phases={:?}",
         cluster.events_processed(),
         cluster.messages_sent(),
         m.commits(),
-        m.counters.get("fast_commits"),
         cluster.phase_counts(),
     );
 }
@@ -66,8 +64,7 @@ fn knob_matrix() {
             let mut fault = "none";
             match variant {
                 0 => {}
-                1 => (b, fault) = (membership(b), "crash"),
-                2 => (b, fault) = (membership(b).fast_commit(true), "crash"),
+                1 | 2 => (b, fault) = (membership(b), "crash"),
                 3 => {
                     if matches!(
                         proto,
@@ -92,7 +89,6 @@ fn knob_matrix() {
                         [AbcastImpl::Sequencer, AbcastImpl::Ring][(seed / 8 % 2) as usize];
                     b = membership(b)
                         .abcast(backend)
-                        .fast_commit(seed % 4 < 2)
                         .think_time(SimDuration::from_micros(150));
                     fault = "crash_recover";
                 }

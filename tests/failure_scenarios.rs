@@ -2,8 +2,8 @@
 //! operation, and recovery by state transfer.
 
 use bcastdb::prelude::*;
-use bcastdb::protocols::{AbcastImpl, ProtocolKind};
-use bcastdb::sim::DetRng;
+use bcastdb::protocols::{AbcastImpl, ClusterConfig, ProtocolKind};
+use bcastdb::sim::{DetRng, NetworkConfig};
 use bcastdb::workload::WorkloadConfig;
 use proptest::prelude::*;
 
@@ -384,24 +384,26 @@ fn crashed_site_recovers_by_state_transfer_and_rejoins() {
     }
 }
 
-/// `differential_probe`'s v7 cluster: six sites with membership, loaded
-/// with 40 transactions a site, 900 µs apart. The row's rng is returned for
-/// what the row submits after its fault.
-fn v7_cluster(
-    proto: ProtocolKind,
-    backend: AbcastImpl,
-    seed: u64,
-) -> (Cluster, WorkloadConfig, DetRng) {
-    let mut c = Cluster::builder()
+/// Transactions the v7 load submits at every site.
+const V7_PER_SITE: u64 = 40;
+
+/// `differential_probe`'s v7 configuration: six sites with membership.
+fn v7_builder(proto: ProtocolKind, backend: AbcastImpl, seed: u64) -> ClusterBuilder {
+    Cluster::builder()
         .sites(6)
         .protocol(proto)
         .seed(seed)
         .membership(true)
         .suspect_after(SimDuration::from_millis(40))
         .abcast(backend)
-        .fast_commit(seed % 4 < 2)
         .think_time(SimDuration::from_micros(150))
-        .build();
+}
+
+/// `differential_probe`'s v7 cluster: `builder` (a [`v7_builder`]) loaded
+/// with 40 transactions a site, 900 µs apart. The row's rng is returned for
+/// what the row submits after its fault.
+fn v7_cluster(builder: ClusterBuilder, seed: u64) -> (Cluster, WorkloadConfig, DetRng) {
+    let mut c = builder.build();
     let cfg = WorkloadConfig {
         n_keys: 25,
         readonly_fraction: 0.2,
@@ -412,7 +414,7 @@ fn v7_cluster(
     for site in c.sites().collect::<Vec<_>>() {
         let mut at = SimTime::from_micros(1_000);
         let mut site_rng = rng.fork(site.0 as u64);
-        for _ in 0..40 {
+        for _ in 0..V7_PER_SITE {
             at += SimDuration::from_micros(900);
             c.submit_at(at, site, cfg.gen_txn(&zipf, &mut site_rng));
         }
@@ -435,7 +437,7 @@ fn whole_cluster_is_serializable_with_a_rejoined_site() {
         (ProtocolKind::CausalBcast, 69),
     ] {
         let backend = [AbcastImpl::Sequencer, AbcastImpl::Ring][(seed / 8 % 2) as usize];
-        let (mut c, cfg, mut rng) = v7_cluster(proto, backend, seed);
+        let (mut c, cfg, mut rng) = v7_cluster(v7_builder(proto, backend, seed), seed);
         let zipf = cfg.sampler();
         let t = 6_000 + (seed % 13) * 1_500;
         let victim = SiteId((seed % 6) as usize);
@@ -463,11 +465,70 @@ fn whole_cluster_is_serializable_with_a_rejoined_site() {
     }
 }
 
+/// The transactions among the first `per_origin` of every origin that
+/// some site committed and another aborted.
+fn split_verdicts(c: &Cluster, per_origin: u64) -> Vec<TxnId> {
+    let sites: Vec<SiteId> = c.sites().collect();
+    let ids = sites
+        .iter()
+        .flat_map(|&o| (1..=per_origin).map(move |n| TxnId::new(o, n)));
+    ids.filter(|id| {
+        let verdicts = || sites.iter().map(|&s| c.replica(s).state().decided.get(id));
+        verdicts().any(|v| v == Some(true)) && verdicts().any(|v| v == Some(false))
+    })
+    .collect()
+}
+
+/// The v7 cluster on a WAN at the default suspicion timeout, with no
+/// fault, run to 3 s past the v7 rows' fault time: every site reaches
+/// the same verdict on every transaction, the replicas converge, the
+/// history is 1SR and nothing is left undecided.
+fn wan_verdict_agreement(proto: ProtocolKind, seed: u64) {
+    let backend = [AbcastImpl::Sequencer, AbcastImpl::Ring][(seed / 8 % 2) as usize];
+    let builder = v7_builder(proto, backend, seed)
+        .network(NetworkConfig::wan())
+        .suspect_after(ClusterConfig::default().suspect_after);
+    let (mut c, ..) = v7_cluster(builder, seed);
+    let t = 6_000 + (seed % 13) * 1_500;
+    c.run_until(SimTime::from_micros(t + 3_000_000));
+    let split = split_verdicts(&c, V7_PER_SITE);
+    assert!(
+        split.is_empty(),
+        "{proto} seed {seed}: split verdicts {split:?}"
+    );
+    assert!(c.replicas_converged(), "{proto} seed {seed}: diverged");
+    c.check_serializability()
+        .unwrap_or_else(|v| panic!("{proto} seed {seed}: {v}"));
+    for s in c.sites() {
+        let st = c.replica(s).state();
+        assert!(!st.has_undecided(), "{proto} seed {seed}: {s} undecided");
+    }
+}
+
+/// P-RB seed 9: the row where a decision taken from a suspected quorum
+/// (speculative fast commit, retired) committed T5.10 at s5 while s0–s4
+/// aborted it, with no crash and no view change.
+#[test]
+fn wan_verdict_agreement_reliable_seed_9() {
+    wan_verdict_agreement(ProtocolKind::ReliableBcast, 9);
+}
+
+/// Seeds 0..60 under P-RB and P-CB (release only: CI runs it).
+#[test]
+#[ignore = "release sweep"]
+fn wan_verdict_agreement_sweep() {
+    for seed in 0..60 {
+        for proto in [ProtocolKind::ReliableBcast, ProtocolKind::CausalBcast] {
+            wan_verdict_agreement(proto, seed);
+        }
+    }
+}
+
 /// `differential_probe`'s atomic v7 row up to the crash: six sites, s4
 /// crashes mid-load, and 200 ms later the five survivors have decided
 /// everything, hold the same stores and pass 1SR among themselves.
 fn atomic_crash_row(backend: AbcastImpl, seed: u64) {
-    let (mut c, ..) = v7_cluster(ProtocolKind::AtomicBcast, backend, seed);
+    let (mut c, ..) = v7_cluster(v7_builder(ProtocolKind::AtomicBcast, backend, seed), seed);
     let t = 6_000 + (seed % 13) * 1_500;
     c.run_until(SimTime::from_micros(t));
     c.crash(SiteId(4));

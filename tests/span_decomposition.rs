@@ -253,16 +253,6 @@ fn event() -> impl Strategy<Value = TraceEvent> {
                 bytes,
             }
         ),
-        (time(), site(), site()).prop_map(|(at, site, suspect)| TraceEvent::Suspect {
-            at,
-            site,
-            suspect
-        }),
-        (time(), site(), txn()).prop_map(|(at, site, txn)| TraceEvent::FastDecide {
-            at,
-            site,
-            txn
-        }),
     ]
 }
 

@@ -16,6 +16,10 @@ checks and exits 1 when
 - `enum Proto` is back in `engine.rs`;
 - `RedoLog` is named under `crates/core/src` (a replica keeps commit
   state, not a log: recovery is state transfer, DESIGN.md section 5);
+- speculative fast commit comes back under `crates/*/src`: `fast_commit`,
+  `FastCommit`, `FastDecide`, `on_suspect` or `suspected_within` (a
+  transaction is decided by the installed view's full vote only, DESIGN.md
+  section 15; the `fast_commits` counter name stays for `benchmark/`);
 - a `BCASTDB_*` variable is read from the environment anywhere under
   `crates/` but `crates/bench/src/harness.rs`;
 - a JSON parser, a string escaper or the `trace_meta` trailer literal shows
@@ -70,8 +74,13 @@ import sys
 # growth, 2877 -> 2881, when causal wires started carrying clock deltas
 # (DESIGN.md sections 2, 11 and 18): P-CB's conflict index keeps its clocks
 # in a `ClockSlab` (the field, its construction, its reset on resume), its
-# nulls go in full and its gap report reads the full stamp.
-PROTOCOLS_AND_ENGINE_CEILING = 2881
+# nulls go in full and its gap report reads the full stamp. Lowered to the
+# count, 2881 -> 2776, when speculative fast commit was retired (DESIGN.md
+# section 15): protocols/mod.rs -58 (`Quorum`'s suspicion set and fast
+# branch, `Verdict::FastCommit`, `own_yes`, `on_suspect` and its driver
+# impl), engine.rs -30 (the speculative window and `last_suspected`),
+# reliable.rs -9 and causal.rs -8 (the fast arms and flag).
+PROTOCOLS_AND_ENGINE_CEILING = 2776
 # Set when the dense checker landed (PERFORMANCE.md section 3): sg.rs 313 ->
 # 457 and graph.rs 164 -> 160, which is what moved the total from 20424 to
 # 20585 (CHANGES.md says why that is more than a swap). Lowered by the 8
@@ -100,7 +109,11 @@ CHECKER_CEILING = 610
 # when the second timing path went (DESIGN.md section 12): the
 # `profile_loop` driver (-53), the `scenarios` crash run it and the
 # criterion benches shared (-76), its module line and a crate-doc line.
-BENCH_CEILING = 4762
+# Lowered to the count, 4762 -> 4688, when speculative fast commit was
+# retired: T2's two fast rows and their assertion block
+# (t2_failures.rs -47), the nemesis knob, column and outcome field
+# (nemesis.rs -27).
+BENCH_CEILING = 4688
 # Raised by exactly its growth when keys started caching their hash and
 # clocks started sharing snapshots (DESIGN.md sections 6 and 18): 20293 ->
 # 20402, the `Key`/`KeyMap` and owned-or-shared `VectorClock` code less
@@ -276,7 +289,14 @@ BENCH_CEILING = 4762
 # protocols +4 (see PROTOCOLS_AND_ENGINE_CEILING). The slab and the shelf's
 # look-ahead are what keep `allocs_per_txn` at or under the parent's on
 # `steady_cb` (1.145 without them) and `wide_ring` (8.72 without them).
-CRATES_CEILING = 20701
+# Lowered to the count, 20701 -> 20456, when speculative fast commit was
+# retired (DESIGN.md section 15): protocols -105 (see
+# PROTOCOLS_AND_ENGINE_CEILING), telemetry -28 (see TELEMETRY_CEILING),
+# crates/bench/src -74 (see BENCH_CEILING), state.rs -14
+# (`trace_fast_decide`), cluster.rs -12 (the knob and its builder),
+# membership.rs -9 (`suspected_within` folded into `suspected`),
+# spans.rs -4, metrics.rs +1 (why `fast_commits` stays a name).
+CRATES_CEILING = 20456
 # `crates/sim/src/json.rs` + `crates/sim/src/telemetry/*.rs`, set when
 # telemetry.rs (1184 lines) became json.rs and four files: 1321 in all, of
 # which 310 are the parser, escaper and getters every JSON reader shares.
@@ -290,8 +310,11 @@ CRATES_CEILING = 20701
 # Lowered by exactly the 36 lines it lost, 1555 -> 1519, when `PhaseCounts`
 # became one array indexed by phase and the checker's per-link table a
 # `PhaseCounts` per link. Raised by exactly its growth, 1515 -> 1726
-# (1519 -> 1730), for `WorkerSink` (see CRATES_CEILING).
-TELEMETRY_CEILING = 1730
+# (1519 -> 1730), for `WorkerSink` (see CRATES_CEILING). Lowered to the
+# count, 1730 -> 1700, when the `Suspect` and `FastDecide` trace events
+# went with speculative fast commit (telemetry/mod.rs -23,
+# invariants.rs -5).
+TELEMETRY_CEILING = 1700
 
 # The only files under crates/bench/src/bin: an experiment is an entry of
 # `bcastdb_bench::experiments::ALL`, not a process.
@@ -307,6 +330,9 @@ JSON_ONLY = [
     r"fn parse_number\b",
     r'\{\\"type\\":\\"trace_meta',
 ]
+
+# Retired with speculative fast commit (DESIGN.md section 15).
+FAST_COMMIT = re.compile(r"\b(fast_commit|FastCommit|FastDecide|on_suspect|suspected_within)\b")
 
 ONCE = [
     r"enum Work\b",
@@ -390,6 +416,10 @@ def main():
     for path in glob.glob("crates/core/src/**/*.rs", recursive=True):
         if re.search(r"\bRedoLog\b", open(path, encoding="utf-8").read()):
             failures.append(f"{path} names `RedoLog`; a replica keeps no redo log")
+    for path in glob.glob("crates/*/src/**/*.rs", recursive=True):
+        m = FAST_COMMIT.search(open(path, encoding="utf-8").read())
+        if m:
+            failures.append(f"{path} names `{m.group(1)}`; speculative fast commit is retired")
 
     for path in glob.glob("crates/**/*.rs", recursive=True):
         code = open(path, encoding="utf-8").read()
