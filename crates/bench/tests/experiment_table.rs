@@ -477,6 +477,24 @@ const TRACE_LINES: [&str; 14] = [
 const SAMPLE_LINE: &str =
     r#"{"t":1000,"v":{"queue_depth":200,"s0.lock_keys":0},"h":{"batch.flush_msgs":[[1,5],[4,2]]}}"#;
 
+/// A ledger as `run_all` writes it, cut to its header and two rows (the
+/// other rows repeat the second's structure and only multiply the run
+/// time). Fixed here, not read from the committed ledger, so the number
+/// of mutations does not move with the timing digits of a regeneration.
+const LEDGER_EXEMPLAR: &str = r#"{
+  "git_rev": "9ac5cd6092e7-dirty",
+  "rustc": "rustc 1.95.0 (59807616e 2026-04-14)",
+  "jobs": 1,
+  "total_wall_ms": 8053.666,
+  "total_runs_wall_ms": 8053.554,
+  "parallel_speedup": 1.000,
+  "experiments": [
+    { "experiment": "t1_messages", "runs": 20, "jobs": 1, "wall_ms": 2.039, "runs_wall_ms": 2.034, "speedup": 0.998, "events": 1509, "events_per_sec": 739964.9, "allocs": 6608, "allocs_per_event": 4.38 },
+    { "experiment": "t1_messages_amortized", "runs": 20, "jobs": 1, "wall_ms": 226.559, "runs_wall_ms": 226.554, "speedup": 1.000, "events": 439797, "events_per_sec": 1941204.4, "allocs": 115576, "allocs_per_event": 0.26 }
+  ]
+}
+"#;
+
 /// Every prefix of `good`, and every byte of it replaced by each byte of a
 /// small structural alphabet; only what is still UTF-8 can reach a reader
 /// (the tools read files as strings).
@@ -532,26 +550,22 @@ fn encode(value: &Json, out: &mut String) {
 #[test]
 fn mutated_json_never_panics_and_accepted_values_round_trip() {
     let (mut tried, mut accepted) = (0u32, 0u32);
-    // The committed ledger cut to its header and first two rows: the other
-    // twelve repeat the second's structure and only multiply the run time.
-    let ledger = committed("BENCH_wallclock.json");
-    let lines: Vec<&str> = ledger.lines().collect();
-    let rows = 1 + lines
-        .iter()
-        .position(|l| l.contains("\"experiments\""))
-        .expect("rows");
-    let (head, row) = (
-        lines[..=rows].join("\n"),
-        lines[rows + 1].trim_end_matches(','),
-    );
-    let ledger = format!("{head}\n{row}\n  ]\n}}\n");
-    let parsed = WallclockLedger::parse(&ledger).expect("the cut ledger parses");
+    let committed = WallclockLedger::parse(&committed("BENCH_wallclock.json"));
+    assert!(!committed
+        .expect("the committed ledger parses")
+        .experiments
+        .is_empty());
+    let parsed = WallclockLedger::parse(LEDGER_EXEMPLAR).expect("the exemplar parses");
     assert_eq!(parsed.experiments.len(), 2);
     for line in TRACE_LINES {
         let ev = TraceEvent::from_jsonl(line).expect(line);
         assert_eq!(ev.to_jsonl(), line, "the writer's spelling");
     }
-    for good in TRACE_LINES.iter().copied().chain([SAMPLE_LINE, &ledger]) {
+    for good in TRACE_LINES
+        .iter()
+        .copied()
+        .chain([SAMPLE_LINE, LEDGER_EXEMPLAR])
+    {
         for text in mutations(good) {
             tried += 1;
             if let Ok(value) = json::parse(&text) {

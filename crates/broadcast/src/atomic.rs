@@ -469,7 +469,7 @@ impl<P: Clone> AtomicBcast<P> for IsisAbcast<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::expand_dest;
+    use crate::msg::dest_iter;
     use crate::order::schedule;
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -493,7 +493,7 @@ mod tests {
                 logs[me.0].push((d.gseq, d.payload));
             }
             for ob in out.outbound {
-                for to in expand_dest(ob.dest, me, n) {
+                for to in dest_iter(ob.dest, me, n) {
                     queue.push_back((me, to, ob.wire.clone()));
                 }
             }
@@ -684,11 +684,7 @@ mod tests {
             let out = es[to.0].on_wire(from, wire);
             logs[to.0].extend(out.deliveries.into_iter().map(|d| (d.gseq, d.payload)));
             for ob in out.outbound {
-                queue.extend(
-                    expand_dest(ob.dest, to, es.len())
-                        .into_iter()
-                        .map(|t| (to, t, ob.wire.clone())),
-                );
+                queue.extend(dest_iter(ob.dest, to, es.len()).map(|t| (to, t, ob.wire.clone())));
             }
         }
         logs
@@ -707,7 +703,7 @@ mod tests {
         for s in [1, 2] {
             let out = es[s].set_view(&[SiteId(1), SiteId(2)], 1);
             for ob in out.outbound {
-                for to in expand_dest(ob.dest, SiteId(s), 3) {
+                for to in dest_iter(ob.dest, SiteId(s), 3) {
                     queue.push_back((SiteId(s), to, ob.wire.clone()));
                 }
             }
@@ -833,7 +829,7 @@ mod tests {
         let mut queue: VecDeque<(SiteId, SiteId, IsisWire<String>)> = VecDeque::new();
         let (_, out) = es[0].broadcast("m".to_owned());
         for ob in out.outbound {
-            for to in expand_dest(ob.dest, SiteId(0), n) {
+            for to in dest_iter(ob.dest, SiteId(0), n) {
                 wires += 1;
                 queue.push_back((SiteId(0), to, ob.wire.clone()));
             }
@@ -841,7 +837,7 @@ mod tests {
         while let Some((from, to, wire)) = queue.pop_front() {
             let out = es[to.0].on_wire(from, wire);
             for ob in out.outbound {
-                for dest in expand_dest(ob.dest, to, n) {
+                for dest in dest_iter(ob.dest, to, n) {
                     wires += 1;
                     queue.push_back((to, dest, ob.wire.clone()));
                 }

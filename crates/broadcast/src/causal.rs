@@ -113,10 +113,8 @@ pub struct CausalBcast<P> {
     /// Per origin, messages received but not yet causally deliverable,
     /// above a watermark that follows `vc[origin]`.
     waiting: Vec<SeqWindow<Wire<P>>>,
-    /// Every wire ever seen (sent or received), retained for
-    /// retransmission to peers that lost their copies; off
-    /// ([`CausalBcast::without_archive`]) when the deployment never
-    /// requests retransmissions, saving a wire clone per message.
+    /// Every wire seen (sent or received) that a peer may still lack,
+    /// retained for retransmission to peers that lost their copies.
     archive: Archive<Wire<P>>,
 }
 
@@ -140,7 +138,7 @@ impl<P: Clone> CausalBcast<P> {
             deltas: Shelf::default(),
             unchanged: Arc::default(),
             waiting: (0..n).map(|_| SeqWindow::default()).collect(),
-            archive: Archive::new(n),
+            archive: Archive::new(me, n),
         }
     }
 
@@ -151,12 +149,11 @@ impl<P: Clone> CausalBcast<P> {
         self
     }
 
-    /// Disables the retransmission archive. Only safe when no peer will
-    /// ever call [`CausalBcast::retransmissions_for`] against this engine's
-    /// history (i.e. loss recovery is off); in exchange, the per-message
-    /// archive clone disappears from the hot path.
+    /// Disables the retransmission archive, and its clone per message:
+    /// correct when nothing will ever call
+    /// [`CausalBcast::retransmissions_for`] (loss recovery is off).
     pub fn without_archive(mut self) -> Self {
-        self.archive = Archive::new(0);
+        self.archive = Archive::new(self.me, 0);
         self
     }
 
@@ -288,20 +285,22 @@ impl<P: Clone> CausalBcast<P> {
         self.waiting.iter().map(SeqWindow::held).sum()
     }
 
-    /// Hands `send` the archived messages a peer whose delivered clock is
-    /// `their_vc` is missing, at most `cap` in total. The cap is spread round-robin
-    /// across origins (one message per origin per pass, gap-first within
-    /// each origin) so a long gap from one origin cannot starve the
-    /// others out of every retransmission round. The peer's duplicate
-    /// suppression makes over-sending harmless.
+    /// Hands `send` the archived messages peer `from`, by its delivered
+    /// clock `their_vc` (its report to the archive), is missing: at most
+    /// `cap`, spread round-robin across origins (gap-first within each) so
+    /// a long gap from one origin cannot starve the others out of every
+    /// retransmission round. The peer's duplicate suppression makes
+    /// over-sending harmless.
     pub fn retransmissions_for(
         &mut self,
+        from: SiteId,
         their_vc: &VectorClock,
         cap: usize,
         mut send: impl FnMut(Wire<P>),
     ) {
         let marks = their_vc.iter().map(|(_, delivered)| delivered);
-        self.archive.missing(marks, cap, |_, w| send(w.clone()))
+        self.archive
+            .missing(from, marks, cap, |_, w| send(w.clone()))
     }
 
     /// What a state transfer carries of this engine.
@@ -616,14 +615,16 @@ mod tests {
         (0..n).map(|i| CausalBcast::new(SiteId(i), n)).collect()
     }
 
-    /// What `retransmissions_for` hands its `send`, in order.
+    /// What `retransmissions_for` hands its `send`, in order, asked by
+    /// site `from`.
     fn resent(
         e: &mut CausalBcast<String>,
+        from: usize,
         their_vc: &VectorClock,
         cap: usize,
     ) -> Vec<Wire<String>> {
         let mut out = Vec::new();
-        e.retransmissions_for(their_vc, cap, |w| out.push(w));
+        e.retransmissions_for(SiteId(from), their_vc, cap, |w| out.push(w));
         out
     }
 
@@ -947,7 +948,7 @@ mod tests {
         }
         // A peer that has delivered nothing asks with cap 2: it must get
         // the first message of EACH gapped origin, not two from origin 0.
-        let out = resent(&mut es[2], &VectorClock::new(3), 2);
+        let out = resent(&mut es[2], 0, &VectorClock::new(3), 2);
         assert_eq!(out.len(), 2);
         let origins: Vec<SiteId> = out.iter().map(|w| w.id.origin).collect();
         assert!(
@@ -959,11 +960,11 @@ mod tests {
             "each origin's retransmission starts at its gap"
         );
         // A larger cap round-robins: 2 from each origin before any third.
-        let out = resent(&mut es[2], &VectorClock::new(3), 4);
+        let out = resent(&mut es[2], 0, &VectorClock::new(3), 4);
         let from = |s: usize| out.iter().filter(|w| w.id.origin == SiteId(s)).count();
         assert_eq!((from(0), from(1)), (2, 2));
         // Uncapped, everything archived comes back, in-gap-order per origin.
-        let out = resent(&mut es[2], &VectorClock::new(3), 64);
+        let out = resent(&mut es[2], 0, &VectorClock::new(3), 64);
         assert_eq!(out.len(), 6);
         for s in [0usize, 1] {
             let seqs: Vec<u64> = out
@@ -1005,7 +1006,7 @@ mod tests {
             }
             rounds += 1;
             assert!(rounds <= 12, "retransmission rounds must converge");
-            let batch = resent(&mut es[3], peer.clock(), 3);
+            let batch = resent(&mut es[3], 0, peer.clock(), 3);
             // Cap 3 split over three gapped origins: one message each.
             let mut origins: Vec<usize> = batch.iter().map(|w| w.id.origin.index()).collect();
             origins.sort_unstable();
@@ -1014,5 +1015,48 @@ mod tests {
                 peer.on_wire(w.id.origin, w);
             }
         }
+    }
+
+    /// A null message's full clock is its sender's report: once every
+    /// peer's clock covers a message the archive lets it go, a delayed
+    /// older clock never brings it back, and a peer at the cut still gets
+    /// everything above it.
+    #[test]
+    fn null_clock_reports_cut_the_archive() {
+        let mut es = engines(3);
+        for k in 1..=3 {
+            let (_, out) = es[0].broadcast(format!("m{k}"));
+            let w = out.outbound[0].wire.clone();
+            es[1].on_wire(SiteId(0), w.clone());
+            if k < 3 {
+                es[2].on_wire(SiteId(0), w);
+            }
+        }
+        assert_eq!(es[0].archive.len(), 3);
+        // What a null message from a site stamps: everything it delivered.
+        let null_clock = |e: &mut CausalBcast<String>| {
+            let mut handled = e.clock().clone();
+            let (_, out) = e.broadcast_after(&mut handled, true, "null".to_owned());
+            match &out.outbound[0].wire.stamp {
+                Stamp::Full(vc) => vc.clone(),
+                Stamp::Delta(_) => unreachable!("a full stamp was asked for"),
+            }
+        };
+        let (c1, c2) = (null_clock(&mut es[1]), null_clock(&mut es[2]));
+        let seqs = |wires: Vec<Wire<String>>| wires.iter().map(|w| w.id.seq).collect::<Vec<_>>();
+        // Site 1 has delivered all three, site 2 has not reported: no cut.
+        assert!(resent(&mut es[0], 1, &c1, 16).is_empty());
+        assert_eq!(es[0].archive.len(), 3);
+        // Site 2 has delivered two: both go, and it gets the third.
+        assert_eq!(seqs(resent(&mut es[0], 2, &c2, 16)), [3]);
+        assert_eq!(es[0].archive.len(), 1);
+        // A delayed clock from before site 2 delivered anything lowers no
+        // cut: what it asks for from below the cut is no longer here.
+        assert!(resent(&mut es[0], 2, &VectorClock::new(3), 16).is_empty());
+        assert_eq!(es[0].archive.len(), 1);
+        assert_eq!(seqs(resent(&mut es[0], 2, &c2, 16)), [3]);
+        // Both peers now cover everything: the archive is empty.
+        assert!(resent(&mut es[0], 2, &c1, 16).is_empty());
+        assert_eq!(es[0].archive.len(), 0);
     }
 }

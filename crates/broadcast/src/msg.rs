@@ -103,9 +103,8 @@ impl Iterator for DestIter {
 impl ExactSizeIterator for DestIter {}
 
 /// Iterates the concrete site ids a [`Dest`] names in a system of `n`
-/// sites with the caller at `me`, in ascending site order — the
-/// allocation-free form of [`expand_dest`], used on the per-send fan-out
-/// hot path.
+/// sites with the caller at `me`, in ascending site order, without
+/// allocating: the per-send fan-out hot path.
 pub fn dest_iter(dest: Dest, me: SiteId, n: usize) -> DestIter {
     match dest {
         Dest::All => DestIter {
@@ -124,12 +123,6 @@ pub fn dest_iter(dest: Dest, me: SiteId, n: usize) -> DestIter {
             skip: usize::MAX,
         },
     }
-}
-
-/// Expands a [`Dest`] into concrete site ids for a system of `n` sites with
-/// the caller at `me`. Allocates; prefer [`dest_iter`] on hot paths.
-pub fn expand_dest(dest: Dest, me: SiteId, n: usize) -> Vec<SiteId> {
-    dest_iter(dest, me, n).collect()
 }
 
 /// One origin's sequence numbers: a watermark, every number at or below
@@ -247,27 +240,33 @@ impl SeqWindow<()> {
     }
 }
 
-/// Every message an engine has seen (sent or received), kept for
-/// retransmission to peers that lost their copies: one window per origin
-/// whose watermark stays at 0. Kept whole on purpose: a sync request can be
-/// a delayed duplicate of an old one, so no watermark a peer has reported
-/// since bounds what the next request asks for — and how many wires an
-/// answer holds is part of the run's message counts.
+/// The messages an engine has seen (sent or received) that a peer may
+/// still lack, for retransmission: one window per origin, cut at the
+/// lowest of the peers' highest reported delivery watermarks (a delayed
+/// duplicate request never lowers a cut). A peer that stops reporting
+/// (crashed, or gone from the view) holds every cut where it stands: it
+/// may come back and ask from there, and the archive does not know views.
 #[derive(Debug)]
 pub(crate) struct Archive<T> {
+    me: usize,
     by_origin: Vec<SeqWindow<T>>,
+    /// Row `p`: the highest watermarks peer `p` has reported (row `me`:
+    /// `u64::MAX`). Made by the first request, as only relay asks.
+    reports: Vec<u64>,
     /// `missing`'s per-origin cursors, kept for reuse.
     cursors: Vec<MsgId>,
 }
 
 impl<T> Archive<T> {
-    /// An empty archive for origins `0..n`. With `n == 0` it keeps nothing:
-    /// only loss-recovery deployments ask for retransmissions, so the
-    /// others skip a copy per message.
-    pub(crate) fn new(n: usize) -> Self {
+    /// An empty archive at site `me` for origins `0..n`. With `n == 0` it
+    /// keeps nothing: only loss-recovery deployments ask for
+    /// retransmissions, so the others skip a copy per message.
+    pub(crate) fn new(me: SiteId, n: usize) -> Self {
         let by_origin = (0..n).map(|_| SeqWindow::default()).collect();
         Archive {
+            me: me.0,
             by_origin,
+            reports: Vec::new(),
             cursors: Vec::new(),
         }
     }
@@ -279,38 +278,45 @@ impl<T> Archive<T> {
         }
     }
 
-    fn get(&self, id: MsgId) -> Option<&T> {
-        self.by_origin.get(id.origin.0)?.get(id.seq)
-    }
-
     /// Number of messages kept.
     pub(crate) fn len(&self) -> usize {
         self.by_origin.iter().map(SeqWindow::held).sum()
     }
 
-    /// Hands `send` the kept messages a peer at per-origin delivery
-    /// watermarks `marks` is missing: at most `cap`, round-robin across
-    /// origins, gap-first within each.
+    /// Hands `send` the kept messages `peer`, at per-origin delivery
+    /// watermarks `marks`, is missing: at most `cap`, round-robin across
+    /// origins, gap-first within each. First `marks` is taken as `peer`'s
+    /// report, and what every peer has reported delivered is dropped.
     pub(crate) fn missing(
         &mut self,
+        peer: SiteId,
         marks: impl IntoIterator<Item = u64>,
         cap: usize,
         mut send: impl FnMut(MsgId, &T),
     ) {
+        let n = self.by_origin.len();
+        if self.reports.len() < n * n {
+            self.reports = vec![0; n * n];
+            self.reports[self.me * n..][..n].fill(u64::MAX);
+        }
         // One cursor per origin with at least one kept successor.
         let mut cursors = std::mem::take(&mut self.cursors);
         cursors.clear();
-        cursors.extend(
-            (marks.into_iter().enumerate())
-                .map(|(o, mark)| MsgId {
+        for (o, mark) in marks.into_iter().enumerate().take(n) {
+            let seen = &mut self.reports[peer.0 * n + o];
+            *seen = mark.max(*seen);
+            let row = &mut self.by_origin[o];
+            row.raise(*self.reports[o..].iter().step_by(n).min().expect("n > 0"));
+            if row.get(mark + 1).is_some() {
+                cursors.push(MsgId {
                     origin: SiteId(o),
                     seq: mark + 1,
-                })
-                .filter(|&id| self.get(id).is_some()),
-        );
+                });
+            }
+        }
         let mut sent = 0;
         while sent < cap && !cursors.is_empty() {
-            cursors.retain_mut(|id| match self.get(*id) {
+            cursors.retain_mut(|id| match self.by_origin[id.origin.0].get(id.seq) {
                 Some(item) if sent < cap => {
                     send(*id, item);
                     sent += 1;
@@ -571,35 +577,92 @@ mod tests {
         out
     }
 
+    /// One input to an archive at site 3 of 4: a message kept, or a
+    /// request from peer `peer` whose marks either start from its last
+    /// report (`fresh`: each mark raised to at least the reported one) or
+    /// are taken as they are (a delayed duplicate may ask from below it).
+    #[derive(Debug, Clone)]
+    enum ArchiveStep {
+        Keep(usize, u64, u32),
+        Ask {
+            peer: usize,
+            marks: Vec<u64>,
+            fresh: bool,
+            cap: usize,
+        },
+    }
+
+    fn archive_step() -> impl Strategy<Value = ArchiveStep> {
+        let keep =
+            (0usize..4, 1u64..24, any::<u32>()).prop_map(|(o, s, p)| ArchiveStep::Keep(o, s, p));
+        let marks = proptest::collection::vec(0u64..26, 0..6);
+        let ask =
+            (0usize..3, marks, any::<bool>(), 0usize..40).prop_map(|(peer, marks, fresh, cap)| {
+                ArchiveStep::Ask {
+                    peer,
+                    marks,
+                    fresh,
+                    cap,
+                }
+            });
+        prop_oneof![keep.clone(), keep, ask]
+    }
+
     proptest! {
         /// Inserts from four origins out of order, with gaps and repeats,
-        /// then questions at random watermarks and caps: the same count
-        /// and the same wires in the same order as the map.
+        /// and requests from three peers at random marks and caps, some
+        /// from below what their sender reported before. After every step
+        /// each origin's cut is the lowest of the peers' highest reports
+        /// (so an older report never lowers it) and the archive keeps
+        /// exactly what the map holds above it; every request gets the
+        /// map's answer above the cut, and a request at or above its
+        /// sender's last report gets the answer of the uncut map: the same
+        /// count and the same wires in the same order.
         #[test]
-        fn archive_agrees_with_the_map(
-            inserts in proptest::collection::vec((0usize..4, 1u64..24, any::<u32>()), 0..120),
-            questions in proptest::collection::vec(
-                (proptest::collection::vec(0u64..26, 0..6), 0usize..40),
-                1..8,
-            ),
-        ) {
-            let mut archive = Archive::new(4);
+        fn archive_agrees_with_the_map(steps in proptest::collection::vec(archive_step(), 0..160)) {
+            let mut archive = Archive::new(SiteId(3), 4);
             let mut map = BTreeMap::new();
-            for (o, seq, p) in inserts {
-                let id = MsgId { origin: SiteId(o), seq };
-                archive.keep(id, || p);
-                map.insert((id.origin, seq), p);
-                prop_assert_eq!(archive.len(), map.len());
+            let mut reported = [[0u64; 4]; 3];
+            let mut floors = [0u64; 4];
+            for step in steps {
+                match step {
+                    ArchiveStep::Keep(o, seq, p) => {
+                        archive.keep(MsgId { origin: SiteId(o), seq }, || p);
+                        map.insert((SiteId(o), seq), p);
+                    }
+                    ArchiveStep::Ask { peer, mut marks, fresh, cap } => {
+                        if fresh {
+                            marks.iter_mut().zip(reported[peer]).for_each(|(m, r)| *m = r.max(*m));
+                        }
+                        for (r, &m) in reported[peer].iter_mut().zip(&marks) {
+                            *r = m.max(*r);
+                        }
+                        let mut got = Vec::new();
+                        let marks_iter = marks.iter().copied();
+                        archive.missing(SiteId(peer), marks_iter, cap, |id, &p| got.push((id, p)));
+                        for (o, floor) in floors.iter_mut().enumerate() {
+                            let cut = reported.iter().map(|r| r[o]).min().unwrap();
+                            prop_assert!(cut >= *floor, "origin {}'s cut fell", o);
+                            *floor = cut;
+                        }
+                        let mut above = map.clone();
+                        above.retain(|&(o, seq), _| seq > floors[o.0]);
+                        prop_assert_eq!(&got, &oracle_retransmissions(&above, &marks, cap));
+                        if fresh {
+                            prop_assert_eq!(&got, &oracle_retransmissions(&map, &marks, cap));
+                        }
+                    }
+                }
+                for (o, &floor) in floors.iter().enumerate() {
+                    prop_assert_eq!(archive.by_origin[o].watermark(), floor, "origin {}", o);
+                }
+                let kept = map.keys().filter(|&&(o, seq)| seq > floors[o.0]).count();
+                prop_assert_eq!(archive.len(), kept);
             }
-            for (marks, cap) in questions {
-                let mut got = Vec::new();
-                archive.missing(marks.iter().copied(), cap, |id, &p| got.push((id, p)));
-                prop_assert_eq!(got, oracle_retransmissions(&map, &marks, cap));
-            }
-            let mut off = Archive::new(0);
+            let mut off = Archive::new(SiteId(0), 0);
             off.keep(MsgId { origin: SiteId(0), seq: 1 }, || 7);
-            prop_assert_eq!(off.len(), 0);
-            off.missing([0; 4], 8, |_, _| panic!("an archive that keeps nothing sent"));
+            off.missing(SiteId(1), [0; 4], 8, |_, _| panic!("an archive that keeps nothing sent"));
+            prop_assert_eq!((off.len(), off.reports.len()), (0, 0));
         }
     }
 
@@ -618,41 +681,36 @@ mod tests {
     }
 
     #[test]
-    fn expand_all_includes_me() {
-        assert_eq!(
-            expand_dest(Dest::All, SiteId(1), 3),
-            vec![SiteId(0), SiteId(1), SiteId(2)]
-        );
+    fn all_includes_me() {
+        let all: Vec<_> = dest_iter(Dest::All, SiteId(1), 3).collect();
+        assert_eq!(all, vec![SiteId(0), SiteId(1), SiteId(2)]);
     }
 
     #[test]
-    fn expand_others_excludes_me() {
-        assert_eq!(
-            expand_dest(Dest::Others, SiteId(1), 3),
-            vec![SiteId(0), SiteId(2)]
-        );
+    fn others_excludes_me() {
+        let others: Vec<_> = dest_iter(Dest::Others, SiteId(1), 3).collect();
+        assert_eq!(others, vec![SiteId(0), SiteId(2)]);
     }
 
     #[test]
-    fn expand_site_is_singleton() {
-        assert_eq!(
-            expand_dest(Dest::Site(SiteId(2)), SiteId(0), 5),
-            vec![SiteId(2)]
-        );
+    fn site_is_singleton() {
+        let one: Vec<_> = dest_iter(Dest::Site(SiteId(2)), SiteId(0), 5).collect();
+        assert_eq!(one, vec![SiteId(2)]);
     }
 
     #[test]
-    fn dest_iter_matches_expand_dest() {
+    fn dest_iter_len_counts_what_it_yields() {
         for n in 1..6 {
             for me in 0..n {
                 for dest in [Dest::All, Dest::Others, Dest::Site(SiteId(n - 1))] {
                     let it = dest_iter(dest, SiteId(me), n);
-                    assert_eq!(it.len(), expand_dest(dest, SiteId(me), n).len());
-                    assert_eq!(
-                        it.collect::<Vec<_>>(),
-                        expand_dest(dest, SiteId(me), n),
-                        "dest={dest:?} me={me} n={n}"
-                    );
+                    let want = match dest {
+                        Dest::All => n,
+                        Dest::Others => n - 1,
+                        Dest::Site(_) => 1,
+                    };
+                    assert_eq!(it.len(), want, "dest={dest:?} me={me} n={n}");
+                    assert_eq!(it.count(), want, "dest={dest:?} me={me} n={n}");
                 }
             }
         }

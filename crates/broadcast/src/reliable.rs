@@ -82,8 +82,8 @@ pub struct ReliableBcast<P> {
     /// Per origin: delivered up to the watermark, and the messages that
     /// arrived ahead of a gap, awaiting their FIFO predecessors.
     fifo: Vec<SeqWindow<P>>,
-    /// Every payload ever seen (sent or received), retained for
-    /// retransmission to peers that lost their copies.
+    /// Every payload seen (sent or received) that a peer may still lack,
+    /// retained for retransmission to peers that lost their copies.
     archive: Archive<P>,
 }
 
@@ -100,7 +100,7 @@ impl<P: Clone> ReliableBcast<P> {
             relay: false,
             next_seq: 0,
             fifo: (0..n).map(|_| SeqWindow::default()).collect(),
-            archive: Archive::new(n),
+            archive: Archive::new(me, n),
         }
     }
 
@@ -108,7 +108,7 @@ impl<P: Clone> ReliableBcast<P> {
     /// ever call [`ReliableBcast::retransmissions_for`] on this engine —
     /// i.e. outside loss-recovery (relay) deployments.
     pub fn without_archive(mut self) -> Self {
-        self.archive = Archive::new(0);
+        self.archive = Archive::new(self.me, 0);
         self
     }
 
@@ -178,11 +178,6 @@ impl<P: Clone> ReliableBcast<P> {
         out
     }
 
-    /// Number of messages delivered from `origin` so far.
-    pub fn delivered_from(&self, origin: SiteId) -> u64 {
-        self.fifo[origin.0].watermark()
-    }
-
     /// Per-origin delivery watermarks, in origin order.
     pub fn watermarks(&self) -> impl Iterator<Item = u64> + '_ {
         self.fifo.iter().map(SeqWindow::watermark)
@@ -215,24 +210,23 @@ impl<P: Clone> ReliableBcast<P> {
         self.archive.len()
     }
 
-    /// Hands `send` the archived messages a peer at the given delivery
-    /// watermarks is missing, at most `cap` in total. The cap is spread round-robin
-    /// across origins (one message per origin per pass, gap-first within
-    /// each origin) so a long gap from one origin cannot starve the
-    /// others out of every retransmission round. The peer's duplicate
-    /// suppression makes over-sending harmless.
+    /// Hands `send` the archived messages peer `from`, by its delivery
+    /// `watermarks` (its report to the archive), is missing: at most `cap`,
+    /// spread round-robin across origins (gap-first within each) so a long
+    /// gap from one origin cannot starve the others out of every
+    /// retransmission round. The peer's duplicate suppression makes
+    /// over-sending harmless.
     pub fn retransmissions_for(
         &mut self,
+        from: SiteId,
         watermarks: &[u64],
         cap: usize,
         mut send: impl FnMut(Wire<P>),
     ) {
         let marks = watermarks.iter().copied();
-        self.archive.missing(marks, cap, |id, p| {
-            send(Wire {
-                id,
-                payload: p.clone(),
-            })
+        self.archive.missing(from, marks, cap, |id, p| {
+            let payload = p.clone();
+            send(Wire { id, payload })
         })
     }
 }
@@ -337,17 +331,18 @@ mod tests {
                 }
                 let origins = || (0..3).map(SiteId);
                 for origin in origins() {
-                    prop_assert_eq!(rb.delivered_from(origin), old.prefix(origin));
+                    prop_assert_eq!(rb.watermarks().nth(origin.0).unwrap(), old.prefix(origin));
                 }
                 prop_assert_eq!(rb.holdback_len(), origins().map(|o| old.above(o)).sum::<usize>());
             }
         }
     }
 
-    /// What `retransmissions_for` hands its `send`, in order.
+    /// What `retransmissions_for` hands its `send`, in order, asked by
+    /// site 0.
     fn resent(rb: &mut ReliableBcast<String>, watermarks: &[u64], cap: usize) -> Vec<Wire<String>> {
         let mut out = Vec::new();
-        rb.retransmissions_for(watermarks, cap, |w| out.push(w));
+        rb.retransmissions_for(SiteId(0), watermarks, cap, |w| out.push(w));
         out
     }
 
@@ -379,7 +374,7 @@ mod tests {
         assert_eq!(o1.deliveries.len(), 1);
         let o2 = rb.on_wire(SiteId(0), wire(0, 2, "b"));
         assert_eq!(o2.deliveries.len(), 1);
-        assert_eq!(rb.delivered_from(SiteId(0)), 2);
+        assert_eq!(rb.watermarks().next().unwrap(), 2);
     }
 
     #[test]
@@ -416,7 +411,7 @@ mod tests {
         // What the cleared holdback lost is accepted when it comes again.
         let again = rb.on_wire(SiteId(2), wire(0, 3, "c"));
         assert_eq!(again.deliveries.len(), 1);
-        assert_eq!(rb.delivered_from(SiteId(0)), 3);
+        assert_eq!(rb.watermarks().next().unwrap(), 3);
     }
 
     #[test]
@@ -449,7 +444,7 @@ mod tests {
         let mut rb = ReliableBcast::new(SiteId(0), 2);
         rb.broadcast("a".to_owned());
         rb.broadcast("b".to_owned());
-        assert_eq!(rb.delivered_from(SiteId(0)), 2);
+        assert_eq!(rb.watermarks().next().unwrap(), 2);
     }
 
     #[test]

@@ -412,7 +412,7 @@ mod tests {
     }
     use crate::atomic::TotalDelivery;
     use crate::batch::WireSize;
-    use crate::msg::expand_dest;
+    use crate::msg::dest_iter;
 
     /// Deterministic fleet runner with crash and view-change support. The
     /// queue is globally FIFO (which preserves per-link FIFO); messages to
@@ -443,7 +443,7 @@ mod tests {
                 self.logs[site].push(delivery);
             }
             for ob in out.outbound {
-                for to in expand_dest(ob.dest, SiteId(site), n) {
+                for to in dest_iter(ob.dest, SiteId(site), n) {
                     self.queue.push_back((SiteId(site), to, ob.wire.clone()));
                     self.sends += 1;
                 }

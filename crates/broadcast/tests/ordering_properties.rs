@@ -6,7 +6,7 @@
 //! machinery must tolerate (relayed copies can arrive in any order).
 
 use bcastdb_broadcast::atomic::{AtomicBcast, IsisAbcast, SequencerAbcast};
-use bcastdb_broadcast::msg::expand_dest;
+use bcastdb_broadcast::msg::dest_iter;
 use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_broadcast::{CausalBcast, ReliableBcast};
 use bcastdb_sim::SiteId;
@@ -34,7 +34,7 @@ fn run_reliable_shuffled(
             logs[origin].push((d.id.origin, d.payload));
         }
         for ob in out.outbound {
-            for to in expand_dest(ob.dest, SiteId(origin), n) {
+            for to in dest_iter(ob.dest, SiteId(origin), n) {
                 wires.push((to, ob.wire.clone()));
             }
         }
@@ -126,7 +126,7 @@ proptest! {
                     logs[origin].push((d.id.origin, d.payload, d.vc));
                 }
                 for ob in out.outbound {
-                    for to in expand_dest(ob.dest, SiteId(origin), n) {
+                    for to in dest_iter(ob.dest, SiteId(origin), n) {
                         links[to.0].push_back(ob.wire.clone());
                     }
                 }
@@ -177,7 +177,7 @@ proptest! {
                     logs[origin].push(d.payload);
                 }
                 for ob in out.outbound {
-                    for to in expand_dest(ob.dest, SiteId(origin), n) {
+                    for to in dest_iter(ob.dest, SiteId(origin), n) {
                         wires.push_back((to, ob.wire.clone()));
                     }
                 }
@@ -188,7 +188,7 @@ proptest! {
                     logs[to.0].push(d.payload);
                 }
                 for ob in out.outbound {
-                    for dest in expand_dest(ob.dest, to, n) {
+                    for dest in dest_iter(ob.dest, to, n) {
                         wires.push_back((dest, ob.wire.clone()));
                     }
                 }
@@ -261,7 +261,7 @@ proptest! {
                     logs[origin].push(d.payload);
                 }
                 for ob in out.outbound {
-                    for to in expand_dest(ob.dest, SiteId(origin), n) {
+                    for to in dest_iter(ob.dest, SiteId(origin), n) {
                         wires.push_back((to, ob.wire.clone()));
                     }
                 }
@@ -272,7 +272,7 @@ proptest! {
                         logs[to.0].push(d.payload);
                     }
                     for ob in out.outbound {
-                        for dest in expand_dest(ob.dest, to, n) {
+                        for dest in dest_iter(ob.dest, to, n) {
                             wires.push_back((dest, ob.wire.clone()));
                         }
                     }

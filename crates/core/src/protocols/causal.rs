@@ -465,7 +465,7 @@ impl Variation for CausalProto {
                     // per message is enough (the origin always has its own
                     // archive).
                     let me = self.cb.me();
-                    self.cb.retransmissions_for(vc, 16, |w| {
+                    self.cb.retransmissions_for(from, vc, 16, |w| {
                         if w.id.origin == me {
                             cx.fx.send_to(from, ReplicaMsg::CRetrans(w));
                         }

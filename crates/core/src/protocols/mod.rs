@@ -671,7 +671,7 @@ impl RetransmitBackoff {
 pub(crate) mod tests {
     use super::*;
     use crate::payload::{P2pMsg, Payload};
-    use bcastdb_broadcast::msg::expand_dest;
+    use bcastdb_broadcast::msg::dest_iter;
     use bcastdb_db::{TxnSpec, WriteOp};
     use bcastdb_sim::telemetry::Phase;
     use bcastdb_sim::SimDuration;
@@ -739,7 +739,7 @@ pub(crate) mod tests {
             f(&mut self.protos[site], step);
             let (me, n) = (SiteId(site), self.protos.len());
             for (dest, msg) in fx.sends {
-                for to in expand_dest(dest, me, n) {
+                for to in dest_iter(dest, me, n) {
                     if to != me {
                         self.wires.push_back((me, to, msg.clone()));
                     }

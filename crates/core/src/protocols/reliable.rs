@@ -129,7 +129,7 @@ impl Variation for ReliableProto {
                 // Answer only for our own messages: one authoritative
                 // responder per gap keeps lossy-mode recovery traffic linear.
                 let me = self.rb.me();
-                self.rb.retransmissions_for(&watermarks, 32, |wire| {
+                self.rb.retransmissions_for(from, &watermarks, 32, |wire| {
                     if wire.id.origin == me {
                         cx.fx.send_to(from, ReplicaMsg::R(wire));
                     }

@@ -64,10 +64,12 @@ fn pcb_decision_work_does_not_grow_with_history() {
 /// The per-site table sizes the engine samples (`core.*`, `rb.*`,
 /// `abcast.*`, `ring.*`), closed loop on uniform keys with
 /// `txns_per_client` transactions from each of 4 clients at each of 5
-/// sites: per gauge, its largest value over all sites and 1 ms samples of
-/// the run, and its largest value over the sites once the cluster is quiet.
+/// sites, with or without `relay` (eager relaying and loss recovery): per
+/// gauge, its largest value over all sites and 1 ms samples of the run,
+/// and its largest value over the sites once the cluster is quiet.
 fn table_sizes(
     proto: ProtocolKind,
+    relay: bool,
     txns_per_client: usize,
 ) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
     let cfg = WorkloadConfig {
@@ -82,6 +84,7 @@ fn table_sizes(
         .sites(5)
         .protocol(proto)
         .seed(11)
+        .relay(relay)
         .metrics(SimDuration::from_millis(1))
         .build();
     let report = WorkloadRun::new(cfg, 11).closed_loop(&mut c, 4, txns_per_client);
@@ -108,20 +111,41 @@ fn table_sizes(
 /// `*_live` table is empty at quiescence, and none holds more at its
 /// fullest when the run is four times as long. (A `RemoteTxn` kept past
 /// its decision, or a set of every message id ever received, grows 4x.)
-/// The tables that keep history on purpose must at least be reported.
+/// The tables that keep history on purpose must at least be reported. In
+/// relay mode P-RB's retransmission archive is live too: it lets a message
+/// go once every peer has reported it delivered. (An archive of every
+/// message ever seen grows 4x.)
 #[test]
 fn live_tables_do_not_grow_with_history() {
-    for proto in ProtocolKind::ALL {
-        let (short, _) = table_sizes(proto, 15);
-        let (long, quiet) = table_sizes(proto, 60);
+    let rows = ProtocolKind::ALL.map(|proto| (proto, false));
+    for (proto, relay) in rows
+        .into_iter()
+        .chain([(ProtocolKind::ReliableBcast, true)])
+    {
+        let (short, _) = table_sizes(proto, relay, 15);
+        let (long, quiet) = table_sizes(proto, relay, 60);
         assert!(short["core.remote_live"] > 0, "{proto}: the gauge is wired");
         assert_eq!(quiet["core.decided_len"], 1200, "{proto}: one outcome each");
-        for (gauge, &at_rest) in quiet.iter().filter(|(g, _)| g.ends_with("_live")) {
-            assert_eq!(at_rest, 0, "{proto}: {gauge} at quiescence");
+        let mut live: Vec<&str> = quiet
+            .keys()
+            .map(String::as_str)
+            .filter(|g| g.ends_with("_live"))
+            .collect();
+        for gauge in &live {
+            assert_eq!(quiet[*gauge], 0, "{proto}: {gauge} at quiescence");
+        }
+        if relay {
+            assert!(
+                short["rb.archive_len"] > 0,
+                "{proto}: the archive keeps in relay mode"
+            );
+            live.push("rb.archive_len");
+        }
+        for gauge in live {
             let (s, l) = (short[gauge], long[gauge]);
             assert!(
                 l as f64 <= 1.25 * s as f64,
-                "{proto}: {gauge} peaked at {s} over the short run and {l} over one 4x as long"
+                "{proto} (relay {relay}): {gauge} peaked at {s} over the short run and {l} over one 4x as long"
             );
         }
         let expected: &[&str] = match proto {
